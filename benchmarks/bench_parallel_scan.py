@@ -1,11 +1,17 @@
-"""Parallel partitioned scan A/B: worker pool vs the serial kernel.
+"""Parallel partitioned scan A/B: worker pool vs the serial row kernel.
 
 Not a paper figure — this benchmark guards the parallel scan executor.
 The same 100k-row Agrawal frontier as ``bench_scan_kernel.py`` is
-counted through the real middleware once with the serial kernel and
-once per worker count (1/2/4/8), flipping only ``config.scan_workers``
-(and using the process pool by default, since routing is CPU-bound
-Python where threads only interleave under the GIL).
+counted through the real middleware once with the serial **row
+kernel** (``scan_workers=1`` pinned to ``scan_columnar=False`` — left
+to itself one worker runs the inline columnar executor, which is not
+the baseline the floor was set against) and once per worker count
+(1/2/4/8), flipping only ``config.scan_workers`` (and using the
+process pool by default, since routing is CPU-bound Python where
+threads only interleave under the GIL).  The 1-worker rung is always
+run: it is the **inline** columnar executor — same partitions and
+vector kernel as the pool rungs, counted on the calling thread — and
+is reported as its own row (rows/s, speedup vs the row kernel).
 
 Every configuration must produce CC tables identical to an independent
 reference count — partial counts over disjoint row partitions merge
@@ -102,7 +108,11 @@ def _usable_cores():
 def scan_frontier(spec, rows, frontier, workers, pool):
     """Count the frontier through the middleware; best-of-N profile.
 
-    ``workers=0`` means the serial kernel (``scan_workers=1``).  As in
+    ``workers=0`` means the serial row kernel (``scan_workers=1`` with
+    ``scan_columnar=False``); ``workers=1`` is the inline columnar
+    executor behind its default size gate, which also sizes its
+    partitions (the pool rungs open the gate so that ``--smoke`` sizes
+    still go parallel).  As in
     the kernel A/B, the root data set is committed straight into
     middleware memory so measured wall time is routing + counting +
     (for parallel runs) partition shipping and CC-partial merging —
@@ -110,12 +120,14 @@ def scan_frontier(spec, rows, frontier, workers, pool):
     """
     server = SQLServer()
     load_dataset(server, "data", spec, rows)
+    overrides = {"scan_parallel_min_rows": 0} if workers > 1 else {}
     config = MiddlewareConfig.no_staging(
         16_000_000,
         scan_kernel=True,
         scan_workers=max(1, workers),
+        scan_columnar=workers > 0,
         scan_pool=pool,
-        scan_parallel_min_rows=0,
+        **overrides,
     )
     best = None
     results = {}
@@ -134,6 +146,7 @@ def scan_frontier(spec, rows, frontier, workers, pool):
                     results[result.node_id] = result
                 scan = mw.execution.last_scan
                 assert scan.workers == max(1, workers)
+                assert not (workers == 0 and scan.columnar)
                 wall += scan.wall_seconds
                 seen += scan.rows_seen
                 ship += scan.ship_seconds
@@ -310,7 +323,7 @@ def run_ab(n_rows=DEFAULT_ROWS, pool="process",
     serial, serial_results = scan_frontier(spec, rows, frontier, 0, pool)
     ladder = {}
     results_by_label = {"serial": serial_results}
-    for workers in worker_counts:
+    for workers in sorted({1, *worker_counts}):
         profile, results = scan_frontier(spec, rows, frontier, workers, pool)
         profile["speedup"] = (
             profile["rows_per_sec"] / serial["rows_per_sec"]
@@ -341,7 +354,7 @@ def report(comparison):
     ladder = comparison["ladder"]
     rows = [
         [
-            "serial kernel",
+            "serial row kernel",
             f"{comparison['serial']['rows_per_sec']:,.0f}",
             f"{comparison['serial']['wall_seconds']:.4f}",
             "-",
@@ -353,7 +366,8 @@ def report(comparison):
     for workers, profile in sorted(ladder.items()):
         rows.append(
             [
-                f"{workers} workers"
+                ("inline (1 worker)" if workers == 1
+                 else f"{workers} workers")
                 + ("" if profile.get("columnar") else " (rows)"),
                 f"{profile['rows_per_sec']:,.0f}",
                 f"{profile['wall_seconds']:.4f}",
@@ -509,6 +523,8 @@ def record_json(comparison, smoke=False):
                 "smoke": smoke,
             },
             "serial_rows_per_sec": comparison["serial"]["rows_per_sec"],
+            "inline_rows_per_sec": comparison["ladder"][1]["rows_per_sec"],
+            "inline_speedup": comparison["ladder"][1]["speedup"],
             "workers": {
                 str(workers): {
                     "rows_per_sec": profile["rows_per_sec"],

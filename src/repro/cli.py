@@ -121,15 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scan-chunk-rows", type=int, default=1024,
                      help="rows per scan chunk for buffered staging I/O")
     fit.add_argument("--scan-workers", type=int, default=None,
-                     help="worker tasks per scan (default: "
-                          "$REPRO_SCAN_WORKERS or 1 = serial)")
+                     help="workers per scan (default: "
+                          "$REPRO_SCAN_WORKERS or 1 = the calling "
+                          "thread alone, no pool)")
     fit.add_argument("--scan-pool", choices=("thread", "process"),
                      default=None,
                      help="worker pool kind for parallel scans "
                           "(default: thread)")
     fit.add_argument("--scan-parallel-min-rows", type=int, default=None,
-                     help="scans under this many source rows stay "
-                          "serial (default: 2048)")
+                     help="scans under this many source rows keep "
+                          "the row kernel (default: 2048)")
     fit.add_argument("--scan-prefetch-partitions", type=int, default=None,
                      help="SERVER-cursor partitions a producer thread "
                           "pulls ahead of the workers (default: 2; "
@@ -141,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="funnel split-file staging output through one "
                           "writer thread instead of one per file")
     fit.add_argument("--no-scan-columnar", action="store_true",
-                     help="count parallel scans over row tuples instead "
-                          "of columnar partitions")
+                     help="count over row tuples instead of columnar "
+                          "partitions (one worker: the row kernel)")
     fit.add_argument("--no-scan-shared-memory", action="store_true",
                      help="pickle columnar partitions to process "
                           "workers instead of shipping shared-memory "

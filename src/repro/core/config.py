@@ -22,10 +22,12 @@ from ..common.errors import MiddlewareError
 #: engine's cost-based access-path planner per scan.
 AUX_STRATEGIES = ("scan", "temp_table", "tid_join", "keyset", "auto")
 
-#: Worker-pool kinds for the parallel scan executor.  Threads are the
-#: default (cheap, shares the routing kernel in place); the process
-#: pool sidesteps the GIL for CPU-bound routing at the price of
-#: pickling partitions and partial CC tables across the boundary.
+#: Worker-pool kinds for the parallel scan executor (``scan_workers``
+#: > 1; one worker counts inline and has no pool of either kind).
+#: Threads are the default (cheap, shares the routing kernel in
+#: place); the process pool sidesteps the GIL for CPU-bound routing at
+#: the price of pickling partitions and partial CC tables across the
+#: boundary.
 SCAN_POOLS = ("thread", "process")
 
 
@@ -34,7 +36,7 @@ def _default_scan_workers() -> int:
 
     The environment override lets a whole test or CI run opt into the
     parallel scan executor without touching any call site (the CI
-    matrix runs the tier-1 suite once serial and once with 4 workers).
+    matrix runs the tier-1 suite once with one worker and once with 4).
     """
     raw = os.environ.get("REPRO_SCAN_WORKERS", "").strip()
     if not raw:
@@ -85,20 +87,28 @@ class MiddlewareConfig:
     #: Rows per scan chunk: staging writes and memory capture are
     #: buffered and flushed at this granularity.
     scan_chunk_rows: int = 1024
-    #: Worker tasks per scan.  1 (the default, overridable through
-    #: ``$REPRO_SCAN_WORKERS``) keeps the serial loops; >1 partitions
-    #: the row source and counts private per-node CC partials in a
-    #: worker pool, merging them afterwards — CC tables are additive,
-    #: so partial counts over disjoint partitions merge exactly.
+    #: Workers per scan.  1 (the default, overridable through
+    #: ``$REPRO_SCAN_WORKERS``) is the calling thread alone — no pool,
+    #: no helper thread: scans past the ``scan_parallel_min_rows`` gate
+    #: count columnar partitions with the vector kernel inline (given
+    #: ``scan_columnar``, numpy, and a batch the kernel can route);
+    #: everything else keeps the row kernel.  >1 partitions the row
+    #: source and counts private per-node CC partials in a worker
+    #: pool, merging them afterwards — CC tables are additive, so
+    #: partial counts over disjoint partitions merge exactly.
     scan_workers: int = field(default_factory=_default_scan_workers)
     #: Worker-pool kind for the parallel executor: one of
     #: :data:`SCAN_POOLS`.  "thread" is the low-overhead default;
     #: "process" pays serialization to escape the GIL on CPU-bound
     #: routing workloads.
     scan_pool: str = "thread"
-    #: Scans over fewer source rows than this stay serial even when
-    #: ``scan_workers`` > 1 — pool startup and merge overhead dominate
-    #: tiny scans.
+    #: Scans over fewer source rows than this keep the row kernel at
+    #: any ``scan_workers`` — per-partition set-up (encode, numpy
+    #: dispatch, merge; pool start-up with several workers) dominates
+    #: tiny scans.  With one worker the gate scales up for batches
+    #: wider than ``execution.INLINE_GATE_BLOCKS`` CC blocks.  Measured
+    #: by ``benchmarks/bench_scan_kernel.py``: the inline executor
+    #: overtakes the row kernel at ~900 rows for a 5-node batch.
     scan_parallel_min_rows: int = 2048
     #: Reuse one :class:`~repro.core.scan_pool.ScanWorkerPool` across
     #: every parallel scan of a middleware session (created lazily on
@@ -108,19 +118,21 @@ class MiddlewareConfig:
     scan_pool_reuse: bool = True
     #: SERVER-scan prefetch depth: a bounded producer thread pulls up
     #: to this many row partitions ahead of the workers, overlapping
-    #: cursor row production with counting.  0 keeps the coordinator's
-    #: inline pull-then-submit loop.  Meter charges still accrue once
+    #: cursor row production with counting.  0 — or one worker, who
+    #: has nobody to overlap with — pulls and submits on the
+    #: coordinator thread.  Meter charges still accrue once
     #: per row, so simulated costs are prefetch-independent.
     scan_prefetch_partitions: int = 2
     #: Give each §4.3.2 split-output file its own writer thread and
     #: bounded queue (multi-file staged scans only).  False funnels all
     #: staging output through the single pipelined writer thread.
     scan_split_writers: bool = True
-    #: Count parallel scans over array-backed columnar partitions with
-    #: the vectorized kernel (requires numpy; falls back to row tuples
-    #: when numpy is missing or the batch exceeds the mask width).
-    #: False forces the row-tuple parallel path — the equivalence
-    #: baseline the columnar path is tested against.
+    #: Count partitioned scans over array-backed columnar partitions
+    #: with the vectorized kernel (requires numpy; falls back to row
+    #: tuples when numpy is missing or the batch exceeds the mask
+    #: width).  False forces row tuples — the row kernel with one
+    #: worker, the row-tuple parallel path with more: the equivalence
+    #: baselines the columnar path is tested against.
     scan_columnar: bool = True
     #: Ship columnar partitions to *process* workers through
     #: ``multiprocessing.shared_memory`` segments (one copy; only the

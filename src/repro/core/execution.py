@@ -10,9 +10,9 @@ The same scan also performs the staging the scheduler planned: rows
 routed to a stage-target node are appended to its new middleware file
 and/or collected for middleware memory.
 
-Two scan loops implement the routing:
+Two row loops implement the routing one record at a time:
 
-* the **kernel** loop (default) compiles the batch's path conditions
+* the **kernel** loop compiles the batch's path conditions
   into a :class:`~repro.core.filters.RoutingKernel` — one dict probe
   per constrained attribute instead of one closure call per node — and
   processes rows in configurable chunks so staging writes and memory
@@ -21,25 +21,38 @@ Two scan loops implement the routing:
   matcher closure is evaluated against every row.  It is kept as the
   equivalence baseline behind ``config.scan_kernel = False``.
 
-When ``config.scan_workers`` > 1 (and the source is large enough),
-the kernel loop runs **partitioned**: the row source is cut into
-ordered partitions, a persistent
-:class:`~repro.core.scan_pool.ScanWorkerPool` (threads by default,
-processes via ``config.scan_pool``; owned by the middleware session
-and reused across scans) routes each partition through the same
-compiled kernel into *private* per-node CC partials, and the
-coordinator merges the partials into the real CC tables — CC tables
-are additive count structures, so partial counts over disjoint
-partitions merge exactly.  SERVER-mode scans overlap row production
-with counting through a bounded prefetch thread
-(``config.scan_prefetch_partitions``).  Staged rows are applied in
-partition order by a :class:`~repro.core.staging.PipelinedStagingWriter`
-(single funnel) or, for multi-file split scans, a
-:class:`~repro.core.staging.ParallelStagingWriter` with one thread per
-output file — either way staged files stay bit-identical to a serial
-scan's.  Memory overflow (below) is detected on the *merged* sizes in
-batch order, so recovery decisions are deterministic for any worker
-count.
+A source of at least ``config.scan_parallel_min_rows`` rows is instead
+counted **partitioned**: cut into ordered partitions, each routed
+through the same compiled kernel into *private* per-node CC partials
+that the coordinator merges into the real CC tables — CC tables are
+additive count structures, so partial counts over disjoint partitions
+merge exactly.  Who counts the partitions is the
+:class:`~repro.core.scan_pool.ScanWorkerPool`'s business:
+
+* ``config.scan_workers == 1`` (the default) is the **inline**
+  executor: columnar partitions of a few scan chunks are encoded,
+  counted by the vector kernel and merged on the calling thread, one
+  in flight, staged rows appended in place
+  (:class:`~repro.core.staging.InlineStagingWriter`) — no pool, no
+  prefetch or writer thread, no columnar-cache entry.  It runs only
+  where the vector kernel does (``config.scan_columnar``, numpy, a
+  batch of at most ``MAX_SLOTS`` nodes that is not too wide for its
+  source); every other one-worker scan keeps the row kernel;
+* more workers are a persistent pool (threads by default, processes
+  via ``config.scan_pool``; owned by the middleware session and reused
+  across scans).  SERVER-mode scans overlap row production with
+  counting through a bounded prefetch thread
+  (``config.scan_prefetch_partitions``); staged rows are applied in
+  partition order by a
+  :class:`~repro.core.staging.PipelinedStagingWriter` (single funnel)
+  or, for multi-file split scans, a
+  :class:`~repro.core.staging.ParallelStagingWriter` with one thread
+  per output file.
+
+Either way staged files stay bit-identical to a row-kernel scan's, and
+memory overflow (below) is detected on the *merged* sizes in batch
+order, so recovery decisions are the same for any worker count, one
+included.
 
 Every scan records profiling counters on :class:`ScanStats` — wall
 time, rows/sec, matcher-evaluation counts, which loop ran, worker
@@ -90,6 +103,7 @@ from .shm import ShmShipper, shm_available
 from .sql_counting import counts_via_sql
 from .staging import (
     DataLocation,
+    InlineStagingWriter,
     ParallelStagingWriter,
     PipelinedStagingWriter,
     StagedFile,
@@ -116,7 +130,9 @@ class ScanStats:
     matcher_evals: int = 0
     #: True when the compiled routing kernel ran (False = per-row loop).
     kernel: bool = False
-    #: Worker tasks that counted this scan (1 = one of the serial loops).
+    #: Workers that counted this scan.  1 = the calling thread alone:
+    #: one of the row loops, or — when ``columnar`` — the inline
+    #: executor counting columnar partitions with no pool at all.
     workers: int = 1
     #: Wall-clock seconds merging per-worker CC partials (parallel only).
     merge_seconds: float = 0.0
@@ -128,13 +144,14 @@ class ScanStats:
     #: True when the scan reused an already-running worker pool.
     pool_reused: bool = False
     #: Partitions the prefetch thread was allowed to run ahead
-    #: (0 = inline pull-then-submit, or a serial scan).
+    #: (0 = pull-then-submit on the calling thread: prefetch off, a
+    #: staged source, or a one-worker scan).
     prefetch_depth: int = 0
     #: Per-file writer threads used for staging output (0 = the single
-    #: pipelined funnel, or a serial scan).
+    #: pipelined funnel, or a one-worker scan writing in place).
     split_writers: int = 0
     #: True when the scan counted over columnar partitions (the
-    #: vectorized parallel path) instead of row tuples.
+    #: vectorized kernel, inline or pooled) instead of row tuples.
     columnar: bool = False
     #: Wall-clock seconds encoding rows into columnar partitions
     #: (0.0 for row-tuple scans, and ~0 on a warm cache hit).
@@ -152,7 +169,8 @@ class ScanStats:
     #: scan skipped (0.0 on misses and uncached scans).
     encode_seconds_saved: float = 0.0
     ship_seconds_saved: float = 0.0
-    #: Rows per partition the sizer chose for this scan (0 = serial).
+    #: Rows per partition of this scan (0 = a row loop, which does
+    #: not partition).
     partition_rows: int = 0
     #: Highest prefetch depth the producer adapted to (>= the
     #: configured ``prefetch_depth`` when consumer starvation grew it;
@@ -358,6 +376,31 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
             yield partition
     finally:
         _close_source(block_iter)
+
+
+#: Scan chunks per partition of an inline (one-worker) columnar scan:
+#: the least a partition holds.  Measured on ``benchmarks/e2e``
+#: ``staged_default`` (CHANGES.md, PR 12): 2 chunks leave a quarter of
+#: the wall gain on the table, 8 buy ~8 % more wall for ~4 % more
+#: resident memory.
+INLINE_PARTITION_CHUNKS = 4
+
+#: Batch width, in CC blocks (one batch node x one of its attributes),
+#: up to which ``scan_parallel_min_rows`` gates the inline executor as
+#: it stands; a wider batch needs proportionally more rows.  Every
+#: partition costs the vector kernel ~25 us per block before it counts
+#: a row (mask, select, ``np.unique``/``bincount``, list conversion)
+#: against the row kernel's ~2 us per routed row, and
+#: ``benchmarks/bench_scan_kernel.py`` puts the crossover at 14 (warm
+#: session) to 21 (cold) rows per block: the default 2,048 rows over
+#: 128 blocks is 16.
+INLINE_GATE_BLOCKS = 128
+
+#: Inline partitions hold this many break-evens per block, so the
+#: per-block set-up stays a fraction of what the rows cost however
+#: wide the batch is (a 52-node batch cut into 4-chunk partitions ran
+#: 2.6x *slower* than the row kernel).
+INLINE_PARTITION_MARGIN = 4
 
 
 class _PartitionSizer:
@@ -653,7 +696,7 @@ class ExecutionModule:
                     memory_capture, scan, workers,
                     self._partition_rows(schedule, workers),
                 )
-            elif workers > 1:
+            elif workers:
                 row_iter = self._rows_for(schedule, scan)
                 self._count_rows_parallel(
                     schedule, row_iter, states, file_writers,
@@ -775,30 +818,72 @@ class ExecutionModule:
             return staging.file_for(schedule.source_node).row_count
         return sum(request.n_rows for request in schedule.batch)
 
-    def _parallel_workers(self, schedule: Any) -> int:
-        """Worker count for this scan (1 = stay on a serial loop).
+    def _columnar_eligible(self, n_nodes: int) -> bool:
+        """True when a batch of ``n_nodes`` can use the vector kernel."""
+        return (self._config.scan_columnar and columnar_available()
+                and n_nodes <= MAX_SLOTS)
 
-        The parallel path is a kernel-loop variant, so the per-row
-        reference loop (``scan_kernel=False``) always stays serial;
-        scans below ``scan_parallel_min_rows`` stay serial because
-        pool startup and merge overhead would dominate them.
+    def _parallel_workers(self, schedule: Any) -> int:
+        """Partition workers for this scan: 0 keeps a row loop.
+
+        1 is the inline executor — columnar partitions counted by the
+        vector kernel on the calling thread — and more is the session's
+        thread or process pool.  The partitioned path is a kernel-loop
+        variant, so the per-row reference loop (``scan_kernel=False``)
+        never partitions; scans below ``scan_parallel_min_rows`` keep
+        the row kernel because per-partition set-up (encode, numpy
+        dispatch, merge; pool start-up too with several workers) costs
+        more than routing so few rows one by one.  One worker without
+        the columnar kernel (``scan_columnar`` off, numpy missing, a
+        batch wider than ``MAX_SLOTS``) would only be the row kernel
+        plus a merge, so it stays on the row kernel itself — as does a
+        batch so wide for its source that the vector kernel's per-block
+        set-up outweighs the rows (:meth:`_break_even_rows`).
         """
         config = self._config
-        if config.scan_workers <= 1 or not config.scan_kernel:
-            return 1
-        if self._source_rows(schedule) < config.scan_parallel_min_rows:
-            return 1
+        if not config.scan_kernel:
+            return 0
+        source_rows = self._source_rows(schedule)
+        if source_rows < config.scan_parallel_min_rows:
+            return 0
+        if config.scan_workers == 1 and (
+                not self._columnar_eligible(len(schedule.batch))
+                or source_rows < self._break_even_rows(schedule)
+        ):
+            return 0
         return config.scan_workers
 
-    def _partition_rows(self, schedule: Any, n_workers: int) -> int:
-        """Partition size for one parallel scan, via the adaptive sizer.
+    def _break_even_rows(self, schedule: Any) -> int:
+        """Rows from which one inline partition of this batch pays off.
 
-        Starts at ~2 partitions per worker and never goes below a
-        serial scan chunk (tiny partitions would be all task overhead,
-        and with a process pool all shipping); scans without a row
-        estimate get the sizer's blind per-worker target instead of
-        degenerating to one chunk per partition.
+        ``scan_parallel_min_rows`` scaled by the batch's width in CC
+        blocks (node x attribute) over :data:`INLINE_GATE_BLOCKS`; it
+        only binds for batches wider than that.
         """
+        blocks = sum(len(request.attributes) for request in schedule.batch)
+        return (
+            self._config.scan_parallel_min_rows * blocks // INLINE_GATE_BLOCKS
+        )
+
+    def _partition_rows(self, schedule: Any, n_workers: int) -> int:
+        """Partition size for one partitioned scan.
+
+        A pool gets the adaptive sizer's answer: ~2 partitions per
+        worker to start with, never below a serial scan chunk (tiny
+        partitions would be all task overhead, and with a process pool
+        all shipping), and the blind per-worker target for scans
+        without a row estimate.  The inline executor has no workers to
+        balance, so its partitions only need to be long enough to
+        amortise the kernel's per-block set-up and short enough that
+        the one partition in flight stays small next to the process:
+        :data:`INLINE_PARTITION_CHUNKS` scan chunks, more for a batch
+        wide enough to need it (:data:`INLINE_PARTITION_MARGIN`).
+        """
+        if n_workers == 1:
+            return max(
+                INLINE_PARTITION_CHUNKS * self._config.scan_chunk_rows,
+                INLINE_PARTITION_MARGIN * self._break_even_rows(schedule),
+            )
         return self._sizer.partition_rows(
             self._source_rows(schedule), n_workers
         )
@@ -902,12 +987,13 @@ class ExecutionModule:
                     rows.clear()
 
     def _acquire_pool(self) -> tuple[ScanWorkerPool, bool]:
-        """The worker pool for one parallel scan: ``(pool, owned)``.
+        """The worker pool for one partitioned scan: ``(pool, owned)``.
 
         The session's persistent pool is used whenever the middleware
         provided one and ``config.scan_pool_reuse`` is on; otherwise a
         throwaway pool is built (and, ``owned`` = True, closed by the
-        caller after the scan) — the cold-start baseline.
+        caller after the scan) — the cold-start baseline.  With
+        ``scan_workers == 1`` either is the inline executor.
         """
         if self._config.scan_pool_reuse and self._pool_provider is not None:
             return self._pool_provider(), False
@@ -916,6 +1002,31 @@ class ExecutionModule:
                            self._config.scan_workers),
             True,
         )
+
+    def _open_staging_writer(
+            self, pool: ScanWorkerPool,
+            file_writers: dict[Any, StagedFile],
+            memory_capture: dict[Any, list[Any]], scan: ScanStats,
+    ) -> (InlineStagingWriter | ParallelStagingWriter
+          | PipelinedStagingWriter | None):
+        """The writer a partitioned scan hands its staged rows to.
+
+        None when the scan stages nothing.  A pool overlaps flushes
+        with counting: one thread per output file for multi-file split
+        scans (``scan_split_writers``), else the single pipelined
+        funnel.  The inline executor writes in place — a thread per
+        scan would cost more (start-up, a malloc arena) than the
+        flushes it could hide behind one partition in flight.
+        """
+        if not file_writers and not memory_capture:
+            return None
+        if pool.inline:
+            return InlineStagingWriter(file_writers, memory_capture)
+        if len(file_writers) > 1 and self._config.scan_split_writers:
+            split = ParallelStagingWriter(file_writers, memory_capture)
+            scan.split_writers = split.n_writers
+            return split
+        return PipelinedStagingWriter(file_writers, memory_capture)
 
     @staticmethod
     def _scan_signature(states: list[_NodeCount]) -> tuple[Any, ...]:
@@ -976,8 +1087,7 @@ class ExecutionModule:
         but partitions are typed column arrays and counting is
         vectorized; this row-tuple path is the fallback.
         """
-        if (self._config.scan_columnar and columnar_available()
-                and len(states) <= MAX_SLOTS):
+        if self._columnar_eligible(len(states)):
             self._count_rows_parallel_columnar(
                 schedule, row_iter, states, file_writers, memory_capture,
                 scan, n_workers, partition_rows,
@@ -1006,14 +1116,9 @@ class ExecutionModule:
             self._class_index, self._spec.n_classes,
         )
 
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
+        writer = self._open_staging_writer(
+            pool, file_writers, memory_capture, scan
+        )
 
         producer: _PartitionProducer | None = None
         partitions: Iterator[list[Any]]
@@ -1101,10 +1206,14 @@ class ExecutionModule:
             memory_capture: dict[Any, list[Any]],
             scan: ScanStats, n_workers: int,
             partition_rows: int) -> None:
-        """The vectorized parallel path: columnar partitions, zero-copy.
+        """The vectorized partitioned path: columnar partitions, zero-copy.
 
-        Structure mirrors :meth:`_count_rows_parallel`; the differences
-        are what travels and how counting happens:
+        Runs behind a worker pool, or — ``n_workers == 1`` — inline on
+        this thread through the pool's inline executor, in which case
+        there is no prefetch thread, no staging-writer thread, no
+        shipping and exactly one partition in flight.  Structure
+        mirrors :meth:`_count_rows_parallel`; the differences are what
+        travels and how counting happens:
 
         * partitions are :class:`ColumnarPartition` objects — typed
           column buffers + null masks — built once at the source
@@ -1151,19 +1260,14 @@ class ExecutionModule:
             self._class_index, self._spec.n_classes,
         )
 
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
+        writer = self._open_staging_writer(
+            pool, file_writers, memory_capture, scan
+        )
 
         encode_watch = _StopWatch()
         ship_watch = _StopWatch()
         shipper: ShmShipper | None = None
-        if (pool.kind == "process" and self._config.scan_shared_memory
+        if (pool.remote and self._config.scan_shared_memory
                 and shm_available()):
             shipper = ShmShipper()
 
@@ -1172,8 +1276,11 @@ class ExecutionModule:
         partitions: Iterator[ColumnarPartition]
         if schedule.mode is DataLocation.SERVER:
             source = _columnar_slices(row_iter, partition_rows, encode_watch)
+            # Prefetch overlaps the cursor with *other* workers; the
+            # inline executor would only hand rows between two threads
+            # that cannot run at once.
             prefetch = self._config.scan_prefetch_partitions
-            if prefetch > 0:
+            if prefetch > 0 and not pool.inline:
                 producer = _PartitionProducer(
                     source, prefetch,
                     max_depth=self._adaptive_prefetch_cap(prefetch),
@@ -1228,7 +1335,7 @@ class ExecutionModule:
                 writer.put(writes, captures)
 
         inflight: deque[Any] = deque()
-        max_inflight = max(2, 2 * n_workers)
+        max_inflight = 1 if pool.inline else 2 * n_workers
         try:
             for seq, partition in enumerate(partitions):
                 scan.rows_seen += partition.n_rows
@@ -1280,7 +1387,8 @@ class ExecutionModule:
                 pool.close()
 
         self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
+        if not pool.inline:
+            self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _cache_plan(self, schedule: Any) -> ColumnarScanPlan | None:
         """A table-version cache plan for this scan, or None to stream.
@@ -1300,9 +1408,7 @@ class ExecutionModule:
         strategy exactly where the streaming path expects it.
         """
         cache = self._scan_cache
-        if (cache is None or not self._config.scan_columnar
-                or not columnar_available()
-                or len(schedule.batch) > MAX_SLOTS):
+        if cache is None or not self._columnar_eligible(len(schedule.batch)):
             return None
         if schedule.mode is DataLocation.MEMORY:
             return None
@@ -1390,14 +1496,9 @@ class ExecutionModule:
             self._class_index, self._spec.n_classes,
         )
 
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
+        writer = self._open_staging_writer(
+            pool, file_writers, memory_capture, scan
+        )
 
         cache = self._scan_cache
         assert cache is not None
@@ -1411,7 +1512,7 @@ class ExecutionModule:
             encode_started = time.perf_counter()
             partition = plan.encode()
             encode_seconds = time.perf_counter() - encode_started
-            ship = (pool.kind == "process"
+            ship = (pool.remote
                     and self._config.scan_shared_memory
                     and self._config.scan_persistent_shm
                     and shm_available())

@@ -87,7 +87,9 @@ class Middleware:
     @property
     def scan_pool(self) -> ScanWorkerPool | None:
         """The session's persistent scan-worker pool (None until the
-        first scan goes parallel with ``scan_pool_reuse`` on)."""
+        first partitioned scan with ``scan_pool_reuse`` on; with
+        ``scan_workers=1`` it is the inline executor and owns no
+        executor or thread)."""
         return self._scan_pool
 
     # -- the Figure-3 interface --------------------------------------------
@@ -199,6 +201,7 @@ class Middleware:
             f"  rows: {stats.rows_seen:,} seen, "
             f"{stats.rows_routed:,} routed",
             f"  scan loop: {stats.kernel_scans}/{stats.batches} kernelized, "
+            f"{stats.columnar_scans} columnar, "
             f"{stats.parallel_scans} parallel "
             f"({self.config.scan_workers} workers, "
             f"{self.config.scan_pool} pool, "

@@ -1,4 +1,4 @@
-"""The persistent scan-worker pool behind the parallel scan executor.
+"""The scan-worker pool behind the partitioned scan executor.
 
 The paper's batching argument (§4) is that one shared sequential scan
 amortizes CC-table construction across all active nodes; any fixed
@@ -30,6 +30,14 @@ down again.
   :meth:`retire_broken` recycles the executor when the failure killed
   it (e.g. a dead process worker), letting the next scan transparently
   rebuild.
+
+A pool of **one** worker is the *inline* executor: it never creates
+an ``Executor`` (or any thread), whatever its ``kind``; ``submit*``
+runs the same partition task on the calling thread and returns an
+already-completed future.  This is what ``scan_workers=1`` — the
+default — counts columnar partitions through, so the partition tasks
+(:func:`count_partition_columnar`, :func:`count_partition_slice`) are
+the one way into the vector kernel for every worker count.
 
 Worker tasks return only additive, order-independent state (per-slot
 CC partials, routed counts, staged-row buffers), so everything the
@@ -328,9 +336,10 @@ class ScanWorkerPool:
     """A reusable worker pool for partitioned scans.
 
     Lifecycle: construct cheaply (no executor yet), :meth:`install` a
-    scan's routing context (which lazily creates the executor),
-    :meth:`submit` partitions, and :meth:`close` once at session end.
-    ``install``/``submit`` may be repeated for any number of scans.
+    scan's routing context (which lazily creates the executor — never,
+    for the one-worker inline pool), :meth:`submit` partitions, and
+    :meth:`close` once at session end.  ``install``/``submit`` may be
+    repeated for any number of scans.
     """
 
     def __init__(self, kind: str, n_workers: int) -> None:
@@ -340,6 +349,12 @@ class ScanWorkerPool:
             raise MiddlewareError("scan pool needs at least one worker")
         self.kind = kind
         self.n_workers = n_workers
+        #: One worker is the calling thread itself: no executor is ever
+        #: created and every partition is counted inside ``submit*``.
+        self.inline = n_workers == 1
+        #: Workers live in other processes, so routing contexts and
+        #: partitions have to be shipped to them.
+        self.remote = kind == "process" and not self.inline
         #: Serialises executor lifecycle transitions: the middleware's
         #: shared pool can see ``close()``/``retire_broken()`` racing a
         #: late ``_ensure_executor()`` from another thread.
@@ -377,7 +392,7 @@ class ScanWorkerPool:
         with self._lock:
             if self._closed:
                 raise MiddlewareError("scan-worker pool is already closed")
-            if self._executor is not None:
+            if self.inline or self._executor is not None:
                 return 0.0
             started = time.perf_counter()
             executor_cls = (
@@ -412,7 +427,7 @@ class ScanWorkerPool:
                 started = time.perf_counter()
                 self._generation += 1
                 self._ctx = (kernel, slots, class_index, n_classes)
-                if self.kind == "process":
+                if self.remote:
                     self._payload = pickle.dumps(
                         self._ctx, pickle.HIGHEST_PROTOCOL
                     )
@@ -422,64 +437,81 @@ class ScanWorkerPool:
             self.scans_served += 1
         return setup_seconds
 
+    def _installed(self) -> tuple[Any, Any, int, int]:
+        ctx = self._ctx
+        if ctx is None:
+            raise MiddlewareError("install a routing context first")
+        return ctx
+
+    def _remote_args(self) -> tuple[int, bytes]:
+        """``(generation, payload)`` process workers refresh from."""
+        payload = self._payload
+        if payload is None:
+            raise MiddlewareError("install a routing context first")
+        return self._generation, payload
+
+    def _run(self, label: str, task: Any, *args: Any) -> Future[Any]:
+        """Run one partition task and return its future.
+
+        The inline executor calls ``task`` on the calling thread and
+        hands back an already-completed future; a failure (or an
+        interrupt) propagates straight out of ``submit*`` instead.
+        """
+        if self.inline:
+            done: Future[Any] = Future()
+            done.set_result(task(*args))
+            return done
+        executor = self._executor
+        if executor is None:
+            raise MiddlewareError("install a routing context first")
+        future = executor.submit(task, *args)
+        resource_created("future", future, label)
+        future.add_done_callback(_mark_future_done)
+        return future
+
     def submit(self, seq: int, rows: Sequence[Any],
                stage_nodes: Iterable[Any],
                capture_nodes: Iterable[Any]) -> Future[Any]:
         """Submit one partition against the installed context."""
-        executor = self._executor
-        if self._ctx is None or executor is None:
-            raise MiddlewareError("install a routing context first")
-        if self.kind == "process":
-            payload = self._payload
-            if payload is None:
-                raise MiddlewareError("install a routing context first")
-            future = executor.submit(
-                _count_partition_pickled, self._generation, payload,
+        ctx = self._installed()
+        label = f"scan partition {seq}"
+        if self.remote:
+            return self._run(
+                label, _count_partition_pickled, *self._remote_args(),
                 seq, rows, stage_nodes, capture_nodes,
             )
-        else:
-            future = executor.submit(
-                _count_partition, self._ctx, seq, rows, stage_nodes,
-                capture_nodes,
-            )
-        resource_created("future", future, f"scan partition {seq}")
-        future.add_done_callback(_mark_future_done)
-        return future
+        return self._run(
+            label, _count_partition, ctx, seq, rows, stage_nodes,
+            capture_nodes,
+        )
 
     def submit_columnar(self, seq: int, partition: Any,
                         stage_nodes: Iterable[Any],
                         capture_nodes: Iterable[Any]) -> Future[Any]:
         """Submit one columnar partition (or shm handle) for counting.
 
-        Thread pools count the partition in place (shared memory by
-        construction).  Process pools dispatch on what the executor
-        shipped: a :class:`ShmPartitionHandle` attaches to the
-        coordinator's segment, a plain partition travels via pickle.
+        Thread pools and the inline executor count the partition in
+        place (shared memory by construction).  Process pools dispatch
+        on what the executor shipped: a :class:`ShmPartitionHandle`
+        attaches to the coordinator's segment, a plain partition
+        travels via pickle.
         """
-        executor = self._executor
-        if self._ctx is None or executor is None:
-            raise MiddlewareError("install a routing context first")
-        if self.kind == "process":
-            payload = self._payload
-            if payload is None:
-                raise MiddlewareError("install a routing context first")
+        ctx = self._installed()
+        label = f"columnar partition {seq}"
+        if self.remote:
             task = (
                 _count_columnar_shm
                 if isinstance(partition, ShmPartitionHandle)
                 else _count_columnar_pickled
             )
-            future = executor.submit(
-                task, self._generation, payload, seq, partition,
+            return self._run(
+                label, task, *self._remote_args(), seq, partition,
                 stage_nodes, capture_nodes,
             )
-        else:
-            future = executor.submit(
-                count_partition_columnar, self._ctx, seq, partition,
-                stage_nodes, capture_nodes,
-            )
-        resource_created("future", future, f"columnar partition {seq}")
-        future.add_done_callback(_mark_future_done)
-        return future
+        return self._run(
+            label, count_partition_columnar, ctx, seq, partition,
+            stage_nodes, capture_nodes,
+        )
 
     def submit_columnar_slice(self, seq: int, source: Any, start: int,
                               stop: int, keep_spec: Any,
@@ -488,44 +520,36 @@ class ScanWorkerPool:
         """Submit one slice of a cached full-table encoding.
 
         ``source`` is either the coordinator's :class:`ColumnarPartition`
-        (thread pools count it in place; non-shm process pools pickle
-        just the slice) or a :class:`ShmSegmentRef` naming the
-        persistent segment process workers re-attach by generation.
-        ``keep_spec`` is the scan's batch filter as
-        ``(expr, attr_index)``, or None for an unfiltered scan.
+        (thread pools and the inline executor count it in place;
+        non-shm process pools pickle just the slice) or a
+        :class:`ShmSegmentRef` naming the persistent segment process
+        workers re-attach by generation.  ``keep_spec`` is the scan's
+        batch filter as ``(expr, attr_index)``, or None for an
+        unfiltered scan.
         """
-        executor = self._executor
-        if self._ctx is None or executor is None:
-            raise MiddlewareError("install a routing context first")
-        if self.kind == "process":
-            payload = self._payload
-            if payload is None:
-                raise MiddlewareError("install a routing context first")
+        ctx = self._installed()
+        label = f"cached slice {seq}"
+        if self.remote:
             if isinstance(source, ShmSegmentRef):
-                future = executor.submit(
-                    _count_columnar_shm_slice, self._generation, payload,
+                return self._run(
+                    label, _count_columnar_shm_slice, *self._remote_args(),
                     seq, source, start, stop, keep_spec, stage_nodes,
                     capture_nodes,
                 )
-            else:
-                future = executor.submit(
-                    _count_columnar_pickled_slice, self._generation,
-                    payload, seq, source.slice(start, stop), keep_spec,
-                    stage_nodes, capture_nodes,
-                )
-        else:
-            if isinstance(source, ShmSegmentRef):
-                raise MiddlewareError(
-                    "thread pools count cached partitions in place; "
-                    "pass the partition, not a segment reference"
-                )
-            future = executor.submit(
-                count_partition_slice, self._ctx, seq, source, start,
-                stop, keep_spec, stage_nodes, capture_nodes,
+            return self._run(
+                label, _count_columnar_pickled_slice, *self._remote_args(),
+                seq, source.slice(start, stop), keep_spec, stage_nodes,
+                capture_nodes,
             )
-        resource_created("future", future, f"cached slice {seq}")
-        future.add_done_callback(_mark_future_done)
-        return future
+        if isinstance(source, ShmSegmentRef):
+            raise MiddlewareError(
+                "in-process workers count cached partitions in place; "
+                "pass the partition, not a segment reference"
+            )
+        return self._run(
+            label, count_partition_slice, ctx, seq, source, start, stop,
+            keep_spec, stage_nodes, capture_nodes,
+        )
 
     def drain(self, futures: Iterable[Future[Any]]) -> None:
         """Cancel/await outstanding futures of a failed scan.
@@ -580,7 +604,7 @@ class ScanWorkerPool:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (
-            "warm" if self.active else "cold"
+            "inline" if self.inline else "warm" if self.active else "cold"
         )
         return (
             f"ScanWorkerPool(kind={self.kind!r}, workers={self.n_workers}, "

@@ -271,6 +271,47 @@ class StagedFile:
         )
 
 
+def _apply_staged(file_writers: Mapping[Any, StagedFile],
+                  memory_capture: Mapping[Any, list[Any]],
+                  file_rows: Mapping[Any, list[Any]],
+                  capture_rows: Mapping[Any, list[Any]]) -> None:
+    """Append one partition's staged rows to their files and captures."""
+    for node_id, rows in file_rows.items():
+        if rows:
+            file_writers[node_id].append_rows(rows)
+    for node_id, rows in capture_rows.items():
+        if rows:
+            memory_capture[node_id].extend(rows)
+
+
+class InlineStagingWriter:
+    """Staging output of an inline scan, applied on the calling thread.
+
+    Same ``put``/``close``/``abort`` surface as the threaded writers
+    below, with no thread and no queue: the inline executor has one
+    partition in flight, so each ``put`` appends that partition's rows
+    in place — partition order is call order.
+    """
+
+    def __init__(self, file_writers: Mapping[Any, StagedFile],
+                 memory_capture: Mapping[Any, list[Any]]) -> None:
+        self._file_writers = file_writers
+        self._memory_capture = memory_capture
+
+    def put(self, file_rows: Mapping[Any, list[Any]],
+            capture_rows: Mapping[Any, list[Any]]) -> None:
+        _apply_staged(
+            self._file_writers, self._memory_capture, file_rows,
+            capture_rows,
+        )
+
+    def close(self) -> None:
+        """Nothing is buffered: every ``put`` already wrote."""
+
+    def abort(self) -> None:
+        """Nothing to stop; the caller deletes the abandoned files."""
+
+
 class PipelinedStagingWriter:
     """Single-writer funnel for a parallel scan's staging output.
 
@@ -333,12 +374,10 @@ class PipelinedStagingWriter:
                 continue  # keep draining so producers never block
             file_rows, capture_rows = item
             try:
-                for node_id, rows in file_rows.items():
-                    if rows:
-                        self._file_writers[node_id].append_rows(rows)
-                for node_id, rows in capture_rows.items():
-                    if rows:
-                        self._memory_capture[node_id].extend(rows)
+                _apply_staged(
+                    self._file_writers, self._memory_capture, file_rows,
+                    capture_rows,
+                )
             except BaseException as exc:  # surfaced to the producer
                 with self._error_lock:
                     if self._error is None:

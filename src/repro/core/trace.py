@@ -37,25 +37,27 @@ class ScheduleRecord:
     matcher_evals: int = 0
     #: True when the compiled routing kernel ran this scan.
     kernel: bool = False
-    #: Worker tasks that counted the scan (1 = a serial loop).
+    #: Workers that counted the scan (1 = the calling thread alone: a
+    #: row loop, or the inline columnar executor when ``columnar``).
     workers: int = 1
     #: Seconds spent merging per-worker CC partials (parallel scans).
     merge_seconds: float = 0.0
     #: Seconds of pool/kernel setup this scan paid (0.0 on a warm pool
     #: with an unchanged kernel — the reuse win the trace makes visible).
     pool_setup_seconds: float = 0.0
-    #: SERVER-cursor prefetch depth in effect (0 = inline pulls).
+    #: SERVER-cursor prefetch depth in effect (0 = no prefetch thread).
     prefetch_depth: int = 0
     #: Per-file staging writer threads used (0 = single pipelined funnel).
     split_writers: int = 0
-    #: True when the scan counted over columnar partitions.
+    #: True when the scan counted over columnar partitions (inline on
+    #: the calling thread when ``workers == 1``, else through the pool).
     columnar: bool = False
     #: Seconds encoding rows into columnar partitions (~0 on a warm
-    #: cache hit; 0.0 for serial or row-tuple scans).
+    #: cache hit; 0.0 for row-loop or row-tuple scans).
     encode_seconds: float = 0.0
     #: Seconds copying partitions into shared-memory segments (the
-    #: memcpy only; 0.0 for serial or row-tuple scans, and for warm
-    #: scans served by a persistent segment).
+    #: memcpy only; 0.0 unless a process pool counted the scan, and
+    #: for warm scans served by a persistent segment).
     ship_seconds: float = 0.0
     #: Highest prefetch depth the adaptive producer reached (0 = none).
     prefetch_peak: int = 0
@@ -85,7 +87,12 @@ class ScheduleRecord:
         suffix = f" [{', '.join(actions)}]" if actions else ""
         profile = ""
         if self.wall_seconds > 0.0:
-            loop = "kernel" if self.kernel else "per-row"
+            # columnar = the vector kernel, inline unless " xNw" follows;
+            # kernel / per-row = the two row loops.
+            loop = (
+                "columnar" if self.columnar
+                else "kernel" if self.kernel else "per-row"
+            )
             if self.workers > 1:
                 loop += f" x{self.workers}w"
             if self.cached:

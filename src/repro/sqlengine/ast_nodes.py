@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .expr import Expr
+from .lexer import quote_identifier as _q
 from .types import SQLValue
 
 
@@ -62,7 +63,7 @@ class SelectItem:
     def to_sql(self) -> str:
         rendered = self.expression.to_sql()
         if self.alias:
-            return f"{rendered} AS {self.alias}"
+            return f"{rendered} AS {_q(self.alias)}"
         return rendered
 
     def __eq__(self, other: object) -> bool:
@@ -168,15 +169,15 @@ class JoinClause(Statement):
         self.right_column = right_column  # qualified, e.g. "b.y"
 
     def to_sql(self) -> str:
-        left = self.left_table
+        left = _q(self.left_table)
         if self.left_alias != self.left_table:
-            left += f" {self.left_alias}"
-        right = self.right_table
+            left += f" {_q(self.left_alias)}"
+        right = _q(self.right_table)
         if self.right_alias != self.right_table:
-            right += f" {self.right_alias}"
+            right += f" {_q(self.right_alias)}"
         return (
             f"{left} JOIN {right} "
-            f"ON {self.left_column} = {self.right_column}"
+            f"ON {_q(self.left_column)} = {_q(self.right_column)}"
         )
 
 
@@ -221,16 +222,19 @@ class Select(Statement):
             projection = ", ".join(item.to_sql() for item in self.items)
         parts = [f"SELECT {projection}"]
         if self.into:
-            parts.append(f"INTO {self.into}")
-        source = self.table.to_sql() if self.is_join else self.table
+            parts.append(f"INTO {_q(self.into)}")
+        source = (
+            self.table.to_sql() if isinstance(self.table, JoinClause)
+            else _q(self.table)
+        )
         parts.append(f"FROM {source}")
         if self.where is not None:
             parts.append(f"WHERE {self.where.to_sql()}")
         if self.group_by:
-            parts.append("GROUP BY " + ", ".join(self.group_by))
+            parts.append("GROUP BY " + ", ".join(map(_q, self.group_by)))
         if self.order_by:
             rendered = ", ".join(
-                f"{name} {'ASC' if ascending else 'DESC'}"
+                f"{_q(name)} {'ASC' if ascending else 'DESC'}"
                 for name, ascending in self.order_by
             )
             parts.append(f"ORDER BY {rendered}")
@@ -267,8 +271,8 @@ class CreateTable(Statement):
         self.columns = list(columns)  # [(name, type_name)]
 
     def to_sql(self) -> str:
-        cols = ", ".join(f"{n} {t}" for n, t in self.columns)
-        return f"CREATE TABLE {self.table} ({cols})"
+        cols = ", ".join(f"{_q(n)} {t}" for n, t in self.columns)
+        return f"CREATE TABLE {_q(self.table)} ({cols})"
 
 
 class InsertValues(Statement):
@@ -283,14 +287,16 @@ class InsertValues(Statement):
             raise ValueError("INSERT needs at least one row")
 
     def to_sql(self) -> str:
-        cols = f" ({', '.join(self.columns)})" if self.columns else ""
+        cols = (
+            f" ({', '.join(map(_q, self.columns))})" if self.columns else ""
+        )
         from .expr import sql_literal
 
         rows = ", ".join(
             "(" + ", ".join(sql_literal(v) for v in row) + ")"
             for row in self.rows
         )
-        return f"INSERT INTO {self.table}{cols} VALUES {rows}"
+        return f"INSERT INTO {_q(self.table)}{cols} VALUES {rows}"
 
 
 class DropTable(Statement):
@@ -300,7 +306,7 @@ class DropTable(Statement):
         self.table = table
 
     def to_sql(self) -> str:
-        return f"DROP TABLE {self.table}"
+        return f"DROP TABLE {_q(self.table)}"
 
 
 class DeleteRows(Statement):
@@ -313,7 +319,7 @@ class DeleteRows(Statement):
         self.where = where
 
     def to_sql(self) -> str:
-        sql = f"DELETE FROM {self.table}"
+        sql = f"DELETE FROM {_q(self.table)}"
         if self.where is not None:
             sql += f" WHERE {self.where.to_sql()}"
         return sql
@@ -330,7 +336,10 @@ class CreateIndex(Statement):
         self.kind = kind
 
     def to_sql(self) -> str:
-        sql = f"CREATE INDEX {self.name} ON {self.table} ({self.column})"
+        sql = (
+            f"CREATE INDEX {_q(self.name)} ON {_q(self.table)} "
+            f"({_q(self.column)})"
+        )
         if self.kind != "hash":
             sql += f" USING {self.kind}"
         return sql
@@ -343,7 +352,7 @@ class DropIndex(Statement):
         self.name = name
 
     def to_sql(self) -> str:
-        return f"DROP INDEX {self.name}"
+        return f"DROP INDEX {_q(self.name)}"
 
 
 class Explain(Statement):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
+from .lexer import quote_identifier
 from .types import Row, SQLValue
 
 if TYPE_CHECKING:
@@ -117,7 +118,7 @@ class ColumnRef(Expr):
         return {self.name}
 
     def to_sql(self):
-        return self.name
+        return quote_identifier(self.name)
 
     def compile(self, schema):
         index = schema.index_of(self.name)

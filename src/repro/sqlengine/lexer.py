@@ -1,8 +1,10 @@
 """Tokenizer for the SQL subset.
 
 Produces a flat list of :class:`Token`.  Keywords are recognised
-case-insensitively; identifiers keep their original spelling.  String
-literals use single quotes with ``''`` escaping, as in T-SQL.
+case-insensitively; identifiers keep their original spelling, and a
+``[bracketed]`` identifier is always an identifier — the way to name a
+column ``group``.  String literals use single quotes with ``''``
+escaping, as in T-SQL.
 """
 
 from __future__ import annotations
@@ -90,7 +92,11 @@ def tokenize(text: str) -> list[Token]:
             value, i = _read_number(text, i)
             tokens.append(Token(NUMBER, value, i))
             continue
-        if ch.isalpha() or ch == "_" or ch == "[":
+        if ch == "[":
+            value, i = _read_identifier(text, i)
+            tokens.append(Token(IDENT, value, i))
+            continue
+        if ch.isalpha() or ch == "_":
             value, i = _read_identifier(text, i)
             upper = value.upper()
             if upper in KEYWORDS:
@@ -163,6 +169,30 @@ def _read_identifier(text: str, start: int) -> tuple[str, int]:
     while i < n and (text[i].isalnum() or text[i] == "_"):
         i += 1
     return text[start:i], i
+
+
+def _is_bare_identifier(name: str) -> bool:
+    """True when :func:`tokenize` reads ``name`` back as one IDENT."""
+    return (
+        name != ""
+        and (name[0].isalpha() or name[0] == "_")
+        and all(ch.isalnum() or ch == "_" for ch in name)
+        and name.upper() not in KEYWORDS
+    )
+
+
+def quote_identifier(name: str) -> str:
+    """Render an identifier so that it lexes back to ``name``.
+
+    Each dot-separated part of a qualified name (``alias.column``)
+    that is a keyword — a column called ``group`` — or is not a bare
+    identifier is written in the ``[bracketed]`` form; everything else
+    is left as it is.
+    """
+    return ".".join(
+        part if _is_bare_identifier(part) else f"[{part}]"
+        for part in name.split(".")
+    )
 
 
 def _read_operator(text: str, start: int) -> tuple[str, int]:

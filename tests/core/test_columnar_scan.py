@@ -8,6 +8,10 @@ process pool via shared memory), decode staged rows identically, size
 partitions sanely without a row estimate, shut its prefetch producer
 down without busy-waiting, and — proven by fault injection against the
 resource witness — leak no shared-memory segment past a failed scan.
+
+With ``scan_workers=1`` the same path runs through the *inline*
+executor: no pool, no prefetch or writer thread.  Row kernel, inline
+and two threads must agree on everything a session produces.
 """
 
 import threading
@@ -28,11 +32,14 @@ from repro.core.execution import (  # noqa: E402
 )
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
+from repro.core import scan_pool  # noqa: E402
 from repro.core.scan_pool import (  # noqa: E402
     ScanWorkerPool,
     _count_partition,
 )
 from repro.core.shm import ShmShipper, shm_available  # noqa: E402
+from repro.datagen.loader import load_dataset  # noqa: E402
+from repro.sqlengine.database import SQLServer  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     count_partition_columnar,
 )
@@ -41,6 +48,7 @@ from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 from .test_parallel_scan import (  # noqa: E402
     PARALLEL,
     SPEC,
+    child_request,
     dataset_rows,
     frontier_results,
     make_server,
@@ -437,7 +445,10 @@ class TestColumnarIntegration:
                 return handle.read()
 
     def test_staged_file_bit_identical_across_shipping_paths(self):
-        serial = self._staged_root_bytes(scan_workers=1)
+        serial = self._staged_root_bytes(
+            scan_workers=1, scan_columnar=False
+        )
+        assert self._staged_root_bytes(scan_workers=1) == serial  # inline
         assert self._staged_root_bytes(scan_workers=2) == serial
         assert self._staged_root_bytes(
             scan_workers=2, scan_pool="process"
@@ -452,7 +463,6 @@ class TestColumnarIntegration:
         config = MiddlewareConfig(
             memory_bytes=100_000, scan_workers=2, **PARALLEL
         )
-        from .test_parallel_scan import child_request
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()  # SERVER scan, stages the root
@@ -481,6 +491,316 @@ class _WitnessMonitor(LockMonitor):
 
     def live_kinds(self):
         return [record.kind for record in self.witness.live()]
+
+
+#: The three scan loops a session can run a large-enough scan through.
+LOOPS = {
+    "row-kernel": {"scan_workers": 1, "scan_columnar": False},
+    "inline": {"scan_workers": 1},
+    "threads": {"scan_workers": 2},
+}
+
+
+def _rows_of(a1_values, a2_values, n=64):
+    return [
+        (a1_values[i % len(a1_values)], a2_values[(i // 2) % len(a2_values)],
+         i % 3)
+        for i in range(n)
+    ]
+
+
+#: name -> (rows, the A1 values the child nodes split on)
+EQUIVALENCE_DATA = {
+    "int": (dataset_rows(), (0, 1, 2)),
+    "string": (_rows_of(["x", "ä", "日本"], ["α", "β"]), ("x", "ä", "日本")),
+    "nulls": (_rows_of([0, 1, 2], [None, 5, None, 7]), (0, 1, 2)),
+}
+
+#: name -> config of a two-level session that exercises one staged tier
+EQUIVALENCE_PLANS = {
+    # SERVER scan writes the root's file; the FILE scan over it splits
+    # (threshold 1.0) into one fresh file per child.
+    "file-split": {"memory_staging": False, "file_split_threshold": 1.0},
+    # SERVER scan captures the root into memory; the children are
+    # counted by a MEMORY scan over it.
+    "memory": {"file_staging": False},
+}
+
+
+def _session_fingerprint(rows, values, tmp_path, **config):
+    """Everything observable a two-level session leaves behind."""
+    server = make_server(rows)
+    config = MiddlewareConfig(
+        memory_bytes=100_000, staging_dir=str(tmp_path), **PARALLEL,
+        **config,
+    )
+    ccs = {}
+    with Middleware(server, "data", SPEC, config) as mw:
+        levels = [
+            [root_request(rows)],
+            [child_request(f"n{index}", value, rows)
+             for index, value in enumerate(values, start=1)],
+        ]
+        for requests in levels:
+            mw.queue_requests(requests)
+            while mw.pending:
+                for result in mw.process_next_batch():
+                    ccs[result.node_id] = result.cc
+        files = {}
+        for node_id in mw.staging.file_nodes():
+            with open(mw.staging.file_for(node_id).path, "rb") as handle:
+                files[node_id] = handle.read()
+        captured = {
+            node_id: list(mw.staging.memory_rows(node_id))
+            for node_id in mw.staging.memory_nodes()
+        }
+        scans = [
+            (r.mode, r.batch, r.rows_seen, r.rows_routed, r.split_file,
+             r.stage_file_targets, r.stage_memory_targets, r.deferrals)
+            for r in mw.trace
+        ]
+        loops = [(r.columnar, r.workers) for r in mw.trace]
+        meter = server.meter
+        return {
+            "ccs": ccs, "files": files, "captured": captured,
+            "scans": scans, "events": dict(meter.counts),
+        }, dict(meter.charges), loops
+
+
+class TestThreeWayEquivalence:
+    """Row kernel == inline == two threads, in everything but time."""
+
+    # Staged files hold packed int32 records, so only the integer
+    # data set can take the file plan.
+    @pytest.mark.parametrize("data, plan", [
+        ("int", "file-split"), ("int", "memory"),
+        ("string", "memory"), ("nulls", "memory"),
+    ])
+    def test_sessions_agree(self, data, plan, tmp_path):
+        rows, values = EQUIVALENCE_DATA[data]
+        outcome = {}
+        for loop, overrides in LOOPS.items():
+            directory = tmp_path / loop
+            outcome[loop] = _session_fingerprint(
+                rows, values, directory, **EQUIVALENCE_PLANS[plan],
+                **overrides,
+            )
+        reference, reference_charges, loops = outcome["row-kernel"]
+        assert all(loop == (False, 1) for loop in loops)
+        tiers = {scan[0] for scan in reference["scans"]}
+        assert tiers == {
+            "SERVER", "FILE" if plan == "file-split" else "MEMORY"
+        }
+        if plan == "file-split":
+            assert any(scan[4] for scan in reference["scans"])  # a split
+            assert len(reference["files"]) > 1
+        else:
+            assert "root" in reference["captured"]
+        for value in values:
+            subset = [r for r in rows if r[0] == value]
+            node_id = f"n{values.index(value) + 1}"
+            assert reference["ccs"][node_id] == build_cc_from_rows(
+                subset, SPEC, ("A2",)
+            )
+        for loop, workers in (("inline", 1), ("threads", 2)):
+            observed, charges, loops = outcome[loop]
+            assert all(seen == (True, workers) for seen in loops)
+            assert observed == reference
+            # Per category, not just in total.
+            assert charges == pytest.approx(reference_charges)
+
+
+class TestInlineExecutor:
+    """``scan_workers=1``: the columnar path with nothing beside it."""
+
+    def test_session_starts_no_thread_and_no_executor(
+            self, tmp_path, monkeypatch):
+        monitor = _WitnessMonitor()
+        previous = install_monitor(monitor)
+        threads_before = set(threading.enumerate())
+        started = []
+        original_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        try:
+            rows, values = EQUIVALENCE_DATA["int"]
+            for plan in EQUIVALENCE_PLANS.values():
+                server = make_server(rows)
+                config = MiddlewareConfig(
+                    memory_bytes=100_000, scan_workers=1,
+                    staging_dir=str(tmp_path), **PARALLEL, **plan,
+                )
+                with Middleware(server, "data", SPEC, config) as mw:
+                    mw.queue_request(root_request(rows))
+                    mw.process_next_batch()
+                    for value in values:
+                        mw.queue_request(
+                            child_request(f"n{value}", value, rows)
+                        )
+                    while mw.pending:
+                        mw.process_next_batch()
+                    assert len(mw.trace) >= 2
+                    for record in mw.trace:
+                        assert record.columnar and record.workers == 1
+                        assert record.prefetch_depth == 0
+                        assert record.split_writers == 0
+                        assert not record.cached
+                        assert "(columnar)" in str(record)
+                    scan = mw.execution.last_scan
+                    assert scan.workers == 1 and scan.columnar
+                    assert scan.partition_rows == 4 * config.scan_chunk_rows
+                    assert len(scan.worker_seconds) >= 2  # partitioned
+                    assert mw.stats.parallel_scans == 0
+                    assert mw.stats.prefetched_scans == 0
+                    assert mw.stats.cached_scans == 0
+                    assert mw.stats.columnar_scans == mw.stats.batches
+                    pool = mw.scan_pool
+                    assert pool is not None and pool.inline
+                    assert not pool.active and pool.pools_created == 0
+                    assert "inline" in repr(pool)
+                    assert f"{mw.stats.batches} columnar" in mw.report()
+                    cache = mw.execution.scan_cache
+                    assert cache is None or cache.resident_entries == 0
+        finally:
+            install_monitor(previous)
+        assert started == []
+        assert set(threading.enumerate()) == threads_before
+        for kind in ("executor", "future", "scan-prefetch",
+                     "staging-writer"):
+            assert monitor.created.get(kind, 0) == 0
+        assert monitor.live_kinds() == []
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_one_worker_pool_counts_on_the_calling_thread(
+            self, kind, monkeypatch):
+        # The kernel entry points are looked up on the scan_pool module
+        # at call time — where benchmarks/e2e/trace.py patches them.
+        ran_on = []
+        for name in ("count_partition_columnar", "count_partition_slice"):
+            original = getattr(scan_pool, name)
+
+            def recording(*args, _original=original, **kwargs):
+                ran_on.append(threading.get_ident())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scan_pool, name, recording)
+        rows = _rows_null_heavy()
+        condition_sets = DATASETS["null_heavy"][1]
+        reference, _, _ = _reference(rows, condition_sets)
+        kernel = RoutingKernel(condition_sets, ATTR_INDEX)
+        slots = tuple(
+            (f"n{slot}", ATTRS, ATTR_POSITIONS)
+            for slot in range(len(condition_sets))
+        )
+        partitions = _partitions(rows)
+        whole = ColumnarPartition.from_rows(rows)
+        pool = ScanWorkerPool(kind, 1)
+        try:
+            assert pool.inline and not pool.remote
+            pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)
+            futures = [
+                pool.submit_columnar(seq, partition, (), ())
+                for seq, partition in enumerate(partitions)
+            ]
+            assert all(future.done() for future in futures)
+            ccs, _, _ = _fold(
+                [future.result() for future in futures], partitions,
+                len(condition_sets),
+            )
+            assert ccs == reference
+            sliced = [
+                pool.submit_columnar_slice(
+                    seq, whole, start, start + 7, None, (), ()
+                ).result()[:6]
+                for seq, start in enumerate(range(0, len(rows), 7))
+            ]
+            ccs, _, _ = _fold(sliced, partitions, len(condition_sets))
+            assert ccs == reference
+            row_future = pool.submit(0, rows, (), ())
+            assert row_future.done()
+            assert row_future.result()[1] == reference
+        finally:
+            pool.close()
+        assert not pool.active and pool.pools_created == 0
+        assert len(ran_on) == 2 * len(partitions)
+        assert set(ran_on) == {threading.get_ident()}
+
+    def test_inline_failure_propagates_from_submit(self):
+        kernel = RoutingKernel([()], ATTR_INDEX)
+        slots = (("n0", ATTRS, ATTR_POSITIONS),)
+        pool = ScanWorkerPool("thread", 1)
+        try:
+            pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)
+            poisoned = ColumnarPartition.from_rows([(1, 1, 99)])
+            with pytest.raises(IndexError):
+                pool.submit_columnar(0, poisoned, (), ())
+        finally:
+            pool.close()
+
+    def _loop_of(self, **overrides):
+        rows = dataset_rows()
+        server = make_server(rows)
+        overrides.setdefault("scan_workers", 1)
+        config = MiddlewareConfig(memory_bytes=100_000, **overrides)
+        with Middleware(server, "data", SPEC, config) as mw:
+            mw.queue_request(root_request(rows))
+            (result,) = mw.process_next_batch()
+            assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))
+            record = mw.trace[0]
+            assert mw.scan_pool is None or record.columnar
+            return record
+
+    def test_sources_below_the_gate_keep_the_row_kernel(self):
+        # 27 rows < the default scan_parallel_min_rows.
+        record = self._loop_of()
+        assert record.kernel and not record.columnar
+        assert "(kernel)" in str(record)
+        record = self._loop_of(scan_parallel_min_rows=len(dataset_rows()))
+        assert record.columnar and record.workers == 1
+
+    def test_scan_columnar_off_keeps_the_row_kernel(self):
+        record = self._loop_of(scan_columnar=False, **PARALLEL)
+        assert record.kernel and not record.columnar
+
+    def test_per_row_loop_is_never_partitioned(self):
+        record = self._loop_of(scan_kernel=False, **PARALLEL)
+        assert not record.kernel and not record.columnar
+
+    def test_without_numpy_the_row_kernel_runs(self, monkeypatch):
+        from repro.core import execution
+        monkeypatch.setattr(execution, "columnar_available", lambda: False)
+        record = self._loop_of(**PARALLEL)
+        assert record.kernel and not record.columnar
+
+    def test_batches_wider_than_the_masks_keep_the_row_kernel(self):
+        # 63 sibling nodes > MAX_SLOTS (62): the int64 candidate masks
+        # cannot route them, and one worker has no row-tuple pool path.
+        n_nodes = 63
+        spec = type(SPEC)([n_nodes, 2], 2)
+        rows = [(a1, a1 % 2, (a1 // 2) % 2) for a1 in range(n_nodes)] * 2
+        server = SQLServer()
+        load_dataset(server, "data", spec, rows)
+        config = MiddlewareConfig.no_staging(
+            1_000_000, scan_workers=1, **PARALLEL
+        )
+        with Middleware(server, "data", spec, config) as mw:
+            for value in range(n_nodes):
+                mw.queue_request(child_request(f"n{value}", value, rows))
+            results = mw.process_next_batch()
+            assert len(results) == n_nodes
+            assert len(mw.trace[0].batch) == n_nodes
+            assert mw.trace[0].kernel and not mw.trace[0].columnar
+            assert mw.scan_pool is None
+        with Middleware(server, "data", spec, config) as mw:
+            for value in range(n_nodes - 1):
+                mw.queue_request(child_request(f"n{value}", value, rows))
+            mw.process_next_batch()
+            assert len(mw.trace[0].batch) == n_nodes - 1
+            assert mw.trace[0].columnar
 
 
 class TestShmFaultInjection:
@@ -626,7 +946,6 @@ class TestColumnarConfig:
         config = MiddlewareConfig(
             memory_bytes=100_000, scan_workers=2, **PARALLEL
         )
-        from .test_parallel_scan import child_request
         with Middleware(server, "data", SPEC, config) as mw:
             sizer = mw.execution._sizer
             blind_before = sizer.blind_rows

@@ -140,10 +140,15 @@ class TestPoisonedPartition:
         "scan_columnar_cache": False,
     }
 
-    def test_staged_file_set_unchanged_after_worker_failure(self, tmp_path):
+    #: The same scan through the inline executor: one worker, so the
+    #: poison is met on the calling thread, mid-stream, with the
+    #: earlier partitions' staged rows already appended in place.
+    INLINE = dict(PARALLEL, scan_workers=1)
+
+    def _assert_poisoned_scan_leaves_nothing(self, tmp_path, **config):
         with make_middleware(memory_staging=False,
                              staging_dir=str(tmp_path),
-                             **self.PARALLEL) as mw:
+                             **config) as mw:
             self._poison(mw)
             mw.queue_request(root_request())
             with pytest.raises(TypeError):
@@ -153,6 +158,32 @@ class TestPoisonedPartition:
             assert mw.staging.file_nodes() == []
             assert list(tmp_path.iterdir()) == []
             assert mw.budget.used == 0
+            assert mw.budget.tags() == []
+
+    def test_staged_file_set_unchanged_after_worker_failure(self, tmp_path):
+        self._assert_poisoned_scan_leaves_nothing(tmp_path, **self.PARALLEL)
+
+    def test_staged_file_set_unchanged_after_inline_failure(self, tmp_path):
+        self._assert_poisoned_scan_leaves_nothing(tmp_path, **self.INLINE)
+
+    def test_inline_executor_serves_the_next_scan(self, tmp_path):
+        with make_middleware(memory_staging=False,
+                             staging_dir=str(tmp_path),
+                             **self.INLINE) as mw:
+            self._poison(mw, poison_after=20)  # past the first partition
+            mw.queue_request(root_request())
+            with pytest.raises(TypeError):
+                mw.process_next_batch()
+            pool = mw.scan_pool
+            assert pool is not None and pool.inline
+            self._restore(mw)
+            mw.queue_request(root_request())
+            (result,) = mw.process_next_batch()
+            assert result.cc.records == len(ROWS)
+            assert mw.execution.last_scan.columnar
+            assert mw.scan_pool is pool and pool.pools_created == 0
+            # The retry staged the root afresh over the abandoned file.
+            assert list(mw.staging.file_for("root").scan()) == ROWS
 
     def test_pool_survives_and_serves_the_next_scan(self):
         with make_middleware(**self.PARALLEL) as mw:

@@ -13,6 +13,7 @@ Two bugs this file pins down:
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -53,6 +54,7 @@ class _InterruptingIterator:
     def __init__(self, rows, blow_after):
         self._rows = iter(rows)
         self._remaining = blow_after
+        self.closed = False
 
     def __iter__(self):
         return self
@@ -63,15 +65,21 @@ class _InterruptingIterator:
         self._remaining -= 1
         return next(self._rows)
 
+    def close(self):
+        """What a partitioned scan calls on the source it abandons."""
+        self.closed = True
+        self._rows.close()
+
 
 class TestKeyboardInterruptCleanup:
     def _interrupt(self, middleware, blow_after=3):
         original = middleware.execution._rows_for
 
         def interrupting(schedule, scan):
-            return _InterruptingIterator(
+            self.source = _InterruptingIterator(
                 original(schedule, scan), blow_after
             )
+            return self.source
 
         middleware.execution._rows_for = interrupting
 
@@ -99,6 +107,34 @@ class TestKeyboardInterruptCleanup:
                 mw.process_next_batch()
             assert mw.staging.memory_nodes() == []
             assert mw.budget.used == 0
+
+    #: One worker with the gate opened: the inline columnar executor.
+    #: 16-row partitions, so an interrupt after 20 rows lands mid-scan
+    #: with the first partition already counted and staged in place.
+    INLINE = {"scan_workers": 1, "scan_parallel_min_rows": 0,
+              "scan_chunk_rows": 4}
+
+    def test_inline_interrupt_leaves_nothing_behind(self, tmp_path):
+        threads_before = threading.active_count()
+        with make_middleware(staging_dir=str(tmp_path),
+                             **self.INLINE) as mw:
+            self._interrupt(mw, blow_after=20)
+            mw.queue_request(root_request())
+            with pytest.raises(KeyboardInterrupt):
+                mw.process_next_batch()
+            assert self.source.closed  # the cursor was not left open
+            assert mw.staging.file_nodes() == []
+            assert mw.staging.memory_nodes() == []
+            assert list(tmp_path.iterdir()) == []
+            assert mw.budget.used == 0
+            assert mw.budget.tags() == []
+            assert threading.active_count() == threads_before
+            self._restore(mw)
+            mw.queue_request(root_request())
+            (result,) = mw.process_next_batch()
+            assert result.cc.records == len(ROWS)
+            assert mw.execution.last_scan.columnar
+            assert mw.execution.last_scan.workers == 1
 
     def test_middleware_usable_after_interrupt(self):
         with make_middleware() as mw:

@@ -61,9 +61,20 @@ def child_request(node_id, value, rows, est_cc_pairs=3):
     )
 
 
-@pytest.fixture(params=[True, False], ids=["kernel", "per-row"])
-def scan_kernel(request):
-    """Both scan loops must take the same recovery decisions."""
+@pytest.fixture(
+    params=[
+        {"scan_kernel": True},
+        {"scan_kernel": False},
+        # One worker with the gate opened: the inline columnar executor
+        # (admission post-merge, staging applied in place).
+        {"scan_workers": 1, "scan_parallel_min_rows": 0,
+         "scan_chunk_rows": 4},
+    ],
+    ids=["kernel", "per-row", "inline"],
+)
+def scan_loop(request):
+    """Config overrides selecting a scan loop: every loop must take
+    the same recovery decisions and clean up the same way."""
     return request.param
 
 
@@ -76,7 +87,7 @@ class TestLastSurvivorFallsBack:
     SQL-based lazy counting like any other solo overflow.
     """
 
-    def overflow_everyone(self, scan_kernel):
+    def overflow_everyone(self, scan_loop):
         rows = dataset_rows()
         server = make_server(rows)
         # est 1 pair/node admits both (2 x 20B = 40B budget), but each
@@ -87,7 +98,7 @@ class TestLastSurvivorFallsBack:
                 memory_bytes=40,
                 file_staging=False,
                 memory_staging=False,
-                scan_kernel=scan_kernel,
+                **scan_loop,
             ),
         )
         with mw:
@@ -103,29 +114,29 @@ class TestLastSurvivorFallsBack:
             budget_used = mw.budget.used
         return rows, mw, results, first_scan, budget_used
 
-    def test_last_survivor_uses_sql_fallback(self, scan_kernel):
-        _, mw, _, first_scan, _ = self.overflow_everyone(scan_kernel)
+    def test_last_survivor_uses_sql_fallback(self, scan_loop):
+        _, mw, _, first_scan, _ = self.overflow_everyone(scan_loop)
         assert first_scan.deferrals == 1
         assert first_scan.sql_fallbacks == 1
         # One extra scan for the deferred node; no third scan for a
         # node that could never have fit anyway.
         assert mw.stats.batches == 2
 
-    def test_counts_stay_exact_through_both_recoveries(self, scan_kernel):
-        rows, _, results, _, _ = self.overflow_everyone(scan_kernel)
+    def test_counts_stay_exact_through_both_recoveries(self, scan_loop):
+        rows, _, results, _, _ = self.overflow_everyone(scan_loop)
         for value in range(2):
             subset = [r for r in rows if r[0] == value]
             assert results[f"n{value}"].cc == build_cc_from_rows(
                 subset, SPEC, ("A2",)
             )
 
-    def test_budget_clean_after_recoveries(self, scan_kernel):
-        _, _, _, _, budget_used = self.overflow_everyone(scan_kernel)
+    def test_budget_clean_after_recoveries(self, scan_loop):
+        _, _, _, _, budget_used = self.overflow_everyone(scan_loop)
         assert budget_used == 0
 
 
 class TestDeferralRaisesEstimate:
-    def test_deferred_estimate_matches_observed_pairs(self, scan_kernel):
+    def test_deferred_estimate_matches_observed_pairs(self, scan_loop):
         rows = dataset_rows()
         server = make_server(rows)
         requests = [
@@ -138,7 +149,7 @@ class TestDeferralRaisesEstimate:
                 memory_bytes=100,
                 file_staging=False,
                 memory_staging=False,
-                scan_kernel=scan_kernel,
+                **scan_loop,
             ),
         ) as mw:
             for request in requests:
@@ -152,12 +163,12 @@ class TestDeferralRaisesEstimate:
                 # original lie.
                 assert 2 <= request.est_cc_pairs <= 3
 
-    def test_lone_node_overflow_falls_back_not_defers(self, scan_kernel):
+    def test_lone_node_overflow_falls_back_not_defers(self, scan_loop):
         rows = dataset_rows()
         server = make_server(rows)
         with Middleware(
             server, "data", SPEC,
-            MiddlewareConfig.no_staging(8, scan_kernel=scan_kernel),
+            MiddlewareConfig.no_staging(8, **scan_loop),
         ) as mw:
             mw.queue_request(root_request(rows))
             (result,) = mw.process_next_batch()
@@ -170,7 +181,7 @@ class TestDeferralRaisesEstimate:
 class TestSplitFileBudget:
     """Regression: §4.3.2 split files bypassed ``file_budget_bytes``."""
 
-    def split_scan(self, file_budget_rows, scan_kernel=True):
+    def split_scan(self, file_budget_rows, scan_loop):
         rows = dataset_rows()
         server = make_server(rows)
         row_bytes = SPEC.row_bytes
@@ -181,7 +192,7 @@ class TestSplitFileBudget:
                 memory_staging=False,
                 file_split_threshold=1.0,
                 file_budget_bytes=file_budget_rows * row_bytes,
-                scan_kernel=scan_kernel,
+                **scan_loop,
             ),
         )
         with mw:
@@ -194,24 +205,24 @@ class TestSplitFileBudget:
             bytes_used = mw.staging.file_bytes_used
         return mw, staged, bytes_used
 
-    def test_split_respects_file_budget(self, scan_kernel):
+    def test_split_respects_file_budget(self, scan_loop):
         # Root (27) + n0 (6) fit a 35-row budget; adding n1 (9) would
         # not — n1's split file must be skipped, not written.
-        _, staged, bytes_used = self.split_scan(35, scan_kernel)
+        _, staged, bytes_used = self.split_scan(35, scan_loop)
         assert "n0" in staged
         assert "n1" not in staged
         assert bytes_used <= 35 * SPEC.row_bytes
 
-    def test_skipped_split_still_counts_node(self, scan_kernel):
-        mw, _, _ = self.split_scan(35, scan_kernel)
+    def test_skipped_split_still_counts_node(self, scan_loop):
+        mw, _, _ = self.split_scan(35, scan_loop)
         # Both children were served on the split scan despite n1's
         # split target being skipped.
         record = mw.trace[1]
         assert set(record.batch) == {"n0", "n1"}
         assert record.sql_fallbacks == 0 and record.deferrals == 0
 
-    def test_roomy_budget_splits_everyone(self, scan_kernel):
-        _, staged, _ = self.split_scan(100, scan_kernel)
+    def test_roomy_budget_splits_everyone(self, scan_loop):
+        _, staged, _ = self.split_scan(100, scan_loop)
         assert "n0" in staged and "n1" in staged
 
 
@@ -238,12 +249,12 @@ class _ExplodingStrategy:
 class TestExceptionCleanup:
     """`ExecutionModule.run`'s except branch must release everything."""
 
-    def exploding_middleware(self, scan_kernel, blow_after=5,
+    def exploding_middleware(self, scan_loop, blow_after=5,
                              **config_overrides):
         rows = dataset_rows()
         server = make_server(rows)
         config_overrides.setdefault("memory_bytes", 100_000)
-        config_overrides.setdefault("scan_kernel", scan_kernel)
+        config_overrides.update(scan_loop)
         mw = Middleware(
             server, "data", SPEC, MiddlewareConfig(**config_overrides)
         )
@@ -252,9 +263,9 @@ class TestExceptionCleanup:
         )
         return mw, rows
 
-    def test_file_writers_abandoned(self, scan_kernel):
+    def test_file_writers_abandoned(self, scan_loop):
         mw, rows = self.exploding_middleware(
-            scan_kernel, memory_staging=False
+            scan_loop, memory_staging=False
         )
         with mw:
             mw.queue_request(root_request(rows))
@@ -265,9 +276,9 @@ class TestExceptionCleanup:
             assert os.listdir(staging_dir) == []
             assert mw.budget.used == 0
 
-    def test_memory_reservations_cancelled(self, scan_kernel):
+    def test_memory_reservations_cancelled(self, scan_loop):
         mw, rows = self.exploding_middleware(
-            scan_kernel, file_staging=False
+            scan_loop, file_staging=False
         )
         with mw:
             mw.queue_request(root_request(rows))
@@ -276,9 +287,9 @@ class TestExceptionCleanup:
             assert mw.staging.memory_nodes() == []
             assert mw.budget.used == 0
 
-    def test_cc_reservations_released(self, scan_kernel):
+    def test_cc_reservations_released(self, scan_loop):
         mw, rows = self.exploding_middleware(
-            scan_kernel, file_staging=False, memory_staging=False
+            scan_loop, file_staging=False, memory_staging=False
         )
         with mw:
             mw.queue_request(root_request(rows))
@@ -287,11 +298,11 @@ class TestExceptionCleanup:
             assert mw.budget.used == 0
             assert mw.budget.tags() == []
 
-    def test_session_survives_and_recovers(self, scan_kernel):
+    def test_session_survives_and_recovers(self, scan_loop):
         # After the failed scan the same node can be re-queued and
         # served: no poisoned reservations or half-written files.
         mw, rows = self.exploding_middleware(
-            scan_kernel, memory_staging=False
+            scan_loop, memory_staging=False
         )
         with mw:
             mw.queue_request(root_request(rows))

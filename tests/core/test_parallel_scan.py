@@ -125,11 +125,15 @@ class TestParallelEquivalence:
     def test_meter_charges_identical_to_serial(self):
         # Simulated costs accrue on the coordinator thread, so the
         # scheduler sees identical economics at any worker count.
-        _, _, serial_cost = frontier_results(scan_workers=1, **PARALLEL)
+        _, _, serial_cost = frontier_results(
+            scan_workers=1, scan_columnar=False, **PARALLEL
+        )
+        _, _, inline_cost = frontier_results(scan_workers=1, **PARALLEL)
         _, _, parallel_cost = frontier_results(scan_workers=4, **PARALLEL)
+        assert inline_cost == pytest.approx(serial_cost)
         assert parallel_cost == pytest.approx(serial_cost)
 
-    def _staged_root_bytes(self, workers):
+    def _staged_root_bytes(self, workers, **overrides):
         rows = dataset_rows()
         server = make_server(rows)
         config = MiddlewareConfig(
@@ -137,6 +141,7 @@ class TestParallelEquivalence:
             memory_staging=False,
             scan_workers=workers,
             **PARALLEL,
+            **overrides,
         )
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
@@ -147,11 +152,11 @@ class TestParallelEquivalence:
                 return handle.read()
 
     def test_staged_file_bit_identical_to_serial(self):
-        serial = self._staged_root_bytes(1)
-        for workers in (2, 4):
+        serial = self._staged_root_bytes(1, scan_columnar=False)
+        for workers in (1, 2, 4):
             assert self._staged_root_bytes(workers) == serial
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_memory_capture_identical_to_serial(self, workers):
         rows = dataset_rows()
         server = make_server(rows)
@@ -198,7 +203,7 @@ class TestParallelEquivalence:
 class TestParallelOverflow:
     """§4.1.1 recovery must not depend on the worker count."""
 
-    def overflow_results(self, workers):
+    def overflow_results(self, workers, **overrides):
         rows = dataset_rows()
         server = make_server(rows)
         # Underestimates (1 pair each) admit all three nodes at once,
@@ -209,12 +214,14 @@ class TestParallelOverflow:
             memory_staging=False,
             scan_workers=workers,
             **PARALLEL,
+            **overrides,
         )
+        requests = [
+            child_request(f"n{value}", value, rows, est_cc_pairs=1)
+            for value in range(3)
+        ]
         with Middleware(server, "data", SPEC, config) as mw:
-            for value in range(3):
-                mw.queue_request(
-                    child_request(f"n{value}", value, rows, est_cc_pairs=1)
-                )
+            mw.queue_requests(requests)
             outcomes = []
             results = {}
             while mw.pending:
@@ -226,20 +233,33 @@ class TestParallelOverflow:
                 )
             stats = (mw.stats.deferrals, mw.stats.sql_fallbacks,
                      mw.stats.batches)
+        self.corrected_estimates = {
+            request.node_id: request.est_cc_pairs for request in requests
+        }
         return results, outcomes, stats
 
     def test_recovery_deterministic_across_worker_counts(self):
         # Per-scan recovery decisions depend only on the merged sizes,
-        # so every parallel worker count takes the identical path.  The
-        # serial kernel is not scan-for-scan identical — it abandons
-        # mid-scan with a partial pair count as the corrected estimate,
-        # where the parallel path abandons post-merge with the exact
-        # count — but its final counts must match exactly.
-        serial_results, _, serial_stats = self.overflow_results(1)
+        # so every worker count — the inline executor's one included —
+        # takes the identical path.  The row kernel is not scan-for-scan
+        # identical — it abandons mid-scan with a partial pair count as
+        # the corrected estimate, where the partitioned paths abandon
+        # post-merge with the exact count — but its final counts must
+        # match exactly.
+        serial_results, _, serial_stats = self.overflow_results(
+            1, scan_columnar=False
+        )
         assert serial_stats[0] >= 1  # the scenario really overflows
         reference_results, reference_outcomes, reference_stats = \
             self.overflow_results(2)
         assert reference_outcomes[0][0] >= 1  # parallel overflows too
+        reference_estimates = self.corrected_estimates
+        assert max(reference_estimates.values()) > 1  # someone deferred
+        inline_results, inline_outcomes, inline_stats = \
+            self.overflow_results(1)
+        assert inline_outcomes == reference_outcomes
+        assert inline_stats == reference_stats
+        assert self.corrected_estimates == reference_estimates
         rows = dataset_rows()
         references = {
             f"n{value}": build_cc_from_rows(
@@ -256,8 +276,9 @@ class TestParallelOverflow:
         for node_id, reference in references.items():
             assert serial_results[node_id].cc == reference
             assert reference_results[node_id].cc == reference
+            assert inline_results[node_id].cc == reference
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_solo_overflow_falls_back_to_sql(self, workers):
         rows = dataset_rows()
         server = make_server(rows)
@@ -284,6 +305,18 @@ class TestParallelProfiling:
         assert record.workers == 2
         assert record.merge_seconds >= 0.0
         assert "x2w" in str(record)
+
+    def test_trace_names_the_loop_that_ran(self):
+        loops = {
+            "(columnar x2w": {"scan_workers": 2},
+            "(kernel x2w)": {"scan_workers": 2, "scan_columnar": False},
+            "(columnar)": {"scan_workers": 1},
+            "(kernel)": {"scan_workers": 1, "scan_columnar": False},
+            "(per-row)": {"scan_workers": 1, "scan_kernel": False},
+        }
+        for rendered, overrides in loops.items():
+            _, trace, _ = frontier_results(**PARALLEL, **overrides)
+            assert rendered in str(trace[0]), (rendered, str(trace[0]))
 
     def test_stats_count_parallel_scans(self):
         rows = dataset_rows()

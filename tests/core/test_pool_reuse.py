@@ -179,7 +179,7 @@ class TestScanWorkerPoolUnit:
         pool.close()
 
     def test_install_skips_rebroadcast_for_same_signature(self):
-        pool = ScanWorkerPool("thread", 1)
+        pool = ScanWorkerPool("thread", 2)
         try:
             pool.install(("a",), "kernel", (), 0, 2)
             assert pool.kernels_installed == 1

@@ -4,6 +4,11 @@ import pytest
 
 from repro.client.baselines import build_cc_from_rows
 from repro.core.sql_counting import cc_statement, counts_via_sql
+from repro.datagen import (
+    AgrawalConfig,
+    agrawal_spec,
+    generate_agrawal_rows,
+)
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.sqlengine.ast_nodes import Select, UnionAll
@@ -53,6 +58,27 @@ class TestStatementShape:
     def test_empty_attributes_rejected(self):
         with pytest.raises(ValueError):
             cc_statement("data", [], "class")
+
+    def test_keyword_class_column_is_sent_as_text(self):
+        # Agrawal's class column is `group`; the §4.1.1 fallback and
+        # the Fig. 7 baseline must be expressible as SQL text.
+        spec = agrawal_spec()
+        rows = list(generate_agrawal_rows(
+            AgrawalConfig(function=2, n_rows=300, seed=3)
+        ))
+        server = SQLServer()
+        load_dataset(server, "data", spec, rows)
+        statement = cc_statement(
+            "data", ["salary", "age"], spec.class_name, None
+        )
+        assert spec.class_name == "group"
+        text = statement.to_sql()
+        assert "[group] AS class_label" in text
+        assert "GROUP BY [group], salary" in text
+        assert parse(text).to_sql() == text
+        assert sorted(server.execute(text)) == sorted(
+            server.execute(statement)
+        )
 
 
 class TestCountsViaSQL:

@@ -52,6 +52,18 @@ CONFIGS = {
     "tight_file_budget": MiddlewareConfig(
         memory_bytes=500_000, file_budget_bytes=500
     ),
+    # One worker, gate opened: every scan wide enough for the vector
+    # kernel runs through the inline columnar executor.
+    "inline_full_hybrid": MiddlewareConfig(
+        memory_bytes=500_000, scan_workers=1, scan_parallel_min_rows=0
+    ),
+    "inline_file_only_per_node": MiddlewareConfig.file_only(
+        500_000, split_threshold=1.0, scan_workers=1,
+        scan_parallel_min_rows=0,
+    ),
+    "inline_tiny_memory_sql_fallback": MiddlewareConfig.no_staging(
+        600, scan_workers=1, scan_parallel_min_rows=0
+    ),
 }
 
 
@@ -123,7 +135,8 @@ class TestCensusWorkload:
     @pytest.mark.parametrize(
         "name",
         ["no_staging", "full_hybrid", "memory_only", "file_only_per_node",
-         "tiny_memory_sql_fallback"],
+         "tiny_memory_sql_fallback", "inline_full_hybrid",
+         "inline_file_only_per_node", "inline_tiny_memory_sql_fallback"],
     )
     def test_census_equivalence(self, workload, name):
         server, spec, reference = workload

@@ -61,6 +61,29 @@ class TestTokenize:
         tokens = kinds_and_values("[weird name]")
         assert tokens[0] == (lexer.IDENT, "weird name")
 
+    def test_bracketed_keyword_is_an_identifier(self):
+        tokens = kinds_and_values("SELECT [group], [Order]")
+        assert tokens[1] == (lexer.IDENT, "group")
+        assert tokens[3] == (lexer.IDENT, "Order")
+
+    @pytest.mark.parametrize("name, rendered", [
+        ("salary", "salary"),
+        ("_x9", "_x9"),
+        ("group", "[group]"),
+        ("Group", "[Group]"),
+        ("weird name", "[weird name]"),
+        ("9lives", "[9lives]"),
+        ("a.order", "a.[order]"),
+        ("from.x", "[from].x"),
+    ])
+    def test_quote_identifier_lexes_back(self, name, rendered):
+        assert lexer.quote_identifier(name) == rendered
+        idents = [
+            value for kind, value in kinds_and_values(rendered)
+            if kind == lexer.IDENT
+        ]
+        assert ".".join(idents) == name
+
     def test_unterminated_bracket_raises(self):
         with pytest.raises(SQLSyntaxError):
             lexer.tokenize("[oops")

@@ -3,17 +3,32 @@
 import pytest
 
 from repro.common.errors import SQLSyntaxError
+from repro.sqlengine import lexer
 from repro.sqlengine.ast_nodes import (
     Aggregate,
     CountStar,
+    CreateIndex,
     CreateTable,
+    DeleteRows,
+    DropIndex,
     DropTable,
     InsertValues,
+    JoinClause,
     Select,
+    SelectItem,
     Star,
+    Statement,
     UnionAll,
 )
-from repro.sqlengine.expr import And, Comparison, InList, Not, Or
+from repro.sqlengine.expr import (
+    And,
+    ColumnRef,
+    Comparison,
+    InList,
+    Not,
+    Or,
+    eq,
+)
 from repro.sqlengine.parser import parse
 
 
@@ -182,3 +197,48 @@ class TestRoundTrip:
         rendered = statement.to_sql()
         again = parse(rendered)
         assert again.to_sql() == rendered
+
+    @pytest.mark.parametrize("keyword", sorted(lexer.KEYWORDS))
+    def test_keyword_identifiers_round_trip(self, keyword):
+        # Agrawal's class column is called `group`: any identifier
+        # position must survive to_sql() -> parse() unchanged.
+        name = keyword.lower()
+        statements = [
+            Select(
+                [SelectItem(ColumnRef(name), name),
+                 SelectItem(CountStar(), "n")],
+                name, where=eq(name, 1), group_by=[name, "b"],
+                order_by=[(name, False)], into=name, limit=3,
+            ),
+            Select(
+                [SelectItem(ColumnRef(f"{name}.{name}"), "x")],
+                JoinClause("t", name, name, "o", f"{name}.{name}",
+                           f"o.{name}"),
+            ),
+            UnionAll([Select(Star(), name), Select(Star(), "t")]),
+            CreateTable(name, [(name, "INT"), ("b", "VARCHAR")]),
+            InsertValues(name, [name, "b"], [(1, "x")]),
+            DeleteRows(name, eq(name, 1)),
+            DropTable(name),
+            CreateIndex(name, name, name, kind="range"),
+            DropIndex(name),
+        ]
+        for statement in statements:
+            assert _same(parse(statement.to_sql()), statement), (
+                statement.to_sql()
+            )
+
+
+def _same(left, right):
+    """Structural equality of two statement trees."""
+    if isinstance(left, Statement):
+        return type(left) is type(right) and _same(vars(left), vars(right))
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _same(value, right[key]) for key, value in left.items()
+        )
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(
+            _same(a, b) for a, b in zip(left, right)
+        )
+    return left == right
