@@ -3,15 +3,16 @@
 Not a paper figure — this benchmark guards the parallel scan executor.
 The same 100k-row Agrawal frontier as ``bench_scan_kernel.py`` is
 counted through the real middleware once with the serial **row
-kernel** (``scan_workers=1`` pinned to ``scan_columnar=False`` — left
-to itself one worker runs the inline columnar executor, which is not
-the baseline the floor was set against) and once per worker count
-(1/2/4/8), flipping only ``config.scan_workers`` (and using the
-process pool by default, since routing is CPU-bound Python where
-threads only interleave under the GIL).  The 1-worker rung is always
-run: it is the **inline** columnar executor — same partitions and
-vector kernel as the pool rungs, counted on the calling thread — and
-is reported as its own row (rows/s, speedup vs the row kernel).
+kernel** (``scan_workers=1`` with ``scan_parallel_min_rows`` above the
+source size — left to itself one worker runs the inline columnar
+executor, which is not the baseline the floor was set against) and
+once per worker count (1/2/4/8), flipping only ``config.scan_workers``
+(and using the process pool by default, since routing is CPU-bound
+Python where threads only interleave under the GIL).  The 1-worker
+rung is always run: it is the **inline** columnar executor — same
+partitions and vector kernel as the pool rungs, counted on the calling
+thread — and is reported as its own row (rows/s, speedup vs the row
+kernel).
 
 Every configuration must produce CC tables identical to an independent
 reference count — partial counts over disjoint row partitions merge
@@ -27,17 +28,10 @@ benchmark **exits non-zero** below the floor; on smaller machines the
 floor is recorded as skipped with a ``skip_reason`` (a 1-core box
 cannot physically show parallel speedup).
 
-A second A/B guards the pool lifecycle: the same frontier is counted
-through one session with the persistent warm pool
-(``scan_pool_reuse=True``) and once with cold per-scan pools, and the
-warm run's mean per-scan setup seconds must come in below the cold
-baseline (enforced on >= ``MIN_CORES``-core machines, reported
-elsewhere).
-
-A third A/B guards the table-version columnar cache ("encode once,
+A second A/B guards the table-version columnar cache ("encode once,
 scan every level"): one multi-level SERVER fit — the root scan plus
 ``CACHE_FIT_LEVELS - 1`` frontier passes over the same server table,
-staging disabled — runs once cold (``scan_columnar_cache=False``,
+staging disabled — runs once cold (``scan_cache_bytes=0``,
 re-encoding every level) and once warm.  Both runs must reproduce the
 reference CC tables; the warm run records per-level wall/encode
 seconds, ``cache_hits``/``cache_misses`` and the
@@ -109,10 +103,10 @@ def scan_frontier(spec, rows, frontier, workers, pool):
     """Count the frontier through the middleware; best-of-N profile.
 
     ``workers=0`` means the serial row kernel (``scan_workers=1`` with
-    ``scan_columnar=False``); ``workers=1`` is the inline columnar
-    executor behind its default size gate, which also sizes its
-    partitions (the pool rungs open the gate so that ``--smoke`` sizes
-    still go parallel).  As in
+    the ``scan_parallel_min_rows`` gate above the source size);
+    ``workers=1`` is the inline columnar executor behind its default
+    size gate, which also sizes its partitions (the pool rungs open
+    the gate so that ``--smoke`` sizes still go parallel).  As in
     the kernel A/B, the root data set is committed straight into
     middleware memory so measured wall time is routing + counting +
     (for parallel runs) partition shipping and CC-partial merging —
@@ -120,12 +114,15 @@ def scan_frontier(spec, rows, frontier, workers, pool):
     """
     server = SQLServer()
     load_dataset(server, "data", spec, rows)
-    overrides = {"scan_parallel_min_rows": 0} if workers > 1 else {}
+    overrides = {}
+    if workers != 1:
+        overrides["scan_parallel_min_rows"] = (
+            0 if workers else len(rows) + 1
+        )
     config = MiddlewareConfig.no_staging(
         16_000_000,
         scan_kernel=True,
         scan_workers=max(1, workers),
-        scan_columnar=workers > 0,
         scan_pool=pool,
         **overrides,
     )
@@ -170,58 +167,6 @@ def scan_frontier(spec, rows, frontier, workers, pool):
     return best, results
 
 
-def pool_lifecycle_ab(spec, rows, frontier, workers, pool):
-    """Warm (session pool) vs cold (per-scan pool) setup overhead.
-
-    Both runs count the same frontier through identical middleware
-    sessions ``REPEATS`` times; the only difference is
-    ``scan_pool_reuse``.  The warm session pays executor creation once
-    (first parallel scan) and re-broadcasts the kernel only when a
-    schedule's kernel changes, so its mean per-scan setup must fall
-    below the cold baseline that rebuilds the pool every scan.
-    """
-    profiles = {}
-    for label, reuse in (("warm", True), ("cold", False)):
-        server = SQLServer()
-        load_dataset(server, "data", spec, rows)
-        config = MiddlewareConfig.no_staging(
-            16_000_000,
-            scan_kernel=True,
-            scan_workers=workers,
-            scan_pool=pool,
-            scan_parallel_min_rows=0,
-            scan_pool_reuse=reuse,
-        )
-        with Middleware(server, "data", spec, config) as mw:
-            assert mw.staging.reserve_memory("root", len(rows))
-            mw.staging.commit_memory("root", list(rows))
-            wall = setup = 0.0
-            seen = scans = 0
-            for _ in range(REPEATS):
-                mw.queue_requests(request for request, _ in frontier)
-                while mw.pending:
-                    mw.process_next_batch()
-                    scan = mw.execution.last_scan
-                    assert scan.workers == workers
-                    assert scan.pool_reused == (reuse and scans > 0)
-                    wall += scan.wall_seconds
-                    setup += scan.pool_setup_seconds
-                    seen += scan.rows_seen
-                    scans += 1
-            session_pool = mw.scan_pool
-            assert (session_pool is not None) == reuse
-            if reuse:
-                assert session_pool.pools_created == 1
-                assert session_pool.scans_served == scans
-        profiles[label] = {
-            "scans": scans,
-            "rows_per_sec": seen / wall if wall > 0.0 else 0.0,
-            "setup_seconds_total": setup,
-            "setup_seconds_per_scan": setup / scans if scans else 0.0,
-        }
-    return profiles
-
-
 def columnar_cache_ab(spec, rows, frontier, workers, pool):
     """Warm (table-version cache) vs cold (re-encode) multi-level fit.
 
@@ -246,7 +191,7 @@ def columnar_cache_ab(spec, rows, frontier, workers, pool):
             scan_workers=workers,
             scan_pool=pool,
             scan_parallel_min_rows=0,
-            scan_columnar_cache=cache_on,
+            **({} if cache_on else {"scan_cache_bytes": 0}),
         )
         levels = []
         results = {}
@@ -334,7 +279,6 @@ def run_ab(n_rows=DEFAULT_ROWS, pool="process",
     check_equivalence(frontier, results_by_label)
 
     ab_workers = max(w for w in worker_counts if w <= 4)
-    pool_ab = pool_lifecycle_ab(spec, rows, frontier, ab_workers, pool)
     cache_ab = columnar_cache_ab(spec, rows, frontier, ab_workers, pool)
 
     return {
@@ -344,8 +288,7 @@ def run_ab(n_rows=DEFAULT_ROWS, pool="process",
         "cores": _usable_cores(),
         "serial": serial,
         "ladder": ladder,
-        "pool_ab_workers": ab_workers,
-        "pool_ab": pool_ab,
+        "ab_workers": ab_workers,
         "cache_ab": cache_ab,
     }
 
@@ -393,26 +336,6 @@ def report(comparison):
         f"(enforced on machines with >= {MIN_CORES} cores; "
         f"this machine has {comparison['cores']})"
     )
-    pool_rows = [
-        [
-            label,
-            f"{profile['scans']}",
-            f"{profile['rows_per_sec']:,.0f}",
-            f"{profile['setup_seconds_per_scan'] * 1e3:.3f}",
-            f"{profile['setup_seconds_total'] * 1e3:.3f}",
-        ]
-        for label, profile in comparison["pool_ab"].items()
-    ]
-    pool_table = render_table(
-        ["pool lifecycle", "scans", "rows/s", "setup/scan (ms)",
-         "setup total (ms)"],
-        pool_rows,
-        title=(
-            f"Warm session pool vs cold per-scan pools "
-            f"({comparison['pool_ab_workers']} workers, "
-            f"{comparison['pool']} pool)"
-        ),
-    )
     cache_rows = [
         [
             label,
@@ -432,7 +355,7 @@ def report(comparison):
         title=(
             f"Table-version columnar cache: {CACHE_FIT_LEVELS}-level "
             f"SERVER fit, warm vs cold re-encode "
-            f"({comparison['pool_ab_workers']} workers, "
+            f"({comparison['ab_workers']} workers, "
             f"{comparison['pool']} pool, "
             f"{comparison['cache_ab']['warm']['wall_speedup']:.2f}x "
             f"warm wall speedup)"
@@ -442,8 +365,6 @@ def report(comparison):
         table
         + "\n\nCC tables identical across all configurations.\n"
         + floor_note
-        + "\n\n"
-        + pool_table
         + "\n\n"
         + cache_table
     )
@@ -538,23 +459,9 @@ def record_json(comparison, smoke=False):
                 }
                 for workers, profile in comparison["ladder"].items()
             },
-            "pool_lifecycle": {
-                "workers": comparison["pool_ab_workers"],
-                **{
-                    label: {
-                        "scans": profile["scans"],
-                        "rows_per_sec": profile["rows_per_sec"],
-                        "setup_seconds_per_scan":
-                            profile["setup_seconds_per_scan"],
-                        "setup_seconds_total":
-                            profile["setup_seconds_total"],
-                    }
-                    for label, profile in comparison["pool_ab"].items()
-                },
-            },
             "columnar_cache": {
                 "levels": CACHE_FIT_LEVELS,
-                "workers": comparison["pool_ab_workers"],
+                "workers": comparison["ab_workers"],
                 **{
                     label: {
                         "wall_seconds": profile["wall_seconds"],
@@ -636,18 +543,6 @@ def main(argv=None):
         print(
             f"FAIL: 4-worker speedup {four['speedup']:.2f}x below the "
             f"{MIN_PARALLEL_SPEEDUP:.1f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    warm = comparison["pool_ab"]["warm"]
-    cold = comparison["pool_ab"]["cold"]
-    if comparison["cores"] >= MIN_CORES and (
-            warm["setup_seconds_per_scan"]
-            >= cold["setup_seconds_per_scan"]):
-        print(
-            "FAIL: warm session pool did not reduce per-scan setup "
-            f"({warm['setup_seconds_per_scan'] * 1e3:.3f}ms warm vs "
-            f"{cold['setup_seconds_per_scan'] * 1e3:.3f}ms cold)",
             file=sys.stderr,
         )
         return 1

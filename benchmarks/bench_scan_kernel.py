@@ -5,9 +5,10 @@ loops (Section 4.1's "one scan" counting).  The same 100k-row Agrawal
 frontier is counted three times through the real middleware, always
 with one worker (``scan_workers=1``):
 
-* **kernel** — the row kernel (``scan_columnar=False``): the batch's
-  path conditions compile into one attribute-indexed dispatch table;
-  routing costs one dict probe per constrained attribute per row;
+* **kernel** — the row kernel (``scan_parallel_min_rows`` pinned above
+  any source, so no scan is partitioned): the batch's path conditions
+  compile into one attribute-indexed dispatch table; routing costs
+  one dict probe per constrained attribute per row;
 * **per-row** — the reference loop (``scan_kernel=False``) evaluates
   every node's matcher closure against every row;
 * **inline** — what ``scan_workers=1`` runs by default on a source
@@ -77,7 +78,7 @@ CROSSOVER_SIZES = (256, 512, 1024, 2048, 4096, 8192)
 #: Config overrides selecting each loop (one worker throughout, so
 #: ``$REPRO_SCAN_WORKERS`` cannot turn an arm into a pool run).
 LOOPS = {
-    "kernel": {"scan_workers": 1, "scan_columnar": False},
+    "kernel": {"scan_workers": 1, "scan_parallel_min_rows": 1 << 30},
     "per-row": {"scan_workers": 1, "scan_kernel": False},
     "inline": {"scan_workers": 1},
 }

@@ -671,7 +671,7 @@ class ProjectIndex:
                     len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Tuple) and \
                     isinstance(node.value, ast.Call):
-                # ``pool, owned = self._acquire_pool()`` — thread a
+                # ``pool, owned = self._acquire()`` — thread a
                 # ``tuple[X, Y]`` return annotation positionally.
                 self._unpack_types(node.targets[0], node.value, env,
                                    cls_info, module)

@@ -135,34 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="SERVER-cursor partitions a producer thread "
                           "pulls ahead of the workers (default: 2; "
                           "0 = inline pulls)")
-    fit.add_argument("--no-scan-pool-reuse", action="store_true",
-                     help="rebuild the worker pool for every parallel "
-                          "scan instead of reusing the session pool")
-    fit.add_argument("--no-scan-split-writers", action="store_true",
-                     help="funnel split-file staging output through one "
-                          "writer thread instead of one per file")
-    fit.add_argument("--no-scan-columnar", action="store_true",
-                     help="count over row tuples instead of columnar "
-                          "partitions (one worker: the row kernel)")
-    fit.add_argument("--no-scan-shared-memory", action="store_true",
-                     help="pickle columnar partitions to process "
-                          "workers instead of shipping shared-memory "
-                          "segments")
-    fit.add_argument("--no-scan-adaptive-partitions", action="store_true",
-                     help="pin the static partition-sizing policy "
-                          "instead of adapting from worker timings")
-    fit.add_argument("--no-scan-columnar-cache", action="store_true",
-                     help="re-encode every parallel scan instead of "
-                          "reusing table-version-keyed columnar "
-                          "encodings")
     fit.add_argument("--scan-cache-bytes", type=int, default=None,
                      help="byte budget for resident cached columnar "
                           "encodings (default: 128 MiB; 0 disables "
-                          "caching)")
-    fit.add_argument("--no-scan-persistent-shm", action="store_true",
-                     help="re-ship cached encodings to process workers "
-                          "every scan instead of keeping one "
-                          "shared-memory segment alive per entry")
+                          "caching: every scan re-encodes)")
     fit.add_argument("--no-scan-use-planner", action="store_true",
                      help="strip the index candidate from the auto "
                           "strategy's access-path planner (the blind "
@@ -262,22 +238,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         scan_options["scan_prefetch_partitions"] = (
             args.scan_prefetch_partitions
         )
-    if args.no_scan_pool_reuse:
-        scan_options["scan_pool_reuse"] = False
-    if args.no_scan_split_writers:
-        scan_options["scan_split_writers"] = False
-    if args.no_scan_columnar:
-        scan_options["scan_columnar"] = False
-    if args.no_scan_shared_memory:
-        scan_options["scan_shared_memory"] = False
-    if args.no_scan_adaptive_partitions:
-        scan_options["scan_adaptive_partitions"] = False
-    if args.no_scan_columnar_cache:
-        scan_options["scan_columnar_cache"] = False
     if args.scan_cache_bytes is not None:
         scan_options["scan_cache_bytes"] = args.scan_cache_bytes
-    if args.no_scan_persistent_shm:
-        scan_options["scan_persistent_shm"] = False
     if args.no_scan_use_planner:
         scan_options["scan_use_planner"] = False
     if args.file_split_threshold is not None:

@@ -91,8 +91,8 @@ class MiddlewareConfig:
     #: ``$REPRO_SCAN_WORKERS``) is the calling thread alone — no pool,
     #: no helper thread: scans past the ``scan_parallel_min_rows`` gate
     #: count columnar partitions with the vector kernel inline (given
-    #: ``scan_columnar``, numpy, and a batch the kernel can route);
-    #: everything else keeps the row kernel.  >1 partitions the row
+    #: numpy and a batch the kernel can route); everything else keeps
+    #: the row kernel.  >1 partitions the row
     #: source and counts private per-node CC partials in a worker
     #: pool, merging them afterwards — CC tables are additive, so
     #: partial counts over disjoint partitions merge exactly.
@@ -110,12 +110,6 @@ class MiddlewareConfig:
     #: by ``benchmarks/bench_scan_kernel.py``: the inline executor
     #: overtakes the row kernel at ~900 rows for a 5-node batch.
     scan_parallel_min_rows: int = 2048
-    #: Reuse one :class:`~repro.core.scan_pool.ScanWorkerPool` across
-    #: every parallel scan of a middleware session (created lazily on
-    #: the first such scan, torn down by ``Middleware.close()``).
-    #: False rebuilds a pool per scan — the cold-start baseline the
-    #: warm-pool benchmark compares against.
-    scan_pool_reuse: bool = True
     #: SERVER-scan prefetch depth: a bounded producer thread pulls up
     #: to this many row partitions ahead of the workers, overlapping
     #: cursor row production with counting.  0 — or one worker, who
@@ -123,46 +117,15 @@ class MiddlewareConfig:
     #: coordinator thread.  Meter charges still accrue once
     #: per row, so simulated costs are prefetch-independent.
     scan_prefetch_partitions: int = 2
-    #: Give each §4.3.2 split-output file its own writer thread and
-    #: bounded queue (multi-file staged scans only).  False funnels all
-    #: staging output through the single pipelined writer thread.
-    scan_split_writers: bool = True
-    #: Count partitioned scans over array-backed columnar partitions
-    #: with the vectorized kernel (requires numpy; falls back to row
-    #: tuples when numpy is missing or the batch exceeds the mask
-    #: width).  False forces row tuples — the row kernel with one
-    #: worker, the row-tuple parallel path with more: the equivalence
-    #: baselines the columnar path is tested against.
-    scan_columnar: bool = True
-    #: Ship columnar partitions to *process* workers through
-    #: ``multiprocessing.shared_memory`` segments (one copy; only the
-    #: segment handle is pickled).  False — or an unavailable
-    #: shared-memory implementation — pickles the column arrays
-    #: instead.  Thread pools never ship (shared address space).
-    scan_shared_memory: bool = True
-    #: Adapt partition sizing (and SERVER-scan prefetch depth) from
-    #: observed per-partition worker timings: partitions that are all
-    #: dispatch overhead coarsen the next scan's sizing, straggling
-    #: partitions refine it.  False pins the static ~2-per-worker
-    #: policy.
-    scan_adaptive_partitions: bool = True
-    #: Cache full-source columnar encodings keyed by table version
-    #: ("encode once, scan every level"): a parallel scan of an
-    #: unchanged source reuses the encoding instead of re-encoding it,
-    #: and with a process pool reuses its persistent shared-memory
-    #: segment instead of re-shipping.  False streams every scan — the
-    #: cold baseline the cache benchmark compares against.
-    scan_columnar_cache: bool = True
-    #: Byte budget for resident cached encodings (real process bytes,
-    #: accounted from the flat segment layout like the staging budgets;
-    #: LRU-evicted).  An encoding that cannot fit is used once and
-    #: dropped; 0 disables caching outright.
+    #: Byte budget of the table-version columnar cache ("encode once,
+    #: scan every level"): a pooled scan of an unchanged source reuses
+    #: its full-source encoding instead of re-encoding it, and with a
+    #: process pool its persistent shared-memory segment instead of
+    #: re-shipping.  Real process bytes, accounted from the flat
+    #: segment layout like the staging budgets; LRU-evicted.  An
+    #: encoding that cannot fit is used once and dropped; 0 disables
+    #: caching outright (every scan streams).
     scan_cache_bytes: int = 128 * 1024 * 1024
-    #: Keep each cached encoding's shared-memory segment alive across
-    #: scans (process pools only): workers re-attach by generation
-    #: instead of receiving a fresh copy per scan.  False ships the
-    #: cached encoding per scan as ordinary pickled slices.
-    scan_persistent_shm: bool = True
     #: Let ``aux_strategy="auto"`` consult the engine's cost-based
     #: access-path planner, adding secondary-index probes to its
     #: candidate set.  False removes the index candidate — the blind

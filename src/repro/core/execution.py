@@ -22,37 +22,34 @@ Two row loops implement the routing one record at a time:
   equivalence baseline behind ``config.scan_kernel = False``.
 
 A source of at least ``config.scan_parallel_min_rows`` rows is instead
-counted **partitioned**: cut into ordered partitions, each routed
-through the same compiled kernel into *private* per-node CC partials
-that the coordinator merges into the real CC tables — CC tables are
-additive count structures, so partial counts over disjoint partitions
-merge exactly.  Who counts the partitions is the
-:class:`~repro.core.scan_pool.ScanWorkerPool`'s business:
+counted **partitioned**, by one pipeline
+(:meth:`ExecutionModule._count_partitioned`): *source -> partition ->
+submit -> collect/merge -> stage -> admit*.  The source is cut into
+ordered partitions, each routed through the same compiled kernel into
+*private* per-node CC partials that the coordinator merges into the
+real CC tables — CC tables are additive count structures, so partial
+counts over disjoint partitions merge exactly.  Two things plug in:
 
-* ``config.scan_workers == 1`` (the default) is the **inline**
-  executor: columnar partitions of a few scan chunks are encoded,
-  counted by the vector kernel and merged on the calling thread, one
-  in flight, staged rows appended in place
-  (:class:`~repro.core.staging.InlineStagingWriter`) — no pool, no
-  prefetch or writer thread, no columnar-cache entry.  It runs only
-  where the vector kernel does (``config.scan_columnar``, numpy, a
-  batch of at most ``MAX_SLOTS`` nodes that is not too wide for its
-  source); every other one-worker scan keeps the row kernel;
-* more workers are a persistent pool (threads by default, processes
-  via ``config.scan_pool``; owned by the middleware session and reused
-  across scans).  SERVER-mode scans overlap row production with
-  counting through a bounded prefetch thread
-  (``config.scan_prefetch_partitions``); staged rows are applied in
-  partition order by a
-  :class:`~repro.core.staging.PipelinedStagingWriter` (single funnel)
-  or, for multi-file split scans, a
-  :class:`~repro.core.staging.ParallelStagingWriter` with one thread
-  per output file.
+* a **partition source** (:class:`_PartitionSource`): columnar
+  partitions streamed from the cursor, a staged file's blocks or
+  memory slices; slices of a cached full-source encoding (the
+  table-version columnar cache, pooled scans only); or row-tuple
+  partitions for a batch the vector kernel cannot route (wider than
+  ``MAX_SLOTS``, or no numpy);
+* the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**:
+  ``config.scan_workers == 1`` (the default) counts every partition
+  *inline* on the calling thread — one in flight, staged rows appended
+  in place, no prefetch or writer thread, no cache entry — and only
+  where the vector kernel runs and pays (every other one-worker scan
+  keeps the row kernel); more workers are the session's persistent
+  thread or process pool (``config.scan_pool``), with a bounded
+  prefetch thread on SERVER scans
+  (``config.scan_prefetch_partitions``) and staging-writer threads.
 
-Either way staged files stay bit-identical to a row-kernel scan's, and
-memory overflow (below) is detected on the *merged* sizes in batch
-order, so recovery decisions are the same for any worker count, one
-included.
+Whatever the source and executor, staged files stay bit-identical to
+a row-kernel scan's, and memory overflow (below) is detected on the
+*merged* sizes in batch order, so recovery decisions are the same for
+any worker count, one included.
 
 Every scan records profiling counters on :class:`ScanStats` — wall
 time, rows/sec, matcher-evaluation counts, which loop ran, worker
@@ -305,25 +302,14 @@ def _slice_partitions(row_iter: Iterator[Any],
         _close_source(row_iter)
 
 
-class _StopWatch:
-    """A mutable seconds accumulator shared with source generators."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def add(self, started: float) -> None:
-        self.seconds += time.perf_counter() - started
-
-
 def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
-                     watch: _StopWatch) -> Iterator[ColumnarPartition]:
+                     scan: ScanStats) -> Iterator[ColumnarPartition]:
     """Encode a row iterator into columnar partitions (SERVER scans).
 
     Encoding runs on whichever single thread consumes this generator
     (the prefetch producer, normally), so per-row meter charges inside
-    the cursor still accrue exactly once.
+    the cursor still accrue exactly once — and that thread is the only
+    writer of ``scan.encode_seconds`` while the scan runs.
     """
     try:
         while True:
@@ -332,7 +318,7 @@ def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
                 return
             started = time.perf_counter()
             partition = ColumnarPartition.from_rows(chunk)
-            watch.add(started)
+            scan.encode_seconds += time.perf_counter() - started
             yield partition
     finally:
         _close_source(row_iter)
@@ -347,7 +333,7 @@ def _columnar_memory_slices(table: ColumnarPartition,
 
 
 def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
-                          watch: _StopWatch) -> Iterator[ColumnarPartition]:
+                          scan: ScanStats) -> Iterator[ColumnarPartition]:
     """Assemble staged-file int32 blocks into columnar partitions."""
     pending: list[Any] = []
     pending_rows = 0
@@ -366,13 +352,13 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
                 partition = ColumnarPartition.from_matrix(
                     matrix[:partition_rows]
                 )
-                watch.add(started)
+                scan.encode_seconds += time.perf_counter() - started
                 yield partition
         if pending_rows:
             started = time.perf_counter()
             matrix = np.vstack(pending) if len(pending) > 1 else pending[0]
             partition = ColumnarPartition.from_matrix(matrix)
-            watch.add(started)
+            scan.encode_seconds += time.perf_counter() - started
             yield partition
     finally:
         _close_source(block_iter)
@@ -432,9 +418,8 @@ class _PartitionSizer:
     #: Hard ceiling for the no-estimate partition size.
     MAX_BLIND_ROWS = 1 << 20
 
-    def __init__(self, chunk_rows: int, adaptive: bool) -> None:
+    def __init__(self, chunk_rows: int) -> None:
         self._chunk_rows = max(1, chunk_rows)
-        self._adaptive = adaptive
         self.parts_per_worker = self.MIN_PARTS_PER_WORKER
         #: Partition size used when the schedule has no row estimate.
         #: A sane per-worker target, not one serial chunk.
@@ -452,7 +437,7 @@ class _PartitionSizer:
     def observe(self, worker_seconds: Sequence[float],
                 partition_rows: int) -> None:
         """Fold one scan's per-partition timings into the policy."""
-        if not self._adaptive or not worker_seconds:
+        if not worker_seconds:
             return
         mean = sum(worker_seconds) / len(worker_seconds)
         peak = max(worker_seconds)
@@ -597,6 +582,234 @@ class _PartitionProducer:
         _close_source(self._source)
 
 
+class _PartitionSource:
+    """What one partitioned scan counts over, and how answers fold back.
+
+    :meth:`ExecutionModule._count_partitioned` is the same loop for
+    every source; a source only says where the ordered partitions come
+    from, which ``ScanWorkerPool.submit*`` takes them, and how a
+    worker's answer (rows seen, staged-row selections) is read.
+
+    This base is itself the simplest source — **row-tuple partitions**
+    through ``ScanWorkerPool.submit``, the pooled route for a batch the
+    vector kernel cannot take (wider than ``MAX_SLOTS``, or numpy
+    missing): workers return CC partials and the staged rows
+    themselves.  It also owns what every streamed source shares:
+    pulling the partitions through a bounded
+    :class:`_PartitionProducer` thread when the scan has a cursor to
+    overlap with.
+    """
+
+    #: True when partitions are columnar and counted by the vector
+    #: kernel: workers return count *blocks* (``CCTable.merge_block``)
+    #: and staged rows as index arrays, not CC partials and rows.
+    columnar = False
+    #: The scan runs over the table-version columnar cache.
+    cached = False
+
+    def __init__(self, partitions: Any = None, prefetch: int = 0) -> None:
+        self._partitions = partitions
+        self._prefetch = prefetch
+        self._producer: _PartitionProducer | None = None
+        self._pool: Any = None
+        self._scan: Any = None
+        #: ``(stage_nodes, capture_nodes)`` every submit passes along.
+        self._targets: tuple[Any, Any] = ((), ())
+
+    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+             targets: tuple[Any, Any]) -> Iterator[Any]:
+        """The partitions in scan order.
+
+        Called inside the loop's cleanup scope, so this is where a
+        source starts threads, ships segments or encodes.
+        """
+        self._pool = pool
+        self._scan = scan
+        self._targets = targets
+        if self._prefetch > 0:
+            # Starvation may grow the depth to twice what was asked.
+            self._producer = _PartitionProducer(
+                self._partitions, self._prefetch,
+                max_depth=2 * self._prefetch,
+            )
+            scan.prefetch_depth = self._prefetch
+            return self._producer.partitions()
+        return iter(self._partitions)
+
+    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
+        """Hand one partition to the pool: ``(future, ticket)``, the
+        ticket being what the hooks below need back at collect time."""
+        future = self._pool.submit(seq, partition, *self._targets)
+        return future, len(partition)
+
+    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
+        """A partition's result arrived: let go of what its ticket
+        held; returns the source rows the partition accounted for."""
+        return int(ticket)
+
+    def staged_rows(self, ticket: Any, selection: Any) -> Any:
+        """The rows behind one node's staged selection of a partition."""
+        return selection
+
+    def stop(self) -> None:
+        """The scan is failing: stop producing, close the row source."""
+        if self._producer is not None:
+            self._producer.stop()
+        else:
+            _close_source(self._partitions)
+
+    def close(self) -> None:
+        """The loop is over, either way: let go of everything held."""
+        if self._producer is not None:
+            self._scan.prefetch_peak = self._producer.peak_depth
+
+    def settle(self) -> None:
+        """The scan succeeded: apply charges that waited for its end."""
+
+
+class _ColumnarStreamSource(_PartitionSource):
+    """Columnar partitions streamed from the scan's own tier.
+
+    :class:`ColumnarPartition` objects built once at the source:
+    encoded from cursor rows (SERVER), int32 block matrices (FILE) or
+    zero-copy slices of the session encoding (MEMORY).  A process pool
+    gets each one through a ``multiprocessing.shared_memory`` segment
+    (one memcpy; only the tiny handle is pickled) where the platform
+    has shared memory, as pickled column arrays where not; a segment
+    lives from submit until its result is collected, and :meth:`close`
+    releases whatever a failure left.  Workers return staged rows as
+    index arrays, decoded from the coordinator's pinned partition.
+    """
+
+    columnar = True
+    _shipper: ShmShipper | None = None
+
+    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+             targets: tuple[Any, Any]) -> Iterator[Any]:
+        if pool.remote and shm_available():
+            self._shipper = ShmShipper()
+        return super().open(pool, scan, targets)
+
+    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
+        shipped, segment = partition, None
+        if self._shipper is not None:
+            started = time.perf_counter()
+            shipped = self._shipper.ship(partition)
+            self._scan.ship_seconds += time.perf_counter() - started
+            segment = shipped.segment
+        future = self._pool.submit_columnar(seq, shipped, *self._targets)
+        # Pinned for the staged-row decode only when the scan stages.
+        pinned = partition if any(self._targets) else None
+        return future, (partition.n_rows, pinned, segment)
+
+    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
+        if self._shipper is not None and ticket[2] is not None:
+            self._shipper.release(ticket[2])
+        return int(ticket[0])
+
+    def staged_rows(self, ticket: Any, selection: Any) -> Any:
+        return ticket[1].rows_at(selection)
+
+    def close(self) -> None:
+        super().close()
+        if self._shipper is not None:
+            # Idempotent: releases only what a failure left behind.
+            self._shipper.close()
+
+
+class _CachedPlanSource(_PartitionSource):
+    """Slices of the cached full-source encoding (a "warm scan").
+
+    Encode and ship are hoisted out of the scan: the full source is
+    encoded **once per table version** (a hit skips it; a miss encodes
+    from the plan's source and installs the result), and with a process
+    pool it lives in one long-lived witnessed segment that workers
+    re-attach only when its generation moves.  Workers get
+    ``(start, stop)`` bounds plus the pushed batch filter as a vector
+    keep-mask, so per-scan filters stay out of the cache key; their
+    staged-row indexes come back slice-relative and are re-based onto
+    the full encoding before decoding.  Meter charges are applied from
+    the plan — a cache-served scan costs exactly what its streaming
+    twin would (``docs/cost_model.md``).  A failure mid-count leaves
+    the cache untouched: the entry was admitted when encoding completed
+    and is valid however the count ends, so the next scan hits.
+    """
+
+    columnar = True
+    cached = True
+
+    def __init__(self, cache: ColumnarScanCache, plan: ColumnarScanPlan,
+                 partition_rows: int, attr_index: dict[str, int]) -> None:
+        super().__init__()
+        self._cache = cache
+        self._plan = plan
+        self._partition_rows = partition_rows
+        self._table: Any = None
+        self._shipped: Any = None
+        #: The pushed batch filter workers apply as a keep-mask.
+        self._keep_spec: tuple[Any, dict[str, int]] | None = None
+        if (plan.filter_expr is not None
+                and not isinstance(plan.filter_expr, TrueExpr)):
+            self._keep_spec = (plan.filter_expr, attr_index)
+        self._charged = False
+        self._total_seen = 0
+
+    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+             targets: tuple[Any, Any]) -> Iterator[Any]:
+        plan = self._plan
+        entry = self._cache.lookup(plan.key)
+        self._charged = entry is not None or plan.charge_on_miss
+        if entry is not None:
+            scan.cache_hit = True
+            scan.encode_seconds_saved = entry.encode_seconds
+            scan.ship_seconds_saved = entry.ship_seconds
+        else:
+            encode_started = time.perf_counter()
+            partition = plan.encode()
+            encode_seconds = time.perf_counter() - encode_started
+            entry = self._cache.admit(
+                plan.key, partition, ship=pool.remote and shm_available()
+            )
+            entry.encode_seconds = scan.encode_seconds = encode_seconds
+            scan.ship_seconds = entry.ship_seconds
+        if self._charged:
+            plan.charge_scan()
+        self._table = entry.partition
+        self._shipped = entry.ref if entry.ref is not None else self._table
+        self._partitions = range(
+            0, self._table.n_rows, self._partition_rows
+        )
+        return super().open(pool, scan, targets)
+
+    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
+        # A "partition" is a slice's row offset in the full encoding,
+        # which is also all the ticket has to remember.
+        stop = min(partition + self._partition_rows, self._table.n_rows)
+        future = self._pool.submit_columnar_slice(
+            seq, self._shipped, partition, stop, self._keep_spec,
+            *self._targets,
+        )
+        return future, partition
+
+    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
+        seen = int(result[6])
+        self._total_seen += seen
+        return seen
+
+    def staged_rows(self, ticket: Any, selection: Any) -> Any:
+        return self._table.rows_at(selection + ticket)
+
+    def close(self) -> None:
+        # A failed scan's traceback pins this object; the partition
+        # views must not outlive the cache entry that owns the segment,
+        # or releasing it trips BufferError.
+        self._table = self._shipped = None
+
+    def settle(self) -> None:
+        if self._charged:
+            self._plan.charge_rows(self._total_seen)
+
+
 class _NodeCount:
     """Per-node counting state within one scan."""
 
@@ -624,8 +837,7 @@ class ExecutionModule:
 
     def __init__(self, server: Any, table_name: str, spec: Any,
                  staging: Any, budget: Any, config: Any, strategy: Any,
-                 pool_provider: Callable[[], ScanWorkerPool] | None = None,
-                 ) -> None:
+                 pool_provider: Callable[[], ScanWorkerPool]) -> None:
         self._server = server
         self._table_name = table_name
         self._spec = spec
@@ -635,20 +847,18 @@ class ExecutionModule:
         self._strategy = strategy
         #: Zero-arg callable returning the session's shared
         #: :class:`ScanWorkerPool` (the middleware binds its own pool
-        #: here).  None — or ``config.scan_pool_reuse`` off — builds a
-        #: throwaway per-scan pool instead.
+        #: here, created on first use and reused by every scan).
         self._pool_provider = pool_provider
         self._attr_index = {
             name: i for i, name in enumerate(spec.attribute_names)
         }
         self._class_index = spec.n_attributes
-        self._sizer = _PartitionSizer(
-            config.scan_chunk_rows, config.scan_adaptive_partitions
-        )
+        self._sizer = _PartitionSizer(config.scan_chunk_rows)
         #: Table-version columnar cache ("encode once, scan every
-        #: level"); None when disabled or numpy is unavailable.
+        #: level"); None when its byte budget is zero or numpy is
+        #: unavailable.
         self._scan_cache: ColumnarScanCache | None = None
-        if config.scan_columnar_cache and columnar_available():
+        if config.scan_cache_bytes and columnar_available():
             self._scan_cache = ColumnarScanCache(config.scan_cache_bytes)
             # Staged files are immutable once sealed, so the only
             # invalidation they need is drop-time eviction.
@@ -681,27 +891,21 @@ class ExecutionModule:
         """
         scan = ScanStats(mode=schedule.mode)
         states = self._make_states(schedule)
-        file_writers = self._open_file_writers(schedule)
+        file_writers: dict[Any, StagedFile] = {}
         memory_capture: dict[Any, list[Any]] = {
             node_id: [] for node_id in schedule.stage_memory_targets
         }
+        committed: list[Any] = []
 
-        started = time.perf_counter()
         try:
+            for node_id in self._file_targets(schedule):
+                file_writers[node_id] = self._staging.open_file(node_id)
+            started = time.perf_counter()
             workers = self._parallel_workers(schedule)
-            plan = self._cache_plan(schedule) if workers > 1 else None
-            if plan is not None:
-                self._count_cached_columnar(
-                    schedule, plan, states, file_writers,
-                    memory_capture, scan, workers,
-                    self._partition_rows(schedule, workers),
-                )
-            elif workers:
-                row_iter = self._rows_for(schedule, scan)
-                self._count_rows_parallel(
-                    schedule, row_iter, states, file_writers,
-                    memory_capture, scan, workers,
-                    self._partition_rows(schedule, workers),
+            if workers:
+                self._count_partitioned(
+                    schedule, states, file_writers, memory_capture, scan,
+                    workers,
                 )
             elif self._config.scan_kernel:
                 row_iter = self._rows_for(schedule, scan)
@@ -717,30 +921,38 @@ class ExecutionModule:
                     self._rows_for(schedule, scan), matchers,
                     file_writers, memory_capture, scan,
                 )
+            scan.wall_seconds = time.perf_counter() - started
+
+            for writer in file_writers.values():
+                writer.seal()
+                scan.files_written += 1
+            for node_id, rows in memory_capture.items():
+                self._staging.commit_memory(node_id, rows)
+                committed.append(node_id)
+                scan.memory_sets_loaded += 1
         except BaseException:
             # BaseException, not Exception: a KeyboardInterrupt (or
             # SystemExit) mid-scan must not leak open staging writers
-            # or CC/memory reservations either.
+            # or CC/memory reservations either.  Set-up and commit sit
+            # under the same cleanup as the scan: a file that will not
+            # open or seal (disk full) takes every file and memory set
+            # of this scan with it, committed or not, because none of
+            # the scan's results reach the client.
             for node_id in file_writers:
                 self._staging.abandon_file(node_id)
             for node_id in memory_capture:
-                self._staging.cancel_memory_reservation(node_id)
+                if node_id in committed:
+                    self._staging.drop_memory(node_id)
+                else:
+                    self._staging.cancel_memory_reservation(node_id)
             self._release_cc_reservations(states)
             raise
-        scan.wall_seconds = time.perf_counter() - started
 
         if schedule.mode is DataLocation.SERVER:
             choice = getattr(self._strategy, "last_choice", None)
             if choice is not None:
                 scan.access_path = choice.path
                 scan.access_cost_est = choice.est_cost
-
-        for node_id, writer in file_writers.items():
-            writer.seal()
-            scan.files_written += 1
-        for node_id, rows in memory_capture.items():
-            self._staging.commit_memory(node_id, rows)
-            scan.memory_sets_loaded += 1
 
         try:
             results, deferred = self._finish(states, schedule, scan)
@@ -780,8 +992,8 @@ class ExecutionModule:
 
         return match
 
-    def _open_file_writers(self, schedule: Any) -> dict[Any, StagedFile]:
-        """Writers for planned staging targets and file splits.
+    def _file_targets(self, schedule: Any) -> list[Any]:
+        """Nodes this scan writes a staged file for: planned + splits.
 
         Planned ``stage_file_targets`` were budget-checked by the
         scheduler; §4.3.2 split files are decided here, so the same
@@ -802,7 +1014,7 @@ class ExecutionModule:
                     continue
                 targets.append(node_id)
                 planned += n_rows
-        return {node_id: staging.open_file(node_id) for node_id in targets}
+        return targets
 
     def _source_rows(self, schedule: Any) -> int:
         """Rows the scan is expected to read, known before it runs.
@@ -820,8 +1032,7 @@ class ExecutionModule:
 
     def _columnar_eligible(self, n_nodes: int) -> bool:
         """True when a batch of ``n_nodes`` can use the vector kernel."""
-        return (self._config.scan_columnar and columnar_available()
-                and n_nodes <= MAX_SLOTS)
+        return columnar_available() and n_nodes <= MAX_SLOTS
 
     def _parallel_workers(self, schedule: Any) -> int:
         """Partition workers for this scan: 0 keeps a row loop.
@@ -834,8 +1045,8 @@ class ExecutionModule:
         the row kernel because per-partition set-up (encode, numpy
         dispatch, merge; pool start-up too with several workers) costs
         more than routing so few rows one by one.  One worker without
-        the columnar kernel (``scan_columnar`` off, numpy missing, a
-        batch wider than ``MAX_SLOTS``) would only be the row kernel
+        the columnar kernel (numpy missing, a batch wider than
+        ``MAX_SLOTS``) would only be the row kernel
         plus a merge, so it stays on the row kernel itself — as does a
         batch so wide for its source that the vector kernel's per-block
         set-up outweighs the rows (:meth:`_break_even_rows`).
@@ -892,21 +1103,29 @@ class ExecutionModule:
         """The row iterator for the schedule's data source."""
         staging = self._staging
         if schedule.mode is DataLocation.SERVER:
-            predicate = None
-            if self._config.push_filters:
-                predicate = batch_filter(
-                    [request.predicate for request in schedule.batch]
-                )
-            relevant = sum(request.n_rows for request in schedule.batch)
-            return self._strategy.rows(predicate, relevant)
+            return self._strategy.rows(*self._server_scan(schedule))
         if schedule.mode is DataLocation.FILE:
             return staging.file_for(schedule.source_node).scan()
-        rows = staging.memory_rows(schedule.source_node)
+        return iter(self._memory_rows(schedule))
+
+    def _server_scan(self, schedule: Any) -> tuple[Any, int]:
+        """``(pushed batch filter or None, relevant rows)`` of a
+        SERVER scan — what an access strategy is asked for."""
+        predicate = None
+        if self._config.push_filters:
+            predicate = batch_filter(
+                [request.predicate for request in schedule.batch]
+            )
+        return predicate, sum(r.n_rows for r in schedule.batch)
+
+    def _memory_rows(self, schedule: Any) -> list[Any]:
+        """The schedule's staged in-memory rows, their read charged."""
+        rows: list[Any] = self._staging.memory_rows(schedule.source_node)
         model = self._server.model
         self._server.meter.charge(
             "memory_read", model.memory_row * len(rows), events=len(rows)
         )
-        return iter(rows)
+        return rows
 
     # -- the scan loops ------------------------------------------------------
 
@@ -986,43 +1205,24 @@ class ExecutionModule:
                     memory_capture[node_id].extend(rows)
                     rows.clear()
 
-    def _acquire_pool(self) -> tuple[ScanWorkerPool, bool]:
-        """The worker pool for one partitioned scan: ``(pool, owned)``.
-
-        The session's persistent pool is used whenever the middleware
-        provided one and ``config.scan_pool_reuse`` is on; otherwise a
-        throwaway pool is built (and, ``owned`` = True, closed by the
-        caller after the scan) — the cold-start baseline.  With
-        ``scan_workers == 1`` either is the inline executor.
-        """
-        if self._config.scan_pool_reuse and self._pool_provider is not None:
-            return self._pool_provider(), False
-        return (
-            ScanWorkerPool(self._config.scan_pool,
-                           self._config.scan_workers),
-            True,
-        )
-
     def _open_staging_writer(
             self, pool: ScanWorkerPool,
             file_writers: dict[Any, StagedFile],
             memory_capture: dict[Any, list[Any]], scan: ScanStats,
     ) -> (InlineStagingWriter | ParallelStagingWriter
-          | PipelinedStagingWriter | None):
+          | PipelinedStagingWriter):
         """The writer a partitioned scan hands its staged rows to.
 
-        None when the scan stages nothing.  A pool overlaps flushes
-        with counting: one thread per output file for multi-file split
-        scans (``scan_split_writers``), else the single pipelined
-        funnel.  The inline executor writes in place — a thread per
-        scan would cost more (start-up, a malloc arena) than the
-        flushes it could hide behind one partition in flight.
+        A pool overlaps flushes with counting: one thread per output
+        file when the scan writes several (§4.3.2 splits), else the
+        single pipelined funnel.  The inline executor writes in place —
+        a thread per scan would cost more (start-up, a malloc arena)
+        than the flushes it could hide behind one partition in flight
+        — and so does a scan that stages nothing at all.
         """
-        if not file_writers and not memory_capture:
-            return None
-        if pool.inline:
+        if pool.inline or not (file_writers or memory_capture):
             return InlineStagingWriter(file_writers, memory_capture)
-        if len(file_writers) > 1 and self._config.scan_split_writers:
+        if len(file_writers) > 1:
             split = ParallelStagingWriter(file_writers, memory_capture)
             scan.split_writers = split.n_writers
             return split
@@ -1038,61 +1238,91 @@ class ExecutionModule:
             for state in states
         )
 
-    def _count_rows_parallel(self, schedule: Any, row_iter: Iterator[Any],
-                             states: list[_NodeCount],
-                             file_writers: dict[Any, StagedFile],
-                             memory_capture: dict[Any, list[Any]],
-                             scan: ScanStats, n_workers: int,
-                             partition_rows: int) -> None:
-        """Partitioned scan through the worker pool (the parallel path).
+    def _partition_source(self, schedule: Any, scan: ScanStats,
+                          pool: ScanWorkerPool,
+                          partition_rows: int) -> _PartitionSource:
+        """The source one partitioned scan counts over.
 
-        The row source is cut into ordered partitions — inline for
-        staged sources, through a bounded :class:`_PartitionProducer`
-        prefetch thread for SERVER scans — and submitted to the
-        session's persistent :class:`ScanWorkerPool`, which routes each
-        partition through the shared compiled kernel into *private*
-        per-node CC partials.  At most ``2 × workers`` partitions are
-        in flight; completed partials are merged into the real CC
-        tables in submission order (additive counts merge exactly),
-        and each partition's staged rows are handed — strictly in
-        partition order — to a per-file
-        :class:`~repro.core.staging.ParallelStagingWriter` (multi-file
-        split scans) or the single
-        :class:`~repro.core.staging.PipelinedStagingWriter`.  Staged
-        files and memory captures come out bit-identical to a serial
-        scan's, and flushes overlap counting.
+        Columnar wherever the vector kernel can route the batch — over
+        the cached full-source encoding when a pooled scan has a cache
+        plan, else streamed from the schedule's own tier — and pooled
+        row tuples for the rest.  The row source is consumed by exactly
+        one thread (the coordinator, or the prefetch producer), so
+        simulated per-row meter charges accrue exactly as in a row-loop
+        scan.
+        """
+        staging = self._staging
+        server = schedule.mode is DataLocation.SERVER
+        # Prefetch overlaps the cursor with *other* workers; the inline
+        # executor would only hand rows between two threads that cannot
+        # run at once.
+        prefetch = (
+            self._config.scan_prefetch_partitions
+            if server and not pool.inline else 0
+        )
+        if not self._columnar_eligible(len(schedule.batch)):
+            return _PartitionSource(
+                _slice_partitions(
+                    self._rows_for(schedule, scan), partition_rows
+                ),
+                prefetch,
+            )
+        plan = None if pool.inline else self._cache_plan(schedule)
+        if plan is not None:
+            assert self._scan_cache is not None
+            return _CachedPlanSource(
+                self._scan_cache, plan, partition_rows, self._attr_index
+            )
+        partitions: Iterator[ColumnarPartition]
+        if server:
+            partitions = _columnar_slices(
+                self._rows_for(schedule, scan), partition_rows, scan
+            )
+        elif schedule.mode is DataLocation.FILE:
+            partitions = _columnar_file_slices(
+                staging.file_for(schedule.source_node).scan_blocks(),
+                partition_rows, scan,
+            )
+        else:
+            # Count over zero-copy slices of the session's cached
+            # encoding of the set; the read is charged as for its rows.
+            self._memory_rows(schedule)
+            encode_started = time.perf_counter()
+            table = staging.columnar_memory(schedule.source_node)
+            scan.encode_seconds += time.perf_counter() - encode_started
+            partitions = _columnar_memory_slices(table, partition_rows)
+        return _ColumnarStreamSource(partitions, prefetch)
 
-        On failure the scan drains its outstanding futures, stops the
-        prefetch thread and aborts the staging writer *before*
-        re-raising, so no half-written staged file survives (the
-        caller deletes the abandoned files) and the persistent pool
-        carries no stale work into the next scan.
+    def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
+                           file_writers: dict[Any, StagedFile],
+                           memory_capture: dict[Any, list[Any]],
+                           scan: ScanStats, n_workers: int) -> None:
+        """The partitioned scan: every source, every executor.
+
+        The source's ordered partitions are submitted to the session's
+        :class:`ScanWorkerPool` — one in flight when it counts inline,
+        at most ``2 x workers`` behind a pool — and collected in
+        submission order: partials merge into the real CC tables, and
+        each partition's staged rows go, strictly in partition order,
+        to the staging writer (bit-identical staged files, flushes
+        overlapping counting).
+
+        On failure the scan stops its source (prefetch thread, cursor),
+        drains its outstanding futures and aborts the staging writer
+        *before* re-raising, and the source lets go of every segment
+        and pinned partition either way — so no half-written staged
+        file survives (the caller deletes the abandoned files) and the
+        persistent pool carries no stale work into the next scan.
 
         §4.1.1 overflow is *not* checked row-by-row: workers count
         unconditionally and the merged sizes are admitted against the
-        budget afterwards, in batch order.  Deferral / SQL-fallback
-        decisions therefore depend only on the merged result, never on
-        worker count, partition boundaries, prefetch depth or writer
-        arrangement.  (Deferred nodes get their estimate raised to the
-        exact pair count, so the next admission reserves precisely.)
-
-        The row source is consumed by exactly one thread (this one, or
-        the prefetch producer), so simulated per-row meter charges
-        accumulate exactly as in a serial scan.
-
-        When the columnar kernel is available (numpy importable,
-        ``config.scan_columnar`` on, batch narrow enough for the int64
-        candidate masks) the scan runs through
-        :meth:`_count_rows_parallel_columnar` instead — same structure,
-        but partitions are typed column arrays and counting is
-        vectorized; this row-tuple path is the fallback.
+        budget afterwards, in batch order, so deferral / SQL-fallback
+        decisions never depend on source, worker count, partition
+        boundaries, prefetch depth or writer arrangement.  (Deferred
+        nodes get their estimate raised to the exact pair count, so
+        the next admission reserves precisely.)
         """
-        if self._columnar_eligible(len(states)):
-            self._count_rows_parallel_columnar(
-                schedule, row_iter, states, file_writers, memory_capture,
-                scan, n_workers, partition_rows,
-            )
-            return
+        partition_rows = self._partition_rows(schedule, n_workers)
         scan.kernel = True
         scan.workers = n_workers
         scan.partition_rows = partition_rows
@@ -1106,84 +1336,72 @@ class ExecutionModule:
             for state in states
         )
         n_probes = kernel.n_probes
-        stage_nodes = tuple(file_writers)
-        capture_nodes = tuple(memory_capture)
 
-        pool, owned = self._acquire_pool()
+        pool = self._pool_provider()
         scan.pool_reused = pool.active
         scan.pool_setup_seconds = pool.install(
             self._scan_signature(states), kernel, slots,
             self._class_index, self._spec.n_classes,
         )
-
+        source = self._partition_source(schedule, scan, pool, partition_rows)
+        scan.columnar = source.columnar
+        scan.cached = source.cached
         writer = self._open_staging_writer(
             pool, file_writers, memory_capture, scan
         )
 
-        producer: _PartitionProducer | None = None
-        partitions: Iterator[list[Any]]
-        prefetch = self._config.scan_prefetch_partitions
-        if schedule.mode is DataLocation.SERVER and prefetch > 0:
-            producer = _PartitionProducer(
-                _slice_partitions(row_iter, partition_rows), prefetch,
-                max_depth=self._adaptive_prefetch_cap(prefetch),
-            )
-            partitions = producer.partitions()
-            scan.prefetch_depth = prefetch
-        else:
-            partitions = _slice_partitions(row_iter, partition_rows)
-
-        def collect(future: Any) -> None:
-            (_, partials, routed, writes, captures,
-             seconds) = future.result()
-            scan.rows_routed += routed
-            scan.worker_seconds.append(seconds)
+        def collect(future: Any, ticket: Any) -> None:
+            result = future.result()
+            seen = source.collected(ticket, result)
+            scan.rows_seen += seen
+            scan.matcher_evals += n_probes * seen
+            scan.rows_routed += result[2]
+            scan.worker_seconds.append(result[5])
             merge_started = time.perf_counter()
-            for state, partial in zip(states, partials):
-                state.cc.merge(partial)
+            for state, counted in zip(states, result[1]):
+                if source.columnar:
+                    state.cc.merge_block(*counted)
+                else:
+                    state.cc.merge(counted)
             scan.merge_seconds += time.perf_counter() - merge_started
-            if writer is not None:
-                writer.put(writes, captures)
 
-        inflight: deque[Any] = deque()
-        max_inflight = max(2, 2 * n_workers)
+            def rows_of(selections: dict[Any, Any]) -> dict[Any, Any]:
+                return {
+                    node_id: source.staged_rows(ticket, selection)
+                    for node_id, selection in selections.items()
+                    if len(selection)
+                }
+
+            writer.put(rows_of(result[3]), rows_of(result[4]))
+
+        #: (future, ticket) per submitted partition, in scan order;
+        #: tickets pin what a failed scan must be able to release.
+        inflight: deque[tuple[Any, Any]] = deque()
+        max_inflight = 1 if pool.inline else 2 * n_workers
         try:
-            for seq, partition in enumerate(partitions):
-                scan.rows_seen += len(partition)
-                scan.matcher_evals += n_probes * len(partition)
-                inflight.append(
-                    pool.submit(seq, partition, stage_nodes, capture_nodes)
-                )
+            for seq, partition in enumerate(source.open(
+                    pool, scan, (tuple(file_writers), tuple(memory_capture))
+            )):
+                inflight.append(source.submit(seq, partition))
                 if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
+                    collect(*inflight.popleft())
             while inflight:
-                collect(inflight.popleft())
-            if writer is not None:
-                writer.close()
+                collect(*inflight.popleft())
+            writer.close()
         except BaseException as exc:
-            if producer is not None:
-                producer.stop()
-            else:
-                _close_source(partitions)
-            pool.drain(inflight)
-            if writer is not None:
-                writer.abort()
+            source.stop()
+            pool.drain([future for future, _ in inflight])
+            writer.abort()
             pool.retire_broken(exc)
             raise
         finally:
-            if producer is not None:
-                scan.prefetch_peak = producer.peak_depth
-            if owned:
-                pool.close()
+            inflight.clear()
+            source.close()
 
+        source.settle()
         self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
-
-    def _adaptive_prefetch_cap(self, prefetch: int) -> int:
-        """Ceiling for adaptive prefetch growth (2× the configured depth)."""
-        if not self._config.scan_adaptive_partitions:
-            return prefetch
-        return prefetch * 2
+        if not pool.inline:
+            self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _admit_merged(self, states: list[_NodeCount],
                       scan: ScanStats) -> None:
@@ -1199,208 +1417,15 @@ class ExecutionModule:
                 else:
                     self._abandon(state, states, scan)
 
-    def _count_rows_parallel_columnar(
-            self, schedule: Any, row_iter: Iterator[Any],
-            states: list[_NodeCount],
-            file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]],
-            scan: ScanStats, n_workers: int,
-            partition_rows: int) -> None:
-        """The vectorized partitioned path: columnar partitions, zero-copy.
-
-        Runs behind a worker pool, or — ``n_workers == 1`` — inline on
-        this thread through the pool's inline executor, in which case
-        there is no prefetch thread, no staging-writer thread, no
-        shipping and exactly one partition in flight.  Structure
-        mirrors :meth:`_count_rows_parallel`; the differences are what
-        travels and how counting happens:
-
-        * partitions are :class:`ColumnarPartition` objects — typed
-          column buffers + null masks — built once at the source
-          (encoded from cursor rows for SERVER scans, zero-copy slices
-          of a cached session encoding for MEMORY scans, int32 block
-          matrices for FILE scans);
-        * process pools ship each partition through a
-          ``multiprocessing.shared_memory`` segment (one memcpy; only
-          the tiny segment handle is pickled) when
-          ``config.scan_shared_memory`` allows — the segment's
-          lifecycle is witnessed, created here and released when the
-          partition's result is collected, and the failure path closes
-          every still-live segment before re-raising;
-        * workers return pre-aggregated count *blocks* (folded via
-          ``CCTable.merge_block``) and staging output as selected-row
-          index arrays; the coordinator decodes staged rows from its
-          pinned partition copy, keeping staged files bit-identical to
-          a serial scan's.
-
-        §4.1.1 admission, writer arrangement, drain-on-failure and
-        meter-charge placement are identical to the row-tuple path.
-        """
-        scan.kernel = True
-        scan.columnar = True
-        scan.workers = n_workers
-        scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
-        )
-        n_probes = kernel.n_probes
-        stage_nodes = tuple(file_writers)
-        capture_nodes = tuple(memory_capture)
-
-        pool, owned = self._acquire_pool()
-        scan.pool_reused = pool.active
-        scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
-        )
-
-        writer = self._open_staging_writer(
-            pool, file_writers, memory_capture, scan
-        )
-
-        encode_watch = _StopWatch()
-        ship_watch = _StopWatch()
-        shipper: ShmShipper | None = None
-        if (pool.remote and self._config.scan_shared_memory
-                and shm_available()):
-            shipper = ShmShipper()
-
-        staging = self._staging
-        producer: _PartitionProducer | None = None
-        partitions: Iterator[ColumnarPartition]
-        if schedule.mode is DataLocation.SERVER:
-            source = _columnar_slices(row_iter, partition_rows, encode_watch)
-            # Prefetch overlaps the cursor with *other* workers; the
-            # inline executor would only hand rows between two threads
-            # that cannot run at once.
-            prefetch = self._config.scan_prefetch_partitions
-            if prefetch > 0 and not pool.inline:
-                producer = _PartitionProducer(
-                    source, prefetch,
-                    max_depth=self._adaptive_prefetch_cap(prefetch),
-                )
-                partitions = producer.partitions()
-                scan.prefetch_depth = prefetch
-            else:
-                partitions = source
-        elif schedule.mode is DataLocation.FILE:
-            # The row iterator was never started — dropping it unread
-            # performs no reads and charges nothing.
-            _close_source(row_iter)
-            partitions = _columnar_file_slices(
-                staging.file_for(schedule.source_node).scan_blocks(),
-                partition_rows, encode_watch,
-            )
-        else:
-            # MEMORY: _rows_for already charged the memory read; count
-            # over zero-copy slices of the cached columnar encoding.
-            _close_source(row_iter)
-            encode_started = time.perf_counter()
-            table = staging.columnar_memory(schedule.source_node)
-            encode_watch.add(encode_started)
-            partitions = _columnar_memory_slices(table, partition_rows)
-
-        #: seq -> (partition pinned for staged-row decode | None,
-        #:         shm segment name | None); entries live from submit
-        #: until collect, so a failed scan can release everything.
-        pinned: dict[int, tuple[ColumnarPartition | None, str | None]] = {}
-
-        def collect(future: Any) -> None:
-            (seq, payloads, routed, writes_idx, captures_idx,
-             seconds) = future.result()
-            partition, segment = pinned.pop(seq)
-            if shipper is not None and segment is not None:
-                shipper.release(segment)
-            scan.rows_routed += routed
-            scan.worker_seconds.append(seconds)
-            merge_started = time.perf_counter()
-            for state, payload in zip(states, payloads):
-                state.cc.merge_block(*payload)
-            scan.merge_seconds += time.perf_counter() - merge_started
-            if writer is not None and partition is not None:
-                writes = {
-                    node_id: partition.rows_at(idx)
-                    for node_id, idx in writes_idx.items() if len(idx)
-                }
-                captures = {
-                    node_id: partition.rows_at(idx)
-                    for node_id, idx in captures_idx.items() if len(idx)
-                }
-                writer.put(writes, captures)
-
-        inflight: deque[Any] = deque()
-        max_inflight = 1 if pool.inline else 2 * n_workers
-        try:
-            for seq, partition in enumerate(partitions):
-                scan.rows_seen += partition.n_rows
-                scan.matcher_evals += n_probes * partition.n_rows
-                shipped: Any = partition
-                segment: str | None = None
-                if shipper is not None:
-                    ship_started = time.perf_counter()
-                    handle = shipper.ship(partition)
-                    ship_watch.add(ship_started)
-                    shipped = handle
-                    segment = handle.segment
-                pinned[seq] = (
-                    partition if writer is not None else None, segment
-                )
-                inflight.append(
-                    pool.submit_columnar(
-                        seq, shipped, stage_nodes, capture_nodes
-                    )
-                )
-                if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
-            while inflight:
-                collect(inflight.popleft())
-            if writer is not None:
-                writer.close()
-        except BaseException as exc:
-            if producer is not None:
-                producer.stop()
-            else:
-                _close_source(partitions)
-            pool.drain(inflight)
-            if writer is not None:
-                writer.abort()
-            if shipper is not None:
-                shipper.close()
-            pool.retire_broken(exc)
-            raise
-        finally:
-            pinned.clear()
-            if shipper is not None:
-                # Idempotent: releases only what a failure left behind.
-                shipper.close()
-            scan.encode_seconds = encode_watch.seconds
-            scan.ship_seconds = ship_watch.seconds
-            if producer is not None:
-                scan.prefetch_peak = producer.peak_depth
-            if owned:
-                pool.close()
-
-        self._admit_merged(states, scan)
-        if not pool.inline:
-            self._sizer.observe(scan.worker_seconds, partition_rows)
-
     def _cache_plan(self, schedule: Any) -> ColumnarScanPlan | None:
         """A table-version cache plan for this scan, or None to stream.
 
-        None falls back to the existing paths — the cache is an overlay,
-        never a requirement.  A plan needs: the cache enabled (numpy
-        present, ``scan_columnar_cache`` on), the columnar kernel
-        eligible (``scan_columnar`` on, batch narrow enough for the
-        int64 candidate masks), a worker-side filter the vector kernel
-        can evaluate, a strategy that can describe its scan as a plan,
-        and an encoding the byte budget could plausibly hold.  MEMORY
-        scans already count over a cached encoding and stay put.
+        None falls back to streaming — the cache is an overlay, never a
+        requirement.  A plan needs: the cache enabled (numpy present, a
+        non-zero ``scan_cache_bytes``), a worker-side filter the vector
+        kernel can evaluate, a strategy that can describe its scan as a
+        plan, and an encoding the byte budget could plausibly hold.
+        MEMORY scans already count over a cached encoding and stay put.
 
         Ordering note: for the §4.3.3 strategies ``plan_columnar`` may
         eagerly (re)build the auxiliary structure, so the admission
@@ -1408,9 +1433,7 @@ class ExecutionModule:
         strategy exactly where the streaming path expects it.
         """
         cache = self._scan_cache
-        if cache is None or not self._columnar_eligible(len(schedule.batch)):
-            return None
-        if schedule.mode is DataLocation.MEMORY:
+        if cache is None or schedule.mode is DataLocation.MEMORY:
             return None
         plan: ColumnarScanPlan | None
         if schedule.mode is DataLocation.FILE:
@@ -1418,188 +1441,15 @@ class ExecutionModule:
                 self._staging.file_for(schedule.source_node)
             )
         else:
-            predicate = None
-            if self._config.push_filters:
-                predicate = batch_filter(
-                    [request.predicate for request in schedule.batch]
-                )
+            predicate, relevant = self._server_scan(schedule)
             if not filter_supported(predicate):
                 return None
-            relevant = sum(request.n_rows for request in schedule.batch)
             plan = self._strategy.plan_columnar(predicate, relevant)
         if plan is None:
             return None
         if not cache.admissible(plan, self._spec.n_attributes + 1):
             return None
         return plan
-
-    def _count_cached_columnar(
-            self, schedule: Any, plan: ColumnarScanPlan,
-            states: list[_NodeCount],
-            file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]],
-            scan: ScanStats, n_workers: int,
-            partition_rows: int) -> None:
-        """Count over the cached full-source encoding ("warm scan").
-
-        Structure mirrors :meth:`_count_rows_parallel_columnar`, with
-        the encode/ship stages hoisted out of the per-scan loop:
-
-        * the full source is encoded **once per table version** — a
-          cache hit skips encoding entirely; a miss encodes from the
-          plan's unmetered source and installs the result;
-        * with a process pool + persistent shm the encoding lives in
-          one long-lived witnessed segment; workers get a generation-
-          counted :class:`~repro.core.shm.ShmSegmentRef` and re-attach
-          only when the generation moves, so an unchanged table costs
-          zero copies after its first scan;
-        * workers receive ``(start, stop)`` bounds plus the pushed
-          batch filter and evaluate it as a vector keep-mask
-          (:func:`~repro.core.vector_kernel.predicate_mask` replicates
-          SQL comparison semantics exactly), so per-scan filters stay
-          out of the cache key;
-        * meter charges are applied explicitly from the plan — a
-          cache-served scan costs exactly what its streaming twin
-          would (see ``docs/cost_model.md``).
-
-        Staged-row index arrays come back slice-relative; the
-        coordinator re-bases them onto the full encoding before
-        decoding, keeping staged files bit-identical to a serial
-        scan's.  §4.1.1 admission and drain-on-failure are unchanged.
-        A failure mid-count leaves the cache untouched — a miss admits
-        its entry only after encoding completes, and the encoding is
-        valid regardless of how the count ends — so the next scan hits
-        (or re-ships) cleanly.
-        """
-        scan.kernel = True
-        scan.columnar = True
-        scan.cached = True
-        scan.workers = n_workers
-        scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
-        )
-        n_probes = kernel.n_probes
-        stage_nodes = tuple(file_writers)
-        capture_nodes = tuple(memory_capture)
-
-        pool, owned = self._acquire_pool()
-        scan.pool_reused = pool.active
-        scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
-        )
-
-        writer = self._open_staging_writer(
-            pool, file_writers, memory_capture, scan
-        )
-
-        cache = self._scan_cache
-        assert cache is not None
-        entry = cache.lookup(plan.key)
-        hit = entry is not None
-        if entry is not None:
-            scan.cache_hit = True
-            scan.encode_seconds_saved = entry.encode_seconds
-            scan.ship_seconds_saved = entry.ship_seconds
-        else:
-            encode_started = time.perf_counter()
-            partition = plan.encode()
-            encode_seconds = time.perf_counter() - encode_started
-            ship = (pool.remote
-                    and self._config.scan_shared_memory
-                    and self._config.scan_persistent_shm
-                    and shm_available())
-            entry = cache.admit(plan.key, partition, ship=ship)
-            entry.encode_seconds = encode_seconds
-            scan.encode_seconds = encode_seconds
-            scan.ship_seconds = entry.ship_seconds
-        if hit or plan.charge_on_miss:
-            plan.charge_scan()
-
-        table = entry.partition
-        assert table is not None
-        source: Any = entry.ref if entry.ref is not None else table
-        keep_spec: tuple[Any, dict[str, int]] | None = None
-        if (plan.filter_expr is not None
-                and not isinstance(plan.filter_expr, TrueExpr)):
-            keep_spec = (plan.filter_expr, self._attr_index)
-
-        #: seq -> the slice's row offset in the full encoding, for
-        #: re-basing staged/captured index arrays at collect time.
-        offsets: dict[int, int] = {}
-        total_seen = 0
-
-        def collect(future: Any) -> None:
-            nonlocal total_seen
-            (seq, payloads, routed, writes_idx, captures_idx,
-             seconds, seen) = future.result()
-            base = offsets.pop(seq)
-            total_seen += seen
-            scan.rows_seen += seen
-            scan.matcher_evals += n_probes * seen
-            scan.rows_routed += routed
-            scan.worker_seconds.append(seconds)
-            merge_started = time.perf_counter()
-            for state, payload in zip(states, payloads):
-                state.cc.merge_block(*payload)
-            scan.merge_seconds += time.perf_counter() - merge_started
-            if writer is not None:
-                writes = {
-                    node_id: table.rows_at(idx + base)
-                    for node_id, idx in writes_idx.items() if len(idx)
-                }
-                captures = {
-                    node_id: table.rows_at(idx + base)
-                    for node_id, idx in captures_idx.items() if len(idx)
-                }
-                writer.put(writes, captures)
-
-        inflight: deque[Any] = deque()
-        max_inflight = max(2, 2 * n_workers)
-        try:
-            for seq, start in enumerate(
-                range(0, table.n_rows, partition_rows)
-            ):
-                stop = min(start + partition_rows, table.n_rows)
-                offsets[seq] = start
-                inflight.append(
-                    pool.submit_columnar_slice(
-                        seq, source, start, stop, keep_spec,
-                        stage_nodes, capture_nodes,
-                    )
-                )
-                if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
-            while inflight:
-                collect(inflight.popleft())
-            if writer is not None:
-                writer.close()
-        except BaseException as exc:
-            pool.drain(inflight)
-            if writer is not None:
-                writer.abort()
-            pool.retire_broken(exc)
-            # The raised traceback pins this frame's locals; the
-            # partition views must not outlive the cache entry that
-            # owns the segment, or releasing it trips BufferError.
-            del table, source, entry
-            raise
-        finally:
-            offsets.clear()
-            if owned:
-                pool.close()
-
-        if hit or plan.charge_on_miss:
-            plan.charge_rows(total_seen)
-        self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _count_rows(
         self,

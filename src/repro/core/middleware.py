@@ -87,9 +87,8 @@ class Middleware:
     @property
     def scan_pool(self) -> ScanWorkerPool | None:
         """The session's persistent scan-worker pool (None until the
-        first partitioned scan with ``scan_pool_reuse`` on; with
-        ``scan_workers=1`` it is the inline executor and owns no
-        executor or thread)."""
+        first partitioned scan; with ``scan_workers=1`` it is the
+        inline executor and owns no executor or thread)."""
         return self._scan_pool
 
     # -- the Figure-3 interface --------------------------------------------

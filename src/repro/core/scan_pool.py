@@ -1,15 +1,15 @@
-"""The scan-worker pool behind the partitioned scan executor.
+"""The scan-worker pool: executor of the partitioned scan pipeline.
+
+Whichever partition source feeds
+``ExecutionModule._count_partitioned``, every partition goes through
+exactly one ``ScanWorkerPool.submit*`` and the pool decides where it
+is counted: inline, in a thread, or in another process.
 
 The paper's batching argument (§4) is that one shared sequential scan
 amortizes CC-table construction across all active nodes; any fixed
-per-scan overhead erodes exactly that win.  The first parallel
-executor paid one such overhead on every scan: it built a fresh
-``ThreadPoolExecutor``/``ProcessPoolExecutor`` (forking W processes in
-the worst case), shipped the compiled routing kernel to each worker
-through the pool initializer, counted one scan, and tore everything
-down again.
-
-:class:`ScanWorkerPool` makes the pool a *session*-lifetime resource:
+per-scan overhead — building an executor, forking workers, shipping
+the compiled routing kernel — erodes exactly that win, so
+:class:`ScanWorkerPool` is a *session*-lifetime resource:
 
 * it is owned by the :class:`~repro.core.middleware.Middleware`
   session, created lazily on the first scan that goes parallel, reused
@@ -168,6 +168,16 @@ def _count_partition(
         time.perf_counter() - started
 
 
+def _process_context(generation: int, payload: bytes) -> Any:
+    """The worker process's routing context, unpickled when stale."""
+    global _PROCESS_CTX
+    cached_generation, ctx = _PROCESS_CTX
+    if cached_generation != generation:
+        ctx = pickle.loads(payload)
+        _PROCESS_CTX = (generation, ctx)
+    return ctx
+
+
 def _count_partition_pickled(
     generation: int,
     payload: bytes,
@@ -177,11 +187,7 @@ def _count_partition_pickled(
     capture_nodes: Iterable[Any],
 ) -> tuple[int, list[CCTable], int, dict[Any, list[Any]], dict[Any, list[Any]], float]:
     """Process-pool task: refresh the cached context when stale."""
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
+    ctx = _process_context(generation, payload)
     return _count_partition(ctx, seq, rows, stage_nodes, capture_nodes)
 
 
@@ -195,15 +201,11 @@ def _count_columnar_pickled(
 ) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float]:
     """Process-pool task over a pickled columnar partition.
 
-    The fallback shipping path when shared memory is unavailable or
-    disabled: the partition's column arrays travel through pickle, but
-    counting is still vectorized.
+    The shipping path of a platform without shared memory: the
+    partition's column arrays travel through pickle, but counting is
+    still vectorized.
     """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
+    ctx = _process_context(generation, payload)
     return count_partition_columnar(
         ctx, seq, partition, stage_nodes, capture_nodes
     )
@@ -225,11 +227,7 @@ def _count_columnar_shm(
     live numpy views raises ``BufferError``).  The coordinator owns the
     segment and unlinks it after the merge.
     """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
+    ctx = _process_context(generation, payload)
     segment = attach_readonly(handle.segment)
     try:
         partition = partition_from_handle(segment, handle)
@@ -283,11 +281,7 @@ def _count_columnar_shm_slice(
     rows ``[start, stop)`` of it, applying the scan's batch filter as
     a keep mask (``keep_spec``).
     """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
+    ctx = _process_context(generation, payload)
     partition = _attached_segment_partition(ref)
     return count_partition_slice(
         ctx, seq, partition, start, stop, keep_spec, stage_nodes,
@@ -306,16 +300,13 @@ def _count_columnar_pickled_slice(
 ) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float, int]:
     """Process-pool task over a pickled slice of a cached encoding.
 
-    The fallback when persistent shared memory is unavailable or
-    disabled: the coordinator already sliced the cached partition, so
+    The fallback when the encoding has no persistent segment (no
+    shared memory on the platform, or a transient entry too big for
+    the cache): the coordinator already sliced the cached partition, so
     the task counts the whole piece (the cache still saved the
     re-encode, just not the copy).
     """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
+    ctx = _process_context(generation, payload)
     return count_partition_slice(
         ctx, seq, partition, 0, partition.n_rows, keep_spec, stage_nodes,
         capture_nodes,
@@ -437,18 +428,15 @@ class ScanWorkerPool:
             self.scans_served += 1
         return setup_seconds
 
-    def _installed(self) -> tuple[Any, Any, int, int]:
-        ctx = self._ctx
-        if ctx is None:
+    def _context_args(self) -> tuple[Any, ...]:
+        """The installed context as a task's leading arguments: the
+        context itself for in-process workers, ``(generation, payload)``
+        for process workers to refresh their cached copy from."""
+        if self._ctx is None:
             raise MiddlewareError("install a routing context first")
-        return ctx
-
-    def _remote_args(self) -> tuple[int, bytes]:
-        """``(generation, payload)`` process workers refresh from."""
-        payload = self._payload
-        if payload is None:
-            raise MiddlewareError("install a routing context first")
-        return self._generation, payload
+        if self.remote:
+            return self._generation, self._payload
+        return (self._ctx,)
 
     def _run(self, label: str, task: Any, *args: Any) -> Future[Any]:
         """Run one partition task and return its future.
@@ -473,16 +461,10 @@ class ScanWorkerPool:
                stage_nodes: Iterable[Any],
                capture_nodes: Iterable[Any]) -> Future[Any]:
         """Submit one partition against the installed context."""
-        ctx = self._installed()
-        label = f"scan partition {seq}"
-        if self.remote:
-            return self._run(
-                label, _count_partition_pickled, *self._remote_args(),
-                seq, rows, stage_nodes, capture_nodes,
-            )
+        task = _count_partition_pickled if self.remote else _count_partition
         return self._run(
-            label, _count_partition, ctx, seq, rows, stage_nodes,
-            capture_nodes,
+            f"scan partition {seq}", task, *self._context_args(), seq,
+            rows, stage_nodes, capture_nodes,
         )
 
     def submit_columnar(self, seq: int, partition: Any,
@@ -496,21 +478,16 @@ class ScanWorkerPool:
         attaches to the coordinator's segment, a plain partition
         travels via pickle.
         """
-        ctx = self._installed()
-        label = f"columnar partition {seq}"
+        task: Any = count_partition_columnar
         if self.remote:
             task = (
                 _count_columnar_shm
                 if isinstance(partition, ShmPartitionHandle)
                 else _count_columnar_pickled
             )
-            return self._run(
-                label, task, *self._remote_args(), seq, partition,
-                stage_nodes, capture_nodes,
-            )
         return self._run(
-            label, count_partition_columnar, ctx, seq, partition,
-            stage_nodes, capture_nodes,
+            f"columnar partition {seq}", task, *self._context_args(), seq,
+            partition, stage_nodes, capture_nodes,
         )
 
     def submit_columnar_slice(self, seq: int, source: Any, start: int,
@@ -527,28 +504,21 @@ class ScanWorkerPool:
         batch filter as ``(expr, attr_index)``, or None for an
         unfiltered scan.
         """
-        ctx = self._installed()
-        label = f"cached slice {seq}"
-        if self.remote:
-            if isinstance(source, ShmSegmentRef):
-                return self._run(
-                    label, _count_columnar_shm_slice, *self._remote_args(),
-                    seq, source, start, stop, keep_spec, stage_nodes,
-                    capture_nodes,
-                )
-            return self._run(
-                label, _count_columnar_pickled_slice, *self._remote_args(),
-                seq, source.slice(start, stop), keep_spec, stage_nodes,
-                capture_nodes,
-            )
+        task: Any = count_partition_slice
+        piece: tuple[Any, ...] = (source, start, stop)
         if isinstance(source, ShmSegmentRef):
-            raise MiddlewareError(
-                "in-process workers count cached partitions in place; "
-                "pass the partition, not a segment reference"
-            )
+            if not self.remote:
+                raise MiddlewareError(
+                    "in-process workers count cached partitions in "
+                    "place; pass the partition, not a segment reference"
+                )
+            task = _count_columnar_shm_slice
+        elif self.remote:
+            task = _count_columnar_pickled_slice
+            piece = (source.slice(start, stop),)
         return self._run(
-            label, count_partition_slice, ctx, seq, source, start, stop,
-            keep_spec, stage_nodes, capture_nodes,
+            f"cached slice {seq}", task, *self._context_args(), seq,
+            *piece, keep_spec, stage_nodes, capture_nodes,
         )
 
     def drain(self, futures: Iterable[Future[Any]]) -> None:

@@ -16,7 +16,9 @@ import os
 
 import pytest
 
+from repro.analysis.runtime.witness import ResourceWitness
 from repro.client.growth import GrowthPolicy
+from repro.common.locks import LockMonitor
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
 from repro.sqlengine.database import SQLServer
@@ -79,6 +81,28 @@ if _SANITIZE:
                 + "\n\n".join(f.render() for f in fresh),
                 pytrace=False,
             )
+
+
+class WitnessMonitor(LockMonitor):
+    """A LockMonitor wiring the resource hooks to a ResourceWitness.
+
+    Install with ``install_monitor`` around a scenario to assert what it
+    created (``created[kind]``) and what it left open (``live_kinds``).
+    """
+
+    def __init__(self):
+        self.witness = ResourceWitness()
+        self.created = {}
+
+    def resource_created(self, kind, obj, detail=""):
+        self.created[kind] = self.created.get(kind, 0) + 1
+        self.witness.created(kind, obj, detail)
+
+    def resource_closed(self, kind, obj):
+        self.witness.closed(kind, obj)
+
+    def live_kinds(self):
+        return [record.kind for record in self.witness.live()]
 
 
 def tree_signature(node):

@@ -195,29 +195,31 @@ def _staged_workload(tmp_path, **overrides):
 
 class TestWarmColdEquivalence:
     CONFIGS = {
-        "cold": {"scan_workers": 2, "scan_columnar_cache": False},
+        "cold": {"scan_workers": 2, "scan_cache_bytes": 0},
         "thread": {"scan_workers": 2},
         "process-shm": {"scan_workers": 2, "scan_pool": "process"},
-        "process-pickle": {
-            "scan_workers": 2, "scan_pool": "process",
-            "scan_shared_memory": False,
-        },
-        "process-no-persist": {
-            "scan_workers": 2, "scan_pool": "process",
-            "scan_persistent_shm": False,
-        },
+        # Run with shared memory "missing" (see the test): streamed
+        # partitions and cached slices both travel pickled, and no
+        # persistent segment exists.
+        "process-pickle": {"scan_workers": 2, "scan_pool": "process"},
         "serial": {"scan_workers": 1},
     }
 
     @pytest.mark.parametrize("kind", list(CONFIGS))
-    def test_staged_workload_matches_cold_reference(self, kind, tmp_path):
+    def test_staged_workload_matches_cold_reference(self, kind, tmp_path,
+                                                    monkeypatch):
+        reference, ref_staged, ref_cost, ref_trace, _ = _staged_workload(
+            tmp_path / "reference", scan_workers=2, scan_cache_bytes=0,
+        )
+        if kind == "process-pickle":
+            from repro.core import execution
+            monkeypatch.setattr(execution, "shm_available", lambda: False)
         results, staged, cost, trace, _ = _staged_workload(
             tmp_path / kind, **self.CONFIGS[kind]
         )
-        reference, ref_staged, ref_cost, ref_trace, _ = _staged_workload(
-            tmp_path / "reference", scan_workers=2,
-            scan_columnar_cache=False,
-        )
+        if kind == "process-pickle":
+            assert any(r.cached for r in trace)
+            assert all(r.ship_seconds == 0.0 for r in trace)
         rows = dataset_rows()
         for value in range(3):
             subset = [r for r in rows if r[0] == value]
@@ -288,7 +290,7 @@ class TestMultiLevelServerFit:
         assert shipped == 1
         assert segments == 1
         _, _, _, _, cold_cost = self._fit(
-            scan_pool="process", scan_columnar_cache=False
+            scan_pool="process", scan_cache_bytes=0
         )
         assert cost == pytest.approx(cold_cost)
         rows = dataset_rows()
@@ -337,7 +339,7 @@ class TestMultiLevelServerFit:
                 memory_bytes=100_000, file_staging=False,
                 memory_staging=False, scan_workers=2,
                 aux_strategy=strategy, aux_build_threshold=0.5,
-                scan_columnar_cache=cache_on, **PARALLEL,
+                **PARALLEL, **({} if cache_on else {"scan_cache_bytes": 0}),
             )
             results = {}
             with Middleware(server, "data", SPEC, config) as mw:

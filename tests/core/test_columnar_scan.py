@@ -21,9 +21,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.analysis.runtime.witness import ResourceWitness  # noqa: E402
 from repro.client.baselines import build_cc_from_rows  # noqa: E402
-from repro.common.locks import LockMonitor, install_monitor  # noqa: E402
+from repro.common.locks import install_monitor  # noqa: E402
 from repro.core.cc_table import CCTable  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.execution import (  # noqa: E402
@@ -45,8 +44,10 @@ from repro.core.vector_kernel import (  # noqa: E402
 )
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 
+from ..conftest import WitnessMonitor  # noqa: E402
 from .test_parallel_scan import (  # noqa: E402
     PARALLEL,
+    ROW_KERNEL,
     SPEC,
     child_request,
     dataset_rows,
@@ -249,38 +250,38 @@ class TestPartitionSizer:
         # Regression: the old policy degenerated to one scan chunk per
         # partition when the schedule had no row estimate, flooding the
         # pool with tiny tasks.
-        sizer = _PartitionSizer(1024, adaptive=True)
+        sizer = _PartitionSizer(1024)
         assert sizer.partition_rows(0, 4) == 1024 * 8
 
     def test_estimate_splits_two_partitions_per_worker(self):
-        sizer = _PartitionSizer(4, adaptive=True)
+        sizer = _PartitionSizer(4)
         assert sizer.partition_rows(64, 4) == 8
 
     def test_partitions_never_smaller_than_a_chunk(self):
-        sizer = _PartitionSizer(1024, adaptive=True)
+        sizer = _PartitionSizer(1024)
         assert sizer.partition_rows(10, 8) == 1024
 
     def test_too_fast_partitions_coarsen_the_policy(self):
-        sizer = _PartitionSizer(4, adaptive=True)
+        sizer = _PartitionSizer(4)
         sizer.parts_per_worker = 4
         sizer.observe([0.0001] * 8, partition_rows=4096)
         assert sizer.parts_per_worker == 3
         assert sizer.blind_rows == 8192
 
     def test_skewed_partitions_refine_the_policy(self):
-        sizer = _PartitionSizer(4, adaptive=True)
+        sizer = _PartitionSizer(4)
         blind_before = sizer.blind_rows
         sizer.observe([0.01, 0.01, 0.2], partition_rows=4096)
         assert sizer.parts_per_worker == 3
         assert sizer.blind_rows == max(4, blind_before // 2)
 
     def test_slow_partitions_refine_the_policy(self):
-        sizer = _PartitionSizer(4, adaptive=True)
+        sizer = _PartitionSizer(4)
         sizer.observe([0.3], partition_rows=4096)
         assert sizer.parts_per_worker == 3
 
     def test_bounds_hold_under_any_history(self):
-        sizer = _PartitionSizer(4, adaptive=True)
+        sizer = _PartitionSizer(4)
         for _ in range(20):
             sizer.observe([10.0] * 4, partition_rows=4096)
         assert sizer.parts_per_worker == sizer.MAX_PARTS_PER_WORKER
@@ -288,13 +289,6 @@ class TestPartitionSizer:
             sizer.observe([0.0], partition_rows=1 << 30)
         assert sizer.parts_per_worker == sizer.MIN_PARTS_PER_WORKER
         assert sizer.blind_rows <= sizer.MAX_BLIND_ROWS
-
-    def test_adaptive_off_pins_the_static_policy(self):
-        sizer = _PartitionSizer(4, adaptive=False)
-        before = (sizer.parts_per_worker, sizer.blind_rows)
-        sizer.observe([10.0] * 4, partition_rows=4096)
-        sizer.observe([0.0] * 4, partition_rows=4096)
-        assert (sizer.parts_per_worker, sizer.blind_rows) == before
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +386,16 @@ class TestPartitionProducer:
 
 
 class TestColumnarIntegration:
-    def test_columnar_and_row_paths_agree_end_to_end(self):
+    def test_columnar_and_row_paths_agree_end_to_end(self, monkeypatch):
+        from repro.core import execution
         columnar, trace_on, cost_on = frontier_results(
             scan_workers=2, **PARALLEL
         )
+        # "No numpy" is what sends a narrow batch down the pooled
+        # row-tuple source.
+        monkeypatch.setattr(execution, "columnar_available", lambda: False)
         row_tuple, trace_off, cost_off = frontier_results(
-            scan_workers=2, scan_columnar=False, **PARALLEL
+            scan_workers=2, **PARALLEL
         )
         rows = dataset_rows()
         for value in range(3):
@@ -406,7 +404,7 @@ class TestColumnarIntegration:
             assert columnar[f"n{value}"].cc == reference
             assert row_tuple[f"n{value}"].cc == reference
         assert trace_on[0].columnar
-        assert not trace_off[0].columnar
+        assert not trace_off[0].columnar and trace_off[0].workers == 2
         assert cost_on == pytest.approx(cost_off)
 
     def test_trace_reports_ship_profile(self):
@@ -434,7 +432,7 @@ class TestColumnarIntegration:
         server = make_server(rows)
         config = MiddlewareConfig(
             memory_bytes=100_000, memory_staging=False,
-            **PARALLEL, **overrides,
+            **{**PARALLEL, **overrides},
         )
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
@@ -444,17 +442,19 @@ class TestColumnarIntegration:
             with open(staged.path, "rb") as handle:
                 return handle.read()
 
-    def test_staged_file_bit_identical_across_shipping_paths(self):
-        serial = self._staged_root_bytes(
-            scan_workers=1, scan_columnar=False
-        )
+    def test_staged_file_bit_identical_across_shipping_paths(
+            self, monkeypatch):
+        from repro.core import execution
+        serial = self._staged_root_bytes(**ROW_KERNEL)
         assert self._staged_root_bytes(scan_workers=1) == serial  # inline
         assert self._staged_root_bytes(scan_workers=2) == serial
         assert self._staged_root_bytes(
             scan_workers=2, scan_pool="process"
         ) == serial
+        # No shared memory on the platform: partitions travel pickled.
+        monkeypatch.setattr(execution, "shm_available", lambda: False)
         assert self._staged_root_bytes(
-            scan_workers=2, scan_pool="process", scan_shared_memory=False
+            scan_workers=2, scan_pool="process"
         ) == serial
 
     def test_file_and_memory_rescans_stay_columnar(self):
@@ -475,27 +475,9 @@ class TestColumnarIntegration:
             assert all(r.columnar for r in mw.trace)
 
 
-class _WitnessMonitor(LockMonitor):
-    """A LockMonitor wiring the resource hooks to a ResourceWitness."""
-
-    def __init__(self):
-        self.witness = ResourceWitness()
-        self.created = {}
-
-    def resource_created(self, kind, obj, detail=""):
-        self.created[kind] = self.created.get(kind, 0) + 1
-        self.witness.created(kind, obj, detail)
-
-    def resource_closed(self, kind, obj):
-        self.witness.closed(kind, obj)
-
-    def live_kinds(self):
-        return [record.kind for record in self.witness.live()]
-
-
 #: The three scan loops a session can run a large-enough scan through.
 LOOPS = {
-    "row-kernel": {"scan_workers": 1, "scan_columnar": False},
+    "row-kernel": ROW_KERNEL,
     "inline": {"scan_workers": 1},
     "threads": {"scan_workers": 2},
 }
@@ -531,8 +513,8 @@ def _session_fingerprint(rows, values, tmp_path, **config):
     """Everything observable a two-level session leaves behind."""
     server = make_server(rows)
     config = MiddlewareConfig(
-        memory_bytes=100_000, staging_dir=str(tmp_path), **PARALLEL,
-        **config,
+        memory_bytes=100_000, staging_dir=str(tmp_path),
+        **{**PARALLEL, **config},
     )
     ccs = {}
     with Middleware(server, "data", SPEC, config) as mw:
@@ -615,7 +597,7 @@ class TestInlineExecutor:
 
     def test_session_starts_no_thread_and_no_executor(
             self, tmp_path, monkeypatch):
-        monitor = _WitnessMonitor()
+        monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         threads_before = set(threading.enumerate())
         started = []
@@ -762,10 +744,6 @@ class TestInlineExecutor:
         record = self._loop_of(scan_parallel_min_rows=len(dataset_rows()))
         assert record.columnar and record.workers == 1
 
-    def test_scan_columnar_off_keeps_the_row_kernel(self):
-        record = self._loop_of(scan_columnar=False, **PARALLEL)
-        assert record.kernel and not record.columnar
-
     def test_per_row_loop_is_never_partitioned(self):
         record = self._loop_of(scan_kernel=False, **PARALLEL)
         assert not record.kernel and not record.columnar
@@ -806,7 +784,7 @@ class TestInlineExecutor:
 class TestShmFaultInjection:
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_failed_scan_leaks_no_segment_and_keeps_pool_warm(self):
-        monitor = _WitnessMonitor()
+        monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
             rows = dataset_rows()
@@ -820,7 +798,7 @@ class TestShmFaultInjection:
                 memory_staging=False,
                 scan_workers=2,
                 scan_pool="process",
-                scan_columnar_cache=False,  # the streaming failure path
+                scan_cache_bytes=0,  # the streaming failure path
                 **PARALLEL,
             )
             with Middleware(server, "data", SPEC, config) as mw:
@@ -846,7 +824,7 @@ class TestShmFaultInjection:
         # regardless of how the count ended): the next scan of the
         # repaired table re-encodes under the bumped version, and close
         # retires every segment.
-        monitor = _WitnessMonitor()
+        monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
             rows = dataset_rows()
@@ -893,7 +871,7 @@ class TestShmFaultInjection:
         # An unhashable attribute value fails dictionary encoding on
         # the producer thread; the scan must surface the TypeError and
         # leave no partitions pinned.
-        monitor = _WitnessMonitor()
+        monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
             producer = _PartitionProducer(
@@ -913,10 +891,15 @@ class TestShmFaultInjection:
 
 
 class TestColumnarConfig:
-    def test_shared_memory_off_still_counts_correctly(self):
+    def test_shared_memory_off_still_counts_correctly(self, monkeypatch):
+        from repro.core import execution
+        monkeypatch.setattr(execution, "shm_available", lambda: False)
+        monkeypatch.setattr(
+            ShmShipper, "ship",
+            lambda *args, **kwargs: pytest.fail("shipped without shm"),
+        )
         results, trace, _ = frontier_results(
-            scan_workers=2, scan_pool="process",
-            scan_shared_memory=False, **PARALLEL,
+            scan_workers=2, scan_pool="process", **PARALLEL,
         )
         rows = dataset_rows()
         for value in range(3):
@@ -925,20 +908,6 @@ class TestColumnarConfig:
                 subset, SPEC, ("A2",)
             )
         assert trace[0].columnar
-
-    def test_adaptive_partitions_off_keeps_static_sizing(self):
-        rows = dataset_rows()
-        server = make_server(rows)
-        config = MiddlewareConfig(
-            memory_bytes=100_000, scan_workers=2,
-            scan_adaptive_partitions=False, **PARALLEL,
-        )
-        with Middleware(server, "data", SPEC, config) as mw:
-            sizer = mw.execution._sizer
-            before = (sizer.parts_per_worker, sizer.blind_rows)
-            mw.queue_request(root_request(rows))
-            mw.process_next_batch()
-            assert (sizer.parts_per_worker, sizer.blind_rows) == before
 
     def test_adaptive_sizing_reacts_to_fast_scans(self):
         rows = dataset_rows()

@@ -1,26 +1,37 @@
 """Failure injection: the middleware cleans up when scans die mid-way."""
 
+import errno
+import os
+import threading
+
 import pytest
 
+from repro.client.baselines import build_cc_from_rows
 from repro.common.errors import MiddlewareError, StagingError
+from repro.common.locks import install_monitor
+from repro.core import staging as staging_module
+from repro.core.cc_table import CCTable
 from repro.core.config import MiddlewareConfig
 from repro.core.filters import PathCondition
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
+from repro.core.staging import StagedFile
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.sqlengine.database import SQLServer
+
+from ..conftest import WitnessMonitor
 
 SPEC = DatasetSpec([3, 3], 2)
 ROWS = [(a, b, (a + b) % 2) for a in range(3) for b in range(3)
         for _ in range(4)]
 
 
-def make_middleware(**overrides):
+def make_middleware(spec=SPEC, rows=ROWS, **overrides):
     server = SQLServer()
-    load_dataset(server, "data", SPEC, ROWS)
+    load_dataset(server, "data", spec, rows)
     overrides.setdefault("memory_bytes", 50_000)
-    return Middleware(server, "data", SPEC, MiddlewareConfig(**overrides))
+    return Middleware(server, "data", spec, MiddlewareConfig(**overrides))
 
 
 def root_request(n_rows=len(ROWS)):
@@ -32,6 +43,36 @@ def root_request(n_rows=len(ROWS)):
         n_rows=n_rows,
         est_cc_pairs=6,
     )
+
+
+def child_requests(rows=ROWS, values=range(3)):
+    """One request per A1 value, the children of the root split."""
+    return [
+        CountsRequest(
+            node_id=f"n{value}",
+            lineage=("root", f"n{value}"),
+            conditions=(PathCondition("A1", "=", value),),
+            attributes=("A2",),
+            n_rows=sum(1 for row in rows if row[0] == value),
+            est_cc_pairs=3,
+        )
+        for value in values
+    ]
+
+
+def assert_children_counted(middleware, spec=SPEC, rows=ROWS,
+                            values=range(3)):
+    """Queue the children afresh, drain the queue, check every CC."""
+    middleware.queue_requests(child_requests(rows, values))
+    counted = {}
+    while middleware.pending:
+        for result in middleware.process_next_batch():
+            counted[result.node_id] = result.cc
+    for value in values:
+        subset = [row for row in rows if row[0] == value]
+        assert counted[f"n{value}"] == build_cc_from_rows(
+            subset, spec, ("A2",)
+        )
 
 
 class _ExplodingIterator:
@@ -137,7 +178,7 @@ class TestPoisonedPartition:
         # which the columnar cache's encode-once path never touches —
         # pin the cache off so the streaming failure path stays under
         # test.  TestPoisonedCachedScan covers the cached path.
-        "scan_columnar_cache": False,
+        "scan_cache_bytes": 0,
     }
 
     #: The same scan through the inline executor: one worker, so the
@@ -266,6 +307,346 @@ class TestPoisonedCachedScan:
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
             assert cache.misses == 1
+
+
+#: Overrides opening the partitioned path on the 36-row data set.
+PARTITIONED = {"scan_parallel_min_rows": 0, "scan_chunk_rows": 4}
+
+#: The loops a set-up or commit failure can interrupt.
+LOOPS = {
+    "row-kernel": {"scan_workers": 1, "scan_parallel_min_rows": 1 << 30},
+    "inline": dict(PARTITIONED, scan_workers=1),
+    "threads": dict(PARTITIONED, scan_workers=2),
+}
+
+
+def _disk_full(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _no_room(*_args, **_kwargs):
+    raise StagingError("no room")
+
+
+def _failing_on_call(k, original, fail=_disk_full):
+    """``original``, except that its ``k``-th call fails instead."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k:
+            return fail(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestSetUpAndCommitFailure:
+    """A split scan whose k-th output file will not open, or not seal.
+
+    Regression: ``run`` opened its staging files before the ``try`` and
+    sealed them after it, so an ``OSError`` at either end skipped all
+    cleanup — files stayed registered *unsealed* and the batch's
+    ``cc:*`` and data reservations were never returned.
+    """
+
+    @pytest.fixture
+    def session(self, loop, tmp_path):
+        """A session that staged the root's file, then its monitor."""
+        monitor = WitnessMonitor()
+        previous = install_monitor(monitor)
+        try:
+            with make_middleware(file_split_threshold=1.0,
+                                 staging_dir=str(tmp_path),
+                                 **LOOPS[loop]) as mw:
+                mw.queue_request(root_request())
+                mw.process_next_batch()
+                assert mw.staging.file_nodes() == ["root"]
+                yield mw, monitor
+            assert monitor.live_kinds() == []
+        finally:
+            install_monitor(previous)
+
+    def _assert_nothing_left_then_retry(self, mw, monitor, tmp_path):
+        root_file = os.path.basename(mw.staging.file_for("root").path)
+        assert mw.staging.file_nodes() == ["root"]
+        assert os.listdir(tmp_path) == [root_file]
+        assert mw.staging.memory_nodes() == []
+        assert mw.budget.tags() == []  # no cc:* and no data reservation
+        assert not {"staged-file", "staging-writer", "future"} & set(
+            monitor.live_kinds()
+        )
+        assert_children_counted(mw)
+        for value in range(3):
+            staged = mw.staging.file_for(f"n{value}")
+            assert list(staged.scan()) == [r for r in ROWS if r[0] == value]
+
+    def test_file_that_will_not_open(self, k, session, tmp_path):
+        mw, monitor = session
+        mw.staging.open_file = _failing_on_call(k, mw.staging.open_file)
+        mw.queue_requests(child_requests())
+        with pytest.raises(OSError, match="No space left"):
+            mw.process_next_batch()
+        del mw.staging.open_file
+        self._assert_nothing_left_then_retry(mw, monitor, tmp_path)
+
+    def test_file_that_will_not_seal(self, k, session, tmp_path,
+                                     monkeypatch):
+        mw, monitor = session
+        mw.queue_requests(child_requests())
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                StagedFile, "seal", _failing_on_call(k, StagedFile.seal)
+            )
+            with pytest.raises(OSError, match="No space left"):
+                mw.process_next_batch()
+        self._assert_nothing_left_then_retry(mw, monitor, tmp_path)
+
+    def test_memory_set_that_will_not_commit(self, k, session, tmp_path):
+        # Every file is sealed by now and k - 1 sets are installed:
+        # all of it goes, committed or not.
+        mw, monitor = session
+        mw.staging.commit_memory = _failing_on_call(
+            k, mw.staging.commit_memory, _no_room
+        )
+        mw.queue_requests(child_requests())
+        with pytest.raises(StagingError, match="no room"):
+            mw.process_next_batch()
+        del mw.staging.commit_memory
+        self._assert_nothing_left_then_retry(mw, monitor, tmp_path)
+
+
+# -- the one partitioned loop, stage by stage ----------------------------------
+
+WIDE = 63  # one node more than the vector kernel's masks can route
+WIDE_SPEC = DatasetSpec([WIDE, 2], 2)
+WIDE_ROWS = [(a1, a1 % 2, (a1 // 2) % 2) for a1 in range(WIDE)] * 2
+
+#: name -> (config, whether a root scan primes the session, the data
+#: set as (spec, rows, child values) when it is not the default one).
+#: Every scenario's scan under test has staging output where its tier
+#: can have any (a MEMORY scan is already on the best tier, and hands
+#: its writer nothing).
+SOURCES = {
+    "server-streamed": (
+        {"memory_staging": False, "scan_cache_bytes": 0}, False, None),
+    "server-cached": ({"memory_staging": False}, False, None),
+    "file-streamed": (
+        {"memory_staging": False, "file_split_threshold": 1.0,
+         "scan_cache_bytes": 0}, True, None),
+    "file-cached": (
+        {"memory_staging": False, "file_split_threshold": 1.0}, True, None),
+    "memory": ({"file_staging": False}, True, None),
+    "row-tuple": (
+        {"file_staging": False, "memory_bytes": 1_000_000}, False,
+        (WIDE_SPEC, WIDE_ROWS, range(WIDE))),
+}
+EXECUTORS = {
+    "inline": {"scan_workers": 1},
+    "threads": {"scan_workers": 2},
+    "processes": {"scan_workers": 2, "scan_pool": "process"},
+}
+FAULTS = ("pull", "submit", "merge", "put", "close")
+
+
+def _pipeline_cases():
+    for source in SOURCES:
+        for executor in EXECUTORS:
+            # One worker never runs over the cache, and counts a batch
+            # the vector kernel cannot route with the row kernel.
+            if executor == "inline" and (
+                    source.endswith("cached") or source == "row-tuple"):
+                continue
+            for fault in FAULTS:
+                yield source, executor, fault
+
+
+class _Injected(Exception):
+    """The fault a pipeline-stage test plants."""
+
+
+def _inject(*_args, **_kwargs):
+    raise _Injected("injected")
+
+
+class _ExplodingPartitions:
+    """A partition iterator that dies after its first partition."""
+
+    def __init__(self, inner):
+        self._inner = iter(inner)
+        self._served = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._served:
+            raise _Injected("injected")
+        self._served += 1
+        return next(self._inner)
+
+    def close(self):
+        close = getattr(self._inner, "close", None)
+        if close is not None:
+            close()
+
+
+class _TrackedRows:
+    """A row iterator that remembers being closed."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+        self.closed = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._rows)
+
+    def close(self):
+        self.closed = True
+        self._rows.close()
+
+
+class TestPipelineStageFailures:
+    """One loop, so one failure matrix: every partition source and every
+    executor, with a fault planted at each stage of
+    ``source -> partition -> submit -> collect/merge -> stage`` in turn.
+    Whatever dies, the scan must close its row source, drain its
+    futures, and leave no shm segment, helper thread, staged file or
+    reservation behind — and the session must serve the same requests
+    once the fault is gone.
+    """
+
+    WRITERS = ("InlineStagingWriter", "PipelinedStagingWriter",
+               "ParallelStagingWriter")
+
+    def _arm(self, fault, mw, patch):
+        """Plant ``fault`` for the next scan of ``mw``."""
+        execution = mw.execution
+        if fault == "pull":
+            build = execution._partition_source
+
+            def tampered(*args):
+                source = build(*args)
+                if source._partitions is not None:
+                    source._partitions = _ExplodingPartitions(
+                        source._partitions
+                    )
+                else:  # the cached plan has no stream: cut its slices
+                    opened = source.open
+                    source.open = lambda *a: _ExplodingPartitions(
+                        opened(*a)
+                    )
+                return source
+
+            patch.setattr(execution, "_partition_source", tampered)
+        elif fault == "submit":
+            # A scan goes through exactly one of the three, so the
+            # second call of whichever it is fails with one in flight.
+            pool = mw._shared_scan_pool()
+            for name in ("submit", "submit_columnar",
+                         "submit_columnar_slice"):
+                patch.setattr(pool, name, _failing_on_call(
+                    2, getattr(pool, name), _inject
+                ))
+        elif fault == "merge":
+            for name in ("merge", "merge_block"):
+                patch.setattr(CCTable, name, _failing_on_call(
+                    2, getattr(CCTable, name), _inject
+                ))
+        else:
+            # The second put, or the close, of whichever writer runs.
+            k = 2 if fault == "put" else 1
+            for name in self.WRITERS:
+                writer = getattr(staging_module, name)
+                patch.setattr(
+                    writer, fault,
+                    _failing_on_call(k, getattr(writer, fault), _inject),
+                )
+
+    @pytest.mark.parametrize("source, executor, fault",
+                             list(_pipeline_cases()))
+    def test_fault_leaves_nothing_behind(self, source, executor, fault,
+                                         tmp_path, monkeypatch):
+        pytest.importorskip("numpy")
+        overrides, primed, data = SOURCES[source]
+        spec, rows, values = data or (SPEC, ROWS, range(3))
+        monitor = WitnessMonitor()
+        previous = install_monitor(monitor)
+        try:
+            with make_middleware(
+                spec, rows, staging_dir=str(tmp_path),
+                **{**PARTITIONED, **EXECUTORS[executor], **overrides},
+            ) as mw:
+                self._run_case(mw, monitor, source, fault, primed, spec,
+                               rows, values, tmp_path, monkeypatch)
+            assert monitor.live_kinds() == []
+        finally:
+            install_monitor(previous)
+
+    def _run_case(self, mw, monitor, source, fault, primed, spec, rows,
+                  values, tmp_path, monkeypatch):
+        def queue():
+            if primed or source == "row-tuple":
+                mw.queue_requests(child_requests(rows, values))
+            else:
+                mw.queue_request(root_request())
+
+        if primed:
+            mw.queue_request(root_request())
+            mw.process_next_batch()
+        trackers = []
+        rows_for = mw.execution._rows_for
+
+        def tracked(schedule, scan):
+            trackers.append(_TrackedRows(rows_for(schedule, scan)))
+            return trackers[-1]
+
+        before = (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
+                  mw.staging.memory_nodes(), sorted(mw.budget.tags()))
+        queue()
+        with monkeypatch.context() as patch:
+            patch.setattr(mw.execution, "_rows_for", tracked)
+            self._arm(fault, mw, patch)
+            with pytest.raises(_Injected):
+                mw.process_next_batch()
+
+        # The scan under test really was the one the case names.
+        assert len(trackers) == (
+            source in ("server-streamed", "row-tuple")
+        )
+        assert all(tracker.closed for tracker in trackers)
+        for node_id in mw.staging.file_nodes():
+            assert mw.staging.file_for(node_id)._active_scans == 0
+        live = monitor.live_kinds()
+        assert not {"future", "scan-prefetch", "staging-writer",
+                    "staged-file"} & set(live)
+        cache = mw.execution.scan_cache
+        assert live.count("shm-segment") == (
+            cache.live_segments if cache is not None else 0
+        )
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith(("scan-prefetch", "staging-writer"))
+        ]
+        assert (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
+                mw.staging.memory_nodes(),
+                sorted(mw.budget.tags())) == before
+
+        # The same session, the fault gone, serves the same requests.
+        if primed or source == "row-tuple":
+            assert_children_counted(mw, spec, rows, values)
+        else:
+            mw.queue_request(root_request())
+            (result,) = mw.process_next_batch()
+            assert result.cc == build_cc_from_rows(rows, spec, ("A1", "A2"))
+        scan = mw.execution.last_scan
+        assert scan.columnar == (source != "row-tuple")
+        assert scan.cached == source.endswith("cached")
 
 
 class TestBadClientInput:

@@ -63,7 +63,9 @@ def child_request(node_id, value, rows, est_cc_pairs=3):
 
 @pytest.fixture(
     params=[
-        {"scan_kernel": True},
+        # The row kernel: a gate no source here reaches keeps every
+        # scan off the partitioned path at any worker count.
+        {"scan_kernel": True, "scan_parallel_min_rows": 1 << 30},
         {"scan_kernel": False},
         # One worker with the gate opened: the inline columnar executor
         # (admission post-merge, staging applied in place).

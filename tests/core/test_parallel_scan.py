@@ -1,6 +1,6 @@
 """Unit tests for the parallel partitioned scan executor.
 
-The parallel path (`ExecutionModule._count_rows_parallel`) must be a
+The partitioned path (`ExecutionModule._count_partitioned`) must be a
 pure wall-clock optimisation: for any worker count and pool kind it has
 to produce the same CC tables, the same staged files (bit-identical),
 the same memory captures, the same overflow recoveries, the same meter
@@ -10,6 +10,7 @@ tests force the parallel path onto tiny data sets with
 genuinely share each scan.
 """
 
+import dataclasses
 import os
 import time
 
@@ -42,6 +43,11 @@ SPEC = DatasetSpec([3, 3], 3)
 #: no minimum-size gate, and partitions of at most 4 rows so every
 #: worker count under test actually splits the scan.
 PARALLEL = {"scan_parallel_min_rows": 0, "scan_chunk_rows": 4}
+
+#: The reference arm: one worker and a gate no source here reaches, so
+#: every scan keeps the row kernel (same chunking as ``PARALLEL``).
+ROW_KERNEL = {"scan_workers": 1, "scan_parallel_min_rows": 1 << 30,
+              "scan_chunk_rows": 4}
 
 
 def dataset_rows():
@@ -125,9 +131,7 @@ class TestParallelEquivalence:
     def test_meter_charges_identical_to_serial(self):
         # Simulated costs accrue on the coordinator thread, so the
         # scheduler sees identical economics at any worker count.
-        _, _, serial_cost = frontier_results(
-            scan_workers=1, scan_columnar=False, **PARALLEL
-        )
+        _, _, serial_cost = frontier_results(**ROW_KERNEL)
         _, _, inline_cost = frontier_results(scan_workers=1, **PARALLEL)
         _, _, parallel_cost = frontier_results(scan_workers=4, **PARALLEL)
         assert inline_cost == pytest.approx(serial_cost)
@@ -139,9 +143,7 @@ class TestParallelEquivalence:
         config = MiddlewareConfig(
             memory_bytes=100_000,
             memory_staging=False,
-            scan_workers=workers,
-            **PARALLEL,
-            **overrides,
+            **{**PARALLEL, "scan_workers": workers, **overrides},
         )
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
@@ -152,7 +154,7 @@ class TestParallelEquivalence:
                 return handle.read()
 
     def test_staged_file_bit_identical_to_serial(self):
-        serial = self._staged_root_bytes(1, scan_columnar=False)
+        serial = self._staged_root_bytes(1, **ROW_KERNEL)
         for workers in (1, 2, 4):
             assert self._staged_root_bytes(workers) == serial
 
@@ -212,9 +214,7 @@ class TestParallelOverflow:
             memory_bytes=100,
             file_staging=False,
             memory_staging=False,
-            scan_workers=workers,
-            **PARALLEL,
-            **overrides,
+            **{**PARALLEL, "scan_workers": workers, **overrides},
         )
         requests = [
             child_request(f"n{value}", value, rows, est_cc_pairs=1)
@@ -247,7 +247,7 @@ class TestParallelOverflow:
         # post-merge with the exact count — but its final counts must
         # match exactly.
         serial_results, _, serial_stats = self.overflow_results(
-            1, scan_columnar=False
+            1, **ROW_KERNEL
         )
         assert serial_stats[0] >= 1  # the scenario really overflows
         reference_results, reference_outcomes, reference_stats = \
@@ -306,17 +306,21 @@ class TestParallelProfiling:
         assert record.merge_seconds >= 0.0
         assert "x2w" in str(record)
 
-    def test_trace_names_the_loop_that_ran(self):
+    def test_trace_names_the_loop_that_ran(self, monkeypatch):
         loops = {
             "(columnar x2w": {"scan_workers": 2},
-            "(kernel x2w)": {"scan_workers": 2, "scan_columnar": False},
             "(columnar)": {"scan_workers": 1},
-            "(kernel)": {"scan_workers": 1, "scan_columnar": False},
+            "(kernel)": ROW_KERNEL,
             "(per-row)": {"scan_workers": 1, "scan_kernel": False},
         }
         for rendered, overrides in loops.items():
-            _, trace, _ = frontier_results(**PARALLEL, **overrides)
+            _, trace, _ = frontier_results(**{**PARALLEL, **overrides})
             assert rendered in str(trace[0]), (rendered, str(trace[0]))
+        # Without numpy a pool counts row-tuple partitions instead.
+        from repro.core import execution
+        monkeypatch.setattr(execution, "columnar_available", lambda: False)
+        _, trace, _ = frontier_results(scan_workers=2, **PARALLEL)
+        assert "(kernel x2w)" in str(trace[0]), str(trace[0])
 
     def test_stats_count_parallel_scans(self):
         rows = dataset_rows()
@@ -358,6 +362,15 @@ class TestParallelProfiling:
 
 
 class TestParallelConfig:
+    def test_scan_knob_budget(self):
+        # Each independent scan_* field doubles what the equivalence
+        # suites have to cover; the count may only ratchet down.
+        knobs = [
+            field.name for field in dataclasses.fields(MiddlewareConfig)
+            if field.name.startswith("scan_")
+        ]
+        assert len(knobs) <= 8, knobs
+
     def test_zero_workers_rejected(self):
         with pytest.raises(MiddlewareError):
             MiddlewareConfig(scan_workers=0)
@@ -505,16 +518,16 @@ class TestPrefetch:
     """SERVER-cursor prefetch must change only where time is spent."""
 
     # The columnar cache's encode-once path never streams partitions,
-    # so the prefetch producer only runs with the cache pinned off.
+    # so the prefetch producer only runs with the cache budget at 0.
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_counts_and_costs_identical_at_any_depth(self, depth):
         results, trace, cost = frontier_results(
             scan_workers=2, scan_prefetch_partitions=depth,
-            scan_columnar_cache=False, **PARALLEL
+            scan_cache_bytes=0, **PARALLEL
         )
         reference, _, reference_cost = frontier_results(
             scan_workers=1, scan_prefetch_partitions=0,
-            scan_columnar_cache=False, **PARALLEL
+            scan_cache_bytes=0, **PARALLEL
         )
         rows = dataset_rows()
         for value in range(3):
@@ -535,7 +548,7 @@ class TestPrefetch:
             file_staging=False,
             scan_workers=2,
             scan_prefetch_partitions=3,
-            scan_columnar_cache=False,
+            scan_cache_bytes=0,
             **PARALLEL,
         )
         with Middleware(server, "data", SPEC, config) as mw:
@@ -556,7 +569,7 @@ class TestPrefetch:
 class TestSplitWriters:
     """§4.3.2 split scans with one writer per output file."""
 
-    def _split_children(self, workers, **overrides):
+    def _split_children(self, workers):
         rows = dataset_rows()
         server = make_server(rows)
         config = MiddlewareConfig(
@@ -565,7 +578,6 @@ class TestSplitWriters:
             file_split_threshold=1.0,
             scan_workers=workers,
             **PARALLEL,
-            **overrides,
         )
         split_writer_counts = []
         with Middleware(server, "data", SPEC, config) as mw:
@@ -592,14 +604,6 @@ class TestSplitWriters:
             parallel, writer_counts = self._split_children(workers)
             assert parallel == serial
             assert max(writer_counts) == 3  # one thread per output file
-
-    def test_split_writers_can_be_disabled(self):
-        payload, writer_counts = self._split_children(
-            2, scan_split_writers=False
-        )
-        reference, _ = self._split_children(1)
-        assert payload == reference
-        assert all(count == 0 for count in writer_counts)
 
 
 class TestAbsorbAccounting:
