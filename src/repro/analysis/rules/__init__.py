@@ -9,15 +9,14 @@ from .future_drain import FutureDrainRule
 from .guarded_by import GuardedByRule
 from .knob_consistency import KnobConsistencyRule
 from .lock_order import LockOrderRule
-from .meter_parity import MeterParityRule
 from .mutation_completeness import MutationCompletenessRule
 from .pickle_boundary import PickleBoundaryRule
 from .resource_lifecycle import ResourceLifecycleRule
 from .unmetered_row_access import UnmeteredRowAccessRule
 
 #: Every shipped rule, in reporting order.  The first three are the
-#: concurrency family, built on the lock-set layer; the last four are
-#: the meter-integrity family, built on the interprocedural
+#: concurrency family, built on the lock-set layer; the last three
+#: are the meter-integrity family, built on the interprocedural
 #: ProjectIndex.
 ALL_RULES: list[type[Rule]] = [
     GuardedByRule,
@@ -30,7 +29,6 @@ ALL_RULES: list[type[Rule]] = [
     ChargeCategoryRule,
     UnmeteredRowAccessRule,
     MutationCompletenessRule,
-    MeterParityRule,
 ]
 
 
@@ -60,7 +58,6 @@ __all__ = [
     "GuardedByRule",
     "KnobConsistencyRule",
     "LockOrderRule",
-    "MeterParityRule",
     "MutationCompletenessRule",
     "PickleBoundaryRule",
     "ResourceLifecycleRule",

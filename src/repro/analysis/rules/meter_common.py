@@ -217,9 +217,30 @@ def mutation_sinks(index: ProjectIndex) -> "set[str]":
     return sinks
 
 
-def charging_functions(index: ProjectIndex) -> "set[str]":
-    """Every function with a lexical charge call (nested defs count)."""
-    return {
+def charging_functions(index: ProjectIndex,
+                       sinks: "set[str]") -> "set[str]":
+    """Every function that charges, itself or through a price function.
+
+    A lexical charge call (nested defs count) makes a function a
+    charger.  A charger that can reach none of the row-access
+    ``sinks`` is a *price function*: it touches no rows, it only
+    states what something costs — ``page_scan_charge``,
+    ``tid_join_charge``.  Each scan-path
+    price is written once in such a function and the paths that owe it
+    call it, so a direct call to a price function counts as charging
+    too.  One hop only, and only through price functions: calling
+    something that merely charges somewhere inside (the executor)
+    prices nothing the caller does.
+    """
+    lexical = {
         qualname for qualname, info in index.functions.items()
         if any(True for _ in charge_calls(info.node))
+    }
+    prices = {
+        qualname for qualname in lexical
+        if index.find_path(qualname, sinks) is None
+    }
+    return lexical | {
+        qualname for qualname, callees in index.edges.items()
+        if not prices.isdisjoint(callees)
     }

@@ -67,7 +67,7 @@ class UnmeteredRowAccessRule(Rule):
         sinks = row_access_sinks(index)
         if not sinks:
             return []
-        chargers = charging_functions(index)
+        chargers = charging_functions(index, sinks)
         storage = _storage_qualnames(index)
 
         candidates: "dict[str, list[str]]" = {}

@@ -37,24 +37,6 @@ from typing import Iterator, Optional, Sequence
 #: The declaration comment, e.g. ``#: guarded by self._lock``.
 GUARD_DECLARATION = re.compile(r"#:?\s*guarded by\s+self\.(\w+)")
 
-#: The meter-parity declaration, written on the comment line directly
-#: above a ``def``::
-#:
-#:     #: meter parity with ForwardCursor.rows
-#:     def partitions(self, ...): ...
-#:
-#: Multiple targets compose with ``+`` (the declaring function must
-#: charge the *union* multiset)::
-#:
-#:     #: meter parity with ForwardCursor.__init__ + ForwardCursor.rows
-#:
-#: Targets are dotted qualname suffixes resolved against the scanned
-#: project; the ``meter-parity`` static rule checks that the declaring
-#: function charges exactly the same category multiset as its targets.
-PARITY_DECLARATION = re.compile(
-    r"#:?\s*meter parity with\s+([\w.]+(?:\s*\+\s*[\w.]+)*)"
-)
-
 
 @dataclass(frozen=True)
 class GuardDecl:
@@ -62,53 +44,6 @@ class GuardDecl:
 
     lock: str
     line: int
-
-
-@dataclass(frozen=True)
-class ParityDecl:
-    """One meter-parity declaration above a function definition."""
-
-    #: The declaring function's name (the ``def`` directly below).
-    function: str
-    #: Qualname suffixes whose charge multisets must union-match.
-    targets: tuple[str, ...]
-    #: Line of the ``def`` the declaration is attached to.
-    line: int
-
-
-def parity_targets(text: str) -> "tuple[str, ...] | None":
-    """Parse one ``#: meter parity with A + B`` comment line."""
-    match = PARITY_DECLARATION.search(text)
-    if match is None:
-        return None
-    return tuple(
-        part.strip()
-        for part in match.group(1).split("+")
-        if part.strip()
-    )
-
-
-def parities_for_module(tree: ast.AST,
-                        lines: Sequence[str]) -> "list[ParityDecl]":
-    """Every parity declaration in a parsed module.
-
-    The declaration is recognised on the comment line directly above
-    the ``def`` — or above its first decorator when decorated.
-    """
-    out: "list[ParityDecl]" = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        first_line = (
-            node.decorator_list[0].lineno
-            if node.decorator_list else node.lineno
-        )
-        targets = parity_targets(_comment_above(lines, first_line))
-        if targets:
-            out.append(ParityDecl(
-                function=node.name, targets=targets, line=node.lineno,
-            ))
-    return out
 
 
 def _line_text(lines: Sequence[str], number: int) -> str:
@@ -195,8 +130,6 @@ class ContractRegistry:
 
     def __init__(self) -> None:
         self._contracts: list[ClassContract] = []
-        #: ``(module, ParityDecl)`` pairs, in scan order.
-        self._parities: list[tuple[str, ParityDecl]] = []
 
     def __iter__(self) -> Iterator[ClassContract]:
         return iter(self._contracts)
@@ -206,11 +139,6 @@ class ContractRegistry:
 
     def add(self, contract: ClassContract) -> None:
         self._contracts.append(contract)
-
-    @property
-    def parities(self) -> list[tuple[str, ParityDecl]]:
-        """Every meter-parity declaration seen, with its module."""
-        return list(self._parities)
 
     def scan_file(self, path: str, module: str = "") -> list[ClassContract]:
         """Parse one file; registers (and returns) its class contracts."""
@@ -223,8 +151,6 @@ class ContractRegistry:
         """Parse source text; registers (and returns) class contracts."""
         tree = ast.parse(text, filename=path)
         lines = text.splitlines()
-        for parity in parities_for_module(tree, lines):
-            self._parities.append((module, parity))
         found: list[ClassContract] = []
         for class_node, guards in guards_by_class(tree, lines).items():
             if not guards:

@@ -22,17 +22,31 @@ where construction costs are neglected.
 :class:`PlannedScanStrategy` (``aux_strategy="auto"``) replaces the
 hard-coded strategy knob with a per-scan decision: it consults the
 engine's cost-based access-path planner and picks the cheapest of a
-filtered seq scan, a secondary-index probe, and a TID join.  Every
-strategy records the path its latest scan took in ``last_choice`` so
-the execution trace can report it.
+filtered seq scan, a secondary-index probe, and a TID join.
+
+Every strategy makes its build / reuse / fall-back decision in one
+method, ``_decide``, which answers with the access path that serves
+the scan.  ``rows()`` streams that path through the cursor layer and
+``plan_columnar()`` wraps it as a cacheable plan; neither re-decides,
+and neither knows a price — a path carries the charge functions of
+the ``sqlengine`` object that owns it, so stream, cache miss, cache
+hit and the estimate recorded in ``last_choice`` (which the execution
+trace reports) all come from the same definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
 
 from ..common.errors import MiddlewareError
+from ..sqlengine.cursors import (
+    charge_transfer,
+    forward_scan_charge,
+    keyset_charge,
+    live_rows,
+)
 from ..sqlengine.expr import (
     And,
     ColumnRef,
@@ -40,17 +54,19 @@ from ..sqlengine.expr import (
     Literal,
     Or,
     TrueExpr,
-    compile_predicate,
 )
-from ..sqlengine.planner import AccessPlan, plan_access_path
-from ..sqlengine.tempstructs import TIDList, copy_subset_to_table
-from .columnar_cache import (
-    ColumnarScanPlan,
-    index_fetch_plan,
-    keyset_fetch_plan,
-    plain_table_plan,
-    tid_join_plan,
+from ..sqlengine.planner import (
+    AccessPlan,
+    index_probe_charge,
+    plan_access_path,
+    stream_index_fetch,
 )
+from ..sqlengine.tempstructs import (
+    TIDList,
+    copy_subset_to_table,
+    tid_join_charge,
+)
+from .columnar_cache import ColumnarScanPlan, server_scan_plan
 
 
 @dataclass(frozen=True)
@@ -119,310 +135,237 @@ def predicate_covers(built: Any, current: Any) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class _AccessPath:
+    """One decided access path, ready to stream or to cache.
+
+    Every callable comes from the ``sqlengine`` layer that owns the
+    path, so the stream, the cached plan and the recorded estimate all
+    take the fixed per-scan price from the same function.
+    """
+
+    #: :attr:`AccessChoice.path` and ``detail`` for the trace.
+    label: str
+    detail: str
+    #: The owner's per-scan price: called bare it quotes the amount,
+    #: called with the meter it charges it (``stream`` does so itself).
+    charge: Callable[..., float]
+    #: ``predicate -> rows``: the metered stream (the cursor layer).
+    stream: Callable[[Any], Iterator[Any]]
+    #: Cache identity of the superset the path scans, that superset's
+    #: size, and its rows straight from the heap (unmetered).
+    key: tuple[Any, ...]
+    n_rows: int
+    rows: Callable[[], Iterable[Any]]
+
+    def plan(self, server: Any, predicate: Any) -> ColumnarScanPlan:
+        """The cacheable form: same price functions, bound to the meter."""
+        return server_scan_plan(
+            self.key, self.n_rows, self.rows,
+            partial(self.charge, server.meter),
+            partial(charge_transfer, server.meter, server.model),
+            predicate,
+        )
+
+
+def _cursor_path(server: Any, table: Any, label: str = "seq") -> _AccessPath:
+    """A filtered forward cursor over ``table`` (data or temp table).
+
+    Keying by (name, version) is safe for temp tables too: a rebuilt
+    structure gets a fresh temp name.
+    """
+
+    def stream(predicate: Any) -> Iterator[Any]:
+        with server.open_cursor(table.name, predicate) as cursor:
+            yield from cursor.rows()
+
+    return _AccessPath(
+        label, "", partial(forward_scan_charge, server.model, table),
+        stream, ("table", table.name, table.version),
+        table.row_count, table.scan_rows,
+    )
+
+
 class ServerAccessStrategy:
-    """Interface: produce the rows of one server-side scan."""
+    """Produce the rows of one server-side scan.
+
+    A strategy makes one decision per scan — which access path serves
+    the batch — in :meth:`_decide`, its only override point.
+    :meth:`rows` and :meth:`plan_columnar` both go through it, so they
+    cannot disagree on the build / reuse / fall-back choice, on
+    ``last_choice``, or (the path's charges being shared) on cost.
+    """
 
     #: The access path the most recent scan took (None before any scan).
     last_choice: AccessChoice | None = None
-
-    def rows(
-        self,
-        predicate: Any,
-        relevant_rows: int,
-        covered_by_build: Callable[[], bool] | None = None,
-    ) -> Iterator[Any]:
-        """Iterate rows matching ``predicate``.
-
-        :param predicate: the pushed batch filter (None = all rows).
-        :param relevant_rows: the scheduler's exact count of rows the
-            batch needs, used against the build threshold.
-        :param covered_by_build: optional callable deciding whether an
-            existing structure still covers this batch (defaults to a
-            conservative relevant-rows comparison).
-        """
-        raise NotImplementedError
-
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """A cacheable columnar plan for this scan, or None.
-
-        The plan must make exactly the same build / reuse / fall-back
-        decision :meth:`rows` would make for the same arguments —
-        including eagerly (re)building an auxiliary structure — and
-        carry meter charges identical to the streaming scan's, so the
-        executor can swap freely between the two paths.  ``None`` means
-        the strategy has no cacheable form and the executor streams.
-        """
-        return None
-
-    def close(self) -> None:
-        """Release any server-side structures."""
-
-
-def _seq_scan_estimate(server: Any, table: Any) -> float:
-    """The plain-cursor access estimate: open fee + every page."""
-    model = server.model
-    return model.cursor_open + model.server_page_io * table.pages_touched()
-
-
-class PlainScanStrategy(ServerAccessStrategy):
-    """The default: a fresh filtered forward cursor per scan."""
 
     def __init__(self, server: Any, table_name: str) -> None:
         self._server = server
         self._table_name = table_name
 
-    def _record_seq(self) -> None:
-        table = self._server.table(self._table_name)
-        self.last_choice = AccessChoice(
-            "seq", _seq_scan_estimate(self._server, table)
-        )
+    def rows(self, predicate: Any, relevant_rows: int) -> Iterator[Any]:
+        """Iterate rows matching ``predicate``.
 
-    def rows(
-        self,
-        predicate: Any,
-        relevant_rows: int,
-        covered_by_build: Callable[[], bool] | None = None,
-    ) -> Iterator[Any]:
-        self._record_seq()
-        return self._scan(predicate)
-
-    def _scan(self, predicate: Any) -> Iterator[Any]:
-        with self._server.open_cursor(self._table_name, predicate) as cursor:
-            yield from cursor.rows()
+        :param predicate: the pushed batch filter (None = all rows).
+        :param relevant_rows: the scheduler's exact count of rows the
+            batch needs, used against the build threshold.
+        """
+        return self._serve(predicate, relevant_rows).stream(predicate)
 
     def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        self._record_seq()
-        table = self._server.table(self._table_name)
-        return plain_table_plan(self._server, table, predicate)
+                      relevant_rows: int) -> ColumnarScanPlan:
+        """The same scan as a cacheable columnar plan.
+
+        A decision that (re)builds an auxiliary structure builds it
+        *here* — so if the executor later declines the plan (cache
+        gate), :meth:`rows` finds the structure built and covered and
+        scans it, never building twice.
+        """
+        return self._serve(predicate, relevant_rows).plan(
+            self._server, predicate
+        )
+
+    def _serve(self, predicate: Any, relevant_rows: int) -> _AccessPath:
+        """Decide, and record the decision in ``last_choice``."""
+        path = self._decide(predicate, relevant_rows)
+        self.last_choice = AccessChoice(
+            path.label, path.charge(), path.detail
+        )
+        return path
+
+    def _decide(self, predicate: Any, relevant_rows: int) -> _AccessPath:
+        """Choose (building what the choice needs) this scan's path."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release any server-side structures."""
+
+
+class PlainScanStrategy(ServerAccessStrategy):
+    """The default: a fresh filtered forward cursor per scan."""
+
+    def _decide(self, predicate: Any, relevant_rows: int) -> _AccessPath:
+        return _cursor_path(
+            self._server, self._server.table(self._table_name)
+        )
 
 
 class _ThresholdStrategy(ServerAccessStrategy):
     """Shared build-on-threshold behaviour for the aux strategies."""
-
-    #: Trace label for scans served from the built structure.
-    _structure_path = "structure"
 
     def __init__(self, server: Any, table_name: str,
                  build_threshold: float = 0.1,
                  free_build: bool = False) -> None:
         if not 0.0 < build_threshold <= 1.0:
             raise MiddlewareError("build_threshold must be within (0, 1]")
-        self._server = server
-        self._table_name = table_name
+        super().__init__(server, table_name)
         self._threshold = build_threshold
         self._free_build = free_build
-        self._built = False
+        #: The built server-side structure and the predicate it covers.
+        self._structure: Any = None
         self._built_predicate: Any = None
 
     @property
     def has_structure(self) -> bool:
-        return self._built
+        return self._structure is not None
 
-    def rows(
-        self,
-        predicate: Any,
-        relevant_rows: int,
-        covered_by_build: Callable[[], bool] | None = None,
-    ) -> Iterator[Any]:
-        table = self._server.table(self._table_name)
-        total = max(1, table.row_count)
-        fraction = relevant_rows / total
-
-        covered = self._built and (
-            covered_by_build()
-            if covered_by_build is not None
-            else predicate_covers(self._built_predicate, predicate)
-        )
-        if not covered:
-            if fraction <= self._threshold:
-                self._rebuild(predicate, relevant_rows)
-                self._record_structure()
-                return self._scan_structure(predicate)
-            self.last_choice = AccessChoice(
-                "seq", _seq_scan_estimate(self._server, table)
-            )
-            return self._plain_scan(predicate)
-        self._record_structure()
-        return self._scan_structure(predicate)
-
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """The same build / reuse / plain-scan decision as :meth:`rows`.
-
-        A below-threshold uncovered batch (re)builds the structure
-        *here*, with the same ``free_build`` accounting as the
-        streaming path — so if the executor later declines the plan
-        (cache gate), :meth:`rows` will find the structure built and
-        covered and scan it, never building twice.
-        """
-        table = self._server.table(self._table_name)
-        total = max(1, table.row_count)
-        fraction = relevant_rows / total
-
-        covered = self._built and predicate_covers(
+    def _covers(self, predicate: Any) -> bool:
+        return self.has_structure and predicate_covers(
             self._built_predicate, predicate
         )
-        if not covered:
-            if fraction <= self._threshold:
-                self._rebuild(predicate, relevant_rows)
-            else:
-                self.last_choice = AccessChoice(
-                    "seq", _seq_scan_estimate(self._server, table)
-                )
-                return plain_table_plan(self._server, table, predicate)
-        self._record_structure()
-        return self._plan_structure(predicate)
 
-    def _record_structure(self) -> None:
-        self.last_choice = AccessChoice(
-            self._structure_path, self._serve_estimate()
-        )
+    def _below_threshold(self, table: Any, relevant_rows: int) -> bool:
+        return relevant_rows / max(1, table.row_count) <= self._threshold
 
-    def _serve_estimate(self) -> float:
-        """Estimated access charges of one structure-served scan."""
-        return 0.0
+    def _decide(self, predicate: Any, relevant_rows: int) -> _AccessPath:
+        table = self._server.table(self._table_name)
+        if not self._covers(predicate):
+            if not self._below_threshold(table, relevant_rows):
+                return _cursor_path(self._server, table)
+            self._rebuild(predicate)
+        return self._structure_path(table)
 
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        """A cacheable plan over the built structure (or None)."""
-        return None
-
-    def _plain_scan(self, predicate: Any) -> Iterator[Any]:
-        with self._server.open_cursor(self._table_name, predicate) as cursor:
-            yield from cursor.rows()
-
-    def _rebuild(self, predicate: Any, relevant_rows: int) -> None:
-        self._teardown()
+    def _rebuild(self, predicate: Any) -> None:
+        """Replace the structure; ``free_build`` refunds the charges."""
+        self.close()
         meter = self._server.meter
         snapshot = meter.snapshot() if self._free_build else None
-        self._build(predicate)
+        self._structure = self._build(predicate)
         if snapshot is not None:
             meter.rollback_to(snapshot)
-        self._built = True
         self._built_predicate = predicate
 
-    def _build(self, predicate: Any) -> None:
+    def _build(self, predicate: Any) -> Any:
         raise NotImplementedError
 
-    def _scan_structure(self, predicate: Any) -> Iterator[Any]:
+    def _structure_path(self, table: Any) -> _AccessPath:
         raise NotImplementedError
-
-    def _teardown(self) -> None:
-        self._built = False
-        self._built_predicate = None
 
     def close(self) -> None:
-        self._teardown()
+        self._structure = None
+        self._built_predicate = None
 
 
 class TempTableStrategy(_ThresholdStrategy):
     """§4.3.3(a): copy the relevant subset into a new temp table."""
 
-    _structure_path = "temp_table"
-
-    def __init__(self, server: Any, table_name: str,
-                 build_threshold: float = 0.1,
-                 free_build: bool = False) -> None:
-        super().__init__(server, table_name, build_threshold, free_build)
-        self._temp_name: str | None = None
-
-    def _serve_estimate(self) -> float:
-        temp = self._server.table(self._temp_name)
-        return _seq_scan_estimate(self._server, temp)
-
-    def _build(self, predicate: Any) -> None:
-        self._temp_name = copy_subset_to_table(
+    def _build(self, predicate: Any) -> Any:
+        return copy_subset_to_table(
             self._server, self._table_name, predicate
         )
 
-    def _scan_structure(self, predicate: Any) -> Iterator[Any]:
-        with self._server.open_cursor(self._temp_name, predicate) as cursor:
-            yield from cursor.rows()
+    def _structure_path(self, table: Any) -> _AccessPath:
+        return _cursor_path(
+            self._server, self._server.table(self._structure), "temp_table"
+        )
 
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        # Temp tables are ordinary tables: the plain plan applies, and
-        # keying by (temp name, version) is safe because rebuilt
-        # structures get fresh temp names.
-        temp = self._server.table(self._temp_name)
-        return plain_table_plan(self._server, temp, predicate)
-
-    def _teardown(self) -> None:
-        super()._teardown()
-        if self._temp_name and self._server.database.has_table(self._temp_name):
-            self._server.drop_table(self._temp_name)
-        self._temp_name = None
+    def close(self) -> None:
+        name = self._structure
+        if name and self._server.database.has_table(name):
+            self._server.drop_table(name)
+        super().close()
 
 
 class TIDJoinStrategy(_ThresholdStrategy):
     """§4.3.3(b): a TID list joined back to the base table."""
 
-    _structure_path = "tid_join"
+    def _build(self, predicate: Any) -> Any:
+        return TIDList(self._server, self._table_name, predicate)
 
-    def __init__(self, server: Any, table_name: str,
-                 build_threshold: float = 0.1,
-                 free_build: bool = False) -> None:
-        super().__init__(server, table_name, build_threshold, free_build)
-        self._tids: Any = None
-
-    def _serve_estimate(self) -> float:
-        return self._server.model.tid_join_row * len(self._tids)
-
-    def _build(self, predicate: Any) -> None:
-        self._tids = TIDList(self._server, self._table_name, predicate)
-
-    def _scan_structure(self, predicate: Any) -> Iterator[Any]:
-        yield from self._tids.fetch(predicate)
-
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        table = self._server.table(self._table_name)
-        return tid_join_plan(
-            self._server, table, self._tids.tids,
-            self._built_predicate, predicate,
+    def _structure_path(self, table: Any) -> _AccessPath:
+        tids = self._structure.tids
+        return _AccessPath(
+            "tid_join", f"tids={len(tids)}",
+            partial(tid_join_charge, self._server.model, len(tids)),
+            self._structure.fetch,
+            ("tids", table.name, table.version, self._built_predicate),
+            len(tids), partial(live_rows, table, tids),
         )
-
-    def _teardown(self) -> None:
-        super()._teardown()
-        self._tids = None
 
 
 class KeysetStrategy(_ThresholdStrategy):
     """§4.3.3(c): keyset cursor + stored-procedure filtering."""
 
-    _structure_path = "keyset"
+    def _build(self, predicate: Any) -> Any:
+        return self._server.open_keyset_cursor(self._table_name, predicate)
 
-    def __init__(self, server: Any, table_name: str,
-                 build_threshold: float = 0.1,
-                 free_build: bool = False) -> None:
-        super().__init__(server, table_name, build_threshold, free_build)
-        self._cursor: Any = None
-
-    def _serve_estimate(self) -> float:
-        return self._server.model.keyset_row * self._cursor.keyset_size
-
-    def _build(self, predicate: Any) -> None:
-        self._cursor = self._server.open_keyset_cursor(
-            self._table_name, predicate
+    def _structure_path(self, table: Any) -> _AccessPath:
+        tids = self._structure.tids
+        return _AccessPath(
+            "keyset", "",
+            partial(keyset_charge, self._server.model, len(tids)),
+            self._structure.fetch,
+            ("keyset", table.name, table.version, self._built_predicate),
+            len(tids), partial(live_rows, table, tids),
         )
 
-    def _scan_structure(self, predicate: Any) -> Iterator[Any]:
-        yield from self._cursor.fetch(predicate)
-
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        table = self._server.table(self._table_name)
-        return keyset_fetch_plan(
-            self._server, table, self._cursor.tids,
-            self._built_predicate, predicate,
-        )
-
-    def _teardown(self) -> None:
-        super()._teardown()
-        if self._cursor is not None:
-            self._cursor.close()
-        self._cursor = None
+    def close(self) -> None:
+        if self._structure is not None:
+            self._structure.close()
+        super().close()
 
 
-class PlannedScanStrategy(ServerAccessStrategy):
+class PlannedScanStrategy(TIDJoinStrategy):
     """``aux_strategy="auto"``: per-scan cost-based access-path choice.
 
     Every scan is costed across three candidate paths and the cheapest
@@ -449,149 +392,62 @@ class PlannedScanStrategy(ServerAccessStrategy):
                  build_threshold: float = 0.1,
                  free_build: bool = False,
                  use_planner: bool = True) -> None:
-        if not 0.0 < build_threshold <= 1.0:
-            raise MiddlewareError("build_threshold must be within (0, 1]")
-        self._server = server
-        self._table_name = table_name
-        self._threshold = build_threshold
-        self._free_build = free_build
+        super().__init__(server, table_name, build_threshold, free_build)
         self._use_planner = use_planner
-        self._tids: Any = None
-        self._built_predicate: Any = None
 
-    @property
-    def has_structure(self) -> bool:
-        return self._tids is not None
-
-    def _choose(
-        self, predicate: Any, relevant_rows: int,
-        covered_by_build: Callable[[], bool] | None = None,
-    ) -> tuple[str, float, AccessPlan | None]:
-        """Cost the candidate paths; return (path, est_cost, plan)."""
+    def _decide(self, predicate: Any, relevant_rows: int) -> _AccessPath:
         server = self._server
         table = server.table(self._table_name)
         model = server.model
-        candidates: list[tuple[str, float, AccessPlan | None]] = [
-            ("seq", _seq_scan_estimate(server, table), None)
-        ]
+        seq = _cursor_path(server, table)
+        candidates: list[tuple[str, float]] = [("seq", seq.charge())]
+        plan: AccessPlan | None = None
         if self._use_planner:
             plan = plan_access_path(
                 predicate, table, server.database, model
             )
             if plan.probes:
-                candidates.append(("index", plan.index_cost, plan))
-        covered = self._tids is not None and (
-            covered_by_build()
-            if covered_by_build is not None
-            else predicate_covers(self._built_predicate, predicate)
-        )
-        if covered:
+                candidates.append(("index", plan.index_cost))
+        if self._covers(predicate):
             candidates.append(
-                ("tid_serve", model.tid_join_row * len(self._tids), None)
+                ("tid_serve", tid_join_charge(model, len(self._structure)))
             )
-        else:
-            fraction = relevant_rows / max(1, table.row_count)
-            if fraction <= self._threshold:
-                projected = model.tid_join_row * relevant_rows
-                best = min(cost for _path, cost, _plan in candidates)
-                if self._free_build or projected < best:
-                    candidates.append(("tid_build", projected, None))
+        elif self._below_threshold(table, relevant_rows):
+            projected = tid_join_charge(model, relevant_rows)
+            best = min(cost for _path, cost in candidates)
+            if self._free_build or projected < best:
+                candidates.append(("tid_build", projected))
         # min() is stable: ties favour the earlier candidate (seq first).
-        return min(candidates, key=lambda c: c[1])
-
-    def rows(
-        self,
-        predicate: Any,
-        relevant_rows: int,
-        covered_by_build: Callable[[], bool] | None = None,
-    ) -> Iterator[Any]:
-        path, cost, plan = self._choose(
-            predicate, relevant_rows, covered_by_build
-        )
-        if path == "index":
+        chosen, _cost = min(candidates, key=lambda c: c[1])
+        if chosen == "index":
             assert plan is not None
-            self.last_choice = AccessChoice("index", cost, plan.describe())
-            return self._index_rows(plan, predicate)
-        if path in ("tid_serve", "tid_build"):
-            if path == "tid_build":
+            return self._index_path(table, plan)
+        if chosen in ("tid_serve", "tid_build"):
+            if chosen == "tid_build":
                 self._rebuild(predicate)
-            self.last_choice = AccessChoice(
-                "tid_join", self._server.model.tid_join_row
-                * len(self._tids), f"tids={len(self._tids)}"
-            )
-            return iter(self._tids.fetch(predicate))
-        self.last_choice = AccessChoice("seq", cost)
-        return self._plain_scan(predicate)
+            return self._structure_path(table)
+        return seq
 
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """The same choice as :meth:`rows`, as a meter-identical plan."""
-        path, cost, plan = self._choose(predicate, relevant_rows)
-        server = self._server
-        table = server.table(self._table_name)
-        if path == "index":
-            assert plan is not None
-            self.last_choice = AccessChoice("index", cost, plan.describe())
-            return index_fetch_plan(server, table, plan, predicate)
-        if path in ("tid_serve", "tid_build"):
-            if path == "tid_build":
-                self._rebuild(predicate)
-            self.last_choice = AccessChoice(
-                "tid_join", server.model.tid_join_row * len(self._tids),
-                f"tids={len(self._tids)}"
-            )
-            return tid_join_plan(
-                server, table, self._tids.tids,
-                self._built_predicate, predicate,
-            )
-        self.last_choice = AccessChoice("seq", cost)
-        return plain_table_plan(server, table, predicate)
+    def _index_path(self, table: Any, plan: AccessPlan) -> _AccessPath:
+        """A planner index probe: exact planner charges + row transfer.
 
-    def _index_rows(self, plan: AccessPlan,
-                    predicate: Any) -> Iterator[Any]:
-        """Stream an index probe: exact planner charges + row transfer."""
+        The key carries the probe's identity (index name, probed
+        values / interval): different probes over one table version
+        encode separately, the same split predicate re-probed across
+        tree levels shares one encoding.
+        """
         server = self._server
-        table = server.table(self._table_name)
-        meter = server.meter
-        model = server.model
         tids = plan.fetch_tids()
-        meter.charge(
-            "index", model.index_probe * plan.index_descents,
-            events=plan.index_descents,
+        return _AccessPath(
+            "index", plan.describe(),
+            partial(index_probe_charge, server.model,
+                    plan.index_descents, len(tids)),
+            lambda predicate: stream_index_fetch(
+                plan, table, predicate, server.meter, server.model
+            ),
+            ("ixfetch", table.name, table.version) + plan.cache_token(),
+            len(tids), partial(live_rows, table, tids),
         )
-        meter.charge(
-            "index", model.index_row_fetch * len(tids), events=len(tids)
-        )
-        check = compile_predicate(predicate, table.schema)
-        transferred = 0
-        for tid in tids:
-            row = table.fetch_or_none(tid)
-            if row is not None and check(row):
-                transferred += 1
-                yield row
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
-        )
-
-    def _plain_scan(self, predicate: Any) -> Iterator[Any]:
-        with self._server.open_cursor(self._table_name, predicate) as cursor:
-            yield from cursor.rows()
-
-    def _rebuild(self, predicate: Any) -> None:
-        self._tids = None
-        self._built_predicate = None
-        meter = self._server.meter
-        snapshot = meter.snapshot() if self._free_build else None
-        tids = TIDList(self._server, self._table_name, predicate)
-        if snapshot is not None:
-            meter.rollback_to(snapshot)
-        self._tids = tids
-        self._built_predicate = predicate
-
-    def close(self) -> None:
-        self._tids = None
-        self._built_predicate = None
 
 
 def make_strategy(name: str, server: Any, table_name: str,

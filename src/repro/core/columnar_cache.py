@@ -12,9 +12,12 @@ This module caches the encoding keyed by *data version*:
 * :class:`ColumnarScanPlan` — what one cacheable scan needs: a cache
   key (``("table", name, version)`` for plain scans, structure-specific
   keys for the §4.3.3 auxiliary strategies, ``("file", uid)`` for
-  staged files), an unmetered encoder for misses, and the explicit
-  meter charges that keep a cache-served scan cost-identical to the
-  streaming scan it replaces (see ``docs/cost_model.md``).
+  staged files), an unmetered encoder for misses, and two charge
+  callables.  This module knows no price: the callables are the
+  functions the streaming scan itself charges through, handed in by
+  the layer that owns the access path (``sqlengine`` for server scans,
+  :class:`~repro.core.staging.StagedFile` for staged files), which is
+  what keeps a cache-served scan cost-identical to its stream.
 * :class:`ColumnarScanCache` — an LRU of full-table
   :class:`~repro.sqlengine.columnar.ColumnarPartition` encodings under
   a byte budget (``config.scan_cache_bytes``), accounted from the flat
@@ -41,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..sqlengine.columnar import ColumnarPartition, np
 from .shm import ShmSegmentRef, ShmShipper, partition_from_handle
@@ -248,159 +251,32 @@ class ColumnarScanCache:
             self._shipper = None
 
 
-# -- plan builders (shared by the access strategies and the executor) ------
+# -- plan constructors (one for server scans, one for staged files) -------
 
 
-#: meter parity with ForwardCursor.__init__ + ForwardCursor.rows
-def plain_table_plan(server: Any, table: Any,
+def server_scan_plan(key: tuple[Any, ...], n_rows: int,
+                     rows: Callable[[], Iterable[Any]],
+                     charge_scan: Callable[[], None],
+                     charge_rows: Callable[[int], None],
                      predicate: Any) -> ColumnarScanPlan:
-    """Cacheable twin of a plain filtered forward-cursor scan.
+    """The cacheable form of one server access path.
 
-    Charges exactly what :class:`~repro.sqlengine.cursors.ForwardCursor`
-    charges — cursor open + per-page server I/O up front, per-row
-    transfer for qualifying rows at the end — while encoding the full
-    table from the unmetered heap iterator, so hits and misses are both
-    cost-identical to the streaming scan.
+    ``rows`` iterates the path's superset straight from the heap,
+    unmetered (the full table, or the live rows behind a TID list);
+    ``charge_scan`` and ``charge_rows`` are the very functions the
+    path's streaming scan charges through in ``sqlengine``, so hits
+    and misses both cost what the stream would.  ``key`` carries the
+    path's identity — table version, build predicate or probe — so
+    different supersets encode separately while every level of a fit
+    that shares one shares its encoding.
     """
-    meter = server.meter
-    model = server.model
-
-    def charge_scan() -> None:
-        meter.charge("cursor", model.cursor_open)
-        pages = table.pages_touched()
-        meter.charge(
-            "server_io", model.server_page_io * pages, events=pages
-        )
-
-    def charge_rows(n: int) -> None:
-        meter.charge(
-            "transfer", model.transfer_per_row * n, events=n
-        )
 
     def encode() -> ColumnarPartition:
-        return ColumnarPartition.from_rows(list(table.scan_rows()))
+        return ColumnarPartition.from_rows(list(rows()))
 
     return ColumnarScanPlan(
-        key=("table", table.name, table.version),
-        n_rows=table.row_count,
-        encode=encode,
-        charge_scan=charge_scan,
-        charge_rows=charge_rows,
-        filter_expr=predicate,
-    )
-
-
-def _tid_rows(table: Any, tids: Any) -> Iterator[Any]:
-    """Live rows behind a TID list, skipping tombstones (unmetered)."""
-    for tid in tids:
-        row = table.fetch_or_none(tid)
-        if row is not None:
-            yield row
-
-
-#: meter parity with TIDList.fetch
-def tid_join_plan(server: Any, table: Any, tids: Any,
-                  built_predicate: Any, predicate: Any) -> ColumnarScanPlan:
-    """Cacheable twin of :meth:`~repro.sqlengine.tempstructs.TIDList.fetch`."""
-    meter = server.meter
-    model = server.model
-    n_tids = len(tids)
-
-    def charge_scan() -> None:
-        meter.charge(
-            "tid_join", model.tid_join_row * n_tids, events=n_tids
-        )
-
-    def charge_rows(n: int) -> None:
-        meter.charge(
-            "transfer", model.transfer_per_row * n, events=n
-        )
-
-    def encode() -> ColumnarPartition:
-        return ColumnarPartition.from_rows(list(_tid_rows(table, tids)))
-
-    return ColumnarScanPlan(
-        key=("tids", table.name, table.version, built_predicate),
-        n_rows=n_tids,
-        encode=encode,
-        charge_scan=charge_scan,
-        charge_rows=charge_rows,
-        filter_expr=predicate,
-    )
-
-
-#: meter parity with KeysetCursor.fetch
-def keyset_fetch_plan(server: Any, table: Any, tids: Any,
-                      built_predicate: Any,
-                      predicate: Any) -> ColumnarScanPlan:
-    """Cacheable twin of :meth:`~repro.sqlengine.cursors.KeysetCursor.fetch`."""
-    meter = server.meter
-    model = server.model
-    n_tids = len(tids)
-
-    def charge_scan() -> None:
-        meter.charge(
-            "keyset", model.keyset_row * n_tids, events=n_tids
-        )
-
-    def charge_rows(n: int) -> None:
-        meter.charge(
-            "transfer", model.transfer_per_row * n, events=n
-        )
-
-    def encode() -> ColumnarPartition:
-        return ColumnarPartition.from_rows(list(_tid_rows(table, tids)))
-
-    return ColumnarScanPlan(
-        key=("keyset", table.name, table.version, built_predicate),
-        n_rows=n_tids,
-        encode=encode,
-        charge_scan=charge_scan,
-        charge_rows=charge_rows,
-        filter_expr=predicate,
-    )
-
-
-#: meter parity with PlannedScanStrategy._index_rows
-def index_fetch_plan(server: Any, table: Any, access_plan: Any,
-                     predicate: Any) -> ColumnarScanPlan:
-    """Cacheable twin of a planner-chosen index probe + TID fetch.
-
-    ``access_plan`` is an :class:`~repro.sqlengine.planner.AccessPlan`
-    whose chosen path is an index probe.  Charges exactly what the
-    streaming index path charges — per-descent probes and per-TID row
-    fetches up front, per-row transfer for qualifying rows at the end.
-    The cache key carries the probe's identity (index name, probed
-    values / interval), so different probes over the same table version
-    encode separately, while the same split predicate re-probed across
-    tree levels shares one encoding.
-    """
-    meter = server.meter
-    model = server.model
-    tids = access_plan.fetch_tids()
-    descents = access_plan.index_descents
-    n_tids = len(tids)
-
-    def charge_scan() -> None:
-        meter.charge(
-            "index", model.index_probe * descents, events=descents
-        )
-        meter.charge(
-            "index", model.index_row_fetch * n_tids, events=n_tids
-        )
-
-    def charge_rows(n: int) -> None:
-        meter.charge(
-            "transfer", model.transfer_per_row * n, events=n
-        )
-
-    def encode() -> ColumnarPartition:
-        return ColumnarPartition.from_rows(list(_tid_rows(table, tids)))
-
-    return ColumnarScanPlan(
-        key=("ixfetch", table.name, table.version)
-        + access_plan.cache_token(),
-        n_rows=n_tids,
+        key=key,
+        n_rows=n_rows,
         encode=encode,
         charge_scan=charge_scan,
         charge_rows=charge_rows,
@@ -424,18 +300,12 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
         matrix = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
         return ColumnarPartition.from_matrix(matrix)
 
-    def charge_scan() -> None:
-        staged.charge_cached_read()
-
-    def charge_rows(n: int) -> None:
-        return None
-
     return ColumnarScanPlan(
         key=("file", staged.uid),
         n_rows=staged.row_count,
         encode=encode,
-        charge_scan=charge_scan,
-        charge_rows=charge_rows,
+        charge_scan=staged.charge_cached_read,
+        charge_rows=lambda n: None,
         filter_expr=None,
         charge_on_miss=False,
     )
@@ -444,9 +314,6 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
 __all__ = [
     "ColumnarScanCache",
     "ColumnarScanPlan",
-    "index_fetch_plan",
-    "keyset_fetch_plan",
-    "plain_table_plan",
+    "server_scan_plan",
     "staged_file_plan",
-    "tid_join_plan",
 ]

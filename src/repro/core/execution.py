@@ -949,10 +949,9 @@ class ExecutionModule:
             raise
 
         if schedule.mode is DataLocation.SERVER:
-            choice = getattr(self._strategy, "last_choice", None)
-            if choice is not None:
-                scan.access_path = choice.path
-                scan.access_cost_est = choice.est_cost
+            choice = self._strategy.last_choice
+            scan.access_path = choice.path
+            scan.access_cost_est = choice.est_cost
 
         try:
             results, deferred = self._finish(states, schedule, scan)
@@ -1423,8 +1422,8 @@ class ExecutionModule:
         None falls back to streaming — the cache is an overlay, never a
         requirement.  A plan needs: the cache enabled (numpy present, a
         non-zero ``scan_cache_bytes``), a worker-side filter the vector
-        kernel can evaluate, a strategy that can describe its scan as a
-        plan, and an encoding the byte budget could plausibly hold.
+        kernel can evaluate, and an encoding the byte budget could
+        plausibly hold.
         MEMORY scans already count over a cached encoding and stay put.
 
         Ordering note: for the §4.3.3 strategies ``plan_columnar`` may
@@ -1435,7 +1434,6 @@ class ExecutionModule:
         cache = self._scan_cache
         if cache is None or schedule.mode is DataLocation.MEMORY:
             return None
-        plan: ColumnarScanPlan | None
         if schedule.mode is DataLocation.FILE:
             plan = staged_file_plan(
                 self._staging.file_for(schedule.source_node)
@@ -1445,8 +1443,6 @@ class ExecutionModule:
             if not filter_supported(predicate):
                 return None
             plan = self._strategy.plan_columnar(predicate, relevant)
-        if plan is None:
-            return None
         if not cache.admissible(plan, self._spec.n_attributes + 1):
             return None
         return plan

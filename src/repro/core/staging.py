@@ -183,13 +183,8 @@ class StagedFile:
                         break
         finally:
             self._active_scans -= 1
-            self._meter.charge(
-                "file_read",
-                self._model.file_row_io * rows_read,
-                events=rows_read,
-            )
+            self._charge_read(rows_read)
 
-    #: meter parity with StagedFile.scan
     def scan_blocks(self) -> Iterator[Any]:
         """Yield row blocks as int32 matrices (the columnar scan path).
 
@@ -229,13 +224,8 @@ class StagedFile:
                         break
         finally:
             self._active_scans -= 1
-            self._meter.charge(
-                "file_read",
-                self._model.file_row_io * rows_read,
-                events=rows_read,
-            )
+            self._charge_read(rows_read)
 
-    #: meter parity with StagedFile.scan
     def charge_cached_read(self) -> None:
         """Meter one full scan's read cost without touching the disk.
 
@@ -244,10 +234,12 @@ class StagedFile:
         charged — the cache is a wall-clock optimisation, never a cost-
         model change (see ``docs/cost_model.md``).
         """
+        self._charge_read(self._row_count)
+
+    def _charge_read(self, rows: int) -> None:
+        """The one ``file_read`` price: ``rows`` staged rows read."""
         self._meter.charge(
-            "file_read",
-            self._model.file_row_io * self._row_count,
-            events=self._row_count,
+            "file_read", self._model.file_row_io * rows, events=rows
         )
 
     def delete(self) -> None:

@@ -11,18 +11,89 @@ Two cursor flavours from the paper:
   only the keyset, applying a *current* filter server-side before
   transmitting ("stored procedure applies the filters on the results
   obtained by the cursor").
+
+The module-level ``*_charge`` functions are the one place each cursor
+price is written.  The streaming methods below charge through them,
+and so does the middleware when it serves the same scan from a cached
+encoding or quotes it as an estimate (``meter=None`` prices without
+charging) — a scan costs the same however it is executed.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from types import TracebackType
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..common.cost import CostMeter, CostModel
 from ..common.errors import CursorStateError
 from .expr import Expr, compile_predicate
-from .heap import HeapTable
+from .heap import TID, HeapTable
 from .types import Row
+
+
+def cursor_open_charge(model: CostModel,
+                       meter: Optional[CostMeter] = None) -> float:
+    """The fixed fee of opening a server cursor."""
+    if meter is not None:
+        meter.charge("cursor", model.cursor_open)
+    return model.cursor_open
+
+
+def page_scan_charge(model: CostModel, table: HeapTable,
+                     meter: Optional[CostMeter] = None) -> float:
+    """Reading every page of ``table`` once."""
+    pages = table.pages_touched()
+    amount = model.server_page_io * pages
+    if meter is not None:
+        meter.charge("server_io", amount, events=pages)
+    return amount
+
+
+def forward_scan_charge(model: CostModel, table: HeapTable,
+                        meter: Optional[CostMeter] = None) -> float:
+    """One forward-cursor scan before transfer: open fee + every page."""
+    return (cursor_open_charge(model, meter)
+            + page_scan_charge(model, table, meter))
+
+
+def keyset_charge(model: CostModel, n_keys: int,
+                  meter: Optional[CostMeter] = None) -> float:
+    """One keyset refetch: the stored-proc filter sees every key."""
+    amount = model.keyset_row * n_keys
+    if meter is not None:
+        meter.charge("keyset", amount, events=n_keys)
+    return amount
+
+
+def charge_transfer(meter: CostMeter, model: CostModel,
+                    n_rows: int) -> None:
+    """Shipping a scan's ``n_rows`` qualifying rows to the middleware."""
+    meter.charge("transfer", model.transfer_per_row * n_rows, events=n_rows)
+
+
+def live_rows(table: HeapTable, tids: Iterable[TID]) -> Iterator[Row]:
+    """The live rows behind a TID list, skipping tombstones (unmetered)."""
+    for tid in tids:
+        row = table.fetch_or_none(tid)
+        if row is not None:
+            yield row
+
+
+def transfer_matching(rows: Iterable[Row], predicate: Callable[[Row], Any],
+                      meter: CostMeter, model: CostModel) -> Iterator[Row]:
+    """Yield the rows satisfying ``predicate``, then charge their transfer.
+
+    Every streaming scan path ends in this loop.  The charge lands
+    when the stream is drained; a stream abandoned early ships (and
+    pays for) nothing.
+    """
+    transferred = 0
+    for row in rows:
+        if predicate(row):
+            transferred += 1
+            yield row
+    charge_transfer(meter, model, transferred)
 
 
 class ForwardCursor:
@@ -35,7 +106,7 @@ class ForwardCursor:
         self._model = model
         self._predicate_expr = predicate
         self._open = True
-        meter.charge("cursor", model.cursor_open)
+        cursor_open_charge(model, meter)
 
     @property
     def is_open(self) -> bool:
@@ -45,62 +116,31 @@ class ForwardCursor:
         """Yield qualifying rows; charges page I/O and transfer."""
         if not self._open:
             raise CursorStateError("cursor is closed")
-        schema = self._table.schema
-        predicate = compile_predicate(self._predicate_expr, schema)
-        model = self._model
-        meter = self._meter
-        transferred = 0
-        pages = self._table.pages_touched()
-        meter.charge("server_io", model.server_page_io * pages, events=pages)
-        for row in self._table.scan_rows():
-            if predicate(row):
-                transferred += 1
-                yield row
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
+        predicate = compile_predicate(
+            self._predicate_expr, self._table.schema
+        )
+        page_scan_charge(self._model, self._table, self._meter)
+        yield from transfer_matching(
+            self._table.scan_rows(), predicate, self._meter, self._model
         )
 
-    #: meter parity with ForwardCursor.rows
     def partitions(self, partition_rows: int) -> Iterator[Any]:
         """Yield qualifying rows as :class:`ColumnarPartition` batches.
 
-        The columnar twin of :meth:`rows`: identical charges (page I/O
-        up front, per-row transfer for qualifying rows at the end), but
-        rows arrive encoded column-wise in batches of up to
-        ``partition_rows`` so the executor can hand them to scan
-        workers without re-encoding.  Requires numpy.
+        :meth:`rows`, batched: rows arrive encoded column-wise in
+        batches of up to ``partition_rows`` so the executor can hand
+        them to scan workers without re-encoding.  Requires numpy.
         """
         from ..common.errors import SQLError
         from .columnar import ColumnarPartition, columnar_available
 
-        if not self._open:
-            raise CursorStateError("cursor is closed")
         if not columnar_available():
             raise SQLError("columnar cursor scans need numpy")
         if partition_rows < 1:
             raise ValueError("partition_rows must be positive")
-        schema = self._table.schema
-        predicate = compile_predicate(self._predicate_expr, schema)
-        model = self._model
-        meter = self._meter
-        transferred = 0
-        pages = self._table.pages_touched()
-        meter.charge("server_io", model.server_page_io * pages, events=pages)
-        pending: list[Row] = []
-        for row in self._table.scan_rows():
-            if predicate(row):
-                transferred += 1
-                pending.append(row)
-                if len(pending) >= partition_rows:
-                    yield ColumnarPartition.from_rows(pending)
-                    pending = []
-        if pending:
-            yield ColumnarPartition.from_rows(pending)
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
-        )
+        rows = self.rows()
+        while batch := list(islice(rows, partition_rows)):
+            yield ColumnarPartition.from_rows(batch)
 
     def close(self) -> None:
         self._open = False
@@ -131,13 +171,11 @@ class KeysetCursor:
         self._meter = meter
         self._model = model
         self._open = True
-        meter.charge("cursor", model.cursor_open)
+        cursor_open_charge(model, meter)
 
         # Capturing the keyset costs a full scan.
-        schema = table.schema
-        predicate = compile_predicate(open_predicate, schema)
-        pages = table.pages_touched()
-        meter.charge("server_io", model.server_page_io * pages, events=pages)
+        predicate = compile_predicate(open_predicate, table.schema)
+        page_scan_charge(model, table, meter)
         self._tids = [tid for tid, row in table.scan() if predicate(row)]
 
     @property
@@ -162,23 +200,11 @@ class KeysetCursor:
         """Yield keyset rows matching ``filter_predicate`` (server-side)."""
         if not self._open:
             raise CursorStateError("cursor is closed")
-        schema = self._table.schema
-        predicate = compile_predicate(filter_predicate, schema)
-        meter = self._meter
-        model = self._model
-        meter.charge(
-            "keyset", model.keyset_row * len(self._tids),
-            events=len(self._tids),
-        )
-        transferred = 0
-        for tid in self._tids:
-            row = self._table.fetch_or_none(tid)
-            if row is not None and predicate(row):
-                transferred += 1
-                yield row
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
+        predicate = compile_predicate(filter_predicate, self._table.schema)
+        keyset_charge(self._model, len(self._tids), self._meter)
+        yield from transfer_matching(
+            live_rows(self._table, self._tids), predicate,
+            self._meter, self._model,
         )
 
     def close(self) -> None:

@@ -188,7 +188,10 @@ def _access_path(statement: Select, table: "HeapTable",
     The returned rows are *candidates*: the caller still applies the
     full WHERE predicate (an index probe only narrows the fetch).
     """
-    plan = plan_access_path(statement.where, table, database, model)  # repro-lint: disable=unmetered-row-access -- statistics (re)collection behind selectivity is deliberately unmetered metadata upkeep (statistics.py); the chosen plan's row work is charged by fetch_candidates
+    # Statistics (re)collection behind the plan's selectivity is
+    # deliberately unmetered metadata upkeep (statistics.py); the
+    # chosen plan's row work is charged by fetch_candidates.
+    plan = plan_access_path(statement.where, table, database, model)
     return (row for _tid, row in fetch_candidates(plan, table, meter, model))
 
 
@@ -598,7 +601,9 @@ def _execute_explain(statement: Explain, database: "Database",
     statement has its usual side effects.
     """
     inner = statement.statement
-    plan = _planned_access(inner, database, model)  # repro-lint: disable=unmetered-row-access -- EXPLAIN estimates a plan without executing it; planning must stay free or EXPLAIN would perturb the meter it reports on
+    # EXPLAIN estimates a plan without executing it; planning must
+    # stay free or EXPLAIN would perturb the meter it reports on.
+    plan = _planned_access(inner, database, model)
     lines: list[str] = [f"Statement: {inner.to_sql()}"]
     if plan is not None:
         lines.append(f"Plan: {plan.describe()}")

@@ -30,11 +30,21 @@ Table statistics (:mod:`repro.sqlengine.statistics`) supply the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..common.cost import CostMeter, CostModel
 from ..common.errors import SQLError
-from .expr import And, ColumnRef, Comparison, Expr, InList, Or, TrueExpr
+from .cursors import live_rows, transfer_matching
+from .expr import (
+    And,
+    ColumnRef,
+    Comparison,
+    Expr,
+    InList,
+    Or,
+    TrueExpr,
+    compile_predicate,
+)
 from .indexes import AnyIndex, Bound, RangeIndex
 from .statistics import _column_vs_literal
 from .types import ColumnType, Row, SQLValue
@@ -45,6 +55,22 @@ if TYPE_CHECKING:
 
 #: Accepted ``force`` arguments: None = cost-based choice.
 FORCE_CHOICES = (None, "seq", "index", "hash", "range")
+
+
+def index_probe_charge(model: CostModel, descents: int, n_tids: int,
+                       meter: Optional[CostMeter] = None) -> float:
+    """An index probe: ``descents`` root-to-leaf walks + ``n_tids`` fetches.
+
+    The one place the probe is priced — the planner costs candidates
+    with it (``meter=None``), and every path that executes a probe
+    charges through it, so estimate and metered charge cannot drift.
+    """
+    probe = model.index_probe * descents
+    fetch = model.index_row_fetch * n_tids
+    if meter is not None:
+        meter.charge("index", probe, events=descents)
+        meter.charge("index", fetch, events=n_tids)
+    return probe + fetch
 
 
 @dataclass
@@ -81,10 +107,7 @@ class ProbeCandidate:
         return self.index.lookup_range(self.lower, self.upper)
 
     def cost(self, model: CostModel) -> float:
-        return (
-            model.index_probe * self.descents
-            + model.index_row_fetch * self.tid_count
-        )
+        return index_probe_charge(model, self.descents, self.tid_count)
 
     def condition_sql(self) -> str:
         """The probed condition, rendered for EXPLAIN/trace output."""
@@ -248,9 +271,7 @@ def plan_access_path(where: Optional[Expr], table: "HeapTable",
     plan.probes = tuple(probes)
     plan.index_descents = descents
     plan.index_tids = tid_count
-    plan.index_cost = (
-        model.index_probe * descents + model.index_row_fetch * tid_count
-    )
+    plan.index_cost = index_probe_charge(model, descents, tid_count)
     plan._resolved = resolved
     if force in ("index", "hash", "range"):
         plan.path = "index"
@@ -271,19 +292,31 @@ def fetch_candidates(plan: AccessPlan, table: "HeapTable",
     """
     if plan.uses_index:
         tids = plan.fetch_tids()
-        meter.charge(
-            "index", model.index_probe * plan.index_descents,
-            events=plan.index_descents,
-        )
-        meter.charge(
-            "index", model.index_row_fetch * len(tids), events=len(tids)
-        )
+        index_probe_charge(model, plan.index_descents, len(tids), meter)
         return [(tid, table.fetch(tid)) for tid in tids]
     meter.charge(
         "server_io", model.server_page_io * plan.seq_pages,
         events=plan.seq_pages,
     )
     return table.scan()
+
+
+def stream_index_fetch(plan: AccessPlan, table: "HeapTable",
+                       where: Optional[Expr], meter: CostMeter,
+                       model: CostModel) -> Iterator[Row]:
+    """The index alternative as a metered row stream.
+
+    Probes, then yields the fetched live rows that satisfy ``where``;
+    their transfer is charged once the stream is drained.  Takes the
+    index alternative whatever ``plan.path`` says (see
+    :meth:`AccessPlan.fetch_tids`).
+    """
+    tids = plan.fetch_tids()
+    index_probe_charge(model, plan.index_descents, len(tids), meter)
+    yield from transfer_matching(
+        live_rows(table, tids), compile_predicate(where, table.schema),
+        meter, model,
+    )
 
 
 # -- candidate enumeration ---------------------------------------------------

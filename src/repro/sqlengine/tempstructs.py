@@ -17,12 +17,28 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from ..common.cost import CostMeter, CostModel
+from .cursors import live_rows, page_scan_charge, transfer_matching
 from .expr import Expr, compile_predicate
 from .types import Row
 
 if TYPE_CHECKING:
     from .database import SQLServer
     from .heap import TID
+
+
+def tid_join_charge(model: CostModel, n_tids: int,
+                    meter: Optional[CostMeter] = None) -> float:
+    """Joining ``n_tids`` stored TIDs back to the data table.
+
+    The one place the §4.3.3(b) join is priced: :meth:`TIDList.fetch`
+    charges through it, and the middleware calls it to charge a
+    cache-served join or (``meter=None``) to quote one.
+    """
+    amount = model.tid_join_row * n_tids
+    if meter is not None:
+        meter.charge("tid_join", amount, events=n_tids)
+    return amount
 
 
 def copy_subset_to_table(
@@ -42,14 +58,10 @@ def copy_subset_to_table(
     meter = server.meter
     model = server.model
 
-    pages = source.pages_touched()
-    meter.charge("server_io", model.server_page_io * pages, events=pages)
+    page_scan_charge(model, source, meter)
 
-    qualifying = [
-        row
-        for row in source.scan_rows()
-        if compile_predicate(predicate, source.schema)(row)
-    ]
+    check = compile_predicate(predicate, source.schema)
+    qualifying = [row for row in source.scan_rows() if check(row)]
     table = server.create_table(new_name, source.schema)
     for row in qualifying:
         table.insert(row, validate=False)
@@ -74,10 +86,7 @@ class TIDList:
 
         # Building the TID list costs one full scan plus a (cheap)
         # temp-table write per TID.
-        pages = source.pages_touched()
-        meter.charge(
-            "server_io", model.server_page_io * pages, events=pages
-        )
+        page_scan_charge(model, source, meter)
         check = compile_predicate(predicate, source.schema)
         self._tids: list["TID"] = [
             tid for tid, row in source.scan() if check(row)
@@ -106,21 +115,8 @@ class TIDList:
         """
         server = self._server
         source = server.table(self._source_name)
-        meter = server.meter
-        model = server.model
         check = compile_predicate(filter_predicate, source.schema)
-
-        meter.charge(
-            "tid_join", model.tid_join_row * len(self._tids),
-            events=len(self._tids),
-        )
-        transferred = 0
-        for tid in self._tids:
-            row = source.fetch_or_none(tid)
-            if row is not None and check(row):
-                transferred += 1
-                yield row
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
+        tid_join_charge(server.model, len(self._tids), server.meter)
+        yield from transfer_matching(
+            live_rows(source, self._tids), check, server.meter, server.model
         )

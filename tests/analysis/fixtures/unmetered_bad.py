@@ -1,10 +1,11 @@
 """Seeded violations for the unmetered-row-access rule.
 
 A miniature storage stack (page class defining ``live_rows``, heap
-class carrying a list of pages) plus three metered entry points: one
-that charges before touching rows (OK), one that reaches the rows for
-free (BAD), and a metered caller of the bad one (must NOT be flagged —
-blame belongs to the innermost uncharged function).
+class carrying a list of pages) plus metered entry points: one that
+charges before touching rows (OK), one that charges through a price
+function (OK), one that reaches the rows for free (BAD), and a metered
+caller of the bad one (must NOT be flagged — blame belongs to the
+innermost uncharged function).
 """
 
 
@@ -36,6 +37,20 @@ class MiniHeap:
 def count_rows_metered(heap: MiniHeap, meter, model):
     # OK: the scan is priced before the rows flow.
     meter.charge("scan", model.scan_page * heap.page_count())
+    return sum(1 for _row in heap.scan_rows())
+
+
+def page_scan_charge(model, heap: MiniHeap, meter=None):
+    # A price function: charges, touches no rows.
+    amount = model.scan_page * heap.page_count()
+    if meter is not None:
+        meter.charge("scan", amount)
+    return amount
+
+
+def count_rows_priced(heap: MiniHeap, meter, model):
+    # OK: the scan is priced through the one function that states it.
+    page_scan_charge(model, heap, meter)
     return sum(1 for _row in heap.scan_rows())
 
 

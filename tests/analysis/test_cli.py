@@ -69,35 +69,36 @@ def test_list_rules_includes_meter_family(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("charge-category", "unmetered-row-access",
-                 "mutation-completeness", "meter-parity"):
+                 "mutation-completeness"):
         assert rule in out
 
 
 def test_select_runs_only_named_rules(capsys):
-    code = main([fixture("parity_bad.py"), "--format", "json",
-                 "--select", "meter-parity", "--root", FIXTURES])
+    code = main([fixture("charge_category_bad.py"), "--format", "json",
+                 "--select", "charge-category", "--root", FIXTURES])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["rules_run"] == ["meter-parity"]
-    assert {f["rule"] for f in payload["findings"]} == {"meter-parity"}
+    assert payload["rules_run"] == ["charge-category"]
+    assert {f["rule"] for f in payload["findings"]} == {"charge-category"}
 
 
 def test_select_unknown_rule_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([fixture("parity_bad.py"), "--select", "no-such-rule"])
+        main([fixture("charge_category_bad.py"),
+              "--select", "no-such-rule"])
     assert excinfo.value.code == 2
     assert "no-such-rule" in capsys.readouterr().err
 
 
 def test_json_reports_per_rule_timings(capsys):
-    main([fixture("parity_bad.py"), "--format", "json",
-          "--select", "meter-parity,charge-category",
+    main([fixture("charge_category_bad.py"), "--format", "json",
+          "--select", "unmetered-row-access,charge-category",
           "--root", FIXTURES])
     payload = json.loads(capsys.readouterr().out)
     timings = payload["rule_timings"]
     # One entry per rule run, plus the shared index build.
     assert set(timings) == \
-        {"meter-parity", "charge-category", "project-index"}
+        {"unmetered-row-access", "charge-category", "project-index"}
     assert all(seconds >= 0 for seconds in timings.values())
 
 

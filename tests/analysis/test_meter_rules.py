@@ -1,4 +1,4 @@
-"""The four meter-integrity rules catch their seeded fixtures — and
+"""The three meter-integrity rules catch their seeded fixtures — and
 only those.  Mirrors tests/analysis/test_rules.py for the new family.
 """
 
@@ -6,7 +6,6 @@ import os
 
 from repro.analysis import analyze
 from repro.analysis.rules.charge_category import ChargeCategoryRule
-from repro.analysis.rules.meter_parity import MeterParityRule
 from repro.analysis.rules.mutation_completeness import \
     MutationCompletenessRule
 from repro.analysis.rules.unmetered_row_access import \
@@ -86,6 +85,13 @@ class TestUnmeteredRowAccess:
             "count_rows_metered" in f.message for f in findings
         )
 
+    def test_charging_through_a_price_function_passes(self):
+        findings = findings_for("unmetered_bad.py",
+                                UnmeteredRowAccessRule())
+        assert not any(
+            "count_rows_priced" in f.message for f in findings
+        )
+
     def test_cross_module_aliased_path_is_caught(self):
         findings = findings_for(
             [os.path.join("xmod", p)
@@ -126,28 +132,3 @@ class TestMutationCompleteness:
         assert len(findings) == 1
         assert "PR-8" in findings[0].message
         assert "'index' maintenance cost" in findings[0].message
-
-
-class TestMeterParity:
-    def test_all_four_seeded_violations(self):
-        findings = findings_for("parity_bad.py", MeterParityRule())
-        assert len(findings) == 4
-        assert all(f.rule == "meter-parity" for f in findings)
-        messages = " ".join(f.message for f in findings)
-        assert "meter parity violated" in messages
-        assert "does not resolve" in messages
-        assert "computed (non-literal)" in messages
-        assert "ambiguous" in messages
-
-    def test_mismatch_renders_both_multisets(self):
-        findings = findings_for("parity_bad.py", MeterParityRule())
-        mismatch = next(
-            f for f in findings if "violated" in f.message
-        )
-        assert "{scan}" in mismatch.message
-        assert "{scan, transfer}" in mismatch.message
-
-    def test_union_declaration_passes(self):
-        findings = findings_for("parity_bad.py", MeterParityRule())
-        union_line = fixture_line("parity_bad.py", "def union_twin")
-        assert union_line not in {f.line for f in findings}

@@ -26,7 +26,7 @@ def sarif_for(fixture, rules=None):
 
 
 def test_document_skeleton():
-    document, _ = sarif_for("parity_bad.py")
+    document, _ = sarif_for("charge_category_bad.py")
     assert document["version"] == SARIF_VERSION == "2.1.0"
     assert document["$schema"].endswith("sarif-schema-2.1.0.json")
     assert len(document["runs"]) == 1
@@ -80,7 +80,7 @@ def test_suppressed_findings_are_kept_and_marked():
 
 
 def test_run_properties_carry_timings():
-    document, report = sarif_for("parity_bad.py")
+    document, report = sarif_for("charge_category_bad.py")
     properties = document["runs"][0]["properties"]
     assert properties["filesScanned"] == report.files_scanned
     assert properties["rulesRun"] == report.rules_run

@@ -41,7 +41,7 @@ def test_meter_family_runs_and_src_stays_clean():
         [os.path.join(REPO_ROOT, "src")], default_rules(), root=REPO_ROOT
     )
     for rule in ("charge-category", "unmetered-row-access",
-                 "mutation-completeness", "meter-parity"):
+                 "mutation-completeness"):
         assert rule in report.rules_run
     assert "project-index" in report.rule_timings
     assert report.clean

@@ -1,0 +1,137 @@
+"""Every access path costs the same streamed, cache-missed or cache-hit.
+
+One matrix over {scan, temp_table, tid_join, keyset, auto} × every
+path each strategy can take.  Each case runs three times from the same
+starting state — the drained ``rows()`` stream, the columnar plan
+driven as a cache miss, and the same plan driven as a hit — and all
+three must agree on the row multiset, on ``last_choice`` and, category
+by category, on what the meter was charged and how many events it
+counted.
+"""
+
+import pytest
+
+from repro.core.auxiliary import make_strategy
+from repro.sqlengine.database import SQLServer
+from repro.sqlengine.expr import all_of, compile_predicate, eq
+from repro.sqlengine.schema import TableSchema
+
+SCHEMA = TableSchema.of(("a", "int"), ("b", "int"))
+# Several pages; a in 0..9 (10% each), b unique.
+DATA = [(i % 10, i) for i in range(1000)]
+
+WIDE = (eq("a", 3), 100)                            # 10% of the table
+NARROW = (all_of([eq("a", 3), eq("b", 63)]), 1)     # inside WIDE
+OTHER = (eq("a", 4), 100)                           # outside WIDE
+PROBE = (eq("b", 63), 1)                            # indexable on b
+
+
+def case(strategy, path, *scans, threshold=0.2, index=False,
+         free_build=False):
+    """The last of ``scans`` is measured; earlier ones set the state."""
+    suffix = "-free" if free_build else ""
+    return pytest.param(
+        strategy, path, scans, threshold, index, free_build,
+        id=f"{strategy}-{path}{suffix}",
+    )
+
+
+def structure_cases(strategy):
+    return [
+        case(strategy, "seq", WIDE, threshold=0.05),
+        case(strategy, "build", WIDE),
+        case(strategy, "build", WIDE, free_build=True),
+        case(strategy, "reuse", WIDE, NARROW),
+        case(strategy, "rebuild", WIDE, OTHER),
+    ]
+
+
+CASES = [
+    case("scan", "seq", WIDE),
+    *structure_cases("temp_table"),
+    *structure_cases("tid_join"),
+    *structure_cases("keyset"),
+    case("auto", "seq", WIDE, threshold=0.0001),
+    case("auto", "index", PROBE, threshold=0.0001, index=True),
+    case("auto", "tid_build", WIDE, threshold=0.1),
+    case("auto", "tid_serve", WIDE, NARROW, threshold=0.1),
+]
+
+#: What ``last_choice.path`` reads for each matrix path.
+LABELS = {"seq": "seq", "index": "index", "tid_build": "tid_join",
+          "tid_serve": "tid_join"}
+
+
+def make_server(index):
+    server = SQLServer(page_bytes=1024)
+    server.create_table("t", SCHEMA)
+    server.bulk_load("t", DATA)
+    if index:
+        server.execute("CREATE INDEX ix_b ON t (b) USING range")
+    return server
+
+
+def stream(strategy, predicate, relevant):
+    return list(strategy.rows(predicate, relevant))
+
+
+def drive_plan(hit):
+    """Drive a plan the way the executor's cached source does."""
+
+    def drive(strategy, predicate, relevant):
+        plan = strategy.plan_columnar(predicate, relevant)
+        # A hit finds the encoding resident; encoding is unmetered, so
+        # warming it here charges nothing.
+        resident = plan.encode() if hit else None
+        if hit or plan.charge_on_miss:
+            plan.charge_scan()
+        partition = resident if hit else plan.encode()
+        keep = compile_predicate(plan.filter_expr, SCHEMA)
+        rows = [row for row in partition.rows() if keep(row)]
+        plan.charge_rows(len(rows))
+        return rows
+
+    return drive
+
+
+def measure(run, strategy_name, scans, threshold, index, free_build):
+    server = make_server(index)
+    strategy = make_strategy(
+        strategy_name, server, "t", build_threshold=threshold,
+        free_build=free_build,
+    )
+    for predicate, relevant in scans[:-1]:
+        list(strategy.rows(predicate, relevant))
+    meter = server.meter
+    charges, counts = meter.snapshot(), dict(meter.counts)
+    rows = run(strategy, *scans[-1])
+    outcome = (
+        sorted(rows),
+        strategy.last_choice,
+        meter.since(charges),
+        {c: n - counts[c] for c, n in meter.counts.items()},
+    )
+    strategy.close()
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "strategy,path,scans,threshold,index,free_build", CASES
+)
+def test_stream_miss_and_hit_agree(strategy, path, scans, threshold,
+                                   index, free_build):
+    setup = (strategy, scans, threshold, index, free_build)
+    rows, choice, charges, counts = measure(stream, *setup)
+
+    check = compile_predicate(scans[-1][0], SCHEMA)
+    assert rows == sorted(row for row in DATA if check(row))
+    assert choice.path == LABELS.get(path, strategy)
+
+    for hit in (False, True):
+        plan_rows, plan_choice, plan_charges, plan_counts = measure(
+            drive_plan(hit), *setup
+        )
+        assert plan_rows == rows
+        assert plan_choice == choice
+        assert plan_charges == charges
+        assert plan_counts == counts

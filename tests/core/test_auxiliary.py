@@ -138,6 +138,6 @@ class TestTeardown:
     def test_keyset_cursor_closed(self, server):
         strategy = KeysetStrategy(server, "t", build_threshold=0.2)
         list(strategy.rows(eq("a", 3), 10))
-        cursor = strategy._cursor
+        cursor = strategy._structure
         strategy.close()
         assert not cursor.is_open

@@ -235,10 +235,13 @@ class _ExplodingStrategy:
         self._inner = inner
         self._blow_after = blow_after
 
-    def rows(self, predicate, relevant_rows, covered_by_build=None):
+    @property
+    def last_choice(self):
+        return self._inner.last_choice
+
+    def rows(self, predicate, relevant_rows):
         produced = 0
-        for row in self._inner.rows(predicate, relevant_rows,
-                                    covered_by_build):
+        for row in self._inner.rows(predicate, relevant_rows):
             if produced >= self._blow_after:
                 raise RuntimeError("simulated mid-scan failure")
             produced += 1

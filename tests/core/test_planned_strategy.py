@@ -9,7 +9,7 @@ from repro.core.auxiliary import (
 )
 from repro.common.errors import MiddlewareError
 from repro.sqlengine.database import SQLServer
-from repro.sqlengine.expr import all_of, compile_predicate, eq
+from repro.sqlengine.expr import all_of, eq
 from repro.sqlengine.schema import TableSchema
 
 
@@ -25,19 +25,6 @@ def server():
 
 def plain_rows(server, predicate, relevant):
     return sorted(PlainScanStrategy(server, "t").rows(predicate, relevant))
-
-
-def consume_plan(server, strategy, predicate, relevant):
-    """Drive a columnar plan the way the executor does; return rows."""
-    plan = strategy.plan_columnar(predicate, relevant)
-    assert plan is not None
-    plan.charge_scan()
-    partition = plan.encode()
-    table = server.table("t")
-    check = compile_predicate(predicate, table.schema)
-    rows = [row for row in partition.rows() if check(row)]
-    plan.charge_rows(len(rows))
-    return sorted(rows)
 
 
 class TestFactory:
@@ -128,60 +115,6 @@ class TestPathChoice:
             server.model.transfer_per_row * len(matched)
         )
         strategy.close()
-
-
-class TestColumnarParity:
-    @pytest.mark.parametrize("predicate,relevant", [
-        (eq("b", 63), 1),       # index path
-        (eq("a", 3), 100),      # seq path (fraction above threshold)
-    ])
-    def test_plan_matches_streaming_rows_and_meter(self, server,
-                                                   predicate, relevant):
-        threshold = 0.0001
-        streaming = make_strategy("auto", server, "t",
-                                  build_threshold=threshold)
-        snapshot = server.meter.snapshot()
-        rows = sorted(streaming.rows(predicate, relevant))
-        stream_charges = server.meter.since(snapshot)
-        stream_choice = streaming.last_choice
-
-        planned = make_strategy("auto", server, "t",
-                                build_threshold=threshold)
-        snapshot = server.meter.snapshot()
-        plan_rows = consume_plan(server, planned, predicate, relevant)
-        plan_charges = server.meter.since(snapshot)
-
-        assert plan_rows == rows
-        assert planned.last_choice == stream_choice
-        for category in set(stream_charges) | set(plan_charges):
-            assert plan_charges.get(category, 0.0) == pytest.approx(
-                stream_charges.get(category, 0.0)
-            ), category
-        streaming.close()
-        planned.close()
-
-    def test_tid_path_plan_parity(self, server):
-        server.execute("DROP INDEX ix_b")
-        predicate = eq("a", 3)
-
-        streaming = make_strategy("auto", server, "t")
-        snapshot = server.meter.snapshot()
-        rows = sorted(streaming.rows(predicate, 100))
-        stream_charges = server.meter.since(snapshot)
-
-        planned = make_strategy("auto", server, "t")
-        snapshot = server.meter.snapshot()
-        plan_rows = consume_plan(server, planned, predicate, 100)
-        plan_charges = server.meter.since(snapshot)
-
-        assert plan_rows == rows
-        assert planned.last_choice.path == "tid_join"
-        for category in set(stream_charges) | set(plan_charges):
-            assert plan_charges.get(category, 0.0) == pytest.approx(
-                stream_charges.get(category, 0.0)
-            ), category
-        streaming.close()
-        planned.close()
 
 
 class TestMiddlewareIntegration:

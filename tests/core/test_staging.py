@@ -93,6 +93,42 @@ class TestStagedFile:
             manager._test_model.file_row_io
         )
 
+    def test_every_read_path_charges_the_same(self, manager):
+        pytest.importorskip("numpy")
+        meter = manager._test_meter
+        staged = manager.open_file("n1")
+        staged.append_rows(
+            [(i % 3, (i * 7) % 3, i % 2) for i in range(100)]
+        )
+        staged.seal()
+
+        def read_charge(read):
+            before = meter.charges["file_read"], meter.counts["file_read"]
+            read()
+            return (meter.charges["file_read"] - before[0],
+                    meter.counts["file_read"] - before[1])
+
+        streamed = read_charge(lambda: list(staged.scan()))
+        assert streamed == (
+            pytest.approx(100 * manager._test_model.file_row_io), 100
+        )
+        assert read_charge(lambda: list(staged.scan_blocks())) == streamed
+        assert read_charge(staged.charge_cached_read) == streamed
+
+    def test_scan_closed_early_charges_the_rows_it_read(self, manager):
+        meter = manager._test_meter
+        staged = manager.open_file("n1")
+        staged.append_rows([(0, 0, 0)] * 100)
+        staged.seal()
+        scan = staged.scan()
+        for _ in range(7):
+            next(scan)
+        scan.close()
+        assert meter.counts["file_read"] == 7
+        assert meter.charges["file_read"] == pytest.approx(
+            7 * manager._test_model.file_row_io
+        )
+
     def test_delete_removes_file(self, manager):
         staged = manager.open_file("n1")
         staged.append((0, 0, 0))

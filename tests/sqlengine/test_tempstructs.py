@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sqlengine import tempstructs
 from repro.sqlengine.database import SQLServer
 from repro.sqlengine.expr import all_of, eq
 from repro.sqlengine.schema import TableSchema
@@ -39,6 +40,20 @@ class TestCopySubset:
         assert server.meter.charges["temp_table"] == pytest.approx(
             10 * server.model.temp_table_row_write
         )
+
+    def test_compiles_the_predicate_once(self, server, monkeypatch):
+        # Once per build, not once per source row.
+        calls = []
+        compile_predicate = tempstructs.compile_predicate
+
+        def counting(predicate, schema):
+            calls.append(predicate)
+            return compile_predicate(predicate, schema)
+
+        monkeypatch.setattr(tempstructs, "compile_predicate", counting)
+        name = copy_subset_to_table(server, "t", eq("a", 1))
+        assert server.table(name).row_count == 10
+        assert len(calls) == 1
 
 
 class TestTIDList:
