@@ -39,7 +39,7 @@ def run_all():
         ) as mw:
             model = NaiveBayesClassifier().fit(mw)
             nb_cost = bench.meter.total
-            nb_scans = mw.stats.total_scans
+            nb_scans = mw.stats.batches
         nb_accuracy = model.accuracy(
             bench.server.table("data").scan_rows()
         )

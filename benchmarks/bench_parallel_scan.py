@@ -141,7 +141,7 @@ def scan_frontier(spec, rows, frontier, workers, pool):
             while mw.pending:
                 for result in mw.process_next_batch():
                     results[result.node_id] = result
-                scan = mw.execution.last_scan
+                scan = mw.trace[-1]
                 assert scan.workers == max(1, workers)
                 assert not (workers == 0 and scan.columnar)
                 wall += scan.wall_seconds
@@ -213,7 +213,7 @@ def columnar_cache_ab(spec, rows, frontier, workers, pool):
                 while mw.pending:
                     for result in mw.process_next_batch():
                         results[result.node_id] = result
-                    scan = mw.execution.last_scan
+                    scan = mw.trace[-1]
                     levels.append(
                         {
                             "wall_seconds": scan.wall_seconds,
@@ -223,15 +223,17 @@ def columnar_cache_ab(spec, rows, frontier, workers, pool):
                             "cache_hit": scan.cache_hit,
                         }
                     )
-            stats = mw.execution.stats
+            stats = mw.stats
             cache = mw.execution.scan_cache
             profiles[label] = {
                 "levels": levels,
                 "wall_seconds": sum(l["wall_seconds"] for l in levels),
                 "encode_seconds": sum(l["encode_seconds"] for l in levels),
                 "ship_seconds": sum(l["ship_seconds"] for l in levels),
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
+                "cache_hits": sum(l["cache_hit"] for l in levels),
+                "cache_misses": sum(
+                    l["cached"] and not l["cache_hit"] for l in levels
+                ),
                 "encode_seconds_saved": stats.encode_seconds_saved,
                 "ship_seconds_saved": stats.ship_seconds_saved,
                 "resident_bytes":

@@ -124,7 +124,7 @@ def _count_frontier(mw, frontier, loop, results):
     while mw.pending:
         for result in mw.process_next_batch():
             results[result.node_id] = result
-        scan = mw.execution.last_scan
+        scan = mw.trace[-1]
         assert scan.workers == 1
         assert scan.kernel == (loop != "per-row")
         if columnar_available():

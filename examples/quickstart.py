@@ -51,7 +51,7 @@ def main():
           f"depth {tree.depth}")
     print(f"training accuracy: {model.accuracy(rows):.3f}")
     print(f"simulated cost: {server.meter.total:,.1f} units "
-          f"({stats.total_scans} scans: "
+          f"({stats.batches} scans: "
           f"{dict((k.name, v) for k, v in stats.scans_by_mode.items())})")
 
     print("\ntop of the tree (S=server, I=file, L=memory data locations):")

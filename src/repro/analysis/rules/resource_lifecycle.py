@@ -15,8 +15,8 @@ finding.
 
 **2. Locally opened resources need an exception-path closer.**  When a
 function assigns the result of a *known opener* (``StagedFile(...)``,
-``ScanWorkerPool(...)``, ``PipelinedStagingWriter(...)``,
-``ParallelStagingWriter(...)``, ``_PartitionProducer(...)``,
+``ScanWorkerPool(...)``, ``ParallelStagingWriter(...)``,
+``_PartitionProducer(...)``,
 ``.open_file(...)``, builtin ``open(...)``) to a local name, it owns
 that resource.  Ownership ends when the resource is used as a context
 manager, returned, yielded, or stored into an attribute/container
@@ -41,7 +41,6 @@ from .base import Rule, call_name, iter_functions, self_attr, walk_with_stack
 OPENERS = {
     "StagedFile",
     "ScanWorkerPool",
-    "PipelinedStagingWriter",
     "ParallelStagingWriter",
     "_PartitionProducer",
     "ShmShipper",

@@ -131,10 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scan-parallel-min-rows", type=int, default=None,
                      help="scans under this many source rows keep "
                           "the row kernel (default: 2048)")
-    fit.add_argument("--scan-prefetch-partitions", type=int, default=None,
-                     help="SERVER-cursor partitions a producer thread "
-                          "pulls ahead of the workers (default: 2; "
-                          "0 = inline pulls)")
     fit.add_argument("--scan-cache-bytes", type=int, default=None,
                      help="byte budget for resident cached columnar "
                           "encodings (default: 128 MiB; 0 disables "
@@ -234,10 +230,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         scan_options["scan_pool"] = args.scan_pool
     if args.scan_parallel_min_rows is not None:
         scan_options["scan_parallel_min_rows"] = args.scan_parallel_min_rows
-    if args.scan_prefetch_partitions is not None:
-        scan_options["scan_prefetch_partitions"] = (
-            args.scan_prefetch_partitions
-        )
     if args.scan_cache_bytes is not None:
         scan_options["scan_cache_bytes"] = args.scan_cache_bytes
     if args.no_scan_use_planner:
@@ -275,7 +267,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
           f"depth {tree.depth}")
     print(f"training accuracy: {classifier.accuracy(rows):.4f}")
     print(f"simulated cost: {server.meter.total:,.1f} "
-          f"({stats.total_scans} scans)")
+          f"({stats.batches} scans)")
     if args.trace:
         print(report)
     if args.render_depth is not None:

@@ -19,7 +19,7 @@ from .estimators import (
     exact_child_rows_for_value,
     root_cc_pairs,
 )
-from .execution import ExecutionModule, ExecutionStats, ScanStats
+from .execution import ExecutionModule
 from .filters import PathCondition, RoutingKernel, batch_filter, path_predicate
 from .middleware import Middleware
 from .requests import CountsRequest, CountsResult, RequestQueue
@@ -29,7 +29,6 @@ from .sql_counting import CC_COLUMNS, cc_statement, counts_via_sql
 from .staging import (
     DataLocation,
     ParallelStagingWriter,
-    PipelinedStagingWriter,
     StagedFile,
     StagingManager,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CountsResult",
     "DataLocation",
     "ExecutionModule",
-    "ExecutionStats",
     "ExecutionTrace",
     "ScheduleRecord",
     "KeysetStrategy",
@@ -55,12 +53,10 @@ __all__ = [
     "PAIR_KEY_BYTES",
     "ParallelStagingWriter",
     "PathCondition",
-    "PipelinedStagingWriter",
     "PlainScanStrategy",
     "RequestQueue",
     "RoutingKernel",
     "ScanWorkerPool",
-    "ScanStats",
     "Schedule",
     "Scheduler",
     "ServerAccessStrategy",

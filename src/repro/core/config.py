@@ -110,13 +110,6 @@ class MiddlewareConfig:
     #: by ``benchmarks/bench_scan_kernel.py``: the inline executor
     #: overtakes the row kernel at ~900 rows for a 5-node batch.
     scan_parallel_min_rows: int = 2048
-    #: SERVER-scan prefetch depth: a bounded producer thread pulls up
-    #: to this many row partitions ahead of the workers, overlapping
-    #: cursor row production with counting.  0 — or one worker, who
-    #: has nobody to overlap with — pulls and submits on the
-    #: coordinator thread.  Meter charges still accrue once
-    #: per row, so simulated costs are prefetch-independent.
-    scan_prefetch_partitions: int = 2
     #: Byte budget of the table-version columnar cache ("encode once,
     #: scan every level"): a pooled scan of an unchanged source reuses
     #: its full-source encoding instead of re-encoding it, and with a
@@ -162,10 +155,6 @@ class MiddlewareConfig:
         if self.scan_parallel_min_rows < 0:
             raise MiddlewareError(
                 "scan_parallel_min_rows must be non-negative"
-            )
-        if self.scan_prefetch_partitions < 0:
-            raise MiddlewareError(
-                "scan_prefetch_partitions must be non-negative"
             )
         if self.scan_cache_bytes < 0:
             raise MiddlewareError("scan_cache_bytes must be non-negative")

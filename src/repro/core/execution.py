@@ -43,18 +43,17 @@ counts over disjoint partitions merge exactly.  Two things plug in:
   where the vector kernel runs and pays (every other one-worker scan
   keeps the row kernel); more workers are the session's persistent
   thread or process pool (``config.scan_pool``), with a bounded
-  prefetch thread on SERVER scans
-  (``config.scan_prefetch_partitions``) and staging-writer threads.
+  prefetch thread on SERVER scans (:data:`PREFETCH_PARTITIONS` deep)
+  and one staging-writer thread per output file.
 
 Whatever the source and executor, staged files stay bit-identical to
 a row-kernel scan's, and memory overflow (below) is detected on the
 *merged* sizes in batch order, so recovery decisions are the same for
 any worker count, one included.
 
-Every scan records profiling counters on :class:`ScanStats` — wall
-time, rows/sec, matcher-evaluation counts, which loop ran, worker
-count and merge time — which the middleware copies onto the session
-trace.
+Every scan fills one :class:`~repro.core.trace.ScheduleRecord` — its
+schedule, metered cost and profile — and :meth:`ExecutionModule.run`
+appends it to the session trace when the scan's results are final.
 
 Runtime memory errors are handled as in Section 4.1.1.  When a node's
 CC table outgrows what can be reserved there are two recoveries:
@@ -78,7 +77,6 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
@@ -102,173 +100,10 @@ from .staging import (
     DataLocation,
     InlineStagingWriter,
     ParallelStagingWriter,
-    PipelinedStagingWriter,
     StagedFile,
 )
+from .trace import ExecutionTrace, ScheduleRecord
 from .vector_kernel import MAX_SLOTS, filter_supported
-
-
-@dataclass
-class ScanStats:
-    """Counters describing one executed scan."""
-
-    mode: DataLocation
-    rows_seen: int = 0
-    rows_routed: int = 0
-    nodes_served: int = 0
-    sql_fallbacks: int = 0
-    deferrals: int = 0
-    files_written: int = 0
-    memory_sets_loaded: int = 0
-    #: Wall-clock seconds spent producing and routing the scan's rows.
-    wall_seconds: float = 0.0
-    #: Condition-evaluation work: matcher closure calls in the per-row
-    #: loop, dispatch-table probes in the kernel loop.
-    matcher_evals: int = 0
-    #: True when the compiled routing kernel ran (False = per-row loop).
-    kernel: bool = False
-    #: Workers that counted this scan.  1 = the calling thread alone:
-    #: one of the row loops, or — when ``columnar`` — the inline
-    #: executor counting columnar partitions with no pool at all.
-    workers: int = 1
-    #: Wall-clock seconds merging per-worker CC partials (parallel only).
-    merge_seconds: float = 0.0
-    #: Per-partition counting seconds as reported by the workers.
-    worker_seconds: list[float] = field(default_factory=list)
-    #: Wall-clock seconds spent standing the worker pool up for this
-    #: scan (executor creation + kernel install; ~0 on warm reuse).
-    pool_setup_seconds: float = 0.0
-    #: True when the scan reused an already-running worker pool.
-    pool_reused: bool = False
-    #: Partitions the prefetch thread was allowed to run ahead
-    #: (0 = pull-then-submit on the calling thread: prefetch off, a
-    #: staged source, or a one-worker scan).
-    prefetch_depth: int = 0
-    #: Per-file writer threads used for staging output (0 = the single
-    #: pipelined funnel, or a one-worker scan writing in place).
-    split_writers: int = 0
-    #: True when the scan counted over columnar partitions (the
-    #: vectorized kernel, inline or pooled) instead of row tuples.
-    columnar: bool = False
-    #: Wall-clock seconds encoding rows into columnar partitions
-    #: (0.0 for row-tuple scans, and ~0 on a warm cache hit).
-    encode_seconds: float = 0.0
-    #: Wall-clock seconds copying partitions into shared-memory
-    #: segments (the memcpy only; encoding is ``encode_seconds``).
-    ship_seconds: float = 0.0
-    #: True when the scan ran over the table-version columnar cache
-    #: (hit or miss); False for the streaming paths.
-    cached: bool = False
-    #: True when the cache served an existing encoding (no re-encode,
-    #: and with persistent shm no re-ship either).
-    cache_hit: bool = False
-    #: What building the hit entry originally cost — the work this
-    #: scan skipped (0.0 on misses and uncached scans).
-    encode_seconds_saved: float = 0.0
-    ship_seconds_saved: float = 0.0
-    #: Rows per partition of this scan (0 = a row loop, which does
-    #: not partition).
-    partition_rows: int = 0
-    #: Highest prefetch depth the producer adapted to (>= the
-    #: configured ``prefetch_depth`` when consumer starvation grew it;
-    #: 0 without a prefetch thread).
-    prefetch_peak: int = 0
-    #: Access path the server strategy took for this scan ("seq" /
-    #: "index" / "temp_table" / "tid_join" / "keyset"; "" for FILE and
-    #: MEMORY scans, which have no server access path).
-    access_path: str = ""
-    #: The strategy's estimate of the access charges for that path
-    #: (equals the metered charge for planner-chosen paths).
-    access_cost_est: float = 0.0
-
-    @property
-    def rows_per_sec(self) -> float:
-        """Scan throughput (0.0 when the scan was too fast to time)."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.rows_seen / self.wall_seconds
-
-
-@dataclass
-class ExecutionStats:
-    """Cumulative counters across a middleware session."""
-
-    scans_by_mode: dict[DataLocation, int] = field(
-        default_factory=lambda: {loc: 0 for loc in DataLocation}
-    )
-    rows_seen: int = 0
-    rows_routed: int = 0
-    batches: int = 0
-    sql_fallbacks: int = 0
-    deferrals: int = 0
-    files_written: int = 0
-    memory_sets_loaded: int = 0
-    wall_seconds: float = 0.0
-    matcher_evals: int = 0
-    kernel_scans: int = 0
-    parallel_scans: int = 0
-    merge_seconds: float = 0.0
-    worker_seconds_total: float = 0.0
-    pool_setup_seconds: float = 0.0
-    prefetched_scans: int = 0
-    columnar_scans: int = 0
-    encode_seconds: float = 0.0
-    ship_seconds: float = 0.0
-    cached_scans: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    encode_seconds_saved: float = 0.0
-    ship_seconds_saved: float = 0.0
-    #: SERVER scans whose access path was a secondary-index probe.
-    index_path_scans: int = 0
-
-    def absorb(self, scan: ScanStats) -> None:
-        """Fold one *final* :class:`ScanStats` into the session totals.
-
-        Called exactly once per executed scan, with that scan's own
-        freshly built stats object.  When a node overflows (§4.1.1) and
-        its count is retried on a later scan, the retry is a *new* scan
-        with new stats — the earlier attempt's ``merge_seconds`` /
-        ``worker_seconds`` must never ride along into the retry's
-        record, so each ``ScanStats`` owns its per-attempt lists and
-        nothing here is read from shared pool state.
-        """
-        self.scans_by_mode[scan.mode] += 1
-        self.rows_seen += scan.rows_seen
-        self.rows_routed += scan.rows_routed
-        self.batches += 1
-        self.sql_fallbacks += scan.sql_fallbacks
-        self.deferrals += scan.deferrals
-        self.files_written += scan.files_written
-        self.memory_sets_loaded += scan.memory_sets_loaded
-        self.wall_seconds += scan.wall_seconds
-        self.matcher_evals += scan.matcher_evals
-        self.kernel_scans += scan.kernel
-        self.parallel_scans += scan.workers > 1
-        self.merge_seconds += scan.merge_seconds
-        self.worker_seconds_total += sum(scan.worker_seconds)
-        self.pool_setup_seconds += scan.pool_setup_seconds
-        self.prefetched_scans += scan.prefetch_depth > 0
-        self.columnar_scans += scan.columnar
-        self.encode_seconds += scan.encode_seconds
-        self.ship_seconds += scan.ship_seconds
-        self.cached_scans += scan.cached
-        self.cache_hits += scan.cache_hit
-        self.cache_misses += scan.cached and not scan.cache_hit
-        self.encode_seconds_saved += scan.encode_seconds_saved
-        self.ship_seconds_saved += scan.ship_seconds_saved
-        self.index_path_scans += scan.access_path == "index"
-
-    @property
-    def total_scans(self) -> int:
-        return sum(self.scans_by_mode.values())
-
-    @property
-    def rows_per_sec(self) -> float:
-        """Session-wide scan throughput."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.rows_seen / self.wall_seconds
 
 
 # -- partition production ----------------------------------------------------
@@ -303,7 +138,7 @@ def _slice_partitions(row_iter: Iterator[Any],
 
 
 def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
-                     scan: ScanStats) -> Iterator[ColumnarPartition]:
+                     scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
     """Encode a row iterator into columnar partitions (SERVER scans).
 
     Encoding runs on whichever single thread consumes this generator
@@ -333,7 +168,7 @@ def _columnar_memory_slices(table: ColumnarPartition,
 
 
 def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
-                          scan: ScanStats) -> Iterator[ColumnarPartition]:
+                          scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
     """Assemble staged-file int32 blocks into columnar partitions."""
     pending: list[Any] = []
     pending_rows = 0
@@ -363,6 +198,11 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
     finally:
         _close_source(block_iter)
 
+
+#: SERVER-cursor partitions the prefetch thread pulls ahead of a worker
+#: pool (starvation may double it).  Not a knob: no workload can choose
+#: a value, since pooled SERVER scans the cache admits never stream.
+PREFETCH_PARTITIONS = 2
 
 #: Scan chunks per partition of an inline (one-worker) columnar scan:
 #: the least a partition holds.  Measured on ``benchmarks/e2e``
@@ -616,7 +456,7 @@ class _PartitionSource:
         #: ``(stage_nodes, capture_nodes)`` every submit passes along.
         self._targets: tuple[Any, Any] = ((), ())
 
-    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+    def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
              targets: tuple[Any, Any]) -> Iterator[Any]:
         """The partitions in scan order.
 
@@ -684,7 +524,7 @@ class _ColumnarStreamSource(_PartitionSource):
     columnar = True
     _shipper: ShmShipper | None = None
 
-    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+    def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
              targets: tuple[Any, Any]) -> Iterator[Any]:
         if pool.remote and shm_available():
             self._shipper = ShmShipper()
@@ -754,7 +594,7 @@ class _CachedPlanSource(_PartitionSource):
         self._charged = False
         self._total_seen = 0
 
-    def open(self, pool: ScanWorkerPool, scan: ScanStats,
+    def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
              targets: tuple[Any, Any]) -> Iterator[Any]:
         plan = self._plan
         entry = self._cache.lookup(plan.key)
@@ -863,9 +703,8 @@ class ExecutionModule:
             # Staged files are immutable once sealed, so the only
             # invalidation they need is drop-time eviction.
             staging.add_drop_listener(self._scan_cache.on_file_dropped)
-        self.stats = ExecutionStats()
-        #: The :class:`ScanStats` of the most recent :meth:`run`.
-        self.last_scan: ScanStats | None = None
+        #: One record per finished scan; session totals derive from it.
+        self.trace = ExecutionTrace()
 
     @property
     def scan_cache(self) -> ColumnarScanCache | None:
@@ -889,7 +728,17 @@ class ExecutionModule:
         :class:`CountsResult` list plus any requests pushed to a later
         scan by a runtime memory overflow.
         """
-        scan = ScanStats(mode=schedule.mode)
+        scan = ScheduleRecord(
+            sequence=len(self.trace),
+            mode=schedule.mode.name,
+            source_node=schedule.source_node,
+            batch=tuple(schedule.node_ids),
+            stage_file_targets=tuple(schedule.stage_file_targets),
+            stage_memory_targets=tuple(schedule.stage_memory_targets),
+            split_file=schedule.split_file,
+        )
+        meter = self._server.meter
+        cost_before = meter.snapshot()
         states = self._make_states(schedule)
         file_writers: dict[Any, StagedFile] = {}
         memory_capture: dict[Any, list[Any]] = {
@@ -954,11 +803,12 @@ class ExecutionModule:
             scan.access_cost_est = choice.est_cost
 
         try:
-            results, deferred = self._finish(states, schedule, scan)
+            results, deferred = self._finish(states, schedule)
         finally:
             self._release_cc_reservations(states)
-        self.stats.absorb(scan)
-        self.last_scan = scan
+        scan.nodes_served = len(results)
+        scan.cost = meter.total_since(cost_before)
+        self.trace.add(scan)
         return results, deferred
 
     # -- setup ------------------------------------------------------------
@@ -1098,7 +948,7 @@ class ExecutionModule:
             self._source_rows(schedule), n_workers
         )
 
-    def _rows_for(self, schedule: Any, scan: ScanStats) -> Iterator[Any]:
+    def _rows_for(self, schedule: Any, scan: ScheduleRecord) -> Iterator[Any]:
         """The row iterator for the schedule's data source."""
         staging = self._staging
         if schedule.mode is DataLocation.SERVER:
@@ -1132,7 +982,7 @@ class ExecutionModule:
                            states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
                            memory_capture: dict[Any, list[Any]],
-                           scan: ScanStats) -> None:
+                           scan: ScheduleRecord) -> None:
         """Chunked routing through the compiled dispatch kernel."""
         scan.kernel = True
         class_index = self._class_index
@@ -1207,25 +1057,22 @@ class ExecutionModule:
     def _open_staging_writer(
             self, pool: ScanWorkerPool,
             file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]], scan: ScanStats,
-    ) -> (InlineStagingWriter | ParallelStagingWriter
-          | PipelinedStagingWriter):
+            memory_capture: dict[Any, list[Any]], scan: ScheduleRecord,
+    ) -> InlineStagingWriter | ParallelStagingWriter:
         """The writer a partitioned scan hands its staged rows to.
 
-        A pool overlaps flushes with counting: one thread per output
-        file when the scan writes several (§4.3.2 splits), else the
-        single pipelined funnel.  The inline executor writes in place —
-        a thread per scan would cost more (start-up, a malloc arena)
-        than the flushes it could hide behind one partition in flight
-        — and so does a scan that stages nothing at all.
+        A pool overlaps flushes with counting, one writer thread per
+        output file.  The inline executor writes in place — a thread
+        per scan would cost more (start-up, a malloc arena) than the
+        flushes it could hide behind one partition in flight — and so
+        does a scan that writes no file: memory captures are a
+        ``list.extend``, nothing a thread could overlap.
         """
-        if pool.inline or not (file_writers or memory_capture):
+        if pool.inline or not file_writers:
             return InlineStagingWriter(file_writers, memory_capture)
-        if len(file_writers) > 1:
-            split = ParallelStagingWriter(file_writers, memory_capture)
-            scan.split_writers = split.n_writers
-            return split
-        return PipelinedStagingWriter(file_writers, memory_capture)
+        writer = ParallelStagingWriter(file_writers, memory_capture)
+        scan.split_writers = writer.n_writers
+        return writer
 
     @staticmethod
     def _scan_signature(states: list[_NodeCount]) -> tuple[Any, ...]:
@@ -1237,7 +1084,7 @@ class ExecutionModule:
             for state in states
         )
 
-    def _partition_source(self, schedule: Any, scan: ScanStats,
+    def _partition_source(self, schedule: Any, scan: ScheduleRecord,
                           pool: ScanWorkerPool,
                           partition_rows: int) -> _PartitionSource:
         """The source one partitioned scan counts over.
@@ -1255,10 +1102,7 @@ class ExecutionModule:
         # Prefetch overlaps the cursor with *other* workers; the inline
         # executor would only hand rows between two threads that cannot
         # run at once.
-        prefetch = (
-            self._config.scan_prefetch_partitions
-            if server and not pool.inline else 0
-        )
+        prefetch = PREFETCH_PARTITIONS if server and not pool.inline else 0
         if not self._columnar_eligible(len(schedule.batch)):
             return _PartitionSource(
                 _slice_partitions(
@@ -1295,7 +1139,7 @@ class ExecutionModule:
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
                            memory_capture: dict[Any, list[Any]],
-                           scan: ScanStats, n_workers: int) -> None:
+                           scan: ScheduleRecord, n_workers: int) -> None:
         """The partitioned scan: every source, every executor.
 
         The source's ordered partitions are submitted to the session's
@@ -1403,7 +1247,7 @@ class ExecutionModule:
             self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _admit_merged(self, states: list[_NodeCount],
-                      scan: ScanStats) -> None:
+                      scan: ScheduleRecord) -> None:
         """Deterministic §4.1.1 admission on the merged sizes."""
         budget = self._budget
         for state in states:
@@ -1453,7 +1297,7 @@ class ExecutionModule:
         matchers: list[tuple[_NodeCount, Callable[[Sequence[Any]], bool]]],
         file_writers: dict[Any, StagedFile],
         memory_capture: dict[Any, list[Any]],
-        scan: ScanStats,
+        scan: ScheduleRecord,
     ) -> None:
         """The reference per-row matcher loop (``scan_kernel = False``)."""
         attribute_names = self._spec.attribute_names
@@ -1503,7 +1347,7 @@ class ExecutionModule:
                 scan.rows_routed += 1
 
     def _abandon(self, target: _NodeCount, states: list[_NodeCount],
-                 scan: ScanStats) -> None:
+                 scan: ScheduleRecord) -> None:
         """Handle a CC-memory overflow for one node (Section 4.1.1).
 
         A node sharing the scan with other *surviving* nodes is
@@ -1538,7 +1382,7 @@ class ExecutionModule:
     # -- wrap-up ---------------------------------------------------------------
 
     def _finish(
-        self, states: list[_NodeCount], schedule: Any, scan: ScanStats
+        self, states: list[_NodeCount], schedule: Any
     ) -> tuple[list[CountsResult], list[Any]]:
         results = []
         deferred = []
@@ -1571,7 +1415,6 @@ class ExecutionModule:
                     used_sql_fallback=state.fallback,
                 )
             )
-            scan.nodes_served += 1
         return results, deferred
 
     def _release_cc_reservations(self, states: list[_NodeCount]) -> None:

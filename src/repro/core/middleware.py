@@ -25,7 +25,7 @@ from .requests import RequestQueue
 from .scan_pool import ScanWorkerPool
 from .scheduler import Scheduler
 from .staging import StagingManager
-from .trace import ExecutionTrace, ScheduleRecord
+from .trace import ExecutionTrace
 
 
 class Middleware:
@@ -67,7 +67,7 @@ class Middleware:
             pool_provider=self._shared_scan_pool,
         )
         self._queue = RequestQueue()
-        self.trace = ExecutionTrace()
+        self.trace = self.execution.trace
         self._closed = False
 
     def _shared_scan_pool(self) -> ScanWorkerPool:
@@ -117,47 +117,9 @@ class Middleware:
         """
         schedule = self.scheduler.plan(self._queue.pending())
         self._queue.remove(schedule.batch)
-        snapshot = self.server.meter.snapshot()
-        rows_before = self.execution.stats.rows_seen
-        routed_before = self.execution.stats.rows_routed
         results, deferred = self.execution.run(schedule)
         for request in deferred:
             self._queue.put(request)
-        stats = self.execution.stats
-        scan = self.execution.last_scan
-        self.trace.add(
-            ScheduleRecord(
-                sequence=len(self.trace),
-                mode=schedule.mode.name,
-                source_node=schedule.source_node,
-                batch=tuple(schedule.node_ids),
-                stage_file_targets=tuple(schedule.stage_file_targets),
-                stage_memory_targets=tuple(schedule.stage_memory_targets),
-                split_file=schedule.split_file,
-                rows_seen=stats.rows_seen - rows_before,
-                rows_routed=stats.rows_routed - routed_before,
-                deferrals=len(deferred),
-                sql_fallbacks=sum(r.used_sql_fallback for r in results),
-                cost=self.server.meter.total_since(snapshot),
-                wall_seconds=scan.wall_seconds,
-                rows_per_sec=scan.rows_per_sec,
-                matcher_evals=scan.matcher_evals,
-                kernel=scan.kernel,
-                workers=scan.workers,
-                merge_seconds=scan.merge_seconds,
-                pool_setup_seconds=scan.pool_setup_seconds,
-                prefetch_depth=scan.prefetch_depth,
-                split_writers=scan.split_writers,
-                columnar=scan.columnar,
-                encode_seconds=scan.encode_seconds,
-                ship_seconds=scan.ship_seconds,
-                prefetch_peak=scan.prefetch_peak,
-                cached=scan.cached,
-                cache_hit=scan.cache_hit,
-                access_path=scan.access_path,
-                access_cost_est=scan.access_cost_est,
-            )
-        )
         return results
 
     def serve(self) -> Iterator[list[Any]]:
@@ -176,9 +138,9 @@ class Middleware:
     # -- inspection ---------------------------------------------------------
 
     @property
-    def stats(self) -> Any:
-        """Cumulative execution statistics."""
-        return self.execution.stats
+    def stats(self) -> ExecutionTrace:
+        """Session totals: sums and counts over :attr:`trace`."""
+        return self.trace
 
     def location_tag(self, request: Any) -> str:
         """The paper's S/I/L data-location prefix for a node (Fig. 1)."""
@@ -189,6 +151,11 @@ class Middleware:
         """A human-readable session summary: scans, cost, staging, trace."""
         stats = self.stats
         meter = self.server.meter
+        pool = self._scan_pool
+        executor = (
+            "inline" if pool is None or pool.inline
+            else f"{pool.n_workers} {pool.kind} workers"
+        )
         scans = ", ".join(
             f"{location.name.lower()}={count}"
             for location, count in stats.scans_by_mode.items()
@@ -202,9 +169,7 @@ class Middleware:
             f"  scan loop: {stats.kernel_scans}/{stats.batches} kernelized, "
             f"{stats.columnar_scans} columnar, "
             f"{stats.parallel_scans} parallel "
-            f"({self.config.scan_workers} workers, "
-            f"{self.config.scan_pool} pool, "
-            f"{stats.merge_seconds:.4f}s merging), "
+            f"({executor}, {stats.merge_seconds:.4f}s merging), "
             f"{stats.rows_per_sec:,.0f} rows/s, "
             f"{stats.matcher_evals:,} matcher evals",
             f"  recoveries: {stats.deferrals} deferrals, "
@@ -215,8 +180,8 @@ class Middleware:
                 f"  access planner: {stats.index_path_scans} scans "
                 "served by secondary-index probes"
             )
-        if self._scan_pool is not None:
-            lines.append(f"  scan pool: {self._scan_pool!r}")
+        if pool is not None:
+            lines.append(f"  scan pool: {pool!r}")
         cache = self.execution.scan_cache
         if cache is not None and stats.cached_scans:
             lines.append(
@@ -225,8 +190,9 @@ class Middleware:
                 f"{cache.resident_bytes:,} bytes resident "
                 f"({cache.resident_entries} entries, "
                 f"{cache.live_segments} segments), "
-                f"{stats.encode_seconds_saved:.4f}s encode + "
-                f"{stats.ship_seconds_saved:.4f}s ship saved"
+                "{:.4f}s encode + {:.4f}s ship saved".format(
+                    stats.encode_seconds_saved, stats.ship_seconds_saved
+                )
             )
         lines += [
             f"  staging: {stats.files_written} files written, "

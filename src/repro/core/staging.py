@@ -263,23 +263,10 @@ class StagedFile:
         )
 
 
-def _apply_staged(file_writers: Mapping[Any, StagedFile],
-                  memory_capture: Mapping[Any, list[Any]],
-                  file_rows: Mapping[Any, list[Any]],
-                  capture_rows: Mapping[Any, list[Any]]) -> None:
-    """Append one partition's staged rows to their files and captures."""
-    for node_id, rows in file_rows.items():
-        if rows:
-            file_writers[node_id].append_rows(rows)
-    for node_id, rows in capture_rows.items():
-        if rows:
-            memory_capture[node_id].extend(rows)
-
-
 class InlineStagingWriter:
     """Staging output of an inline scan, applied on the calling thread.
 
-    Same ``put``/``close``/``abort`` surface as the threaded writers
+    Same ``put``/``close``/``abort`` surface as the threaded writer
     below, with no thread and no queue: the inline executor has one
     partition in flight, so each ``put`` appends that partition's rows
     in place — partition order is call order.
@@ -292,10 +279,12 @@ class InlineStagingWriter:
 
     def put(self, file_rows: Mapping[Any, list[Any]],
             capture_rows: Mapping[Any, list[Any]]) -> None:
-        _apply_staged(
-            self._file_writers, self._memory_capture, file_rows,
-            capture_rows,
-        )
+        for node_id, rows in file_rows.items():
+            if rows:
+                self._file_writers[node_id].append_rows(rows)
+        for node_id, rows in capture_rows.items():
+            if rows:
+                self._memory_capture[node_id].extend(rows)
 
     def close(self) -> None:
         """Nothing is buffered: every ``put`` already wrote."""
@@ -304,124 +293,34 @@ class InlineStagingWriter:
         """Nothing to stop; the caller deletes the abandoned files."""
 
 
-class PipelinedStagingWriter:
-    """Single-writer funnel for a parallel scan's staging output.
-
-    Scan workers never touch staging files.  The scan coordinator
-    queues each partition's staged rows here *in partition order*, and
-    one background thread appends them to the staging files and
-    memory-capture lists while later partitions are still being
-    counted — block flushes overlap counting instead of serializing
-    behind it.  Ordered submission keeps staged files bit-identical to
-    a serial scan's.
-
-    The queue is bounded (default depth 2 — double buffering: one
-    block being flushed, one queued behind it), so a slow disk applies
-    backpressure to the scan instead of buffering unbounded rows.
-
-    Writer-thread failures are captured and re-raised on the next
-    :meth:`put` or at :meth:`close`; once an error is recorded the
-    thread keeps draining the queue without writing, so producers are
-    never left blocked on a full queue.
-    """
-
-    _STOP = object()
-
-    def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[Any]],
-                 depth: int = 2) -> None:
-        self._file_writers = file_writers
-        self._memory_capture = memory_capture
-        self._queue: queue.Queue[Any] = queue.Queue(maxsize=max(1, depth))
-        self._error_lock = new_lock("PipelinedStagingWriter._error_lock")
-        #: guarded by self._error_lock
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain, name="staging-writer", daemon=True
-        )
-        self._thread.start()
-        resource_created("staging-writer", self, "pipelined funnel")
-
-    def put(self, file_rows: Mapping[Any, list[Any]],
-            capture_rows: Mapping[Any, list[Any]]) -> None:
-        """Queue one partition's staged rows.
-
-        ``file_rows`` / ``capture_rows`` map node_id -> row list; the
-        caller must submit partitions in scan order.
-        """
-        if self._error is not None:
-            raise self._error
-        if self._closed:
-            raise StagingError("staging writer is already closed")
-        if file_rows or capture_rows:
-            self._queue.put((file_rows, capture_rows))
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
-            if self._error is not None:
-                continue  # keep draining so producers never block
-            file_rows, capture_rows = item
-            try:
-                _apply_staged(
-                    self._file_writers, self._memory_capture, file_rows,
-                    capture_rows,
-                )
-            except BaseException as exc:  # surfaced to the producer
-                with self._error_lock:
-                    if self._error is None:
-                        self._error = exc
-
-    def close(self) -> None:
-        """Flush everything and surface any writer-thread error."""
-        self._shutdown()
-        if self._error is not None:
-            raise self._error
-
-    def abort(self) -> None:
-        """Stop without raising (the scan is already failing)."""
-        self._shutdown()
-
-    def _shutdown(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._queue.put(self._STOP)
-            self._thread.join()
-            resource_closed("staging-writer", self)
-
-
 class ParallelStagingWriter:
-    """Per-file writer threads for a parallel scan's staging output.
+    """Per-file writer threads for a pooled scan's staging output.
 
-    The §4.3.2 file-split path can open many output files in one scan
-    (one per surviving batch node); funnelling them all through the
-    single :class:`PipelinedStagingWriter` thread serializes every
-    split behind one appender.  This writer gives each output
-    :class:`StagedFile` its own thread and its own bounded queue, so
-    independent files flush concurrently while counting continues.
+    Scan workers never touch staging files.  The scan coordinator hands
+    each partition's staged rows to :meth:`put` *in partition order*;
+    every output :class:`StagedFile` has its own thread and its own
+    bounded queue (depth 2 — double buffering: one block being
+    flushed, one queued behind it), so block flushes overlap counting,
+    the files of a §4.3.2 split flush concurrently, and a slow disk
+    applies backpressure instead of buffering unbounded rows.  With one
+    file it is a single-writer funnel; with none it starts no thread.
 
-    Determinism is preserved per file: the coordinator calls
-    :meth:`put` strictly in partition order, each file's rows land on
-    that file's FIFO queue in that order, and a single thread drains
+    Determinism is preserved per file: each file's rows land on that
+    file's FIFO queue in partition order and a single thread drains
     each queue — so every staged file is bit-identical to a serial
-    scan's.  Memory captures are applied inline on the coordinator
+    scan's.  Memory captures are applied in place on the coordinator
     (list extends are cheap and stay ordered).
 
-    Error propagation mirrors the single-writer funnel: the first
-    writer-thread failure is recorded and re-raised on the next
-    :meth:`put` or at :meth:`close`; a failed thread keeps draining its
-    queue without writing so the producer is never left blocked, and
-    :meth:`abort` shuts every thread down without raising.
+    The first writer-thread failure is recorded and re-raised on the
+    next :meth:`put` or at :meth:`close`; a failed thread keeps
+    draining its queue without writing so the producer is never left
+    blocked, and :meth:`abort` shuts every thread down without raising.
     """
 
     _STOP = object()
 
     def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[Any]],
-                 depth: int = 2) -> None:
+                 memory_capture: Mapping[Any, list[Any]]) -> None:
         self._memory_capture = memory_capture
         self._error_lock = new_lock("ParallelStagingWriter._error_lock")
         #: guarded by self._error_lock
@@ -430,7 +329,7 @@ class ParallelStagingWriter:
         self._queues: dict[Any, queue.Queue[Any]] = {}
         self._threads: list[threading.Thread] = []
         for node_id, writer in file_writers.items():
-            q: queue.Queue[Any] = queue.Queue(maxsize=max(1, depth))
+            q: queue.Queue[Any] = queue.Queue(maxsize=2)
             thread = threading.Thread(
                 target=self._drain,
                 args=(writer, q),
@@ -440,14 +339,11 @@ class ParallelStagingWriter:
             self._queues[node_id] = q
             self._threads.append(thread)
             thread.start()
+        #: Writer threads running (one per output file).
+        self.n_writers = len(self._threads)
         resource_created(
-            "staging-writer", self, f"{len(self._threads)} split writers"
+            "staging-writer", self, f"{self.n_writers} split writers"
         )
-
-    @property
-    def n_writers(self) -> int:
-        """Writer threads running (one per output file)."""
-        return len(self._threads)
 
     def put(self, file_rows: Mapping[Any, list[Any]],
             capture_rows: Mapping[Any, list[Any]]) -> None:

@@ -11,10 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .staging import DataLocation
 
-@dataclass(frozen=True)
+
+@dataclass
 class ScheduleRecord:
-    """What one scan was asked to do and what happened."""
+    """One scan: what it was asked to do, what it cost, how it ran.
+
+    ``ExecutionModule.run`` builds the record from its schedule, fills
+    it while the scan runs and appends it to the session trace once the
+    results are final — a failed scan leaves no record, and a §4.1.1
+    retry is a *new* scan with its own record.
+    """
 
     sequence: int
     mode: str                 # SERVER / FILE / MEMORY
@@ -23,31 +31,37 @@ class ScheduleRecord:
     stage_file_targets: tuple[str, ...]
     stage_memory_targets: tuple[str, ...]
     split_file: bool
-    rows_seen: int
-    rows_routed: int
-    deferrals: int
-    sql_fallbacks: int
-    cost: float               # simulated cost charged during the scan
-    # -- per-scan profiling (scan-kernel observability layer) --
+    cost: float = 0.0         # simulated cost charged during the scan
+    rows_seen: int = 0
+    rows_routed: int = 0
+    nodes_served: int = 0
+    sql_fallbacks: int = 0
+    deferrals: int = 0
+    files_written: int = 0
+    memory_sets_loaded: int = 0
     #: Wall-clock seconds spent producing and routing the scan's rows.
     wall_seconds: float = 0.0
-    #: rows_seen / wall_seconds, 0.0 when the scan was too fast to time.
-    rows_per_sec: float = 0.0
     #: Matcher closure calls (per-row loop) or dispatch probes (kernel).
     matcher_evals: int = 0
-    #: True when the compiled routing kernel ran this scan.
+    #: True when the compiled routing kernel ran (False = per-row loop).
     kernel: bool = False
     #: Workers that counted the scan (1 = the calling thread alone: a
     #: row loop, or the inline columnar executor when ``columnar``).
     workers: int = 1
-    #: Seconds spent merging per-worker CC partials (parallel scans).
+    #: Seconds spent merging per-worker CC partials (partitioned scans).
     merge_seconds: float = 0.0
+    #: Per-partition counting seconds as reported by the workers.
+    worker_seconds: list[float] = field(default_factory=list)
     #: Seconds of pool/kernel setup this scan paid (0.0 on a warm pool
     #: with an unchanged kernel — the reuse win the trace makes visible).
     pool_setup_seconds: float = 0.0
-    #: SERVER-cursor prefetch depth in effect (0 = no prefetch thread).
+    #: True when the scan reused an already-running worker pool.
+    pool_reused: bool = False
+    #: SERVER-cursor partitions the prefetch thread may run ahead
+    #: (0 = no prefetch thread: a staged or cached source, one worker).
     prefetch_depth: int = 0
-    #: Per-file staging writer threads used (0 = single pipelined funnel).
+    #: Staging writer threads this scan ran, one per output file
+    #: (0 = wrote in place: a row loop, the inline executor, no file).
     split_writers: int = 0
     #: True when the scan counted over columnar partitions (inline on
     #: the calling thread when ``workers == 1``, else through the pool).
@@ -59,18 +73,30 @@ class ScheduleRecord:
     #: memcpy only; 0.0 unless a process pool counted the scan, and
     #: for warm scans served by a persistent segment).
     ship_seconds: float = 0.0
-    #: Highest prefetch depth the adaptive producer reached (0 = none).
-    prefetch_peak: int = 0
     #: True when the scan counted over the table-version columnar
     #: cache; ``cache_hit`` says whether the encoding was reused.
     cached: bool = False
     cache_hit: bool = False
+    #: What building the hit entry originally cost — the work this
+    #: scan skipped (0.0 on misses and uncached scans).
+    encode_seconds_saved: float = 0.0
+    ship_seconds_saved: float = 0.0
+    #: Rows per partition (0 = a row loop, which does not partition).
+    partition_rows: int = 0
+    #: Highest prefetch depth the adaptive producer reached (0 = none).
+    prefetch_peak: int = 0
     #: Access path the server-side strategy took ("seq" / "index" /
     #: "temp_table" / "tid_join" / "keyset"; "" for non-SERVER scans).
     access_path: str = ""
     #: The strategy's access-cost estimate for that path (0.0 when
     #: no path was recorded).
     access_cost_est: float = 0.0
+
+    @property
+    def rows_per_sec(self) -> float:
+        """Scan throughput (0.0 when the scan was too fast to time)."""
+        wall = self.wall_seconds
+        return self.rows_seen / wall if wall > 0.0 else 0.0
 
     def __str__(self) -> str:
         actions = []
@@ -110,7 +136,11 @@ class ScheduleRecord:
 
 @dataclass
 class ExecutionTrace:
-    """The ordered sequence of :class:`ScheduleRecord` for one session."""
+    """The ordered :class:`ScheduleRecord` list of one session.
+
+    Its properties are the session totals (``Middleware.stats``): sums
+    and counts over the records, computed when read.
+    """
 
     records: list[ScheduleRecord] = field(default_factory=list)
 
@@ -130,10 +160,99 @@ class ExecutionTrace:
         """Records whose scan ran in the given tier."""
         return [r for r in self.records if r.mode == mode_name]
 
+    def render(self) -> str:
+        """Multi-line human-readable trace."""
+        return "\n".join(str(record) for record in self.records)
+
+    # -- session totals -------------------------------------------------------
+
+    @property
+    def batches(self) -> int:
+        return len(self.records)
+
+    @property
+    def scans_by_mode(self) -> dict[DataLocation, int]:
+        return {loc: len(self.by_mode(loc.name)) for loc in DataLocation}
+
     @property
     def total_cost(self) -> float:
         return sum(r.cost for r in self.records)
 
-    def render(self) -> str:
-        """Multi-line human-readable trace."""
-        return "\n".join(str(record) for record in self.records)
+    @property
+    def rows_seen(self) -> int:
+        return sum(r.rows_seen for r in self.records)
+
+    @property
+    def rows_routed(self) -> int:
+        return sum(r.rows_routed for r in self.records)
+
+    @property
+    def sql_fallbacks(self) -> int:
+        return sum(r.sql_fallbacks for r in self.records)
+
+    @property
+    def deferrals(self) -> int:
+        return sum(r.deferrals for r in self.records)
+
+    @property
+    def files_written(self) -> int:
+        return sum(r.files_written for r in self.records)
+
+    @property
+    def memory_sets_loaded(self) -> int:
+        return sum(r.memory_sets_loaded for r in self.records)
+
+    @property
+    def wall_seconds(self) -> float:
+        return sum(r.wall_seconds for r in self.records)
+
+    @property
+    def rows_per_sec(self) -> float:
+        """Session-wide scan throughput."""
+        wall = self.wall_seconds
+        return self.rows_seen / wall if wall > 0.0 else 0.0
+
+    @property
+    def matcher_evals(self) -> int:
+        return sum(r.matcher_evals for r in self.records)
+
+    @property
+    def kernel_scans(self) -> int:
+        return sum(r.kernel for r in self.records)
+
+    @property
+    def columnar_scans(self) -> int:
+        return sum(r.columnar for r in self.records)
+
+    @property
+    def parallel_scans(self) -> int:
+        return sum(r.workers > 1 for r in self.records)
+
+    @property
+    def merge_seconds(self) -> float:
+        return sum(r.merge_seconds for r in self.records)
+
+    @property
+    def worker_seconds_total(self) -> float:
+        return sum(sum(r.worker_seconds) for r in self.records)
+
+    @property
+    def pool_setup_seconds(self) -> float:
+        return sum(r.pool_setup_seconds for r in self.records)
+
+    @property
+    def cached_scans(self) -> int:
+        return sum(r.cached for r in self.records)
+
+    @property
+    def encode_seconds_saved(self) -> float:
+        return sum(r.encode_seconds_saved for r in self.records)
+
+    @property
+    def ship_seconds_saved(self) -> float:
+        return sum(r.ship_seconds_saved for r in self.records)
+
+    @property
+    def index_path_scans(self) -> int:
+        """SERVER scans whose access path was a secondary-index probe."""
+        return sum(r.access_path == "index" for r in self.records)

@@ -243,7 +243,6 @@ class TestWarmColdEquivalence:
         warm = [r for r in trace if r.cache_hit]
         assert len(warm) == 2
         assert all(r.encode_seconds == 0.0 for r in warm)
-        assert stats.cache_hits == 2
         assert stats.cached_scans >= 3
 
 
@@ -311,7 +310,7 @@ class TestMultiLevelServerFit:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
             cache = mw.execution.scan_cache
-            if cache is None or not mw.execution.last_scan.cached:
+            if cache is None or not mw.trace[-1].cached:
                 pytest.skip("columnar cache not active")
             assert cache.misses == 1
             mw.queue_request(child_request("n0", 0, rows))

@@ -424,8 +424,8 @@ class TestColumnarIntegration:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
             assert mw.stats.columnar_scans == 1
-            assert mw.execution.last_scan.columnar
-            assert mw.execution.last_scan.partition_rows > 0
+            assert mw.trace[-1].columnar
+            assert mw.trace[-1].partition_rows > 0
 
     def _staged_root_bytes(self, **overrides):
         rows = dataset_rows()
@@ -632,12 +632,11 @@ class TestInlineExecutor:
                         assert record.split_writers == 0
                         assert not record.cached
                         assert "(columnar)" in str(record)
-                    scan = mw.execution.last_scan
+                    scan = mw.trace[-1]
                     assert scan.workers == 1 and scan.columnar
                     assert scan.partition_rows == 4 * config.scan_chunk_rows
                     assert len(scan.worker_seconds) >= 2  # partitioned
                     assert mw.stats.parallel_scans == 0
-                    assert mw.stats.prefetched_scans == 0
                     assert mw.stats.cached_scans == 0
                     assert mw.stats.columnar_scans == mw.stats.batches
                     pool = mw.scan_pool

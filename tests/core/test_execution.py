@@ -83,7 +83,7 @@ class TestSingleScanCounting:
                 mw.queue_request(child_request(f"n{value}", value, rows))
             results = mw.process_next_batch()
             assert len(results) == 3
-            assert mw.stats.total_scans == 1
+            assert mw.stats.batches == 1
             for value, result in zip(range(3), sorted(
                 results, key=lambda r: r.node_id
             )):

@@ -221,7 +221,7 @@ class TestPoisonedPartition:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
-            assert mw.execution.last_scan.columnar
+            assert mw.trace[-1].columnar
             assert mw.scan_pool is pool and pool.pools_created == 0
             # The retry staged the root afresh over the abandoned file.
             assert list(mw.staging.file_for("root").scan()) == ROWS
@@ -247,7 +247,6 @@ class TestPoisonedPartition:
     def test_poison_mid_stream_with_prefetch_enabled(self, tmp_path):
         with make_middleware(memory_staging=False,
                              staging_dir=str(tmp_path),
-                             scan_prefetch_partitions=3,
                              **self.PARALLEL) as mw:
             self._poison(mw, poison_after=20)
             mw.queue_request(root_request())
@@ -279,7 +278,7 @@ class TestPoisonedCachedScan:
             mw.queue_request(root_request())
             mw.process_next_batch()  # cold scan: encodes and admits
             cache = mw.execution.scan_cache
-            if cache is None or not mw.execution.last_scan.cached:
+            if cache is None or not mw.trace[-1].cached:
                 pytest.skip("columnar cache not active (numpy missing)")
             assert cache.misses == 1
             pool = mw.scan_pool
@@ -521,8 +520,7 @@ class TestPipelineStageFailures:
     once the fault is gone.
     """
 
-    WRITERS = ("InlineStagingWriter", "PipelinedStagingWriter",
-               "ParallelStagingWriter")
+    WRITERS = ("InlineStagingWriter", "ParallelStagingWriter")
 
     def _arm(self, fault, mw, patch):
         """Plant ``fault`` for the next scan of ``mw``."""
@@ -644,7 +642,7 @@ class TestPipelineStageFailures:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc == build_cc_from_rows(rows, spec, ("A1", "A2"))
-        scan = mw.execution.last_scan
+        scan = mw.trace[-1]
         assert scan.columnar == (source != "row-tuple")
         assert scan.cached == source.endswith("cached")
 

@@ -133,8 +133,8 @@ class TestKeyboardInterruptCleanup:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
-            assert mw.execution.last_scan.columnar
-            assert mw.execution.last_scan.workers == 1
+            assert mw.trace[-1].columnar
+            assert mw.trace[-1].workers == 1
 
     def test_middleware_usable_after_interrupt(self):
         with make_middleware() as mw:

@@ -22,14 +22,16 @@ from repro.common.cost import CostMeter, CostModel
 from repro.common.errors import MiddlewareError, StagingError
 from repro.common.memory import MemoryBudget
 from repro.core.config import MiddlewareConfig
+from repro.core.execution import PREFETCH_PARTITIONS
 from repro.core.filters import PathCondition
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
 from repro.core.staging import (
+    DataLocation,
     ParallelStagingWriter,
-    PipelinedStagingWriter,
     StagingManager,
 )
+from repro.core.trace import ExecutionTrace
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
@@ -172,6 +174,8 @@ class TestParallelEquivalence:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
             assert mw.staging.memory_rows("root") == rows
+            # A capture-only scan writes no file, so no writer thread.
+            assert mw.trace[-1].split_writers == 0
 
     def test_full_fit_grows_identical_tree(self):
         generating = build_random_tree(
@@ -227,7 +231,7 @@ class TestParallelOverflow:
             while mw.pending:
                 for result in mw.process_next_batch():
                     results[result.node_id] = result
-                scan = mw.execution.last_scan
+                scan = mw.trace[-1]
                 outcomes.append(
                     (scan.deferrals, scan.sql_fallbacks, scan.nodes_served)
                 )
@@ -331,13 +335,27 @@ class TestParallelProfiling:
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
-            scan = mw.execution.last_scan
+            scan = mw.trace[-1]
             assert scan.workers == 2
             assert len(scan.worker_seconds) >= 2  # several partitions ran
             assert mw.stats.parallel_scans == 1
             report = mw.report()
-        assert "parallel" in report
-        assert "2 workers" in report
+        assert "1 parallel (2 thread workers, " in report
+
+    def test_report_names_the_inline_executor(self):
+        rows = dataset_rows()
+        server = make_server(rows)
+        config = MiddlewareConfig(
+            memory_bytes=100_000, scan_workers=1, **PARALLEL
+        )
+        with Middleware(server, "data", SPEC, config) as mw:
+            mw.queue_request(root_request(rows))
+            mw.process_next_batch()
+            report = mw.report()
+        # One worker has no pool to describe: the scan-loop line must
+        # agree with the "scan pool:" line two below it.
+        assert "0 parallel (inline, " in report
+        assert "workers=1, inline" in report
 
     def test_small_scans_stay_serial(self):
         # 27 rows is far below the default scan_parallel_min_rows gate.
@@ -347,7 +365,7 @@ class TestParallelProfiling:
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
-            assert mw.execution.last_scan.workers == 1
+            assert mw.trace[-1].workers == 1
             assert mw.stats.parallel_scans == 0
 
     def test_per_row_loop_never_parallelizes(self):
@@ -369,7 +387,7 @@ class TestParallelConfig:
             field.name for field in dataclasses.fields(MiddlewareConfig)
             if field.name.startswith("scan_")
         ]
-        assert len(knobs) <= 8, knobs
+        assert len(knobs) <= 7, knobs
 
     def test_zero_workers_rejected(self):
         with pytest.raises(MiddlewareError):
@@ -402,50 +420,6 @@ class _ExplodingWriter:
         raise StagingError("disk full")
 
 
-class TestPipelinedStagingWriter:
-    @pytest.fixture
-    def staged(self, tmp_path):
-        manager = StagingManager(
-            SPEC, CostMeter(), CostModel(), MemoryBudget(10_000),
-            staging_dir=str(tmp_path),
-        )
-        yield manager.open_file("n1")
-        manager.close()
-
-    def test_partitions_written_in_submission_order(self, staged):
-        capture = {"m1": []}
-        writer = PipelinedStagingWriter({"n1": staged}, capture)
-        writer.put({"n1": [(0, 0, 0), (1, 1, 1)]}, {"m1": [(0, 0, 0)]})
-        writer.put({"n1": [(2, 2, 2)]}, {"m1": [(2, 2, 2)]})
-        writer.put({}, {})  # empty partitions are skipped, not queued
-        writer.close()
-        staged.seal()
-        assert list(staged.scan()) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert capture["m1"] == [(0, 0, 0), (2, 2, 2)]
-
-    def test_close_surfaces_writer_error(self):
-        writer = PipelinedStagingWriter({"n1": _ExplodingWriter()}, {})
-        writer.put({"n1": [(0, 0, 0)]}, {})
-        with pytest.raises(StagingError, match="disk full"):
-            writer.close()
-
-    def test_put_surfaces_earlier_error(self):
-        writer = PipelinedStagingWriter({"n1": _ExplodingWriter()}, {})
-        writer.put({"n1": [(0, 0, 0)]}, {})
-        deadline = time.monotonic() + 5.0
-        while writer._error is None and time.monotonic() < deadline:
-            time.sleep(0.001)
-        with pytest.raises(StagingError, match="disk full"):
-            writer.put({"n1": [(1, 1, 1)]}, {})
-        writer.abort()  # abort never raises
-
-    def test_put_after_close_rejected(self, staged):
-        writer = PipelinedStagingWriter({"n1": staged}, {})
-        writer.close()
-        with pytest.raises(StagingError):
-            writer.put({"n1": [(0, 0, 0)]}, {})
-
-
 class TestParallelStagingWriter:
     """Per-file writer threads must keep the pipelined semantics."""
 
@@ -462,6 +436,27 @@ class TestParallelStagingWriter:
         files = {f"n{i}": manager.open_file(f"n{i}") for i in range(3)}
         writer = ParallelStagingWriter(files, {})
         assert writer.n_writers == 3
+        writer.close()
+
+    def test_one_file_is_the_funnel(self, manager):
+        staged = manager.open_file("n1")
+        capture = {"m1": []}
+        writer = ParallelStagingWriter({"n1": staged}, capture)
+        assert writer.n_writers == 1
+        writer.put({"n1": [(0, 0, 0), (1, 1, 1)]}, {"m1": [(0, 0, 0)]})
+        writer.put({"n1": [(2, 2, 2)]}, {"m1": [(2, 2, 2)]})
+        writer.put({}, {})  # empty partitions are skipped, not queued
+        writer.close()
+        staged.seal()
+        assert list(staged.scan()) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+        assert capture["m1"] == [(0, 0, 0), (2, 2, 2)]
+
+    def test_no_file_starts_no_thread(self):
+        capture = {"m1": []}
+        writer = ParallelStagingWriter({}, capture)
+        assert writer.n_writers == 0
+        writer.put({}, {"m1": [(0, 0, 0)]})
+        assert capture["m1"] == [(0, 0, 0)]  # applied in place
         writer.close()
 
     def test_per_file_order_preserved_across_files(self, manager):
@@ -519,15 +514,12 @@ class TestPrefetch:
 
     # The columnar cache's encode-once path never streams partitions,
     # so the prefetch producer only runs with the cache budget at 0.
-    @pytest.mark.parametrize("depth", [0, 1, 3])
-    def test_counts_and_costs_identical_at_any_depth(self, depth):
+    def test_counts_and_costs_identical_with_prefetch(self):
         results, trace, cost = frontier_results(
-            scan_workers=2, scan_prefetch_partitions=depth,
-            scan_cache_bytes=0, **PARALLEL
+            scan_workers=2, scan_cache_bytes=0, **PARALLEL
         )
-        reference, _, reference_cost = frontier_results(
-            scan_workers=1, scan_prefetch_partitions=0,
-            scan_cache_bytes=0, **PARALLEL
+        reference, reference_trace, reference_cost = frontier_results(
+            scan_workers=1, scan_cache_bytes=0, **PARALLEL
         )
         rows = dataset_rows()
         for value in range(3):
@@ -536,9 +528,11 @@ class TestPrefetch:
                 subset, SPEC, ("A2",)
             )
         # Exactly one thread consumes the cursor, so meter charges are
-        # identical whether or not the producer thread pulled ahead.
+        # identical whether the producer thread pulled ahead (a pool)
+        # or the coordinator pulled and submitted (the inline executor).
         assert cost == pytest.approx(reference_cost)
-        assert trace[0].prefetch_depth == depth
+        assert trace[0].prefetch_depth == PREFETCH_PARTITIONS
+        assert reference_trace[0].prefetch_depth == 0
 
     def test_prefetch_only_applies_to_server_scans(self):
         rows = dataset_rows()
@@ -547,23 +541,18 @@ class TestPrefetch:
             memory_bytes=100_000,
             file_staging=False,
             scan_workers=2,
-            scan_prefetch_partitions=3,
             scan_cache_bytes=0,
             **PARALLEL,
         )
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()  # SERVER scan, stages root to memory
-            assert mw.execution.last_scan.prefetch_depth == 3
+            assert mw.trace[-1].prefetch_depth == PREFETCH_PARTITIONS
             for value in range(3):
                 mw.queue_request(child_request(f"n{value}", value, rows))
             while mw.pending:
                 mw.process_next_batch()
-                assert mw.execution.last_scan.prefetch_depth == 0
-
-    def test_negative_prefetch_rejected(self):
-        with pytest.raises(MiddlewareError):
-            MiddlewareConfig(scan_prefetch_partitions=-1)
+                assert mw.trace[-1].prefetch_depth == 0
 
 
 class TestSplitWriters:
@@ -579,7 +568,6 @@ class TestSplitWriters:
             scan_workers=workers,
             **PARALLEL,
         )
-        split_writer_counts = []
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()  # SERVER scan stages the root file
@@ -587,9 +575,7 @@ class TestSplitWriters:
                 mw.queue_request(child_request(f"n{value}", value, rows))
             while mw.pending:
                 mw.process_next_batch()
-                split_writer_counts.append(
-                    mw.execution.last_scan.split_writers
-                )
+            split_writer_counts = [r.split_writers for r in mw.trace]
             payload = {}
             for value in range(3):
                 staged = mw.staging.file_for(f"n{value}")
@@ -599,62 +585,93 @@ class TestSplitWriters:
 
     def test_split_files_bit_identical_across_workers(self):
         serial, serial_writers = self._split_children(1)
-        assert all(count == 0 for count in serial_writers)  # serial path
+        assert all(count == 0 for count in serial_writers)  # in place
         for workers in (2, 4):
             parallel, writer_counts = self._split_children(workers)
             assert parallel == serial
+            assert writer_counts[0] == 1  # the root file: one funnel
             assert max(writer_counts) == 3  # one thread per output file
 
 
-class TestAbsorbAccounting:
-    """`ExecutionStats.absorb` must count each scan's profile once."""
+class TestTotalsFromTrace:
+    """Session totals are sums and counts over the trace's records."""
 
-    def _overflow_session(self, workers):
+    #: Every total ``Middleware.stats`` publishes, as its formula over
+    #: the records; a new total has to be written down here too.
+    TOTALS = {
+        "batches": lambda rs: len(rs),
+        "scans_by_mode": lambda rs: {
+            location: sum(r.mode == location.name for r in rs)
+            for location in DataLocation
+        },
+        "total_cost": lambda rs: sum(r.cost for r in rs),
+        "rows_seen": lambda rs: sum(r.rows_seen for r in rs),
+        "rows_routed": lambda rs: sum(r.rows_routed for r in rs),
+        "sql_fallbacks": lambda rs: sum(r.sql_fallbacks for r in rs),
+        "deferrals": lambda rs: sum(r.deferrals for r in rs),
+        "files_written": lambda rs: sum(r.files_written for r in rs),
+        "memory_sets_loaded":
+            lambda rs: sum(r.memory_sets_loaded for r in rs),
+        "wall_seconds": lambda rs: sum(r.wall_seconds for r in rs),
+        "rows_per_sec": lambda rs: (
+            sum(r.rows_seen for r in rs) / sum(r.wall_seconds for r in rs)
+        ),
+        "matcher_evals": lambda rs: sum(r.matcher_evals for r in rs),
+        "kernel_scans": lambda rs: sum(r.kernel for r in rs),
+        "columnar_scans": lambda rs: sum(r.columnar for r in rs),
+        "parallel_scans": lambda rs: sum(r.workers > 1 for r in rs),
+        "merge_seconds": lambda rs: sum(r.merge_seconds for r in rs),
+        "worker_seconds_total":
+            lambda rs: sum(sum(r.worker_seconds) for r in rs),
+        "pool_setup_seconds":
+            lambda rs: sum(r.pool_setup_seconds for r in rs),
+        "cached_scans": lambda rs: sum(r.cached for r in rs),
+        "encode_seconds_saved":
+            lambda rs: sum(r.encode_seconds_saved for r in rs),
+        "ship_seconds_saved":
+            lambda rs: sum(r.ship_seconds_saved for r in rs),
+        "index_path_scans":
+            lambda rs: sum(r.access_path == "index" for r in rs),
+    }
+
+    def test_each_retry_is_its_own_record_and_totals_are_sums(self):
         rows = dataset_rows()
         server = make_server(rows)
+        # The TestParallelOverflow session: underestimates admit all
+        # three nodes at once, the budget cannot hold them.
         config = MiddlewareConfig(
             memory_bytes=100,
             file_staging=False,
             memory_staging=False,
-            scan_workers=workers,
+            scan_workers=2,
             **PARALLEL,
         )
-        mw = Middleware(server, "data", SPEC, config)
-        for value in range(3):
-            mw.queue_request(
-                child_request(f"n{value}", value, rows, est_cc_pairs=1)
-            )
-        return mw
-
-    def test_retried_scan_profiles_absorbed_exactly_once(self):
-        with self._overflow_session(2) as mw:
-            per_scan = []
-            while mw.pending:
-                mw.process_next_batch()
-                scan = mw.execution.last_scan
-                per_scan.append(
-                    (scan.merge_seconds, tuple(scan.worker_seconds),
-                     scan.pool_setup_seconds)
+        with Middleware(server, "data", SPEC, config) as mw:
+            for value in range(3):
+                mw.queue_request(
+                    child_request(f"n{value}", value, rows, est_cc_pairs=1)
                 )
-            assert mw.stats.deferrals >= 1  # an abandonment retried
-            assert len(per_scan) >= 2
-            # Each retry built a fresh ScanStats: the per-scan worker
-            # profiles are independent lists, never one accumulator.
-            assert mw.stats.merge_seconds == pytest.approx(
-                sum(merge for merge, _, _ in per_scan)
-            )
-            assert mw.stats.worker_seconds_total == pytest.approx(
-                sum(sum(seconds) for _, seconds, _ in per_scan)
-            )
-            assert mw.stats.pool_setup_seconds == pytest.approx(
-                sum(setup for _, _, setup in per_scan)
-            )
-            # The trace mirrors the same per-attempt numbers.
-            assert mw.stats.merge_seconds == pytest.approx(
-                sum(record.merge_seconds for record in mw.trace)
-            )
-
-    def test_trace_merge_matches_stats_on_clean_runs(self):
-        _, trace, _ = frontier_results(scan_workers=4, **PARALLEL)
-        assert sum(r.merge_seconds for r in trace) >= 0.0
-        assert all(r.pool_setup_seconds >= 0.0 for r in trace)
+            while mw.pending:
+                before = len(mw.trace)
+                mw.process_next_batch()
+                assert len(mw.trace) == before + 1  # one record per scan
+            records = list(mw.trace)
+            stats = mw.stats
+        assert stats.deferrals >= 1 and len(records) >= 2  # a retry ran
+        assert [r.sequence for r in records] == list(range(len(records)))
+        # Each attempt owns its per-partition timings: a retry's record
+        # starts from an empty list, never the earlier attempt's.
+        profiles = [r.worker_seconds for r in records]
+        assert all(len(profile) >= 2 for profile in profiles)
+        assert len({id(profile) for profile in profiles}) == len(profiles)
+        assert stats.worker_seconds_total == pytest.approx(
+            sum(sum(profile) for profile in profiles)
+        )
+        published = {
+            name for name, member in vars(ExecutionTrace).items()
+            if isinstance(member, property)
+        }
+        assert published == set(self.TOTALS)
+        for name, formula in self.TOTALS.items():
+            assert getattr(stats, name) == pytest.approx(formula(records)), \
+                name

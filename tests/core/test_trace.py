@@ -1,5 +1,12 @@
 """Unit tests for execution tracing."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import repro.core
 from repro.client.decision_tree import DecisionTreeClassifier
 from repro.core.config import MiddlewareConfig
 from repro.core.middleware import Middleware
@@ -47,6 +54,143 @@ class TestScheduleRecord:
         assert "#3 FILE(7)" in text
         assert "split" in text
         assert "deferred=1" in text
+
+    def test_rendered_line_is_stable(self):
+        record = ScheduleRecord(
+            sequence=0,
+            mode="SERVER",
+            source_node=None,
+            batch=(0,),
+            stage_file_targets=(0,),
+            stage_memory_targets=(),
+            split_file=False,
+            cost=5867.0,
+            rows_seen=20000,
+            rows_routed=20000,
+            wall_seconds=0.0625,
+            kernel=True,
+            columnar=True,
+            access_path="seq",
+        )
+        assert record.rows_per_sec == 320000.0  # derived, not stored
+        assert str(record) == (
+            "#0 SERVER via=seq batch=1 rows=20000 cost=5867.0 "
+            "320,000 rows/s (columnar) [stage->file[0]]"
+        )
+        pooled = dataclasses.replace(
+            record, sequence=1, mode="FILE", source_node=0, batch=(1, 2),
+            stage_file_targets=(), workers=2, cached=True, cache_hit=True,
+            access_path="", cost=1000.0,
+        )
+        assert str(pooled) == (
+            "#1 FILE(0) batch=2 rows=20000 cost=1000.0 "
+            "320,000 rows/s (columnar x2w warm)"
+        )
+
+
+#: The per-scan fields of the two classes this record replaced, as they
+#: stood at the parent commit (29 each).
+PARENT_SCAN_STATS = {
+    "mode", "rows_seen", "rows_routed", "nodes_served", "sql_fallbacks",
+    "deferrals", "files_written", "memory_sets_loaded", "wall_seconds",
+    "matcher_evals", "kernel", "workers", "merge_seconds",
+    "worker_seconds", "pool_setup_seconds", "pool_reused",
+    "prefetch_depth", "split_writers", "columnar", "encode_seconds",
+    "ship_seconds", "cached", "cache_hit", "encode_seconds_saved",
+    "ship_seconds_saved", "partition_rows", "prefetch_peak",
+    "access_path", "access_cost_est",
+}
+PARENT_SCHEDULE_RECORD = {
+    "sequence", "mode", "source_node", "batch", "stage_file_targets",
+    "stage_memory_targets", "split_file", "rows_seen", "rows_routed",
+    "deferrals", "sql_fallbacks", "cost", "wall_seconds", "rows_per_sec",
+    "matcher_evals", "kernel", "workers", "merge_seconds",
+    "pool_setup_seconds", "prefetch_depth", "split_writers", "columnar",
+    "encode_seconds", "ship_seconds", "prefetch_peak", "cached",
+    "cache_hit", "access_path", "access_cost_est",
+}
+#: What a scan is asked to do: the scheduler's ``Schedule`` plans these
+#: and the record reports them, so both classes name them.
+SCHEDULE_FACTS = {
+    "mode", "source_node", "batch", "stage_file_targets",
+    "stage_memory_targets", "split_file",
+}
+
+
+class TestDeclaredOnce:
+    """Every per-scan fact has one declaration: the record's."""
+
+    def _declaring_classes(self):
+        declared = {}
+        for path in Path(repro.core.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for statement in node.body:
+                    if (isinstance(statement, ast.AnnAssign)
+                            and isinstance(statement.target, ast.Name)):
+                        declared.setdefault(
+                            statement.target.id, set()
+                        ).add(node.name)
+        return declared
+
+    def test_record_covers_both_parent_classes(self):
+        fields = {f.name for f in dataclasses.fields(ScheduleRecord)}
+        assert len(PARENT_SCAN_STATS) == len(PARENT_SCHEDULE_RECORD) == 29
+        assert fields == (
+            PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
+        ) - {"rows_per_sec"}
+        assert len(fields) == 36
+        assert isinstance(ScheduleRecord.rows_per_sec, property)
+
+    def test_each_field_is_declared_by_one_class(self):
+        declared = self._declaring_classes()
+        for field in dataclasses.fields(ScheduleRecord):
+            allowed = {"ScheduleRecord"}
+            if field.name in SCHEDULE_FACTS:
+                allowed.add("Schedule")
+            assert declared[field.name] == allowed, field.name
+
+    def test_no_session_accumulator_survives(self):
+        assert not hasattr(repro.core, "ScanStats")
+        assert not hasattr(repro.core, "ExecutionStats")
+        _, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
+        assert mw.stats is mw.trace is mw.execution.trace
+
+
+class TestBenchmarkContract:
+    """Names ``benchmarks/e2e`` reads off a session (frozen there)."""
+
+    STATS = ("batches", "rows_seen", "rows_routed", "parallel_scans",
+             "deferrals", "sql_fallbacks", "worker_seconds_total",
+             "encode_seconds_saved", "files_written", "memory_sets_loaded")
+
+    def test_names_keep_their_meaning_after_close(self):
+        server, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
+        stats, records = mw.stats, list(mw.trace)  # the session is closed
+        for name in self.STATS:
+            assert isinstance(getattr(stats, name), (int, float)), name
+        assert stats.batches == len(records) > 1
+        assert stats.rows_seen == sum(r.rows_seen for r in records) > 0
+        assert 0 < stats.rows_routed <= stats.rows_seen
+        # Planned stage targets, plus whatever §4.3.2 splits added.
+        assert stats.files_written >= sum(
+            len(r.stage_file_targets) for r in records
+        ) > 0
+        assert stats.memory_sets_loaded == sum(
+            len(r.stage_memory_targets) for r in records
+        )
+        for record in records:
+            assert isinstance(record.mode, str)
+            assert record.mode.lower() in ("server", "file", "memory")
+            assert len(record.batch) >= 1
+            assert record.wall_seconds > 0.0
+            assert record.cost > 0.0
+            assert isinstance(record.cached, bool)
+            assert isinstance(record.cache_hit, bool)
+        assert sum(r.cost for r in records) == pytest.approx(
+            server.meter.total
+        )
 
 
 class TestExecutionTrace:
@@ -101,6 +245,9 @@ class TestSessionReport:
         assert "trace:" in report
         assert "#0 SERVER" in report
         assert f"{mw.stats.batches} batches" in report
+        # No pooled scan ran, so the report must not invent a pool.
+        assert " parallel (inline, " in report
+        assert " workers, " not in report
 
     def test_report_before_any_scan(self):
         generating = build_random_tree(
