@@ -57,8 +57,6 @@ from .splits import (
     ChildSpec,
     best_split,
     child_attributes,
-    enumerate_binary_splits,
-    enumerate_multiway_split,
 )
 from .tree import DecisionTree, NodeState, TreeNode
 
@@ -92,8 +90,6 @@ __all__ = [
     "build_cc_from_rows",
     "child_attributes",
     "entropy",
-    "enumerate_binary_splits",
-    "enumerate_multiway_split",
     "equal_frequency_edges",
     "equal_width_edges",
     "extract_all_fit",

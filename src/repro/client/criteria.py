@@ -9,8 +9,8 @@ and gain ratio are provided for the broader family the scheme supports.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence, Union
+from math import log2
+from typing import Callable, Sequence, Union
 
 from ..common.errors import ClientError
 
@@ -24,7 +24,7 @@ def entropy(counts: Sequence[float]) -> float:
     for count in counts:
         if count:
             p = count / total
-            result -= p * math.log2(p)
+            result -= p * log2(p)
     return result
 
 
@@ -36,32 +36,64 @@ def gini(counts: Sequence[float]) -> float:
     return 1.0 - sum((count / total) ** 2 for count in counts)
 
 
+#: A criterion with the parent bound: per-child class counts -> score.
+Scorer = Callable[[Sequence[Sequence[int]]], float]
+
+
 class SplitCriterion:
-    """Interface: higher scores are better; <= 0 means "do not split"."""
+    """Interface: higher scores are better; <= 0 means "do not split".
+
+    A criterion implements :meth:`scorer` only.  The split search binds
+    a node's class counts once and scores every candidate through the
+    returned callable, so what depends on the parent alone (its
+    impurity, its size) is computed once per node.
+    """
 
     name = "abstract"
 
-    def score(self, parent_counts: Sequence[int],
-              children_counts: Sequence[Sequence[int]]) -> float:
-        """Score a partition given parent and per-child class counts."""
+    def scorer(self, parent_counts: Sequence[int]) -> Scorer:
+        """Bind the parent: returns ``children_counts -> score``, which
+        reads the per-child class-count vectors without modifying them."""
         raise NotImplementedError
 
+    def score(self, parent_counts: Sequence[int],
+              children_counts: Sequence[Sequence[int]]) -> float:
+        """Score one partition given parent and per-child class counts."""
+        return self.scorer(parent_counts)(children_counts)
 
-class InformationGain(SplitCriterion):
+
+class _ImpurityDecrease(SplitCriterion):
+    """I(parent) - Σ w_i · I(child_i) for the impurity measure ``I``."""
+
+    impurity = staticmethod(entropy)
+
+    def scorer(self, parent_counts: Sequence[int]) -> Scorer:
+        total = sum(parent_counts)
+        if total == 0:
+            return lambda children_counts: 0.0
+        impurity = self.impurity
+        parent_impurity = impurity(parent_counts)
+
+        def score(children_counts: Sequence[Sequence[int]]) -> float:
+            remainder = 0.0
+            for counts in children_counts:
+                remainder += sum(counts) / total * impurity(counts)
+            return parent_impurity - remainder
+
+        return score
+
+
+class InformationGain(_ImpurityDecrease):
     """ID3's information gain: H(parent) - Σ w_i · H(child_i)."""
 
     name = "entropy"
 
-    def score(self, parent_counts: Sequence[int],
-              children_counts: Sequence[Sequence[int]]) -> float:
-        total = sum(parent_counts)
-        if total == 0:
-            return 0.0
-        remainder = 0.0
-        for counts in children_counts:
-            weight = sum(counts) / total
-            remainder += weight * entropy(counts)
-        return entropy(parent_counts) - remainder
+
+class GiniGain(_ImpurityDecrease):
+    """CART's impurity decrease: G(parent) - Σ w_i · G(child_i)."""
+
+    name = "gini"
+    impurity = staticmethod(gini)
 
 
 class GainRatio(SplitCriterion):
@@ -69,36 +101,19 @@ class GainRatio(SplitCriterion):
 
     name = "gain_ratio"
 
-    def __init__(self) -> None:
-        self._gain = InformationGain()
+    def scorer(self, parent_counts: Sequence[int]) -> Scorer:
+        gain_of = InformationGain().scorer(parent_counts)
 
-    def score(self, parent_counts: Sequence[int],
-              children_counts: Sequence[Sequence[int]]) -> float:
-        gain = self._gain.score(parent_counts, children_counts)
-        if gain <= 0.0:
-            return 0.0
-        sizes = [sum(counts) for counts in children_counts]
-        split_info = entropy(sizes)
-        if split_info <= 0.0:
-            return 0.0
-        return gain / split_info
+        def score(children_counts: Sequence[Sequence[int]]) -> float:
+            gain = gain_of(children_counts)
+            if gain <= 0.0:
+                return 0.0
+            split_info = entropy([sum(counts) for counts in children_counts])
+            if split_info <= 0.0:
+                return 0.0
+            return gain / split_info
 
-
-class GiniGain(SplitCriterion):
-    """CART's impurity decrease: G(parent) - Σ w_i · G(child_i)."""
-
-    name = "gini"
-
-    def score(self, parent_counts: Sequence[int],
-              children_counts: Sequence[Sequence[int]]) -> float:
-        total = sum(parent_counts)
-        if total == 0:
-            return 0.0
-        remainder = 0.0
-        for counts in children_counts:
-            weight = sum(counts) / total
-            remainder += weight * gini(counts)
-        return gini(parent_counts) - remainder
+        return score
 
 
 class ChiSquare(SplitCriterion):
@@ -112,33 +127,37 @@ class ChiSquare(SplitCriterion):
 
     name = "chi2"
 
-    def score(self, parent_counts: Sequence[int],
-              children_counts: Sequence[Sequence[int]]) -> float:
+    def scorer(self, parent_counts: Sequence[int]) -> Scorer:
         total = sum(parent_counts)
         if total == 0:
-            return 0.0
-        class_totals = [0] * len(parent_counts)
-        for counts in children_counts:
-            for label, count in enumerate(counts):
-                class_totals[label] += count
-        child_totals = [sum(counts) for counts in children_counts]
+            return lambda children_counts: 0.0
+        n_classes = len(parent_counts)
 
-        statistic = 0.0
-        for counts, child_total in zip(children_counts, child_totals):
-            if child_total == 0:
-                continue
-            for label, observed in enumerate(counts):
-                expected = child_total * class_totals[label] / total
-                if expected > 0:
-                    deviation = observed - expected
-                    statistic += deviation * deviation / expected
+        def score(children_counts: Sequence[Sequence[int]]) -> float:
+            class_totals = [0] * n_classes
+            for counts in children_counts:
+                for label, count in enumerate(counts):
+                    class_totals[label] += count
+            child_totals = [sum(counts) for counts in children_counts]
 
-        live_rows = sum(1 for t in child_totals if t)
-        live_cols = sum(1 for t in class_totals if t)
-        dof_scale = min(live_rows, live_cols) - 1
-        if dof_scale <= 0:
-            return 0.0
-        return statistic / (total * dof_scale)
+            statistic = 0.0
+            for counts, child_total in zip(children_counts, child_totals):
+                if child_total == 0:
+                    continue
+                for label, observed in enumerate(counts):
+                    expected = child_total * class_totals[label] / total
+                    if expected > 0:
+                        deviation = observed - expected
+                        statistic += deviation * deviation / expected
+
+            live_rows = sum(1 for t in child_totals if t)
+            live_cols = sum(1 for t in class_totals if t)
+            dof_scale = min(live_rows, live_cols) - 1
+            if dof_scale <= 0:
+                return 0.0
+            return statistic / (total * dof_scale)
+
+        return score
 
 
 _CRITERIA: dict[str, type[SplitCriterion]] = {

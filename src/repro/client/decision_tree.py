@@ -12,7 +12,15 @@ Implements the client side of Figure 3:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..common.errors import NotFittedError
 from ..core.estimators import estimate_cc_pairs, root_cc_pairs
@@ -23,7 +31,6 @@ from .growth import GrowthPolicy, partition_node
 from .tree import DecisionTree, TreeNode
 
 if TYPE_CHECKING:
-    from ..core.cc_table import CCTable
     from ..core.middleware import Middleware
     from ..datagen.dataset import DatasetSpec
 
@@ -59,9 +66,12 @@ class DecisionTreeClassifier:
                 node = tree.nodes[result.node_id]
                 node.location_tag = result.source.tag
                 children = partition_node(tree, node, result.cc, self.policy)
+                if not children:
+                    continue
+                parent_cards = result.cc.pair_count_by_attribute()
                 for child in children:
                     middleware.queue_request(
-                        self._child_request(child, node, result.cc)
+                        self._child_request(child, node, parent_cards)
                     )
         self.tree_ = tree
         return self
@@ -79,12 +89,12 @@ class DecisionTreeClassifier:
         )
 
     def _child_request(self, child: TreeNode, parent: TreeNode,
-                       parent_cc: "CCTable") -> CountsRequest:
+                       parent_cards: Mapping[str, int]) -> CountsRequest:
         assert child.n_rows is not None and parent.n_rows is not None
         est_pairs = estimate_cc_pairs(
             child.n_rows,
             parent.n_rows,
-            parent_cc.pair_count_by_attribute(),
+            parent_cards,
             child.attributes,
         )
         return CountsRequest(

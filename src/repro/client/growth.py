@@ -91,9 +91,10 @@ def partition_node(tree: DecisionTree, node: TreeNode, cc: "CCTable",
         node.mark_leaf()
         return []
 
+    assert isinstance(policy.criterion, SplitCriterion)  # __post_init__
     split = best_split(
         cc,
-        make_criterion(policy.criterion),
+        policy.criterion,
         binary=policy.binary_splits,
         min_gain=policy.min_gain,
     )

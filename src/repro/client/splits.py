@@ -14,14 +14,12 @@ tables.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..common.errors import ClientError
+from ..core.cc_table import CCTable, value_sort_key
 from ..core.filters import PathCondition
 from .criteria import SplitCriterion
-
-if TYPE_CHECKING:
-    from ..core.cc_table import CCTable
 
 #: Scores within this tolerance are considered tied (floating point).
 SCORE_EPSILON = 1e-12
@@ -58,10 +56,9 @@ class CandidateSplit:
         self.children = children
         self.score = score
 
-    def sort_key(self) -> tuple[float, str, Any]:
+    def sort_key(self) -> tuple[float, str, tuple[bool, str, Any]]:
         """Orders candidates best-first, deterministically."""
-        pivot = self.value if self.value is not None else -1
-        return (-self.score, self.attribute, pivot)
+        return (-self.score, self.attribute, value_sort_key(self.value))
 
     def __repr__(self) -> str:
         return (
@@ -70,87 +67,71 @@ class CandidateSplit:
         )
 
 
-def enumerate_binary_splits(
-    cc: "CCTable", attribute: str
-) -> list[tuple[Any, list[ChildSpec]]]:
-    """All value-vs-rest splits of ``attribute`` with two non-empty sides."""
-    totals = cc.class_totals()
-    candidates: list[tuple[Any, list[ChildSpec]]] = []
-    for value in cc.values_of(attribute):
-        inside = cc.vector(attribute, value)
-        n_inside = sum(inside)
-        n_outside = cc.records - n_inside
-        if n_inside == 0 or n_outside == 0:
-            continue
-        outside = [t - i for t, i in zip(totals, inside)]
-        children = [
-            ChildSpec(PathCondition(attribute, "=", value), n_inside, inside),
-            ChildSpec(
-                PathCondition(attribute, "<>", value), n_outside, outside
-            ),
-        ]
-        candidates.append((value, children))
-    return candidates
-
-
-def enumerate_multiway_split(
-    cc: "CCTable", attribute: str
-) -> Optional[list[ChildSpec]]:
-    """The complete split of ``attribute`` (one child per value), or None."""
-    values = cc.values_of(attribute)
-    if len(values) < 2:
-        return None
-    children: list[ChildSpec] = []
-    for value in values:
-        counts = cc.vector(attribute, value)
-        children.append(
-            ChildSpec(PathCondition(attribute, "=", value), sum(counts), counts)
-        )
-    return children
-
-
-def best_split(cc: "CCTable", criterion: SplitCriterion,
+def best_split(cc: CCTable, criterion: SplitCriterion,
                binary: bool = True,
                min_gain: float = 0.0) -> Optional[CandidateSplit]:
     """The highest-scoring candidate split, or None if none qualifies.
 
     ``min_gain`` filters out splits whose score is not strictly above
     it (0.0 rejects zero-gain splits, which would loop forever).
+
+    One pass over the CC table keeps the best score and the candidates
+    tied at it; :meth:`CandidateSplit.sort_key` picks among those and
+    only the winner's children are built.
     """
-    if cc.records == 0:
+    records = cc.records
+    if records == 0:
         raise ClientError("cannot split an empty node")
-    parent_counts = cc.class_totals()
-    candidates: list[CandidateSplit] = []
-    for attribute in cc.attributes:
+    totals = cc.class_totals()
+    score_of = criterion.scorer(totals)
+    best_score = threshold = min_gain + SCORE_EPSILON
+    kind = "binary" if binary else "multiway"
+    tied: list[CandidateSplit] = []  # the candidates at best_score
+    #: Equal count vectors score equally: each distinct one is scored once.
+    scores: dict[tuple[int, ...], float] = {}
+    view = cc.by_attribute()
+    for attribute, vectors in view.items():
         if binary:
-            for value, children in enumerate_binary_splits(cc, attribute):
-                score = criterion.score(
-                    parent_counts, [c.class_counts for c in children]
-                )
-                if score > min_gain + SCORE_EPSILON:
-                    candidates.append(
-                        CandidateSplit(attribute, "binary", value, children,
-                                       score)
+            for value, inside in vectors.items():
+                if not 0 < sum(inside) < records:
+                    continue  # one side would be empty
+                key = tuple(inside)
+                score = scores.get(key)
+                if score is None:
+                    outside = [t - i for t, i in zip(totals, inside)]
+                    score = scores[key] = score_of((inside, outside))
+                if score >= best_score and score > threshold:
+                    if score > best_score:
+                        best_score, tied = score, []
+                    tied.append(
+                        CandidateSplit(attribute, kind, value, [], score)
                     )
-        else:
-            children = enumerate_multiway_split(cc, attribute)
-            if children is None:
-                continue
-            score = criterion.score(
-                parent_counts, [c.class_counts for c in children]
-            )
-            if score > min_gain + SCORE_EPSILON:
-                candidates.append(
-                    CandidateSplit(attribute, "multiway", None, children,
-                                   score)
-                )
-    if not candidates:
+        elif len(vectors) >= 2:
+            score = score_of([vectors[v] for v in cc.values_of(attribute)])
+            if score >= best_score and score > threshold:
+                if score > best_score:
+                    best_score, tied = score, []
+                tied.append(CandidateSplit(attribute, kind, None, [], score))
+    if not tied:
         return None
-    return min(candidates, key=CandidateSplit.sort_key)
+    split = min(tied, key=CandidateSplit.sort_key)
+    vectors = view[split.attribute]
+    if binary:
+        inside = vectors[split.value]
+        outside = [t - i for t, i in zip(totals, inside)]
+        edges = [("=", split.value, inside), ("<>", split.value, outside)]
+    else:
+        edges = [("=", v, vectors[v]) for v in cc.values_of(split.attribute)]
+    split.children = [
+        ChildSpec(PathCondition(split.attribute, op, value), sum(counts),
+                  counts)
+        for op, value, counts in edges
+    ]
+    return split
 
 
 def child_attributes(parent_attributes: Iterable[str],
-                     parent_cc: "CCTable", split: CandidateSplit,
+                     parent_cc: CCTable, split: CandidateSplit,
                      child: ChildSpec) -> tuple[str, ...]:
     """Attributes still informative at ``child`` after ``split``.
 

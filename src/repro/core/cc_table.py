@@ -33,8 +33,12 @@ def bytes_for_pairs(n_pairs: int, n_classes: int) -> int:
     return n_pairs * (PAIR_KEY_BYTES + BYTES_PER_COUNT * n_classes)
 
 
-def _value_sort_key(value: Any) -> tuple[bool, str, Any]:
-    """Deterministic ordering for possibly-None attribute values."""
+def value_sort_key(value: Any) -> tuple[bool, str, Any]:
+    """Deterministic ordering for possibly-None attribute values.
+
+    NULL sorts first, then values grouped by type, so NULL and
+    mixed-type values are never compared with each other directly.
+    """
     return (value is not None, str(type(value)), value)
 
 
@@ -42,7 +46,7 @@ class CCTable:
     """Co-occurrence counts of (attribute, value) with the class."""
 
     __slots__ = ("attributes", "n_classes", "_vectors", "_records",
-                 "_class_totals")
+                 "_class_totals", "_view")
 
     def __init__(self, attributes: Iterable[str], n_classes: int) -> None:
         if n_classes < 1:
@@ -53,6 +57,8 @@ class CCTable:
         self._vectors: dict[tuple[str, Any], list[int]] = {}
         self._records = 0
         self._class_totals: list[int] = [0] * n_classes
+        #: The cached :meth:`by_attribute` view and its pair count.
+        self._view: tuple[int, dict[str, dict[Any, list[int]]]] = (-1, {})
 
     # -- updates ---------------------------------------------------------
 
@@ -193,27 +199,42 @@ class CCTable:
             return [0] * self.n_classes
         return list(vector)
 
+    def by_attribute(self) -> Mapping[str, Mapping[Any, Sequence[int]]]:
+        """The table grouped per attribute: ``attribute -> {value: counts}``.
+
+        Every attribute of the node is present (in :attr:`attributes`
+        order); values come in first-counted order.  Built in one pass
+        over the pairs and kept: pairs are only ever added and the view
+        shares the live count vectors (read-only for callers), so it is
+        current for as long as it holds every pair of the table.
+        """
+        n_pairs, view = self._view
+        if n_pairs != len(self._vectors):
+            view = {attribute: {} for attribute in self.attributes}
+            for (attribute, value), vector in self._vectors.items():
+                view[attribute][value] = vector
+            self._view = (len(self._vectors), view)
+        return view
+
     def values_of(self, attribute: str) -> list[Any]:
         """Sorted values ``attribute`` takes in the node's data.
 
         NULL-safe: a None value (possible when mining tables loaded
         with validation off) sorts first.
         """
-        return sorted(
-            (value for (attr, value) in self._vectors if attr == attribute),
-            key=_value_sort_key,
-        )
+        return sorted(self.by_attribute().get(attribute, ()),
+                      key=value_sort_key)
 
     def cardinality(self, attribute: str) -> int:
         """``card(n, A)`` — distinct values of ``attribute`` at the node."""
-        return sum(1 for (attr, _) in self._vectors if attr == attribute)
+        return len(self.by_attribute().get(attribute, ()))
 
     def pair_count_by_attribute(self) -> dict[str, int]:
         """Mapping attribute -> cardinality (for estimators)."""
-        cards = {attribute: 0 for attribute in self.attributes}
-        for attr, _ in self._vectors:
-            cards[attr] += 1
-        return cards
+        return {
+            attribute: len(vectors)
+            for attribute, vectors in self.by_attribute().items()
+        }
 
     def rows(self) -> list[tuple[str, Any, int, int]]:
         """The 4-column table, sorted: (attr_name, value, class, count).
@@ -223,7 +244,7 @@ class CCTable:
         out: list[tuple[str, Any, int, int]] = []
         ordered = sorted(
             self._vectors.items(),
-            key=lambda item: (item[0][0], _value_sort_key(item[0][1])),
+            key=lambda item: (item[0][0], value_sort_key(item[0][1])),
         )
         for (attribute, value), vector in ordered:
             for class_label, count in enumerate(vector):

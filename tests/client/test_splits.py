@@ -1,17 +1,26 @@
 """Unit tests for candidate split enumeration and selection."""
 
+from collections import Counter
+
 import pytest
 
+from repro.client import splits
 from repro.client.baselines import build_cc_from_rows
-from repro.client.criteria import make_criterion
+from repro.client.criteria import InformationGain, entropy, make_criterion
 from repro.client.splits import (
+    CandidateSplit,
+    ChildSpec,
     best_split,
     child_attributes,
-    enumerate_binary_splits,
-    enumerate_multiway_split,
 )
 from repro.common.errors import ClientError
+from repro.core.cc_table import CCTable
+from repro.core.filters import PathCondition
 from repro.datagen.dataset import DatasetSpec
+
+# The enumerators live on only in the oracle the property test
+# compares against; these tests pin what that oracle enumerates.
+from .reference_splits import enumerate_binary_splits, enumerate_multiway_split
 
 SPEC = DatasetSpec([3, 2], 2)
 
@@ -133,9 +142,6 @@ class TestChildAttributes:
         cc = cc_from(rows)
         split = best_split(cc, make_criterion("gini"))
         # Force a split on A2 (two values) to check the drop.
-        from repro.client.splits import CandidateSplit, ChildSpec
-        from repro.core.filters import PathCondition
-
         children = [
             ChildSpec(PathCondition("A2", "=", 0), 2, [1, 1]),
             ChildSpec(PathCondition("A2", "<>", 0), 2, [1, 1]),
@@ -143,3 +149,104 @@ class TestChildAttributes:
         split = CandidateSplit("A2", "binary", 0, children, 0.1)
         remaining = child_attributes(("A1", "A2"), cc, split, children[1])
         assert remaining == ("A1",)
+
+
+class TestNullPivotOrdering:
+    """A NULL pivot used to sort as ``-1``, which does not compare with
+    a string pivot it ties with on (score, attribute)."""
+
+    def tied_table(self):
+        cc = CCTable(["A"], 2)
+        for value, label in [(None, 0), (None, 0), ("x", 1), ("x", 1)]:
+            cc.count_row({"A": value}, label)
+        return cc
+
+    def test_null_and_string_pivots_tie_without_type_error(self):
+        split = best_split(self.tied_table(), make_criterion("entropy"))
+        assert (split.attribute, split.value) == ("A", None)  # NULL first
+        assert [c.condition.op for c in split.children] == ["=", "<>"]
+
+    def test_sort_key_orders_null_first_then_by_type(self):
+        keys = [
+            CandidateSplit("A", "binary", pivot, [], 1.0).sort_key()
+            for pivot in ("x", 3, None, -5)
+        ]
+        assert [key[2][2] for key in sorted(keys)] == [None, -5, 3, "x"]
+
+
+class TestWorkPerNode:
+    """Counts, not timings: one node costs one pass over the pairs.
+
+    Guards the shape of the search — the pairs walked once, the parent
+    impurity evaluated once, each distinct count vector scored once and
+    children built for the winner only — against sliding back to a
+    re-scan per attribute with per-candidate objects.
+    """
+
+    #: A3 repeats A1, so 8 pairs carry 5 distinct count vectors.
+    ROWS = [
+        (a1, a2, a1, label) for a1, a2, label in [
+            (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1),
+            (1, 1, 2), (2, 0, 2), (2, 1, 2), (2, 0, 0),
+        ]
+    ]
+
+    def table(self):
+        return build_cc_from_rows(self.ROWS, DatasetSpec([3, 2, 3], 3),
+                                  ("A1", "A2", "A3"))
+
+    def test_one_pass_and_only_the_winner_is_built(self, monkeypatch):
+        plain = self.table()
+        totals = plain.class_totals()
+        distinct = {
+            tuple(plain.vector(attribute, value))
+            for attribute in plain.attributes
+            for value in plain.values_of(attribute)
+        }
+        assert (plain.n_pairs, len(distinct)) == (8, 5)
+
+        built = Counter()
+        for cls in (ChildSpec, PathCondition):
+            def init(self, *args, _cls=cls, **kwargs):
+                built[_cls.__name__] += 1
+                _cls.__init__(self, *args, **kwargs)
+
+            monkeypatch.setattr(
+                splits, cls.__name__,
+                type(cls.__name__, (cls,), {"__init__": init}),
+            )
+
+        impurity_of = []
+
+        def counting_entropy(counts):
+            impurity_of.append(list(counts))
+            return entropy(counts)
+
+        monkeypatch.setattr(
+            InformationGain, "impurity", staticmethod(counting_entropy)
+        )
+
+        class WalkCounting(dict):
+            walks = 0
+
+            def items(self):
+                self.walks += 1
+                return super().items()
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        cc = self.table()
+        cc._vectors = WalkCounting(cc._vectors)
+
+        split = best_split(cc, InformationGain())
+        for child in split.children:
+            child_attributes(cc.attributes, cc, split, child)
+        cc.pair_count_by_attribute()
+
+        assert split.kind == "binary"
+        assert built == {"ChildSpec": 2, "PathCondition": 2}
+        assert impurity_of.count(totals) == 1
+        assert len(impurity_of) == 1 + 2 * len(distinct)
+        assert cc._vectors.walks == 1

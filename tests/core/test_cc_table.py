@@ -70,6 +70,37 @@ class TestCardinalities:
         cc = make_counted()
         assert cc.pair_count_by_attribute() == {"A1": 2, "A2": 2}
 
+    def test_empty_table_lists_every_attribute(self):
+        cc = CCTable(("A1", "A2"), 2)
+        assert cc.pair_count_by_attribute() == {"A1": 0, "A2": 0}
+        assert cc.values_of("A1") == [] and cc.values_of("nope") == []
+
+    def test_reads_stay_current_across_every_kind_of_update(self):
+        # The per-attribute view is kept between reads; every way of
+        # adding counts must show up in the next read.
+        cc = make_counted()
+        view = cc.by_attribute()
+        assert cc.by_attribute() is view  # nothing added: not rebuilt
+
+        cc.count_row({"A1": 0, "A2": 1}, 1)  # no new pair
+        assert list(cc.by_attribute()["A1"][0]) == cc.vector("A1", 0)
+        cc.count_row({"A1": 5, "A2": 1}, 0)
+        assert cc.values_of("A1") == [0, 1, 5]
+        cc.count_row_at((9, 1), (("A1", 0), ("A2", 1)), 1)
+        assert cc.values_of("A1") == [0, 1, 5, 9]
+        cc.add_counts("A2", None, 0, 3)
+        assert cc.values_of("A2") == [None, 1, 2]
+        other = CCTable(("A1", "A2"), 3)
+        other.count_row({"A1": -1, "A2": 2}, 0)
+        cc.merge(other)
+        assert cc.cardinality("A1") == 5
+        cc.merge_block(1, [1, 0, 0], [("A1", [7], [[1, 0, 0]]),
+                                      ("A2", [2], [[1, 0, 0]])])
+        assert cc.pair_count_by_attribute() == {"A1": 6, "A2": 3}
+        for attribute, vectors in cc.by_attribute().items():
+            for value, counts in vectors.items():
+                assert list(counts) == cc.vector(attribute, value)
+
 
 class TestSizeAccounting:
     def test_bytes_for_pairs_formula(self):
