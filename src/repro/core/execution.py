@@ -82,7 +82,12 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
-from ..sqlengine.columnar import ColumnarPartition, columnar_available, np
+from ..sqlengine.columnar import (
+    ColumnarPartition,
+    columnar_available,
+    filter_supported,
+    np,
+)
 from ..sqlengine.expr import TrueExpr
 from .cc_table import CCTable
 from .columnar_cache import (
@@ -103,7 +108,7 @@ from .staging import (
     StagedFile,
 )
 from .trace import ExecutionTrace, ScheduleRecord
-from .vector_kernel import MAX_SLOTS, filter_supported
+from .vector_kernel import MAX_SLOTS
 
 
 # -- partition production ----------------------------------------------------

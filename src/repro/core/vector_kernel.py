@@ -30,8 +30,13 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, Optional
 
-from ..sqlengine.columnar import DICT, ColumnarPartition, np
-from ..sqlengine.expr import And, ColumnRef, Comparison, Literal, Or, TrueExpr
+from ..sqlengine.columnar import (
+    DICT,
+    ColumnarPartition,
+    filter_supported,
+    np,
+    predicate_mask,
+)
 
 #: Widest batch the int64 candidate masks can route.
 MAX_SLOTS = 62
@@ -68,98 +73,6 @@ def route_masks(kernel: Any, partition: ColumnarPartition) -> Any:
         if not masks.any():
             break
     return masks
-
-
-def filter_supported(expr: Any) -> bool:
-    """True when :func:`predicate_mask` can evaluate ``expr``.
-
-    The cached-scan planner calls this at plan time: batch filters are
-    disjunctions of path-condition conjunctions (``=`` / ``<>`` on one
-    column against one literal), which is exactly the shape supported.
-    Anything else — another operator, a non-literal operand — falls
-    back to the streaming scan rather than risking a semantic drift
-    from :func:`repro.sqlengine.expr.compile_predicate`.
-    """
-    if expr is None or isinstance(expr, TrueExpr):
-        return True
-    if isinstance(expr, (And, Or)):
-        return all(filter_supported(part) for part in expr.parts)
-    return (
-        isinstance(expr, Comparison)
-        and expr.op in ("=", "<>")
-        and isinstance(expr.left, ColumnRef)
-        and isinstance(expr.right, Literal)
-    )
-
-
-def _comparison_mask(partition: ColumnarPartition, expr: Any,
-                     attr_index: dict[str, int]) -> Any:
-    """Boolean qualification mask for one ``column op literal`` leaf.
-
-    Replicates ``compile_predicate`` semantics exactly: a NULL on
-    either side never qualifies (``=`` *and* ``<>`` both return False
-    for NULL operands), and equality is Python equality — a string
-    literal never equals an integer column value, but ``<>`` against a
-    differently-typed live value does hold.
-    """
-    position = attr_index[expr.left.name]
-    column = partition.columns[position]
-    value = expr.right.value
-    n = partition.n_rows
-    if value is None:
-        return np.zeros(n, dtype=bool)
-    if column.kind == DICT:
-        assert column.values is not None
-        if expr.op == "=":
-            flags = [v is not None and v == value for v in column.values]
-        else:
-            flags = [v is not None and v != value for v in column.values]
-        lut = np.asarray(flags, dtype=bool)
-        return lut[column.data]
-    live = (
-        np.ones(n, dtype=bool) if column.nulls is None else ~column.nulls
-    )
-    if isinstance(value, int):  # bool is an int subclass: == by value
-        try:
-            eq = column.data == np.int64(value)
-        except OverflowError:
-            eq = np.zeros(n, dtype=bool)
-    else:
-        eq = np.zeros(n, dtype=bool)
-    if expr.op == "=":
-        return eq & live
-    return live & ~eq
-
-
-def predicate_mask(partition: ColumnarPartition, expr: Any,
-                   attr_index: dict[str, int]) -> Any:
-    """Boolean keep mask: which partition rows satisfy ``expr``.
-
-    The cached scan path counts over full-table partitions, so the
-    pushed batch filter — applied by the server cursor on the
-    streaming path — is applied here instead, as one vectorized pass
-    per predicate leaf.  Only shapes accepted by
-    :func:`filter_supported` are evaluated.
-    """
-    if expr is None or isinstance(expr, TrueExpr):
-        return np.ones(partition.n_rows, dtype=bool)
-    if partition.n_rows == 0:
-        # An empty encoding has no columns to index into (staged
-        # files can legitimately be empty).
-        return np.zeros(0, dtype=bool)
-    if isinstance(expr, And):
-        mask = np.ones(partition.n_rows, dtype=bool)
-        for part in expr.parts:
-            mask &= predicate_mask(partition, part, attr_index)
-        return mask
-    if isinstance(expr, Or):
-        mask = np.zeros(partition.n_rows, dtype=bool)
-        for part in expr.parts:
-            mask |= predicate_mask(partition, part, attr_index)
-        return mask
-    if isinstance(expr, Comparison):
-        return _comparison_mask(partition, expr, attr_index)
-    raise TypeError(f"unsupported filter expression: {expr!r}")
 
 
 def _count_raw(data: Any, cls: Any,

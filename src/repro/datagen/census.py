@@ -12,9 +12,12 @@ pruned by purity in others) rather than uniformly random.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from ..common.errors import DataGenerationError
 from .dataset import DatasetSpec
@@ -63,13 +66,12 @@ def generate_census_rows(
 ) -> Iterator[tuple[int, ...]]:
     """Yield census-like rows (attribute codes + income label)."""
     rng = random.Random(config.seed)
-    spec = census_spec()
     for _ in range(config.n_rows):
         person = _sample_person(rng)
-        label = _income_label(rng, person)
+        label = _income_label(person)
         if config.label_noise and rng.random() < config.label_noise:
             label = 1 - label
-        yield tuple(person[name] for name in spec.attribute_names) + (label,)
+        yield person + (label,)
 
 
 def generate_census_dataset(
@@ -84,72 +86,82 @@ def generate_census_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _sample_person(rng: random.Random) -> dict[str, int]:
-    """Sample one correlated synthetic person as an attribute dict."""
-    age = _weighted(rng, [8, 14, 14, 13, 12, 11, 10, 10, 8])
+class _Weighted:
+    """A categorical distribution, sampled with one ``rng.random()``.
+
+    The running totals are summed once, here, in the order a linear
+    walk over ``weights`` would add them, so :meth:`draw` returns the
+    index that walk would stop at for the same draw.
+    """
+
+    __slots__ = ("total", "cumulative")
+
+    def __init__(self, weights: Sequence[float]) -> None:
+        self.total = sum(weights)
+        self.cumulative = list(accumulate(weights, initial=0.0))[1:]
+        # A draw that rounds up to the total still lands on the last index.
+        self.cumulative[-1] = math.inf
+
+    def draw(self, rng: random.Random) -> int:
+        return bisect_right(self.cumulative, rng.random() * self.total)
+
+
+_AGE = _Weighted([8, 14, 14, 13, 12, 11, 10, 10, 8])
+_OCCUPATION_HIGH_EDU = _Weighted([1, 1, 2, 2, 2, 8, 9, 9, 4, 4, 2, 2, 2, 2])
+_OCCUPATION_LOW_EDU = _Weighted([8, 9, 8, 7, 6, 2, 1, 1, 3, 3, 5, 5, 4, 4])
+_MARITAL_YOUNG = _Weighted([70, 12, 8, 4, 3, 2, 1])
+_MARITAL_OLDER = _Weighted([18, 48, 12, 8, 6, 5, 3])
+_RELATIONSHIP_MARRIED = _Weighted([40, 18, 14, 12, 9, 7])
+_RELATIONSHIP_OTHER = _Weighted([10, 5, 28, 25, 18, 14])
+_WORKCLASS = _Weighted([60, 8, 7, 7, 6, 5, 4, 3])
+_RACE = _Weighted([72, 10, 9, 5, 4])
+_SEX = _Weighted([52, 48])
+_HOURS_SELF_EMPLOYED = _Weighted([5, 10, 30, 30, 25])
+_HOURS_OTHER = _Weighted([8, 15, 52, 17, 8])
+_REGION = _Weighted([55, 10, 8, 6, 5, 4, 4, 3, 3, 2])
+_CAPITAL = _Weighted([84, 8, 5, 3])
+
+
+def _sample_person(rng: random.Random) -> tuple[int, ...]:
+    """Sample one correlated synthetic person, in
+    :data:`CENSUS_ATTRIBUTES` order."""
+    age = _AGE.draw(rng)
     # Education correlates with age (young people cap out lower).
     edu_top = 10 if age == 0 else 16
     education = min(int(rng.triangular(0, edu_top, edu_top * 0.6)), 15)
     # Occupation correlates with education.
     if education >= 12:
-        occupation = _weighted(rng, [1, 1, 2, 2, 2, 8, 9, 9, 4, 4, 2, 2, 2, 2])
+        occupation = _OCCUPATION_HIGH_EDU.draw(rng)
     else:
-        occupation = _weighted(rng, [8, 9, 8, 7, 6, 2, 1, 1, 3, 3, 5, 5, 4, 4])
+        occupation = _OCCUPATION_LOW_EDU.draw(rng)
     # Marital status correlates with age.
-    if age <= 1:
-        marital = _weighted(rng, [70, 12, 8, 4, 3, 2, 1])
-    else:
-        marital = _weighted(rng, [18, 48, 12, 8, 6, 5, 3])
-    relationship = _weighted(
-        rng,
-        [40, 18, 14, 12, 9, 7] if marital == 1 else [10, 5, 28, 25, 18, 14],
-    )
-    workclass = _weighted(rng, [60, 8, 7, 7, 6, 5, 4, 3])
-    race = _weighted(rng, [72, 10, 9, 5, 4])
-    sex = _weighted(rng, [52, 48])
+    marital = (_MARITAL_YOUNG if age <= 1 else _MARITAL_OLDER).draw(rng)
+    relationship = (
+        _RELATIONSHIP_MARRIED if marital == 1 else _RELATIONSHIP_OTHER
+    ).draw(rng)
+    workclass = _WORKCLASS.draw(rng)
+    race = _RACE.draw(rng)
+    sex = _SEX.draw(rng)
     # Hours correlate with workclass (self-employed work longer).
-    if workclass in (1, 2):
-        hours = _weighted(rng, [5, 10, 30, 30, 25])
-    else:
-        hours = _weighted(rng, [8, 15, 52, 17, 8])
-    region = _weighted(rng, [55, 10, 8, 6, 5, 4, 4, 3, 3, 2])
-    capital = _weighted(rng, [84, 8, 5, 3])
-    return {
-        "age_bracket": age,
-        "workclass": workclass,
-        "education": education,
-        "marital_status": marital,
-        "occupation": occupation,
-        "relationship": relationship,
-        "race": race,
-        "sex": sex,
-        "hours_bracket": hours,
-        "native_region": region,
-        "capital_gain_bracket": capital,
-    }
+    hours = (
+        _HOURS_SELF_EMPLOYED if workclass in (1, 2) else _HOURS_OTHER
+    ).draw(rng)
+    region = _REGION.draw(rng)
+    capital = _CAPITAL.draw(rng)
+    return (age, workclass, education, marital, occupation, relationship,
+            race, sex, hours, region, capital)
 
 
-def _income_label(rng: random.Random,
-                  person: Mapping[str, int]) -> int:
+def _income_label(person: tuple[int, ...]) -> int:
     """Noisy rule mapping demographics to a binary income class."""
+    (age, _workclass, education, marital, occupation, _relationship,
+     _race, sex, hours, _region, capital) = person
     score = 0.0
-    score += 0.9 * min(person["education"], 14) / 14.0
-    score += 0.5 * (person["age_bracket"] >= 3)
-    score += 0.6 * (person["marital_status"] == 1)
-    score += 0.5 * (person["occupation"] in (5, 6, 7))
-    score += 0.4 * (person["hours_bracket"] >= 3)
-    score += 0.8 * (person["capital_gain_bracket"] >= 2)
-    score += 0.15 * (person["sex"] == 0)
+    score += 0.9 * min(education, 14) / 14.0
+    score += 0.5 * (age >= 3)
+    score += 0.6 * (marital == 1)
+    score += 0.5 * (occupation in (5, 6, 7))
+    score += 0.4 * (hours >= 3)
+    score += 0.8 * (capital >= 2)
+    score += 0.15 * (sex == 0)
     return 1 if score >= 1.8 else 0
-
-
-def _weighted(rng: random.Random, weights: Sequence[float]) -> int:
-    """Index sampled proportionally to ``weights``."""
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    for index, weight in enumerate(weights):
-        acc += weight
-        if pick < acc:
-            return index
-    return len(weights) - 1

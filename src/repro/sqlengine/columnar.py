@@ -1,9 +1,10 @@
-"""Array-backed columnar partitions for the parallel scan path.
+"""Array-backed columnar partitions for the scan paths that count.
 
 The CC-counting hot loop only ever needs *column arrays* — an attribute
 column and the class column — never row dicts or row tuples.  This
-module provides the columnar partition representation the executor
-ships to scan workers:
+module provides the columnar partition representation the middleware
+ships to scan workers and the SQL executor counts grouped statements
+over (:meth:`HeapTable.columnar`):
 
 * :class:`Column` — one attribute's values as a typed buffer.  Integer
   columns are stored raw (int64 data + optional null mask); everything
@@ -15,15 +16,22 @@ ships to scan workers:
   rows back to tuples (``rows_at``), and a flat shared-memory buffer
   layout (``buffer_bytes`` / ``write_into`` / ``from_buffer``) so
   process workers can attach without any per-row pickling.
+* :func:`filter_supported` / :func:`predicate_mask` — a WHERE clause of
+  ``=`` / ``<>`` comparisons as one boolean array pass per leaf, with
+  ``compile_predicate``'s semantics.
+* :func:`group_counts` — ``COUNT(*) ... GROUP BY`` over integer arrays
+  in memory bounded by the rows counted.
 
-numpy is an optional accelerator: when it is missing the executor
-falls back to the row-at-a-time kernel, so everything here is gated
+numpy is an optional accelerator: when it is missing the callers
+fall back to their row-at-a-time loops, so everything here is gated
 behind :func:`columnar_available`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
+
+from .expr import And, ColumnRef, Comparison, Literal, Or, TrueExpr
 
 try:  # pragma: no cover - numpy is present in CI; the gate is for safety
     import numpy as _numpy
@@ -316,3 +324,149 @@ class ColumnarPartition:
             f"ColumnarPartition(rows={self.n_rows}, "
             f"columns={len(self.columns)})"
         )
+
+
+# -- vectorised WHERE evaluation ----------------------------------------
+
+
+def filter_supported(expr: Any) -> bool:
+    """True when :func:`predicate_mask` can evaluate ``expr``.
+
+    The cached-scan planner calls this at plan time: batch filters are
+    disjunctions of path-condition conjunctions (``=`` / ``<>`` on one
+    column against one literal), which is exactly the shape supported.
+    Anything else — another operator, a non-literal operand — falls
+    back to the streaming scan rather than risking a semantic drift
+    from :func:`repro.sqlengine.expr.compile_predicate`.
+    """
+    if expr is None or isinstance(expr, TrueExpr):
+        return True
+    if isinstance(expr, (And, Or)):
+        return all(filter_supported(part) for part in expr.parts)
+    return (
+        isinstance(expr, Comparison)
+        and expr.op in ("=", "<>")
+        and isinstance(expr.left, ColumnRef)
+        and isinstance(expr.right, Literal)
+    )
+
+
+def _comparison_mask(partition: ColumnarPartition, expr: Any,
+                     attr_index: dict[str, int]) -> Any:
+    """Boolean qualification mask for one ``column op literal`` leaf.
+
+    Replicates ``compile_predicate`` semantics exactly: a NULL on
+    either side never qualifies (``=`` *and* ``<>`` both return False
+    for NULL operands), and equality is Python equality — a string
+    literal never equals an integer column value, but ``<>`` against a
+    differently-typed live value does hold.
+    """
+    position = attr_index[expr.left.name]
+    column = partition.columns[position]
+    value = expr.right.value
+    n = partition.n_rows
+    if value is None:
+        return np.zeros(n, dtype=bool)
+    if column.kind == DICT:
+        assert column.values is not None
+        if expr.op == "=":
+            flags = [v is not None and v == value for v in column.values]
+        else:
+            flags = [v is not None and v != value for v in column.values]
+        lut = np.asarray(flags, dtype=bool)
+        return lut[column.data]
+    live = (
+        np.ones(n, dtype=bool) if column.nulls is None else ~column.nulls
+    )
+    if isinstance(value, int):  # bool is an int subclass: == by value
+        try:
+            eq = column.data == np.int64(value)
+        except OverflowError:
+            eq = np.zeros(n, dtype=bool)
+    else:
+        eq = np.zeros(n, dtype=bool)
+    if expr.op == "=":
+        return eq & live
+    return live & ~eq
+
+
+def predicate_mask(partition: ColumnarPartition, expr: Any,
+                   attr_index: dict[str, int]) -> Any:
+    """Boolean keep mask: which partition rows satisfy ``expr``.
+
+    The cached scan path counts over full-table partitions, so the
+    pushed batch filter — applied by the server cursor on the
+    streaming path — is applied here instead, as one vectorized pass
+    per predicate leaf.  Only shapes accepted by
+    :func:`filter_supported` are evaluated.
+    """
+    if expr is None or isinstance(expr, TrueExpr):
+        return np.ones(partition.n_rows, dtype=bool)
+    if partition.n_rows == 0:
+        # An empty encoding has no columns to index into (staged
+        # files can legitimately be empty).
+        return np.zeros(0, dtype=bool)
+    if isinstance(expr, And):
+        mask = np.ones(partition.n_rows, dtype=bool)
+        for part in expr.parts:
+            mask &= predicate_mask(partition, part, attr_index)
+        return mask
+    if isinstance(expr, Or):
+        mask = np.zeros(partition.n_rows, dtype=bool)
+        for part in expr.parts:
+            mask |= predicate_mask(partition, part, attr_index)
+        return mask
+    if isinstance(expr, Comparison):
+        return _comparison_mask(partition, expr, attr_index)
+    raise TypeError(f"unsupported filter expression: {expr!r}")
+
+
+# -- vectorised COUNT(*) ... GROUP BY --------------------------------------
+
+
+def _ordered_codes(values: Any, bound: int) -> tuple[Any, int]:
+    """Order-preserving codes in ``[0, width)``, ``width <= bound``.
+
+    A value range within ``bound`` is shifted to zero; anything
+    sparser (``{0, 2**40}``) is ranked by sorting, which yields at most
+    one code per row.
+    """
+    low = int(values.min())
+    width = int(values.max()) - low + 1
+    if width <= bound:
+        return values - low, width
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, int(distinct.size)
+
+
+def group_counts(columns: Sequence[Any]) -> tuple[list[list[int]], list[int]]:
+    """``COUNT(*) ... GROUP BY`` over equal-length, non-empty int64 arrays.
+
+    Returns ``(keys, counts)``: ``keys[i]`` lists column ``i``'s value
+    in every distinct key tuple and ``counts`` the rows sharing that
+    tuple, ordered by key tuple ascending.  The columns fold into one
+    composite code that is re-ranked whenever its span outgrows a
+    small multiple of the row count, so memory follows the rows
+    counted, never the value range or the number of columns.
+    """
+    n = int(columns[0].size)
+    bound = 4 * n + 64
+    codes, span = _ordered_codes(columns[0], bound)
+    for values in columns[1:]:
+        ranks, width = _ordered_codes(values, bound)
+        codes = codes * width + ranks  # < bound ** 2: no int64 overflow
+        span *= width
+        if span > bound:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = int(distinct.size)
+    counts = np.bincount(codes, minlength=span)
+    present = np.flatnonzero(counts)
+    # Any row of a group spells its key: whichever write wins below,
+    # the values read back through it are the same.
+    witness = np.empty(span, dtype=np.intp)
+    witness[codes] = np.arange(n)
+    rows = witness[present]
+    return (
+        [values[rows].tolist() for values in columns],
+        counts[present].tolist(),
+    )

@@ -8,6 +8,17 @@ Design notes that matter for the reproduction:
   it is exactly the behaviour of the commercial optimizers the paper
   measured ("optimizers in most database systems are not capable of
   exploiting the commonality").
+* What *is* optimised is the per-row work inside one such scan.  A
+  single-table ``COUNT(*) ... GROUP BY`` on the sequential path whose
+  items are literals, group columns and ``COUNT(*)``, whose WHERE is
+  ``=`` / ``<>`` column-vs-literal under AND/OR and whose group
+  columns hold only integers — the per-node CC statement — is counted
+  as array passes over the table's columnar encoding
+  (:func:`_vector_grouped_count`); any other statement is grouped row
+  by row (:func:`_grouped_select`, the reference implementation).
+  :func:`_select_result` chooses once per SELECT from the statement
+  and the data, never from a setting; rows, order and charges are the
+  same either way, and m branches remain m planned, metered scans.
 * Single-table SELECT and DELETE route through the cost-based
   access-path planner (:mod:`repro.sqlengine.planner`): candidate index
   probes (equality, IN, range intervals) are costed against the page
@@ -15,7 +26,8 @@ Design notes that matter for the reproduction:
   costs — the server-side "auxiliary structure" capability Section
   4.3.3 evaluates, minus its blind always-use-the-index heuristic.
 * ``EXPLAIN <statement>`` executes the statement and reports the
-  chosen access path with estimated vs actual charges.
+  chosen access path with estimated vs actual charges, and which
+  aggregate implementation ran (and why not the other).
 * All I/O is charged to the :class:`~repro.common.cost.CostMeter` the
   owning server passes in: page reads for scans, index probes, per-row
   GROUP BY evaluation, per-row transfer for rows shipped to the
@@ -28,7 +40,16 @@ without GROUP BY.  ORDER BY sorts on output columns; LIMIT truncates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from ..common.cost import CostMeter, CostModel
 from ..common.errors import CatalogError, SQLError
@@ -48,7 +69,12 @@ from .ast_nodes import (
     Star,
     UnionAll,
 )
+from .cursors import page_scan_charge
 from .expr import (
+    And,
+    Comparison,
+    Expr,
+    Or,
     RowFunc,
     ColumnRef,
     Literal,
@@ -96,13 +122,33 @@ class ResultSet:
         return f"ResultSet(columns={self.columns}, rows={len(self.rows)})"
 
 
-def execute_statement(statement: Statement, database: "Database",
-                      meter: CostMeter, model: CostModel) -> ResultSet:
-    """Execute ``statement``; returns a :class:`ResultSet`."""
+class AggregateChoice(NamedTuple):
+    """Which aggregate implementation answered one SELECT, and why."""
+
+    #: "vector" (array passes over the table's columnar encoding) or
+    #: "row" (:func:`_grouped_select` / :func:`_global_aggregate`).
+    implementation: str
+    #: What qualified the statement, or the first obstacle found.
+    reason: str
+
+    def describe(self) -> str:
+        return f"{self.implementation} ({self.reason})"
+
+
+def execute_statement(
+    statement: Statement, database: "Database", meter: CostMeter,
+    model: CostModel, choices: Optional[list[AggregateChoice]] = None,
+) -> ResultSet:
+    """Execute ``statement``; returns a :class:`ResultSet`.
+
+    ``choices`` (EXPLAIN's) collects one :class:`AggregateChoice` per
+    aggregating SELECT the statement runs, appended by the code that
+    chose.
+    """
     if isinstance(statement, Select):
-        return _execute_select(statement, database, meter, model)
+        return _execute_select(statement, database, meter, model, choices)
     if isinstance(statement, UnionAll):
-        return _execute_union(statement, database, meter, model)
+        return _execute_union(statement, database, meter, model, choices)
     if isinstance(statement, CreateTable):
         return _execute_create(statement, database)
     if isinstance(statement, InsertValues):
@@ -122,21 +168,40 @@ def execute_statement(statement: Statement, database: "Database",
     raise SQLError(f"cannot execute statement type {type(statement).__name__}")
 
 
-def _execute_union(statement: UnionAll, database: "Database",
-                   meter: CostMeter, model: CostModel) -> ResultSet:
-    """Run each branch independently and concatenate rows."""
+def _execute_union(
+    statement: UnionAll, database: "Database", meter: CostMeter,
+    model: CostModel, choices: Optional[list[AggregateChoice]] = None,
+) -> ResultSet:
+    """Run each branch independently and concatenate rows.
+
+    Branch widths are compared before any branch runs, so a malformed
+    UNION is rejected without metering scans whose rows it would
+    never return.
+    """
+    widths = {
+        _select_width(select, database) for select in statement.selects
+    }
+    if len(widths) > 1:
+        raise SQLError("UNION ALL branches have different widths")
     results = [
-        _execute_select(select, database, meter, model)
+        _execute_select(select, database, meter, model, choices)
         for select in statement.selects
     ]
-    first = results[0]
-    for other in results[1:]:
-        if len(other.columns) != len(first.columns):
-            raise SQLError("UNION ALL branches have different widths")
     rows: list[tuple[Any, ...]] = []
     for result in results:
         rows.extend(result.rows)
-    return ResultSet(first.columns, rows)
+    return ResultSet(results[0].columns, rows)
+
+
+def _select_width(statement: Select, database: "Database") -> int:
+    """Number of output columns ``statement`` produces."""
+    if not isinstance(statement.items, Star):
+        return len(statement.items)
+    source = statement.table
+    if isinstance(source, JoinClause):
+        return (len(database.table(source.left_table).schema)
+                + len(database.table(source.right_table).schema))
+    return len(database.table(source).schema)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +209,11 @@ def _execute_union(statement: UnionAll, database: "Database",
 # ---------------------------------------------------------------------------
 
 
-def _execute_select(statement: Select, database: "Database",
-                    meter: CostMeter, model: CostModel) -> ResultSet:
-    if statement.is_join:
-        schema, source_rows = _join_source(
-            statement.table, database, meter, model
-        )
-    else:
-        table = database.table(statement.table)
-        schema = table.schema
-        source_rows = _access_path(statement, table, database, meter, model)
-
-    predicate = compile_predicate(statement.where, schema)
-
-    if statement.group_by:
-        result = _grouped_select(
-            statement, schema, source_rows, predicate, meter, model
-        )
-    elif _has_aggregates(statement):
-        result = _global_aggregate(statement, schema, source_rows, predicate)
-    else:
-        result = _plain_select(statement, schema, source_rows, predicate)
-
+def _execute_select(
+    statement: Select, database: "Database", meter: CostMeter,
+    model: CostModel, choices: Optional[list[AggregateChoice]] = None,
+) -> ResultSet:
+    result = _select_result(statement, database, meter, model, choices)
     result = _order_and_limit(statement, result)
 
     if statement.into:
@@ -180,19 +228,53 @@ def _execute_select(statement: Select, database: "Database",
     return result
 
 
-def _access_path(statement: Select, table: "HeapTable",
-                 database: "Database", meter: CostMeter,
-                 model: CostModel) -> Iterable[Row]:
-    """Plan the cheapest access path, charge it, return a row iterable.
+def _select_result(
+    statement: Select, database: "Database", meter: CostMeter,
+    model: CostModel, choices: Optional[list[AggregateChoice]],
+) -> ResultSet:
+    """The SELECT's rows before ORDER BY / LIMIT / INTO / transfer.
 
-    The returned rows are *candidates*: the caller still applies the
-    full WHERE predicate (an index probe only narrows the fetch).
+    The aggregate implementation is chosen here, once, from the
+    statement's shape and the table's encoding (never by a setting):
+    whatever :func:`_vector_count_obstacle` finds nothing against is
+    counted by :func:`_vector_grouped_count`, everything else row by
+    row.  Both charge the same scan and hand back the same rows.
     """
-    # Statistics (re)collection behind the plan's selectivity is
-    # deliberately unmetered metadata upkeep (statistics.py); the
-    # chosen plan's row work is charged by fetch_candidates.
-    plan = plan_access_path(statement.where, table, database, model)
-    return (row for _tid, row in fetch_candidates(plan, table, meter, model))
+    source = statement.table
+    if isinstance(source, JoinClause):
+        schema, source_rows = _join_source(source, database, meter, model)
+        obstacle = "the FROM clause is a join"
+    else:
+        table = database.table(source)
+        schema = table.schema
+        # Statistics (re)collection behind the plan's selectivity is
+        # deliberately unmetered metadata upkeep (statistics.py); the
+        # chosen path's row work is charged by whoever reads the rows.
+        plan = plan_access_path(statement.where, table, database, model)
+        vector_obstacle = _vector_count_obstacle(statement, table, plan)
+        if vector_obstacle is None:
+            if choices is not None:
+                choices.append(AggregateChoice(
+                    "vector", "COUNT(*) over the table's columnar encoding"
+                ))
+            return _vector_grouped_count(statement, table, meter, model)
+        obstacle = vector_obstacle
+        # Candidates only: the full WHERE is still applied below (an
+        # index probe merely narrows the fetch).
+        source_rows = (
+            row for _tid, row in fetch_candidates(plan, table, meter, model)
+        )
+
+    predicate = compile_predicate(statement.where, schema)
+    if not statement.group_by and not _has_aggregates(statement):
+        return _plain_select(statement, schema, source_rows, predicate)
+    if choices is not None:
+        choices.append(AggregateChoice("row", obstacle))
+    if statement.group_by:
+        return _grouped_select(
+            statement, schema, source_rows, predicate, meter, model
+        )
+    return _global_aggregate(statement, schema, source_rows, predicate)
 
 
 def _join_source(
@@ -234,8 +316,7 @@ def _join_source(
     right_key = right_keys[0]
 
     for side in (left, right):
-        pages = side.pages_touched()
-        meter.charge("server_io", model.server_page_io * pages, events=pages)
+        page_scan_charge(model, side, meter)
 
     buckets: dict[SQLValue, list[Row]] = {}
     for row in right.scan_rows():
@@ -420,6 +501,116 @@ def _grouped_select(statement: Select, schema: TableSchema,
     return ResultSet(names, rows)
 
 
+def _where_literals(where: Optional[Expr]) -> Iterator[object]:
+    """Every literal of a ``filter_supported`` WHERE clause (the lexer
+    reads ``5.0`` as a float, which no column type stores)."""
+    if isinstance(where, (And, Or)):
+        for part in where.parts:
+            yield from _where_literals(part)
+    elif isinstance(where, Comparison) and isinstance(where.right, Literal):
+        yield where.right.value
+
+
+def _vector_count_obstacle(statement: Select, table: "HeapTable",
+                           plan: AccessPlan) -> Optional[str]:
+    """Why ``statement`` cannot be counted over ``table``'s columnar
+    encoding — the first reason found — or None when it can.
+
+    It can when it is the CC shape: literals, group columns and
+    ``COUNT(*)``, read by a sequential scan, filtered by ``=`` / ``<>``
+    column-vs-literal comparisons under AND/OR, grouped on columns
+    that hold nothing but (int64) integers.  The statement is judged
+    before the table, so one that does not qualify never causes an
+    encode.
+    """
+    from .columnar import RAW, columnar_available, filter_supported
+
+    if not statement.group_by:
+        return "no GROUP BY"
+    if isinstance(statement.items, Star):
+        return "SELECT *"
+    for item in statement.items:
+        expression = item.expression
+        if isinstance(expression, Aggregate):
+            if not expression.is_count_star:
+                return f"{expression.to_sql()} is not COUNT(*)"
+        elif isinstance(expression, ColumnRef):
+            if expression.name not in statement.group_by:
+                return f"column {expression.name!r} is not grouped"
+        elif not isinstance(expression, Literal):
+            return f"item {expression.to_sql()} is computed per row"
+    if plan.uses_index:
+        return "the planner chose an index probe"
+    if not filter_supported(statement.where):
+        return "WHERE is more than =/<> column-vs-literal under AND/OR"
+    if any(isinstance(v, float) for v in _where_literals(statement.where)):
+        # 5 = 5.0 in the row path's Python equality; the int64 mask
+        # compares integers only.
+        return "WHERE compares against a float literal"
+    if not columnar_available():
+        return "numpy is not installed"
+    schema = table.schema
+    partition = table.columnar()
+    if partition.n_rows == 0:
+        return "the table has no live rows"
+    for name in statement.group_by:
+        if not schema.has_column(name):
+            return f"no such column: {name!r}"
+        column = partition.columns[schema.index_of(name)]
+        if column.kind != RAW:
+            return f"group column {name!r} is not all integers"
+        if column.nulls is not None:
+            return f"group column {name!r} holds NULLs"
+    return None
+
+
+def _vector_grouped_count(statement: Select, table: "HeapTable",
+                          meter: CostMeter, model: CostModel) -> ResultSet:
+    """``COUNT(*) ... GROUP BY`` as array passes over the encoding.
+
+    The per-row work of ``fetch_candidates`` + :func:`_grouped_select`
+    — predicate, key tuple, dict probe, accumulator — becomes a
+    ``predicate_mask`` and one composite-key histogram; the charges
+    are theirs to the unit: every page read once, one GROUP BY
+    evaluation per qualifying row.  Nothing is kept between calls but
+    the table's own encoding, so m UNION branches are still m scans.
+    Only for statements :func:`_vector_count_obstacle` passed.
+    """
+    from .columnar import group_counts, np, predicate_mask
+
+    assert not isinstance(statement.items, Star)
+    schema = table.schema
+    page_scan_charge(model, table, meter)
+    partition = table.columnar()
+    where = statement.where
+    attr_index = {
+        name: schema.index_of(name)
+        for name in (where.columns() if where is not None else ())
+    }
+    selected = np.flatnonzero(predicate_mask(partition, where, attr_index))
+    qualifying = int(selected.size)
+    meter.charge("groupby", model.groupby_row * qualifying, events=qualifying)
+
+    names = [item.output_name for item in statement.items]
+    if not qualifying:
+        return ResultSet(names, [])
+    keys, counts = group_counts([
+        partition.columns[schema.index_of(name)].data[selected]
+        for name in statement.group_by
+    ])
+    output: list[Sequence[Any]] = []
+    for item in statement.items:
+        expression = item.expression
+        if isinstance(expression, Aggregate):
+            output.append(counts)
+        elif isinstance(expression, ColumnRef):
+            output.append(keys[statement.group_by.index(expression.name)])
+        else:
+            assert isinstance(expression, Literal)
+            output.append([expression.value] * len(counts))
+    return ResultSet(names, zip(*output))
+
+
 def _global_aggregate(statement: Select, schema: TableSchema,
                       source_rows: Iterable[Row],
                       predicate: RowFunc) -> ResultSet:
@@ -515,8 +706,7 @@ def _execute_create_index(statement: CreateIndex, database: "Database",
                           model: CostModel) -> ResultSet:
     table = database.table(statement.table)
     # Building the index scans the table and inserts one entry per row.
-    pages = table.pages_touched()
-    meter.charge("server_io", model.server_page_io * pages, events=pages)
+    page_scan_charge(model, table, meter)
     meter.charge(
         "index",
         model.index_build_row * table.row_count,
@@ -619,7 +809,14 @@ def _execute_explain(statement: Explain, database: "Database",
     else:
         lines.append("Plan: (no single-table access path)")
     snapshot = meter.snapshot()
-    execute_statement(inner, database, meter, model)
+    choices: list[AggregateChoice] = []
+    execute_statement(inner, database, meter, model, choices)
+    for choice in dict.fromkeys(choices):
+        branches = choices.count(choice)
+        lines.append(
+            f"Aggregate: {choice.describe()}"
+            + (f" x{branches} branches" if branches > 1 else "")
+        )
     actual = meter.since(snapshot)
     total = meter.total_since(snapshot)
     parts = ", ".join(

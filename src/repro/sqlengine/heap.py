@@ -33,6 +33,8 @@ class HeapTable:
         self._row_count = 0
         self._version = 0
         self._indexes: list[Any] = []
+        #: (version it was encoded at, full-table ColumnarPartition).
+        self._encoding: Optional[tuple[int, Any]] = None
 
     @property
     def row_count(self) -> int:
@@ -164,6 +166,28 @@ class HeapTable:
                 del pending[:partition_rows]
         if pending:
             yield ColumnarPartition.from_rows(pending)
+
+    def columnar(self) -> Any:
+        """The live rows as one full-table :class:`ColumnarPartition`.
+
+        Encoded from :meth:`scan_rows` on first use and reused while
+        :attr:`version` is unchanged, so DML pays nothing for it and a
+        mutated table can never serve a stale encoding (the
+        :class:`~repro.sqlengine.statistics.StatisticsCatalog` pattern).
+        It belongs to this table object: a table dropped and re-created
+        under the same name starts without one.  A superseded encoding
+        is released when the next one is built, not by the DML that
+        outdated it.  Requires numpy (:func:`columnar_available`).
+        """
+        from .columnar import ColumnarPartition
+
+        cached = self._encoding
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        version = self._version
+        partition = ColumnarPartition.from_rows(list(self.scan_rows()))
+        self._encoding = (version, partition)
+        return partition
 
     def pages_touched(self, row_count: Optional[int] = None) -> int:
         """Pages read by a sequential scan of ``row_count`` rows.

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..common.cost import CostMeter, CostModel
 from ..common.errors import SQLError
-from .cursors import live_rows, transfer_matching
+from .cursors import live_rows, page_scan_charge, transfer_matching
 from .expr import (
     And,
     ColumnRef,
@@ -250,7 +250,7 @@ def plan_access_path(where: Optional[Expr], table: "HeapTable",
     if force not in FORCE_CHOICES:
         raise SQLError(f"unknown access-path force: {force!r}")
     seq_pages = table.pages_touched()
-    seq_cost = model.server_page_io * seq_pages
+    seq_cost = page_scan_charge(model, table)
     stats = database.statistics
     selectivity = stats.selectivity(table, where)
     plan = AccessPlan(
@@ -294,10 +294,7 @@ def fetch_candidates(plan: AccessPlan, table: "HeapTable",
         tids = plan.fetch_tids()
         index_probe_charge(model, plan.index_descents, len(tids), meter)
         return [(tid, table.fetch(tid)) for tid in tids]
-    meter.charge(
-        "server_io", model.server_page_io * plan.seq_pages,
-        events=plan.seq_pages,
-    )
+    page_scan_charge(model, table, meter)
     return table.scan()
 
 

@@ -9,6 +9,14 @@ from repro.client.baselines import (
     sql_counting_fit,
 )
 from repro.client.growth import GrowthPolicy
+from repro.datagen.census import (
+    CensusConfig,
+    census_spec,
+    generate_census_rows,
+)
+from repro.datagen.loader import load_dataset
+from repro.sqlengine.database import SQLServer
+from repro.sqlengine.heap import HeapTable
 
 from ..conftest import tree_signature
 
@@ -60,6 +68,51 @@ class TestStrawMen:
         # one per internal node plus the root.
         internal = sum(1 for n in tree.walk() if not n.is_leaf)
         assert statements >= internal
+
+    def test_sql_counting_reads_the_heap_once_per_table_version(
+        self, monkeypatch
+    ):
+        """A count, not a clock: every branch of every statement is a
+        metered scan, but the rows leave the heap once per consumer
+        per table version (one encode, one statistics pass per filter
+        column) — never once per branch, as the row path would."""
+        pytest.importorskip("numpy")
+        pulls = {"scan": 0, "scan_rows": 0}
+        for name in pulls:
+            original = getattr(HeapTable, name)
+
+            def counting(self, _name=name, _original=original):
+                pulls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(HeapTable, name, counting)
+
+        spec = census_spec()
+        rows = list(generate_census_rows(CensusConfig(n_rows=2000, seed=3)))
+        server = SQLServer()
+        load_dataset(server, "data", spec, rows)
+        policy = GrowthPolicy(max_depth=3)
+
+        first = sql_counting_fit(server, "data", spec, policy)
+        branch_scans = server.meter.counts["server_io"] // (
+            server.table("data").pages_touched()
+        )
+        assert branch_scans > 20
+        assert pulls["scan"] == 0
+        assert 1 <= pulls["scan_rows"] <= 1 + spec.n_attributes
+
+        pulls["scan_rows"] = 0
+        again = sql_counting_fit(server, "data", spec, policy)
+        assert pulls == {"scan": 0, "scan_rows": 0}
+        reference = grow_in_memory(rows, spec, policy)
+        assert tree_signature(first.root) == tree_signature(reference.root)
+        assert tree_signature(again.root) == tree_signature(reference.root)
+
+        server.execute("DELETE FROM data WHERE sex = 0")  # new version
+        pulls.update(scan=0, scan_rows=0)
+        sql_counting_fit(server, "data", spec, policy)
+        assert pulls["scan"] == 0
+        assert 1 <= pulls["scan_rows"] <= 1 + spec.n_attributes
 
     def test_extract_all_transfers_whole_table_once(self, loaded_server):
         server, spec, rows = loaded_server

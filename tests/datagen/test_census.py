@@ -1,5 +1,7 @@
 """Unit tests for the census-like workload."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import DataGenerationError
@@ -84,6 +86,32 @@ class TestGeneration:
         young = [r for r in rows if r[age] <= 1]
         older = [r for r in rows if r[age] >= 3]
         assert len(older_married) / len(older) > len(young_married) / len(young)
+
+
+#: sha256 of ``repr(rows)`` for 5,000 rows, recorded at commit fa89e44
+#: (the per-draw ``sum(weights)`` walk, dict-per-person generator).
+GOLDEN_ROWS = {
+    (0.0, 0): "9e768d0ccfbe9f25aefe9139557205ed5ace65cc655f4c3ac3beca6be6f7bb82",
+    (0.0, 1): "d2a8f573854d463e50f6a82d4cb57e02bee6a74c22a7839fbe0a633555fa4994",
+    (0.0, 7): "e860a65290b2144d474804e626ad458b4fba83193c191d64517079e1e9eb9d59",
+    (0.0, 12345):
+        "ace3307fb5fd2810dfff062c57b110c61dc3bc8e43dfd71842ed7b51976144e5",
+    (0.05, 0): "4a055f87673402bf0f09ae8ef0bfb18e6c2199de0d06d30a4707e238d5248cb4",
+    (0.05, 1): "34828ce9848f3b3776b2916b59e453cbd14d99b8d9a499ee329cb856b0dfdda8",
+    (0.05, 7): "e559b58351c6101a61d75bd64493bd33e7604ac61af321e46655dfa88157dbb3",
+    (0.05, 12345):
+        "b755e9ee9ad84e96508d5deab5c73cdb6e754d60df8906ca51b4c9813b8f677b",
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("label_noise, seed", sorted(GOLDEN_ROWS))
+    def test_rows_bit_identical_to_recorded(self, label_noise, seed):
+        rows = list(generate_census_rows(CensusConfig(
+            n_rows=5000, label_noise=label_noise, seed=seed,
+        )))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == GOLDEN_ROWS[(label_noise, seed)]
 
 
 class TestConvenience:

@@ -104,6 +104,27 @@ class TestUnionAll:
         with pytest.raises(SQLError):
             server.execute("SELECT a FROM t UNION ALL SELECT a, b FROM t")
 
+    def test_mismatched_widths_rejected_before_any_branch_is_metered(
+        self, server
+    ):
+        for sql in (
+            "SELECT a, COUNT(*) FROM t GROUP BY a "
+            "UNION ALL SELECT a, b, COUNT(*) FROM t GROUP BY a, b",
+            "SELECT a, b FROM t UNION ALL SELECT * FROM t",
+        ):
+            server.meter.reset()
+            with pytest.raises(SQLError):
+                server.execute(sql)
+            charged = {c: v for c, v in server.meter.charges.items() if v}
+            assert charged == {"query_overhead": server.model.query_overhead}
+            assert sum(server.meter.counts.values()) == 1
+
+    def test_star_branch_width_is_the_schema_width(self, server):
+        result = server.execute(
+            "SELECT a, b, c FROM t WHERE a = 1 UNION ALL SELECT * FROM t"
+        )
+        assert len(result) == 2 + 5
+
     def test_each_branch_pays_its_own_scan(self, server):
         server.meter.reset()
         server.execute("SELECT a, COUNT(*) FROM t GROUP BY a")

@@ -78,6 +78,21 @@ class TestGoldenOutput:
         assert lines[1] == "Plan: IndexScan(ix_b range: 3 <= b < 6) " \
                            "tids=3 cost=0.65"
 
+    def test_aggregate_line_names_the_implementation_that_ran(self, server):
+        pytest.importorskip("numpy")
+        lines = plan_lines(
+            server, "EXPLAIN SELECT a, COUNT(*) FROM t WHERE b <> 7 GROUP BY a"
+        )
+        assert lines[1] == "Plan: SeqScan(t) pages=1 cost=1.00"
+        assert lines[-2] == ("Aggregate: vector (COUNT(*) over the "
+                             "table's columnar encoding)")
+        assert lines[-1].startswith("Actual charges: total=")
+        # Same statement shape, but the planner prefers the index.
+        lines = plan_lines(
+            server, "EXPLAIN SELECT a, COUNT(*) FROM t WHERE b = 7 GROUP BY a"
+        )
+        assert lines[-2] == "Aggregate: row (the planner chose an index probe)"
+
     def test_explain_executes_the_inner_statement(self, server):
         lines = plan_lines(server, "EXPLAIN DELETE FROM t WHERE b = 7")
         assert lines[0] == "Statement: DELETE FROM t WHERE b = 7"

@@ -1,10 +1,20 @@
 """Property-based tests for the SQL engine (hypothesis)."""
 
-from hypothesis import given, settings
+import sqlite3
+from collections import Counter
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sqlengine.ast_nodes import CountStar, Select, SelectItem
+from repro.core.sql_counting import cc_statement
+from repro.sqlengine.ast_nodes import Aggregate, CountStar, Select, SelectItem
 from repro.sqlengine.database import SQLServer
+from repro.sqlengine.executor import (
+    ResultSet,
+    _grouped_select,
+    _materialize_into,
+    _order_and_limit,
+)
 from repro.sqlengine.expr import (
     And,
     ColumnRef,
@@ -14,9 +24,12 @@ from repro.sqlengine.expr import (
     Not,
     Or,
     compile_predicate,
+    eq,
+    ne,
 )
 from repro.sqlengine.heap import HeapTable
 from repro.sqlengine.parser import parse
+from repro.sqlengine.planner import fetch_candidates, plan_access_path
 from repro.sqlengine.schema import TableSchema
 
 SCHEMA = TableSchema.of(("a", "int"), ("b", "int"), ("c", "int"))
@@ -197,3 +210,213 @@ class TestExecutorProperties:
         assert sorted(plain.execute(sql).rows) == sorted(
             indexed.execute(sql).rows
         )
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for grouped counts: whichever aggregate
+# implementation the executor picks must return the rows (in order)
+# and move the meter exactly as `_grouped_select` over the planned
+# fetch does, and agree with sqlite3 on the result multiset.
+# ---------------------------------------------------------------------------
+
+ORACLE_SCHEMA = TableSchema.of(
+    ("a", "int"), ("b", "int"), ("c", "int"), ("s", "varchar")
+)
+#: 28-byte rows on 64-byte pages: two rows a page, so a narrow index
+#: probe beats the sequential scan and the planner really chooses it.
+ORACLE_PAGE_BYTES = 64
+
+_ints = st.sampled_from([-7, -1, 0, 1, 2, 3, 2 ** 40])
+_strings = st.sampled_from(["x", "y", "zed"])
+
+
+def _maybe_null(strategy, nullable):
+    return st.one_of(st.none(), strategy) if nullable else strategy
+
+
+@st.composite
+def oracle_tables(draw):
+    """Rows, the positions to tombstone, and an optional index."""
+    nullable = draw(st.tuples(*[st.sampled_from([False, False, True])] * 4))
+    row = st.tuples(
+        _maybe_null(_ints, nullable[0]), _maybe_null(_ints, nullable[1]),
+        _maybe_null(_ints, nullable[2]), _maybe_null(_strings, nullable[3]),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    dead = draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=8))
+    index = draw(st.sampled_from([
+        None, ("a", "hash"), ("c", "hash"), ("c", "range"),
+    ]))
+    return rows, sorted(d for d in dead if d < len(rows)), index
+
+
+def _leaf(draw):
+    column = draw(st.sampled_from(["a", "b", "c", "s"]))
+    if column == "s":
+        # Text against text only: sqlite coerces across affinities.
+        op = draw(st.sampled_from(["=", "<>"]))
+        return Comparison(op, ColumnRef("s"), Literal(draw(_strings)))
+    # 99 matches no row; 1.0 equals the stored integer 1.
+    literal = draw(st.one_of(_ints, st.sampled_from([99, 1.0])))
+    shape = draw(st.sampled_from(["=", "=", "<>", "<>", "<", "in"]))
+    if shape == "in":
+        return InList(ColumnRef(column), [literal, draw(_ints)])
+    return Comparison(shape, ColumnRef(column), Literal(literal))
+
+
+@st.composite
+def oracle_statements(draw):
+    """Grouped SELECTs of the CC shape and just outside it."""
+    group_by = draw(st.lists(
+        st.sampled_from(["a", "b", "s"]), min_size=1, max_size=3, unique=True,
+    ))
+    items = [SelectItem(ColumnRef(name), f"g_{name}") for name in group_by]
+    items.append(SelectItem(CountStar(), "n"))
+    if draw(st.booleans()):
+        items.insert(0, SelectItem(Literal("k"), "label"))
+    if draw(st.sampled_from([False, False, False, True])):
+        items.append(SelectItem(Aggregate("SUM", ColumnRef("c")), "total"))
+    items = draw(st.permutations(items))
+
+    where = None
+    n_leaves = draw(st.integers(0, 3))
+    if n_leaves:
+        leaves = [_leaf(draw) for _ in range(n_leaves)]
+        where = leaves[0] if n_leaves == 1 else draw(
+            st.sampled_from([And, Or])
+        )(leaves)
+
+    names = [item.output_name for item in items]
+    order_by = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.booleans()),
+        max_size=2, unique_by=lambda pair: pair[0],
+    ))
+    limit = draw(st.one_of(st.none(), st.integers(0, 4)))
+    into = draw(st.sampled_from([None, None, "out"]))
+    return Select(list(items), "t", where=where, group_by=group_by,
+                  into=into, order_by=order_by, limit=limit)
+
+
+def _oracle_server(rows, dead, index):
+    server = SQLServer(page_bytes=ORACLE_PAGE_BYTES)
+    table = server.create_table("t", ORACLE_SCHEMA)
+    tids = [table.insert(row) for row in rows]
+    if index is not None:
+        column, kind = index
+        server.database.indexes.create("ix", table, column, kind=kind)
+    for position in dead:
+        table.delete(tids[position])
+    return server
+
+
+def _row_path(server, statement):
+    """`_execute_select` as it was before it could choose: the planned
+    fetch feeding `_grouped_select`, then the shared tail."""
+    meter, model, database = server.meter, server.model, server.database
+    meter.charge("query_overhead", model.query_overhead)
+    table = database.table(statement.table)
+    plan = plan_access_path(statement.where, table, database, model)
+    candidates = (
+        row for _tid, row in fetch_candidates(plan, table, meter, model)
+    )
+    predicate = compile_predicate(statement.where, table.schema)
+    result = _grouped_select(
+        statement, table.schema, candidates, predicate, meter, model
+    )
+    result = _order_and_limit(statement, result)
+    if statement.into:
+        _materialize_into(statement.into, result, database, meter, model)
+        return ResultSet(result.columns, [])
+    meter.charge("transfer", model.transfer_per_row * len(result.rows),
+                 events=len(result.rows))
+    return result
+
+
+def _sqlite_rows(live_rows, statement):
+    """The statement's full (un-LIMITed, un-INTOed) answer per sqlite3."""
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute(
+            "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, s TEXT)"
+        )
+        connection.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", live_rows)
+        plain = Select(statement.items, "t", where=statement.where,
+                       group_by=statement.group_by)
+        return [tuple(row) for row in connection.execute(plain.to_sql())]
+    finally:
+        connection.close()
+
+
+def _count_by(*group_by, where=None):
+    items = [SelectItem(ColumnRef(name)) for name in group_by]
+    return Select(items + [SelectItem(CountStar(), "n")], "t", where=where,
+                  group_by=group_by)
+
+
+class TestGroupedCountOracle:
+    @given(oracle_tables(), oracle_statements())
+    @example(([], [], None), _count_by("a"))  # a table never written to
+    @example(([(1, 2, 3, "x")] * 3, [0, 1, 2], None), _count_by("a", "b"))
+    @example(([(0, 1, 2, "x"), (2 ** 40, -7, 2, "y")] * 2, [], None),
+             _count_by("b", "a", where=ne("c", 99)))
+    @example(([(1, 2, 3, "x"), (2, 2, 3, "x")], [], None),  # 1 = 1.0
+             _count_by("b", where=Comparison("=", ColumnRef("a"),
+                                             Literal(1.0))))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_order_and_meter_match_the_row_path_and_sqlite(
+        self, table_spec, statement
+    ):
+        rows, dead, index = table_spec
+        actual_server = _oracle_server(rows, dead, index)
+        expected_server = _oracle_server(rows, dead, index)
+
+        actual = actual_server.execute(statement)
+        expected = _row_path(expected_server, statement)
+
+        assert actual.columns == expected.columns
+        assert actual.rows == expected.rows
+        for row in actual.rows:  # no numpy scalars leak out
+            assert all(type(v) in (int, str, type(None)) for v in row)
+        assert actual_server.meter.charges == expected_server.meter.charges
+        assert actual_server.meter.counts == expected_server.meter.counts
+
+        answer = actual.rows
+        if statement.into:
+            made = actual_server.table("out")
+            twin = expected_server.table("out")
+            assert made.schema == twin.schema
+            answer = list(made.scan_rows())
+            assert answer == list(twin.scan_rows())
+
+        live = list(actual_server.table("t").scan_rows())
+        reference = Counter(_sqlite_rows(live, statement))
+        if statement.limit is None:
+            assert Counter(answer) == reference
+        else:
+            assert len(answer) == min(statement.limit, sum(reference.values()))
+            assert not Counter(answer) - reference
+
+    def test_cc_union_matches_branch_by_branch(self):
+        """The production statement shape, both implementations side
+        by side: m branches are m scans, each charged as the row path
+        charges it."""
+        rows = [(i % 3, (i * 7) % 5, i % 2, "xyz"[i % 3]) for i in range(200)]
+        actual_server = _oracle_server(rows, [3, 50, 51], None)
+        expected_server = _oracle_server(rows, [3, 50, 51], None)
+        statement = cc_statement(
+            "t", ["a", "b", "s"], "c", Or([eq("a", 1), ne("b", 0)])
+        )
+        actual = actual_server.execute(statement)
+        expected_rows = []
+        for branch in statement.selects:
+            expected_rows.extend(_row_path(expected_server, branch).rows)
+        assert actual.rows == expected_rows
+        overhead = expected_server.model.query_overhead
+        charges = dict(expected_server.meter.charges)
+        charges["query_overhead"] -= 2 * overhead  # one statement, not three
+        assert actual_server.meter.charges == charges
+        counts = dict(expected_server.meter.counts)
+        counts["query_overhead"] -= 2
+        assert actual_server.meter.counts == counts
+        assert actual_server.meter.counts["server_io"] == \
+            3 * actual_server.table("t").pages_touched()
