@@ -4,8 +4,8 @@ Every benchmark regenerates one table or figure from the paper's
 Section 5: it computes the same series the paper plots (in simulated
 cost units), writes the report — table plus an ASCII chart — to
 ``benchmarks/results/``, and asserts the qualitative shape the paper
-claims.  At the end of a session, all reports are concatenated into
-``benchmarks/results/SUMMARY.txt``.
+claims.  The figure tables are deterministic and committed; CI re-runs
+them and fails on any diff (the ``paper-figures`` job).
 """
 
 import sys
@@ -14,24 +14,3 @@ from pathlib import Path
 # Make the sibling `_workloads` helper importable regardless of the
 # directory pytest is invoked from.
 sys.path.insert(0, str(Path(__file__).parent))
-
-RESULTS = Path(__file__).parent / "results"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Concatenate every report into one summary file."""
-    if not RESULTS.is_dir():
-        return
-    reports = sorted(
-        p for p in RESULTS.glob("*.txt") if p.name != "SUMMARY.txt"
-    )
-    if not reports:
-        return
-    parts = []
-    for path in reports:
-        parts.append("=" * 72)
-        parts.append(f"== {path.name}")
-        parts.append("=" * 72)
-        parts.append(path.read_text().rstrip())
-        parts.append("")
-    (RESULTS / "SUMMARY.txt").write_text("\n".join(parts) + "\n")

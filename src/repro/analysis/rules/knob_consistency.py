@@ -3,7 +3,7 @@
 ``MiddlewareConfig`` is the single tuning surface of the middleware —
 but a knob only *exists* for users if the CLI exposes it and the docs
 mention it.  PRs 2 and 3 each added config fields
-(``scan_pool``, ``scan_parallel_min_rows``) whose CLI flags
+(``scan_pool``, a since-deleted scan gate) whose CLI flags
 and docs lagged behind by a review round.  This rule makes the
 three-way contract checkable:
 

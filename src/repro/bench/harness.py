@@ -69,7 +69,7 @@ class RunResult:
     breakdown: dict[str, float] = field(default_factory=dict)
     #: Persistent scan-pool observability (middleware runs only):
     #: executors created, kernel installs, scans served, total setup
-    #: seconds.  Empty when no scan went parallel.
+    #: seconds.
     pool: dict[str, float] = field(default_factory=dict)
     #: The fitted classifier (middleware runs only).
     classifier: Optional[DecisionTreeClassifier] = None

@@ -115,22 +115,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--staging-dir", default=None,
                      help="directory for staging files (default: a "
                           "private temp directory)")
-    fit.add_argument("--no-scan-kernel", action="store_true",
-                     help="route rows with the reference per-row "
-                          "matcher loop instead of the compiled kernel")
     fit.add_argument("--scan-chunk-rows", type=int, default=1024,
                      help="rows per scan chunk for buffered staging I/O")
     fit.add_argument("--scan-workers", type=int, default=None,
-                     help="workers per scan (default: "
-                          "$REPRO_SCAN_WORKERS or 1 = the calling "
-                          "thread alone, no pool)")
+                     help="workers for scans longer than one "
+                          "partition (default: $REPRO_SCAN_WORKERS or "
+                          "1 = the calling thread alone, no pool)")
     fit.add_argument("--scan-pool", choices=("thread", "process"),
                      default=None,
                      help="worker pool kind for parallel scans "
                           "(default: thread)")
-    fit.add_argument("--scan-parallel-min-rows", type=int, default=None,
-                     help="scans under this many source rows keep "
-                          "the row kernel (default: 2048)")
     fit.add_argument("--scan-cache-bytes", type=int, default=None,
                      help="byte budget for resident cached columnar "
                           "encodings (default: 128 MiB; 0 disables "
@@ -219,7 +213,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     load_dataset(server, "data", spec, rows)  # repro-lint: disable=unmetered-row-access -- dataset load is the unmetered setup phase: bulk_load bypasses the meter by design, only the fit/predict workload is billed
 
     scan_options: dict[str, Any] = {
-        "scan_kernel": not args.no_scan_kernel,
         "scan_chunk_rows": args.scan_chunk_rows,
     }
     # Only forward parallel-scan flags the user actually set, so the
@@ -228,8 +221,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         scan_options["scan_workers"] = args.scan_workers
     if args.scan_pool is not None:
         scan_options["scan_pool"] = args.scan_pool
-    if args.scan_parallel_min_rows is not None:
-        scan_options["scan_parallel_min_rows"] = args.scan_parallel_min_rows
     if args.scan_cache_bytes is not None:
         scan_options["scan_cache_bytes"] = args.scan_cache_bytes
     if args.no_scan_use_planner:

@@ -18,6 +18,7 @@ every size the scheduler reasons about is expressed in *pairs*.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..common.errors import MiddlewareError
@@ -71,6 +72,9 @@ class CCTable:
         number of *new* (attribute, value) pairs this record created,
         which callers use to grow their memory reservation.
         """
+        if not 0 <= class_label < self.n_classes:
+            # Unchecked, a label of -1 would count as the last class.
+            raise MiddlewareError(f"class label {class_label} out of range")
         vectors = self._vectors
         new_pairs = 0
         for attribute in self.attributes:
@@ -78,32 +82,6 @@ class CCTable:
             vector = vectors.get(key)
             if vector is None:
                 vector = [0] * self.n_classes
-                vectors[key] = vector
-                new_pairs += 1
-            vector[class_label] += 1
-        self._records += 1
-        self._class_totals[class_label] += 1
-        return new_pairs
-
-    def count_row_at(self, row: Sequence[Any],
-                     attr_positions: Iterable[tuple[str, int]],
-                     class_label: int) -> int:
-        """Count one record straight from a row tuple.
-
-        ``attr_positions`` is a precomputed sequence of
-        ``(attribute, row_index)`` pairs covering :attr:`attributes`.
-        Semantically identical to :meth:`count_row` but skips building
-        a per-row name→value mapping — the scan kernel's hot path.
-        Returns the number of new (attribute, value) pairs created.
-        """
-        vectors = self._vectors
-        n_classes = self.n_classes
-        new_pairs = 0
-        for attribute, position in attr_positions:
-            key = (attribute, row[position])
-            vector = vectors.get(key)
-            if vector is None:
-                vector = [0] * n_classes
                 vectors[key] = vector
                 new_pairs += 1
             vector[class_label] += 1
@@ -279,24 +257,26 @@ class CCTable:
 
     def merge_block(self, n_records: int, class_totals: Sequence[int],
                     blocks: Iterable[tuple[str, Sequence[Any],
-                                           Sequence[Sequence[int]]]]) -> None:
+                                           Sequence[list[int]]]]) -> None:
         """Fold one vectorized partial: pre-aggregated count blocks.
 
-        The columnar kernel returns, per attribute, the distinct values
+        The counting kernel returns, per attribute, the distinct values
         it saw and their per-class count vectors (zero vectors already
         omitted).  Folding them is the same additive merge as
         :meth:`merge`, just without materializing a partial
-        :class:`CCTable` per partition.
+        :class:`CCTable` per partition.  The blocks are consumed: a
+        pair new to this table adopts the block's freshly built vector
+        instead of copying it.
         """
         vectors = self._vectors
         for attribute, values, counts in blocks:
             for value, vector in zip(values, counts):
                 mine = vectors.get((attribute, value))
                 if mine is None:
-                    vectors[(attribute, value)] = list(vector)
+                    vectors[(attribute, value)] = vector
                 else:
-                    for class_label, count in enumerate(vector):
-                        mine[class_label] += count
+                    # In place: ``by_attribute`` views share the list.
+                    mine[:] = map(add, mine, vector)
         self._records += n_records
         for class_label, count in enumerate(class_totals):
             self._class_totals[class_label] += count

@@ -25,9 +25,8 @@ AUX_STRATEGIES = ("scan", "temp_table", "tid_join", "keyset", "auto")
 #: Worker-pool kinds for the parallel scan executor (``scan_workers``
 #: > 1; one worker counts inline and has no pool of either kind).
 #: Threads are the default (cheap, shares the routing kernel in
-#: place); the process pool sidesteps the GIL for CPU-bound routing at
-#: the price of pickling partitions and partial CC tables across the
-#: boundary.
+#: place); the process pool sidesteps the GIL at the price of shipping
+#: partitions and count blocks across the boundary.
 SCAN_POOLS = ("thread", "process")
 
 
@@ -80,36 +79,24 @@ class MiddlewareConfig:
     aux_free_build: bool = False
     #: Directory for staging files (None = private temp directory).
     staging_dir: str | None = None
-    #: Route rows through the compiled attribute-indexed scan kernel.
-    #: False selects the reference per-row matcher loop — the two are
-    #: equivalence-tested, so this is an A/B switch, not a feature gate.
-    scan_kernel: bool = True
-    #: Rows per scan chunk: staging writes and memory capture are
-    #: buffered and flushed at this granularity.
+    #: Rows per scan chunk, the unit partitions are sized in: an inline
+    #: scan counts ``execution.INLINE_PARTITION_CHUNKS`` chunks per
+    #: partition, a pooled one never fewer than one.
     scan_chunk_rows: int = 1024
-    #: Workers per scan.  1 (the default, overridable through
-    #: ``$REPRO_SCAN_WORKERS``) is the calling thread alone — no pool,
-    #: no helper thread: scans past the ``scan_parallel_min_rows`` gate
-    #: count columnar partitions with the vector kernel inline (given
-    #: numpy and a batch the kernel can route); everything else keeps
-    #: the row kernel.  >1 partitions the row
-    #: source and counts private per-node CC partials in a worker
-    #: pool, merging them afterwards — CC tables are additive, so
-    #: partial counts over disjoint partitions merge exactly.
+    #: Workers for scans longer than one partition.  1 (the default,
+    #: overridable through ``$REPRO_SCAN_WORKERS``) is the calling
+    #: thread alone — no pool, no helper thread: every partition is
+    #: counted inline.  >1 counts a source's partitions into private
+    #: per-node count blocks in a worker pool and merges them
+    #: afterwards — CC tables are additive, so partial counts over
+    #: disjoint partitions merge exactly; a source that fits in one
+    #: partition has nothing to overlap and is still counted inline.
     scan_workers: int = field(default_factory=_default_scan_workers)
     #: Worker-pool kind for the parallel executor: one of
     #: :data:`SCAN_POOLS`.  "thread" is the low-overhead default;
     #: "process" pays serialization to escape the GIL on CPU-bound
     #: routing workloads.
     scan_pool: str = "thread"
-    #: Scans over fewer source rows than this keep the row kernel at
-    #: any ``scan_workers`` — per-partition set-up (encode, numpy
-    #: dispatch, merge; pool start-up with several workers) dominates
-    #: tiny scans.  With one worker the gate scales up for batches
-    #: wider than ``execution.INLINE_GATE_BLOCKS`` CC blocks.  Measured
-    #: by ``benchmarks/bench_scan_kernel.py``: the inline executor
-    #: overtakes the row kernel at ~900 rows for a 5-node batch.
-    scan_parallel_min_rows: int = 2048
     #: Byte budget of the table-version columnar cache ("encode once,
     #: scan every level"): a pooled scan of an unchanged source reuses
     #: its full-source encoding instead of re-encoding it, and with a
@@ -151,10 +138,6 @@ class MiddlewareConfig:
         if self.scan_pool not in SCAN_POOLS:
             raise MiddlewareError(
                 f"scan_pool must be one of {SCAN_POOLS}"
-            )
-        if self.scan_parallel_min_rows < 0:
-            raise MiddlewareError(
-                "scan_parallel_min_rows must be non-negative"
             )
         if self.scan_cache_bytes < 0:
             raise MiddlewareError("scan_cache_bytes must be non-negative")

@@ -2,67 +2,55 @@
 
 Given a :class:`~repro.core.scheduler.Schedule`, builds the CC tables
 of every node in the batch in **one scan** of the appropriate data
-source, without external sorting: as each record is retrieved, it is
-routed to the (unique) active node whose path predicate it satisfies
-and the node's counters are updated.
+source, without external sorting: each record is routed to the active
+node whose path predicate it satisfies and the node's counters are
+updated.  The same scan also performs the staging the scheduler
+planned: rows routed to a stage-target node are appended to its new
+middleware file and/or collected for middleware memory.
 
-The same scan also performs the staging the scheduler planned: rows
-routed to a stage-target node are appended to its new middleware file
-and/or collected for middleware memory.
-
-Two row loops implement the routing one record at a time:
-
-* the **kernel** loop compiles the batch's path conditions
-  into a :class:`~repro.core.filters.RoutingKernel` — one dict probe
-  per constrained attribute instead of one closure call per node — and
-  processes rows in configurable chunks so staging writes and memory
-  capture are flushed in blocks;
-* the **per-row** loop is the reference implementation: every node's
-  matcher closure is evaluated against every row.  It is kept as the
-  equivalence baseline behind ``config.scan_kernel = False``.
-
-A source of at least ``config.scan_parallel_min_rows`` rows is instead
-counted **partitioned**, by one pipeline
-(:meth:`ExecutionModule._count_partitioned`): *source -> partition ->
-submit -> collect/merge -> stage -> admit*.  The source is cut into
-ordered partitions, each routed through the same compiled kernel into
-*private* per-node CC partials that the coordinator merges into the
-real CC tables — CC tables are additive count structures, so partial
-counts over disjoint partitions merge exactly.  Two things plug in:
+There is one loop (:meth:`ExecutionModule._count_partitioned`):
+*source -> partition -> submit -> collect/merge -> stage -> admit*.
+The source is cut into ordered columnar partitions, each counted by
+the one kernel (:mod:`~repro.core.vector_kernel`) into *private*
+per-node count blocks that the coordinator folds into the real CC
+tables — CC tables are additive count structures, so partial counts
+over disjoint partitions merge exactly.  Two things plug in:
 
 * a **partition source** (:class:`_PartitionSource`): columnar
   partitions streamed from the cursor, a staged file's blocks or
-  memory slices; slices of a cached full-source encoding (the
-  table-version columnar cache, pooled scans only); or row-tuple
-  partitions for a batch the vector kernel cannot route (wider than
-  ``MAX_SLOTS``, or no numpy);
-* the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**:
-  ``config.scan_workers == 1`` (the default) counts every partition
-  *inline* on the calling thread — one in flight, staged rows appended
-  in place, no prefetch or writer thread, no cache entry — and only
-  where the vector kernel runs and pays (every other one-worker scan
-  keeps the row kernel); more workers are the session's persistent
-  thread or process pool (``config.scan_pool``), with a bounded
-  prefetch thread on SERVER scans (:data:`PREFETCH_PARTITIONS` deep)
-  and one staging-writer thread per output file.
+  memory slices; or slices of a cached full-source encoding (the
+  table-version columnar cache, pooled scans only);
+* the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**,
+  chosen from what the schedule already carries: every source of a
+  one-worker session (``config.scan_workers == 1``, the default) —
+  and, while a larger session has not started its workers, any source
+  that fits in one partition, which has nothing to overlap — is
+  counted *inline* on the calling thread, one partition in flight,
+  staged rows appended in place, no prefetch or writer thread, no
+  cache entry; anything longer starts the session's persistent thread
+  or process pool (``config.scan_pool``), which then counts every
+  later scan, with a bounded prefetch thread on SERVER scans
+  (:data:`PREFETCH_PARTITIONS` deep) and one staging-writer thread per
+  output file.
 
-Whatever the source and executor, staged files stay bit-identical to
-a row-kernel scan's, and memory overflow (below) is detected on the
-*merged* sizes in batch order, so recovery decisions are the same for
-any worker count, one included.
+Whatever the source and executor, staged files are bit-identical and
+memory overflow (below) is detected on the *merged* sizes in batch
+order, so recovery decisions — and with them the scans and cost units
+of a fit — are the same for any worker count and partition size.
 
 Every scan fills one :class:`~repro.core.trace.ScheduleRecord` — its
 schedule, metered cost and profile — and :meth:`ExecutionModule.run`
 appends it to the session trace when the scan's results are final.
 
-Runtime memory errors are handled as in Section 4.1.1.  When a node's
-CC table outgrows what can be reserved there are two recoveries:
+Runtime memory errors are handled as in Section 4.1.1, in exactly one
+place (:meth:`ExecutionModule._admit_merged`).  When a node's CC table
+outgrows what can be reserved there are two recoveries:
 
 * **deferral** — if the node shares the scan with other *surviving*
   nodes, it is simply counted on a *later* scan (the "multiple scans
   of the database ... to build CC tables for active nodes" of Section
-  5.2.1B).  Its size estimate is raised to the pair count observed
-  before the overflow, so the next admission reserves realistically.
+  5.2.1B).  Its size estimate is raised to the pair count the scan
+  observed, so the next admission reserves exactly.
 * **SQL fallback** — if the node was scanned alone, or every co-batched
   peer has already been abandoned (so deferring would only buy it an
   identical solo scan), its CC genuinely cannot be accommodated: it
@@ -82,12 +70,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
-from ..sqlengine.columnar import (
-    ColumnarPartition,
-    columnar_available,
-    filter_supported,
-    np,
-)
+from ..sqlengine.columnar import ColumnarPartition, filter_supported, np
 from ..sqlengine.expr import TrueExpr
 from .cc_table import CCTable
 from .columnar_cache import (
@@ -108,7 +91,6 @@ from .staging import (
     StagedFile,
 )
 from .trace import ExecutionTrace, ScheduleRecord
-from .vector_kernel import MAX_SLOTS
 
 
 # -- partition production ----------------------------------------------------
@@ -122,24 +104,6 @@ def _close_source(source: Any) -> None:
             close()
         except BaseException:
             pass
-
-
-def _slice_partitions(row_iter: Iterator[Any],
-                      partition_rows: int) -> Iterator[list[Any]]:
-    """Cut a row iterator into ordered list partitions.
-
-    Closing this generator (directly, or via a producer's ``stop``)
-    closes the underlying row source, so a cursor abandoned by a failed
-    scan releases its generator state deterministically.
-    """
-    try:
-        while True:
-            partition = list(islice(row_iter, partition_rows))
-            if not partition:
-                return
-            yield partition
-    finally:
-        _close_source(row_iter)
 
 
 def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
@@ -209,29 +173,11 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
 #: a value, since pooled SERVER scans the cache admits never stream.
 PREFETCH_PARTITIONS = 2
 
-#: Scan chunks per partition of an inline (one-worker) columnar scan:
-#: the least a partition holds.  Measured on ``benchmarks/e2e``
-#: ``staged_default`` (CHANGES.md, PR 12): 2 chunks leave a quarter of
-#: the wall gain on the table, 8 buy ~8 % more wall for ~4 % more
-#: resident memory.
+#: Scan chunks per partition of an inline scan.  Measured on
+#: ``benchmarks/e2e`` ``staged_default`` (CHANGES.md, PR 12 and PR 20):
+#: 2 chunks leave a quarter of the wall gain on the table, 8 buy ~8 %
+#: more wall for ~4 % more resident memory, 16 cost +12 % peak RSS.
 INLINE_PARTITION_CHUNKS = 4
-
-#: Batch width, in CC blocks (one batch node x one of its attributes),
-#: up to which ``scan_parallel_min_rows`` gates the inline executor as
-#: it stands; a wider batch needs proportionally more rows.  Every
-#: partition costs the vector kernel ~25 us per block before it counts
-#: a row (mask, select, ``np.unique``/``bincount``, list conversion)
-#: against the row kernel's ~2 us per routed row, and
-#: ``benchmarks/bench_scan_kernel.py`` puts the crossover at 14 (warm
-#: session) to 21 (cold) rows per block: the default 2,048 rows over
-#: 128 blocks is 16.
-INLINE_GATE_BLOCKS = 128
-
-#: Inline partitions hold this many break-evens per block, so the
-#: per-block set-up stays a fraction of what the rows cost however
-#: wide the batch is (a 52-node batch cut into 4-chunk partitions ran
-#: 2.6x *slower* than the row kernel).
-INLINE_PARTITION_MARGIN = 4
 
 
 class _PartitionSizer:
@@ -428,27 +374,27 @@ class _PartitionProducer:
 
 
 class _PartitionSource:
-    """What one partitioned scan counts over, and how answers fold back.
+    """What one scan counts over, and how answers fold back.
 
     :meth:`ExecutionModule._count_partitioned` is the same loop for
     every source; a source only says where the ordered partitions come
     from, which ``ScanWorkerPool.submit*`` takes them, and how a
     worker's answer (rows seen, staged-row selections) is read.
 
-    This base is itself the simplest source — **row-tuple partitions**
-    through ``ScanWorkerPool.submit``, the pooled route for a batch the
-    vector kernel cannot take (wider than ``MAX_SLOTS``, or numpy
-    missing): workers return CC partials and the staged rows
-    themselves.  It also owns what every streamed source shares:
-    pulling the partitions through a bounded
+    This base is the streamed source: :class:`ColumnarPartition`
+    objects built once from the scan's own tier — encoded from cursor
+    rows (SERVER), int32 block matrices (FILE) or zero-copy slices of
+    the session encoding (MEMORY) — and pulled through a bounded
     :class:`_PartitionProducer` thread when the scan has a cursor to
-    overlap with.
+    overlap with.  A process pool gets each one through a
+    ``multiprocessing.shared_memory`` segment (one memcpy; only the
+    tiny handle is pickled) where the platform has shared memory, as
+    pickled column arrays where not; a segment lives from submit until
+    its result is collected, and :meth:`close` releases whatever a
+    failure left.  Workers return staged rows as index arrays, decoded
+    from the coordinator's pinned partition.
     """
 
-    #: True when partitions are columnar and counted by the vector
-    #: kernel: workers return count *blocks* (``CCTable.merge_block``)
-    #: and staged rows as index arrays, not CC partials and rows.
-    columnar = False
     #: The scan runs over the table-version columnar cache.
     cached = False
 
@@ -456,6 +402,7 @@ class _PartitionSource:
         self._partitions = partitions
         self._prefetch = prefetch
         self._producer: _PartitionProducer | None = None
+        self._shipper: ShmShipper | None = None
         self._pool: Any = None
         self._scan: Any = None
         #: ``(stage_nodes, capture_nodes)`` every submit passes along.
@@ -471,6 +418,8 @@ class _PartitionSource:
         self._pool = pool
         self._scan = scan
         self._targets = targets
+        if pool.remote and shm_available():
+            self._shipper = ShmShipper()
         if self._prefetch > 0:
             # Starvation may grow the depth to twice what was asked.
             self._producer = _PartitionProducer(
@@ -484,58 +433,6 @@ class _PartitionSource:
     def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
         """Hand one partition to the pool: ``(future, ticket)``, the
         ticket being what the hooks below need back at collect time."""
-        future = self._pool.submit(seq, partition, *self._targets)
-        return future, len(partition)
-
-    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
-        """A partition's result arrived: let go of what its ticket
-        held; returns the source rows the partition accounted for."""
-        return int(ticket)
-
-    def staged_rows(self, ticket: Any, selection: Any) -> Any:
-        """The rows behind one node's staged selection of a partition."""
-        return selection
-
-    def stop(self) -> None:
-        """The scan is failing: stop producing, close the row source."""
-        if self._producer is not None:
-            self._producer.stop()
-        else:
-            _close_source(self._partitions)
-
-    def close(self) -> None:
-        """The loop is over, either way: let go of everything held."""
-        if self._producer is not None:
-            self._scan.prefetch_peak = self._producer.peak_depth
-
-    def settle(self) -> None:
-        """The scan succeeded: apply charges that waited for its end."""
-
-
-class _ColumnarStreamSource(_PartitionSource):
-    """Columnar partitions streamed from the scan's own tier.
-
-    :class:`ColumnarPartition` objects built once at the source:
-    encoded from cursor rows (SERVER), int32 block matrices (FILE) or
-    zero-copy slices of the session encoding (MEMORY).  A process pool
-    gets each one through a ``multiprocessing.shared_memory`` segment
-    (one memcpy; only the tiny handle is pickled) where the platform
-    has shared memory, as pickled column arrays where not; a segment
-    lives from submit until its result is collected, and :meth:`close`
-    releases whatever a failure left.  Workers return staged rows as
-    index arrays, decoded from the coordinator's pinned partition.
-    """
-
-    columnar = True
-    _shipper: ShmShipper | None = None
-
-    def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
-             targets: tuple[Any, Any]) -> Iterator[Any]:
-        if pool.remote and shm_available():
-            self._shipper = ShmShipper()
-        return super().open(pool, scan, targets)
-
-    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
         shipped, segment = partition, None
         if self._shipper is not None:
             started = time.perf_counter()
@@ -548,18 +445,34 @@ class _ColumnarStreamSource(_PartitionSource):
         return future, (partition.n_rows, pinned, segment)
 
     def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
-        if self._shipper is not None and ticket[2] is not None:
+        """A partition's result arrived: let go of what its ticket
+        held; returns the source rows the partition accounted for."""
+        if ticket[2] is not None:
+            assert self._shipper is not None
             self._shipper.release(ticket[2])
         return int(ticket[0])
 
     def staged_rows(self, ticket: Any, selection: Any) -> Any:
+        """The rows behind one node's staged selection of a partition."""
         return ticket[1].rows_at(selection)
 
+    def stop(self) -> None:
+        """The scan is failing: stop producing, close the row source."""
+        if self._producer is not None:
+            self._producer.stop()
+        else:
+            _close_source(self._partitions)
+
     def close(self) -> None:
-        super().close()
+        """The loop is over, either way: let go of everything held."""
+        if self._producer is not None:
+            self._scan.prefetch_peak = self._producer.peak_depth
         if self._shipper is not None:
             # Idempotent: releases only what a failure left behind.
             self._shipper.close()
+
+    def settle(self) -> None:
+        """The scan succeeded: apply charges that waited for its end."""
 
 
 class _CachedPlanSource(_PartitionSource):
@@ -580,7 +493,6 @@ class _CachedPlanSource(_PartitionSource):
     and is valid however the count ends, so the next scan hits.
     """
 
-    columnar = True
     cached = True
 
     def __init__(self, cache: ColumnarScanCache, plan: ColumnarScanPlan,
@@ -669,7 +581,7 @@ class _NodeCount:
         self.reserved = reserved
         self.fallback = False
         self.deferred = False
-        #: Precomputed (attribute, row index) pairs for tuple counting.
+        #: Precomputed (attribute, column index) pairs for the kernel.
         self.attr_positions = attr_positions
 
     @property
@@ -700,10 +612,9 @@ class ExecutionModule:
         self._class_index = spec.n_attributes
         self._sizer = _PartitionSizer(config.scan_chunk_rows)
         #: Table-version columnar cache ("encode once, scan every
-        #: level"); None when its byte budget is zero or numpy is
-        #: unavailable.
+        #: level"); None when its byte budget is zero.
         self._scan_cache: ColumnarScanCache | None = None
-        if config.scan_cache_bytes and columnar_available():
+        if config.scan_cache_bytes:
             self._scan_cache = ColumnarScanCache(config.scan_cache_bytes)
             # Staged files are immutable once sealed, so the only
             # invalidation they need is drop-time eviction.
@@ -755,26 +666,9 @@ class ExecutionModule:
             for node_id in self._file_targets(schedule):
                 file_writers[node_id] = self._staging.open_file(node_id)
             started = time.perf_counter()
-            workers = self._parallel_workers(schedule)
-            if workers:
-                self._count_partitioned(
-                    schedule, states, file_writers, memory_capture, scan,
-                    workers,
-                )
-            elif self._config.scan_kernel:
-                row_iter = self._rows_for(schedule, scan)
-                self._count_rows_kernel(
-                    row_iter, states, file_writers, memory_capture, scan
-                )
-            else:
-                matchers = [
-                    (state, self._make_matcher(state.request))
-                    for state in states
-                ]
-                self._count_rows(
-                    self._rows_for(schedule, scan), matchers,
-                    file_writers, memory_capture, scan,
-                )
+            self._count_partitioned(
+                schedule, states, file_writers, memory_capture, scan
+            )
             scan.wall_seconds = time.perf_counter() - started
 
             for writer in file_writers.values():
@@ -829,23 +723,6 @@ class ExecutionModule:
             states.append(_NodeCount(request, cc, reserved, positions))
         return states
 
-    def _make_matcher(
-        self, request: Any
-    ) -> Callable[[Sequence[Any]], bool]:
-        """Compile a node's path conditions into a tuple-level check."""
-        checks = [
-            (self._attr_index[c.attribute], c.op == "=", c.value)
-            for c in request.conditions
-        ]
-
-        def match(row: Sequence[Any]) -> bool:
-            for index, want_equal, value in checks:
-                if (row[index] == value) != want_equal:
-                    return False
-            return True
-
-        return match
-
     def _file_targets(self, schedule: Any) -> list[Any]:
         """Nodes this scan writes a staged file for: planned + splits.
 
@@ -875,7 +752,8 @@ class ExecutionModule:
 
         Exact for staged sources; for server scans it is the batch's
         relevant-row total (an underestimate without filter push-down,
-        which only makes the parallel gate conservative).
+        which at worst streams a longer source through the inline
+        executor).
         """
         staging = self._staging
         if schedule.mode is DataLocation.MEMORY:
@@ -884,83 +762,30 @@ class ExecutionModule:
             return staging.file_for(schedule.source_node).row_count
         return sum(request.n_rows for request in schedule.batch)
 
-    def _columnar_eligible(self, n_nodes: int) -> bool:
-        """True when a batch of ``n_nodes`` can use the vector kernel."""
-        return columnar_available() and n_nodes <= MAX_SLOTS
-
-    def _parallel_workers(self, schedule: Any) -> int:
-        """Partition workers for this scan: 0 keeps a row loop.
-
-        1 is the inline executor — columnar partitions counted by the
-        vector kernel on the calling thread — and more is the session's
-        thread or process pool.  The partitioned path is a kernel-loop
-        variant, so the per-row reference loop (``scan_kernel=False``)
-        never partitions; scans below ``scan_parallel_min_rows`` keep
-        the row kernel because per-partition set-up (encode, numpy
-        dispatch, merge; pool start-up too with several workers) costs
-        more than routing so few rows one by one.  One worker without
-        the columnar kernel (numpy missing, a batch wider than
-        ``MAX_SLOTS``) would only be the row kernel
-        plus a merge, so it stays on the row kernel itself — as does a
-        batch so wide for its source that the vector kernel's per-block
-        set-up outweighs the rows (:meth:`_break_even_rows`).
-        """
-        config = self._config
-        if not config.scan_kernel:
-            return 0
-        source_rows = self._source_rows(schedule)
-        if source_rows < config.scan_parallel_min_rows:
-            return 0
-        if config.scan_workers == 1 and (
-                not self._columnar_eligible(len(schedule.batch))
-                or source_rows < self._break_even_rows(schedule)
-        ):
-            return 0
-        return config.scan_workers
-
-    def _break_even_rows(self, schedule: Any) -> int:
-        """Rows from which one inline partition of this batch pays off.
-
-        ``scan_parallel_min_rows`` scaled by the batch's width in CC
-        blocks (node x attribute) over :data:`INLINE_GATE_BLOCKS`; it
-        only binds for batches wider than that.
-        """
-        blocks = sum(len(request.attributes) for request in schedule.batch)
-        return (
-            self._config.scan_parallel_min_rows * blocks // INLINE_GATE_BLOCKS
-        )
-
-    def _partition_rows(self, schedule: Any, n_workers: int) -> int:
-        """Partition size for one partitioned scan.
+    def _partition_rows(self, source_rows: int) -> int:
+        """Partition size for one scan of ``source_rows`` rows.
 
         A pool gets the adaptive sizer's answer: ~2 partitions per
         worker to start with, never below a serial scan chunk (tiny
         partitions would be all task overhead, and with a process pool
         all shipping), and the blind per-worker target for scans
-        without a row estimate.  The inline executor has no workers to
+        without a row estimate.  A one-worker session has no workers to
         balance, so its partitions only need to be long enough to
-        amortise the kernel's per-block set-up and short enough that
-        the one partition in flight stays small next to the process:
-        :data:`INLINE_PARTITION_CHUNKS` scan chunks, more for a batch
-        wide enough to need it (:data:`INLINE_PARTITION_MARGIN`).
+        amortise the kernel's per-partition set-up and short enough
+        that the one partition in flight stays small next to the
+        process: :data:`INLINE_PARTITION_CHUNKS` scan chunks.
         """
-        if n_workers == 1:
-            return max(
-                INLINE_PARTITION_CHUNKS * self._config.scan_chunk_rows,
-                INLINE_PARTITION_MARGIN * self._break_even_rows(schedule),
-            )
-        return self._sizer.partition_rows(
-            self._source_rows(schedule), n_workers
-        )
+        config = self._config
+        if config.scan_workers == 1:
+            return INLINE_PARTITION_CHUNKS * config.scan_chunk_rows
+        return self._sizer.partition_rows(source_rows, config.scan_workers)
 
-    def _rows_for(self, schedule: Any, scan: ScheduleRecord) -> Iterator[Any]:
-        """The row iterator for the schedule's data source."""
-        staging = self._staging
-        if schedule.mode is DataLocation.SERVER:
-            return self._strategy.rows(*self._server_scan(schedule))
-        if schedule.mode is DataLocation.FILE:
-            return staging.file_for(schedule.source_node).scan()
-        return iter(self._memory_rows(schedule))
+    def _rows_for(self, schedule: Any) -> Iterator[Any]:
+        """The cursor rows of a SERVER scan."""
+        rows: Iterator[Any] = self._strategy.rows(
+            *self._server_scan(schedule)
+        )
+        return rows
 
     def _server_scan(self, schedule: Any) -> tuple[Any, int]:
         """``(pushed batch filter or None, relevant rows)`` of a
@@ -972,99 +797,22 @@ class ExecutionModule:
             )
         return predicate, sum(r.n_rows for r in schedule.batch)
 
-    def _memory_rows(self, schedule: Any) -> list[Any]:
-        """The schedule's staged in-memory rows, their read charged."""
-        rows: list[Any] = self._staging.memory_rows(schedule.source_node)
+    def _charge_memory_read(self, schedule: Any) -> None:
+        """Charge reading the schedule's staged in-memory rows."""
+        n_rows = len(self._staging.memory_rows(schedule.source_node))
         model = self._server.model
         self._server.meter.charge(
-            "memory_read", model.memory_row * len(rows), events=len(rows)
+            "memory_read", model.memory_row * n_rows, events=n_rows
         )
-        return rows
 
-    # -- the scan loops ------------------------------------------------------
-
-    def _count_rows_kernel(self, row_iter: Iterator[Any],
-                           states: list[_NodeCount],
-                           file_writers: dict[Any, StagedFile],
-                           memory_capture: dict[Any, list[Any]],
-                           scan: ScheduleRecord) -> None:
-        """Chunked routing through the compiled dispatch kernel."""
-        scan.kernel = True
-        class_index = self._class_index
-        budget = self._budget
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        route = kernel.route
-        n_probes = kernel.n_probes
-        chunk_rows = self._config.scan_chunk_rows
-        # Staging output is buffered per chunk and flushed in blocks.
-        write_buffers: dict[Any, list[Any]] = {
-            node_id: [] for node_id in file_writers
-        }
-        capture_buffers: dict[Any, list[Any]] = {
-            node_id: [] for node_id in memory_capture
-        }
-
-        while True:
-            chunk = list(islice(row_iter, chunk_rows))
-            if not chunk:
-                break
-            scan.rows_seen += len(chunk)
-            scan.matcher_evals += n_probes * len(chunk)
-            for row in chunk:
-                mask = route(row)
-                if not mask:
-                    continue
-                scan.rows_routed += 1
-                # A frontier is an antichain, so normally exactly one
-                # bit is set; draining the mask keeps the module
-                # correct even for overlapping request sets.
-                while mask:
-                    low_bit = mask & -mask
-                    mask ^= low_bit
-                    target = states[low_bit.bit_length() - 1]
-                    node_id = target.request.node_id
-
-                    if not target.abandoned:
-                        new_pairs = target.cc.count_row_at(
-                            row, target.attr_positions, row[class_index]
-                        )
-                        if new_pairs:
-                            needed = target.cc.size_bytes
-                            if needed > target.reserved:
-                                deficit = needed - target.reserved
-                                if budget.try_reserve(
-                                    _cc_tag(node_id), deficit
-                                ):
-                                    target.reserved = needed
-                                else:
-                                    # Section 4.1.1: no new entries fit.
-                                    self._abandon(target, states, scan)
-
-                    buffer = write_buffers.get(node_id)
-                    if buffer is not None:
-                        buffer.append(row)
-                    buffer = capture_buffers.get(node_id)
-                    if buffer is not None:
-                        buffer.append(row)
-
-            for node_id, rows in write_buffers.items():
-                if rows:
-                    file_writers[node_id].append_rows(rows)
-                    rows.clear()
-            for node_id, rows in capture_buffers.items():
-                if rows:
-                    memory_capture[node_id].extend(rows)
-                    rows.clear()
+    # -- the scan loop ------------------------------------------------------
 
     def _open_staging_writer(
             self, pool: ScanWorkerPool,
             file_writers: dict[Any, StagedFile],
             memory_capture: dict[Any, list[Any]], scan: ScheduleRecord,
     ) -> InlineStagingWriter | ParallelStagingWriter:
-        """The writer a partitioned scan hands its staged rows to.
+        """The writer a scan hands its staged rows to.
 
         A pool overlaps flushes with counting, one writer thread per
         output file.  The inline executor writes in place — a thread
@@ -1092,15 +840,13 @@ class ExecutionModule:
     def _partition_source(self, schedule: Any, scan: ScheduleRecord,
                           pool: ScanWorkerPool,
                           partition_rows: int) -> _PartitionSource:
-        """The source one partitioned scan counts over.
+        """The source one scan counts over.
 
-        Columnar wherever the vector kernel can route the batch — over
-        the cached full-source encoding when a pooled scan has a cache
-        plan, else streamed from the schedule's own tier — and pooled
-        row tuples for the rest.  The row source is consumed by exactly
-        one thread (the coordinator, or the prefetch producer), so
-        simulated per-row meter charges accrue exactly as in a row-loop
-        scan.
+        The cached full-source encoding when a pooled scan has a cache
+        plan, else columnar partitions streamed from the schedule's own
+        tier.  A cursor is consumed by exactly one thread (the
+        coordinator, or the prefetch producer), so simulated per-row
+        meter charges accrue exactly once.
         """
         staging = self._staging
         server = schedule.mode is DataLocation.SERVER
@@ -1108,13 +854,6 @@ class ExecutionModule:
         # executor would only hand rows between two threads that cannot
         # run at once.
         prefetch = PREFETCH_PARTITIONS if server and not pool.inline else 0
-        if not self._columnar_eligible(len(schedule.batch)):
-            return _PartitionSource(
-                _slice_partitions(
-                    self._rows_for(schedule, scan), partition_rows
-                ),
-                prefetch,
-            )
         plan = None if pool.inline else self._cache_plan(schedule)
         if plan is not None:
             assert self._scan_cache is not None
@@ -1124,7 +863,7 @@ class ExecutionModule:
         partitions: Iterator[ColumnarPartition]
         if server:
             partitions = _columnar_slices(
-                self._rows_for(schedule, scan), partition_rows, scan
+                self._rows_for(schedule), partition_rows, scan
             )
         elif schedule.mode is DataLocation.FILE:
             partitions = _columnar_file_slices(
@@ -1134,18 +873,18 @@ class ExecutionModule:
         else:
             # Count over zero-copy slices of the session's cached
             # encoding of the set; the read is charged as for its rows.
-            self._memory_rows(schedule)
+            self._charge_memory_read(schedule)
             encode_started = time.perf_counter()
             table = staging.columnar_memory(schedule.source_node)
             scan.encode_seconds += time.perf_counter() - encode_started
             partitions = _columnar_memory_slices(table, partition_rows)
-        return _ColumnarStreamSource(partitions, prefetch)
+        return _PartitionSource(partitions, prefetch)
 
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
                            memory_capture: dict[Any, list[Any]],
-                           scan: ScheduleRecord, n_workers: int) -> None:
-        """The partitioned scan: every source, every executor.
+                           scan: ScheduleRecord) -> None:
+        """The scan loop: every source, every executor.
 
         The source's ordered partitions are submitted to the session's
         :class:`ScanWorkerPool` — one in flight when it counts inline,
@@ -1162,17 +901,16 @@ class ExecutionModule:
         file survives (the caller deletes the abandoned files) and the
         persistent pool carries no stale work into the next scan.
 
-        §4.1.1 overflow is *not* checked row-by-row: workers count
+        §4.1.1 overflow is checked once, after the merge: workers count
         unconditionally and the merged sizes are admitted against the
-        budget afterwards, in batch order, so deferral / SQL-fallback
-        decisions never depend on source, worker count, partition
-        boundaries, prefetch depth or writer arrangement.  (Deferred
-        nodes get their estimate raised to the exact pair count, so
-        the next admission reserves precisely.)
+        budget in batch order, so deferral / SQL-fallback decisions
+        never depend on source, worker count, partition boundaries,
+        prefetch depth or writer arrangement.  (Deferred nodes get
+        their estimate raised to the exact pair count, so the next
+        admission reserves precisely.)
         """
-        partition_rows = self._partition_rows(schedule, n_workers)
-        scan.kernel = True
-        scan.workers = n_workers
+        source_rows = self._source_rows(schedule)
+        partition_rows = self._partition_rows(source_rows)
         scan.partition_rows = partition_rows
         kernel = RoutingKernel(
             [state.request.conditions for state in states],
@@ -1190,9 +928,14 @@ class ExecutionModule:
         scan.pool_setup_seconds = pool.install(
             self._scan_signature(states), kernel, slots,
             self._class_index, self._spec.n_classes,
+            # Read off the schedule, not an option: a source that fits
+            # in one partition has nothing to overlap, so no pool is
+            # started for it.
+            one_partition=source_rows <= partition_rows,
         )
+        if not pool.inline:
+            scan.workers = pool.n_workers
         source = self._partition_source(schedule, scan, pool, partition_rows)
-        scan.columnar = source.columnar
         scan.cached = source.cached
         writer = self._open_staging_writer(
             pool, file_writers, memory_capture, scan
@@ -1207,10 +950,7 @@ class ExecutionModule:
             scan.worker_seconds.append(result[5])
             merge_started = time.perf_counter()
             for state, counted in zip(states, result[1]):
-                if source.columnar:
-                    state.cc.merge_block(*counted)
-                else:
-                    state.cc.merge(counted)
+                state.cc.merge_block(*counted)
             scan.merge_seconds += time.perf_counter() - merge_started
 
             def rows_of(selections: dict[Any, Any]) -> dict[Any, Any]:
@@ -1225,7 +965,7 @@ class ExecutionModule:
         #: (future, ticket) per submitted partition, in scan order;
         #: tickets pin what a failed scan must be able to release.
         inflight: deque[tuple[Any, Any]] = deque()
-        max_inflight = 1 if pool.inline else 2 * n_workers
+        max_inflight = 1 if pool.inline else 2 * pool.n_workers
         try:
             for seq, partition in enumerate(source.open(
                     pool, scan, (tuple(file_writers), tuple(memory_capture))
@@ -1253,7 +993,7 @@ class ExecutionModule:
 
     def _admit_merged(self, states: list[_NodeCount],
                       scan: ScheduleRecord) -> None:
-        """Deterministic §4.1.1 admission on the merged sizes."""
+        """§4.1.1 admission on the merged sizes — its one form."""
         budget = self._budget
         for state in states:
             needed = state.cc.size_bytes
@@ -1269,10 +1009,10 @@ class ExecutionModule:
         """A table-version cache plan for this scan, or None to stream.
 
         None falls back to streaming — the cache is an overlay, never a
-        requirement.  A plan needs: the cache enabled (numpy present, a
-        non-zero ``scan_cache_bytes``), a worker-side filter the vector
-        kernel can evaluate, and an encoding the byte budget could
-        plausibly hold.
+        requirement.  A plan needs: the cache enabled (a non-zero
+        ``scan_cache_bytes``), a worker-side filter the vector kernel
+        can evaluate, and an encoding the byte budget could plausibly
+        hold.
         MEMORY scans already count over a cached encoding and stay put.
 
         Ordering note: for the §4.3.3 strategies ``plan_columnar`` may
@@ -1295,61 +1035,6 @@ class ExecutionModule:
         if not cache.admissible(plan, self._spec.n_attributes + 1):
             return None
         return plan
-
-    def _count_rows(
-        self,
-        row_iter: Iterator[Any],
-        matchers: list[tuple[_NodeCount, Callable[[Sequence[Any]], bool]]],
-        file_writers: dict[Any, StagedFile],
-        memory_capture: dict[Any, list[Any]],
-        scan: ScheduleRecord,
-    ) -> None:
-        """The reference per-row matcher loop (``scan_kernel = False``)."""
-        attribute_names = self._spec.attribute_names
-        class_index = self._class_index
-        budget = self._budget
-        n_matchers = len(matchers)
-
-        for row in row_iter:
-            scan.rows_seen += 1
-            scan.matcher_evals += n_matchers
-            routed = False
-            values: dict[str, Any] | None = None
-            # A frontier is an antichain, so normally exactly one node
-            # matches; updating every match keeps the module correct
-            # even for overlapping request sets.
-            for target, match in matchers:
-                if not match(row):
-                    continue
-                routed = True
-                node_id = target.request.node_id
-
-                if not target.abandoned:
-                    if values is None:
-                        values = dict(zip(attribute_names, row))
-                    new_pairs = target.cc.count_row(values, row[class_index])
-                    if new_pairs:
-                        needed = target.cc.size_bytes
-                        if needed > target.reserved:
-                            deficit = needed - target.reserved
-                            if budget.try_reserve(_cc_tag(node_id), deficit):
-                                target.reserved = needed
-                            else:
-                                # Section 4.1.1: no new entries fit.
-                                self._abandon(
-                                    target,
-                                    [state for state, _ in matchers],
-                                    scan,
-                                )
-
-                writer = file_writers.get(node_id)
-                if writer is not None:
-                    writer.append(row)
-                capture = memory_capture.get(node_id)
-                if capture is not None:
-                    capture.append(row)
-            if routed:
-                scan.rows_routed += 1
 
     def _abandon(self, target: _NodeCount, states: list[_NodeCount],
                  scan: ScheduleRecord) -> None:
@@ -1374,9 +1059,9 @@ class ExecutionModule:
         )
         if surviving_peers:
             target.deferred = True
-            # The estimate was too low: raise it to what was actually
-            # observed (a lower bound on the true size) so the next
-            # admission reserves realistically.
+            # The estimate was too low: raise it to what the scan
+            # counted (the node's exact size) so the next admission
+            # reserves precisely.
             request.est_cc_pairs = max(request.est_cc_pairs + 1,
                                        observed_pairs)
             scan.deferrals += 1

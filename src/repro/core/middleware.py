@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from ..common.errors import MiddlewareError
 from ..common.memory import MemoryBudget
+from ..sqlengine.columnar import columnar_available
 from .auxiliary import make_strategy
 from .config import MiddlewareConfig
 from .execution import ExecutionModule
@@ -33,6 +35,11 @@ class Middleware:
 
     def __init__(self, server: Any, table_name: str, spec: Any,
                  config: MiddlewareConfig | None = None) -> None:
+        if not columnar_available():
+            raise MiddlewareError(
+                "the middleware counts over numpy arrays and numpy is "
+                "not importable; install numpy (a declared dependency)"
+            )
         self.server = server
         self.table_name = table_name
         self.spec = spec
@@ -76,7 +83,8 @@ class Middleware:
         The pool outlives individual scans (and individual ``fit()``
         calls sharing this session): workers stay warm and the routing
         kernel is re-broadcast only when a schedule's kernel actually
-        changes.  :meth:`close` tears it down.
+        changes.  Its executor starts with the first scan longer than
+        one partition.  :meth:`close` tears it down.
         """
         if self._scan_pool is None:
             self._scan_pool = ScanWorkerPool(
@@ -87,8 +95,8 @@ class Middleware:
     @property
     def scan_pool(self) -> ScanWorkerPool | None:
         """The session's persistent scan-worker pool (None until the
-        first partitioned scan; with ``scan_workers=1`` it is the
-        inline executor and owns no executor or thread)."""
+        first scan; with ``scan_workers=1`` it is the inline executor
+        and owns no executor or thread)."""
         return self._scan_pool
 
     # -- the Figure-3 interface --------------------------------------------
@@ -152,9 +160,11 @@ class Middleware:
         stats = self.stats
         meter = self.server.meter
         pool = self._scan_pool
+        # What ran, not what was configured: a pool whose every scan
+        # fitted one partition never started an executor.
         executor = (
-            "inline" if pool is None or pool.inline
-            else f"{pool.n_workers} {pool.kind} workers"
+            f"{pool.n_workers} {pool.kind} workers"
+            if pool is not None and pool.pools_created else "inline"
         )
         scans = ", ".join(
             f"{location.name.lower()}={count}"
@@ -166,10 +176,8 @@ class Middleware:
             f"  scans: {stats.batches} batches ({scans})",
             f"  rows: {stats.rows_seen:,} seen, "
             f"{stats.rows_routed:,} routed",
-            f"  scan loop: {stats.kernel_scans}/{stats.batches} kernelized, "
-            f"{stats.columnar_scans} columnar, "
-            f"{stats.parallel_scans} parallel "
-            f"({executor}, {stats.merge_seconds:.4f}s merging), "
+            f"  executor: {executor}, {stats.parallel_scans} pooled scans, "
+            f"{stats.merge_seconds:.4f}s merging, "
             f"{stats.rows_per_sec:,.0f} rows/s, "
             f"{stats.matcher_evals:,} matcher evals",
             f"  recoveries: {stats.deferrals} deferrals, "

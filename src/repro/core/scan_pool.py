@@ -1,4 +1,4 @@
-"""The scan-worker pool: executor of the partitioned scan pipeline.
+"""The scan-worker pool: executor of the scan pipeline.
 
 Whichever partition source feeds
 ``ExecutionModule._count_partitioned``, every partition goes through
@@ -31,19 +31,24 @@ the compiled routing kernel — erodes exactly that win, so
   it (e.g. a dead process worker), letting the next scan transparently
   rebuild.
 
-A pool of **one** worker is the *inline* executor: it never creates
-an ``Executor`` (or any thread), whatever its ``kind``; ``submit*``
-runs the same partition task on the calling thread and returns an
-already-completed future.  This is what ``scan_workers=1`` — the
-default — counts columnar partitions through, so the partition tasks
-(:func:`count_partition_columnar`, :func:`count_partition_slice`) are
-the one way into the vector kernel for every worker count.
+A scan may also be installed *inline*: ``submit*`` then runs the same
+partition task on the calling thread and returns an already-completed
+future.  A pool of **one** worker (``scan_workers=1``, the default)
+counts every scan that way and never creates an ``Executor`` or any
+thread, whatever its ``kind``.  A larger pool is not started for a
+scan whose source fits in one partition — there is nothing to overlap
+— so such scans run inline until a longer one creates the executor;
+from then on every scan of the session goes to the workers, and the
+coordinator thread does no counting of its own.  Either way the
+partition tasks (:func:`count_partition_columnar`,
+:func:`count_partition_slice`) are the one way into the counting
+kernel for every worker count.
 
 Worker tasks return only additive, order-independent state (per-slot
-CC partials, routed counts, staged-row buffers), so everything the
-coordinator merges is independent of completion order; staging output
-is applied strictly in partition order by the caller.  Workers never
-touch the memory budget, the cost meter, or any file.
+count blocks, routed counts, staged-row index arrays), so everything
+the coordinator merges is independent of completion order; staging
+output is applied strictly in partition order by the caller.  Workers
+never touch the memory budget, the cost meter, or any file.
 """
 
 from __future__ import annotations
@@ -57,12 +62,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition
-from .cc_table import CCTable
 from .shm import (
     ShmPartitionHandle,
     ShmSegmentRef,
@@ -119,55 +123,6 @@ def reset_process_context() -> None:
     _drop_segment_context()
 
 
-def _count_partition(
-    ctx: Any,
-    seq: int,
-    rows: Sequence[Any],
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, list[CCTable], int, dict[Any, list[Any]], dict[Any, list[Any]], float]:
-    """Count one row partition against a routing context.
-
-    Runs inside a worker (thread or process).  Returns only additive,
-    order-independent state — per-slot CC partials, the routed-row
-    count, and the rows destined for each staging target — so the
-    coordinator can merge partials in any completion order and apply
-    staging output in partition (``seq``) order.
-    """
-    kernel, slots, class_index, n_classes = ctx
-    started = time.perf_counter()
-    partials = [
-        CCTable(attributes, n_classes) for _, attributes, _ in slots
-    ]
-    writes: dict[Any, list[Any]] = {node_id: [] for node_id in stage_nodes}
-    captures: dict[Any, list[Any]] = {
-        node_id: [] for node_id in capture_nodes
-    }
-    route = kernel.route
-    routed = 0
-    for row in rows:
-        mask = route(row)
-        if not mask:
-            continue
-        routed += 1
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            slot = low_bit.bit_length() - 1
-            node_id, _, attr_positions = slots[slot]
-            partials[slot].count_row_at(
-                row, attr_positions, row[class_index]
-            )
-            buffer = writes.get(node_id)
-            if buffer is not None:
-                buffer.append(row)
-            buffer = captures.get(node_id)
-            if buffer is not None:
-                buffer.append(row)
-    return seq, partials, routed, writes, captures, \
-        time.perf_counter() - started
-
-
 def _process_context(generation: int, payload: bytes) -> Any:
     """The worker process's routing context, unpickled when stale."""
     global _PROCESS_CTX
@@ -176,19 +131,6 @@ def _process_context(generation: int, payload: bytes) -> Any:
         ctx = pickle.loads(payload)
         _PROCESS_CTX = (generation, ctx)
     return ctx
-
-
-def _count_partition_pickled(
-    generation: int,
-    payload: bytes,
-    seq: int,
-    rows: Sequence[Any],
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, list[CCTable], int, dict[Any, list[Any]], dict[Any, list[Any]], float]:
-    """Process-pool task: refresh the cached context when stale."""
-    ctx = _process_context(generation, payload)
-    return _count_partition(ctx, seq, rows, stage_nodes, capture_nodes)
 
 
 def _count_columnar_pickled(
@@ -324,13 +266,14 @@ def _mark_future_done(future: Future[Any]) -> None:
 
 
 class ScanWorkerPool:
-    """A reusable worker pool for partitioned scans.
+    """A reusable worker pool for scans.
 
     Lifecycle: construct cheaply (no executor yet), :meth:`install` a
-    scan's routing context (which lazily creates the executor — never,
-    for the one-worker inline pool), :meth:`submit` partitions, and
-    :meth:`close` once at session end.  ``install``/``submit`` may be
-    repeated for any number of scans.
+    scan's routing context (which lazily creates the executor — not
+    for a one-partition scan, and never in a one-worker pool), submit
+    partitions (:meth:`submit_columnar` / :meth:`submit_columnar_slice`),
+    and :meth:`close` once at session end.  ``install``/``submit*`` may
+    be repeated for any number of scans.
     """
 
     def __init__(self, kind: str, n_workers: int) -> None:
@@ -340,11 +283,12 @@ class ScanWorkerPool:
             raise MiddlewareError("scan pool needs at least one worker")
         self.kind = kind
         self.n_workers = n_workers
-        #: One worker is the calling thread itself: no executor is ever
-        #: created and every partition is counted inside ``submit*``.
+        #: The installed scan counts on the calling thread, inside
+        #: ``submit*``: always with one worker (no executor is ever
+        #: created), else as :meth:`install` decides per scan.
         self.inline = n_workers == 1
-        #: Workers live in other processes, so routing contexts and
-        #: partitions have to be shipped to them.
+        #: The installed scan's workers live in other processes, so
+        #: routing contexts and partitions have to be shipped to them.
         self.remote = kind == "process" and not self.inline
         #: Serialises executor lifecycle transitions: the middleware's
         #: shared pool can see ``close()``/``retire_broken()`` racing a
@@ -399,14 +343,21 @@ class ScanWorkerPool:
             return time.perf_counter() - started
 
     def install(self, signature: Any, kernel: Any, slots: Any,
-                class_index: int, n_classes: int) -> float:
+                class_index: int, n_classes: int,
+                one_partition: bool = False) -> float:
         """Install one scan's routing context; returns setup seconds.
 
         ``signature`` is any equality-comparable description of the
         schedule's kernel; worker-side state is refreshed only when it
         differs from the currently installed one, so repeated or
-        retried schedules pay no re-broadcast.
+        retried schedules pay no re-broadcast.  A ``one_partition``
+        scan is not worth starting the executor for: it runs inline
+        unless the workers are already up.
         """
+        self.inline = self.n_workers == 1 or (
+            one_partition and not self.active
+        )
+        self.remote = self.kind == "process" and not self.inline
         setup_seconds = self._ensure_executor()
         # Two sessions sharing the middleware's pool can install
         # concurrently; without the lock the generation bump, context
@@ -414,16 +365,22 @@ class ScanWorkerPool:
         # install's kernel.  (``_ensure_executor`` takes the same
         # plain lock internally, so it must complete first.)
         with self._lock:
-            if self._signature is None or signature != self._signature:
-                started = time.perf_counter()
+            started = time.perf_counter()
+            changed = self._signature is None or signature != self._signature
+            if changed:
                 self._generation += 1
                 self._ctx = (kernel, slots, class_index, n_classes)
-                if self.remote:
-                    self._payload = pickle.dumps(
-                        self._ctx, pickle.HIGHEST_PROTOCOL
-                    )
+                self._payload = None
                 self._signature = signature
                 self.kernels_installed += 1
+            # Pickled once per context, and only for a scan that ships
+            # it (an inline scan reads the context in place).
+            ship = self.remote and self._payload is None
+            if ship:
+                self._payload = pickle.dumps(
+                    self._ctx, pickle.HIGHEST_PROTOCOL
+                )
+            if changed or ship:
                 setup_seconds += time.perf_counter() - started
             self.scans_served += 1
         return setup_seconds
@@ -457,16 +414,6 @@ class ScanWorkerPool:
         future.add_done_callback(_mark_future_done)
         return future
 
-    def submit(self, seq: int, rows: Sequence[Any],
-               stage_nodes: Iterable[Any],
-               capture_nodes: Iterable[Any]) -> Future[Any]:
-        """Submit one partition against the installed context."""
-        task = _count_partition_pickled if self.remote else _count_partition
-        return self._run(
-            f"scan partition {seq}", task, *self._context_args(), seq,
-            rows, stage_nodes, capture_nodes,
-        )
-
     def submit_columnar(self, seq: int, partition: Any,
                         stage_nodes: Iterable[Any],
                         capture_nodes: Iterable[Any]) -> Future[Any]:
@@ -489,6 +436,11 @@ class ScanWorkerPool:
             f"columnar partition {seq}", task, *self._context_args(), seq,
             partition, stage_nodes, capture_nodes,
         )
+
+    #: Only a name: ``benchmarks/e2e/trace.py``'s frozen patch table
+    #: still lists ``ScanWorkerPool.submit`` (the row-tuple entry this
+    #: used to be).  The next ``[benchmark]`` PR drops both.
+    submit = submit_columnar
 
     def submit_columnar_slice(self, seq: int, source: Any, start: int,
                               stop: int, keep_spec: Any,
@@ -574,7 +526,8 @@ class ScanWorkerPool:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (
-            "inline" if self.inline else "warm" if self.active else "cold"
+            "inline" if self.n_workers == 1
+            else "warm" if self.active else "cold"
         )
         return (
             f"ScanWorkerPool(kind={self.kind!r}, workers={self.n_workers}, "

@@ -41,14 +41,12 @@ class ScheduleRecord:
     memory_sets_loaded: int = 0
     #: Wall-clock seconds spent producing and routing the scan's rows.
     wall_seconds: float = 0.0
-    #: Matcher closure calls (per-row loop) or dispatch probes (kernel).
+    #: Dispatch-table probes the routing kernel answered (tables x rows).
     matcher_evals: int = 0
-    #: True when the compiled routing kernel ran (False = per-row loop).
-    kernel: bool = False
-    #: Workers that counted the scan (1 = the calling thread alone: a
-    #: row loop, or the inline columnar executor when ``columnar``).
+    #: Workers that counted the scan (1 = the calling thread alone, the
+    #: inline executor).
     workers: int = 1
-    #: Seconds spent merging per-worker CC partials (partitioned scans).
+    #: Seconds spent folding per-partition count blocks into CC tables.
     merge_seconds: float = 0.0
     #: Per-partition counting seconds as reported by the workers.
     worker_seconds: list[float] = field(default_factory=list)
@@ -61,13 +59,10 @@ class ScheduleRecord:
     #: (0 = no prefetch thread: a staged or cached source, one worker).
     prefetch_depth: int = 0
     #: Staging writer threads this scan ran, one per output file
-    #: (0 = wrote in place: a row loop, the inline executor, no file).
+    #: (0 = wrote in place: the inline executor, or no file).
     split_writers: int = 0
-    #: True when the scan counted over columnar partitions (inline on
-    #: the calling thread when ``workers == 1``, else through the pool).
-    columnar: bool = False
     #: Seconds encoding rows into columnar partitions (~0 on a warm
-    #: cache hit; 0.0 for row-loop or row-tuple scans).
+    #: cache hit).
     encode_seconds: float = 0.0
     #: Seconds copying partitions into shared-memory segments (the
     #: memcpy only; 0.0 unless a process pool counted the scan, and
@@ -81,7 +76,7 @@ class ScheduleRecord:
     #: scan skipped (0.0 on misses and uncached scans).
     encode_seconds_saved: float = 0.0
     ship_seconds_saved: float = 0.0
-    #: Rows per partition (0 = a row loop, which does not partition).
+    #: Rows per partition.
     partition_rows: int = 0
     #: Highest prefetch depth the adaptive producer reached (0 = none).
     prefetch_peak: int = 0
@@ -113,17 +108,12 @@ class ScheduleRecord:
         suffix = f" [{', '.join(actions)}]" if actions else ""
         profile = ""
         if self.wall_seconds > 0.0:
-            # columnar = the vector kernel, inline unless " xNw" follows;
-            # kernel / per-row = the two row loops.
-            loop = (
-                "columnar" if self.columnar
-                else "kernel" if self.kernel else "per-row"
+            executor = (
+                f"x{self.workers}w" if self.workers > 1 else "inline"
             )
-            if self.workers > 1:
-                loop += f" x{self.workers}w"
             if self.cached:
-                loop += " warm" if self.cache_hit else " cold"
-            profile = f" {self.rows_per_sec:,.0f} rows/s ({loop})"
+                executor += " warm" if self.cache_hit else " cold"
+            profile = f" {self.rows_per_sec:,.0f} rows/s ({executor})"
         path = f" via={self.access_path}" if self.access_path else ""
         return (
             f"#{self.sequence} {self.mode}"
@@ -215,14 +205,6 @@ class ExecutionTrace:
     @property
     def matcher_evals(self) -> int:
         return sum(r.matcher_evals for r in self.records)
-
-    @property
-    def kernel_scans(self) -> int:
-        return sum(r.kernel for r in self.records)
-
-    @property
-    def columnar_scans(self) -> int:
-        return sum(r.columnar for r in self.records)
 
     @property
     def parallel_scans(self) -> int:

@@ -1,28 +1,34 @@
-"""Vectorized CC counting over columnar partitions.
+"""The counting kernel: slot-indexed vector counting over columnar
+partitions.
 
-The row-at-a-time kernel pays a dict probe per constrained attribute
-per row plus a ``count_row_at`` call per (row, slot).  This module
-replaces both loops with array passes:
+Every scan counts here, whatever its source, executor or batch width.
+A partition is counted in two array passes:
 
-* :func:`route_masks` evaluates the compiled :class:`RoutingKernel`
-  once per *column* — each probe becomes one LUT fancy-index over the
-  column's codes (or over the unique values of a raw column) — yielding
-  the per-row candidate bitmask as an int64 array.
-* :func:`count_partition_columnar` turns each slot's selected rows into
-  CC count *blocks* via ``np.bincount`` over ``code * n_classes +
-  class``: one flat histogram per attribute instead of one dict update
-  per (row, attribute).
+* **route** — :func:`route_masks` evaluates the compiled
+  :class:`~repro.core.filters.RoutingKernel` once per *column*: each
+  dispatch table becomes one LUT fancy-index over the column's codes,
+  in :data:`LIMB_BITS`-bit limbs so a batch may hold any number of
+  slots.  :func:`routed_pairs` turns the masks into ``(row, slot)``
+  pairs grouped by slot with rows ascending — one pair per routed row
+  when the batch is an antichain (a tree frontier always is), every
+  matching slot otherwise.
+* **count** — one composite key per attribute per partition:
+  ``(slot, value code) x class`` folded into a single ``np.bincount``,
+  value codes coming from the same range-shift-or-rank coding
+  ``group_counts`` uses, so working memory follows the routed rows,
+  never the value range or the batch width.
 
-``np.bincount``/``np.unique`` release the GIL, so even the thread pool
-gets real parallelism out of this path.  The result payload per slot is
-``(records, class_totals, blocks)`` where each block is
-``(attribute, values, counts)`` with zero-count values filtered out —
-exactly the keys the serial kernel would have created, so the folded
-tables compare equal (``CCTable.__eq__``) to a serial count.
+The result payload per slot is ``(records, class_totals, blocks)``
+where each block is ``(attribute, values, counts)`` with zero-count
+values left out — exactly the keys a row-at-a-time count would have
+created, so the folded tables compare equal (``CCTable.__eq__``) to
+``client.baselines.build_cc_from_rows`` over the rows
+``PathCondition.matches`` selects.  ``np.bincount`` and fancy indexing
+release the GIL, so a thread pool gets real parallelism out of this.
 
-Capacity: candidate masks are int64, so batches are limited to
-:data:`MAX_SLOTS` nodes; the executor falls back to the row kernel for
-wider batches (which the scheduler's memory bound makes rare).
+Class labels are checked on *routed* rows only, like a row loop would
+meet them: NULL and non-integer labels raise ``TypeError``, labels
+outside ``[0, n_classes)`` raise ``IndexError`` naming the label.
 """
 
 from __future__ import annotations
@@ -32,122 +38,195 @@ from typing import Any, Iterable, Optional
 
 from ..sqlengine.columnar import (
     DICT,
+    Column,
     ColumnarPartition,
+    _ordered_codes,
     filter_supported,
     np,
     predicate_mask,
 )
 
-#: Widest batch the int64 candidate masks can route.
-MAX_SLOTS = 62
+#: Slots per int64 limb of a candidate mask (the sign bit and one
+#: guard bit stay clear, so ``mask - 1`` and float conversion are safe).
+LIMB_BITS = 62
+_LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
-def route_masks(kernel: Any, partition: ColumnarPartition) -> Any:
-    """Per-row candidate bitmasks (int64 array) for ``partition``.
+def _row_codes(column: Column, rows: Any) -> tuple[Any, int]:
+    """The selected rows of a column as integer codes in ``[0, width)``.
 
-    Column-at-a-time evaluation of the kernel's dispatch tables:
-    dictionary columns index a LUT built over their (few) distinct
-    values; raw integer columns build the LUT over ``np.unique`` of the
-    column, with null positions patched to the table's ``None`` entry.
+    Dictionary columns are their own codes; raw integers are coded in
+    value order (shifted, or ranked when the range is sparse) with NULL
+    as one extra top code — so a block lists its values ascending, NULL
+    last, on any partition.
     """
-    masks = np.full(partition.n_rows, kernel.full_mask, dtype=np.int64)
+    data = column.data[rows]
+    if column.kind == DICT:
+        assert column.values is not None
+        return data, len(column.values)
+    codes, width = _ordered_codes(data, 4 * data.size + 64)
+    if column.nulls is not None:
+        codes = np.where(column.nulls[rows], width, codes)
+        width += 1
+    return codes, width
+
+
+def _witness(codes: Any, present: Any, span: int) -> Any:
+    """For each code in ``present``, the index of one element of
+    ``codes`` holding it (any one: they all spell the same key)."""
+    witness = np.empty(span, dtype=np.intp)
+    witness[codes] = np.arange(codes.size)
+    return witness[present]
+
+
+def route_masks(kernel: Any, partition: ColumnarPartition,
+                keep: Optional[Any] = None) -> Any:
+    """Per-row candidate masks: an ``(n_limbs, n_rows)`` int64 array.
+
+    Slot ``s`` is bit ``s % LIMB_BITS`` of limb ``s // LIMB_BITS``.
+    Column-at-a-time evaluation of the kernel's dispatch tables: the
+    distinct values a column holds in this partition are looked up once
+    each (Python dict semantics, as ``RoutingKernel.route`` has them),
+    then every row takes its value's mask through one fancy index per
+    limb.  Rows outside ``keep`` (a boolean mask) route nowhere.
+    """
+    n_limbs = max(1, -(-kernel.n_slots // LIMB_BITS))
+    masks = np.empty((n_limbs, partition.n_rows), dtype=np.int64)
+    for limb in range(n_limbs):
+        masks[limb] = (kernel.full_mask >> (LIMB_BITS * limb)) & _LIMB_MASK
+    if keep is not None:
+        masks[:, ~keep] = 0
     for index, table, default in kernel.probes:
-        column = partition.columns[index]
-        if column.kind == DICT:
-            assert column.values is not None
-            lut = np.fromiter(
-                (table.get(value, default) for value in column.values),
-                dtype=np.int64, count=len(column.values),
-            )
-            masks &= lut[column.data]
-        else:
-            uniq, inverse = np.unique(column.data, return_inverse=True)
-            lut = np.fromiter(
-                (table.get(value, default) for value in uniq.tolist()),
-                dtype=np.int64, count=uniq.size,
-            )
-            column_masks = lut[inverse]
-            if column.nulls is not None:
-                column_masks[column.nulls] = table.get(None, default)
-            masks &= column_masks
         if not masks.any():
-            break
+            break  # nothing left to route (or an empty partition)
+        column = partition.columns[index]
+        codes, width = _row_codes(column, slice(None))
+        if column.kind == DICT:
+            present: Any = slice(None)
+            values: Any = column.values
+        else:
+            present = np.flatnonzero(np.bincount(codes, minlength=width))
+            values = column.values_at(_witness(codes, present, width))
+        hits = [table.get(value, default) for value in values]
+        lut = np.zeros(width, dtype=np.int64)
+        for limb in range(n_limbs):
+            shift = LIMB_BITS * limb
+            lut[present] = [(hit >> shift) & _LIMB_MASK for hit in hits]
+            masks[limb] &= lut[codes]
     return masks
 
 
-def _count_raw(data: Any, cls: Any,
-               n_classes: int) -> tuple[list[Any], list[list[int]]]:
-    """Histogram a raw integer column slice against class labels."""
-    if data.size == 0:
-        return [], []
-    uniq, inverse = np.unique(data, return_inverse=True)
-    counts = np.bincount(
-        inverse.astype(np.int64) * n_classes + cls,
-        minlength=uniq.size * n_classes,
-    ).reshape(-1, n_classes)
-    return uniq.tolist(), counts.tolist()
+def routed_pairs(masks: Any, n_slots: int) -> tuple[Any, Any, int]:
+    """``(rows, bounds, routed)``: the ``(row, slot)`` pairs of a
+    partition, grouped by slot.
 
-
-def _count_column(attribute: str, column: Any, sel: Any, cls_sel: Any,
-                  n_classes: int) -> tuple[str, list[Any], list[list[int]]]:
-    """One CC block ``(attribute, values, count vectors)`` for a slot.
-
-    Values whose count vector would be all-zero are omitted — the
-    serial kernel never creates those keys, and ``CCTable.__eq__``
-    compares key sets.
+    ``rows[bounds[s]:bounds[s + 1]]`` are the rows slot ``s`` counts,
+    ascending — which is what keeps staged files bit-identical however
+    the source was partitioned.  ``routed`` counts rows matching *any*
+    slot.  A row matching several slots (overlapping request sets)
+    appears once under each.
     """
-    if column.kind == DICT:
-        assert column.values is not None
-        codes = column.data[sel].astype(np.int64)
-        counts = np.bincount(
-            codes * n_classes + cls_sel,
-            minlength=len(column.values) * n_classes,
-        ).reshape(-1, n_classes)
-        present = np.flatnonzero(counts.sum(axis=1))
-        return (
-            attribute,
-            [column.values[i] for i in present.tolist()],
-            counts[present].tolist(),
+    n_limbs = masks.shape[0]
+    any_slot = masks[0] if n_limbs == 1 else np.bitwise_or.reduce(masks, 0)
+    routed_rows = np.flatnonzero(any_slot)
+    routed = int(routed_rows.size)
+    if routed == 0:
+        return routed_rows, np.zeros(n_slots + 1, dtype=np.intp), 0
+    hit = masks[:, routed_rows]
+    if not (hit & (hit - 1)).any() and np.count_nonzero(hit) == routed:
+        # The antichain fast path: one bit per routed row.  frexp reads
+        # a power of two's exponent exactly; the stable sort keeps each
+        # slot's rows ascending.
+        limb = np.argmax(hit != 0, axis=0)
+        bits = hit[limb, np.arange(routed)]
+        slot_of_row = (
+            limb * LIMB_BITS + np.frexp(bits.astype(np.float64))[1] - 1
         )
-    data_sel = column.data[sel]
-    if column.nulls is not None:
-        null_sel = column.nulls[sel]
-        live = ~null_sel
-        values, counts_list = _count_raw(
-            data_sel[live], cls_sel[live], n_classes
+        rows = routed_rows[np.argsort(slot_of_row, kind="stable")]
+        sizes = np.bincount(slot_of_row, minlength=n_slots)
+    else:
+        per_slot = [
+            routed_rows[np.flatnonzero(
+                hit[slot // LIMB_BITS] & (1 << (slot % LIMB_BITS))
+            )]
+            for slot in range(n_slots)
+        ]
+        rows = np.concatenate(per_slot)
+        sizes = np.fromiter(
+            (part.size for part in per_slot), dtype=np.intp, count=n_slots
         )
-        if null_sel.any():
-            values.append(None)
-            counts_list.append(
-                np.bincount(cls_sel[null_sel], minlength=n_classes).tolist()
-            )
-        return (attribute, values, counts_list)
-    values, counts_list = _count_raw(data_sel, cls_sel, n_classes)
-    return (attribute, values, counts_list)
+    bounds = np.zeros(n_slots + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return rows, bounds, routed
 
 
-def _class_codes(column: Any) -> tuple[Any, Any]:
-    """Class column as int64 codes plus an optional null mask.
+def _out_of_range(label: int, n_classes: int) -> IndexError:
+    return IndexError(
+        f"class label {label} out of range (n_classes={n_classes})"
+    )
 
-    Dictionary-encoded class columns decode through ``int(value)`` so a
-    non-integer label raises the same ``TypeError`` the serial kernel's
-    list indexing would.
+
+def _class_labels(column: Column, rows: Any, n_classes: int) -> Any:
+    """The class labels of ``rows`` as int64, checked.
+
+    Only the given (routed) rows are looked at, so a bad label in a row
+    no slot counts raises nothing — as in a row-at-a-time count.
     """
+    labels = column.data[rows]
     if column.kind == DICT:
+        # A dictionary-encoded class column holds something that is not
+        # an int64: validate the (few) distinct labels one by one.
         assert column.values is not None
-        nulls = None
-        codes: list[int] = []
-        for value in column.values:
-            if value is None or isinstance(value, bool) or not isinstance(
-                value, int
-            ):
+        lut = np.zeros(len(column.values), dtype=np.int64)
+        used = np.flatnonzero(np.bincount(labels, minlength=lut.size))
+        for code in used.tolist():
+            label = column.values[code]
+            if isinstance(label, bool) or not isinstance(label, int):
                 raise TypeError(
-                    f"class label {value!r} is not a plain integer"
+                    f"class label {label!r} is not a plain integer"
                 )
-            codes.append(value)
-        lut = np.asarray(codes, dtype=np.int64)
-        return lut[column.data], nulls
-    return column.data.astype(np.int64, copy=False), column.nulls
+            if not 0 <= label < n_classes:
+                raise _out_of_range(label, n_classes)
+            lut[code] = label
+        return lut[labels]
+    if column.nulls is not None and column.nulls[rows].any():
+        raise TypeError("NULL class label in routed row")
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise _out_of_range(int(bad[0]), n_classes)
+    return labels
+
+
+def _count_attribute(attribute: str, column: Column, rows: Any,
+                     slot_of_pair: Any, labels: Any, n_slots: int,
+                     n_classes: int) -> list[Any]:
+    """One attribute's CC block ``(attribute, values, vectors)`` for
+    every slot at once, in slot order.
+
+    The ``(slot, value)`` key is re-ranked when its span outgrows a
+    small multiple of the pairs counted, so a sparse value range or a
+    wide batch costs no more memory than the pairs themselves.
+    """
+    codes, width = _row_codes(column, rows)
+    key = slot_of_pair * width + codes
+    span = n_slots * width
+    if span > 4 * key.size + 64:
+        distinct, key = np.unique(key, return_inverse=True)
+        span = int(distinct.size)
+    counts = np.bincount(
+        key * n_classes + labels, minlength=span * n_classes
+    ).reshape(span, n_classes)
+    present = np.flatnonzero(counts.any(axis=1))
+    pair = _witness(key, present, span)
+    values = column.values_at(rows[pair])
+    vectors = counts[present].tolist()
+    starts = np.searchsorted(
+        slot_of_pair[pair], np.arange(n_slots + 1)
+    ).tolist()
+    return [
+        (attribute, values[first:last], vectors[first:last])
+        for first, last in zip(starts, starts[1:])
+    ]
 
 
 def count_partition_columnar(
@@ -161,59 +240,63 @@ def count_partition_columnar(
            dict[Any, Any], dict[Any, Any], float]:
     """Count one columnar partition against a routing context.
 
-    Mirrors ``scan_pool._count_partition`` but returns per-slot count
-    *blocks* instead of CCTable partials, and staging/capture output as
-    selected-row *index arrays* (the coordinator decodes them back to
-    row tuples from its pinned copy of the partition, so no row tuples
-    cross the worker boundary at all).
+    Returns ``(seq, payloads, routed, writes, captures, seconds)``:
+    per-slot count *blocks* (``CCTable.merge_block`` folds them) and
+    staging/capture output as ascending selected-row *index arrays* —
+    the coordinator decodes them back to row tuples from its pinned
+    copy of the partition, so no row tuple crosses the worker boundary.
 
     ``keep`` (optional boolean mask) restricts counting to qualifying
     rows: the cached scan path hands workers full-table partitions and
-    applies the batch filter here instead of at the cursor, so routing
-    masks are zeroed wherever ``keep`` is False before any counting.
+    applies the batch filter here instead of at the cursor.
     """
     kernel, slots, class_index, n_classes = ctx
     started = time.perf_counter()
-    masks = route_masks(kernel, partition)
-    if keep is not None:
-        masks = np.where(keep, masks, 0)
-    routed = int(np.count_nonzero(masks))
-    cls_codes, cls_nulls = _class_codes(partition.columns[class_index])
+    n_slots = len(slots)
+    rows, bounds, routed = routed_pairs(
+        route_masks(kernel, partition, keep), n_slots
+    )
+    if routed:
+        slot_of_pair = np.repeat(np.arange(n_slots), np.diff(bounds))
+        labels = _class_labels(
+            partition.columns[class_index], rows, n_classes
+        )
+        totals = np.bincount(
+            slot_of_pair * n_classes + labels,
+            minlength=n_slots * n_classes,
+        ).reshape(n_slots, n_classes).tolist()
+        # Every attribute some slot lists is counted over all the
+        # pairs; a slot then picks the blocks of the attributes it
+        # asked for (the others cost one vector pass, not a Python one).
+        counted = {
+            position: _count_attribute(
+                attribute, partition.columns[position], rows,
+                slot_of_pair, labels, n_slots, n_classes,
+            )
+            for attribute, position in set().union(
+                *(attr_positions for _, _, attr_positions in slots)
+            )
+        }
+    bounds_list = bounds.tolist()
     stage_set = set(stage_nodes)
     capture_set = set(capture_nodes)
     payloads: list[tuple[int, list[int], list[Any]]] = []
     writes: dict[Any, Any] = {}
     captures: dict[Any, Any] = {}
     for slot, (node_id, _attributes, attr_positions) in enumerate(slots):
-        sel = np.flatnonzero(masks & (1 << slot))
-        records = int(sel.size)
-        if records:
-            if cls_nulls is not None and cls_nulls[sel].any():
-                raise TypeError("NULL class label in routed row")
-            cls_sel = cls_codes[sel]
-            totals = np.bincount(cls_sel, minlength=n_classes)
-            if totals.size > n_classes:
-                raise IndexError(
-                    f"class label out of range (n_classes={n_classes})"
-                )
-            class_totals = totals.tolist()
-            blocks = [
-                _count_column(
-                    attribute, partition.columns[position], sel, cls_sel,
-                    n_classes,
-                )
-                for attribute, position in attr_positions
-            ]
+        first, last = bounds_list[slot], bounds_list[slot + 1]
+        if routed:
+            payloads.append((last - first, totals[slot], [
+                counted[position][slot] for _, position in attr_positions
+            ]))
         else:
-            class_totals = [0] * n_classes
-            blocks = [
+            payloads.append((0, [0] * n_classes, [
                 (attribute, [], []) for attribute, _ in attr_positions
-            ]
-        payloads.append((records, class_totals, blocks))
+            ]))
         if node_id in stage_set:
-            writes[node_id] = sel
+            writes[node_id] = rows[first:last]
         if node_id in capture_set:
-            captures[node_id] = sel
+            captures[node_id] = rows[first:last]
     return seq, payloads, routed, writes, captures, \
         time.perf_counter() - started
 
@@ -243,32 +326,12 @@ def count_partition_slice(
     """
     started = time.perf_counter()
     piece = partition.slice(start, stop)
-    if keep_spec is None:
-        keep = None
-        seen = piece.n_rows
-    else:
+    keep = None
+    seen = piece.n_rows
+    if keep_spec is not None:
         expr, attr_index = keep_spec
         keep = predicate_mask(piece, expr, attr_index)
         seen = int(np.count_nonzero(keep))
-    if seen == 0:
-        _kernel, slots, _class_index, n_classes = ctx
-        stage_set = set(stage_nodes)
-        capture_set = set(capture_nodes)
-        empty = np.zeros(0, dtype=np.int64)
-        payloads = [
-            (0, [0] * n_classes,
-             [(attribute, [], []) for attribute, _ in attr_positions])
-            for _node_id, _attributes, attr_positions in slots
-        ]
-        writes = {
-            node_id: empty for node_id, _, _ in slots if node_id in stage_set
-        }
-        captures = {
-            node_id: empty
-            for node_id, _, _ in slots if node_id in capture_set
-        }
-        return (seq, payloads, 0, writes, captures,
-                time.perf_counter() - started, 0)
     out_seq, payloads, routed, writes, captures, _ = (
         count_partition_columnar(
             ctx, seq, piece, stage_nodes, capture_nodes, keep=keep
@@ -278,18 +341,12 @@ def count_partition_slice(
             time.perf_counter() - started, seen)
 
 
-def fold_payload(cc: Any, payload: tuple[int, list[int], list[Any]]) -> None:
-    """Fold one slot payload into a CC table (coordinator side)."""
-    records, class_totals, blocks = payload
-    cc.merge_block(records, class_totals, blocks)
-
-
 __all__ = [
-    "MAX_SLOTS",
+    "LIMB_BITS",
     "count_partition_columnar",
     "count_partition_slice",
     "filter_supported",
-    "fold_payload",
     "predicate_mask",
     "route_masks",
+    "routed_pairs",
 ]

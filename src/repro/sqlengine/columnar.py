@@ -22,9 +22,10 @@ over (:meth:`HeapTable.columnar`):
 * :func:`group_counts` — ``COUNT(*) ... GROUP BY`` over integer arrays
   in memory bounded by the rows counted.
 
-numpy is an optional accelerator: when it is missing the callers
-fall back to their row-at-a-time loops, so everything here is gated
-behind :func:`columnar_available`.
+numpy is a declared dependency, but this module still imports
+without it and says so through :func:`columnar_available`: the SQL
+executor then keeps its row-at-a-time ``_grouped_select``, and the
+middleware — which has no other way to count — refuses to start.
 """
 
 from __future__ import annotations
@@ -103,6 +104,23 @@ class Column:
         if self.nulls is not None and bool(self.nulls[row]):
             return None
         return int(self.data[row])
+
+    def values_at(self, indices: Any) -> list[Any]:
+        """Decode the selected rows back to plain Python objects
+        (through ``.tolist()``: ints and the original dictionary
+        values, never numpy scalars)."""
+        picked: list[Any] = self.data[indices].tolist()
+        if self.kind == DICT:
+            assert self.values is not None
+            values = self.values
+            return [values[code] for code in picked]
+        if self.nulls is not None:
+            flags = self.nulls[indices].tolist()
+            return [
+                None if is_null else value
+                for value, is_null in zip(picked, flags)
+            ]
+        return picked
 
     def __repr__(self) -> str:
         return f"Column({self.kind!r}, n_rows={self.n_rows})"
@@ -211,21 +229,7 @@ class ColumnarPartition:
         decoding goes through ``.tolist()`` so the results are plain
         Python ints / original objects, never numpy scalars.
         """
-        decoded: list[Any] = []
-        for col in self.columns:
-            picked = col.data[indices]
-            if col.kind == DICT:
-                assert col.values is not None
-                values = col.values
-                decoded.append([values[c] for c in picked.tolist()])
-            elif col.nulls is not None:
-                flags = col.nulls[indices].tolist()
-                decoded.append([
-                    None if is_null else value
-                    for value, is_null in zip(picked.tolist(), flags)
-                ])
-            else:
-                decoded.append(picked.tolist())
+        decoded = [col.values_at(indices) for col in self.columns]
         return list(zip(*decoded)) if decoded else []
 
     def rows(self) -> Iterator[tuple[Any, ...]]:

@@ -86,7 +86,7 @@ class TestCardinalities:
         assert list(cc.by_attribute()["A1"][0]) == cc.vector("A1", 0)
         cc.count_row({"A1": 5, "A2": 1}, 0)
         assert cc.values_of("A1") == [0, 1, 5]
-        cc.count_row_at((9, 1), (("A1", 0), ("A2", 1)), 1)
+        cc.count_row({"A1": 9, "A2": 1}, 1)
         assert cc.values_of("A1") == [0, 1, 5, 9]
         cc.add_counts("A2", None, 0, 3)
         assert cc.values_of("A2") == [None, 1, 2]

@@ -1,17 +1,18 @@
-"""Tests for the columnar parallel scan path.
+"""Tests for the columnar scan path.
 
-The columnar executor is a pure wall-clock optimisation over the
-row-tuple kernel: for NULL-heavy, unicode and mixed-type columns it
-must produce CC tables equal to the row-at-a-time count on every
-shipping path (in-process, thread pool, process pool via pickle,
-process pool via shared memory), decode staged rows identically, size
-partitions sanely without a row estimate, shut its prefetch producer
-down without busy-waiting, and — proven by fault injection against the
-resource witness — leak no shared-memory segment past a failed scan.
+Every scan counts columnar partitions with the one vector kernel: for
+NULL-heavy, unicode and mixed-type columns it must produce CC tables
+equal to the per-row oracle's on every shipping path (in-process,
+thread pool, process pool via pickle, process pool via shared memory),
+decode staged rows identically, size partitions sanely without a row
+estimate, shut its prefetch producer down without busy-waiting, and —
+proven by fault injection against the resource witness — leak no
+shared-memory segment past a failed scan.
 
-With ``scan_workers=1`` the same path runs through the *inline*
-executor: no pool, no prefetch or writer thread.  Row kernel, inline
-and two threads must agree on everything a session produces.
+With ``scan_workers=1``, and for any source one partition long, the
+same path runs through the *inline* executor: no pool, no prefetch or
+writer thread.  Inline, two threads and two processes must agree on
+everything a session produces.
 """
 
 import threading
@@ -21,7 +22,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.client.baselines import build_cc_from_rows  # noqa: E402
+from repro.client.baselines import (  # noqa: E402
+    build_cc_from_rows,
+    grow_in_memory,
+)
+from repro.client.decision_tree import DecisionTreeClassifier  # noqa: E402
+from repro.client.growth import GrowthPolicy  # noqa: E402
+from repro.common.errors import MiddlewareError  # noqa: E402
 from repro.common.locks import install_monitor  # noqa: E402
 from repro.core.cc_table import CCTable  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
@@ -32,22 +39,29 @@ from repro.core.execution import (  # noqa: E402
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core import scan_pool  # noqa: E402
-from repro.core.scan_pool import (  # noqa: E402
-    ScanWorkerPool,
-    _count_partition,
+from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
+from repro.core.shm import (  # noqa: E402
+    ShmPartitionHandle,
+    ShmSegmentRef,
+    ShmShipper,
+    shm_available,
 )
-from repro.core.shm import ShmShipper, shm_available  # noqa: E402
+from repro.core.staging import StagedFile  # noqa: E402
 from repro.datagen.loader import load_dataset  # noqa: E402
+from repro.datagen.random_tree import (  # noqa: E402
+    RandomTreeConfig,
+    build_random_tree,
+)
 from repro.sqlengine.database import SQLServer  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     count_partition_columnar,
 )
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 
-from ..conftest import WitnessMonitor  # noqa: E402
+from ..conftest import WitnessMonitor, tree_signature  # noqa: E402
+from .oracle import oracle_counts  # noqa: E402
 from .test_parallel_scan import (  # noqa: E402
     PARALLEL,
-    ROW_KERNEL,
     SPEC,
     child_request,
     dataset_rows,
@@ -57,7 +71,7 @@ from .test_parallel_scan import (  # noqa: E402
 )
 
 # ---------------------------------------------------------------------------
-# kernel-level equivalence: columnar counting == row-tuple counting
+# kernel-level equivalence: columnar counting == the per-row oracle
 # ---------------------------------------------------------------------------
 
 ATTRS = ("A1", "A2")
@@ -134,12 +148,19 @@ def _make_ctx(condition_sets):
 
 
 def _reference(rows, condition_sets, stage_nodes=()):
-    """The row-tuple worker's answer over the whole row set at once."""
-    ctx = _make_ctx(condition_sets)
-    _, partials, routed, writes, _, _ = _count_partition(
-        ctx, 0, rows, stage_nodes, ()
+    """The per-row oracle's answer: CC tables, rows routed to any slot,
+    and the rows behind each staged slot's selection."""
+    counted = oracle_counts(
+        rows, condition_sets, [ATTRS] * len(condition_sets), ATTRS,
+        N_CLASSES,
     )
-    return partials, routed, writes
+    routed = len(set().union(*(selected for _, selected in counted)))
+    writes = {
+        f"n{slot}": [rows[index] for index in selected]
+        for slot, (_, selected) in enumerate(counted)
+        if f"n{slot}" in stage_nodes
+    }
+    return [cc for cc, _ in counted], routed, writes
 
 
 def _partitions(rows, partition_rows=7):
@@ -167,7 +188,7 @@ def _fold(results, partitions, n_slots, stage_nodes=()):
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 class TestColumnarKernelEquivalence:
-    def test_direct_count_matches_row_kernel(self, dataset):
+    def test_direct_count_matches_oracle(self, dataset):
         make_rows, condition_sets = DATASETS[dataset]
         rows = make_rows()
         stage_nodes = ("n1",)
@@ -187,14 +208,14 @@ class TestColumnarKernelEquivalence:
         assert routed == ref_routed
         assert writes["n1"] == ref_writes["n1"]
 
-    def test_thread_pool_matches_row_kernel(self, dataset):
+    def test_thread_pool_matches_oracle(self, dataset):
         make_rows, condition_sets = DATASETS[dataset]
         rows = make_rows()
         reference, _, _ = _reference(rows, condition_sets)
         ccs = self._pool_count("thread", rows, condition_sets)
         assert ccs == reference
 
-    def test_process_pool_pickled_matches_row_kernel(self, dataset):
+    def test_process_pool_pickled_matches_oracle(self, dataset):
         make_rows, condition_sets = DATASETS[dataset]
         rows = make_rows()
         reference, _, _ = _reference(rows, condition_sets)
@@ -202,7 +223,7 @@ class TestColumnarKernelEquivalence:
         assert ccs == reference
 
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
-    def test_process_pool_shm_matches_row_kernel(self, dataset):
+    def test_process_pool_shm_matches_oracle(self, dataset):
         make_rows, condition_sets = DATASETS[dataset]
         rows = make_rows()
         reference, _, _ = _reference(rows, condition_sets)
@@ -386,46 +407,22 @@ class TestPartitionProducer:
 
 
 class TestColumnarIntegration:
-    def test_columnar_and_row_paths_agree_end_to_end(self, monkeypatch):
-        from repro.core import execution
-        columnar, trace_on, cost_on = frontier_results(
-            scan_workers=2, **PARALLEL
-        )
-        # "No numpy" is what sends a narrow batch down the pooled
-        # row-tuple source.
-        monkeypatch.setattr(execution, "columnar_available", lambda: False)
-        row_tuple, trace_off, cost_off = frontier_results(
-            scan_workers=2, **PARALLEL
-        )
-        rows = dataset_rows()
-        for value in range(3):
-            subset = [r for r in rows if r[0] == value]
-            reference = build_cc_from_rows(subset, SPEC, ("A2",))
-            assert columnar[f"n{value}"].cc == reference
-            assert row_tuple[f"n{value}"].cc == reference
-        assert trace_on[0].columnar
-        assert not trace_off[0].columnar and trace_off[0].workers == 2
-        assert cost_on == pytest.approx(cost_off)
+    def test_without_numpy_the_middleware_refuses_to_start(
+            self, monkeypatch):
+        # numpy is a declared dependency: there is no second loop to
+        # fall back to, so its absence is one clear error up front.
+        from repro.core import middleware
+        monkeypatch.setattr(middleware, "columnar_available", lambda: False)
+        server = make_server(dataset_rows())
+        with pytest.raises(MiddlewareError, match="numpy"):
+            Middleware(server, "data", SPEC, MiddlewareConfig())
 
     def test_trace_reports_ship_profile(self):
         _, trace, _ = frontier_results(scan_workers=2, **PARALLEL)
         record = trace[0]
-        assert record.columnar
         assert record.ship_seconds >= 0.0
         assert record.prefetch_peak >= record.prefetch_depth
-
-    def test_stats_count_columnar_scans(self):
-        rows = dataset_rows()
-        server = make_server(rows)
-        config = MiddlewareConfig(
-            memory_bytes=100_000, scan_workers=2, **PARALLEL
-        )
-        with Middleware(server, "data", SPEC, config) as mw:
-            mw.queue_request(root_request(rows))
-            mw.process_next_batch()
-            assert mw.stats.columnar_scans == 1
-            assert mw.trace[-1].columnar
-            assert mw.trace[-1].partition_rows > 0
+        assert record.partition_rows > 0
 
     def _staged_root_bytes(self, **overrides):
         rows = dataset_rows()
@@ -445,8 +442,11 @@ class TestColumnarIntegration:
     def test_staged_file_bit_identical_across_shipping_paths(
             self, monkeypatch):
         from repro.core import execution
-        serial = self._staged_root_bytes(**ROW_KERNEL)
-        assert self._staged_root_bytes(scan_workers=1) == serial  # inline
+        # One inline partition holding the whole source is the reference.
+        serial = self._staged_root_bytes(
+            scan_workers=1, scan_chunk_rows=1024
+        )
+        assert self._staged_root_bytes(scan_workers=1) == serial
         assert self._staged_root_bytes(scan_workers=2) == serial
         assert self._staged_root_bytes(
             scan_workers=2, scan_pool="process"
@@ -457,7 +457,7 @@ class TestColumnarIntegration:
             scan_workers=2, scan_pool="process"
         ) == serial
 
-    def test_file_and_memory_rescans_stay_columnar(self):
+    def test_file_and_memory_rescans_stay_pooled(self):
         rows = dataset_rows()
         server = make_server(rows)
         config = MiddlewareConfig(
@@ -472,14 +472,14 @@ class TestColumnarIntegration:
                 mw.process_next_batch()
             staged_modes = {r.mode for r in mw.trace}
             assert len(staged_modes) >= 2  # a staged tier was rescanned
-            assert all(r.columnar for r in mw.trace)
+            assert all(r.workers == 2 for r in mw.trace)
 
 
-#: The three scan loops a session can run a large-enough scan through.
-LOOPS = {
-    "row-kernel": ROW_KERNEL,
+#: The three executors a session can run a several-partition scan on.
+EXECUTORS = {
     "inline": {"scan_workers": 1},
     "threads": {"scan_workers": 2},
+    "processes": {"scan_workers": 2, "scan_pool": "process"},
 }
 
 
@@ -541,16 +541,17 @@ def _session_fingerprint(rows, values, tmp_path, **config):
              r.stage_file_targets, r.stage_memory_targets, r.deferrals)
             for r in mw.trace
         ]
-        loops = [(r.columnar, r.workers) for r in mw.trace]
+        workers = [r.workers for r in mw.trace]
         meter = server.meter
         return {
             "ccs": ccs, "files": files, "captured": captured,
             "scans": scans, "events": dict(meter.counts),
-        }, dict(meter.charges), loops
+        }, dict(meter.charges), workers
 
 
 class TestThreeWayEquivalence:
-    """Row kernel == inline == two threads, in everything but time."""
+    """Inline == two threads == two processes, in everything but time,
+    and all three equal the per-row oracle."""
 
     # Staged files hold packed int32 records, so only the integer
     # data set can take the file plan.
@@ -561,14 +562,14 @@ class TestThreeWayEquivalence:
     def test_sessions_agree(self, data, plan, tmp_path):
         rows, values = EQUIVALENCE_DATA[data]
         outcome = {}
-        for loop, overrides in LOOPS.items():
-            directory = tmp_path / loop
-            outcome[loop] = _session_fingerprint(
+        for executor, overrides in EXECUTORS.items():
+            directory = tmp_path / executor
+            outcome[executor] = _session_fingerprint(
                 rows, values, directory, **EQUIVALENCE_PLANS[plan],
                 **overrides,
             )
-        reference, reference_charges, loops = outcome["row-kernel"]
-        assert all(loop == (False, 1) for loop in loops)
+        reference, reference_charges, workers = outcome["inline"]
+        assert all(seen == 1 for seen in workers)
         tiers = {scan[0] for scan in reference["scans"]}
         assert tiers == {
             "SERVER", "FILE" if plan == "file-split" else "MEMORY"
@@ -584,16 +585,85 @@ class TestThreeWayEquivalence:
             assert reference["ccs"][node_id] == build_cc_from_rows(
                 subset, SPEC, ("A2",)
             )
-        for loop, workers in (("inline", 1), ("threads", 2)):
-            observed, charges, loops = outcome[loop]
-            assert all(seen == (True, workers) for seen in loops)
+        for executor in ("threads", "processes"):
+            observed, charges, workers = outcome[executor]
+            assert all(seen == 2 for seen in workers)
             assert observed == reference
             # Per category, not just in total.
             assert charges == pytest.approx(reference_charges)
 
+    def test_fit_under_memory_pressure_agrees(self, tmp_path):
+        # A whole fit whose CC estimates overflow the budget: deferrals
+        # and an SQL fallback both fire, and every one of those
+        # decisions is taken on merged sizes — so the three executors
+        # must leave the same scan-by-scan record, the same staged
+        # bytes and the same meter, and grow the oracle's tree.
+        generating = build_random_tree(RandomTreeConfig(
+            n_attributes=8, values_per_attribute=5, n_classes=3,
+            n_leaves=20, cases_per_leaf=20, seed=5,
+        ))
+        rows = generating.materialize()
+        outcome = {}
+        for executor, overrides in EXECUTORS.items():
+            server = SQLServer()
+            load_dataset(server, "data", generating.spec, rows)
+            directory = tmp_path / executor
+            config = MiddlewareConfig(
+                memory_bytes=800, staging_dir=str(directory),
+                scan_chunk_rows=16,
+                **overrides,
+            )
+            #: node -> the bytes of every file sealed for it, in order
+            #: (files are dropped again as the fit moves down the tree).
+            written = {}
+            seal = StagedFile.seal
+
+            def recording_seal(staged, _written=written):
+                seal(staged)
+                with open(staged.path, "rb") as handle:
+                    _written.setdefault(staged.owner_node, []).append(
+                        handle.read()
+                    )
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(StagedFile, "seal", recording_seal)
+                with Middleware(
+                        server, "data", generating.spec, config) as mw:
+                    classifier = DecisionTreeClassifier()
+                    classifier.fit(mw)
+                    records = [
+                        (r.batch, r.mode, r.deferrals, r.sql_fallbacks,
+                         r.nodes_served, r.rows_seen, r.rows_routed,
+                         r.cost)
+                        for r in mw.trace
+                    ]
+                    stats = mw.stats
+                    assert stats.deferrals >= 1
+                    assert stats.sql_fallbacks >= 1
+                    assert stats.files_written >= 1
+                    if executor != "inline":
+                        assert stats.parallel_scans >= 1
+            outcome[executor] = (
+                records, written, dict(server.meter.charges),
+                dict(server.meter.counts),
+                tree_signature(classifier.tree.root),
+            )
+        oracle_tree = grow_in_memory(
+            rows, generating.spec, GrowthPolicy()
+        )
+        reference = outcome["inline"]
+        assert reference[4] == tree_signature(oracle_tree.root)
+        for executor in ("threads", "processes"):
+            records, written, charges, events, tree = outcome[executor]
+            assert records == reference[0]
+            assert written == reference[1]
+            assert charges == reference[2]
+            assert events == reference[3]
+            assert tree == reference[4]
+
 
 class TestInlineExecutor:
-    """``scan_workers=1``: the columnar path with nothing beside it."""
+    """``scan_workers=1``: the scan loop with nothing beside it."""
 
     def test_session_starts_no_thread_and_no_executor(
             self, tmp_path, monkeypatch):
@@ -627,23 +697,21 @@ class TestInlineExecutor:
                         mw.process_next_batch()
                     assert len(mw.trace) >= 2
                     for record in mw.trace:
-                        assert record.columnar and record.workers == 1
+                        assert record.workers == 1
                         assert record.prefetch_depth == 0
                         assert record.split_writers == 0
                         assert not record.cached
-                        assert "(columnar)" in str(record)
+                        assert "(inline)" in str(record)
                     scan = mw.trace[-1]
-                    assert scan.workers == 1 and scan.columnar
                     assert scan.partition_rows == 4 * config.scan_chunk_rows
                     assert len(scan.worker_seconds) >= 2  # partitioned
                     assert mw.stats.parallel_scans == 0
                     assert mw.stats.cached_scans == 0
-                    assert mw.stats.columnar_scans == mw.stats.batches
                     pool = mw.scan_pool
                     assert pool is not None and pool.inline
                     assert not pool.active and pool.pools_created == 0
                     assert "inline" in repr(pool)
-                    assert f"{mw.stats.batches} columnar" in mw.report()
+                    assert "executor: inline, 0 pooled scans" in mw.report()
                     cache = mw.execution.scan_cache
                     assert cache is None or cache.resident_entries == 0
         finally:
@@ -701,13 +769,18 @@ class TestInlineExecutor:
             ]
             ccs, _, _ = _fold(sliced, partitions, len(condition_sets))
             assert ccs == reference
-            row_future = pool.submit(0, rows, (), ())
-            assert row_future.done()
-            assert row_future.result()[1] == reference
+            # ``submit`` survives as a second name of the columnar
+            # entry (benchmarks/e2e/trace.py still patches it).
+            renamed = [
+                pool.submit(seq, partition, (), ()).result()
+                for seq, partition in enumerate(partitions)
+            ]
+            ccs, _, _ = _fold(renamed, partitions, len(condition_sets))
+            assert ccs == reference
         finally:
             pool.close()
         assert not pool.active and pool.pools_created == 0
-        assert len(ran_on) == 2 * len(partitions)
+        assert len(ran_on) == 3 * len(partitions)
         assert set(ran_on) == {threading.get_ident()}
 
     def test_inline_failure_propagates_from_submit(self):
@@ -722,62 +795,71 @@ class TestInlineExecutor:
         finally:
             pool.close()
 
-    def _loop_of(self, **overrides):
+    def test_small_sources_count_through_the_same_kernel(self):
+        # 27 rows with every default: no gate, no second loop — one
+        # inline partition through the vector kernel.
         rows = dataset_rows()
         server = make_server(rows)
-        overrides.setdefault("scan_workers", 1)
-        config = MiddlewareConfig(memory_bytes=100_000, **overrides)
+        config = MiddlewareConfig(memory_bytes=100_000, scan_workers=1)
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             (result,) = mw.process_next_batch()
             assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))
             record = mw.trace[0]
-            assert mw.scan_pool is None or record.columnar
-            return record
+            assert record.workers == 1 and "(inline)" in str(record)
+            assert record.partition_rows == 4 * config.scan_chunk_rows
+            assert len(record.worker_seconds) == 1
+            assert mw.scan_pool.inline
 
-    def test_sources_below_the_gate_keep_the_row_kernel(self):
-        # 27 rows < the default scan_parallel_min_rows.
-        record = self._loop_of()
-        assert record.kernel and not record.columnar
-        assert "(kernel)" in str(record)
-        record = self._loop_of(scan_parallel_min_rows=len(dataset_rows()))
-        assert record.columnar and record.workers == 1
 
-    def test_per_row_loop_is_never_partitioned(self):
-        record = self._loop_of(scan_kernel=False, **PARALLEL)
-        assert not record.kernel and not record.columnar
+class TestWideBatches:
+    """A batch may hold any number of nodes: candidate masks come in
+    62-bit limbs, and a level past 62 nodes is just another scan."""
 
-    def test_without_numpy_the_row_kernel_runs(self, monkeypatch):
-        from repro.core import execution
-        monkeypatch.setattr(execution, "columnar_available", lambda: False)
-        record = self._loop_of(**PARALLEL)
-        assert record.kernel and not record.columnar
+    N_NODES = 65
 
-    def test_batches_wider_than_the_masks_keep_the_row_kernel(self):
-        # 63 sibling nodes > MAX_SLOTS (62): the int64 candidate masks
-        # cannot route them, and one worker has no row-tuple pool path.
-        n_nodes = 63
+    def test_65_node_level_counts_columnar_on_a_process_pool(
+            self, monkeypatch):
+        n_nodes = self.N_NODES
         spec = type(SPEC)([n_nodes, 2], 2)
         rows = [(a1, a1 % 2, (a1 // 2) % 2) for a1 in range(n_nodes)] * 2
         server = SQLServer()
         load_dataset(server, "data", spec, rows)
+        shipped = []
+        run = ScanWorkerPool._run
+
+        def recording_run(pool, label, task, *args):
+            shipped.append((task.__name__, args))
+            return run(pool, label, task, *args)
+
+        monkeypatch.setattr(ScanWorkerPool, "_run", recording_run)
         config = MiddlewareConfig.no_staging(
-            1_000_000, scan_workers=1, **PARALLEL
+            1_000_000, scan_workers=2, scan_pool="process", **PARALLEL
         )
         with Middleware(server, "data", spec, config) as mw:
             for value in range(n_nodes):
                 mw.queue_request(child_request(f"n{value}", value, rows))
-            results = mw.process_next_batch()
-            assert len(results) == n_nodes
-            assert len(mw.trace[0].batch) == n_nodes
-            assert mw.trace[0].kernel and not mw.trace[0].columnar
-            assert mw.scan_pool is None
-        with Middleware(server, "data", spec, config) as mw:
-            for value in range(n_nodes - 1):
-                mw.queue_request(child_request(f"n{value}", value, rows))
-            mw.process_next_batch()
-            assert len(mw.trace[0].batch) == n_nodes - 1
-            assert mw.trace[0].columnar
+            results = {r.node_id: r.cc for r in mw.process_next_batch()}
+            record = mw.trace[0]
+            assert len(record.batch) == n_nodes and record.workers == 2
+            assert mw.scan_pool.pools_created == 1
+        assert len(results) == n_nodes
+        for value in range(n_nodes):
+            subset = [r for r in rows if r[0] == value]
+            assert results[f"n{value}"] == build_cc_from_rows(
+                subset, spec, ("A2",)
+            )
+        # Every task took a columnar partition, a segment handle or a
+        # slice of the cached encoding: no row tuple was ever shipped.
+        assert len(shipped) >= 2
+        for name, args in shipped:
+            assert name.startswith("_count_columnar_"), name
+            assert not any(isinstance(arg, list) for arg in args)
+            assert any(
+                isinstance(arg, (ColumnarPartition, ShmPartitionHandle,
+                                 ShmSegmentRef))
+                for arg in args
+            )
 
 
 class TestShmFaultInjection:
@@ -906,7 +988,7 @@ class TestColumnarConfig:
             assert results[f"n{value}"].cc == build_cc_from_rows(
                 subset, SPEC, ("A2",)
             )
-        assert trace[0].columnar
+        assert trace[0].workers == 2
 
     def test_adaptive_sizing_reacts_to_fast_scans(self):
         rows = dataset_rows()

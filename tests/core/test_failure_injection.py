@@ -97,8 +97,8 @@ class TestScanFailureCleanup:
         """Patch the execution module's row source to fail mid-scan."""
         original = middleware.execution._rows_for
 
-        def failing(schedule, scan):
-            return _ExplodingIterator(original(schedule, scan), blow_after)
+        def failing(schedule):
+            return _ExplodingIterator(original(schedule), blow_after)
 
         middleware.execution._rows_for = failing
 
@@ -158,8 +158,8 @@ class TestPoisonedPartition:
     def _poison(self, middleware, poison_after=8):
         original = middleware.execution._rows_for
 
-        def poisoned(schedule, scan):
-            rows = list(original(schedule, scan))
+        def poisoned(schedule):
+            rows = list(original(schedule))
             rows.insert(poison_after, self.POISON)
             return iter(rows)
 
@@ -172,7 +172,6 @@ class TestPoisonedPartition:
 
     PARALLEL = {
         "scan_workers": 2,
-        "scan_parallel_min_rows": 0,
         "scan_chunk_rows": 4,
         # The poison rides the streaming row source (``_rows_for``),
         # which the columnar cache's encode-once path never touches —
@@ -221,7 +220,6 @@ class TestPoisonedPartition:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
-            assert mw.trace[-1].columnar
             assert mw.scan_pool is pool and pool.pools_created == 0
             # The retry staged the root afresh over the abandoned file.
             assert list(mw.staging.file_for("root").scan()) == ROWS
@@ -266,11 +264,7 @@ class TestPoisonedCachedScan:
     re-encode) counting the retry.
     """
 
-    PARALLEL = {
-        "scan_workers": 2,
-        "scan_parallel_min_rows": 0,
-        "scan_chunk_rows": 4,
-    }
+    PARALLEL = {"scan_workers": 2, "scan_chunk_rows": 4}
 
     def test_warm_scan_failure_leaves_cache_serving(self):
         with make_middleware(file_staging=False, memory_staging=False,
@@ -308,12 +302,12 @@ class TestPoisonedCachedScan:
             assert cache.misses == 1
 
 
-#: Overrides opening the partitioned path on the 36-row data set.
-PARTITIONED = {"scan_parallel_min_rows": 0, "scan_chunk_rows": 4}
+#: Overrides cutting the 36-row data set into several partitions.
+PARTITIONED = {"scan_chunk_rows": 4}
 
-#: The loops a set-up or commit failure can interrupt.
+#: The executors a set-up or commit failure can interrupt.
 LOOPS = {
-    "row-kernel": {"scan_workers": 1, "scan_parallel_min_rows": 1 << 30},
+    "one-partition": {"scan_workers": 1},
     "inline": dict(PARTITIONED, scan_workers=1),
     "threads": dict(PARTITIONED, scan_workers=2),
 }
@@ -417,30 +411,22 @@ class TestSetUpAndCommitFailure:
         self._assert_nothing_left_then_retry(mw, monitor, tmp_path)
 
 
-# -- the one partitioned loop, stage by stage ----------------------------------
+# -- the one scan loop, stage by stage -------------------------------------------
 
-WIDE = 63  # one node more than the vector kernel's masks can route
-WIDE_SPEC = DatasetSpec([WIDE, 2], 2)
-WIDE_ROWS = [(a1, a1 % 2, (a1 // 2) % 2) for a1 in range(WIDE)] * 2
-
-#: name -> (config, whether a root scan primes the session, the data
-#: set as (spec, rows, child values) when it is not the default one).
-#: Every scenario's scan under test has staging output where its tier
-#: can have any (a MEMORY scan is already on the best tier, and hands
-#: its writer nothing).
+#: name -> (config, whether a root scan primes the session).  Every
+#: scenario's scan under test has staging output where its tier can
+#: have any (a MEMORY scan is already on the best tier, and hands its
+#: writer nothing).
 SOURCES = {
     "server-streamed": (
-        {"memory_staging": False, "scan_cache_bytes": 0}, False, None),
-    "server-cached": ({"memory_staging": False}, False, None),
+        {"memory_staging": False, "scan_cache_bytes": 0}, False),
+    "server-cached": ({"memory_staging": False}, False),
     "file-streamed": (
         {"memory_staging": False, "file_split_threshold": 1.0,
-         "scan_cache_bytes": 0}, True, None),
+         "scan_cache_bytes": 0}, True),
     "file-cached": (
-        {"memory_staging": False, "file_split_threshold": 1.0}, True, None),
-    "memory": ({"file_staging": False}, True, None),
-    "row-tuple": (
-        {"file_staging": False, "memory_bytes": 1_000_000}, False,
-        (WIDE_SPEC, WIDE_ROWS, range(WIDE))),
+        {"memory_staging": False, "file_split_threshold": 1.0}, True),
+    "memory": ({"file_staging": False}, True),
 }
 EXECUTORS = {
     "inline": {"scan_workers": 1},
@@ -453,10 +439,8 @@ FAULTS = ("pull", "submit", "merge", "put", "close")
 def _pipeline_cases():
     for source in SOURCES:
         for executor in EXECUTORS:
-            # One worker never runs over the cache, and counts a batch
-            # the vector kernel cannot route with the row kernel.
-            if executor == "inline" and (
-                    source.endswith("cached") or source == "row-tuple"):
+            # The inline executor never runs over the cache.
+            if executor == "inline" and source.endswith("cached"):
                 continue
             for fault in FAULTS:
                 yield source, executor, fault
@@ -543,19 +527,17 @@ class TestPipelineStageFailures:
 
             patch.setattr(execution, "_partition_source", tampered)
         elif fault == "submit":
-            # A scan goes through exactly one of the three, so the
+            # A scan goes through exactly one of the two, so the
             # second call of whichever it is fails with one in flight.
             pool = mw._shared_scan_pool()
-            for name in ("submit", "submit_columnar",
-                         "submit_columnar_slice"):
+            for name in ("submit_columnar", "submit_columnar_slice"):
                 patch.setattr(pool, name, _failing_on_call(
                     2, getattr(pool, name), _inject
                 ))
         elif fault == "merge":
-            for name in ("merge", "merge_block"):
-                patch.setattr(CCTable, name, _failing_on_call(
-                    2, getattr(CCTable, name), _inject
-                ))
+            patch.setattr(CCTable, "merge_block", _failing_on_call(
+                2, CCTable.merge_block, _inject
+            ))
         else:
             # The second put, or the close, of whichever writer runs.
             k = 2 if fault == "put" else 1
@@ -571,26 +553,25 @@ class TestPipelineStageFailures:
     def test_fault_leaves_nothing_behind(self, source, executor, fault,
                                          tmp_path, monkeypatch):
         pytest.importorskip("numpy")
-        overrides, primed, data = SOURCES[source]
-        spec, rows, values = data or (SPEC, ROWS, range(3))
+        overrides, primed = SOURCES[source]
         monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
             with make_middleware(
-                spec, rows, staging_dir=str(tmp_path),
+                staging_dir=str(tmp_path),
                 **{**PARTITIONED, **EXECUTORS[executor], **overrides},
             ) as mw:
-                self._run_case(mw, monitor, source, fault, primed, spec,
-                               rows, values, tmp_path, monkeypatch)
+                self._run_case(mw, monitor, source, fault, primed,
+                               tmp_path, monkeypatch)
             assert monitor.live_kinds() == []
         finally:
             install_monitor(previous)
 
-    def _run_case(self, mw, monitor, source, fault, primed, spec, rows,
-                  values, tmp_path, monkeypatch):
+    def _run_case(self, mw, monitor, source, fault, primed, tmp_path,
+                  monkeypatch):
         def queue():
-            if primed or source == "row-tuple":
-                mw.queue_requests(child_requests(rows, values))
+            if primed:
+                mw.queue_requests(child_requests())
             else:
                 mw.queue_request(root_request())
 
@@ -600,8 +581,8 @@ class TestPipelineStageFailures:
         trackers = []
         rows_for = mw.execution._rows_for
 
-        def tracked(schedule, scan):
-            trackers.append(_TrackedRows(rows_for(schedule, scan)))
+        def tracked(schedule):
+            trackers.append(_TrackedRows(rows_for(schedule)))
             return trackers[-1]
 
         before = (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
@@ -614,9 +595,7 @@ class TestPipelineStageFailures:
                 mw.process_next_batch()
 
         # The scan under test really was the one the case names.
-        assert len(trackers) == (
-            source in ("server-streamed", "row-tuple")
-        )
+        assert len(trackers) == (source == "server-streamed")
         assert all(tracker.closed for tracker in trackers)
         for node_id in mw.staging.file_nodes():
             assert mw.staging.file_for(node_id)._active_scans == 0
@@ -636,15 +615,13 @@ class TestPipelineStageFailures:
                 sorted(mw.budget.tags())) == before
 
         # The same session, the fault gone, serves the same requests.
-        if primed or source == "row-tuple":
-            assert_children_counted(mw, spec, rows, values)
+        if primed:
+            assert_children_counted(mw)
         else:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
-            assert result.cc == build_cc_from_rows(rows, spec, ("A1", "A2"))
-        scan = mw.trace[-1]
-        assert scan.columnar == (source != "row-tuple")
-        assert scan.cached == source.endswith("cached")
+            assert result.cc == build_cc_from_rows(ROWS, SPEC, ("A1", "A2"))
+        assert mw.trace[-1].cached == source.endswith("cached")
 
 
 class TestBadClientInput:

@@ -19,10 +19,12 @@ import pytest
 
 from repro.core import scan_pool
 from repro.core.config import MiddlewareConfig
+from repro.core.filters import RoutingKernel
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 SPEC = DatasetSpec([3, 3], 2)
@@ -75,9 +77,9 @@ class TestKeyboardInterruptCleanup:
     def _interrupt(self, middleware, blow_after=3):
         original = middleware.execution._rows_for
 
-        def interrupting(schedule, scan):
+        def interrupting(schedule):
             self.source = _InterruptingIterator(
-                original(schedule, scan), blow_after
+                original(schedule), blow_after
             )
             return self.source
 
@@ -108,11 +110,10 @@ class TestKeyboardInterruptCleanup:
             assert mw.staging.memory_nodes() == []
             assert mw.budget.used == 0
 
-    #: One worker with the gate opened: the inline columnar executor.
-    #: 16-row partitions, so an interrupt after 20 rows lands mid-scan
-    #: with the first partition already counted and staged in place.
-    INLINE = {"scan_workers": 1, "scan_parallel_min_rows": 0,
-              "scan_chunk_rows": 4}
+    #: The inline executor with 16-row partitions, so an interrupt
+    #: after 20 rows lands mid-scan with the first partition already
+    #: counted and staged in place.
+    INLINE = {"scan_workers": 1, "scan_chunk_rows": 4}
 
     def test_inline_interrupt_leaves_nothing_behind(self, tmp_path):
         threads_before = threading.active_count()
@@ -133,7 +134,6 @@ class TestKeyboardInterruptCleanup:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
-            assert mw.trace[-1].columnar
             assert mw.trace[-1].workers == 1
 
     def test_middleware_usable_after_interrupt(self):
@@ -148,15 +148,10 @@ class TestKeyboardInterruptCleanup:
             assert result.cc.records == len(ROWS)
 
 
-class _RouteAllKernel:
-    """Picklable stand-in kernel: every row routes to slot 0."""
-
-    def route(self, row):
-        return 1
-
-
 def _context():
-    return (_RouteAllKernel(), [("root", ("A1",), (("A1", 0),))], 2, 2)
+    """A routing context whose one slot takes every row."""
+    return (RoutingKernel([()], {"A1": 0}),
+            [("root", ("A1",), (("A1", 0),))], 2, 2)
 
 
 class TestProcessContextReset:
@@ -173,8 +168,8 @@ class TestProcessContextReset:
 
     def test_pickled_worker_refreshes_after_reset(self):
         payload = pickle.dumps(_context(), pickle.HIGHEST_PROTOCOL)
-        rows = [(0, 1, 1), (2, 0, 0)]
-        scan_pool._count_partition_pickled(1, payload, 0, rows, (), ())
+        rows = ColumnarPartition.from_rows([(0, 1, 1), (2, 0, 0)])
+        scan_pool._count_columnar_pickled(1, payload, 0, rows, (), ())
         generation, ctx = scan_pool._PROCESS_CTX
         assert generation == 1 and ctx is not None
 
@@ -184,8 +179,8 @@ class TestProcessContextReset:
         # Same generation number again: without the reset the stale
         # cached context would be reused; after it, the payload is
         # unpickled afresh.
-        seq, partials, routed, writes, captures, _ = (
-            scan_pool._count_partition_pickled(1, payload, 3, rows, (), ())
+        seq, payloads, routed, writes, captures, _ = (
+            scan_pool._count_columnar_pickled(1, payload, 3, rows, (), ())
         )
         assert seq == 3 and routed == len(rows)
         assert scan_pool._PROCESS_CTX[0] == 1

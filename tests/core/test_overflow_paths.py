@@ -63,20 +63,20 @@ def child_request(node_id, value, rows, est_cc_pairs=3):
 
 @pytest.fixture(
     params=[
-        # The row kernel: a gate no source here reaches keeps every
-        # scan off the partitioned path at any worker count.
-        {"scan_kernel": True, "scan_parallel_min_rows": 1 << 30},
-        {"scan_kernel": False},
-        # One worker with the gate opened: the inline columnar executor
+        # Every default: each source here is one inline partition.
+        {},
+        # One worker, 4-row chunks: several inline partitions per scan
         # (admission post-merge, staging applied in place).
-        {"scan_workers": 1, "scan_parallel_min_rows": 0,
-         "scan_chunk_rows": 4},
+        {"scan_workers": 1, "scan_chunk_rows": 4},
+        # Smaller partitions still, streamed (no cache plan) to two
+        # pool threads.
+        {"scan_workers": 2, "scan_chunk_rows": 4, "scan_cache_bytes": 0},
     ],
-    ids=["kernel", "per-row", "inline"],
+    ids=["one-partition", "inline", "threads"],
 )
 def scan_loop(request):
-    """Config overrides selecting a scan loop: every loop must take
-    the same recovery decisions and clean up the same way."""
+    """Config overrides selecting an executor and partition size: each
+    must take the same recovery decisions and clean up the same way."""
     return request.param
 
 

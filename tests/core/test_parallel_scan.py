@@ -1,13 +1,13 @@
-"""Unit tests for the parallel partitioned scan executor.
+"""Unit tests for the pooled scan executors.
 
-The partitioned path (`ExecutionModule._count_partitioned`) must be a
-pure wall-clock optimisation: for any worker count and pool kind it has
-to produce the same CC tables, the same staged files (bit-identical),
-the same memory captures, the same overflow recoveries, the same meter
-charges and the same fitted trees as the serial kernel loop.  These
-tests force the parallel path onto tiny data sets with
-``scan_parallel_min_rows=0`` and small partitions so several workers
-genuinely share each scan.
+A worker pool must be a pure wall-clock optimisation of the one scan
+loop (`ExecutionModule._count_partitioned`): for any worker count and
+pool kind it has to produce the same CC tables, the same staged files
+(bit-identical), the same memory captures, the same overflow
+recoveries, the same meter charges and the same fitted trees as the
+inline executor — and the CC tables of the per-row oracle.  These
+tests use tiny data sets with 4-row scan chunks, so every source is
+several partitions long and several workers genuinely share each scan.
 """
 
 import dataclasses
@@ -41,15 +41,10 @@ from ..conftest import tree_signature
 
 SPEC = DatasetSpec([3, 3], 3)
 
-#: Overrides that force the parallel path onto the 27-row data set:
-#: no minimum-size gate, and partitions of at most 4 rows so every
-#: worker count under test actually splits the scan.
-PARALLEL = {"scan_parallel_min_rows": 0, "scan_chunk_rows": 4}
-
-#: The reference arm: one worker and a gate no source here reaches, so
-#: every scan keeps the row kernel (same chunking as ``PARALLEL``).
-ROW_KERNEL = {"scan_workers": 1, "scan_parallel_min_rows": 1 << 30,
-              "scan_chunk_rows": 4}
+#: Scan chunks of 4 rows cut the 27-row data set into several
+#: partitions at every worker count under test: 16-row ones inline,
+#: at most 7-row ones behind a pool.
+PARALLEL = {"scan_chunk_rows": 4}
 
 
 def dataset_rows():
@@ -130,14 +125,15 @@ class TestParallelEquivalence:
                 subset, SPEC, ("A2",)
             )
 
-    def test_meter_charges_identical_to_serial(self):
+    def test_meter_charges_identical_to_inline(self):
         # Simulated costs accrue on the coordinator thread, so the
-        # scheduler sees identical economics at any worker count.
-        _, _, serial_cost = frontier_results(**ROW_KERNEL)
+        # scheduler sees identical economics at any worker count and
+        # partition size.
+        _, _, whole_cost = frontier_results(scan_workers=1)
         _, _, inline_cost = frontier_results(scan_workers=1, **PARALLEL)
         _, _, parallel_cost = frontier_results(scan_workers=4, **PARALLEL)
-        assert inline_cost == pytest.approx(serial_cost)
-        assert parallel_cost == pytest.approx(serial_cost)
+        assert inline_cost == pytest.approx(whole_cost)
+        assert parallel_cost == pytest.approx(whole_cost)
 
     def _staged_root_bytes(self, workers, **overrides):
         rows = dataset_rows()
@@ -155,10 +151,10 @@ class TestParallelEquivalence:
             with open(staged.path, "rb") as handle:
                 return handle.read()
 
-    def test_staged_file_bit_identical_to_serial(self):
-        serial = self._staged_root_bytes(1, **ROW_KERNEL)
+    def test_staged_file_bit_identical_to_one_partition(self):
+        whole = self._staged_root_bytes(1, scan_chunk_rows=1024)
         for workers in (1, 2, 4):
-            assert self._staged_root_bytes(workers) == serial
+            assert self._staged_root_bytes(workers) == whole
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_memory_capture_identical_to_serial(self, workers):
@@ -244,19 +240,16 @@ class TestParallelOverflow:
 
     def test_recovery_deterministic_across_worker_counts(self):
         # Per-scan recovery decisions depend only on the merged sizes,
-        # so every worker count — the inline executor's one included —
-        # takes the identical path.  The row kernel is not scan-for-scan
-        # identical — it abandons mid-scan with a partial pair count as
-        # the corrected estimate, where the partitioned paths abandon
-        # post-merge with the exact count — but its final counts must
-        # match exactly.
-        serial_results, _, serial_stats = self.overflow_results(
-            1, **ROW_KERNEL
+        # so every worker count — the inline executor's one included,
+        # at any partition size — takes the identical path.
+        whole_results, whole_outcomes, whole_stats = self.overflow_results(
+            1, scan_chunk_rows=1024
         )
-        assert serial_stats[0] >= 1  # the scenario really overflows
+        assert whole_stats[0] >= 1  # the scenario really overflows
         reference_results, reference_outcomes, reference_stats = \
             self.overflow_results(2)
-        assert reference_outcomes[0][0] >= 1  # parallel overflows too
+        assert reference_outcomes == whole_outcomes
+        assert reference_stats == whole_stats
         reference_estimates = self.corrected_estimates
         assert max(reference_estimates.values()) > 1  # someone deferred
         inline_results, inline_outcomes, inline_stats = \
@@ -278,7 +271,7 @@ class TestParallelOverflow:
             for node_id, reference in references.items():
                 assert results[node_id].cc == reference
         for node_id, reference in references.items():
-            assert serial_results[node_id].cc == reference
+            assert whole_results[node_id].cc == reference
             assert reference_results[node_id].cc == reference
             assert inline_results[node_id].cc == reference
 
@@ -305,26 +298,18 @@ class TestParallelProfiling:
     def test_trace_records_worker_profile(self):
         _, trace, _ = frontier_results(scan_workers=2, **PARALLEL)
         record = trace[0]
-        assert record.kernel
         assert record.workers == 2
         assert record.merge_seconds >= 0.0
         assert "x2w" in str(record)
 
-    def test_trace_names_the_loop_that_ran(self, monkeypatch):
-        loops = {
-            "(columnar x2w": {"scan_workers": 2},
-            "(columnar)": {"scan_workers": 1},
-            "(kernel)": ROW_KERNEL,
-            "(per-row)": {"scan_workers": 1, "scan_kernel": False},
+    def test_trace_names_the_executor_that_ran(self):
+        executors = {
+            "(x2w": {"scan_workers": 2},
+            "(inline)": {"scan_workers": 1},
         }
-        for rendered, overrides in loops.items():
+        for rendered, overrides in executors.items():
             _, trace, _ = frontier_results(**{**PARALLEL, **overrides})
             assert rendered in str(trace[0]), (rendered, str(trace[0]))
-        # Without numpy a pool counts row-tuple partitions instead.
-        from repro.core import execution
-        monkeypatch.setattr(execution, "columnar_available", lambda: False)
-        _, trace, _ = frontier_results(scan_workers=2, **PARALLEL)
-        assert "(kernel x2w)" in str(trace[0]), str(trace[0])
 
     def test_stats_count_parallel_scans(self):
         rows = dataset_rows()
@@ -340,7 +325,7 @@ class TestParallelProfiling:
             assert len(scan.worker_seconds) >= 2  # several partitions ran
             assert mw.stats.parallel_scans == 1
             report = mw.report()
-        assert "1 parallel (2 thread workers, " in report
+        assert "executor: 2 thread workers, 1 pooled scans, " in report
 
     def test_report_names_the_inline_executor(self):
         rows = dataset_rows()
@@ -352,31 +337,80 @@ class TestParallelProfiling:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
             report = mw.report()
-        # One worker has no pool to describe: the scan-loop line must
+        # One worker has no pool to describe: the executor line must
         # agree with the "scan pool:" line two below it.
-        assert "0 parallel (inline, " in report
+        assert "executor: inline, 0 pooled scans, " in report
         assert "workers=1, inline" in report
 
-    def test_small_scans_stay_serial(self):
-        # 27 rows is far below the default scan_parallel_min_rows gate.
+
+class TestExecutorRule:
+    """The executor follows the sources, not an option: one partition
+    has nothing to overlap, so no pool is started for it."""
+
+    def test_one_partition_sources_never_start_the_pool(self):
+        # 27 rows fit one default-size partition at any worker count.
         rows = dataset_rows()
         server = make_server(rows)
-        config = MiddlewareConfig(memory_bytes=100_000, scan_workers=4)
+        config = MiddlewareConfig(memory_bytes=100_000, scan_workers=2)
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
-            mw.process_next_batch()
-            assert mw.trace[-1].workers == 1
+            mw.process_next_batch()  # SERVER, stages the root
+            for value in range(3):
+                mw.queue_request(child_request(f"n{value}", value, rows))
+            while mw.pending:
+                for result in mw.process_next_batch():  # staged tiers
+                    subset = [r for r in rows if r[0] == int(result.node_id[1])]
+                    assert result.cc == build_cc_from_rows(
+                        subset, SPEC, ("A2",)
+                    )
+            assert len({record.mode for record in mw.trace}) >= 2
+            for record in mw.trace:
+                assert record.workers == 1
+                assert len(record.worker_seconds) == 1  # one partition
+                assert record.prefetch_depth == 0
+                assert record.split_writers == 0
+                assert not record.cached
+                assert "(inline)" in str(record)
             assert mw.stats.parallel_scans == 0
+            pool = mw.scan_pool
+            assert pool is not None and pool.n_workers == 2
+            assert not pool.active and pool.pools_created == 0
 
-    def test_per_row_loop_never_parallelizes(self):
-        results, trace, _ = frontier_results(
-            scan_workers=4, scan_kernel=False, **PARALLEL
-        )
-        assert trace[0].workers == 1
-        assert not trace[0].kernel
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_one_longer_source_creates_exactly_one_executor(self, kind):
         rows = dataset_rows()
-        subset = [r for r in rows if r[0] == 0]
-        assert results["n0"].cc == build_cc_from_rows(subset, SPEC, ("A2",))
+        server = make_server(rows)
+        config = MiddlewareConfig.no_staging(
+            100_000, scan_workers=2, scan_pool=kind, scan_chunk_rows=8,
+        )
+        with Middleware(server, "data", SPEC, config) as mw:
+            def count_n0():
+                mw.queue_request(child_request("n0", 0, rows))
+                (result,) = mw.process_next_batch()
+                subset = [r for r in rows if r[0] == 0]
+                assert result.cc == build_cc_from_rows(
+                    subset, SPEC, ("A2",)
+                )
+                return mw.trace[-1]
+
+            # n0 has 6 rows: one 8-row partition, counted inline.
+            assert count_n0().workers == 1
+            pool = mw.scan_pool
+            assert not pool.active and pool.pools_created == 0
+            # The root's 27 rows are four partitions: the pool starts.
+            mw.queue_request(root_request(rows))
+            (result,) = mw.process_next_batch()
+            assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))
+            assert mw.trace[-1].workers == 2
+            assert len(mw.trace[-1].worker_seconds) >= 2
+            assert pool.active and pool.pools_created == 1
+            # Once up, the workers take every scan of the session —
+            # the coordinator no longer counts — and no second
+            # executor is ever built.
+            assert count_n0().workers == 2
+            assert mw.scan_pool is pool
+            assert pool.active and pool.pools_created == 1
+            assert mw.stats.parallel_scans == 2
 
 
 class TestParallelConfig:
@@ -387,7 +421,7 @@ class TestParallelConfig:
             field.name for field in dataclasses.fields(MiddlewareConfig)
             if field.name.startswith("scan_")
         ]
-        assert len(knobs) <= 7, knobs
+        assert len(knobs) <= 5, knobs
 
     def test_zero_workers_rejected(self):
         with pytest.raises(MiddlewareError):
@@ -396,10 +430,6 @@ class TestParallelConfig:
     def test_unknown_pool_rejected(self):
         with pytest.raises(MiddlewareError):
             MiddlewareConfig(scan_pool="fiber")
-
-    def test_negative_min_rows_rejected(self):
-        with pytest.raises(MiddlewareError):
-            MiddlewareConfig(scan_parallel_min_rows=-1)
 
     def test_env_var_sets_default_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCAN_WORKERS", "3")
@@ -617,8 +647,6 @@ class TestTotalsFromTrace:
             sum(r.rows_seen for r in rs) / sum(r.wall_seconds for r in rs)
         ),
         "matcher_evals": lambda rs: sum(r.matcher_evals for r in rs),
-        "kernel_scans": lambda rs: sum(r.kernel for r in rs),
-        "columnar_scans": lambda rs: sum(r.columnar for r in rs),
         "parallel_scans": lambda rs: sum(r.workers > 1 for r in rs),
         "merge_seconds": lambda rs: sum(r.merge_seconds for r in rs),
         "worker_seconds_total":

@@ -22,8 +22,9 @@ from repro.sqlengine.database import SQLServer
 
 from ..conftest import tree_signature
 
-#: Forces the parallel path onto the small generated data sets.
-PARALLEL = {"scan_parallel_min_rows": 0, "scan_chunk_rows": 8}
+#: 8-row chunks: the small generated data sets are several partitions
+#: long, so their scans go to the pool.
+PARALLEL = {"scan_chunk_rows": 8}
 
 
 def generated():
@@ -63,11 +64,14 @@ class TestPoolLifecycle:
             assert mw.scan_pool is not None
             assert mw.scan_pool.active
 
-    def test_serial_sessions_never_build_a_pool(self):
+    def test_serial_sessions_never_start_an_executor(self):
         generating = generated()
         with make_middleware(generating, scan_workers=1) as mw:
             fit_tree(mw)
-            assert mw.scan_pool is None
+            pool = mw.scan_pool
+            assert pool.inline and not pool.active
+            assert pool.pools_created == 0
+            assert pool.scans_served == mw.stats.batches
 
     def test_close_tears_the_pool_down(self):
         generating = generated()

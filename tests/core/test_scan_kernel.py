@@ -1,15 +1,18 @@
-"""Unit tests for the batched scan kernel and its profiling layer.
+"""Unit tests for the routing kernel and the scan's profiling layer.
 
-The kernel (`repro.core.filters.RoutingKernel` driven by
-`ExecutionModule._count_rows_kernel`) must route rows exactly like the
-reference per-row matcher loop; ``config.scan_kernel`` is the A/B
-switch the equivalence tests flip.
+`repro.core.filters.RoutingKernel` compiles a batch's path conditions
+into dispatch tables; `route` is their scalar spelling, which must
+agree with `PathCondition.matches`, and the scan loop
+(`vector_kernel`, which evaluates the same tables column-at-a-time)
+must count what the per-row oracle (`build_cc_from_rows`) counts at
+any chunk size.
 """
 
 import pytest
 
-from repro.client.baselines import build_cc_from_rows
+from repro.client.baselines import build_cc_from_rows, grow_in_memory
 from repro.client.decision_tree import DecisionTreeClassifier
+from repro.client.growth import GrowthPolicy
 from repro.core.config import MiddlewareConfig
 from repro.core.filters import PathCondition, RoutingKernel
 from repro.core.middleware import Middleware
@@ -117,7 +120,7 @@ class TestRoutingKernel:
 
 
 # ---------------------------------------------------------------------------
-# kernel vs per-row loop equivalence through the middleware
+# the scan loop vs the per-row oracle, through the middleware
 # ---------------------------------------------------------------------------
 
 SPEC = DatasetSpec([3, 3], 3)
@@ -170,20 +173,16 @@ def frontier_results(**config_overrides):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1024])
-    def test_frontier_counts_identical_across_loops(self, chunk_rows):
-        kernel_results, _ = frontier_results(
-            scan_kernel=True, scan_chunk_rows=chunk_rows
-        )
-        perrow_results, _ = frontier_results(scan_kernel=False)
+    def test_frontier_counts_equal_the_oracle(self, chunk_rows):
+        results, _ = frontier_results(scan_chunk_rows=chunk_rows)
         rows = dataset_rows()
-        assert set(kernel_results) == set(perrow_results)
+        assert set(results) == {"n0", "n1", "n2"}
         for value in range(3):
             subset = [r for r in rows if r[0] == value]
             reference = build_cc_from_rows(subset, SPEC, ("A2",))
-            assert kernel_results[f"n{value}"].cc == reference
-            assert perrow_results[f"n{value}"].cc == reference
+            assert results[f"n{value}"].cc == reference
 
-    def test_full_fit_grows_identical_tree(self):
+    def test_full_fit_grows_the_in_memory_tree(self):
         generating = build_random_tree(
             RandomTreeConfig(
                 n_attributes=6,
@@ -194,32 +193,26 @@ class TestKernelEquivalence:
                 seed=17,
             )
         )
-        trees = {}
-        for kernel_flag in (True, False):
-            server = SQLServer()
-            load_dataset(
-                server, "data", generating.spec, generating.materialize()
-            )
-            config = MiddlewareConfig(
-                memory_bytes=50_000, scan_kernel=kernel_flag
-            )
-            with Middleware(server, "data", generating.spec, config) as mw:
-                classifier = DecisionTreeClassifier()
-                classifier.fit(mw)
-                trees[kernel_flag] = classifier.tree
-        assert tree_signature(trees[True].root) == tree_signature(
-            trees[False].root
+        rows = generating.materialize()
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, rows)
+        config = MiddlewareConfig(memory_bytes=50_000)
+        with Middleware(server, "data", generating.spec, config) as mw:
+            classifier = DecisionTreeClassifier()
+            classifier.fit(mw)
+        oracle = grow_in_memory(rows, generating.spec, GrowthPolicy())
+        assert tree_signature(classifier.tree.root) == tree_signature(
+            oracle.root
         )
 
-    def test_staged_rows_identical_across_loops(self):
-        for kernel_flag in (True, False):
+    def test_staged_rows_are_the_source_rows_in_order(self):
+        for chunk_rows in (1, 4, 1024):
             rows = dataset_rows()
             server = make_server(rows)
             config = MiddlewareConfig(
                 memory_bytes=100_000,
                 memory_staging=False,
-                scan_kernel=kernel_flag,
-                scan_chunk_rows=4,
+                scan_chunk_rows=chunk_rows,
             )
             with Middleware(server, "data", SPEC, config) as mw:
                 mw.queue_request(
@@ -239,21 +232,12 @@ class TestKernelEquivalence:
 
 class TestScanProfiling:
     def test_trace_records_kernel_profile(self):
-        _, trace = frontier_results(scan_kernel=True)
+        _, trace = frontier_results()
         record = trace[0]
-        assert record.kernel
         assert record.wall_seconds > 0.0
         assert record.rows_per_sec > 0.0
         # One probed attribute (A1) per row.
         assert record.matcher_evals == record.rows_seen
-
-    def test_trace_records_perrow_profile(self):
-        _, trace = frontier_results(scan_kernel=False)
-        record = trace[0]
-        assert not record.kernel
-        assert record.wall_seconds > 0.0
-        # Three matcher closures evaluated per row.
-        assert record.matcher_evals == 3 * record.rows_seen
 
     def test_session_stats_accumulate_profile(self):
         rows = dataset_rows()
@@ -266,12 +250,11 @@ class TestScanProfiling:
             while mw.pending:
                 mw.process_next_batch()
             stats = mw.stats
-            assert stats.kernel_scans == stats.batches
             assert stats.wall_seconds > 0.0
             assert stats.rows_per_sec > 0.0
             assert stats.matcher_evals > 0
 
-    def test_report_mentions_scan_loop(self):
+    def test_report_mentions_the_executor(self):
         rows = dataset_rows()
         server = make_server(rows)
         with Middleware(
@@ -280,6 +263,6 @@ class TestScanProfiling:
             mw.queue_request(child_request("n0", 0, rows))
             mw.process_next_batch()
             report = mw.report()
-        assert "scan loop:" in report
+        assert "executor: inline" in report
         assert "rows/s" in report
-        assert "(kernel)" in report
+        assert "(inline)" in report

@@ -456,7 +456,6 @@ class TestMeteredCostParity:
             memory_staging=False,
             file_split_threshold=1.0,
             scan_workers=workers,
-            scan_parallel_min_rows=0,
             scan_chunk_rows=4,
         )
         with Middleware(server, "data", SPEC, config) as mw:

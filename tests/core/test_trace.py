@@ -68,14 +68,12 @@ class TestScheduleRecord:
             rows_seen=20000,
             rows_routed=20000,
             wall_seconds=0.0625,
-            kernel=True,
-            columnar=True,
             access_path="seq",
         )
         assert record.rows_per_sec == 320000.0  # derived, not stored
         assert str(record) == (
             "#0 SERVER via=seq batch=1 rows=20000 cost=5867.0 "
-            "320,000 rows/s (columnar) [stage->file[0]]"
+            "320,000 rows/s (inline) [stage->file[0]]"
         )
         pooled = dataclasses.replace(
             record, sequence=1, mode="FILE", source_node=0, batch=(1, 2),
@@ -84,7 +82,7 @@ class TestScheduleRecord:
         )
         assert str(pooled) == (
             "#1 FILE(0) batch=2 rows=20000 cost=1000.0 "
-            "320,000 rows/s (columnar x2w warm)"
+            "320,000 rows/s (x2w warm)"
         )
 
 
@@ -137,10 +135,12 @@ class TestDeclaredOnce:
     def test_record_covers_both_parent_classes(self):
         fields = {f.name for f in dataclasses.fields(ScheduleRecord)}
         assert len(PARENT_SCAN_STATS) == len(PARENT_SCHEDULE_RECORD) == 29
+        # PR 20: one loop and one kernel made ``kernel`` and
+        # ``columnar`` constants, so the record dropped them.
         assert fields == (
             PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
-        ) - {"rows_per_sec"}
-        assert len(fields) == 36
+        ) - {"rows_per_sec", "kernel", "columnar"}
+        assert len(fields) == 34
         assert isinstance(ScheduleRecord.rows_per_sec, property)
 
     def test_each_field_is_declared_by_one_class(self):
@@ -246,7 +246,7 @@ class TestSessionReport:
         assert "#0 SERVER" in report
         assert f"{mw.stats.batches} batches" in report
         # No pooled scan ran, so the report must not invent a pool.
-        assert " parallel (inline, " in report
+        assert "executor: inline, 0 pooled scans, " in report
         assert " workers, " not in report
 
     def test_report_before_any_scan(self):
