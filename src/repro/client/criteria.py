@@ -5,14 +5,26 @@ distributions of the would-be children — which the CC table provides
 exactly — so no criterion ever touches data.  The paper's experiments
 use "the standard entropy measure used in ID3, C4.5, and CART"; Gini
 and gain ratio are provided for the broader family the scheme supports.
+
+A criterion has two forms.  :meth:`SplitCriterion.scorer` is the
+*scalar* form and the only one that decides anything: its value is a
+split's score, compared with ``==``.  :meth:`SplitCriterion.binary_scores`
+is the *array* form the split search prefilters with — all value-vs-rest
+candidates of a node in one call, one vector expression for entropy and
+Gini — and may differ from the scalar form in the last bits (``np.log2``
+is not ``math.log2``), which is why the search re-scores everything near
+its maximum through the scalar form.  The default array form *is* the
+scalar one, evaluated per distinct row, so a criterion that only
+implements ``scorer`` is searched by the same flow.
 """
 
 from __future__ import annotations
 
 from math import log2
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from ..common.errors import ClientError
+from ..sqlengine.columnar import np
 
 
 def entropy(counts: Sequence[float]) -> float:
@@ -36,6 +48,21 @@ def gini(counts: Sequence[float]) -> float:
     return 1.0 - sum((count / total) ** 2 for count in counts)
 
 
+def _entropy_mass(counts: Any, sizes: Any) -> Any:
+    """``n * entropy(row)`` for every row of ``counts`` (row sums
+    ``sizes``): ``n log2 n - sum(c log2 c)``, zero counts adding zero."""
+    return (
+        sizes * np.log2(np.maximum(sizes, 1.0))
+        - (counts * np.log2(np.maximum(counts, 1.0))).sum(axis=1)
+    )
+
+
+def _gini_mass(counts: Any, sizes: Any) -> Any:
+    """``n * gini(row)`` for every row of ``counts`` (row sums
+    ``sizes``): ``n - sum(c * c) / n``, an empty row weighing zero."""
+    return sizes - (counts * counts).sum(axis=1) / np.maximum(sizes, 1.0)
+
+
 #: A criterion with the parent bound: per-child class counts -> score.
 Scorer = Callable[[Sequence[Sequence[int]]], float]
 
@@ -44,7 +71,7 @@ class SplitCriterion:
     """Interface: higher scores are better; <= 0 means "do not split".
 
     A criterion implements :meth:`scorer` only.  The split search binds
-    a node's class counts once and scores every candidate through the
+    a node's class counts once and scores candidates through the
     returned callable, so what depends on the parent alone (its
     impurity, its size) is computed once per node.
     """
@@ -56,6 +83,29 @@ class SplitCriterion:
         reads the per-child class-count vectors without modifying them."""
         raise NotImplementedError
 
+    def binary_scores(self, parent_counts: Sequence[int],
+                      inside: Any) -> Any:
+        """The array form: a float array scoring, for every row of
+        ``inside`` (2-D ``int64``, one candidate per row), the binary
+        partition ``(row, parent_counts - row)``.
+
+        May differ from the scalar scorer's value by float rounding —
+        far less than ``splits.SHORTLIST_MARGIN`` — and decides nothing
+        by itself.  This default evaluates the bound scalar scorer once
+        per distinct row.
+        """
+        score_of = self.scorer(parent_counts)
+        scores: dict[tuple[int, ...], float] = {}
+        out = np.empty(len(inside), dtype=np.float64)
+        for i, row in enumerate(inside.tolist()):
+            key = tuple(row)
+            score = scores.get(key)
+            if score is None:
+                outside = [t - c for t, c in zip(parent_counts, row)]
+                score = scores[key] = score_of((row, outside))
+            out[i] = score
+        return out
+
     def score(self, parent_counts: Sequence[int],
               children_counts: Sequence[Sequence[int]]) -> float:
         """Score one partition given parent and per-child class counts."""
@@ -63,9 +113,15 @@ class SplitCriterion:
 
 
 class _ImpurityDecrease(SplitCriterion):
-    """I(parent) - Σ w_i · I(child_i) for the impurity measure ``I``."""
+    """I(parent) - Σ w_i · I(child_i) for the impurity measure ``I``.
+
+    ``mass`` is ``impurity``'s array form — rows of class counts and
+    their sizes -> each row's impurity times its size — or None for
+    none; a subclass that replaces one replaces the other with it.
+    """
 
     impurity = staticmethod(entropy)
+    mass: Any = None
 
     def scorer(self, parent_counts: Sequence[int]) -> Scorer:
         total = sum(parent_counts)
@@ -82,11 +138,29 @@ class _ImpurityDecrease(SplitCriterion):
 
         return score
 
+    def binary_scores(self, parent_counts: Sequence[int],
+                      inside: Any) -> Any:
+        mass_of = self.mass
+        total = sum(parent_counts)
+        # The expression below spells *this* class's scorer: a subclass
+        # that overrides ``scorer`` is prefiltered by its own instead.
+        if (mass_of is None or total == 0
+                or type(self).scorer is not _ImpurityDecrease.scorer):
+            return super().binary_scores(parent_counts, inside)
+        # Both sides of every candidate in one array: insides first.
+        children = np.concatenate(
+            (inside, np.asarray(parent_counts) - inside)
+        ).astype(np.float64)
+        mass = mass_of(children, children.sum(axis=1))
+        n = len(inside)
+        return self.impurity(parent_counts) - (mass[:n] + mass[n:]) / total
+
 
 class InformationGain(_ImpurityDecrease):
     """ID3's information gain: H(parent) - Σ w_i · H(child_i)."""
 
     name = "entropy"
+    mass = staticmethod(_entropy_mass)
 
 
 class GiniGain(_ImpurityDecrease):
@@ -94,6 +168,7 @@ class GiniGain(_ImpurityDecrease):
 
     name = "gini"
     impurity = staticmethod(gini)
+    mass = staticmethod(_gini_mass)
 
 
 class GainRatio(SplitCriterion):

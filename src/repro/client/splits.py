@@ -6,10 +6,16 @@ Two split families, matching the paper's experiments:
   the experiments grow ("only binary trees were grown from the data"),
 * **multiway** complete splits (one child per present value).
 
-Tie-breaking is fully deterministic — (score, attribute name, value) —
-which is what makes the middleware-grown tree provably identical to an
-in-memory reference grower: both call this module on identical CC
-tables.
+The search reads a node's counts as the one 2-D array the CC table
+holds them in (``CCTable.counts``): every binary candidate is scored in
+the criterion's *array* form, one vector expression per node, and that
+score is only a prefilter — the candidates within
+:data:`SHORTLIST_MARGIN` of its maximum are re-scored by the *scalar*
+scorer, whose values alone decide (the few multiway candidates, one per
+attribute, go to it directly).  Tie-breaking is fully
+deterministic — (score, attribute name, value) — which is what makes
+the middleware-grown tree provably identical to an in-memory reference
+grower: both call this module on equal CC tables.
 """
 
 from __future__ import annotations
@@ -19,10 +25,17 @@ from typing import Any, Iterable, Optional
 from ..common.errors import ClientError
 from ..core.cc_table import CCTable, value_sort_key
 from ..core.filters import PathCondition
+from ..sqlengine.columnar import np
 from .criteria import SplitCriterion
 
 #: Scores within this tolerance are considered tied (floating point).
 SCORE_EPSILON = 1e-12
+
+#: How far below the best *array* score a candidate is still re-scored
+#: by the scalar scorer.  Scores are at most ``log2(n_classes)`` and the
+#: two forms differ by float rounding (~1e-15), so this is >= 1e5 times
+#: any such difference: the prefilter cannot drop a scalar maximum.
+SHORTLIST_MARGIN = 1e-9
 
 
 class ChildSpec:
@@ -67,6 +80,44 @@ class CandidateSplit:
         )
 
 
+def shortlist(cc: CCTable, criterion: SplitCriterion, binary: bool = True,
+              ) -> list[tuple[str, Any, list[list[int]]]]:
+    """The candidates that can hold the best score:
+    ``(attribute, pivot value or None, children's class counts)``.
+
+    All binary candidates of the node are scored in the criterion's
+    array form, one call on the table's count rows (``inside``;
+    ``outside`` is ``totals - inside``), and those within
+    :data:`SHORTLIST_MARGIN` of the maximum are kept.  The array form
+    is within float rounding of the scalar scorer, so every candidate
+    whose *scalar* score is the scalar maximum is in the list.  The
+    multiway candidates — one per attribute, nothing to do in one
+    expression — are all listed, unscored.
+    """
+    if not binary:
+        return [
+            (attribute, None, cc.vectors_of(attribute))
+            for attribute in cc.attributes
+            if cc.cardinality(attribute) >= 2
+        ]
+    totals = cc.class_totals()
+    inside = cc.counts
+    sizes = inside.sum(axis=1)
+    # A pair holding no row or every row leaves one side empty.
+    rows = np.flatnonzero((sizes > 0) & (sizes < cc.records))
+    if not rows.size:
+        return []
+    scores = criterion.binary_scores(totals, inside[rows])
+    rows = rows[scores >= scores.max() - SHORTLIST_MARGIN]
+    kept = inside[rows]
+    return [
+        (*cc.pair(row), [counts, rest])
+        for row, counts, rest in zip(
+            rows.tolist(), kept.tolist(), (totals - kept).tolist()
+        )
+    ]
+
+
 def best_split(cc: CCTable, criterion: SplitCriterion,
                binary: bool = True,
                min_gain: float = 0.0) -> Optional[CandidateSplit]:
@@ -75,57 +126,46 @@ def best_split(cc: CCTable, criterion: SplitCriterion,
     ``min_gain`` filters out splits whose score is not strictly above
     it (0.0 rejects zero-gain splits, which would loop forever).
 
-    One pass over the CC table keeps the best score and the candidates
-    tied at it; :meth:`CandidateSplit.sort_key` picks among those and
-    only the winner's children are built.
+    One flow for every criterion and both families: array scores ->
+    :func:`shortlist` (every multiway candidate is on it) -> the scalar
+    scorer on the shortlist, each distinct count vector once -> the
+    candidates tied at the best scalar score ->
+    :meth:`CandidateSplit.sort_key`.  Only the scalar scores decide, so
+    the split and its ``score`` are what scoring every candidate
+    through the scalar scorer would give; only the winner's children
+    are built.
     """
-    records = cc.records
-    if records == 0:
+    if cc.records == 0:
         raise ClientError("cannot split an empty node")
-    totals = cc.class_totals()
-    score_of = criterion.scorer(totals)
+    score_of = criterion.scorer(cc.class_totals())
     best_score = threshold = min_gain + SCORE_EPSILON
     kind = "binary" if binary else "multiway"
-    tied: list[CandidateSplit] = []  # the candidates at best_score
+    #: The candidates at best_score, each with its children's counts.
+    tied: list[tuple[CandidateSplit, list[list[int]]]] = []
     #: Equal count vectors score equally: each distinct one is scored once.
-    scores: dict[tuple[int, ...], float] = {}
-    view = cc.by_attribute()
-    for attribute, vectors in view.items():
-        if binary:
-            for value, inside in vectors.items():
-                if not 0 < sum(inside) < records:
-                    continue  # one side would be empty
-                key = tuple(inside)
-                score = scores.get(key)
-                if score is None:
-                    outside = [t - i for t, i in zip(totals, inside)]
-                    score = scores[key] = score_of((inside, outside))
-                if score >= best_score and score > threshold:
-                    if score > best_score:
-                        best_score, tied = score, []
-                    tied.append(
-                        CandidateSplit(attribute, kind, value, [], score)
-                    )
-        elif len(vectors) >= 2:
-            score = score_of([vectors[v] for v in cc.values_of(attribute)])
-            if score >= best_score and score > threshold:
-                if score > best_score:
-                    best_score, tied = score, []
-                tied.append(CandidateSplit(attribute, kind, None, [], score))
+    scores: dict[tuple[tuple[int, ...], ...], float] = {}
+    for attribute, value, children in shortlist(cc, criterion, binary):
+        key = tuple(map(tuple, children))
+        score = scores.get(key)
+        if score is None:
+            score = scores[key] = score_of(children)
+        if score >= best_score and score > threshold:
+            if score > best_score:
+                best_score, tied = score, []
+            tied.append(
+                (CandidateSplit(attribute, kind, value, [], score), children)
+            )
     if not tied:
         return None
-    split = min(tied, key=CandidateSplit.sort_key)
-    vectors = view[split.attribute]
+    split, children = min(tied, key=lambda item: item[0].sort_key())
     if binary:
-        inside = vectors[split.value]
-        outside = [t - i for t, i in zip(totals, inside)]
-        edges = [("=", split.value, inside), ("<>", split.value, outside)]
+        edges = [("=", split.value), ("<>", split.value)]
     else:
-        edges = [("=", v, vectors[v]) for v in cc.values_of(split.attribute)]
+        edges = [("=", value) for value in cc.values_of(split.attribute)]
     split.children = [
         ChildSpec(PathCondition(split.attribute, op, value), sum(counts),
                   counts)
-        for op, value, counts in edges
+        for (op, value), counts in zip(edges, children)
     ]
     return split
 

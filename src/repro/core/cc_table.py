@@ -7,9 +7,22 @@ the vector of co-occurrence counts with each class value
 
 The paper stores CC tables as binary trees sorted so that "retrieving a
 vector of counts for the states of a class correlated with a particular
-attribute and its state is efficient".  Here each ``(attribute, value)``
-pair maps to a dense per-class count vector, giving the same O(1)
-vector retrieval; iteration is explicitly sorted.
+attribute and its state is efficient".  Here the counts *are* vectors:
+a table is one 2-D ``int64`` array, one row per ``(attribute, value)``
+pair, the pairs of an attribute adjacent, and the values kept beside it
+as the Python objects they are (``None``, ``str``, ``int``, mixed).
+Every read goes through that form:
+
+* a scan counts a whole batch at once: the kernel's per-partition
+  arrays fold into one :class:`BatchCounts`
+  (:meth:`CCTable.merge_block`) and each node's table is *cut* from it
+  after the last partition as views — no per-node, per-pair work;
+* the row-at-a-time writers (:meth:`CCTable.count_row`,
+  :meth:`CCTable.add_counts`, :meth:`CCTable.merge`) buffer into a
+  ``{(attribute, value): counts}`` dict that the next read turns into
+  the arrays; a write to a table in array form copies it back into a
+  buffer first, so a table cut from a batch never writes through to
+  its siblings.
 
 Memory accounting: one ``(attribute, value)`` pair costs
 ``PAIR_KEY_BYTES + BYTES_PER_COUNT * n_classes`` simulated bytes, and
@@ -18,15 +31,20 @@ every size the scheduler reasons about is expressed in *pairs*.
 
 from __future__ import annotations
 
-from operator import add
+from bisect import bisect_right
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..common.errors import MiddlewareError
+from ..sqlengine.columnar import np
 
 #: Simulated bytes for one (attribute, value) key.
 PAIR_KEY_BYTES = 8
 #: Simulated bytes for one class counter.
 BYTES_PER_COUNT = 4
+
+#: A batch key is ``(slot * stride + column) << CODE_BITS | value code``.
+CODE_BITS = 32
+_CODE_MASK = (1 << CODE_BITS) - 1
 
 
 def bytes_for_pairs(n_pairs: int, n_classes: int) -> int:
@@ -46,20 +64,121 @@ def value_sort_key(value: Any) -> tuple[bool, str, Any]:
 class CCTable:
     """Co-occurrence counts of (attribute, value) with the class."""
 
-    __slots__ = ("attributes", "n_classes", "_vectors", "_records",
-                 "_class_totals", "_view")
+    __slots__ = ("attributes", "n_classes", "_records", "_class_totals",
+                 "_pending", "_counts", "_codes", "_bounds", "_names",
+                 "_columns", "_domains", "_row_of")
 
     def __init__(self, attributes: Iterable[str], n_classes: int) -> None:
         if n_classes < 1:
             raise MiddlewareError("CC table needs at least one class")
         self.attributes = tuple(attributes)
         self.n_classes = n_classes
-        #: (attribute, value) -> list of class counts
-        self._vectors: dict[tuple[str, Any], list[int]] = {}
         self._records = 0
         self._class_totals: list[int] = [0] * n_classes
-        #: The cached :meth:`by_attribute` view and its pair count.
-        self._view: tuple[int, dict[str, dict[Any, list[int]]]] = (-1, {})
+        #: The writers' buffer, (attribute, value) -> list of class
+        #: counts; None while the table is in array form.
+        self._pending: dict[tuple[str, Any], list[int]] | None = {}
+        # The array form (see :meth:`_adopt`), valid while ``_pending``
+        # is None.
+        self._counts: Any = None
+        self._codes: Any = None
+        self._bounds: Sequence[int] = ()
+        self._names: Sequence[str] = ()
+        self._columns: Mapping[str, int] = {}
+        self._domains: Sequence[Sequence[Any]] = ()
+        #: (attribute, value) -> pair row, built by the first lookup.
+        self._row_of: dict[tuple[str, Any], int] | None = None
+
+    @classmethod
+    def _cut(cls, attributes: tuple[str, ...], n_classes: int,
+             records: int, class_totals: list[int],
+             *arrays: Any) -> CCTable:
+        """A table in array form over ``arrays`` (see :meth:`_adopt`),
+        which it does not copy."""
+        table = cls.__new__(cls)
+        table.attributes = attributes
+        table.n_classes = n_classes
+        table._records = records
+        table._class_totals = class_totals
+        table._adopt(*arrays)
+        return table
+
+    # -- the two forms -----------------------------------------------------
+
+    def _buffer(self) -> dict[tuple[str, Any], list[int]]:
+        """The writers' buffer; a table in array form is copied into
+        one first (its arrays may be views of a whole batch)."""
+        if self._pending is None:
+            self._pending = self._pairs()
+            self._counts = self._codes = self._row_of = None
+        return self._pending
+
+    def _freeze(self) -> None:
+        """Turn the writers' buffer into the array form (every read)."""
+        pending = self._pending
+        if pending is None:
+            return
+        if np is None:
+            raise MiddlewareError(
+                "CC tables are read as numpy arrays and numpy is not "
+                "importable; install numpy (a declared dependency)"
+            )
+        names = self.attributes
+        columns = {attribute: i for i, attribute in enumerate(names)}
+        domains: list[list[Any]] = [[] for _ in names]
+        vectors: list[list[list[int]]] = [[] for _ in names]
+        for (attribute, value), vector in pending.items():
+            column = columns[attribute]
+            domains[column].append(value)
+            vectors[column].append(vector)
+        bounds = [0]
+        for domain in domains:
+            bounds.append(bounds[-1] + len(domain))
+        counts = np.array(
+            [vector for block in vectors for vector in block],
+            dtype=np.int64,
+        ).reshape(bounds[-1], self.n_classes)
+        codes = np.fromiter(
+            (code for domain in domains for code in range(len(domain))),
+            dtype=np.int64, count=bounds[-1],
+        )
+        counts.flags.writeable = codes.flags.writeable = False
+        self._adopt(counts, codes, bounds, names, columns, domains)
+
+    def _adopt(self, counts: Any, codes: Any, bounds: Sequence[int],
+               names: Sequence[str], columns: Mapping[str, int],
+               domains: Sequence[Sequence[Any]]) -> None:
+        """Take the array form: pair ``i`` has the class counts
+        ``counts[i]`` (2-D ``int64``) and the value
+        ``domains[c][codes[i]]``, ``c`` being the column whose pairs are
+        rows ``bounds[c]:bounds[c + 1]``; ``names[c]`` is the column's
+        attribute and ``columns`` the inverse mapping.  A column outside
+        :attr:`attributes` has no rows."""
+        self._pending = None
+        self._counts, self._codes, self._bounds = counts, codes, bounds
+        self._names, self._columns, self._domains = names, columns, domains
+        self._row_of = None
+
+    def _column_values(self, column: int) -> list[Any]:
+        """The values of one column's pairs, in row order."""
+        first, last = self._bounds[column], self._bounds[column + 1]
+        if first == last:
+            return []
+        domain = self._domains[column]
+        return [domain[code] for code in self._codes[first:last].tolist()]
+
+    def _keys(self) -> list[tuple[str, Any]]:
+        """``(attribute, value)`` of every pair, in row order."""
+        self._freeze()
+        return [
+            (attribute, value)
+            for column, attribute in enumerate(self._names)
+            for value in self._column_values(column)
+        ]
+
+    def _pairs(self) -> dict[tuple[str, Any], list[int]]:
+        """Every pair with a fresh copy of its counts."""
+        return dict(zip(self._keys(), self._counts.tolist()))
 
     # -- updates ---------------------------------------------------------
 
@@ -75,7 +194,7 @@ class CCTable:
         if not 0 <= class_label < self.n_classes:
             # Unchecked, a label of -1 would count as the last class.
             raise MiddlewareError(f"class label {class_label} out of range")
-        vectors = self._vectors
+        vectors = self._buffer()
         new_pairs = 0
         for attribute in self.attributes:
             key = (attribute, values_by_attribute[attribute])
@@ -93,7 +212,7 @@ class CCTable:
         self, values_by_attribute: Mapping[str, Any]
     ) -> int:
         """How many new pairs counting this record would create."""
-        vectors = self._vectors
+        vectors = self._buffer()
         return sum(
             1
             for attribute in self.attributes
@@ -112,11 +231,12 @@ class CCTable:
             raise MiddlewareError(f"unexpected attribute {attribute!r}")
         if not 0 <= class_label < self.n_classes:
             raise MiddlewareError(f"class label {class_label} out of range")
+        vectors = self._buffer()
         key = (attribute, value)
-        vector = self._vectors.get(key)
+        vector = vectors.get(key)
         if vector is None:
             vector = [0] * self.n_classes
-            self._vectors[key] = vector
+            vectors[key] = vector
         vector[class_label] += count
         self._class_totals[class_label] += count
 
@@ -155,7 +275,8 @@ class CCTable:
     @property
     def n_pairs(self) -> int:
         """Number of distinct (attribute, value) pairs."""
-        return len(self._vectors)
+        self._freeze()
+        return len(self._codes)
 
     @property
     def size_bytes(self) -> int:
@@ -166,33 +287,39 @@ class CCTable:
         """Per-class record counts at this node (a copy)."""
         return list(self._class_totals)
 
+    @property
+    def counts(self) -> Any:
+        """Every pair's class counts: a read-only ``int64`` array of
+        shape ``(n_pairs, n_classes)``, an attribute's pairs adjacent.
+        :meth:`pair` names the pair behind a row."""
+        self._freeze()
+        return self._counts
+
+    def pair(self, row: int) -> tuple[str, Any]:
+        """``(attribute, value)`` of row ``row`` of :attr:`counts`."""
+        self._freeze()
+        if not 0 <= row < len(self._codes):
+            raise IndexError(f"no pair at row {row}")
+        column = bisect_right(self._bounds, row) - 1
+        return (self._names[column],
+                self._domains[column][int(self._codes[row])])
+
     def vector(self, attribute: str, value: Any) -> list[int]:
         """Class-count vector for ``(attribute, value)`` (a copy).
 
         Unseen pairs return a zero vector — a value absent from the
         node's data simply never co-occurred.
         """
-        vector = self._vectors.get((attribute, value))
-        if vector is None:
+        row_of = self._row_of
+        if row_of is None:
+            row_of = self._row_of = {
+                pair: row for row, pair in enumerate(self._keys())
+            }
+        row = row_of.get((attribute, value))
+        if row is None:
             return [0] * self.n_classes
-        return list(vector)
-
-    def by_attribute(self) -> Mapping[str, Mapping[Any, Sequence[int]]]:
-        """The table grouped per attribute: ``attribute -> {value: counts}``.
-
-        Every attribute of the node is present (in :attr:`attributes`
-        order); values come in first-counted order.  Built in one pass
-        over the pairs and kept: pairs are only ever added and the view
-        shares the live count vectors (read-only for callers), so it is
-        current for as long as it holds every pair of the table.
-        """
-        n_pairs, view = self._view
-        if n_pairs != len(self._vectors):
-            view = {attribute: {} for attribute in self.attributes}
-            for (attribute, value), vector in self._vectors.items():
-                view[attribute][value] = vector
-            self._view = (len(self._vectors), view)
-        return view
+        vector: list[int] = self._counts[row].tolist()
+        return vector
 
     def values_of(self, attribute: str) -> list[Any]:
         """Sorted values ``attribute`` takes in the node's data.
@@ -200,18 +327,42 @@ class CCTable:
         NULL-safe: a None value (possible when mining tables loaded
         with validation off) sorts first.
         """
-        return sorted(self.by_attribute().get(attribute, ()),
-                      key=value_sort_key)
+        self._freeze()
+        column = self._columns.get(attribute)
+        if column is None:
+            return []
+        return sorted(self._column_values(column), key=value_sort_key)
+
+    def vectors_of(self, attribute: str) -> list[list[int]]:
+        """The class-count vectors of ``attribute``'s pairs, one per
+        value of :meth:`values_of` and in its order (copies)."""
+        self._freeze()
+        column = self._columns.get(attribute)
+        if column is None:
+            return []
+        first, last = self._bounds[column], self._bounds[column + 1]
+        ordered = sorted(
+            zip(self._column_values(column), self._counts[first:last].tolist()),
+            key=lambda pair: value_sort_key(pair[0]),
+        )
+        return [vector for _, vector in ordered]
 
     def cardinality(self, attribute: str) -> int:
         """``card(n, A)`` — distinct values of ``attribute`` at the node."""
-        return len(self.by_attribute().get(attribute, ()))
+        self._freeze()
+        column = self._columns.get(attribute)
+        if column is None:
+            return 0
+        return self._bounds[column + 1] - self._bounds[column]
 
     def pair_count_by_attribute(self) -> dict[str, int]:
         """Mapping attribute -> cardinality (for estimators)."""
+        self._freeze()
+        bounds, columns = self._bounds, self._columns
         return {
-            attribute: len(vectors)
-            for attribute, vectors in self.by_attribute().items()
+            attribute: bounds[columns[attribute] + 1]
+            - bounds[columns[attribute]]
+            for attribute in self.attributes
         }
 
     def rows(self) -> list[tuple[str, Any, int, int]]:
@@ -221,7 +372,7 @@ class CCTable:
         """
         out: list[tuple[str, Any, int, int]] = []
         ordered = sorted(
-            self._vectors.items(),
+            self._pairs().items(),
             key=lambda item: (item[0][0], value_sort_key(item[0][1])),
         )
         for (attribute, value), vector in ordered:
@@ -235,18 +386,19 @@ class CCTable:
 
         CC tables are purely additive: counts built over disjoint row
         partitions merge *exactly*, and merging is commutative and
-        associative, so per-worker partials from a parallel scan can be
-        absorbed in any completion order and still equal the serial
-        count.  This is the contract the parallel scan executor (and
-        :meth:`merged`) relies on.  Returns ``self``.
+        associative, so partial tables can be absorbed in any order and
+        still equal the serial count (:meth:`merged` relies on it; a
+        scan's partitions fold through :meth:`merge_block`, the same
+        addition for a whole batch at once).  Returns ``self``.
         """
         if (other.attributes != self.attributes
                 or other.n_classes != self.n_classes):
             raise MiddlewareError("cannot merge CC tables of different shape")
-        for (attribute, value), vector in other._vectors.items():
-            mine = self._vectors.get((attribute, value))
+        vectors = self._buffer()
+        for key, vector in other._pairs().items():
+            mine = vectors.get(key)
             if mine is None:
-                self._vectors[(attribute, value)] = list(vector)
+                vectors[key] = vector
             else:
                 for class_label, count in enumerate(vector):
                     mine[class_label] += count
@@ -255,36 +407,54 @@ class CCTable:
             self._class_totals[class_label] += count
         return self
 
-    def merge_block(self, n_records: int, class_totals: Sequence[int],
-                    blocks: Iterable[tuple[str, Sequence[Any],
-                                           Sequence[list[int]]]]) -> None:
-        """Fold one vectorized partial: pre-aggregated count blocks.
+    @staticmethod
+    def merge_block(batch: BatchCounts, records: Any, totals: Any,
+                    prefix: Any, value_index: Any, counts: Any,
+                    values: Iterable[tuple[int, Sequence[Any]]]) -> None:
+        """Fold one partition's kernel payload into a scan's batch.
 
-        The counting kernel returns, per attribute, the distinct values
-        it saw and their per-class count vectors (zero vectors already
-        omitted).  Folding them is the same additive merge as
-        :meth:`merge`, just without materializing a partial
-        :class:`CCTable` per partition.  The blocks are consumed: a
-        pair new to this table adopts the block's freshly built vector
-        instead of copying it.
+        The same additive merge as :meth:`merge`, for every node of the
+        batch and every attribute in one pass
+        (``vector_kernel.count_partition_columnar`` describes the
+        payload).  Each partition was encoded with its own dictionary,
+        so its *distinct* values — not its pairs — are looked up in the
+        scan's value -> code maps; the pairs then become integer keys
+        that one stable sort orders and one ``searchsorted`` lines up
+        with the keys already merged.  ``counts`` is consumed.
         """
-        vectors = self._vectors
-        for attribute, values, counts in blocks:
-            for value, vector in zip(values, counts):
-                mine = vectors.get((attribute, value))
-                if mine is None:
-                    vectors[(attribute, value)] = vector
-                else:
-                    # In place: ``by_attribute`` views share the list.
-                    mine[:] = map(add, mine, vector)
-        self._records += n_records
-        for class_label, count in enumerate(class_totals):
-            self._class_totals[class_label] += count
+        batch.records += records
+        batch.totals += totals
+        if not prefix.size:
+            return
+        codes: list[int] = []
+        for column, distinct in values:
+            code_of = batch.codes.setdefault(column, {})
+            codes.extend(
+                code_of.setdefault(value, len(code_of)) for value in distinct
+            )
+        keys = (prefix << CODE_BITS) | np.array(codes, dtype=np.int64)[
+            value_index
+        ]
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        if not batch.keys.size:
+            batch.keys, batch.counts = keys, counts
+            return
+        at = np.searchsorted(batch.keys, keys)
+        known = batch.keys[np.minimum(at, batch.keys.size - 1)] == keys
+        # A partition holds each key once, so the fancy add is exact.
+        if known.all():
+            batch.counts[at] += counts
+            return
+        batch.counts[at[known]] += counts[known]
+        new = ~known
+        batch.keys = np.insert(batch.keys, at[new], keys[new])
+        batch.counts = np.insert(batch.counts, at[new], counts[new], axis=0)
 
     @classmethod
     def merged(cls, attributes: Iterable[str], n_classes: int,
                partials: Iterable[CCTable]) -> CCTable:
-        """Sum of additive partial tables (the parallel-scan merge).
+        """Sum of additive partial tables.
 
         Builds one table of the given shape and folds every partial
         in; by the :meth:`merge` contract the result is independent of
@@ -301,7 +471,7 @@ class CCTable:
             and self.attributes == other.attributes
             and self.n_classes == other.n_classes
             and self._records == other._records
-            and self._vectors == other._vectors
+            and self._pairs() == other._pairs()
         )
 
     def __repr__(self) -> str:
@@ -309,3 +479,71 @@ class CCTable:
             f"CCTable(records={self._records}, pairs={self.n_pairs}, "
             f"attributes={len(self.attributes)})"
         )
+
+
+class BatchCounts:
+    """One scan's counts, for every node of its batch at once.
+
+    The accumulator :meth:`CCTable.merge_block` folds partitions into:
+    ``keys`` (sorted, unique) spell ``(slot, column, value code)`` and
+    ``counts[i]`` is the class-count vector of ``keys[i]``; ``codes``
+    maps, per column, each value the scan has met to its code, in
+    first-met order.  Memory is the merged pairs plus the partition
+    being folded, whatever the value range.  After the last partition
+    :meth:`tables` cuts every node's :class:`CCTable` out as views.
+    """
+
+    __slots__ = ("n_slots", "stride", "n_classes", "records", "totals",
+                 "keys", "counts", "codes")
+
+    def __init__(self, n_slots: int, stride: int, n_classes: int) -> None:
+        if n_slots * stride >= 1 << (62 - CODE_BITS):
+            raise MiddlewareError(
+                f"a batch of {n_slots} nodes x {stride} columns does not "
+                "fit the count key"
+            )
+        self.n_slots = n_slots
+        self.stride = stride
+        self.n_classes = n_classes
+        self.records = np.zeros(n_slots, dtype=np.int64)
+        self.totals = np.zeros((n_slots, n_classes), dtype=np.int64)
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros((0, n_classes), dtype=np.int64)
+        #: column -> {value: code}; a dict hands out at most one code
+        #: per key, far fewer than ``2 ** CODE_BITS`` in any memory.
+        self.codes: dict[int, dict[Any, int]] = {}
+
+    def tables(self, attribute_lists: Iterable[Iterable[str]],
+               names: Sequence[str]) -> list[CCTable]:
+        """One table per slot, slot ``s`` listing ``attribute_lists[s]``.
+
+        ``names[c]`` is the attribute counted from column ``c``.  A
+        table is two slices and one bounds row of arrays computed for
+        the whole batch: no work per pair, none per (node, attribute).
+        The tables share this object's arrays read-only, each over its
+        own rows.
+        """
+        stride = self.stride
+        columns = {name: column for column, name in enumerate(names)}
+        edges = np.searchsorted(
+            self.keys >> CODE_BITS, np.arange(self.n_slots * stride + 1)
+        )
+        cuts = edges[::stride]
+        bounds = np.empty((self.n_slots, stride + 1), dtype=np.int64)
+        bounds[:, :-1] = edges[:-1].reshape(self.n_slots, stride)
+        bounds[:, -1] = cuts[1:]
+        bounds -= cuts[:-1, None]
+        counts, codes = self.counts, self.keys & _CODE_MASK
+        counts.flags.writeable = codes.flags.writeable = False
+        domains = [list(self.codes.get(column, ())) for column in range(stride)]
+        return [
+            CCTable._cut(
+                tuple(attributes), self.n_classes, records, totals,
+                counts[first:last], codes[first:last], offsets, names,
+                columns, domains,
+            )
+            for attributes, records, totals, offsets, first, last in zip(
+                attribute_lists, self.records.tolist(), self.totals.tolist(),
+                bounds.tolist(), cuts.tolist(), cuts[1:].tolist(),
+            )
+        ]

@@ -26,7 +26,7 @@ AUX_STRATEGIES = ("scan", "temp_table", "tid_join", "keyset", "auto")
 #: > 1; one worker counts inline and has no pool of either kind).
 #: Threads are the default (cheap, shares the routing kernel in
 #: place); the process pool sidesteps the GIL at the price of shipping
-#: partitions and count blocks across the boundary.
+#: partitions and count arrays across the boundary.
 SCAN_POOLS = ("thread", "process")
 
 
@@ -87,9 +87,9 @@ class MiddlewareConfig:
     #: overridable through ``$REPRO_SCAN_WORKERS``) is the calling
     #: thread alone — no pool, no helper thread: every partition is
     #: counted inline.  >1 counts a source's partitions into private
-    #: per-node count blocks in a worker pool and merges them
-    #: afterwards — CC tables are additive, so partial counts over
-    #: disjoint partitions merge exactly; a source that fits in one
+    #: count arrays in a worker pool and merges them afterwards —
+    #: CC tables are additive, so partial counts over disjoint
+    #: partitions merge exactly; a source that fits in one
     #: partition has nothing to overlap and is still counted inline.
     scan_workers: int = field(default_factory=_default_scan_workers)
     #: Worker-pool kind for the parallel executor: one of

@@ -11,10 +11,12 @@ middleware file and/or collected for middleware memory.
 There is one loop (:meth:`ExecutionModule._count_partitioned`):
 *source -> partition -> submit -> collect/merge -> stage -> admit*.
 The source is cut into ordered columnar partitions, each counted by
-the one kernel (:mod:`~repro.core.vector_kernel`) into *private*
-per-node count blocks that the coordinator folds into the real CC
-tables — CC tables are additive count structures, so partial counts
-over disjoint partitions merge exactly.  Two things plug in:
+the one kernel (:mod:`~repro.core.vector_kernel`) into a *private*
+payload of count arrays that the coordinator folds into the scan's
+:class:`~repro.core.cc_table.BatchCounts` — counts are additive, so
+partial counts over disjoint partitions merge exactly — and every
+node's CC table is cut from that, as views, after the last partition.
+Two things plug in:
 
 * a **partition source** (:class:`_PartitionSource`): columnar
   partitions streamed from the cursor, a staged file's blocks or
@@ -72,7 +74,7 @@ from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition, filter_supported, np
 from ..sqlengine.expr import TrueExpr
-from .cc_table import CCTable
+from .cc_table import BatchCounts, CCTable
 from .columnar_cache import (
     ColumnarScanCache,
     ColumnarScanPlan,
@@ -91,6 +93,7 @@ from .staging import (
     StagedFile,
 )
 from .trace import ExecutionTrace, ScheduleRecord
+from .vector_kernel import slot_layout
 
 
 # -- partition production ----------------------------------------------------
@@ -570,19 +573,16 @@ class _CachedPlanSource(_PartitionSource):
 class _NodeCount:
     """Per-node counting state within one scan."""
 
-    __slots__ = ("request", "cc", "reserved", "fallback", "deferred",
-                 "attr_positions")
+    __slots__ = ("request", "cc", "reserved", "fallback", "deferred")
 
-    def __init__(self, request: Any, cc: CCTable, reserved: int,
-                 attr_positions: tuple[tuple[str, int], ...]) -> None:
+    def __init__(self, request: Any, reserved: int) -> None:
         self.request = request
-        #: The node's CC table (None once the node is abandoned).
-        self.cc: Any = cc
+        #: The node's CC table: cut from the scan's batch counts after
+        #: the last partition, None again once the node is abandoned.
+        self.cc: Any = None
         self.reserved = reserved
         self.fallback = False
         self.deferred = False
-        #: Precomputed (attribute, column index) pairs for the kernel.
-        self.attr_positions = attr_positions
 
     @property
     def abandoned(self) -> bool:
@@ -713,15 +713,11 @@ class ExecutionModule:
     # -- setup ------------------------------------------------------------
 
     def _make_states(self, schedule: Any) -> list[_NodeCount]:
-        states = []
-        for request in schedule.batch:
-            cc = CCTable(request.attributes, self._spec.n_classes)
-            reserved = schedule.cc_reservations.get(request.node_id, 0)
-            positions = tuple(
-                (name, self._attr_index[name]) for name in request.attributes
-            )
-            states.append(_NodeCount(request, cc, reserved, positions))
-        return states
+        reservations = schedule.cc_reservations
+        return [
+            _NodeCount(request, reservations.get(request.node_id, 0))
+            for request in schedule.batch
+        ]
 
     def _file_targets(self, schedule: Any) -> list[Any]:
         """Nodes this scan writes a staged file for: planned + splits.
@@ -916,10 +912,17 @@ class ExecutionModule:
             [state.request.conditions for state in states],
             self._attr_index,
         )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
+        attr_index = self._attr_index
+        slots = slot_layout(
+            [state.request.node_id for state in states],
+            [[attr_index[name] for name in state.request.attributes]
+             for state in states],
+            len(attr_index),
+        )
+        #: Every partition's counts fold in here; the CC tables are
+        #: cut from it once, after the last one.
+        counts = BatchCounts(
+            len(states), slots.stride, self._spec.n_classes
         )
         n_probes = kernel.n_probes
 
@@ -949,8 +952,7 @@ class ExecutionModule:
             scan.rows_routed += result[2]
             scan.worker_seconds.append(result[5])
             merge_started = time.perf_counter()
-            for state, counted in zip(states, result[1]):
-                state.cc.merge_block(*counted)
+            CCTable.merge_block(counts, *result[1])
             scan.merge_seconds += time.perf_counter() - merge_started
 
             def rows_of(selections: dict[Any, Any]) -> dict[Any, Any]:
@@ -987,6 +989,12 @@ class ExecutionModule:
             source.close()
 
         source.settle()
+        tables = counts.tables(
+            [state.request.attributes for state in states],
+            self._spec.attribute_names,
+        )
+        for state, table in zip(states, tables):
+            state.cc = table
         self._admit_merged(states, scan)
         if not pool.inline:
             self._sizer.observe(scan.worker_seconds, partition_rows)

@@ -107,44 +107,42 @@ class RoutingKernel:
         by_attr: dict[str, dict[int, tuple[set[object], set[object]]]] = {}
         for slot, conditions in enumerate(compiled):
             for condition in conditions:
-                eq_values, ne_values = by_attr.setdefault(
-                    condition.attribute, {}
-                ).setdefault(slot, (set(), set()))
-                if condition.op == "=":
-                    eq_values.add(condition.value)
-                else:
-                    ne_values.add(condition.value)
+                constrained = by_attr.get(condition.attribute)
+                if constrained is None:
+                    constrained = by_attr[condition.attribute] = {}
+                pair = constrained.get(slot)
+                if pair is None:
+                    pair = constrained[slot] = (set(), set())
+                pair[condition.op != "="].add(condition.value)
 
         probes = []
         for attribute, constrained in by_attr.items():
-            interesting: set[object] = set()
-            for eq_values, ne_values in constrained.values():
-                interesting |= eq_values
-                interesting |= ne_values
             # Slots unconstrained on this attribute are viable for
-            # every value; slots with only exclusions are additionally
-            # viable for any value outside their exclusion set — in
-            # particular for every value not in ``interesting``.
-            default = 0
-            for slot in range(self.n_slots):
-                pair = constrained.get(slot)
-                if pair is None or not pair[0]:
-                    default |= 1 << slot
-            table: dict[object, int] = {}
-            for value in interesting:
-                mask = 0
-                for slot in range(self.n_slots):
-                    pair = constrained.get(slot)
-                    if pair is None:
-                        mask |= 1 << slot
-                        continue
-                    eq_values, ne_values = pair
-                    if eq_values and eq_values != {value}:
-                        continue
-                    if value in ne_values:
-                        continue
-                    mask |= 1 << slot
-                table[value] = mask
+            # every value, and so are slots with only exclusions for
+            # any value outside their exclusion set: ``default``, the
+            # mask of every value no condition names.  Each named
+            # value starts from it, and only the constrained slots'
+            # own conditions are visited — a ``<>``-only slot leaves
+            # the values it excludes, an ``=`` slot joins the one value
+            # it requires — so the work follows the conditions, not
+            # attributes x values x slots.
+            default = self._full_mask
+            for slot, (eq_values, _) in constrained.items():
+                if eq_values:
+                    default &= ~(1 << slot)
+            table: dict[object, int] = dict.fromkeys(
+                (value for pair in constrained.values()
+                 for values in pair for value in values),
+                default,
+            )
+            for slot, (eq_values, ne_values) in constrained.items():
+                if not eq_values:
+                    for value in ne_values:
+                        table[value] &= ~(1 << slot)
+                elif len(eq_values) == 1:
+                    (value,) = eq_values
+                    if value not in ne_values:
+                        table[value] |= 1 << slot
             probes.append((attr_index[attribute], table, default))
         self._probes = tuple(probes)
 

@@ -14,7 +14,6 @@ from collections import deque
 from typing import Any, Iterable, Sequence, Union
 
 from ..common.errors import MiddlewareError
-from ..sqlengine.expr import TRUE
 from .filters import path_predicate
 
 #: Opaque node identifier; the decision-tree client uses ints,
@@ -32,7 +31,7 @@ class CountsRequest:
         "attributes",
         "n_rows",
         "est_cc_pairs",
-        "predicate",
+        "_predicate",
     )
 
     def __init__(self, node_id: NodeId, lineage: Sequence[NodeId],
@@ -62,11 +61,20 @@ class CountsRequest:
         self.attributes = tuple(attributes)
         self.n_rows = int(n_rows)
         self.est_cc_pairs = int(est_cc_pairs)
-        self.predicate = path_predicate(self.conditions)
+        self._predicate: Any = None
+
+    @property
+    def predicate(self) -> Any:
+        """The AND of the path conditions as a SQL expression (TRUE
+        for the root).  Built on first read: only a pushed-filter
+        SERVER scan and the §4.1.1 SQL fallback ever ask."""
+        if self._predicate is None:
+            self._predicate = path_predicate(self.conditions)
+        return self._predicate
 
     @property
     def is_root(self) -> bool:
-        return self.predicate is TRUE or len(self.lineage) == 1
+        return not self.conditions or len(self.lineage) == 1
 
     def descends_from(self, node_id: NodeId) -> bool:
         """True if ``node_id`` is this node or one of its ancestors."""

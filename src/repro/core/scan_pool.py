@@ -44,11 +44,11 @@ partition tasks (:func:`count_partition_columnar`,
 :func:`count_partition_slice`) are the one way into the counting
 kernel for every worker count.
 
-Worker tasks return only additive, order-independent state (per-slot
-count blocks, routed counts, staged-row index arrays), so everything
-the coordinator merges is independent of completion order; staging
-output is applied strictly in partition order by the caller.  Workers
-never touch the memory budget, the cost meter, or any file.
+Worker tasks return only additive, order-independent state (one
+payload of count arrays, routed counts, staged-row index arrays), so
+everything the coordinator merges is independent of completion order;
+staging output is applied strictly in partition order by the caller.
+Workers never touch the memory budget, the cost meter, or any file.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def _count_columnar_pickled(
     partition: ColumnarPartition,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float]:
     """Process-pool task over a pickled columnar partition.
 
     The shipping path of a platform without shared memory: the
@@ -160,7 +161,8 @@ def _count_columnar_shm(
     handle: ShmPartitionHandle,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float]:
     """Process-pool task over a shared-memory partition handle.
 
     Only the handle (segment name + column offsets) was pickled; the
@@ -214,7 +216,8 @@ def _count_columnar_shm_slice(
     keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float, int]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float, int]:
     """Process-pool task over a slice of a persistent cached segment.
 
     Unlike :func:`_count_columnar_shm`, the attachment is *kept* across
@@ -239,7 +242,8 @@ def _count_columnar_pickled_slice(
     keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float, int]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float, int]:
     """Process-pool task over a pickled slice of a cached encoding.
 
     The fallback when the encoding has no persistent segment (no

@@ -46,7 +46,7 @@ class ScheduleRecord:
     #: Workers that counted the scan (1 = the calling thread alone, the
     #: inline executor).
     workers: int = 1
-    #: Seconds spent folding per-partition count blocks into CC tables.
+    #: Seconds spent folding the partitions' count arrays together.
     merge_seconds: float = 0.0
     #: Per-partition counting seconds as reported by the workers.
     worker_seconds: list[float] = field(default_factory=list)

@@ -18,13 +18,21 @@ A partition is counted in two array passes:
   ``group_counts`` uses, so working memory follows the routed rows,
   never the value range or the batch width.
 
-The result payload per slot is ``(records, class_totals, blocks)``
-where each block is ``(attribute, values, counts)`` with zero-count
-values left out — exactly the keys a row-at-a-time count would have
-created, so the folded tables compare equal (``CCTable.__eq__``) to
-``client.baselines.build_cc_from_rows`` over the rows
-``PathCondition.matches`` selects.  ``np.bincount`` and fancy indexing
-release the GIL, so a thread pool gets real parallelism out of this.
+The counts leave as arrays: per partition one payload of six objects —
+per-slot records and class totals, then every counted ``(slot,
+attribute, value)`` pair of the partition as a key-prefix array, a
+value-index array and one 2-D ``int64`` count array, zero-count pairs
+left out, plus each attribute's *distinct* values once as Python
+objects (:func:`count_partition_columnar`).  The number of arrays does
+not depend on the batch width and no count vector becomes a Python
+list here: ``CCTable.merge_block`` folds a payload into the scan's
+``BatchCounts`` with one sort and one ``searchsorted``, and every
+node's table is cut from that as views.  The pairs are exactly the keys
+a row-at-a-time count would have created, so the tables compare equal
+(``CCTable.__eq__``) to ``client.baselines.build_cc_from_rows`` over
+the rows ``PathCondition.matches`` selects.  ``np.bincount`` and fancy
+indexing release the GIL, so a thread pool gets real parallelism out
+of this.
 
 Class labels are checked on *routed* rows only, like a row loop would
 meet them: NULL and non-integer labels raise ``TypeError``, labels
@@ -34,7 +42,7 @@ outside ``[0, n_classes)`` raise ``IndexError`` naming the label.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from ..sqlengine.columnar import (
     DICT,
@@ -197,11 +205,50 @@ def _class_labels(column: Column, rows: Any, n_classes: int) -> Any:
     return labels
 
 
-def _count_attribute(attribute: str, column: Column, rows: Any,
-                     slot_of_pair: Any, labels: Any, n_slots: int,
-                     n_classes: int) -> list[Any]:
-    """One attribute's CC block ``(attribute, values, vectors)`` for
-    every slot at once, in slot order.
+class SlotLayout(NamedTuple):
+    """What the slots of one batch count (built by :func:`slot_layout`)."""
+
+    node_ids: tuple[Any, ...]
+    #: ``(position, listed)`` per column some slot lists, ascending:
+    #: ``listed`` is the boolean per-slot mask of the slots that list
+    #: it, or None when every slot does.
+    columns: tuple[tuple[int, Any], ...]
+    #: Attribute columns of the source: a counted pair's key prefix is
+    #: ``slot * stride + position``.
+    stride: int
+
+
+def slot_layout(node_ids: Sequence[Any],
+                positions: Sequence[Sequence[int]],
+                stride: int) -> SlotLayout:
+    """The layout of a batch whose slot ``s`` is node ``node_ids[s]``
+    counting the columns ``positions[s]`` (each below ``stride``)."""
+    listed = np.zeros((len(positions), stride), dtype=bool)
+    for slot, columns in enumerate(positions):
+        listed[slot, columns] = True
+    return SlotLayout(
+        tuple(node_ids),
+        tuple(
+            (position, None if listed[:, position].all()
+             else listed[:, position].copy())
+            for position in np.flatnonzero(listed.any(axis=0)).tolist()
+        ),
+        stride,
+    )
+
+
+def _count_attribute(column: Column, rows: Any, slot_of_pair: Any,
+                     labels: Any, n_slots: int, n_classes: int,
+                     listed: Any) -> tuple[Any, Any, list[Any], Any]:
+    """One attribute's counts for every slot at once:
+    ``(slots, value_index, values, counts)``.
+
+    Row ``i`` of ``counts`` is the class-count vector of slot
+    ``slots[i]`` with the value ``values[value_index[i]]``, rows in
+    (slot, value code) order, zero vectors and slots outside ``listed``
+    left out.  ``values`` holds each distinct value of the partition
+    once, as the Python object the column decodes to — everything else
+    is an array, whatever the batch width.
 
     The ``(slot, value)`` key is re-ranked when its span outgrows a
     small multiple of the pairs counted, so a sparse value range or a
@@ -210,23 +257,31 @@ def _count_attribute(attribute: str, column: Column, rows: Any,
     codes, width = _row_codes(column, rows)
     key = slot_of_pair * width + codes
     span = n_slots * width
+    ranked = None
     if span > 4 * key.size + 64:
-        distinct, key = np.unique(key, return_inverse=True)
-        span = int(distinct.size)
+        ranked, key = np.unique(key, return_inverse=True)
+        span = int(ranked.size)
     counts = np.bincount(
         key * n_classes + labels, minlength=span * n_classes
     ).reshape(span, n_classes)
     present = np.flatnonzero(counts.any(axis=1))
-    pair = _witness(key, present, span)
-    values = column.values_at(rows[pair])
-    vectors = counts[present].tolist()
-    starts = np.searchsorted(
-        slot_of_pair[pair], np.arange(n_slots + 1)
-    ).tolist()
-    return [
-        (attribute, values[first:last], vectors[first:last])
-        for first, last in zip(starts, starts[1:])
-    ]
+    slots, code_of_pair = np.divmod(
+        present if ranked is None else ranked[present], width
+    )
+    if listed is not None:
+        wanted = listed[slots]
+        present = present[wanted]
+        slots, code_of_pair = slots[wanted], code_of_pair[wanted]
+    seen = np.zeros(width, dtype=bool)
+    seen[code_of_pair] = True
+    used = np.flatnonzero(seen)
+    value_index = (np.cumsum(seen) - 1)[code_of_pair]
+    if column.kind == DICT:
+        assert column.values is not None
+        values = [column.values[code] for code in used.tolist()]
+    else:
+        values = column.values_at(rows[_witness(codes, used, width)])
+    return slots, value_index, values, counts[present]
 
 
 def count_partition_columnar(
@@ -236,68 +291,80 @@ def count_partition_columnar(
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
     keep: Optional[Any] = None,
-) -> tuple[int, list[tuple[int, list[int], list[Any]]], int,
-           dict[Any, Any], dict[Any, Any], float]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float]:
     """Count one columnar partition against a routing context.
 
-    Returns ``(seq, payloads, routed, writes, captures, seconds)``:
-    per-slot count *blocks* (``CCTable.merge_block`` folds them) and
-    staging/capture output as ascending selected-row *index arrays* —
-    the coordinator decodes them back to row tuples from its pinned
-    copy of the partition, so no row tuple crosses the worker boundary.
+    Returns ``(seq, payload, routed, writes, captures, seconds)``.
+    The payload is what ``CCTable.merge_block`` folds into the scan's
+    :class:`~repro.core.cc_table.BatchCounts`:
+    ``(records, totals, prefix, value_index, counts, values)`` —
+    ``records[n_slots]`` and ``totals[n_slots, n_classes]`` per slot,
+    then every counted pair of the partition, all attributes end to
+    end: pair ``i`` belongs to key prefix ``prefix[i]``
+    (``slot * stride + position``), spells the value
+    ``value_index[i]`` indexes in the flattened ``values`` lists
+    (``[(position, distinct values), ...]``) and has the class counts
+    ``counts[i]``.  Six objects and one short list per attribute,
+    whatever the number of slots.  Staging/capture output is ascending
+    selected-row *index arrays* — the coordinator decodes them back to
+    row tuples from its pinned copy of the partition, so no row tuple
+    crosses the worker boundary.
 
     ``keep`` (optional boolean mask) restricts counting to qualifying
     rows: the cached scan path hands workers full-table partitions and
     applies the batch filter here instead of at the cursor.
     """
-    kernel, slots, class_index, n_classes = ctx
+    kernel, layout, class_index, n_classes = ctx
     started = time.perf_counter()
-    n_slots = len(slots)
+    n_slots = len(layout.node_ids)
     rows, bounds, routed = routed_pairs(
         route_masks(kernel, partition, keep), n_slots
     )
+    records = np.diff(bounds)
+    totals = np.zeros((n_slots, n_classes), dtype=np.int64)
+    prefixes = [np.zeros(0, dtype=np.int64)]
+    indexes = [np.zeros(0, dtype=np.int64)]
+    blocks = [totals[:0]]
+    values: list[tuple[int, list[Any]]] = []
     if routed:
-        slot_of_pair = np.repeat(np.arange(n_slots), np.diff(bounds))
+        slot_of_pair = np.repeat(np.arange(n_slots), records)
         labels = _class_labels(
             partition.columns[class_index], rows, n_classes
         )
         totals = np.bincount(
             slot_of_pair * n_classes + labels,
             minlength=n_slots * n_classes,
-        ).reshape(n_slots, n_classes).tolist()
+        ).reshape(n_slots, n_classes)
         # Every attribute some slot lists is counted over all the
-        # pairs; a slot then picks the blocks of the attributes it
-        # asked for (the others cost one vector pass, not a Python one).
-        counted = {
-            position: _count_attribute(
-                attribute, partition.columns[position], rows,
-                slot_of_pair, labels, n_slots, n_classes,
+        # pairs (one vector pass); the slots that do not list it are
+        # dropped from the few counted pairs, not from the rows.
+        n_values = 0
+        for position, listed in layout.columns:
+            slots, value_index, distinct, counts = _count_attribute(
+                partition.columns[position], rows, slot_of_pair, labels,
+                n_slots, n_classes, listed,
             )
-            for attribute, position in set().union(
-                *(attr_positions for _, _, attr_positions in slots)
-            )
-        }
-    bounds_list = bounds.tolist()
+            prefixes.append(slots * layout.stride + position)
+            indexes.append(value_index + n_values)
+            blocks.append(counts)
+            values.append((position, distinct))
+            n_values += len(distinct)
+    payload = (records, totals, np.concatenate(prefixes),
+               np.concatenate(indexes), np.concatenate(blocks), values)
     stage_set = set(stage_nodes)
     capture_set = set(capture_nodes)
-    payloads: list[tuple[int, list[int], list[Any]]] = []
     writes: dict[Any, Any] = {}
     captures: dict[Any, Any] = {}
-    for slot, (node_id, _attributes, attr_positions) in enumerate(slots):
-        first, last = bounds_list[slot], bounds_list[slot + 1]
-        if routed:
-            payloads.append((last - first, totals[slot], [
-                counted[position][slot] for _, position in attr_positions
-            ]))
-        else:
-            payloads.append((0, [0] * n_classes, [
-                (attribute, [], []) for attribute, _ in attr_positions
-            ]))
-        if node_id in stage_set:
-            writes[node_id] = rows[first:last]
-        if node_id in capture_set:
-            captures[node_id] = rows[first:last]
-    return seq, payloads, routed, writes, captures, \
+    if stage_set or capture_set:
+        bounds_list = bounds.tolist()
+        for slot, node_id in enumerate(layout.node_ids):
+            selection = rows[bounds_list[slot]:bounds_list[slot + 1]]
+            if node_id in stage_set:
+                writes[node_id] = selection
+            if node_id in capture_set:
+                captures[node_id] = selection
+    return seq, payload, routed, writes, captures, \
         time.perf_counter() - started
 
 
@@ -310,8 +377,8 @@ def count_partition_slice(
     keep_spec: Optional[tuple[Any, dict[str, int]]],
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-) -> tuple[int, list[tuple[int, list[int], list[Any]]], int,
-           dict[Any, Any], dict[Any, Any], float, int]:
+) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
+           float, int]:
     """Count rows ``[start, stop)`` of a cached full-table partition.
 
     The cached scan path's worker entry: slices the shared encoding
@@ -332,21 +399,23 @@ def count_partition_slice(
         expr, attr_index = keep_spec
         keep = predicate_mask(piece, expr, attr_index)
         seen = int(np.count_nonzero(keep))
-    out_seq, payloads, routed, writes, captures, _ = (
+    out_seq, payload, routed, writes, captures, _ = (
         count_partition_columnar(
             ctx, seq, piece, stage_nodes, capture_nodes, keep=keep
         )
     )
-    return (out_seq, payloads, routed, writes, captures,
+    return (out_seq, payload, routed, writes, captures,
             time.perf_counter() - started, seen)
 
 
 __all__ = [
     "LIMB_BITS",
+    "SlotLayout",
     "count_partition_columnar",
     "count_partition_slice",
     "filter_supported",
     "predicate_mask",
     "route_masks",
     "routed_pairs",
+    "slot_layout",
 ]

@@ -194,6 +194,7 @@ class TestResourceLeaks:
     def test_submitted_futures_close_on_completion(self):
         from repro.core.filters import RoutingKernel
         from repro.core.scan_pool import ScanWorkerPool
+        from repro.core.vector_kernel import slot_layout
         from repro.sqlengine.columnar import ColumnarPartition
 
         sanitizer = Sanitizer()
@@ -201,7 +202,9 @@ class TestResourceLeaks:
         try:
             pool = ScanWorkerPool("thread", 2)
             # No slot: every row routes nowhere.
-            pool.install("sig", RoutingKernel([], {}), [], 0, 2)
+            pool.install(
+                "sig", RoutingKernel([], {}), slot_layout([], [], 1), 0, 2
+            )
             partition = ColumnarPartition.from_rows([(0, 0)])
             futures = [
                 pool.submit_columnar(i, partition, [], []) for i in range(4)

@@ -175,12 +175,13 @@ class TestNullPivotOrdering:
 
 
 class TestWorkPerNode:
-    """Counts, not timings: one node costs one pass over the pairs.
+    """Counts, not timings: one node costs one array expression.
 
-    Guards the shape of the search — the pairs walked once, the parent
-    impurity evaluated once, each distinct count vector scored once and
-    children built for the winner only — against sliding back to a
-    re-scan per attribute with per-candidate objects.
+    Guards the shape of the search — every binary candidate scored by
+    one call of the criterion's array form, the scalar scorer run on
+    the shortlist only (each distinct count vector once) and children
+    built for the winner only — against
+    sliding back to a scalar score per candidate.
     """
 
     #: A3 repeats A1, so 8 pairs carry 5 distinct count vectors.
@@ -196,14 +197,10 @@ class TestWorkPerNode:
                                   ("A1", "A2", "A3"))
 
     def test_one_pass_and_only_the_winner_is_built(self, monkeypatch):
-        plain = self.table()
-        totals = plain.class_totals()
-        distinct = {
-            tuple(plain.vector(attribute, value))
-            for attribute in plain.attributes
-            for value in plain.values_of(attribute)
-        }
-        assert (plain.n_pairs, len(distinct)) == (8, 5)
+        cc = self.table()
+        totals = cc.class_totals()
+        distinct = {tuple(counts) for counts in cc.counts.tolist()}
+        assert (cc.n_pairs, len(distinct)) == (8, 5)
 
         built = Counter()
         for cls in (ChildSpec, PathCondition):
@@ -225,28 +222,35 @@ class TestWorkPerNode:
         monkeypatch.setattr(
             InformationGain, "impurity", staticmethod(counting_entropy)
         )
+        scored = []
+        array_form = InformationGain.binary_scores
 
-        class WalkCounting(dict):
-            walks = 0
+        def counting_array_form(self, parent_counts, inside):
+            scored.append(len(inside))
+            return array_form(self, parent_counts, inside)
 
-            def items(self):
-                self.walks += 1
-                return super().items()
+        monkeypatch.setattr(
+            InformationGain, "binary_scores", counting_array_form
+        )
 
-            def __iter__(self):
-                self.walks += 1
-                return super().__iter__()
-
-        cc = self.table()
-        cc._vectors = WalkCounting(cc._vectors)
-
-        split = best_split(cc, InformationGain())
+        criterion = InformationGain()
+        kept = splits.shortlist(cc, criterion)
+        scored.clear()
+        impurity_of.clear()
+        split = best_split(cc, criterion)
         for child in split.children:
             child_attributes(cc.attributes, cc, split, child)
         cc.pair_count_by_attribute()
 
         assert split.kind == "binary"
         assert built == {"ChildSpec": 2, "PathCondition": 2}
-        assert impurity_of.count(totals) == 1
-        assert len(impurity_of) == 1 + 2 * len(distinct)
-        assert cc._vectors.walks == 1
+        assert scored == [8]  # all eight candidates, one call
+        # The six A1 / A3 candidates tie at the top (three distinct
+        # count vectors); the two A2 ones are never re-scored.
+        assert [(a, v) for a, v, _ in kept] == [
+            (a, v) for a in ("A1", "A3") for v in (0, 1, 2)
+        ]
+        # Scalar impurities: the parent's once per form, then two
+        # children per distinct shortlisted vector.
+        assert impurity_of.count(totals) == 2
+        assert len(impurity_of) == 2 + 2 * 3

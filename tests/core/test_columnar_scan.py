@@ -30,7 +30,6 @@ from repro.client.decision_tree import DecisionTreeClassifier  # noqa: E402
 from repro.client.growth import GrowthPolicy  # noqa: E402
 from repro.common.errors import MiddlewareError  # noqa: E402
 from repro.common.locks import install_monitor  # noqa: E402
-from repro.core.cc_table import CCTable  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.execution import (  # noqa: E402
     _PartitionProducer,
@@ -55,11 +54,13 @@ from repro.datagen.random_tree import (  # noqa: E402
 from repro.sqlengine.database import SQLServer  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     count_partition_columnar,
+    slot_layout,
 )
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 
 from ..conftest import WitnessMonitor, tree_signature  # noqa: E402
 from .oracle import oracle_counts  # noqa: E402
+from .test_vector_kernel import fold  # noqa: E402
 from .test_parallel_scan import (  # noqa: E402
     PARALLEL,
     SPEC,
@@ -76,7 +77,7 @@ from .test_parallel_scan import (  # noqa: E402
 
 ATTRS = ("A1", "A2")
 ATTR_INDEX = {"A1": 0, "A2": 1}
-ATTR_POSITIONS = (("A1", 0), ("A2", 1))
+ATTR_POSITIONS = (0, 1)
 CLASS_INDEX = 2
 N_CLASSES = 3
 
@@ -138,13 +139,17 @@ DATASETS = {
 }
 
 
+def _slots(n_slots):
+    """Every slot counts every attribute."""
+    return slot_layout(
+        [f"n{slot}" for slot in range(n_slots)],
+        [ATTR_POSITIONS] * n_slots, len(ATTRS),
+    )
+
+
 def _make_ctx(condition_sets):
     kernel = RoutingKernel(condition_sets, ATTR_INDEX)
-    slots = tuple(
-        (f"n{slot}", ATTRS, ATTR_POSITIONS)
-        for slot in range(len(condition_sets))
-    )
-    return (kernel, slots, CLASS_INDEX, N_CLASSES)
+    return (kernel, _slots(len(condition_sets)), CLASS_INDEX, N_CLASSES)
 
 
 def _reference(rows, condition_sets, stage_nodes=()):
@@ -172,17 +177,18 @@ def _partitions(rows, partition_rows=7):
 
 def _fold(results, partitions, n_slots, stage_nodes=()):
     """Merge per-partition columnar results like the coordinator does."""
-    ccs = [CCTable(ATTRS, N_CLASSES) for _ in range(n_slots)]
+    results = sorted(results, key=lambda r: r[0])
     routed = 0
     writes = {node_id: [] for node_id in stage_nodes}
-    for result in sorted(results, key=lambda r: r[0]):
-        seq, payloads, partition_routed, writes_idx, _, _ = result
+    for seq, _, partition_routed, writes_idx, _, _ in results:
         routed += partition_routed
-        for cc, payload in zip(ccs, payloads):
-            cc.merge_block(*payload)
         for node_id, idx in writes_idx.items():
             if len(idx):
                 writes[node_id].extend(partitions[seq].rows_at(idx))
+    ccs = fold(
+        [result[1] for result in results], [ATTRS] * n_slots, N_CLASSES,
+        ATTRS,
+    )
     return ccs, routed, writes
 
 
@@ -232,10 +238,7 @@ class TestColumnarKernelEquivalence:
 
     def _pool_count(self, kind, rows, condition_sets, shm=False):
         kernel = RoutingKernel(condition_sets, ATTR_INDEX)
-        slots = tuple(
-            (f"n{slot}", ATTRS, ATTR_POSITIONS)
-            for slot in range(len(condition_sets))
-        )
+        slots = _slots(len(condition_sets))
         partitions = _partitions(rows)
         pool = ScanWorkerPool(kind, 2)
         shipper = ShmShipper() if shm else None
@@ -741,10 +744,7 @@ class TestInlineExecutor:
         condition_sets = DATASETS["null_heavy"][1]
         reference, _, _ = _reference(rows, condition_sets)
         kernel = RoutingKernel(condition_sets, ATTR_INDEX)
-        slots = tuple(
-            (f"n{slot}", ATTRS, ATTR_POSITIONS)
-            for slot in range(len(condition_sets))
-        )
+        slots = _slots(len(condition_sets))
         partitions = _partitions(rows)
         whole = ColumnarPartition.from_rows(rows)
         pool = ScanWorkerPool(kind, 1)
@@ -785,7 +785,7 @@ class TestInlineExecutor:
 
     def test_inline_failure_propagates_from_submit(self):
         kernel = RoutingKernel([()], ATTR_INDEX)
-        slots = (("n0", ATTRS, ATTR_POSITIONS),)
+        slots = _slots(1)
         pool = ScanWorkerPool("thread", 1)
         try:
             pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)

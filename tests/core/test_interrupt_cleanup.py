@@ -22,6 +22,7 @@ from repro.core.config import MiddlewareConfig
 from repro.core.filters import RoutingKernel
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
+from repro.core.vector_kernel import slot_layout
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.sqlengine.columnar import ColumnarPartition
@@ -151,7 +152,7 @@ class TestKeyboardInterruptCleanup:
 def _context():
     """A routing context whose one slot takes every row."""
     return (RoutingKernel([()], {"A1": 0}),
-            [("root", ("A1",), (("A1", 0),))], 2, 2)
+            slot_layout(["root"], [(0,)], 2), 2, 2)
 
 
 class TestProcessContextReset:

@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.client.baselines import grow_in_memory
+from repro.client.decision_tree import DecisionTreeClassifier
+from repro.client.growth import GrowthPolicy
 from repro.common.errors import MiddlewareError
 from repro.core.cc_table import CCTable
-from repro.core.filters import PathCondition
+from repro.core.config import MiddlewareConfig
+from repro.core.filters import PathCondition, path_predicate
+from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest, CountsResult, RequestQueue
 from repro.core.staging import DataLocation
+
+from ..conftest import tree_signature
 
 
 def make_request(node_id, lineage=None, conditions=(), n_rows=10,
@@ -101,3 +108,97 @@ class TestRequestQueue:
         assert not queue
         queue.put(make_request(1))  # id free again after removal
         assert queue
+
+
+class TestPredicateIsBuiltOnFirstRead:
+    """``request.predicate`` is an AND-tree only a pushed-filter SERVER
+    scan and the §4.1.1 SQL fallback read; everyone else never pays."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The condition tuples ``path_predicate`` was called with."""
+        from repro.core import requests
+
+        calls = []
+
+        def recording(conditions):
+            calls.append(tuple(conditions))
+            return path_predicate(conditions)
+
+        monkeypatch.setattr(requests, "path_predicate", recording)
+        return calls
+
+    def test_built_once_and_only_when_read(self, built):
+        request = make_request(
+            3, lineage=(0, 3), conditions=(PathCondition("A1", "=", 1),)
+        )
+        assert not request.is_root and make_request(0).is_root
+        assert built == []
+        assert request.predicate is request.predicate
+        assert built == [(PathCondition("A1", "=", 1),)]
+
+    def test_a_staged_fit_builds_the_root_predicate_only(
+            self, built, loaded_server):
+        server, spec, rows = loaded_server
+        with Middleware(server, "data", spec, MiddlewareConfig()) as mw:
+            tree = DecisionTreeClassifier().fit(mw).tree
+            modes = [record.mode for record in mw.trace]
+            served = sum(record.nodes_served for record in mw.trace)
+        # One SERVER scan (the root); every other node was counted from
+        # staged data, and nobody read its predicate.
+        assert modes.count("SERVER") == 1 and len(modes) > 1
+        assert served > 10 and tree.n_nodes > served
+        assert built == [()]
+
+    def test_server_scans_and_fallbacks_build_one_per_request(
+            self, built, loaded_server):
+        server, spec, rows = loaded_server
+        # No staging: every scan is a pushed-filter SERVER scan; the
+        # budget is small enough for §4.1.1 deferrals and SQL fallbacks,
+        # which re-queue / re-read the same request objects.
+        config = MiddlewareConfig.no_staging(500)
+        with Middleware(server, "data", spec, config) as mw:
+            tree = DecisionTreeClassifier().fit(mw).tree
+            scanned = {
+                node_id for record in mw.trace for node_id in record.batch
+            }
+            assert mw.stats.sql_fallbacks and mw.stats.deferrals
+            assert {record.mode for record in mw.trace} == {"SERVER"}
+        assert tree_signature(tree.root) == tree_signature(
+            grow_in_memory(rows, spec, GrowthPolicy()).root
+        )
+        assert len(built) == len(set(built)) == len(scanned)
+
+    def test_a_pushed_filter_batch_sends_the_same_where_text(
+            self, loaded_server):
+        server, spec, rows = loaded_server
+        sent = []
+        open_cursor = server.open_cursor
+
+        def recording(table_name, predicate=None):
+            sent.append(None if predicate is None else predicate.to_sql())
+            return open_cursor(table_name, predicate)
+
+        server.open_cursor = recording
+        paths = [
+            (PathCondition("A1", "=", 0), PathCondition("A2", "<>", 1)),
+            (PathCondition("A1", "<>", 0),),
+        ]
+        counts = [
+            sum(all(c.matches(row[int(c.attribute[1:]) - 1]) for c in path)
+                for row in rows)
+            for path in paths
+        ]
+        config = MiddlewareConfig.no_staging(1_000_000)
+        with Middleware(server, "data", spec, config) as mw:
+            mw.queue_requests([
+                CountsRequest(
+                    node_id=i + 1, lineage=(0, i + 1), conditions=path,
+                    attributes=spec.attribute_names, n_rows=n_rows,
+                    est_cc_pairs=24,
+                )
+                for i, (path, n_rows) in enumerate(zip(paths, counts))
+            ])
+            results = mw.process_next_batch()
+        assert [result.cc.records for result in results] == counts
+        assert sent == ["(A1 = 0 AND A2 <> 1) OR A1 <> 0"]

@@ -118,6 +118,83 @@ class TestRoutingKernel:
                     expected |= 1 << slot
             assert kernel.route(row) == expected, row
 
+    def test_compiles_the_tables_the_reference_construction_builds(self):
+        import random
+
+        rng = random.Random(7)
+        values = [0, 1, 2, None, "x"]
+
+        def condition():
+            return PathCondition(
+                rng.choice(list(ATTR_INDEX)), rng.choice(["=", "<>"]),
+                rng.choice(values),
+            )
+
+        shapes = [
+            [()] * 3,  # nothing constrained: no probe at all
+            [(PathCondition("A1", "<>", 0), PathCondition("A1", "<>", 1),
+              PathCondition("A1", "<>", 0))],
+            [(PathCondition("A1", "=", 1), PathCondition("A1", "<>", 1)),
+             (PathCondition("A1", "=", 1), PathCondition("A1", "<>", 0))],
+            [(PathCondition("A1", "=", 0), PathCondition("A1", "=", 1)), ()],
+        ]
+        for n_slots in (1, 2, 7, 63, 200):
+            for _ in range(15):
+                shapes.append([
+                    tuple(condition() for _ in range(rng.randint(0, 5)))
+                    for _ in range(n_slots)
+                ])
+        for condition_sets in shapes:
+            kernel = kernel_for(*condition_sets)
+            probes, full_mask = reference_probes(condition_sets, ATTR_INDEX)
+            assert kernel.full_mask == full_mask
+            assert kernel.probes == probes
+
+
+def reference_probes(condition_sets, attr_index):
+    """``RoutingKernel``'s dispatch tables as they were first built:
+    every interesting value of every probed attribute against every
+    slot of the batch — O(attributes x values x slots)."""
+    n_slots = len(condition_sets)
+    by_attr = {}
+    for slot, conditions in enumerate(condition_sets):
+        for condition in conditions:
+            eq_values, ne_values = by_attr.setdefault(
+                condition.attribute, {}
+            ).setdefault(slot, (set(), set()))
+            if condition.op == "=":
+                eq_values.add(condition.value)
+            else:
+                ne_values.add(condition.value)
+    probes = []
+    for attribute, constrained in by_attr.items():
+        interesting = set()
+        for eq_values, ne_values in constrained.values():
+            interesting |= eq_values
+            interesting |= ne_values
+        default = 0
+        for slot in range(n_slots):
+            pair = constrained.get(slot)
+            if pair is None or not pair[0]:
+                default |= 1 << slot
+        table = {}
+        for value in interesting:
+            mask = 0
+            for slot in range(n_slots):
+                pair = constrained.get(slot)
+                if pair is None:
+                    mask |= 1 << slot
+                    continue
+                eq_values, ne_values = pair
+                if eq_values and eq_values != {value}:
+                    continue
+                if value in ne_values:
+                    continue
+                mask |= 1 << slot
+            table[value] = mask
+        probes.append((attr_index[attribute], table, default))
+    return tuple(probes), (1 << n_slots) - 1
+
 
 # ---------------------------------------------------------------------------
 # the scan loop vs the per-row oracle, through the middleware

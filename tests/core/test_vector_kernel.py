@@ -7,8 +7,13 @@ scan runs, so it is checked directly against the oracle in
 look like: antichains and overlapping slots, repeated ``<>`` and
 contradictory ``=`` on one attribute, batches several mask limbs wide,
 raw integer columns with and without NULLs, dictionary (string /
-``None``) columns, sparse value ranges, an empty partition, a keep
-mask, and slots that list different attributes.
+``None``) columns, sparse value ranges, a keep mask, and slots that
+list different attributes — and over every way the rows can be cut
+into partitions: each piece is encoded on its own (its own dictionary
+codes, its own raw / dictionary choice, values that first appear in a
+later piece, empty pieces) and the pieces fold, through
+``CCTable.merge_block``, into the tables one scan of all the rows
+gives.
 """
 
 import pytest
@@ -19,7 +24,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.common.errors import MiddlewareError  # noqa: E402
-from repro.core.cc_table import CCTable  # noqa: E402
+from repro.core.cc_table import BatchCounts, CCTable  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
@@ -30,6 +35,7 @@ from repro.core.vector_kernel import (  # noqa: E402
     count_partition_slice,
     route_masks,
     routed_pairs,
+    slot_layout,
 )
 from repro.datagen.dataset import DatasetSpec  # noqa: E402
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
@@ -55,8 +61,9 @@ POOLS = {
 
 @st.composite
 def scans(draw):
-    """``(rows, condition_sets, attribute_lists, keep)`` of one
-    partition and the batch counted over it."""
+    """``(rows, condition_sets, attribute_lists, keep, cuts)``: the rows
+    of one source, the batch counted over it, and where the source is
+    cut into partitions (equal cuts make an empty partition)."""
     pools = [POOLS[draw(st.sampled_from(sorted(POOLS)))] for _ in NAMES]
     row = st.tuples(*(st.sampled_from(pool) for pool in pools),
                     st.integers(0, N_CLASSES - 1))
@@ -99,62 +106,162 @@ def scans(draw):
         keep = draw(st.lists(
             st.booleans(), min_size=len(rows), max_size=len(rows)
         ))
-    return rows, condition_sets, attribute_lists, keep
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    return rows, condition_sets, attribute_lists, keep, cuts
 
 
 def make_ctx(condition_sets, attribute_lists, n_classes=N_CLASSES,
              attr_index=ATTR_INDEX, class_index=CLASS_INDEX):
     kernel = RoutingKernel(condition_sets, attr_index)
-    slots = tuple(
-        (f"n{slot}", attributes,
-         tuple((name, attr_index[name]) for name in attributes))
-        for slot, attributes in enumerate(attribute_lists)
+    slots = slot_layout(
+        [f"n{slot}" for slot in range(len(attribute_lists))],
+        [[attr_index[name] for name in attributes]
+         for attributes in attribute_lists],
+        len(attr_index),
     )
     return (kernel, slots, class_index, n_classes)
 
 
+def fold(payloads, attribute_lists, n_classes=N_CLASSES, names=NAMES):
+    """The tables a scan cuts from its partitions' payloads."""
+    counts = BatchCounts(len(attribute_lists), len(names), n_classes)
+    for payload in payloads:
+        CCTable.merge_block(counts, *payload)
+    return counts.tables(attribute_lists, names)
+
+
 class TestKernelAgainstTheOracle:
     @given(scans())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_counts_selections_and_routed_equal_the_oracle(self, scan):
-        rows, condition_sets, attribute_lists, keep = scan
+        rows, condition_sets, attribute_lists, keep, cuts = scan
         ctx = make_ctx(condition_sets, attribute_lists)
         node_ids = [f"n{slot}" for slot in range(len(condition_sets))]
-        _, payloads, routed, writes, captures, _ = count_partition_columnar(
-            ctx, 0, ColumnarPartition.from_rows(rows), node_ids,
-            node_ids[:1],
-            keep=None if keep is None else np.asarray(keep, dtype=bool),
-        )
+        payloads, routed = [], 0
+        selections = {node_id: [] for node_id in node_ids}
+        captured = []
+        for seq, (start, stop) in enumerate(
+                zip([0] + cuts, cuts + [len(rows)])):
+            _, payload, part_routed, writes, captures, _ = (
+                count_partition_columnar(
+                    ctx, seq, ColumnarPartition.from_rows(rows[start:stop]),
+                    node_ids, node_ids[:1],
+                    keep=None if keep is None
+                    else np.asarray(keep[start:stop], dtype=bool),
+                )
+            )
+            payloads.append(payload)
+            routed += part_routed
+            for node_id in node_ids:
+                selections[node_id] += (writes[node_id] + start).tolist()
+            captured += (captures["n0"] + start).tolist()
         kept = [i for i in range(len(rows)) if keep is None or keep[i]]
         expected = oracle_counts(
             [rows[i] for i in kept], condition_sets, attribute_lists,
             NAMES, N_CLASSES,
         )
         matched = set()
-        for node_id, payload, attributes, (reference, selected) in zip(
-                node_ids, payloads, attribute_lists, expected):
-            cc = CCTable(attributes, N_CLASSES)
-            cc.merge_block(*payload)
+        for node_id, cc, (reference, selected) in zip(
+                node_ids, fold(payloads, attribute_lists), expected):
             assert cc == reference
+            assert cc.records == reference.records
             assert cc.class_totals() == reference.class_totals()
-            selection = writes[node_id].tolist()
-            assert selection == [kept[i] for i in selected]
-            assert selection == sorted(selection)
+            # What Est_cc and the §4.1.1 reservations read.
+            assert cc.n_pairs == reference.n_pairs
+            assert cc.size_bytes == reference.size_bytes
+            assert (cc.pair_count_by_attribute()
+                    == reference.pair_count_by_attribute())
+            assert cc.rows() == reference.rows()
+            assert selections[node_id] == [kept[i] for i in selected]
             matched.update(selected)
         assert routed == len(matched)
-        assert captures["n0"].tolist() == writes["n0"].tolist()
+        assert captured == selections["n0"]
 
     def test_empty_partition_counts_nothing(self):
-        ctx = make_ctx([(), (PathCondition("A1", "=", 1),)],
-                       [NAMES, ("A2",)])
-        _, payloads, routed, writes, _, _ = count_partition_columnar(
+        attribute_lists = [NAMES, ("A2",)]
+        ctx = make_ctx([(), (PathCondition("A1", "=", 1),)], attribute_lists)
+        _, payload, routed, writes, _, _ = count_partition_columnar(
             ctx, 0, ColumnarPartition.from_rows([]), ["n1"], []
         )
         assert routed == 0 and writes["n1"].size == 0
-        assert payloads == [
-            (0, [0, 0, 0], [(name, [], []) for name in NAMES]),
-            (0, [0, 0, 0], [("A2", [], [])]),
+        records, totals, prefix, value_index, counts, values = payload
+        assert records.tolist() == [0, 0]
+        assert totals.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert prefix.size == value_index.size == 0 and values == []
+        assert counts.shape == (0, N_CLASSES)
+        for cc, attributes in zip(fold([payload], attribute_lists),
+                                  attribute_lists):
+            assert cc == CCTable(attributes, N_CLASSES)
+            assert cc.n_pairs == 0 and cc.values_of("A2") == []
+
+    def test_a_value_first_met_in_a_later_partition(self):
+        # One source, three encodings: a raw column, then a dictionary
+        # whose codes start over, then a value no earlier piece held.
+        pieces = [
+            [(1, 0, 0, 0), (2, 0, 0, 1)],
+            [("x", 0, 0, 2), (1, 0, 0, 0)],
+            [(None, 0, 0, 1), ("x", 0, 0, 1), (2 ** 40, 0, 0, 0)],
         ]
+        condition_sets = [(), (PathCondition("A1", "<>", 1),)]
+        attribute_lists = [("A1", "A2"), ("A1",)]
+        ctx = make_ctx(condition_sets, attribute_lists)
+        kinds = set()
+        payloads = []
+        for seq, piece in enumerate(pieces):
+            partition = ColumnarPartition.from_rows(piece)
+            kinds.add((partition.columns[0].kind,
+                       partition.columns[0].nulls is None))
+            payloads.append(
+                count_partition_columnar(ctx, seq, partition, [], [])[1]
+            )
+        assert len(kinds) == 2  # raw without NULLs, and dictionaries
+        rows = [row for piece in pieces for row in piece]
+        expected = oracle_counts(
+            rows, condition_sets, attribute_lists, NAMES, N_CLASSES
+        )
+        tables = fold(payloads, attribute_lists)
+        assert tables == [reference for reference, _ in expected]
+        assert tables[0].values_of("A1") == [None, 1, 2, 2 ** 40, "x"]
+        assert tables[0].vector("A1", "x") == [0, 1, 1]
+
+    def test_payload_size_does_not_depend_on_the_batch_width(self):
+        # The per-slot block lists are gone: a partition's payload is
+        # the same few arrays for 3 slots or 300, one short list of
+        # distinct values per attribute, and no Python list per pair.
+        n_attributes = 25
+        names = tuple(f"A{i}" for i in range(n_attributes))
+        attr_index = {name: i for i, name in enumerate(names)}
+
+        def payload_of(n_slots):
+            rows = [
+                (slot,) + tuple((slot + i) % 3 for i in range(1, 25))
+                + (slot % N_CLASSES,)
+                for slot in range(n_slots)
+            ] * 2
+            ctx = make_ctx(
+                [(PathCondition("A0", "=", slot),)
+                 for slot in range(n_slots)],
+                [names[1:]] * n_slots, attr_index=attr_index,
+                class_index=n_attributes,
+            )
+            payload = count_partition_columnar(
+                ctx, 0, ColumnarPartition.from_rows(rows), [], []
+            )[1]
+            assert payload[4].shape == (24 * n_slots, N_CLASSES)
+            return payload
+
+        def shape(payload):
+            *arrays, values = payload
+            assert all(isinstance(part, np.ndarray) for part in arrays)
+            assert arrays[4].dtype == np.int64 and arrays[4].ndim == 2
+            return (len(arrays), [
+                (position, len(distinct)) for position, distinct in values
+            ])
+
+        narrow, wide = payload_of(3), payload_of(300)
+        assert shape(narrow) == shape(wide) == (
+            5, [(position, 3) for position in range(1, 25)]
+        )
 
     def test_batch_wider_than_one_limb(self):
         # 150 siblings on one attribute: three mask limbs, every slot
@@ -177,16 +284,15 @@ class TestKernelAgainstTheOracle:
             index for value in range(n_slots)
             for index in (value, value + n_slots)
         ]
-        _, payloads, _, _, _, _ = count_partition_columnar(
+        _, payload, _, _, _, _ = count_partition_columnar(
             ctx, 0, partition, [], []
         )
         expected = oracle_counts(
             rows, condition_sets, [("A2",)] * n_slots, NAMES, N_CLASSES
         )
-        for payload, (reference, _) in zip(payloads, expected):
-            cc = CCTable(("A2",), N_CLASSES)
-            cc.merge_block(*payload)
-            assert cc == reference
+        assert fold([payload], [("A2",)] * n_slots) == [
+            reference for reference, _ in expected
+        ]
 
     def test_slice_applies_the_pushed_filter_as_a_keep_mask(self):
         rows = [(i % 3, i % 2, 0, i % N_CLASSES) for i in range(40)]
@@ -196,7 +302,7 @@ class TestKernelAgainstTheOracle:
             ctx, 0, ColumnarPartition.from_rows(rows), 10, 30,
             (eq("A2", 1), ATTR_INDEX), ["n1"], [],
         )
-        _, payloads, routed, writes, _, _, seen = result
+        _, payload, routed, writes, _, _, seen = result
         kept = [i for i in range(10, 30) if rows[i][1] == 1]
         assert seen == routed == len(kept)
         # Selections are relative to the slice.
@@ -205,11 +311,9 @@ class TestKernelAgainstTheOracle:
             [rows[i] for i in kept], condition_sets,
             [("A2",), ("A1", "A2")], NAMES, N_CLASSES,
         )
-        for payload, attributes, (reference, _) in zip(
-                payloads, [("A2",), ("A1", "A2")], expected):
-            cc = CCTable(attributes, N_CLASSES)
-            cc.merge_block(*payload)
-            assert cc == reference
+        assert fold([payload], [("A2",), ("A1", "A2")]) == [
+            reference for reference, _ in expected
+        ]
 
 
 class TestClassLabelChecks:
@@ -251,11 +355,12 @@ class TestClassLabelChecks:
 
     @pytest.mark.parametrize("bad_label", [None, "two", N_CLASSES, -1])
     def test_unrouted_bad_rows_raise_nothing(self, bad_label):
-        _, payloads, routed, _, _, _ = self._count(
+        _, payload, routed, _, _, _ = self._count(
             self._rows(bad_label, routed=False)
         )
         assert routed == 6
-        assert payloads[0][:2] == (6, [2, 2, 2])
+        assert payload[0].tolist() == [6]
+        assert payload[1].tolist() == [[2, 2, 2]]
 
     def test_fit_over_a_negative_label_fails_naming_it(self):
         # Regression: tables load unvalidated by default, and both row
