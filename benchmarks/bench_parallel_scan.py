@@ -143,7 +143,6 @@ def scan_frontier(spec, rows, frontier, workers, pool):
             wall = ship = count = merge = 0.0
             seen = 0
             partition_rows = 0
-            prefetch_peak = 0
             while mw.pending:
                 for result in mw.process_next_batch():
                     results[result.node_id] = result
@@ -155,7 +154,6 @@ def scan_frontier(spec, rows, frontier, workers, pool):
                 count += sum(scan.worker_seconds)
                 merge += scan.merge_seconds
                 partition_rows = max(partition_rows, scan.partition_rows)
-                prefetch_peak = max(prefetch_peak, scan.prefetch_peak)
             profile = {
                 "rows_per_sec": seen / wall if wall > 0.0 else 0.0,
                 "wall_seconds": wall,
@@ -163,7 +161,6 @@ def scan_frontier(spec, rows, frontier, workers, pool):
                 "count_seconds": count,
                 "merge_seconds": merge,
                 "partition_rows": partition_rows,
-                "prefetch_peak": prefetch_peak,
             }
             if best is None or profile["rows_per_sec"] > best["rows_per_sec"]:
                 best = profile
@@ -440,7 +437,6 @@ def record_json(comparison, smoke=False):
                     "count_seconds": profile["count_seconds"],
                     "merge_seconds": profile["merge_seconds"],
                     "partition_rows": profile["partition_rows"],
-                    "prefetch_peak": profile["prefetch_peak"],
                 }
                 for workers, profile in comparison["ladder"].items()
             },

@@ -1,7 +1,7 @@
 """resource-lifecycle: opened resources must be closed on every path.
 
 The §4 middleware opens real resources mid-scan: ``StagedFile``
-writers, worker pools, prefetch producers, staging writer threads.
+writers, worker pools, shared-memory shippers, staging writer threads.
 PRs 1–3 each fixed a leak where one of them survived a failing scan.
 Two checks encode what those fixes established:
 
@@ -16,11 +16,10 @@ finding.
 **2. Locally opened resources need an exception-path closer.**  When a
 function assigns the result of a *known opener* (``StagedFile(...)``,
 ``ScanWorkerPool(...)``, ``ParallelStagingWriter(...)``,
-``_PartitionProducer(...)``,
-``.open_file(...)``, builtin ``open(...)``) to a local name, it owns
-that resource.  Ownership ends when the resource is used as a context
-manager, returned, yielded, or stored into an attribute/container
-(escape).  An owned resource requires a *closer* call
+``ShmShipper(...)``, ``.open_file(...)``, builtin ``open(...)``) to a
+local name, it owns that resource.  Ownership ends when the resource
+is used as a context manager, returned, yielded, or stored into an
+attribute/container (escape).  An owned resource requires a *closer* call
 (``close``/``seal``/``abort``/``stop``/``delete``/``shutdown``/...)
 on the name — and at least one closer must sit inside an ``except``
 handler or ``finally`` block, because the normal-path closer alone is
@@ -42,7 +41,6 @@ OPENERS = {
     "StagedFile",
     "ScanWorkerPool",
     "ParallelStagingWriter",
-    "_PartitionProducer",
     "ShmShipper",
     "open_file",
     "open",

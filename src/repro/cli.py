@@ -127,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default: thread)")
     fit.add_argument("--scan-cache-bytes", type=int, default=None,
                      help="byte budget for resident cached columnar "
-                          "encodings (default: 128 MiB; 0 disables "
-                          "caching: every scan re-encodes)")
+                          "encodings (default: 128 MiB; 0 keeps none: "
+                          "every scan encodes a partition at a time)")
     fit.add_argument("--no-scan-use-planner", action="store_true",
                      help="strip the index candidate from the auto "
                           "strategy's access-path planner (the blind "

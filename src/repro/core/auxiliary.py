@@ -26,12 +26,15 @@ filtered seq scan, a secondary-index probe, and a TID join.
 
 Every strategy makes its build / reuse / fall-back decision in one
 method, ``_decide``, which answers with the access path that serves
-the scan.  ``rows()`` streams that path through the cursor layer and
-``plan_columnar()`` wraps it as a cacheable plan; neither re-decides,
-and neither knows a price — a path carries the charge functions of
-the ``sqlengine`` object that owns it, so stream, cache miss, cache
-hit and the estimate recorded in ``last_choice`` (which the execution
-trace reports) all come from the same definitions.
+the scan.  ``plan_columnar()`` wraps that path as the plan the
+execution module runs every SERVER scan from; ``rows()`` streams it
+through the cursor layer — the metered reference the plans are held to
+(``tests/core/test_access_parity.py``), which nothing in the package
+calls.  Neither re-decides, and neither knows a price — a path carries
+the charge functions of the ``sqlengine`` object that owns it, so the
+stream, a resident or transient plan scan and the estimate recorded in
+``last_choice`` (which the execution trace reports) all come from the
+same definitions.
 """
 
 from __future__ import annotations
@@ -137,11 +140,11 @@ def predicate_covers(built: Any, current: Any) -> bool:
 
 @dataclass(frozen=True)
 class _AccessPath:
-    """One decided access path, ready to stream or to cache.
+    """One decided access path, ready to plan or to stream.
 
     Every callable comes from the ``sqlengine`` layer that owns the
-    path, so the stream, the cached plan and the recorded estimate all
-    take the fixed per-scan price from the same function.
+    path, so the plan, the reference stream and the recorded estimate
+    all take the fixed per-scan price from the same function.
     """
 
     #: :attr:`AccessChoice.path` and ``detail`` for the trace.
@@ -157,14 +160,17 @@ class _AccessPath:
     key: tuple[Any, ...]
     n_rows: int
     rows: Callable[[], Iterable[Any]]
+    #: The owner's resident encoding of exactly those rows, if it
+    #: keeps one (``HeapTable.columnar``); None = encode from ``rows``.
+    encode: Callable[[], Any] | None = None
 
     def plan(self, server: Any, predicate: Any) -> ColumnarScanPlan:
-        """The cacheable form: same price functions, bound to the meter."""
+        """The plan form: same price functions, bound to the meter."""
         return server_scan_plan(
             self.key, self.n_rows, self.rows,
             partial(self.charge, server.meter),
             partial(charge_transfer, server.meter, server.model),
-            predicate,
+            predicate, self.encode,
         )
 
 
@@ -182,7 +188,7 @@ def _cursor_path(server: Any, table: Any, label: str = "seq") -> _AccessPath:
     return _AccessPath(
         label, "", partial(forward_scan_charge, server.model, table),
         stream, ("table", table.name, table.version),
-        table.row_count, table.scan_rows,
+        table.row_count, table.scan_rows, table.columnar,
     )
 
 
@@ -191,8 +197,9 @@ class ServerAccessStrategy:
 
     A strategy makes one decision per scan — which access path serves
     the batch — in :meth:`_decide`, its only override point.
-    :meth:`rows` and :meth:`plan_columnar` both go through it, so they
-    cannot disagree on the build / reuse / fall-back choice, on
+    :meth:`plan_columnar` (what the executor runs) and :meth:`rows`
+    (the metered reference stream) both go through it, so they cannot
+    disagree on the build / reuse / fall-back choice, on
     ``last_choice``, or (the path's charges being shared) on cost.
     """
 
@@ -204,7 +211,12 @@ class ServerAccessStrategy:
         self._table_name = table_name
 
     def rows(self, predicate: Any, relevant_rows: int) -> Iterator[Any]:
-        """Iterate rows matching ``predicate``.
+        """Iterate rows matching ``predicate`` through the cursor layer.
+
+        The reference implementation of a server scan: row-by-row
+        filter, charges made by the cursor itself.  The executor runs
+        :meth:`plan_columnar` instead; the parity tests hold every plan
+        to this stream's rows and charges.
 
         :param predicate: the pushed batch filter (None = all rows).
         :param relevant_rows: the scheduler's exact count of rows the
@@ -214,12 +226,13 @@ class ServerAccessStrategy:
 
     def plan_columnar(self, predicate: Any,
                       relevant_rows: int) -> ColumnarScanPlan:
-        """The same scan as a cacheable columnar plan.
+        """The scan as a columnar plan: unmetered superset rows (and
+        the owner's encoding of them), the filter to apply as a keep
+        mask, and the path's charges.
 
         A decision that (re)builds an auxiliary structure builds it
-        *here* — so if the executor later declines the plan (cache
-        gate), :meth:`rows` finds the structure built and covered and
-        scans it, never building twice.
+        *here*, whether the executor then keeps the plan's encoding
+        resident or counts its rows a partition at a time.
         """
         return self._serve(predicate, relevant_rows).plan(
             self._server, predicate

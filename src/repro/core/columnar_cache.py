@@ -1,29 +1,31 @@
 """Table-version columnar scan cache ("encode once, scan every level").
 
 A SERVER fit touches the same table once per tree level: every batch
-the scheduler emits re-reads the (unchanged) data table, and the
-columnar parallel path re-encoded it into typed column arrays — and,
-for process pools, re-copied it into a fresh shared-memory segment —
-on every single scan.  Profiles showed encode + ship dominating warm
-multi-level fits.
+the scheduler emits re-reads the (unchanged) data table.  Encoding it
+into typed column arrays — and, for process pools, copying it into a
+shared-memory segment — once per *data version* instead of once per
+scan is what makes a multi-level fit cheap.
 
-This module caches the encoding keyed by *data version*:
-
-* :class:`ColumnarScanPlan` — what one cacheable scan needs: a cache
+* :class:`ColumnarScanPlan` — what one plan-run scan needs: a cache
   key (``("table", name, version)`` for plain scans, structure-specific
   keys for the §4.3.3 auxiliary strategies, ``("file", uid)`` for
-  staged files), an unmetered encoder for misses, and two charge
-  callables.  This module knows no price: the callables are the
-  functions the streaming scan itself charges through, handed in by
-  the layer that owns the access path (``sqlengine`` for server scans,
+  staged files), the unmetered rows of the superset it counts over, an
+  encoder for the whole of it, and two charge callables.  This module
+  knows no price: the callables are the functions the path's metered
+  stream charges through, handed in by the layer that owns the access
+  path (``sqlengine`` for server scans,
   :class:`~repro.core.staging.StagedFile` for staged files), which is
-  what keeps a cache-served scan cost-identical to its stream.
-* :class:`ColumnarScanCache` — an LRU of full-table
+  what keeps a plan-run scan cost-identical to its stream.
+* :class:`ColumnarScanCache` — an LRU of full-source
   :class:`~repro.sqlengine.columnar.ColumnarPartition` encodings under
   a byte budget (``config.scan_cache_bytes``), accounted from the flat
-  shared-memory layout size.  With a process pool the cache also owns
-  one *persistent* shm segment per entry (shipped once, witnessed with
-  a ``persistent`` marker) and hands scans a generation-counted
+  shared-memory layout size.  A plain table's entry is the server's
+  own :meth:`~repro.sqlengine.heap.HeapTable.columnar` object — one
+  in-process encoding per table version, whoever asks — so for those
+  the budget caps what a session asks the server to keep resident.
+  With a process pool the cache also owns one *persistent* shm segment
+  per entry (shipped once, witnessed with a ``persistent`` marker) and
+  hands scans a generation-counted
   :class:`~repro.core.shm.ShmSegmentRef` so workers re-attach instead
   of receiving a fresh copy per scan.
 
@@ -55,15 +57,17 @@ _BYTES_PER_CELL = 8
 
 @dataclass
 class ColumnarScanPlan:
-    """One cacheable scan: key, encoder, and equivalent meter charges.
+    """One plan-run scan: key, row supply, encoder, and meter charges.
 
     ``encode`` materialises the *superset* the scan counts over (the
     full table, the auxiliary structure's rows, or the staged file) as
-    one columnar partition.  When ``charge_on_miss`` is True the
-    encoder is unmetered (it bypasses the cursor layer) and the caller
-    must apply ``charge_scan``/``charge_rows`` on hits *and* misses;
-    when False the encoder itself meters (staged-file block scans), so
-    the explicit charges apply on hits only.
+    one columnar partition, for a scan that keeps it resident;
+    ``rows`` iterates the same superset for a scan that encodes it a
+    partition at a time and keeps nothing.  When ``charge_on_miss`` is
+    True both are unmetered (they bypass the cursor layer) and the
+    caller must apply ``charge_scan``/``charge_rows`` however the scan
+    is supplied; when False the encoder itself meters (staged-file
+    block scans), so the explicit charges apply on hits only.
 
     ``filter_expr`` is the pushed batch filter the workers apply as a
     keep mask (None = count every row); per-scan filters deliberately
@@ -87,6 +91,9 @@ class ColumnarScanPlan:
     filter_expr: Any = None
     #: False when ``encode`` meters its own reads (staged files).
     charge_on_miss: bool = True
+    #: The superset's rows, unmetered, in ``encode``'s order (server
+    #: plans; a staged file is only ever counted resident).
+    rows: Optional[Callable[[], Iterable[Any]]] = None
 
 
 class _CacheEntry:
@@ -258,29 +265,35 @@ def server_scan_plan(key: tuple[Any, ...], n_rows: int,
                      rows: Callable[[], Iterable[Any]],
                      charge_scan: Callable[[], None],
                      charge_rows: Callable[[int], None],
-                     predicate: Any) -> ColumnarScanPlan:
-    """The cacheable form of one server access path.
+                     predicate: Any,
+                     encode: Optional[Callable[[], ColumnarPartition]] = None,
+                     ) -> ColumnarScanPlan:
+    """The plan of one server access path.
 
     ``rows`` iterates the path's superset straight from the heap,
     unmetered (the full table, or the live rows behind a TID list);
     ``charge_scan`` and ``charge_rows`` are the very functions the
-    path's streaming scan charges through in ``sqlengine``, so hits
-    and misses both cost what the stream would.  ``key`` carries the
-    path's identity — table version, build predicate or probe — so
+    path's metered stream charges through in ``sqlengine``, so every
+    supply of the plan costs what the stream would.  ``key`` carries
+    the path's identity — table version, build predicate or probe — so
     different supersets encode separately while every level of a fit
-    that shares one shares its encoding.
+    that shares one shares its encoding.  ``encode`` is the owner's
+    own full encoding of those rows where it keeps one (a heap table's
+    :meth:`~repro.sqlengine.heap.HeapTable.columnar`): the cache entry
+    then *is* the server's object, not a second copy of it.
     """
 
-    def encode() -> ColumnarPartition:
+    def encode_rows() -> ColumnarPartition:
         return ColumnarPartition.from_rows(list(rows()))
 
     return ColumnarScanPlan(
         key=key,
         n_rows=n_rows,
-        encode=encode,
+        encode=encode or encode_rows,
         charge_scan=charge_scan,
         charge_rows=charge_rows,
         filter_expr=predicate,
+        rows=rows,
     )
 
 

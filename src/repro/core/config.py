@@ -98,13 +98,17 @@ class MiddlewareConfig:
     #: routing workloads.
     scan_pool: str = "thread"
     #: Byte budget of the table-version columnar cache ("encode once,
-    #: scan every level"): a pooled scan of an unchanged source reuses
-    #: its full-source encoding instead of re-encoding it, and with a
-    #: process pool its persistent shared-memory segment instead of
-    #: re-shipping.  Real process bytes, accounted from the flat
-    #: segment layout like the staging budgets; LRU-evicted.  An
-    #: encoding that cannot fit is used once and dropped; 0 disables
-    #: caching outright (every scan streams).
+    #: scan every level"): every SERVER scan whose table will be read
+    #: again (some node of its batch is not staged by it), on any
+    #: executor, counts over one resident full encoding — for a plain
+    #: table the server's own ``HeapTable.columnar()``, so the budget
+    #: caps what the session asks the server to keep — and so does a
+    #: pooled scan of a staged file; with a process pool the encoding
+    #: lives in a persistent shared-memory segment instead of being
+    #: re-shipped.  Real process bytes, accounted from the flat
+    #: segment layout like the staging budgets; LRU-evicted.  A source
+    #: that cannot fit — and every source when this is 0 — is encoded
+    #: a partition at a time and nothing is kept.
     scan_cache_bytes: int = 128 * 1024 * 1024
     #: Let ``aux_strategy="auto"`` consult the engine's cost-based
     #: access-path planner, adding secondary-index probes to its

@@ -18,22 +18,31 @@ partial counts over disjoint partitions merge exactly — and every
 node's CC table is cut from that, as views, after the last partition.
 Two things plug in:
 
-* a **partition source** (:class:`_PartitionSource`): columnar
-  partitions streamed from the cursor, a staged file's blocks or
-  memory slices; or slices of a cached full-source encoding (the
-  table-version columnar cache, pooled scans only);
+* a **partition source** (:class:`_PartitionSource`).  A SERVER scan
+  has one form on every executor (:class:`_PlanSource`): it is run
+  from the access path's plan
+  (:meth:`~repro.core.auxiliary.ServerAccessStrategy.plan_columnar` —
+  the path's unmetered superset rows, the pushed batch filter and the
+  path's two charges), the filter applied by the counting kernel as a
+  vector keep-mask, the charges made from the plan.  What differs is
+  only where the partitions come from, read off the schedule: slices
+  of the server-owned full encoding, kept *resident* in the
+  table-version columnar cache, when the cache admits it and some
+  node of the batch is not staged by this scan (the table will be
+  read again); else the plan's rows encoded a partition at a time
+  and dropped (*transient*).  Staged sources stream a file's blocks
+  or slice the session's encoding of a memory set (a pooled FILE scan
+  may keep the file's encoding resident too);
 * the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**,
   chosen from what the schedule already carries: every source of a
   one-worker session (``config.scan_workers == 1``, the default) —
   and, while a larger session has not started its workers, any source
   that fits in one partition, which has nothing to overlap — is
   counted *inline* on the calling thread, one partition in flight,
-  staged rows appended in place, no prefetch or writer thread, no
-  cache entry; anything longer starts the session's persistent thread
-  or process pool (``config.scan_pool``), which then counts every
-  later scan, with a bounded prefetch thread on SERVER scans
-  (:data:`PREFETCH_PARTITIONS` deep) and one staging-writer thread per
-  output file.
+  staged rows appended in place, no helper thread; anything longer
+  starts the session's persistent thread or process pool
+  (``config.scan_pool``), which then counts every later scan, with
+  one staging-writer thread per output file.
 
 Whatever the source and executor, staged files are bit-identical and
 memory overflow (below) is detected on the *merged* sizes in batch
@@ -63,15 +72,12 @@ outgrows what can be reserved there are two recoveries:
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import deque
 from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
-from ..common.locks import new_lock, resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition, filter_supported, np
 from ..sqlengine.expr import TrueExpr
 from .cc_table import BatchCounts, CCTable
@@ -111,13 +117,9 @@ def _close_source(source: Any) -> None:
 
 def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
                      scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
-    """Encode a row iterator into columnar partitions (SERVER scans).
-
-    Encoding runs on whichever single thread consumes this generator
-    (the prefetch producer, normally), so per-row meter charges inside
-    the cursor still accrue exactly once — and that thread is the only
-    writer of ``scan.encode_seconds`` while the scan runs.
-    """
+    """A plan's rows, ``partition_rows`` at a time, each chunk encoded
+    into its own partition (a transient SERVER scan); nothing is
+    retained."""
     try:
         while True:
             chunk = list(islice(row_iter, partition_rows))
@@ -170,11 +172,6 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
     finally:
         _close_source(block_iter)
 
-
-#: SERVER-cursor partitions the prefetch thread pulls ahead of a worker
-#: pool (starvation may double it).  Not a knob: no workload can choose
-#: a value, since pooled SERVER scans the cache admits never stream.
-PREFETCH_PARTITIONS = 2
 
 #: Scan chunks per partition of an inline scan.  Measured on
 #: ``benchmarks/e2e`` ``staged_default`` (CHANGES.md, PR 12 and PR 20):
@@ -252,130 +249,6 @@ class _PartitionSizer:
             self.blind_rows = max(self._chunk_rows, self.blind_rows // 2)
 
 
-class _PartitionProducer:
-    """Bounded async prefetch of partitions (SERVER-mode scans).
-
-    The coordinator used to alternate pull-then-submit: materialize a
-    partition from the server cursor, submit it, pull the next.  This
-    producer moves the pulling onto a background thread, so the next
-    partition is fetched *while* the pool counts the current one.
-
-    Backpressure is a semaphore of *permits*, not a bounded queue: the
-    producer takes one permit per partition it materializes and the
-    consumer returns it when the partition is collected, so at most
-    ``depth`` partitions are ever buffered — without the old 0.05s
-    ``queue.put`` timeout loop, which kept the thread spinning after a
-    consumer abort.  With stop/sentinel signalling through an unbounded
-    queue, every blocking wait has someone responsible for waking it:
-    :meth:`stop` releases a permit to unblock the producer, and the
-    producer's ``finally`` always enqueues the ``_DONE`` sentinel (an
-    unbounded ``put`` cannot block) to unblock the consumer.
-
-    Depth is adaptive: when the consumer finds the buffer empty after
-    having already consumed at least one partition — the pool is
-    outrunning the cursor — the depth grows (up to twice the configured
-    value, tracked in :attr:`peak_depth`) by releasing an extra permit.
-
-    The source is still consumed by exactly one thread, so every
-    simulated per-row meter charge accrues exactly once; only *where*
-    the wall-clock time is spent changes (see ``docs/cost_model.md``).
-
-    A producer-side failure is re-raised to the coordinator from
-    :meth:`partitions`; :meth:`stop` shuts the thread down without
-    raising (for scans already failing), drains anything still buffered
-    (counted in :attr:`leftover` — a failed scan must pin no
-    partitions) and closes the partition source.
-    """
-
-    _DONE = object()
-
-    def __init__(self, source: Iterator[Any], depth: int,
-                 max_depth: int | None = None) -> None:
-        self._source = source
-        self._queue: queue.Queue[Any] = queue.Queue()
-        self._stop_event = threading.Event()
-        depth = max(1, depth)
-        self._permits = threading.Semaphore(depth)
-        self._depth = depth
-        self._max_depth = max(depth, max_depth if max_depth else depth)
-        #: Highest depth the adaptive growth reached.
-        self.peak_depth = depth
-        #: Partitions still buffered when :meth:`stop` drained the queue.
-        self.leftover = 0
-        self._consumed = 0
-        self._finished = False
-        self._error_lock = new_lock("_PartitionProducer._error_lock")
-        #: guarded by self._error_lock
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._produce, name="scan-prefetch", daemon=True
-        )
-        self._thread.start()
-        resource_created("scan-prefetch", self, "partition producer thread")
-
-    def _produce(self) -> None:
-        try:
-            while True:
-                self._permits.acquire()
-                if self._stop_event.is_set():
-                    break
-                partition = next(self._source, self._DONE)
-                if partition is self._DONE:
-                    break
-                self._queue.put(partition)
-        except BaseException as exc:  # surfaced via partitions()
-            with self._error_lock:
-                self._error = exc
-        finally:
-            self._queue.put(self._DONE)
-
-    def _grow(self) -> None:
-        """Consumer found the buffer empty: let the producer run ahead."""
-        if self._consumed and self._depth < self._max_depth:
-            self._depth += 1
-            self.peak_depth = self._depth
-            self._permits.release()
-
-    def _join_thread(self) -> None:
-        if not self._finished:
-            self._finished = True
-            self._thread.join()
-            resource_closed("scan-prefetch", self)
-
-    def partitions(self) -> Iterator[Any]:
-        """Yield partitions in scan order; re-raises producer errors."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                self._grow()
-                item = self._queue.get()
-            if item is self._DONE:
-                self._join_thread()
-                with self._error_lock:
-                    error = self._error
-                if error is not None:
-                    raise error
-                return
-            self._consumed += 1
-            yield item
-            self._permits.release()
-
-    def stop(self) -> None:
-        """Shut the producer down without raising (failure path)."""
-        self._stop_event.set()
-        self._permits.release()
-        self._join_thread()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not self._DONE:
-                self.leftover += 1
-        _close_source(self._source)
-
-
 class _PartitionSource:
     """What one scan counts over, and how answers fold back.
 
@@ -384,27 +257,23 @@ class _PartitionSource:
     from, which ``ScanWorkerPool.submit*`` takes them, and how a
     worker's answer (rows seen, staged-row selections) is read.
 
-    This base is the streamed source: :class:`ColumnarPartition`
-    objects built once from the scan's own tier — encoded from cursor
-    rows (SERVER), int32 block matrices (FILE) or zero-copy slices of
-    the session encoding (MEMORY) — and pulled through a bounded
-    :class:`_PartitionProducer` thread when the scan has a cursor to
-    overlap with.  A process pool gets each one through a
-    ``multiprocessing.shared_memory`` segment (one memcpy; only the
-    tiny handle is pickled) where the platform has shared memory, as
-    pickled column arrays where not; a segment lives from submit until
-    its result is collected, and :meth:`close` releases whatever a
-    failure left.  Workers return staged rows as index arrays, decoded
-    from the coordinator's pinned partition.
+    This base is the staged source: :class:`ColumnarPartition` objects
+    built once from the scan's own tier — int32 block matrices (FILE)
+    or zero-copy slices of the session encoding (MEMORY).  A process
+    pool gets each one through a ``multiprocessing.shared_memory``
+    segment (one memcpy; only the tiny handle is pickled) where the
+    platform has shared memory, as pickled column arrays where not; a
+    segment lives from submit until its result is collected, and
+    :meth:`close` releases whatever a failure left.  Workers return
+    staged rows as index arrays, decoded from the coordinator's pinned
+    partition.
     """
 
-    #: The scan runs over the table-version columnar cache.
+    #: The scan counts over an encoding the columnar cache keeps.
     cached = False
 
-    def __init__(self, partitions: Any = None, prefetch: int = 0) -> None:
+    def __init__(self, partitions: Any = None) -> None:
         self._partitions = partitions
-        self._prefetch = prefetch
-        self._producer: _PartitionProducer | None = None
         self._shipper: ShmShipper | None = None
         self._pool: Any = None
         self._scan: Any = None
@@ -416,21 +285,16 @@ class _PartitionSource:
         """The partitions in scan order.
 
         Called inside the loop's cleanup scope, so this is where a
-        source starts threads, ships segments or encodes.
+        source ships segments, encodes or charges.
         """
         self._pool = pool
         self._scan = scan
         self._targets = targets
-        if pool.remote and shm_available():
+        return self._start()
+
+    def _start(self) -> Iterator[Any]:
+        if self._pool.remote and shm_available():
             self._shipper = ShmShipper()
-        if self._prefetch > 0:
-            # Starvation may grow the depth to twice what was asked.
-            self._producer = _PartitionProducer(
-                self._partitions, self._prefetch,
-                max_depth=2 * self._prefetch,
-            )
-            scan.prefetch_depth = self._prefetch
-            return self._producer.partitions()
         return iter(self._partitions)
 
     def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
@@ -461,15 +325,10 @@ class _PartitionSource:
 
     def stop(self) -> None:
         """The scan is failing: stop producing, close the row source."""
-        if self._producer is not None:
-            self._producer.stop()
-        else:
-            _close_source(self._partitions)
+        _close_source(self._partitions)
 
     def close(self) -> None:
         """The loop is over, either way: let go of everything held."""
-        if self._producer is not None:
-            self._scan.prefetch_peak = self._producer.peak_depth
         if self._shipper is not None:
             # Idempotent: releases only what a failure left behind.
             self._shipper.close()
@@ -478,32 +337,46 @@ class _PartitionSource:
         """The scan succeeded: apply charges that waited for its end."""
 
 
-class _CachedPlanSource(_PartitionSource):
-    """Slices of the cached full-source encoding (a "warm scan").
+class _PlanSource(_PartitionSource):
+    """A scan run from a plan: every SERVER scan, on every executor.
 
-    Encode and ship are hoisted out of the scan: the full source is
-    encoded **once per table version** (a hit skips it; a miss encodes
-    from the plan's source and installs the result), and with a process
-    pool it lives in one long-lived witnessed segment that workers
-    re-attach only when its generation moves.  Workers get
-    ``(start, stop)`` bounds plus the pushed batch filter as a vector
-    keep-mask, so per-scan filters stay out of the cache key; their
-    staged-row indexes come back slice-relative and are re-based onto
-    the full encoding before decoding.  Meter charges are applied from
-    the plan — a cache-served scan costs exactly what its streaming
-    twin would (``docs/cost_model.md``).  A failure mid-count leaves
-    the cache untouched: the entry was admitted when encoding completed
-    and is valid however the count ends, so the next scan hits.
+    The plan names a superset of the rows the batch needs, the pushed
+    batch filter and two charges.  Every partition goes to the pool
+    through ``submit_columnar_slice`` with the filter as a vector
+    keep-mask (so per-scan filters stay out of the cache key), and the
+    meter is charged from the plan — ``charge_scan`` at open,
+    ``charge_rows`` for the rows the masks kept at :meth:`settle` — so
+    a scan costs exactly what the path's cursor stream would
+    (``docs/cost_model.md``) however its partitions are supplied:
+
+    * **resident** (``cache`` given): slices of the full encoding,
+      encoded **once per table version** — a hit skips it, a miss
+      calls the plan's encoder (for a plain table the server's own
+      ``HeapTable.columnar()``, so the entry *is* the server's object)
+      and installs the result.  With a process pool it lives in one
+      long-lived witnessed segment that workers re-attach only when its
+      generation moves.  A failure mid-count leaves the cache
+      untouched: the entry was admitted when encoding completed and is
+      valid however the count ends, so the next scan hits.
+    * **transient** (``cache`` None): the plan's rows taken
+      ``partition_rows`` at a time, each chunk encoded, counted and
+      dropped — what a scan that stages everything it reads, a table
+      the cache cannot hold, and ``scan_cache_bytes=0`` get.
+
+    Workers' staged-row indexes come back slice-relative and are
+    re-based onto the full encoding before decoding.
     """
 
-    cached = True
-
-    def __init__(self, cache: ColumnarScanCache, plan: ColumnarScanPlan,
-                 partition_rows: int, attr_index: dict[str, int]) -> None:
+    def __init__(self, plan: ColumnarScanPlan,
+                 cache: ColumnarScanCache | None, partition_rows: int,
+                 attr_index: dict[str, int]) -> None:
         super().__init__()
-        self._cache = cache
+        self.cached = cache is not None
         self._plan = plan
+        self._cache = cache
         self._partition_rows = partition_rows
+        #: The resident encoding, and what workers are handed for it
+        #: (itself, or its persistent segment's reference).
         self._table: Any = None
         self._shipped: Any = None
         #: The pushed batch filter workers apply as a keep-mask.
@@ -511,13 +384,27 @@ class _CachedPlanSource(_PartitionSource):
         if (plan.filter_expr is not None
                 and not isinstance(plan.filter_expr, TrueExpr)):
             self._keep_spec = (plan.filter_expr, attr_index)
-        self._charged = False
+        self._charged = True
         self._total_seen = 0
 
-    def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
-             targets: tuple[Any, Any]) -> Iterator[Any]:
+    def _start(self) -> Iterator[Any]:
         plan = self._plan
-        entry = self._cache.lookup(plan.key)
+        if self._cache is None:
+            assert plan.rows is not None
+            self._partitions = _columnar_slices(
+                iter(plan.rows()), self._partition_rows, self._scan
+            )
+        else:
+            self._partitions = self._resident_slices(self._cache)
+        if self._charged:
+            plan.charge_scan()
+        return iter(self._partitions)
+
+    def _resident_slices(self, cache: ColumnarScanCache) -> range:
+        """Look the encoding up (encoding and admitting it on a miss);
+        its partitions are the slices' row offsets."""
+        plan, scan = self._plan, self._scan
+        entry = cache.lookup(plan.key)
         self._charged = entry is not None or plan.charge_on_miss
         if entry is not None:
             scan.cache_hit = True
@@ -527,29 +414,30 @@ class _CachedPlanSource(_PartitionSource):
             encode_started = time.perf_counter()
             partition = plan.encode()
             encode_seconds = time.perf_counter() - encode_started
-            entry = self._cache.admit(
-                plan.key, partition, ship=pool.remote and shm_available()
+            entry = cache.admit(
+                plan.key, partition,
+                ship=self._pool.remote and shm_available(),
             )
             entry.encode_seconds = scan.encode_seconds = encode_seconds
             scan.ship_seconds = entry.ship_seconds
-        if self._charged:
-            plan.charge_scan()
         self._table = entry.partition
         self._shipped = entry.ref if entry.ref is not None else self._table
-        self._partitions = range(
-            0, self._table.n_rows, self._partition_rows
-        )
-        return super().open(pool, scan, targets)
+        return range(0, self._table.n_rows, self._partition_rows)
 
     def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
-        # A "partition" is a slice's row offset in the full encoding,
-        # which is also all the ticket has to remember.
-        stop = min(partition + self._partition_rows, self._table.n_rows)
+        # Transient: a whole partition, pinned by its ticket for the
+        # staged-row decode.  Resident: a slice's row offset in the
+        # full encoding, which is all its ticket has to remember.
+        if self._cache is None:
+            source, start, stop = partition, 0, partition.n_rows
+            pinned = partition
+        else:
+            source, start, pinned = self._shipped, partition, None
+            stop = min(start + self._partition_rows, self._table.n_rows)
         future = self._pool.submit_columnar_slice(
-            seq, self._shipped, partition, stop, self._keep_spec,
-            *self._targets,
+            seq, source, start, stop, self._keep_spec, *self._targets,
         )
-        return future, partition
+        return future, (start, pinned)
 
     def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
         seen = int(result[6])
@@ -557,7 +445,10 @@ class _CachedPlanSource(_PartitionSource):
         return seen
 
     def staged_rows(self, ticket: Any, selection: Any) -> Any:
-        return self._table.rows_at(selection + ticket)
+        start, pinned = ticket
+        if pinned is not None:  # a whole transient partition
+            return pinned.rows_at(selection)
+        return self._table.rows_at(selection + start)
 
     def close(self) -> None:
         # A failed scan's traceback pins this object; the partition
@@ -747,9 +638,9 @@ class ExecutionModule:
         """Rows the scan is expected to read, known before it runs.
 
         Exact for staged sources; for server scans it is the batch's
-        relevant-row total (an underestimate without filter push-down,
-        which at worst streams a longer source through the inline
-        executor).
+        relevant-row total (an underestimate of the rows the plan's
+        superset holds, which at worst counts a longer source through
+        the inline executor).
         """
         staging = self._staging
         if schedule.mode is DataLocation.MEMORY:
@@ -776,22 +667,32 @@ class ExecutionModule:
             return INLINE_PARTITION_CHUNKS * config.scan_chunk_rows
         return self._sizer.partition_rows(source_rows, config.scan_workers)
 
-    def _rows_for(self, schedule: Any) -> Iterator[Any]:
-        """The cursor rows of a SERVER scan."""
-        rows: Iterator[Any] = self._strategy.rows(
-            *self._server_scan(schedule)
-        )
-        return rows
-
-    def _server_scan(self, schedule: Any) -> tuple[Any, int]:
-        """``(pushed batch filter or None, relevant rows)`` of a
-        SERVER scan — what an access strategy is asked for."""
+    def _server_plan(self, schedule: Any) -> ColumnarScanPlan:
+        """The access strategy's plan for a SERVER scan: asked with the
+        pushed batch filter (or None) and the batch's relevant rows."""
         predicate = None
         if self._config.push_filters:
             predicate = batch_filter(
                 [request.predicate for request in schedule.batch]
             )
-        return predicate, sum(r.n_rows for r in schedule.batch)
+        if not filter_supported(predicate):
+            # Batch filters are ORs of root paths whose conditions are
+            # validated to = / <>; the keep-mask evaluates all of those.
+            raise MiddlewareError(
+                "the batch filter cannot be evaluated as a keep-mask: "
+                f"{predicate.to_sql()}"
+            )
+        plan: ColumnarScanPlan = self._strategy.plan_columnar(
+            predicate, sum(r.n_rows for r in schedule.batch)
+        )
+        return plan
+
+    def _admits(self, plan: ColumnarScanPlan) -> bool:
+        """Would the columnar cache plausibly hold ``plan``'s encoding?"""
+        cache = self._scan_cache
+        return cache is not None and cache.admissible(
+            plan, self._spec.n_attributes + 1
+        )
 
     def _charge_memory_read(self, schedule: Any) -> None:
         """Charge reading the schedule's staged in-memory rows."""
@@ -838,33 +739,38 @@ class ExecutionModule:
                           partition_rows: int) -> _PartitionSource:
         """The source one scan counts over.
 
-        The cached full-source encoding when a pooled scan has a cache
-        plan, else columnar partitions streamed from the schedule's own
-        tier.  A cursor is consumed by exactly one thread (the
-        coordinator, or the prefetch producer), so simulated per-row
-        meter charges accrue exactly once.
+        A SERVER scan runs from its access path's plan on every
+        executor; the schedule and the cache's admission gate say
+        whether the plan's encoding is kept resident — some node of the
+        batch is not staged by this scan, so the table will be read
+        again — or its rows are counted a partition at a time and
+        dropped.  A staged source streams from its own tier (a pooled
+        FILE scan over the file's cached encoding when it fits).
         """
         staging = self._staging
-        server = schedule.mode is DataLocation.SERVER
-        # Prefetch overlaps the cursor with *other* workers; the inline
-        # executor would only hand rows between two threads that cannot
-        # run at once.
-        prefetch = PREFETCH_PARTITIONS if server and not pool.inline else 0
-        plan = None if pool.inline else self._cache_plan(schedule)
-        if plan is not None:
-            assert self._scan_cache is not None
-            return _CachedPlanSource(
-                self._scan_cache, plan, partition_rows, self._attr_index
+        if schedule.mode is DataLocation.SERVER:
+            plan = self._server_plan(schedule)
+            staged = {*schedule.stage_file_targets,
+                      *schedule.stage_memory_targets}
+            resident = self._admits(plan) and any(
+                node_id not in staged for node_id in schedule.node_ids
+            )
+            return _PlanSource(
+                plan, self._scan_cache if resident else None,
+                partition_rows, self._attr_index,
             )
         partitions: Iterator[ColumnarPartition]
-        if server:
-            partitions = _columnar_slices(
-                self._rows_for(schedule), partition_rows, scan
-            )
-        elif schedule.mode is DataLocation.FILE:
+        if schedule.mode is DataLocation.FILE:
+            staged_file = staging.file_for(schedule.source_node)
+            if not pool.inline:
+                plan = staged_file_plan(staged_file)
+                if self._admits(plan):
+                    return _PlanSource(
+                        plan, self._scan_cache, partition_rows,
+                        self._attr_index,
+                    )
             partitions = _columnar_file_slices(
-                staging.file_for(schedule.source_node).scan_blocks(),
-                partition_rows, scan,
+                staged_file.scan_blocks(), partition_rows, scan
             )
         else:
             # Count over zero-copy slices of the session's cached
@@ -874,7 +780,7 @@ class ExecutionModule:
             table = staging.columnar_memory(schedule.source_node)
             scan.encode_seconds += time.perf_counter() - encode_started
             partitions = _columnar_memory_slices(table, partition_rows)
-        return _PartitionSource(partitions, prefetch)
+        return _PartitionSource(partitions)
 
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
@@ -890,7 +796,7 @@ class ExecutionModule:
         to the staging writer (bit-identical staged files, flushes
         overlapping counting).
 
-        On failure the scan stops its source (prefetch thread, cursor),
+        On failure the scan stops its source (closing its row supply),
         drains its outstanding futures and aborts the staging writer
         *before* re-raising, and the source lets go of every segment
         and pinned partition either way — so no half-written staged
@@ -900,8 +806,8 @@ class ExecutionModule:
         §4.1.1 overflow is checked once, after the merge: workers count
         unconditionally and the merged sizes are admitted against the
         budget in batch order, so deferral / SQL-fallback decisions
-        never depend on source, worker count, partition boundaries,
-        prefetch depth or writer arrangement.  (Deferred nodes get
+        never depend on source, worker count, partition boundaries or
+        writer arrangement.  (Deferred nodes get
         their estimate raised to the exact pair count, so the next
         admission reserves precisely.)
         """
@@ -1012,37 +918,6 @@ class ExecutionModule:
                     state.reserved = needed
                 else:
                     self._abandon(state, states, scan)
-
-    def _cache_plan(self, schedule: Any) -> ColumnarScanPlan | None:
-        """A table-version cache plan for this scan, or None to stream.
-
-        None falls back to streaming — the cache is an overlay, never a
-        requirement.  A plan needs: the cache enabled (a non-zero
-        ``scan_cache_bytes``), a worker-side filter the vector kernel
-        can evaluate, and an encoding the byte budget could plausibly
-        hold.
-        MEMORY scans already count over a cached encoding and stay put.
-
-        Ordering note: for the §4.3.3 strategies ``plan_columnar`` may
-        eagerly (re)build the auxiliary structure, so the admission
-        gate runs *after* planning; a plan declined for size leaves the
-        strategy exactly where the streaming path expects it.
-        """
-        cache = self._scan_cache
-        if cache is None or schedule.mode is DataLocation.MEMORY:
-            return None
-        if schedule.mode is DataLocation.FILE:
-            plan = staged_file_plan(
-                self._staging.file_for(schedule.source_node)
-            )
-        else:
-            predicate, relevant = self._server_scan(schedule)
-            if not filter_supported(predicate):
-                return None
-            plan = self._strategy.plan_columnar(predicate, relevant)
-        if not cache.admissible(plan, self._spec.n_attributes + 1):
-            return None
-        return plan
 
     def _abandon(self, target: _NodeCount, states: list[_NodeCount],
                  scan: ScheduleRecord) -> None:

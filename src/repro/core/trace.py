@@ -55,9 +55,6 @@ class ScheduleRecord:
     pool_setup_seconds: float = 0.0
     #: True when the scan reused an already-running worker pool.
     pool_reused: bool = False
-    #: SERVER-cursor partitions the prefetch thread may run ahead
-    #: (0 = no prefetch thread: a staged or cached source, one worker).
-    prefetch_depth: int = 0
     #: Staging writer threads this scan ran, one per output file
     #: (0 = wrote in place: the inline executor, or no file).
     split_writers: int = 0
@@ -68,8 +65,10 @@ class ScheduleRecord:
     #: memcpy only; 0.0 unless a process pool counted the scan, and
     #: for warm scans served by a persistent segment).
     ship_seconds: float = 0.0
-    #: True when the scan counted over the table-version columnar
-    #: cache; ``cache_hit`` says whether the encoding was reused.
+    #: True when the scan counted over an encoding the table-version
+    #: columnar cache keeps resident (False = a staged source, or a
+    #: SERVER scan whose partitions were encoded and dropped);
+    #: ``cache_hit`` says whether the encoding was reused.
     cached: bool = False
     cache_hit: bool = False
     #: What building the hit entry originally cost — the work this
@@ -78,8 +77,6 @@ class ScheduleRecord:
     ship_seconds_saved: float = 0.0
     #: Rows per partition.
     partition_rows: int = 0
-    #: Highest prefetch depth the adaptive producer reached (0 = none).
-    prefetch_peak: int = 0
     #: Access path the server-side strategy took ("seq" / "index" /
     #: "temp_table" / "tid_join" / "keyset"; "" for non-SERVER scans).
     access_path: str = ""

@@ -312,8 +312,8 @@ def count_partition_columnar(
     crosses the worker boundary.
 
     ``keep`` (optional boolean mask) restricts counting to qualifying
-    rows: the cached scan path hands workers full-table partitions and
-    applies the batch filter here instead of at the cursor.
+    rows: a SERVER scan hands workers partitions of its access path's
+    whole superset and applies the batch filter here, not at a cursor.
     """
     kernel, layout, class_index, n_classes = ctx
     started = time.perf_counter()
@@ -379,9 +379,10 @@ def count_partition_slice(
     capture_nodes: Iterable[Any],
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
-    """Count rows ``[start, stop)`` of a cached full-table partition.
+    """Count rows ``[start, stop)`` of a partition under a keep mask.
 
-    The cached scan path's worker entry: slices the shared encoding
+    The worker entry of every plan-run scan — a slice of the resident
+    full encoding, or the whole of a transient partition: slices
     (zero-copy views), evaluates the batch filter as a keep mask
     (``keep_spec`` is ``(expr, attr_index)``, or None for an
     unfiltered scan), and counts the qualifying rows.  Returns the

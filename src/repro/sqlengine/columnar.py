@@ -336,12 +336,13 @@ class ColumnarPartition:
 def filter_supported(expr: Any) -> bool:
     """True when :func:`predicate_mask` can evaluate ``expr``.
 
-    The cached-scan planner calls this at plan time: batch filters are
-    disjunctions of path-condition conjunctions (``=`` / ``<>`` on one
-    column against one literal), which is exactly the shape supported.
-    Anything else — another operator, a non-literal operand — falls
-    back to the streaming scan rather than risking a semantic drift
-    from :func:`repro.sqlengine.expr.compile_predicate`.
+    Checked at plan time: batch filters are disjunctions of
+    path-condition conjunctions (``=`` / ``<>`` on one column against
+    one literal), which is exactly the shape supported.  Anything else
+    — another operator, a non-literal operand — is refused (the
+    execution module raises, the SQL executor groups row by row)
+    rather than risking a semantic drift from
+    :func:`repro.sqlengine.expr.compile_predicate`.
     """
     if expr is None or isinstance(expr, TrueExpr):
         return True

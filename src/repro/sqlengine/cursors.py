@@ -127,9 +127,10 @@ class ForwardCursor:
     def partitions(self, partition_rows: int) -> Iterator[Any]:
         """Yield qualifying rows as :class:`ColumnarPartition` batches.
 
-        :meth:`rows`, batched: rows arrive encoded column-wise in
-        batches of up to ``partition_rows`` so the executor can hand
-        them to scan workers without re-encoding.  Requires numpy.
+        :meth:`rows`, batched.  Only a name: nothing calls it, but
+        ``benchmarks/e2e/trace.py``'s frozen patch table still lists
+        ``ForwardCursor.partitions``.  The next ``[benchmark]`` PR
+        drops both.  Requires numpy.
         """
         from ..common.errors import SQLError
         from .columnar import ColumnarPartition, columnar_available

@@ -143,30 +143,6 @@ class HeapTable:
                 if row is not None:
                     yield row
 
-    def scan_columnar(self, partition_rows: int) -> Iterator[Any]:
-        """Yield live rows as :class:`ColumnarPartition` batches.
-
-        Batches hold up to ``partition_rows`` rows each, in storage
-        order — the same rows :meth:`scan_rows` would yield, encoded
-        column-wise so scan workers can count over arrays directly.
-        Requires numpy (:func:`columnar_available`).
-        """
-        from ..common.errors import SQLError
-        from .columnar import ColumnarPartition, columnar_available
-
-        if not columnar_available():
-            raise SQLError("columnar scans need numpy")
-        if partition_rows < 1:
-            raise ValueError("partition_rows must be positive")
-        pending: list[Row] = []
-        for page in self._pages:
-            pending.extend(page.live_rows())
-            while len(pending) >= partition_rows:
-                yield ColumnarPartition.from_rows(pending[:partition_rows])
-                del pending[:partition_rows]
-        if pending:
-            yield ColumnarPartition.from_rows(pending)
-
     def columnar(self) -> Any:
         """The live rows as one full-table :class:`ColumnarPartition`.
 

@@ -62,12 +62,7 @@ class Page:
         return iter(self.rows)
 
     def live_rows(self) -> list[Row]:
-        """The page's rows with tombstoned slots skipped.
-
-        Batch accessor for the columnar scan path: callers collect
-        whole pages of live rows and encode them column-wise instead
-        of iterating slot by slot.
-        """
+        """The page's rows with tombstoned slots skipped."""
         return [row for row in self.rows if row is not None]
 
 

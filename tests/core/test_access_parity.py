@@ -1,12 +1,13 @@
-"""Every access path costs the same streamed, cache-missed or cache-hit.
+"""Every access path costs the same however its plan is supplied.
 
 One matrix over {scan, temp_table, tid_join, keyset, auto} × every
-path each strategy can take.  Each case runs three times from the same
-starting state — the drained ``rows()`` stream, the columnar plan
-driven as a cache miss, and the same plan driven as a hit — and all
-three must agree on the row multiset, on ``last_choice`` and, category
-by category, on what the meter was charged and how many events it
-counted.
+path each strategy can take.  Each case runs four times from the same
+starting state — the drained ``rows()`` stream (the metered reference,
+which only this file calls), the columnar plan driven resident as a
+cache miss, the same plan driven as a hit, and the plan's row supply
+driven transiently — and all four must agree on the row multiset, on
+``last_choice`` and, category by category, on what the meter was
+charged and how many events it counted.
 """
 
 import pytest
@@ -76,7 +77,7 @@ def stream(strategy, predicate, relevant):
 
 
 def drive_plan(hit):
-    """Drive a plan the way the executor's cached source does."""
+    """Drive a plan the way the executor's resident supply does."""
 
     def drive(strategy, predicate, relevant):
         plan = strategy.plan_columnar(predicate, relevant)
@@ -92,6 +93,16 @@ def drive_plan(hit):
         return rows
 
     return drive
+
+
+def drive_transient(strategy, predicate, relevant):
+    """Drive a plan the way the executor's transient supply does."""
+    plan = strategy.plan_columnar(predicate, relevant)
+    plan.charge_scan()
+    keep = compile_predicate(plan.filter_expr, SCHEMA)
+    rows = [row for row in plan.rows() if keep(row)]
+    plan.charge_rows(len(rows))
+    return rows
 
 
 def measure(run, strategy_name, scans, threshold, index, free_build):
@@ -127,9 +138,9 @@ def test_stream_miss_and_hit_agree(strategy, path, scans, threshold,
     assert rows == sorted(row for row in DATA if check(row))
     assert choice.path == LABELS.get(path, strategy)
 
-    for hit in (False, True):
+    for drive in (drive_plan(False), drive_plan(True), drive_transient):
         plan_rows, plan_choice, plan_charges, plan_counts = measure(
-            drive_plan(hit), *setup
+            drive, *setup
         )
         assert plan_rows == rows
         assert plan_choice == choice

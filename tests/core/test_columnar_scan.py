@@ -5,18 +5,16 @@ NULL-heavy, unicode and mixed-type columns it must produce CC tables
 equal to the per-row oracle's on every shipping path (in-process,
 thread pool, process pool via pickle, process pool via shared memory),
 decode staged rows identically, size partitions sanely without a row
-estimate, shut its prefetch producer down without busy-waiting, and —
-proven by fault injection against the resource witness — leak no
-shared-memory segment past a failed scan.
+estimate, and — proven by fault injection against the resource witness
+— leak no shared-memory segment past a failed scan.
 
 With ``scan_workers=1``, and for any source one partition long, the
-same path runs through the *inline* executor: no pool, no prefetch or
-writer thread.  Inline, two threads and two processes must agree on
+same path runs through the *inline* executor: no pool, no writer
+thread.  Inline, two threads and two processes must agree on
 everything a session produces.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -31,10 +29,7 @@ from repro.client.growth import GrowthPolicy  # noqa: E402
 from repro.common.errors import MiddlewareError  # noqa: E402
 from repro.common.locks import install_monitor  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
-from repro.core.execution import (  # noqa: E402
-    _PartitionProducer,
-    _PartitionSizer,
-)
+from repro.core.execution import _PartitionSizer  # noqa: E402
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core import scan_pool  # noqa: E402
@@ -316,95 +311,6 @@ class TestPartitionSizer:
 
 
 # ---------------------------------------------------------------------------
-# the prefetch producer's stop/sentinel protocol
-# ---------------------------------------------------------------------------
-
-
-class TestPartitionProducer:
-    def _source(self, n, fail_at=None, closed=None):
-        def generate():
-            try:
-                for i in range(n):
-                    if fail_at is not None and i == fail_at:
-                        raise RuntimeError("cursor exploded")
-                    yield [i]
-            finally:
-                if closed is not None:
-                    closed.append(True)
-        return generate()
-
-    def _wait_buffered(self, producer, count):
-        deadline = time.monotonic() + 5.0
-        while (producer._queue.qsize() < count
-               and time.monotonic() < deadline):
-            time.sleep(0.001)
-        assert producer._queue.qsize() >= count
-
-    def test_yields_everything_in_order(self):
-        producer = _PartitionProducer(self._source(10), depth=2)
-        assert list(producer.partitions()) == [[i] for i in range(10)]
-        assert not producer._thread.is_alive()
-        assert producer.leftover == 0
-
-    def test_source_error_reraised_after_buffered_items(self):
-        producer = _PartitionProducer(self._source(10, fail_at=3), depth=2)
-        consumed = []
-        with pytest.raises(RuntimeError, match="cursor exploded"):
-            for item in producer.partitions():
-                consumed.append(item)
-        assert consumed == [[0], [1], [2]]
-        assert not producer._thread.is_alive()
-
-    def test_stop_drains_buffer_and_closes_source(self):
-        closed = []
-        producer = _PartitionProducer(
-            self._source(100, closed=closed), depth=3
-        )
-        self._wait_buffered(producer, 3)
-        producer.stop()
-        assert not producer._thread.is_alive()
-        # A failed scan must pin nothing: everything buffered was
-        # drained and accounted for, and the source generator closed.
-        assert producer.leftover == 3
-        assert closed == [True]
-
-    def test_stop_wakes_a_blocked_producer_promptly(self):
-        # depth=1: the producer buffers one partition and blocks on the
-        # permit semaphore.  stop() must wake and join it directly —
-        # the old implementation spun on 0.05s put-timeouts instead.
-        producer = _PartitionProducer(self._source(100), depth=1)
-        self._wait_buffered(producer, 1)
-        started = time.perf_counter()
-        producer.stop()
-        assert time.perf_counter() - started < 2.0
-        assert not producer._thread.is_alive()
-        assert producer.leftover == 1
-
-    def test_stop_after_clean_completion_is_safe(self):
-        producer = _PartitionProducer(self._source(3), depth=2)
-        assert len(list(producer.partitions())) == 3
-        producer.stop()
-        assert producer.leftover == 0
-
-    def test_adaptive_growth_caps_at_max_depth(self):
-        producer = _PartitionProducer(iter([]), depth=2, max_depth=4)
-        assert list(producer.partitions()) == []
-        producer._consumed = 1
-        for _ in range(5):
-            producer._grow()
-        assert producer.peak_depth == 4
-
-    def test_no_growth_before_first_consumption(self):
-        # Growing while the consumer has seen nothing would just raise
-        # the configured depth; peak_depth must start at the configured
-        # value so the trace's prefetch_depth contract holds.
-        producer = _PartitionProducer(iter([[1]]), depth=2, max_depth=4)
-        producer._grow()
-        assert producer.peak_depth == 2
-        assert list(producer.partitions()) == [[1]]
-
-
-# ---------------------------------------------------------------------------
 # middleware integration: equivalence, trace fields, fault injection
 # ---------------------------------------------------------------------------
 
@@ -424,7 +330,6 @@ class TestColumnarIntegration:
         _, trace, _ = frontier_results(scan_workers=2, **PARALLEL)
         record = trace[0]
         assert record.ship_seconds >= 0.0
-        assert record.prefetch_peak >= record.prefetch_depth
         assert record.partition_rows > 0
 
     def _staged_root_bytes(self, **overrides):
@@ -701,7 +606,6 @@ class TestInlineExecutor:
                     assert len(mw.trace) >= 2
                     for record in mw.trace:
                         assert record.workers == 1
-                        assert record.prefetch_depth == 0
                         assert record.split_writers == 0
                         assert not record.cached
                         assert "(inline)" in str(record)
@@ -721,8 +625,7 @@ class TestInlineExecutor:
             install_monitor(previous)
         assert started == []
         assert set(threading.enumerate()) == threads_before
-        for kind in ("executor", "future", "scan-prefetch",
-                     "staging-writer"):
+        for kind in ("executor", "future", "staging-writer"):
             assert monitor.created.get(kind, 0) == 0
         assert monitor.live_kinds() == []
 
@@ -870,22 +773,27 @@ class TestShmFaultInjection:
         try:
             rows = dataset_rows()
             server = make_server(rows)
-            # An out-of-range class label passes the SQL schema (it is
-            # an int) but poisons the vectorized count in the worker.
-            server.table("data").insert((0, 0, 99))
             config = MiddlewareConfig(
                 memory_bytes=100_000,
                 file_staging=False,
-                memory_staging=False,
                 scan_workers=2,
                 scan_pool="process",
-                scan_cache_bytes=0,  # the streaming failure path
                 **PARALLEL,
             )
             with Middleware(server, "data", SPEC, config) as mw:
                 mw.queue_request(root_request(rows))
+                mw.process_next_batch()  # SERVER: captures the root
+                assert monitor.created.get("shm-segment", 0) == 0
+                # An out-of-range class label in the captured set
+                # poisons the vectorized count in the worker: the
+                # MEMORY scan ships one segment per partition.
+                mw.staging.memory_rows("root")[5] = (0, 0, 99)
+                mw.queue_requests(
+                    [child_request(f"n{v}", v, rows) for v in range(3)]
+                )
                 with pytest.raises(IndexError):
                     mw.process_next_batch()
+                assert mw.budget.tags() == ["data:root"]
                 # Segments really shipped, and none survived the
                 # failure — the witness would report a leak otherwise.
                 assert monitor.created.get("shm-segment", 0) >= 1
@@ -950,23 +858,28 @@ class TestShmFaultInjection:
 
     def test_poison_row_fails_encoding_without_pinning(self):
         # An unhashable attribute value fails dictionary encoding on
-        # the producer thread; the scan must surface the TypeError and
-        # leave no partitions pinned.
+        # the coordinator, mid-way through a transient SERVER scan
+        # whose earlier partitions are already with the workers; the
+        # scan must surface the TypeError and leave nothing pinned.
         monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
-            producer = _PartitionProducer(
-                iter(
-                    ColumnarPartition.from_rows([row])
-                    for row in [(1, 1, 0), ([], 1, 0)]
-                ),
-                depth=2,
+            rows = dataset_rows()
+            server = make_server(rows)
+            server.table("data").insert(([], 1, 0), validate=False)
+            config = MiddlewareConfig(
+                memory_bytes=100_000, scan_workers=2, scan_cache_bytes=0,
+                **PARALLEL,
             )
-            with pytest.raises(TypeError):
-                list(producer.partitions())
-            producer.stop()
-            assert producer.leftover <= 1
-            assert "scan-prefetch" not in monitor.live_kinds()
+            with Middleware(server, "data", SPEC, config) as mw:
+                mw.queue_request(root_request(rows))
+                with pytest.raises(TypeError):
+                    mw.process_next_batch()
+                assert "future" not in monitor.live_kinds()
+                assert mw.budget.used == 0
+                assert mw.staging.file_nodes() == []
+                assert server.table("data")._encoding is None
+            assert monitor.live_kinds() == []
         finally:
             install_monitor(previous)
 

@@ -119,22 +119,23 @@ class TestSingleScanCounting:
 
 
 class _SpyStrategy:
-    """Wraps a server-access strategy, recording row-request predicates."""
+    """Wraps a server-access strategy, recording the predicates its
+    plans are asked with."""
 
     def __init__(self, inner):
         self._inner = inner
         self.predicates = []
 
-    def rows(self, predicate, relevant):
+    def plan_columnar(self, predicate, relevant):
         self.predicates.append(predicate)
-        return self._inner.rows(predicate, relevant)
+        return self._inner.plan_columnar(predicate, relevant)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 class TestRowSources:
-    """`_rows_for` contracts: metering and filter push-down wiring."""
+    """Source contracts: metering and filter push-down wiring."""
 
     def test_memory_scan_meters_one_read_per_row(self):
         rows = dataset_rows()

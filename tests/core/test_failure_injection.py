@@ -21,6 +21,7 @@ from repro.datagen.loader import load_dataset
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import WitnessMonitor
+from .plan_seam import wrap_plan_rows
 
 SPEC = DatasetSpec([3, 3], 2)
 ROWS = [(a, b, (a + b) % 2) for a in range(3) for b in range(3)
@@ -94,13 +95,11 @@ class _ExplodingIterator:
 
 class TestScanFailureCleanup:
     def _explode(self, middleware, blow_after=3):
-        """Patch the execution module's row source to fail mid-scan."""
-        original = middleware.execution._rows_for
-
-        def failing(schedule):
-            return _ExplodingIterator(original(schedule), blow_after)
-
-        middleware.execution._rows_for = failing
+        """Make the SERVER plan's row supply fail mid-scan (the root
+        is staged by its own scan, so the scan is transient)."""
+        return wrap_plan_rows(
+            middleware, lambda rows: _ExplodingIterator(rows, blow_after)
+        )
 
     def test_cc_reservations_released_on_failure(self):
         with make_middleware() as mw:
@@ -129,54 +128,46 @@ class TestScanFailureCleanup:
 
     def test_middleware_still_usable_after_failure(self):
         with make_middleware() as mw:
-            self._explode(mw)
+            restore = self._explode(mw)
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError):
                 mw.process_next_batch()
             # Restore a healthy row source and retry from scratch.
-            mw.execution._rows_for = type(mw.execution)._rows_for.__get__(
-                mw.execution
-            )
+            restore()
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
 
 
 class TestPoisonedPartition:
-    """A worker dying mid-scan must not corrupt the session.
+    """A scan dying mid-way must not corrupt the session.
 
-    The poison is a row carrying an unhashable attribute value: the
-    routing kernel's dict probe raises ``TypeError`` *inside a pool
-    worker*, which is the failure mode the persistent pool must survive
-    — outstanding futures drained, the staging writer aborted, no
-    half-written staged file left behind, and the same pool object
-    serving the next scan.
+    The poison is a row carrying an unhashable attribute value, which
+    raises ``TypeError`` when its partition of a transient SERVER scan
+    is encoded — with earlier partitions already at the workers, which
+    is the failure mode the persistent pool must survive: outstanding
+    futures drained, the staging writer aborted, no half-written
+    staged file left behind, and the same pool object serving the next
+    scan.
     """
 
     POISON = ([], 0, 0)  # unhashable A1 value blows up in the worker
 
     def _poison(self, middleware, poison_after=8):
-        original = middleware.execution._rows_for
-
-        def poisoned(schedule):
-            rows = list(original(schedule))
+        def poisoned(rows):
+            rows = list(rows)
             rows.insert(poison_after, self.POISON)
             return iter(rows)
 
-        middleware.execution._rows_for = poisoned
-
-    def _restore(self, middleware):
-        middleware.execution._rows_for = type(
-            middleware.execution
-        )._rows_for.__get__(middleware.execution)
+        return wrap_plan_rows(middleware, poisoned)
 
     PARALLEL = {
         "scan_workers": 2,
         "scan_chunk_rows": 4,
-        # The poison rides the streaming row source (``_rows_for``),
-        # which the columnar cache's encode-once path never touches —
-        # pin the cache off so the streaming failure path stays under
-        # test.  TestPoisonedCachedScan covers the cached path.
+        # The poison rides the plan's row supply, which a scan over
+        # the server's resident encoding never reads — pin the cache
+        # off so every scan here is transient, staged root or not.
+        # TestPoisonedCachedScan covers the resident path.
         "scan_cache_bytes": 0,
     }
 
@@ -210,13 +201,13 @@ class TestPoisonedPartition:
         with make_middleware(memory_staging=False,
                              staging_dir=str(tmp_path),
                              **self.INLINE) as mw:
-            self._poison(mw, poison_after=20)  # past the first partition
+            restore = self._poison(mw, poison_after=20)  # 2nd partition
             mw.queue_request(root_request())
             with pytest.raises(TypeError):
                 mw.process_next_batch()
             pool = mw.scan_pool
             assert pool is not None and pool.inline
-            self._restore(mw)
+            restore()
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
@@ -226,14 +217,14 @@ class TestPoisonedPartition:
 
     def test_pool_survives_and_serves_the_next_scan(self):
         with make_middleware(**self.PARALLEL) as mw:
-            self._poison(mw)
+            restore = self._poison(mw)
             mw.queue_request(root_request())
             with pytest.raises(TypeError):
                 mw.process_next_batch()
             pool = mw.scan_pool
             assert pool is not None and pool.active
             created_before = pool.pools_created
-            self._restore(mw)
+            restore()
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
@@ -242,7 +233,7 @@ class TestPoisonedPartition:
             assert mw.scan_pool is pool
             assert pool.pools_created == created_before
 
-    def test_poison_mid_stream_with_prefetch_enabled(self, tmp_path):
+    def test_poison_mid_stream_on_a_pool(self, tmp_path):
         with make_middleware(memory_staging=False,
                              staging_dir=str(tmp_path),
                              **self.PARALLEL) as mw:
@@ -413,20 +404,25 @@ class TestSetUpAndCommitFailure:
 
 # -- the one scan loop, stage by stage -------------------------------------------
 
-#: name -> (config, whether a root scan primes the session).  Every
-#: scenario's scan under test has staging output where its tier can
-#: have any (a MEMORY scan is already on the best tier, and hands its
-#: writer nothing).
+#: name -> (config, whether a root scan primes the session, whether
+#: the scan under test counts over a resident encoding).  Every
+#: scenario's scan under test has staging output where it can have any
+#: (a MEMORY scan is already on the best tier, and a SERVER scan that
+#: stages its whole batch is transient by rule: both hand their writer
+#: nothing — the writer's ``put`` and ``close`` still run).
 SOURCES = {
-    "server-streamed": (
-        {"memory_staging": False, "scan_cache_bytes": 0}, False),
-    "server-cached": ({"memory_staging": False}, False),
+    "server-transient": ({"memory_staging": False}, False, False),
+    "server-uncached": (
+        {"memory_staging": False, "file_staging": False,
+         "scan_cache_bytes": 0}, False, False),
+    "server-resident": (
+        {"memory_staging": False, "file_staging": False}, False, True),
     "file-streamed": (
         {"memory_staging": False, "file_split_threshold": 1.0,
-         "scan_cache_bytes": 0}, True),
+         "scan_cache_bytes": 0}, True, False),
     "file-cached": (
-        {"memory_staging": False, "file_split_threshold": 1.0}, True),
-    "memory": ({"file_staging": False}, True),
+        {"memory_staging": False, "file_split_threshold": 1.0}, True, True),
+    "memory": ({"file_staging": False}, True, False),
 }
 EXECUTORS = {
     "inline": {"scan_workers": 1},
@@ -439,8 +435,8 @@ FAULTS = ("pull", "submit", "merge", "put", "close")
 def _pipeline_cases():
     for source in SOURCES:
         for executor in EXECUTORS:
-            # The inline executor never runs over the cache.
-            if executor == "inline" and source.endswith("cached"):
+            # An inline FILE scan streams; it never runs over the cache.
+            if executor == "inline" and source == "file-cached":
                 continue
             for fault in FAULTS:
                 yield source, executor, fault
@@ -518,7 +514,7 @@ class TestPipelineStageFailures:
                     source._partitions = _ExplodingPartitions(
                         source._partitions
                     )
-                else:  # the cached plan has no stream: cut its slices
+                else:  # a plan's partitions exist once it is opened
                     opened = source.open
                     source.open = lambda *a: _ExplodingPartitions(
                         opened(*a)
@@ -553,7 +549,7 @@ class TestPipelineStageFailures:
     def test_fault_leaves_nothing_behind(self, source, executor, fault,
                                          tmp_path, monkeypatch):
         pytest.importorskip("numpy")
-        overrides, primed = SOURCES[source]
+        overrides, primed, resident = SOURCES[source]
         monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
@@ -562,13 +558,13 @@ class TestPipelineStageFailures:
                 **{**PARTITIONED, **EXECUTORS[executor], **overrides},
             ) as mw:
                 self._run_case(mw, monitor, source, fault, primed,
-                               tmp_path, monkeypatch)
+                               resident, tmp_path, monkeypatch)
             assert monitor.live_kinds() == []
         finally:
             install_monitor(previous)
 
-    def _run_case(self, mw, monitor, source, fault, primed, tmp_path,
-                  monkeypatch):
+    def _run_case(self, mw, monitor, source, fault, primed, resident,
+                  tmp_path, monkeypatch):
         def queue():
             if primed:
                 mw.queue_requests(child_requests())
@@ -579,36 +575,38 @@ class TestPipelineStageFailures:
             mw.queue_request(root_request())
             mw.process_next_batch()
         trackers = []
-        rows_for = mw.execution._rows_for
 
-        def tracked(schedule):
-            trackers.append(_TrackedRows(rows_for(schedule)))
+        def tracked(rows):
+            trackers.append(_TrackedRows(rows))
             return trackers[-1]
 
         before = (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
                   mw.staging.memory_nodes(), sorted(mw.budget.tags()))
         queue()
+        restore = wrap_plan_rows(mw, tracked)
         with monkeypatch.context() as patch:
-            patch.setattr(mw.execution, "_rows_for", tracked)
             self._arm(fault, mw, patch)
             with pytest.raises(_Injected):
                 mw.process_next_batch()
+        restore()
 
-        # The scan under test really was the one the case names.
-        assert len(trackers) == (source == "server-streamed")
+        # The scan under test really was the one the case names: only
+        # a transient SERVER scan reads its plan's row supply.
+        assert len(trackers) == (
+            source in ("server-transient", "server-uncached")
+        )
         assert all(tracker.closed for tracker in trackers)
         for node_id in mw.staging.file_nodes():
             assert mw.staging.file_for(node_id)._active_scans == 0
         live = monitor.live_kinds()
-        assert not {"future", "scan-prefetch", "staging-writer",
-                    "staged-file"} & set(live)
+        assert not {"future", "staging-writer", "staged-file"} & set(live)
         cache = mw.execution.scan_cache
         assert live.count("shm-segment") == (
             cache.live_segments if cache is not None else 0
         )
         assert not [
             thread.name for thread in threading.enumerate()
-            if thread.name.startswith(("scan-prefetch", "staging-writer"))
+            if thread.name.startswith("staging-writer")
         ]
         assert (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
                 mw.staging.memory_nodes(),
@@ -621,7 +619,7 @@ class TestPipelineStageFailures:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc == build_cc_from_rows(ROWS, SPEC, ("A1", "A2"))
-        assert mw.trace[-1].cached == source.endswith("cached")
+        assert mw.trace[-1].cached == resident
 
 
 class TestBadClientInput:

@@ -28,6 +28,8 @@ from repro.datagen.loader import load_dataset
 from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
+from .plan_seam import wrap_plan_rows
+
 SPEC = DatasetSpec([3, 3], 2)
 ROWS = [(a, b, (a + b) % 2) for a in range(3) for b in range(3)
         for _ in range(4)]
@@ -76,20 +78,13 @@ class _InterruptingIterator:
 
 class TestKeyboardInterruptCleanup:
     def _interrupt(self, middleware, blow_after=3):
-        original = middleware.execution._rows_for
-
-        def interrupting(schedule):
-            self.source = _InterruptingIterator(
-                original(schedule), blow_after
-            )
+        """Interrupt the SERVER plan's row supply mid-scan (every
+        session here stages its root, so the scan is transient)."""
+        def interrupting(rows):
+            self.source = _InterruptingIterator(rows, blow_after)
             return self.source
 
-        middleware.execution._rows_for = interrupting
-
-    def _restore(self, middleware):
-        middleware.execution._rows_for = type(
-            middleware.execution
-        )._rows_for.__get__(middleware.execution)
+        return wrap_plan_rows(middleware, interrupting)
 
     def test_file_writers_abandoned_on_interrupt(self, tmp_path):
         with make_middleware(memory_staging=False,
@@ -120,18 +115,18 @@ class TestKeyboardInterruptCleanup:
         threads_before = threading.active_count()
         with make_middleware(staging_dir=str(tmp_path),
                              **self.INLINE) as mw:
-            self._interrupt(mw, blow_after=20)
+            restore = self._interrupt(mw, blow_after=20)
             mw.queue_request(root_request())
             with pytest.raises(KeyboardInterrupt):
                 mw.process_next_batch()
-            assert self.source.closed  # the cursor was not left open
+            assert self.source.closed  # the row supply was not left open
             assert mw.staging.file_nodes() == []
             assert mw.staging.memory_nodes() == []
             assert list(tmp_path.iterdir()) == []
             assert mw.budget.used == 0
             assert mw.budget.tags() == []
             assert threading.active_count() == threads_before
-            self._restore(mw)
+            restore()
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
@@ -139,11 +134,11 @@ class TestKeyboardInterruptCleanup:
 
     def test_middleware_usable_after_interrupt(self):
         with make_middleware() as mw:
-            self._interrupt(mw)
+            restore = self._interrupt(mw)
             mw.queue_request(root_request())
             with pytest.raises(KeyboardInterrupt):
                 mw.process_next_batch()
-            self._restore(mw)
+            restore()
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)

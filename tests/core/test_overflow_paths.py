@@ -5,6 +5,7 @@ file-space budget on the §4.3.2 split path, and the cleanup branch of
 ``ExecutionModule.run`` when a scan dies mid-flight.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 SPEC = DatasetSpec([3, 3], 3)
@@ -229,7 +231,9 @@ class TestSplitFileBudget:
 
 
 class _ExplodingStrategy:
-    """Wraps a strategy; dies after yielding ``blow_after`` rows."""
+    """Wraps a strategy; its plans' rows die after ``blow_after`` rows
+    — taken a partition at a time or encoded whole, whichever supply
+    the scan uses."""
 
     def __init__(self, inner, blow_after):
         self._inner = inner
@@ -239,13 +243,21 @@ class _ExplodingStrategy:
     def last_choice(self):
         return self._inner.last_choice
 
-    def rows(self, predicate, relevant_rows):
-        produced = 0
-        for row in self._inner.rows(predicate, relevant_rows):
-            if produced >= self._blow_after:
-                raise RuntimeError("simulated mid-scan failure")
-            produced += 1
-            yield row
+    def plan_columnar(self, predicate, relevant_rows):
+        plan = self._inner.plan_columnar(predicate, relevant_rows)
+
+        def rows():
+            produced = 0
+            for row in plan.rows():
+                if produced >= self._blow_after:
+                    raise RuntimeError("simulated mid-scan failure")
+                produced += 1
+                yield row
+
+        return dataclasses.replace(
+            plan, rows=rows,
+            encode=lambda: ColumnarPartition.from_rows(list(rows())),
+        )
 
     def close(self):
         self._inner.close()

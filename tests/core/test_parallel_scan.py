@@ -12,6 +12,7 @@ several partitions long and several workers genuinely share each scan.
 
 import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -22,7 +23,6 @@ from repro.common.cost import CostMeter, CostModel
 from repro.common.errors import MiddlewareError, StagingError
 from repro.common.memory import MemoryBudget
 from repro.core.config import MiddlewareConfig
-from repro.core.execution import PREFETCH_PARTITIONS
 from repro.core.filters import PathCondition
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
@@ -367,7 +367,6 @@ class TestExecutorRule:
             for record in mw.trace:
                 assert record.workers == 1
                 assert len(record.worker_seconds) == 1  # one partition
-                assert record.prefetch_depth == 0
                 assert record.split_writers == 0
                 assert not record.cached
                 assert "(inline)" in str(record)
@@ -539,12 +538,12 @@ class TestParallelStagingWriter:
         writer.abort()
 
 
-class TestPrefetch:
-    """SERVER-cursor prefetch must change only where time is spent."""
+class TestTransientServerScan:
+    """A SERVER scan the cache may not keep (here: a zero budget) is
+    counted a partition at a time from the plan's rows — on a pool and
+    inline alike, and only where the time is spent may differ."""
 
-    # The columnar cache's encode-once path never streams partitions,
-    # so the prefetch producer only runs with the cache budget at 0.
-    def test_counts_and_costs_identical_with_prefetch(self):
+    def test_counts_and_costs_identical_on_pool_and_inline(self):
         results, trace, cost = frontier_results(
             scan_workers=2, scan_cache_bytes=0, **PARALLEL
         )
@@ -557,14 +556,15 @@ class TestPrefetch:
             assert results[f"n{value}"].cc == build_cc_from_rows(
                 subset, SPEC, ("A2",)
             )
-        # Exactly one thread consumes the cursor, so meter charges are
-        # identical whether the producer thread pulled ahead (a pool)
-        # or the coordinator pulled and submitted (the inline executor).
+        # The meter is charged from the plan by the coordinator —
+        # pages at open, transfer for the rows the keep-masks kept —
+        # so it cannot tell a pool from the inline executor.
         assert cost == pytest.approx(reference_cost)
-        assert trace[0].prefetch_depth == PREFETCH_PARTITIONS
-        assert reference_trace[0].prefetch_depth == 0
+        assert trace[0].workers == 2 and reference_trace[0].workers == 1
+        assert not trace[0].cached and not reference_trace[0].cached
+        assert trace[0].rows_seen == reference_trace[0].rows_seen
 
-    def test_prefetch_only_applies_to_server_scans(self):
+    def test_a_transient_scan_keeps_nothing_and_starts_no_helper(self):
         rows = dataset_rows()
         server = make_server(rows)
         config = MiddlewareConfig(
@@ -574,15 +574,25 @@ class TestPrefetch:
             scan_cache_bytes=0,
             **PARALLEL,
         )
+        before = {thread.ident for thread in threading.enumerate()}
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()  # SERVER scan, stages root to memory
-            assert mw.trace[-1].prefetch_depth == PREFETCH_PARTITIONS
+            record = mw.trace[-1]
+            assert record.mode == "SERVER" and record.workers == 2
+            assert not record.cached and not record.cache_hit
+            assert len(record.worker_seconds) > 1
+            # No full encoding was asked of the server, and the only
+            # threads the scan left running are the pool's workers.
+            assert server.table("data")._encoding is None
+            started = [thread for thread in threading.enumerate()
+                       if thread.ident not in before]
+            assert len(started) <= config.scan_workers
             for value in range(3):
                 mw.queue_request(child_request(f"n{value}", value, rows))
             while mw.pending:
                 mw.process_next_batch()
-                assert mw.trace[-1].prefetch_depth == 0
+                assert mw.trace[-1].mode == "MEMORY"
 
 
 class TestSplitWriters:

@@ -14,6 +14,7 @@ from repro.core.requests import CountsRequest, CountsResult, RequestQueue
 from repro.core.staging import DataLocation
 
 from ..conftest import tree_signature
+from .plan_seam import record_plan_requests
 
 
 def make_request(node_id, lineage=None, conditions=(), n_rows=10,
@@ -172,14 +173,6 @@ class TestPredicateIsBuiltOnFirstRead:
     def test_a_pushed_filter_batch_sends_the_same_where_text(
             self, loaded_server):
         server, spec, rows = loaded_server
-        sent = []
-        open_cursor = server.open_cursor
-
-        def recording(table_name, predicate=None):
-            sent.append(None if predicate is None else predicate.to_sql())
-            return open_cursor(table_name, predicate)
-
-        server.open_cursor = recording
         paths = [
             (PathCondition("A1", "=", 0), PathCondition("A2", "<>", 1)),
             (PathCondition("A1", "<>", 0),),
@@ -191,6 +184,7 @@ class TestPredicateIsBuiltOnFirstRead:
         ]
         config = MiddlewareConfig.no_staging(1_000_000)
         with Middleware(server, "data", spec, config) as mw:
+            asked = record_plan_requests(mw)
             mw.queue_requests([
                 CountsRequest(
                     node_id=i + 1, lineage=(0, i + 1), conditions=path,
@@ -201,4 +195,6 @@ class TestPredicateIsBuiltOnFirstRead:
             ])
             results = mw.process_next_batch()
         assert [result.cc.records for result in results] == counts
-        assert sent == ["(A1 = 0 AND A2 <> 1) OR A1 <> 0"]
+        assert [predicate.to_sql() for predicate, _ in asked] == [
+            "(A1 = 0 AND A2 <> 1) OR A1 <> 0"
+        ]

@@ -433,7 +433,7 @@ class TestClose:
 class TestMeteredCostParity:
     """Simulated staging costs are identical serial vs parallel.
 
-    The parallel executor (split writers, prefetch, worker pools) may
+    The parallel executor (split writers, worker pools) may
     only move wall-clock time around; every metered charge — file
     writes at seal, file reads on later scans, memory loads — must
     match the serial run to the cent, including on §4.3.2 split scans

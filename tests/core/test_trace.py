@@ -136,11 +136,14 @@ class TestDeclaredOnce:
         fields = {f.name for f in dataclasses.fields(ScheduleRecord)}
         assert len(PARENT_SCAN_STATS) == len(PARENT_SCHEDULE_RECORD) == 29
         # PR 20: one loop and one kernel made ``kernel`` and
-        # ``columnar`` constants, so the record dropped them.
+        # ``columnar`` constants, so the record dropped them.  PR 22:
+        # no SERVER scan streams a cursor, so the prefetch thread and
+        # its two fields went too.
         assert fields == (
             PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
-        ) - {"rows_per_sec", "kernel", "columnar"}
-        assert len(fields) == 34
+        ) - {"rows_per_sec", "kernel", "columnar", "prefetch_depth",
+             "prefetch_peak"}
+        assert len(fields) == 32
         assert isinstance(ScheduleRecord.rows_per_sec, property)
 
     def test_each_field_is_declared_by_one_class(self):

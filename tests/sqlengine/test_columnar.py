@@ -23,7 +23,6 @@ from repro.sqlengine.columnar import (  # noqa: E402
 )
 from repro.sqlengine.database import SQLServer  # noqa: E402
 from repro.sqlengine.expr import eq  # noqa: E402
-from repro.sqlengine.heap import HeapTable  # noqa: E402
 from repro.sqlengine.pages import Page  # noqa: E402
 from repro.sqlengine.schema import TableSchema  # noqa: E402
 
@@ -173,45 +172,7 @@ class TestBufferRoundTrip:
             ColumnarPartition.from_rows([([], 0, 0)])
 
 
-class TestHeapScanColumnar:
-    def _table(self):
-        table = HeapTable(
-            "t", TableSchema.of(("a", "int"), ("b", "int")), page_bytes=32
-        )
-        tids = [table.insert((i, i % 3)) for i in range(20)]
-        return table, tids
-
-    def test_matches_scan_rows(self):
-        table, _ = self._table()
-        decoded = [
-            row
-            for partition in table.scan_columnar(6)
-            for row in partition.rows()
-        ]
-        assert decoded == list(table.scan_rows())
-
-    def test_partition_sizing(self):
-        table, _ = self._table()
-        sizes = [p.n_rows for p in table.scan_columnar(6)]
-        assert sizes == [6, 6, 6, 2]
-
-    def test_tombstones_are_skipped(self):
-        table, tids = self._table()
-        for tid in tids[::2]:
-            table.delete(tid)
-        decoded = [
-            row
-            for partition in table.scan_columnar(4)
-            for row in partition.rows()
-        ]
-        assert decoded == list(table.scan_rows())
-        assert len(decoded) == 10
-
-    def test_bad_partition_rows_rejected(self):
-        table, _ = self._table()
-        with pytest.raises(ValueError):
-            list(table.scan_columnar(0))
-
+class TestPageLiveRows:
     def test_page_live_rows(self):
         page = Page(capacity=4)
         page.append((1, 1))
