@@ -80,8 +80,7 @@ def run_crossover():
         bench.spec, server.meter, server.model, MemoryBudget(10**9)
     )
     staged = staging.open_file("root")
-    for row in table.scan_rows():
-        staged.append(row)
+    staged.append_rows(table.scan_rows())
     staged.seal()
 
     cursor_costs = []

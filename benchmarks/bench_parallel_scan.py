@@ -67,6 +67,7 @@ from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
 from repro.datagen.agrawal import AgrawalConfig, agrawal_spec, generate_agrawal_rows
 from repro.datagen.loader import load_dataset
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 #: Required 4-worker / inline throughput ratio (full runs on machines
@@ -137,7 +138,9 @@ def scan_frontier(spec, rows, frontier, workers, pool):
     results = {}
     with Middleware(server, "data", spec, config) as mw:
         assert mw.staging.reserve_memory("root", len(rows))
-        mw.staging.commit_memory("root", list(rows))
+        mw.staging.commit_memory(
+            "root", [ColumnarPartition.from_rows(rows)]
+        )
         for _ in range(REPEATS):
             mw.queue_requests(request for request, _ in frontier)
             wall = ship = count = merge = 0.0

@@ -48,7 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from ..sqlengine.columnar import ColumnarPartition, np
+from ..sqlengine.columnar import ColumnarPartition
 from .shm import ShmSegmentRef, ShmShipper, partition_from_handle
 
 #: Pre-encode admission estimate: one int64 cell per attribute + class.
@@ -307,11 +307,12 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
     """
 
     def encode() -> ColumnarPartition:
+        # The whole file is one block (none when it is empty): one
+        # read, one matrix.
         blocks = list(staged.scan_blocks())
         if not blocks:
             return ColumnarPartition.from_rows([])
-        matrix = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-        return ColumnarPartition.from_matrix(matrix)
+        return ColumnarPartition.from_matrix(blocks[0])
 
     return ColumnarScanPlan(
         key=("file", staged.uid),

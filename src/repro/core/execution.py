@@ -6,7 +6,11 @@ source, without external sorting: each record is routed to the active
 node whose path predicate it satisfies and the node's counters are
 updated.  The same scan also performs the staging the scheduler
 planned: rows routed to a stage-target node are appended to its new
-middleware file and/or collected for middleware memory.
+middleware file and/or collected for middleware memory — as column
+arrays: the kernel answers with each node's row *selection*, the
+source gathers it out of the partition it counted
+(``ColumnarPartition.take``) and the staging writer gets that piece.
+No row tuple exists between the selection and the next scan.
 
 There is one loop (:meth:`ExecutionModule._count_partitioned`):
 *source -> partition -> submit -> collect/merge -> stage -> admit*.
@@ -30,16 +34,17 @@ Two things plug in:
   table-version columnar cache, when the cache admits it and some
   node of the batch is not staged by this scan (the table will be
   read again); else the plan's rows encoded a partition at a time
-  and dropped (*transient*).  Staged sources stream a file's blocks
-  or slice the session's encoding of a memory set (a pooled FILE scan
-  may keep the file's encoding resident too);
+  and dropped (*transient*).  Staged sources read a file a
+  partition's records at a time (one read, one matrix) or slice the
+  encoding a memory set is kept as (a pooled FILE scan may keep the
+  file's encoding resident too);
 * the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**,
   chosen from what the schedule already carries: every source of a
   one-worker session (``config.scan_workers == 1``, the default) —
   and, while a larger session has not started its workers, any source
   that fits in one partition, which has nothing to overlap — is
   counted *inline* on the calling thread, one partition in flight,
-  staged rows appended in place, no helper thread; anything longer
+  staged pieces written in place, no helper thread; anything longer
   starts the session's persistent thread or process pool
   (``config.scan_pool``), which then counts every later scan, with
   one staging-writer thread per output file.
@@ -78,7 +83,7 @@ from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
-from ..sqlengine.columnar import ColumnarPartition, filter_supported, np
+from ..sqlengine.columnar import ColumnarPartition, filter_supported
 from ..sqlengine.expr import TrueExpr
 from .cc_table import BatchCounts, CCTable
 from .columnar_cache import (
@@ -136,36 +141,18 @@ def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
 def _columnar_memory_slices(table: ColumnarPartition,
                             partition_rows: int,
                             ) -> Iterator[ColumnarPartition]:
-    """Zero-copy partition views over a cached in-memory encoding."""
+    """Zero-copy partition views over a memory set's encoding."""
     for start in range(0, table.n_rows, partition_rows):
         yield table.slice(start, start + partition_rows)
 
 
-def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
+def _columnar_file_slices(block_iter: Iterator[Any],
                           scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
-    """Assemble staged-file int32 blocks into columnar partitions."""
-    pending: list[Any] = []
-    pending_rows = 0
+    """A staged file's partition-sized record matrices, each cast to
+    column arrays."""
     try:
-        for block in block_iter:
-            pending.append(block)
-            pending_rows += int(block.shape[0])
-            while pending_rows >= partition_rows:
-                started = time.perf_counter()
-                matrix = (
-                    np.vstack(pending) if len(pending) > 1 else pending[0]
-                )
-                rest = matrix[partition_rows:]
-                pending = [rest] if rest.shape[0] else []
-                pending_rows = int(rest.shape[0])
-                partition = ColumnarPartition.from_matrix(
-                    matrix[:partition_rows]
-                )
-                scan.encode_seconds += time.perf_counter() - started
-                yield partition
-        if pending_rows:
+        for matrix in block_iter:
             started = time.perf_counter()
-            matrix = np.vstack(pending) if len(pending) > 1 else pending[0]
             partition = ColumnarPartition.from_matrix(matrix)
             scan.encode_seconds += time.perf_counter() - started
             yield partition
@@ -173,11 +160,25 @@ def _columnar_file_slices(block_iter: Iterator[Any], partition_rows: int,
         _close_source(block_iter)
 
 
-#: Scan chunks per partition of an inline scan.  Measured on
-#: ``benchmarks/e2e`` ``staged_default`` (CHANGES.md, PR 12 and PR 20):
-#: 2 chunks leave a quarter of the wall gain on the table, 8 buy ~8 %
-#: more wall for ~4 % more resident memory, 16 cost +12 % peak RSS.
-INLINE_PARTITION_CHUNKS = 4
+#: Scan chunks per partition of an inline scan: long enough to
+#: amortise the kernel's per-partition set-up, short enough that the
+#: one partition in flight stays small next to the process.  Swept on
+#: ``benchmarks/e2e`` (seed 1, median of 3 ten-second runs; CHANGES.md,
+#: PR 23) once staged rows stopped being tuples pinned per partition —
+#: with them, 8 chunks bought 1-5 % wall for +3.4 % RSS and stayed 4:
+#:
+#:   chunks   staged_default            deep_tree
+#:            fit_wall_s  peak_rss_mb   fit_wall_s  peak_rss_mb
+#:   parent   0.365       59.15         0.60        66.5
+#:   4        0.292       58.52 -1.1 %  0.555       65.4
+#:   8        0.267       60.04 +1.5 %  0.564       63.9
+#:   16       0.238       62.93 +6.4 %  0.522       63.5
+#:   32       0.238       68.83 +16 %   0.518       63.2
+#:
+#: 8 is the largest size whose peak RSS stays within +2 % of the
+#: parent's; ``deep_tree`` (10,000-row sources: one or two partitions
+#: from 8 up) does not tell the sizes apart.
+INLINE_PARTITION_CHUNKS = 8
 
 
 class _PartitionSizer:
@@ -258,14 +259,14 @@ class _PartitionSource:
     worker's answer (rows seen, staged-row selections) is read.
 
     This base is the staged source: :class:`ColumnarPartition` objects
-    built once from the scan's own tier — int32 block matrices (FILE)
-    or zero-copy slices of the session encoding (MEMORY).  A process
+    built once from the scan's own tier — int32 record matrices (FILE)
+    or zero-copy slices of the set's encoding (MEMORY).  A process
     pool gets each one through a ``multiprocessing.shared_memory``
     segment (one memcpy; only the tiny handle is pickled) where the
     platform has shared memory, as pickled column arrays where not; a
     segment lives from submit until its result is collected, and
     :meth:`close` releases whatever a failure left.  Workers return
-    staged rows as index arrays, decoded from the coordinator's pinned
+    staged rows as index arrays, gathered from the coordinator's pinned
     partition.
     """
 
@@ -307,7 +308,7 @@ class _PartitionSource:
             self._scan.ship_seconds += time.perf_counter() - started
             segment = shipped.segment
         future = self._pool.submit_columnar(seq, shipped, *self._targets)
-        # Pinned for the staged-row decode only when the scan stages.
+        # Pinned for the staged-row gather only when the scan stages.
         pinned = partition if any(self._targets) else None
         return future, (partition.n_rows, pinned, segment)
 
@@ -319,9 +320,11 @@ class _PartitionSource:
             self._shipper.release(ticket[2])
         return int(ticket[0])
 
-    def staged_rows(self, ticket: Any, selection: Any) -> Any:
-        """The rows behind one node's staged selection of a partition."""
-        return ticket[1].rows_at(selection)
+    def staged_rows(self, ticket: Any, selection: Any) -> ColumnarPartition:
+        """One node's staged selection of a partition, gathered into a
+        piece of its own."""
+        piece: ColumnarPartition = ticket[1].take(selection)
+        return piece
 
     def stop(self) -> None:
         """The scan is failing: stop producing, close the row source."""
@@ -364,7 +367,7 @@ class _PlanSource(_PartitionSource):
       the cache cannot hold, and ``scan_cache_bytes=0`` get.
 
     Workers' staged-row indexes come back slice-relative and are
-    re-based onto the full encoding before decoding.
+    re-based onto the full encoding before the gather.
     """
 
     def __init__(self, plan: ColumnarScanPlan,
@@ -426,7 +429,7 @@ class _PlanSource(_PartitionSource):
 
     def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
         # Transient: a whole partition, pinned by its ticket for the
-        # staged-row decode.  Resident: a slice's row offset in the
+        # staged-row gather.  Resident: a slice's row offset in the
         # full encoding, which is all its ticket has to remember.
         if self._cache is None:
             source, start, stop = partition, 0, partition.n_rows
@@ -444,11 +447,12 @@ class _PlanSource(_PartitionSource):
         self._total_seen += seen
         return seen
 
-    def staged_rows(self, ticket: Any, selection: Any) -> Any:
+    def staged_rows(self, ticket: Any, selection: Any) -> ColumnarPartition:
         start, pinned = ticket
-        if pinned is not None:  # a whole transient partition
-            return pinned.rows_at(selection)
-        return self._table.rows_at(selection + start)
+        if pinned is None:  # a slice of the resident encoding
+            pinned, selection = self._table, selection + start
+        piece: ColumnarPartition = pinned.take(selection)
+        return piece
 
     def close(self) -> None:
         # A failed scan's traceback pins this object; the partition
@@ -548,7 +552,8 @@ class ExecutionModule:
         cost_before = meter.snapshot()
         states = self._make_states(schedule)
         file_writers: dict[Any, StagedFile] = {}
-        memory_capture: dict[Any, list[Any]] = {
+        #: Per memory target, the pieces the scan captured, in order.
+        memory_capture: dict[Any, list[ColumnarPartition]] = {
             node_id: [] for node_id in schedule.stage_memory_targets
         }
         committed: list[Any] = []
@@ -565,8 +570,8 @@ class ExecutionModule:
             for writer in file_writers.values():
                 writer.seal()
                 scan.files_written += 1
-            for node_id, rows in memory_capture.items():
-                self._staging.commit_memory(node_id, rows)
+            for node_id, pieces in memory_capture.items():
+                self._staging.commit_memory(node_id, pieces)
                 committed.append(node_id)
                 scan.memory_sets_loaded += 1
         except BaseException:
@@ -644,7 +649,7 @@ class ExecutionModule:
         """
         staging = self._staging
         if schedule.mode is DataLocation.MEMORY:
-            return len(staging.memory_rows(schedule.source_node))
+            return staging.columnar_memory(schedule.source_node).n_rows
         if schedule.mode is DataLocation.FILE:
             return staging.file_for(schedule.source_node).row_count
         return sum(request.n_rows for request in schedule.batch)
@@ -696,7 +701,7 @@ class ExecutionModule:
 
     def _charge_memory_read(self, schedule: Any) -> None:
         """Charge reading the schedule's staged in-memory rows."""
-        n_rows = len(self._staging.memory_rows(schedule.source_node))
+        n_rows = self._staging.columnar_memory(schedule.source_node).n_rows
         model = self._server.model
         self._server.meter.charge(
             "memory_read", model.memory_row * n_rows, events=n_rows
@@ -707,16 +712,17 @@ class ExecutionModule:
     def _open_staging_writer(
             self, pool: ScanWorkerPool,
             file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]], scan: ScheduleRecord,
+            memory_capture: dict[Any, list[ColumnarPartition]],
+            scan: ScheduleRecord,
     ) -> InlineStagingWriter | ParallelStagingWriter:
-        """The writer a scan hands its staged rows to.
+        """The writer a scan hands its staged pieces to.
 
-        A pool overlaps flushes with counting, one writer thread per
+        A pool overlaps writes with counting, one writer thread per
         output file.  The inline executor writes in place — a thread
         per scan would cost more (start-up, a malloc arena) than the
-        flushes it could hide behind one partition in flight — and so
-        does a scan that writes no file: memory captures are a
-        ``list.extend``, nothing a thread could overlap.
+        writes it could hide behind one partition in flight — and so
+        does a scan that writes no file: a memory capture is a
+        ``list.append`` per piece, nothing a thread could overlap.
         """
         if pool.inline or not file_writers:
             return InlineStagingWriter(file_writers, memory_capture)
@@ -770,21 +776,21 @@ class ExecutionModule:
                         self._attr_index,
                     )
             partitions = _columnar_file_slices(
-                staged_file.scan_blocks(), partition_rows, scan
+                staged_file.scan_blocks(partition_rows), scan
             )
         else:
-            # Count over zero-copy slices of the session's cached
-            # encoding of the set; the read is charged as for its rows.
+            # Count over zero-copy slices of the set's encoding; the
+            # read is charged as for its rows.
             self._charge_memory_read(schedule)
-            encode_started = time.perf_counter()
-            table = staging.columnar_memory(schedule.source_node)
-            scan.encode_seconds += time.perf_counter() - encode_started
-            partitions = _columnar_memory_slices(table, partition_rows)
+            partitions = _columnar_memory_slices(
+                staging.columnar_memory(schedule.source_node),
+                partition_rows,
+            )
         return _PartitionSource(partitions)
 
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
-                           memory_capture: dict[Any, list[Any]],
+                           memory_capture: dict[Any, list[ColumnarPartition]],
                            scan: ScheduleRecord) -> None:
         """The scan loop: every source, every executor.
 
@@ -792,8 +798,8 @@ class ExecutionModule:
         :class:`ScanWorkerPool` — one in flight when it counts inline,
         at most ``2 x workers`` behind a pool — and collected in
         submission order: partials merge into the real CC tables, and
-        each partition's staged rows go, strictly in partition order,
-        to the staging writer (bit-identical staged files, flushes
+        each partition's staged pieces go, strictly in partition order,
+        to the staging writer (bit-identical staged files, writes
         overlapping counting).
 
         On failure the scan stops its source (closing its row supply),
@@ -861,14 +867,14 @@ class ExecutionModule:
             CCTable.merge_block(counts, *result[1])
             scan.merge_seconds += time.perf_counter() - merge_started
 
-            def rows_of(selections: dict[Any, Any]) -> dict[Any, Any]:
+            def pieces_of(selections: dict[Any, Any]) -> dict[Any, Any]:
                 return {
                     node_id: source.staged_rows(ticket, selection)
                     for node_id, selection in selections.items()
                     if len(selection)
                 }
 
-            writer.put(rows_of(result[3]), rows_of(result[4]))
+            writer.put(pieces_of(result[3]), pieces_of(result[4]))
 
         #: (future, ticket) per submitted partition, in scan order;
         #: tickets pin what a failed scan must be able to release.

@@ -14,12 +14,23 @@ middleware copies ("stages") data downwards (Section 4.1.2):
 
 Staging files are real files: fixed-width little-endian int32 records
 under a temporary directory, one file per staged node.
+
+Staged rows are column arrays in both directions.  A scan hands a
+node's rows on as *pieces* — :class:`ColumnarPartition` gathers of the
+partition they were routed in: a file takes each piece as one int32
+record matrix and one ``write``, a memory set is the pieces
+concatenated once at :meth:`StagingManager.commit_memory`, which is
+the encoding every later scan of the set slices.  A FILE scan reads a
+partition's records into one matrix with one read.  Row tuples exist
+only for whoever asks for them: :meth:`StagedFile.scan` (the metered
+reference reader) and :meth:`StagingManager.memory_rows`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import os
 import queue
 import struct
@@ -30,7 +41,13 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..common.errors import StagingError
 from ..common.locks import new_lock, resource_closed, resource_created
-from ..sqlengine.columnar import ColumnarPartition, columnar_available, np
+from ..sqlengine.columnar import (
+    RAW,
+    Column,
+    ColumnarPartition,
+    columnar_available,
+    np,
+)
 
 
 class DataLocation(enum.IntEnum):
@@ -46,19 +63,48 @@ class DataLocation(enum.IntEnum):
         return {self.SERVER: "S", self.FILE: "I", self.MEMORY: "L"}[self]
 
 
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def _int32_values(column: Column) -> tuple[Any, Any]:
+    """A column as the integers ``struct.pack("<i", v)`` would write,
+    plus a mask of the rows it would refuse: NULL, anything without
+    ``__index__`` (a string, a float) and integers outside int32."""
+    if column.kind == RAW:
+        data = column.data
+        refused = (data < _INT32_MIN) | (data > _INT32_MAX)
+        if column.nulls is not None:
+            refused |= column.nulls
+        return data, refused
+    # Dictionary-encoded: decide once per distinct value.
+    assert column.values is not None
+    numbers = np.zeros(len(column.values), dtype=np.int64)
+    unfit = np.ones(len(column.values), dtype=bool)
+    for code, value in enumerate(column.values):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            continue
+        if _INT32_MIN <= number <= _INT32_MAX:
+            numbers[code] = number
+            unfit[code] = False
+    return numbers[column.data], unfit[column.data]
+
+
 class StagedFile:
     """One middleware staging file holding a node's rows.
 
-    I/O is blocked: writes accumulate packed records in a buffer that
-    is flushed every :data:`BLOCK_ROWS` rows (and at :meth:`seal`), and
-    :meth:`scan` reads multi-row blocks decoded with
-    ``struct.iter_unpack``.  Cost metering is unchanged — the simulated
-    per-row file I/O charges are accumulated by row count exactly as
-    the record-at-a-time implementation charged them.
+    Records are fixed-width little-endian int32.  A write is one
+    record matrix per piece (:meth:`append_rows`), a columnar read one
+    matrix per block of the caller's size (:meth:`scan_blocks`);
+    :meth:`scan` is the row-at-a-time reference reader, decoding
+    :data:`BLOCK_ROWS`-record blocks with ``struct.iter_unpack``.
+    Cost metering is by row count: the simulated per-row file I/O
+    charges are exactly what a record-at-a-time implementation
+    charges.
     """
 
-    #: Rows per physical I/O block (writes buffer up to this many
-    #: packed records; reads fetch this many records per ``read``).
+    #: Records :meth:`scan` fetches per ``read``.
     BLOCK_ROWS = 1024
 
     #: Process-wide uid source; never reused, so a cache entry keyed
@@ -66,25 +112,26 @@ class StagedFile:
     _UIDS = itertools.count(1)
 
     def __init__(self, path: str, n_fields: int, owner_node: Any,
-                 meter: Any, model: Any) -> None:
+                 meter: Any, model: Any,
+                 field_names: Sequence[str] = ()) -> None:
         #: Stable identity for scan-side caches.  Paths can be reused
         #: after a drop (the staging dir is shared); uids cannot.
         self.uid = next(StagedFile._UIDS)
         self._path = path
+        self._n_fields = n_fields
         self._struct = struct.Struct(f"<{n_fields}i")
         self.owner_node = owner_node
+        #: Column names, for error messages (positions when not given).
+        self._field_names = tuple(field_names) or tuple(range(n_fields))
         self._meter = meter
         self._model = model
         self._row_count = 0
         self._handle = open(path, "wb")
         self._writing = True
-        self._buffer: list[bytes] = []
         #: Scans currently iterating this file (guards `delete`).
         self._active_scans = 0
-        #: Physical I/O blocks flushed so far (observability; a
-        #: zero-row append must never bump this).
-        self.blocks_flushed = 0
-        #: ``append``/``append_rows`` calls that actually added rows.
+        #: ``append``/``append_rows`` calls that actually added rows
+        #: (observability; a zero-row append must never bump this).
         self.write_calls = 0
         # The open write handle is a witnessed resource: it is retired
         # by seal() (clean) or delete() (abandoned); a staged file the
@@ -100,46 +147,61 @@ class StagedFile:
         return self._row_count
 
     def append(self, row: Sequence[int]) -> None:
-        """Buffer one row for writing."""
-        if not self._writing:
-            raise StagingError("staged file is already sealed")
-        self._buffer.append(self._struct.pack(*row))
-        self._row_count += 1
-        self.write_calls += 1
-        if len(self._buffer) >= self.BLOCK_ROWS:
-            self._flush()
+        """Write one row (a one-row :meth:`append_rows`)."""
+        self.append_rows([row])
 
-    def append_rows(self, rows: Iterable[Sequence[int]]) -> None:
-        """Buffer many rows at once (one flush check per block).
+    def append_rows(
+            self, rows: ColumnarPartition | Iterable[Sequence[Any]]) -> None:
+        """Write one piece of rows as one block of records.
 
-        An empty iterable is a strict no-op: a zero-row split partition
-        must not bump flush counters, force a physical flush, or change
-        what :meth:`seal` will meter — so serial and parallel scans
-        (whose partitioning can hand a writer empty slices) account
-        identically.
+        ``rows`` is a :class:`ColumnarPartition` (what a scan stages)
+        or any iterable of row tuples, which is encoded first — so
+        there is one path from values to bytes.  The piece is checked
+        as a whole *before* any byte of it is written: a value an
+        int32 record cannot hold raises :class:`StagingError` naming
+        it and leaves the file as it was.
+
+        An empty piece is a strict no-op: a zero-row split partition
+        must not bump the write counter or change what :meth:`seal`
+        will meter — so serial and parallel scans (whose partitioning
+        can hand a writer empty slices) account identically.
         """
         if not self._writing:
             raise StagingError("staged file is already sealed")
-        pack = self._struct.pack
-        packed = [pack(*row) for row in rows]
-        if not packed:
+        if not isinstance(rows, ColumnarPartition):
+            rows = ColumnarPartition.from_rows(list(rows))
+        if not rows.n_rows:
             return
-        self._buffer.extend(packed)
-        self._row_count += len(packed)
+        self._handle.write(self._records(rows))
+        self._row_count += rows.n_rows
         self.write_calls += 1
-        if len(self._buffer) >= self.BLOCK_ROWS:
-            self._flush()
 
-    def _flush(self) -> None:
-        if self._buffer:
-            self._handle.write(b"".join(self._buffer))
-            self._buffer.clear()
-            self.blocks_flushed += 1
+    def _records(self, piece: ColumnarPartition) -> Any:
+        """The piece as a C-ordered ``(rows, n_fields)`` ``<i4`` matrix:
+        byte for byte what ``struct.pack`` makes of its rows."""
+        n_fields = self._n_fields
+        if len(piece.columns) != n_fields:
+            raise StagingError(
+                f"node {self.owner_node!r}: a staged record has "
+                f"{n_fields} fields, the rows have {len(piece.columns)}"
+            )
+        records = np.empty((piece.n_rows, n_fields), dtype="<i4")
+        for position, column in enumerate(piece.columns):
+            values, refused = _int32_values(column)
+            if refused.any():
+                row = int(np.argmax(refused))
+                raise StagingError(
+                    f"node {self.owner_node!r}: column "
+                    f"{self._field_names[position]!r} holds "
+                    f"{column.value_at(row)!r}, which does not fit a "
+                    "staged int32 record"
+                )
+            records[:, position] = values
+        return records
 
     def seal(self) -> None:
         """Finish writing and charge the accumulated write cost."""
         if self._writing:
-            self._flush()
             self._handle.close()
             self._writing = False
             resource_closed("staged-file", self)
@@ -149,79 +211,71 @@ class StagedFile:
                 events=self._row_count,
             )
 
+    def _begin_scan(self) -> None:
+        """Determinism guard of every read: the file must be sealed
+        first, so a scan sees exactly the committed ``row_count`` rows."""
+        if self._writing:
+            raise StagingError("seal the file before scanning it")
+        self._active_scans += 1
+
+    def _torn(self, rows_read: int) -> StagingError:
+        return StagingError(
+            f"staged file {self._path!r} is torn: it ends after "
+            f"{rows_read} of its {self._row_count} committed rows"
+        )
+
     def scan(self) -> Iterator[tuple[int, ...]]:
         """Yield all rows; charges per-row file-read cost.
 
-        Determinism guards: the file must be sealed first (every scan
-        of a staged file sees exactly the committed ``row_count`` rows,
-        never a torn prefix), and a sealed file can never carry
-        unflushed rows.  Several scans may iterate concurrently — each
-        opens its own handle and meters its own rows — but the file
-        cannot be deleted while any of them is active.
+        The metered reference reader.  Several scans may iterate
+        concurrently — each opens its own handle and meters its own
+        rows — but the file cannot be deleted while any of them is
+        active.  A file that ends before its committed row count is
+        refused rather than yielded as a torn row set.
         """
-        if self._writing:
-            raise StagingError("seal the file before scanning it")
-        if self._buffer:
-            raise StagingError(
-                "sealed staging file still holds unflushed rows"
-            )
         record = self._struct
         block = record.size * self.BLOCK_ROWS
         rows_read = 0
-        self._active_scans += 1
+        self._begin_scan()
         try:
             with open(self._path, "rb") as handle:
-                while True:
+                while rows_read < self._row_count:
                     chunk = handle.read(block)
                     usable = len(chunk) - len(chunk) % record.size
                     if not usable:
-                        break
+                        raise self._torn(rows_read)
                     for row in record.iter_unpack(chunk[:usable]):
                         rows_read += 1
                         yield row
-                    if len(chunk) < block:
-                        break
         finally:
             self._active_scans -= 1
             self._charge_read(rows_read)
 
-    def scan_blocks(self) -> Iterator[Any]:
-        """Yield row blocks as int32 matrices (the columnar scan path).
+    def scan_blocks(self, block_rows: int | None = None) -> Iterator[Any]:
+        """Yield the records as ``(rows, n_fields)`` int32 matrices of
+        ``block_rows`` rows (the whole file in one by default), each
+        filled by one read — the columnar scan path.
 
         Same guards, same concurrency accounting and — crucially — the
         same simulated metering as :meth:`scan`: the per-row file-read
         charge accrues in the ``finally`` for exactly the rows read.
-        Each yielded block is a ``(rows, n_fields)`` little-endian
-        int32 array decoded straight from the packed record bytes
-        (no per-row ``struct`` unpacking).
         """
         if not columnar_available():
             raise StagingError("columnar scans need numpy")
-        if self._writing:
-            raise StagingError("seal the file before scanning it")
-        if self._buffer:
-            raise StagingError(
-                "sealed staging file still holds unflushed rows"
-            )
-        record = self._struct
-        n_fields = record.size // 4
-        block = record.size * self.BLOCK_ROWS
+        n_fields = self._n_fields
         rows_read = 0
-        self._active_scans += 1
+        self._begin_scan()
         try:
             with open(self._path, "rb") as handle:
-                while True:
-                    chunk = handle.read(block)
-                    usable = len(chunk) - len(chunk) % record.size
-                    if not usable:
-                        break
-                    matrix = np.frombuffer(
-                        chunk[:usable], dtype="<i4"
-                    ).reshape(-1, n_fields)
-                    rows_read += int(matrix.shape[0])
+                while rows_read < self._row_count:
+                    n_rows = self._row_count - rows_read
+                    if block_rows is not None:
+                        n_rows = min(n_rows, block_rows)
+                    matrix = np.empty((n_rows, n_fields), dtype="<i4")
+                    if handle.readinto(matrix) != matrix.nbytes:
+                        raise self._torn(rows_read)
+                    rows_read += n_rows
                     yield matrix
-                    if len(chunk) < block:
-                        break
         finally:
             self._active_scans -= 1
             self._charge_read(rows_read)
@@ -250,7 +304,6 @@ class StagedFile:
                 f"{self._active_scans} scan(s) still active"
             )
         if self._writing:
-            self._buffer.clear()
             self._handle.close()
             self._writing = False
             resource_closed("staged-file", self)
@@ -268,23 +321,24 @@ class InlineStagingWriter:
 
     Same ``put``/``close``/``abort`` surface as the threaded writer
     below, with no thread and no queue: the inline executor has one
-    partition in flight, so each ``put`` appends that partition's rows
-    in place — partition order is call order.
+    partition in flight, so each ``put`` writes that partition's
+    pieces in place — partition order is call order.
     """
 
     def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[Any]]) -> None:
+                 memory_capture: Mapping[Any, list[ColumnarPartition]],
+                 ) -> None:
         self._file_writers = file_writers
         self._memory_capture = memory_capture
 
-    def put(self, file_rows: Mapping[Any, list[Any]],
-            capture_rows: Mapping[Any, list[Any]]) -> None:
-        for node_id, rows in file_rows.items():
-            if rows:
-                self._file_writers[node_id].append_rows(rows)
-        for node_id, rows in capture_rows.items():
-            if rows:
-                self._memory_capture[node_id].extend(rows)
+    def put(self, file_pieces: Mapping[Any, ColumnarPartition],
+            capture_pieces: Mapping[Any, ColumnarPartition]) -> None:
+        for node_id, piece in file_pieces.items():
+            if piece.n_rows:
+                self._file_writers[node_id].append_rows(piece)
+        for node_id, piece in capture_pieces.items():
+            if piece.n_rows:
+                self._memory_capture[node_id].append(piece)
 
     def close(self) -> None:
         """Nothing is buffered: every ``put`` already wrote."""
@@ -297,19 +351,19 @@ class ParallelStagingWriter:
     """Per-file writer threads for a pooled scan's staging output.
 
     Scan workers never touch staging files.  The scan coordinator hands
-    each partition's staged rows to :meth:`put` *in partition order*;
+    each partition's staged pieces to :meth:`put` *in partition order*;
     every output :class:`StagedFile` has its own thread and its own
-    bounded queue (depth 2 — double buffering: one block being
-    flushed, one queued behind it), so block flushes overlap counting,
-    the files of a §4.3.2 split flush concurrently, and a slow disk
-    applies backpressure instead of buffering unbounded rows.  With one
+    bounded queue (depth 2 — double buffering: one piece being
+    written, one queued behind it), so writes overlap counting, the
+    files of a §4.3.2 split are written concurrently, and a slow disk
+    applies backpressure instead of queueing unbounded pieces.  With one
     file it is a single-writer funnel; with none it starts no thread.
 
-    Determinism is preserved per file: each file's rows land on that
+    Determinism is preserved per file: each file's pieces land on that
     file's FIFO queue in partition order and a single thread drains
     each queue — so every staged file is bit-identical to a serial
     scan's.  Memory captures are applied in place on the coordinator
-    (list extends are cheap and stay ordered).
+    (a list append per piece, cheap and ordered).
 
     The first writer-thread failure is recorded and re-raised on the
     next :meth:`put` or at :meth:`close`; a failed thread keeps
@@ -320,7 +374,8 @@ class ParallelStagingWriter:
     _STOP = object()
 
     def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[Any]]) -> None:
+                 memory_capture: Mapping[Any, list[ColumnarPartition]],
+                 ) -> None:
         self._memory_capture = memory_capture
         self._error_lock = new_lock("ParallelStagingWriter._error_lock")
         #: guarded by self._error_lock
@@ -345,19 +400,19 @@ class ParallelStagingWriter:
             "staging-writer", self, f"{self.n_writers} split writers"
         )
 
-    def put(self, file_rows: Mapping[Any, list[Any]],
-            capture_rows: Mapping[Any, list[Any]]) -> None:
-        """Queue one partition's staged rows (in partition order)."""
+    def put(self, file_pieces: Mapping[Any, ColumnarPartition],
+            capture_pieces: Mapping[Any, ColumnarPartition]) -> None:
+        """Queue one partition's staged pieces (in partition order)."""
         if self._error is not None:
             raise self._error
         if self._closed:
             raise StagingError("staging writer is already closed")
-        for node_id, rows in file_rows.items():
-            if rows:
-                self._queues[node_id].put(rows)
-        for node_id, rows in capture_rows.items():
-            if rows:
-                self._memory_capture[node_id].extend(rows)
+        for node_id, piece in file_pieces.items():
+            if piece.n_rows:
+                self._queues[node_id].put(piece)
+        for node_id, piece in capture_pieces.items():
+            if piece.n_rows:
+                self._memory_capture[node_id].append(piece)
 
     def _drain(self, writer: StagedFile, q: queue.Queue[Any]) -> None:
         while True:
@@ -374,7 +429,8 @@ class ParallelStagingWriter:
                         self._error = exc
 
     def close(self) -> None:
-        """Flush every file and surface the first writer-thread error."""
+        """Finish every file's writes and surface the first writer-thread
+        error."""
         self._shutdown()
         if self._error is not None:
             raise self._error
@@ -405,15 +461,12 @@ class StagingManager:
         self._budget = budget
         self._file_budget = file_budget_bytes
         self._files: dict[Any, StagedFile] = {}
-        self._memory: dict[Any, list[Any]] = {}
+        #: Each in-memory data set as one columnar encoding, which
+        #: every scan of the set slices zero-copy.
+        self._memory: dict[Any, ColumnarPartition] = {}
         #: Called with each StagedFile as it is dropped/abandoned, so
         #: scan-side caches can evict that file's encoding eagerly.
         self._drop_listeners: list[Callable[[StagedFile], None]] = []
-        #: Lazily built columnar encodings of in-memory data sets, so
-        #: repeated parallel scans of one staged set pay the encode
-        #: once and slice zero-copy afterwards.  Pure cache: holds no
-        #: budget and is invalidated whenever the rows are dropped.
-        self._memory_columnar: dict[Any, ColumnarPartition] = {}
         self._n_fields = spec.n_attributes + 1
         self._row_bytes = spec.row_bytes
         self._file_counter = 0
@@ -462,19 +515,17 @@ class StagingManager:
                 return DataLocation.FILE, node_id
         return DataLocation.SERVER, None
 
-    def memory_rows(self, node_id: Any) -> list[Any]:
+    def columnar_memory(self, node_id: Any) -> ColumnarPartition:
+        """A node's in-memory data set: the encoding scans count over."""
         try:
             return self._memory[node_id]
         except KeyError:
             raise StagingError(f"no memory data staged for {node_id!r}") from None
 
-    def columnar_memory(self, node_id: Any) -> ColumnarPartition:
-        """The columnar encoding of a node's in-memory rows (cached)."""
-        table = self._memory_columnar.get(node_id)
-        if table is None:
-            table = ColumnarPartition.from_rows(self.memory_rows(node_id))
-            self._memory_columnar[node_id] = table
-        return table
+    def memory_rows(self, node_id: Any) -> list[Any]:
+        """A node's in-memory rows decoded to tuples, in staged order
+        (a fresh list per call: for tests and tools, not for scans)."""
+        return list(self.columnar_memory(node_id).rows())
 
     def file_for(self, node_id: Any) -> StagedFile:
         try:
@@ -497,7 +548,8 @@ class StagingManager:
         self._file_counter += 1
         path = os.path.join(self._dir, f"stage_{self._file_counter}.rows")
         staged = StagedFile(
-            path, self._n_fields, node_id, self._meter, self._model
+            path, self._n_fields, node_id, self._meter, self._model,
+            (*self._spec.attribute_names, self._spec.class_name),
         )
         self._files[node_id] = staged
         return staged
@@ -523,18 +575,21 @@ class StagingManager:
         nbytes = self.memory_bytes_for(n_rows)
         return self._budget.try_reserve(_data_tag(node_id), nbytes)
 
-    def commit_memory(self, node_id: Any, rows: list[Any]) -> None:
-        """Install rows collected during a scan; charges load cost."""
+    def commit_memory(self, node_id: Any,
+                      pieces: Sequence[ColumnarPartition]) -> None:
+        """Install the pieces a scan captured, in order, as the node's
+        data set (concatenated once, here); charges load cost."""
         if node_id in self._memory:
             raise StagingError(f"{node_id!r} already staged in memory")
+        table = ColumnarPartition.concat(pieces)
         self._budget.resize(
-            _data_tag(node_id), self.memory_bytes_for(len(rows))
+            _data_tag(node_id), self.memory_bytes_for(table.n_rows)
         )
-        self._memory[node_id] = rows
+        self._memory[node_id] = table
         self._meter.charge(
             "memory_load",
-            self._model.memory_load_row * len(rows),
-            events=len(rows),
+            self._model.memory_load_row * table.n_rows,
+            events=table.n_rows,
         )
 
     def cancel_memory_reservation(self, node_id: Any) -> None:
@@ -544,7 +599,6 @@ class StagingManager:
     def drop_memory(self, node_id: Any) -> None:
         """Evict a node's in-memory data set."""
         self._memory.pop(node_id, None)
-        self._memory_columnar.pop(node_id, None)
         self._budget.release(_data_tag(node_id))
 
     def drop_file(self, node_id: Any) -> None:
@@ -600,7 +654,6 @@ class StagingManager:
             self.drop_file(node_id)
         for node_id in list(self._memory):
             self.drop_memory(node_id)
-        self._memory_columnar.clear()
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None

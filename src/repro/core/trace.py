@@ -48,7 +48,8 @@ class ScheduleRecord:
     workers: int = 1
     #: Seconds spent folding the partitions' count arrays together.
     merge_seconds: float = 0.0
-    #: Per-partition counting seconds as reported by the workers.
+    #: Per-partition counting seconds as reported by the workers: CPU
+    #: time of the counting thread, so waiting for the GIL is not in it.
     worker_seconds: list[float] = field(default_factory=list)
     #: Seconds of pool/kernel setup this scan paid (0.0 on a warm pool
     #: with an unchanged kernel — the reuse win the trace makes visible).

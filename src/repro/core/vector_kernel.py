@@ -295,7 +295,12 @@ def count_partition_columnar(
            float]:
     """Count one columnar partition against a routing context.
 
-    Returns ``(seq, payload, routed, writes, captures, seconds)``.
+    Returns ``(seq, payload, routed, writes, captures, seconds)``;
+    ``seconds`` is the CPU time of the counting thread
+    (``time.thread_time``), not wall time: the partition sizer steers
+    on it, and a pool thread's wall time also holds however long it
+    waited for the coordinator to let go of the GIL — which says
+    nothing about the partition and differs from run to run.
     The payload is what ``CCTable.merge_block`` folds into the scan's
     :class:`~repro.core.cc_table.BatchCounts`:
     ``(records, totals, prefix, value_index, counts, values)`` —
@@ -316,7 +321,7 @@ def count_partition_columnar(
     whole superset and applies the batch filter here, not at a cursor.
     """
     kernel, layout, class_index, n_classes = ctx
-    started = time.perf_counter()
+    started = time.thread_time()
     n_slots = len(layout.node_ids)
     rows, bounds, routed = routed_pairs(
         route_masks(kernel, partition, keep), n_slots
@@ -365,7 +370,7 @@ def count_partition_columnar(
             if node_id in capture_set:
                 captures[node_id] = selection
     return seq, payload, routed, writes, captures, \
-        time.perf_counter() - started
+        time.thread_time() - started
 
 
 def count_partition_slice(
@@ -392,7 +397,7 @@ def count_partition_slice(
     shipped.  Staging/capture index arrays are relative to the slice;
     the coordinator re-bases them with ``start``.
     """
-    started = time.perf_counter()
+    started = time.thread_time()
     piece = partition.slice(start, stop)
     keep = None
     seen = piece.n_rows
@@ -406,7 +411,7 @@ def count_partition_slice(
         )
     )
     return (out_seq, payload, routed, writes, captures,
-            time.perf_counter() - started, seen)
+            time.thread_time() - started, seen)
 
 
 __all__ = [

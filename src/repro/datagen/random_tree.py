@@ -62,7 +62,8 @@ class RandomTreeConfig:
 class GenNode:
     """One node of a generating tree."""
 
-    __slots__ = ("attribute", "branches", "label", "depth", "constraints")
+    __slots__ = ("attribute", "branches", "label", "depth", "constraints",
+                 "splittable")
 
     def __init__(self, depth: int, constraints: Constraints) -> None:
         self.attribute: Optional[str] = None
@@ -71,6 +72,9 @@ class GenNode:
         self.label: Optional[int] = None
         self.depth = depth
         self.constraints = constraints
+        #: Attributes with two or more values left under
+        #: ``constraints`` (which never change), computed on first use.
+        self.splittable: Optional[list[str]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -225,12 +229,14 @@ def _allowed_values(spec: DatasetSpec, constraints: Constraints,
 
 def _splittable_attributes(spec: DatasetSpec,
                            node: GenNode) -> list[str]:
-    """Attributes with at least two remaining values at ``node``."""
-    names: list[str] = []
-    for name in spec.attribute_names:
-        if len(_allowed_values(spec, node.constraints, name)) >= 2:
-            names.append(name)
-    return names
+    """Attributes with at least two remaining values at ``node``
+    (worked out once per node: a leaf is asked on every round)."""
+    if node.splittable is None:
+        node.splittable = [
+            name for name in spec.attribute_names
+            if len(_allowed_values(spec, node.constraints, name)) >= 2
+        ]
+    return node.splittable
 
 
 def _pick_expandable(rng: random.Random, leaves: list[GenNode],

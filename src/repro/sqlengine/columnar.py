@@ -12,10 +12,13 @@ over (:meth:`HeapTable.columnar`):
   original values), which preserves arbitrary Python objects — unicode
   strings, ``None`` — bit-for-bit.
 * :class:`ColumnarPartition` — a fixed set of columns over ``n_rows``
-  rows, supporting zero-copy row slicing (``slice``), decoding selected
-  rows back to tuples (``rows_at``), and a flat shared-memory buffer
-  layout (``buffer_bytes`` / ``write_into`` / ``from_buffer``) so
-  process workers can attach without any per-row pickling.
+  rows, supporting zero-copy row slicing (``slice``), gathering
+  selected rows into a new partition (``take``) and joining such
+  pieces back into one (``concat``) — how staged rows travel, never as
+  tuples — decoding rows back to tuples for whoever reads them
+  (``rows_at``), and a flat shared-memory buffer layout
+  (``buffer_bytes`` / ``write_into`` / ``from_buffer``) so process
+  workers can attach without any per-row pickling.
 * :func:`filter_supported` / :func:`predicate_mask` — a WHERE clause of
   ``=`` / ``<>`` comparisons as one boolean array pass per leaf, with
   ``compile_predicate``'s semantics.
@@ -96,6 +99,12 @@ class Column:
         nulls = self.nulls[start:stop] if self.nulls is not None else None
         return Column(self.kind, self.data[start:stop], self.values, nulls)
 
+    def take(self, indices: Any) -> "Column":
+        """The selected rows as a new column: one fancy index, the
+        kind, dictionary and null mask kept."""
+        nulls = self.nulls[indices] if self.nulls is not None else None
+        return Column(self.kind, self.data[indices], self.values, nulls)
+
     def value_at(self, row: int) -> Any:
         """Decode one row back to its original Python object."""
         if self.kind == DICT:
@@ -170,6 +179,40 @@ def _encode_column(values: Sequence[Any]) -> Column:
     return Column(DICT, codes, values=tuple(distinct))
 
 
+def _concat_columns(pieces: Sequence[Column]) -> Column:
+    """One column holding the pieces' rows end to end.
+
+    Pieces that are all RAW, or all DICT over one dictionary (gathers
+    of one encoding), join by concatenating their arrays.  Anything
+    else — kinds or dictionaries that differ between pieces — is
+    re-encoded from the decoded values, which is what encoding the
+    rows in one go would have produced.
+    """
+    first = pieces[0]
+    if all(piece.kind == RAW for piece in pieces):
+        nulls = None
+        if any(piece.nulls is not None for piece in pieces):
+            nulls = np.concatenate([
+                piece.nulls if piece.nulls is not None
+                else np.zeros(piece.n_rows, dtype=bool)
+                for piece in pieces
+            ])
+        return Column(
+            RAW, np.concatenate([piece.data for piece in pieces]),
+            nulls=nulls,
+        )
+    if all(piece.kind == DICT and piece.values is first.values
+           for piece in pieces):
+        return Column(
+            DICT, np.concatenate([piece.data for piece in pieces]),
+            values=first.values,
+        )
+    return _encode_column([
+        value for piece in pieces
+        for value in piece.values_at(slice(None))
+    ])
+
+
 class ColumnarPartition:
     """A batch of rows stored column-wise.
 
@@ -205,16 +248,28 @@ class ColumnarPartition:
         """Wrap a 2-D integer array (rows × fields) without null masks.
 
         This is the staged-file fast path: staged rows are packed
-        int32, so each column is already a raw integer array.
+        int32, so one transposed cast makes every column a contiguous
+        raw int64 array.
         """
-        n_rows = int(matrix.shape[0])
-        columns = tuple(
-            Column(RAW, np.ascontiguousarray(
-                matrix[:, i].astype(np.int64, copy=False)
-            ))
-            for i in range(int(matrix.shape[1]))
+        by_column = np.ascontiguousarray(matrix.T, dtype=np.int64)
+        return cls(
+            int(matrix.shape[0]),
+            tuple(Column(RAW, data) for data in by_column),
         )
-        return cls(n_rows, columns)
+
+    @classmethod
+    def concat(cls, pieces: Sequence["ColumnarPartition"],
+               ) -> "ColumnarPartition":
+        """The pieces' rows, in order, as one partition (empty pieces
+        contribute nothing; no pieces make the empty partition)."""
+        pieces = [piece for piece in pieces if piece.n_rows]
+        if len(pieces) <= 1:
+            return pieces[0] if pieces else cls(0, ())
+        columns = tuple(
+            _concat_columns(columns)
+            for columns in zip(*(piece.columns for piece in pieces))
+        )
+        return cls(sum(piece.n_rows for piece in pieces), columns)
 
     def slice(self, start: int, stop: int) -> "ColumnarPartition":
         """Zero-copy view of rows ``[start, stop)``."""
@@ -222,12 +277,24 @@ class ColumnarPartition:
         columns = tuple(col.slice(start, stop) for col in self.columns)
         return ColumnarPartition(stop - start, columns)
 
+    def take(self, indices: Any) -> "ColumnarPartition":
+        """Gather the selected rows into a new partition.
+
+        How a scan hands a node's staged rows on: one fancy index per
+        column (a copy, so the piece outlives the partition or segment
+        it was cut from), encodings kept as they are.
+        """
+        columns = tuple(col.take(indices) for col in self.columns)
+        return ColumnarPartition(int(len(indices)), columns)
+
     def rows_at(self, indices: Any) -> list[tuple[Any, ...]]:
         """Decode the selected rows back to Python tuples.
 
-        Staging writers and memory capture still traffic in row tuples;
-        decoding goes through ``.tolist()`` so the results are plain
-        Python ints / original objects, never numpy scalars.
+        The decode behind :meth:`rows` and
+        ``StagingManager.memory_rows`` — what tests, benchmarks and
+        debugging read rows back through; no scan calls it.  Decoding
+        goes through ``.tolist()`` so the results are plain Python
+        ints / original objects, never numpy scalars.
         """
         decoded = [col.values_at(indices) for col in self.columns]
         return list(zip(*decoded)) if decoded else []

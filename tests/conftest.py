@@ -21,6 +21,7 @@ from repro.client.growth import GrowthPolicy
 from repro.common.locks import LockMonitor
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 _SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
@@ -103,6 +104,12 @@ class WitnessMonitor(LockMonitor):
 
     def live_kinds(self):
         return [record.kind for record in self.witness.live()]
+
+
+def pieces(rows):
+    """What a scan hands ``StagingManager.commit_memory`` for ``rows``:
+    its captured pieces — here one, encoding them all."""
+    return [ColumnarPartition.from_rows(rows)]
 
 
 def tree_signature(node):

@@ -29,7 +29,10 @@ from repro.client.growth import GrowthPolicy  # noqa: E402
 from repro.common.errors import MiddlewareError  # noqa: E402
 from repro.common.locks import install_monitor  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
-from repro.core.execution import _PartitionSizer  # noqa: E402
+from repro.core.execution import (  # noqa: E402
+    INLINE_PARTITION_CHUNKS,
+    _PartitionSizer,
+)
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core import scan_pool  # noqa: E402
@@ -610,7 +613,9 @@ class TestInlineExecutor:
                         assert not record.cached
                         assert "(inline)" in str(record)
                     scan = mw.trace[-1]
-                    assert scan.partition_rows == 4 * config.scan_chunk_rows
+                    assert scan.partition_rows == (
+                        INLINE_PARTITION_CHUNKS * config.scan_chunk_rows
+                    )
                     assert len(scan.worker_seconds) >= 2  # partitioned
                     assert mw.stats.parallel_scans == 0
                     assert mw.stats.cached_scans == 0
@@ -710,7 +715,9 @@ class TestInlineExecutor:
             assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))
             record = mw.trace[0]
             assert record.workers == 1 and "(inline)" in str(record)
-            assert record.partition_rows == 4 * config.scan_chunk_rows
+            assert record.partition_rows == (
+                INLINE_PARTITION_CHUNKS * config.scan_chunk_rows
+            )
             assert len(record.worker_seconds) == 1
             assert mw.scan_pool.inline
 
@@ -787,7 +794,8 @@ class TestShmFaultInjection:
                 # An out-of-range class label in the captured set
                 # poisons the vectorized count in the worker: the
                 # MEMORY scan ships one segment per partition.
-                mw.staging.memory_rows("root")[5] = (0, 0, 99)
+                labels = mw.staging.columnar_memory("root").columns[-1]
+                labels.data[5] = 99
                 mw.queue_requests(
                     [child_request(f"n{v}", v, rows) for v in range(3)]
                 )

@@ -174,7 +174,8 @@ class TestPoisonedPartition:
     #: The same scan through the inline executor: one worker, so the
     #: poison is met on the calling thread, mid-stream, with the
     #: earlier partitions' staged rows already appended in place.
-    INLINE = dict(PARALLEL, scan_workers=1)
+    #: (16-row partitions, like the pool's on this data: 8 chunks of 2).
+    INLINE = dict(PARALLEL, scan_workers=1, scan_chunk_rows=2)
 
     def _assert_poisoned_scan_leaves_nothing(self, tmp_path, **config):
         with make_middleware(memory_staging=False,
@@ -299,7 +300,7 @@ PARTITIONED = {"scan_chunk_rows": 4}
 #: The executors a set-up or commit failure can interrupt.
 LOOPS = {
     "one-partition": {"scan_workers": 1},
-    "inline": dict(PARTITIONED, scan_workers=1),
+    "inline": {"scan_workers": 1, "scan_chunk_rows": 2},
     "threads": dict(PARTITIONED, scan_workers=2),
 }
 
@@ -425,7 +426,8 @@ SOURCES = {
     "memory": ({"file_staging": False}, True, False),
 }
 EXECUTORS = {
-    "inline": {"scan_workers": 1},
+    # 2-row chunks: the inline executor's partitions stay 16 rows.
+    "inline": {"scan_workers": 1, "scan_chunk_rows": 2},
     "threads": {"scan_workers": 2},
     "processes": {"scan_workers": 2, "scan_pool": "process"},
 }

@@ -109,7 +109,7 @@ class TestKeyboardInterruptCleanup:
     #: The inline executor with 16-row partitions, so an interrupt
     #: after 20 rows lands mid-scan with the first partition already
     #: counted and staged in place.
-    INLINE = {"scan_workers": 1, "scan_chunk_rows": 4}
+    INLINE = {"scan_workers": 1, "scan_chunk_rows": 2}
 
     def test_inline_interrupt_leaves_nothing_behind(self, tmp_path):
         threads_before = threading.active_count()

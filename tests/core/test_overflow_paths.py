@@ -67,9 +67,9 @@ def child_request(node_id, value, rows, est_cc_pairs=3):
     params=[
         # Every default: each source here is one inline partition.
         {},
-        # One worker, 4-row chunks: several inline partitions per scan
+        # One worker, 2-row chunks: several inline partitions per scan
         # (admission post-merge, staging applied in place).
-        {"scan_workers": 1, "scan_chunk_rows": 4},
+        {"scan_workers": 1, "scan_chunk_rows": 2},
         # Smaller partitions still, streamed (no cache plan) to two
         # pool threads.
         {"scan_workers": 2, "scan_chunk_rows": 4, "scan_cache_bytes": 0},

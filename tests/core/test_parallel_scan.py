@@ -35,16 +35,17 @@ from repro.core.trace import ExecutionTrace
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import tree_signature
 
 SPEC = DatasetSpec([3, 3], 3)
 
-#: Scan chunks of 4 rows cut the 27-row data set into several
-#: partitions at every worker count under test: 16-row ones inline,
-#: at most 7-row ones behind a pool.
-PARALLEL = {"scan_chunk_rows": 4}
+#: Scan chunks of 2 rows cut the 27-row data set into several
+#: partitions at every worker count under test: 16-row ones inline
+#: (8 chunks), at most 7-row ones behind a pool.
+PARALLEL = {"scan_chunk_rows": 2}
 
 
 def dataset_rows():
@@ -442,6 +443,16 @@ class TestParallelConfig:
             MiddlewareConfig()
 
 
+def piece(rows):
+    """``rows`` as a scan stages them: one gathered columnar piece."""
+    return ColumnarPartition.from_rows(rows)
+
+
+def captured(pieces):
+    """The rows a memory capture (a list of pieces) holds, in order."""
+    return list(ColumnarPartition.concat(pieces).rows())
+
+
 class _ExplodingWriter:
     """A staging-file stand-in whose writes always fail."""
 
@@ -472,32 +483,33 @@ class TestParallelStagingWriter:
         capture = {"m1": []}
         writer = ParallelStagingWriter({"n1": staged}, capture)
         assert writer.n_writers == 1
-        writer.put({"n1": [(0, 0, 0), (1, 1, 1)]}, {"m1": [(0, 0, 0)]})
-        writer.put({"n1": [(2, 2, 2)]}, {"m1": [(2, 2, 2)]})
+        writer.put({"n1": piece([(0, 0, 0), (1, 1, 1)])},
+                   {"m1": piece([(0, 0, 0)])})
+        writer.put({"n1": piece([(2, 2, 2)])}, {"m1": piece([(2, 2, 2)])})
         writer.put({}, {})  # empty partitions are skipped, not queued
         writer.close()
         staged.seal()
         assert list(staged.scan()) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert capture["m1"] == [(0, 0, 0), (2, 2, 2)]
+        assert captured(capture["m1"]) == [(0, 0, 0), (2, 2, 2)]
 
     def test_no_file_starts_no_thread(self):
         capture = {"m1": []}
         writer = ParallelStagingWriter({}, capture)
         assert writer.n_writers == 0
-        writer.put({}, {"m1": [(0, 0, 0)]})
-        assert capture["m1"] == [(0, 0, 0)]  # applied in place
+        writer.put({}, {"m1": piece([(0, 0, 0)])})
+        assert captured(capture["m1"]) == [(0, 0, 0)]  # applied in place
         writer.close()
 
     def test_per_file_order_preserved_across_files(self, manager):
         files = {f"n{i}": manager.open_file(f"n{i}") for i in range(2)}
         capture = {"m1": []}
         writer = ParallelStagingWriter(files, capture)
-        writer.put({"n0": [(0, 0, 0)], "n1": [(1, 1, 1)]},
-                   {"m1": [(0, 0, 0)]})
-        writer.put({"n0": [(2, 2, 2)]}, {})
+        writer.put({"n0": piece([(0, 0, 0)]), "n1": piece([(1, 1, 1)])},
+                   {"m1": piece([(0, 0, 0)])})
+        writer.put({"n0": piece([(2, 2, 2)])}, {})
         writer.put({}, {})  # empty partitions are skipped, not queued
-        writer.put({"n0": [(0, 1, 2)], "n1": [(2, 1, 0)]},
-                   {"m1": [(2, 1, 0)]})
+        writer.put({"n0": piece([(0, 1, 2)]), "n1": piece([(2, 1, 0)])},
+                   {"m1": piece([(2, 1, 0)])})
         writer.close()
         for staged in files.values():
             staged.seal()
@@ -505,31 +517,33 @@ class TestParallelStagingWriter:
             (0, 0, 0), (2, 2, 2), (0, 1, 2)
         ]
         assert list(files["n1"].scan()) == [(1, 1, 1), (2, 1, 0)]
-        assert capture["m1"] == [(0, 0, 0), (2, 1, 0)]
+        assert captured(capture["m1"]) == [(0, 0, 0), (2, 1, 0)]
 
     def test_close_surfaces_writer_error(self, manager):
         writer = ParallelStagingWriter(
             {"ok": manager.open_file("ok"), "bad": _ExplodingWriter()}, {}
         )
-        writer.put({"ok": [(0, 0, 0)], "bad": [(1, 1, 1)]}, {})
+        writer.put(
+            {"ok": piece([(0, 0, 0)]), "bad": piece([(1, 1, 1)])}, {}
+        )
         with pytest.raises(StagingError, match="disk full"):
             writer.close()
 
     def test_put_surfaces_earlier_error(self):
         writer = ParallelStagingWriter({"bad": _ExplodingWriter()}, {})
-        writer.put({"bad": [(0, 0, 0)]}, {})
+        writer.put({"bad": piece([(0, 0, 0)])}, {})
         deadline = time.monotonic() + 5.0
         while writer._error is None and time.monotonic() < deadline:
             time.sleep(0.001)
         with pytest.raises(StagingError, match="disk full"):
-            writer.put({"bad": [(1, 1, 1)]}, {})
+            writer.put({"bad": piece([(1, 1, 1)])}, {})
         writer.abort()  # abort never raises
 
     def test_put_after_close_rejected(self, manager):
         writer = ParallelStagingWriter({"n1": manager.open_file("n1")}, {})
         writer.close()
         with pytest.raises(StagingError):
-            writer.put({"n1": [(0, 0, 0)]}, {})
+            writer.put({"n1": piece([(0, 0, 0)])}, {})
 
     def test_abort_after_close_is_idempotent(self, manager):
         writer = ParallelStagingWriter({"n1": manager.open_file("n1")}, {})

@@ -13,6 +13,8 @@ from repro.core.scheduler import Scheduler
 from repro.core.staging import DataLocation, StagingManager
 from repro.datagen.dataset import DatasetSpec
 
+from ..conftest import pieces
+
 SPEC = DatasetSpec([3, 3, 3], 4)  # 4 classes -> 24 bytes per CC pair
 
 
@@ -70,7 +72,7 @@ class TestRule1ModePreference:
         scheduler, staging, _ = make_scheduler(tmp_path)
         staging.open_file(1).seal()
         staging.reserve_memory(2, 1)
-        staging.commit_memory(2, [(0, 0, 0)])
+        staging.commit_memory(2, pieces([(0, 0, 0)]))
         pending = [
             make_request(3, (0, 1, 3)),
             make_request(5, (0, 2, 5)),
@@ -148,7 +150,7 @@ class TestRule3CCOrdering:
         # descendants would normally GC it, but simulate the race by
         # staging under a node that IS an ancestor of a pending one).
         staging.reserve_memory(9, 4)
-        staging.commit_memory(9, [(0, 0, 0)] * 4)
+        staging.commit_memory(9, pieces([(0, 0, 0)] * 4))
         pending = [
             make_request(3, (0, 9, 3), est_cc_pairs=11),
         ]

@@ -13,6 +13,8 @@ from repro.core.scheduler import Scheduler
 from repro.core.staging import DataLocation, StagingManager
 from repro.datagen.dataset import DatasetSpec
 
+from ..conftest import pieces
+
 SPEC = DatasetSpec([3, 3], 3)
 
 
@@ -53,7 +55,7 @@ def build_world(tmp_request_specs, memory_bytes, staged_files,
         staging.open_file(node).seal()
     for node in staged_memory:
         if staging.reserve_memory(node, 1):
-            staging.commit_memory(node, [(0, 0, 0)])
+            staging.commit_memory(node, pieces([(0, 0, 0)]))
     config = MiddlewareConfig(memory_bytes=memory_bytes)
     scheduler = Scheduler(SPEC, staging, budget, config)
 

@@ -45,10 +45,10 @@ from repro.sqlengine.heap import HeapTable  # noqa: E402
 from ..conftest import tree_signature  # noqa: E402
 from .plan_seam import record_plan_requests  # noqa: E402
 
-#: 6,200 rows: longer than one inline partition (4 x 1,024 rows).
+#: 9,300 rows: longer than one inline partition (8 x 1,024 rows).
 CONCEPT = build_random_tree(RandomTreeConfig(
     n_attributes=8, values_per_attribute=3, n_classes=4, n_leaves=30,
-    cases_per_leaf=200, seed=11,
+    cases_per_leaf=300, seed=11,
 ))
 SPEC = CONCEPT.spec
 ROWS = CONCEPT.materialize()

@@ -10,6 +10,9 @@ from repro.common.memory import MemoryBudget
 from repro.core.requests import CountsRequest
 from repro.core.staging import DataLocation, StagingManager
 from repro.datagen.dataset import DatasetSpec
+from repro.sqlengine.columnar import ColumnarPartition
+
+from ..conftest import pieces
 
 SPEC = DatasetSpec([3, 3], 2)  # rows are (A1, A2, class)
 
@@ -142,16 +145,21 @@ class TestStagedFile:
 class TestScanGuards:
     """Determinism guards on `StagedFile.scan` (parallel-scan era)."""
 
-    def test_scan_with_unflushed_buffer_rejected(self, manager):
-        # White-box: a sealed file must never carry unflushed rows; if
-        # internal state is ever corrupted that way, scanning must
-        # refuse rather than yield a torn row set.
+    def test_scan_of_a_torn_file_rejected(self, manager):
+        # A sealed file must hold every committed row; if the bytes on
+        # disk ever fall short of that, every reader must refuse rather
+        # than yield a torn row set.
         staged = manager.open_file("n1")
-        staged.append((0, 0, 0))
+        staged.append_rows([(0, 0, 0), (1, 1, 1)])
         staged.seal()
-        staged._buffer.append(b"\x00")
-        with pytest.raises(StagingError, match="unflushed"):
+        os.truncate(staged.path, 12 + 5)
+        with pytest.raises(StagingError, match="torn"):
             list(staged.scan())
+        with pytest.raises(StagingError, match="torn"):
+            list(staged.scan_blocks())
+        with pytest.raises(StagingError, match="torn"):
+            list(staged.scan_blocks(1))
+        staged.delete()  # the failed readers let go of the file
 
     def test_interleaved_scans_both_complete(self, manager):
         staged = manager.open_file("n1")
@@ -246,13 +254,13 @@ class TestBlockIO:
         meter = manager._test_meter
         staged = manager.open_file("n1")
         staged.append_rows([(0, 0, 0)])
-        counters = (staged.write_calls, staged.blocks_flushed,
-                    staged.row_count, len(staged._buffer))
+        counters = (staged.write_calls, staged.row_count)
         charges = dict(meter.charges)
-        for payload in ([], iter(()), (row for row in ())):
+        for payload in ([], iter(()), (row for row in ()),
+                        ColumnarPartition.from_rows([]),
+                        pieces([(1, 1, 1)])[0].slice(0, 0)):
             staged.append_rows(payload)
-        assert (staged.write_calls, staged.blocks_flushed,
-                staged.row_count, len(staged._buffer)) == counters
+        assert (staged.write_calls, staged.row_count) == counters
         assert dict(meter.charges) == charges
         staged.seal()
         assert list(staged.scan()) == [(0, 0, 0)]
@@ -263,16 +271,18 @@ class TestBlockIO:
     def test_write_counters_track_real_appends(self, manager):
         staged = manager.open_file("n1")
         assert staged.write_calls == 0
-        assert staged.blocks_flushed == 0
         staged.append((0, 0, 0))
         staged.append_rows([(1, 1, 1), (2, 2, 0)])
         assert staged.write_calls == 2
-        assert staged.blocks_flushed == 0  # still buffered
+        # One write per piece, whatever its length, rows or arrays.
         staged.append_rows(
             [(i % 3, i % 3, i % 2) for i in range(staged.BLOCK_ROWS)]
         )
-        assert staged.blocks_flushed >= 1
+        staged.append_rows(pieces([(2, 0, 1)] * 5000)[0])
+        assert staged.write_calls == 4
+        assert staged.row_count == 3 + staged.BLOCK_ROWS + 5000
         staged.seal()
+        assert os.path.getsize(staged.path) == 12 * staged.row_count
 
 
 class TestResolve:
@@ -289,7 +299,7 @@ class TestResolve:
     def test_memory_beats_file(self, manager):
         manager.open_file(1).seal()
         manager.reserve_memory(0, 2)
-        manager.commit_memory(0, [(0, 0, 0), (1, 1, 1)])
+        manager.commit_memory(0, pieces([(0, 0, 0), (1, 1, 1)]))
         request = make_request(3, (0, 1, 3))
         assert manager.resolve(request) == (DataLocation.MEMORY, 0)
 
@@ -310,14 +320,15 @@ class TestMemoryStaging:
         budget = manager._test_budget
         assert manager.reserve_memory("n", 10)
         assert budget.used == 10 * SPEC.row_bytes
-        manager.commit_memory("n", [(0, 0, 0)] * 8)
+        manager.commit_memory("n", pieces([(0, 0, 0)] * 8))
         # Reservation resized down to the actual row count.
         assert budget.used == 8 * SPEC.row_bytes
-        assert len(manager.memory_rows("n")) == 8
+        assert manager.memory_rows("n") == [(0, 0, 0)] * 8
+        assert manager.columnar_memory("n").n_rows == 8
 
     def test_commit_charges_load(self, manager):
         manager.reserve_memory("n", 2)
-        manager.commit_memory("n", [(0, 0, 0), (1, 1, 1)])
+        manager.commit_memory("n", pieces([(0, 0, 0), (1, 1, 1)]))
         assert manager._test_meter.charges["memory_load"] == pytest.approx(
             2 * manager._test_model.memory_load_row
         )
@@ -327,9 +338,9 @@ class TestMemoryStaging:
 
     def test_double_commit_rejected(self, manager):
         manager.reserve_memory("n", 1)
-        manager.commit_memory("n", [(0, 0, 0)])
+        manager.commit_memory("n", pieces([(0, 0, 0)]))
         with pytest.raises(StagingError):
-            manager.commit_memory("n", [(0, 0, 0)])
+            manager.commit_memory("n", pieces([(0, 0, 0)]))
 
     def test_cancel_reservation(self, manager):
         manager.reserve_memory("n", 5)
@@ -338,7 +349,7 @@ class TestMemoryStaging:
 
     def test_drop_releases_budget(self, manager):
         manager.reserve_memory("n", 1)
-        manager.commit_memory("n", [(0, 0, 0)])
+        manager.commit_memory("n", pieces([(0, 0, 0)]))
         manager.drop_memory("n")
         assert manager._test_budget.used == 0
         with pytest.raises(StagingError):
@@ -374,7 +385,7 @@ class TestGarbageCollection:
     def test_drops_unreferenced_staging(self, manager):
         manager.open_file(1).seal()
         manager.reserve_memory(2, 1)
-        manager.commit_memory(2, [(0, 0, 0)])
+        manager.commit_memory(2, pieces([(0, 0, 0)]))
         # Pending request descends from neither 1 nor 2.
         pending = [make_request(9, (0, 9))]
         dropped = manager.garbage_collect(pending)
@@ -391,7 +402,7 @@ class TestGarbageCollection:
     def test_drops_file_shadowed_by_memory(self, manager):
         manager.open_file(1).seal()
         manager.reserve_memory(0, 1)
-        manager.commit_memory(0, [(0, 0, 0)])
+        manager.commit_memory(0, pieces([(0, 0, 0)]))
         pending = [make_request(3, (0, 1, 3))]
         dropped = manager.garbage_collect(pending)
         # Memory at the root shadows the file at node 1 (Rule 1).
@@ -406,7 +417,7 @@ class TestEviction:
     def test_evict_memory_except(self, manager):
         for node in ("a", "b", "c"):
             manager.reserve_memory(node, 1)
-            manager.commit_memory(node, [(0, 0, 0)])
+            manager.commit_memory(node, pieces([(0, 0, 0)]))
         freed = manager.evict_memory_except("b")
         assert freed == 2 * SPEC.row_bytes
         assert manager.memory_nodes() == ["b"]
@@ -423,7 +434,7 @@ class TestClose:
         staged.append((0, 0, 0))
         staged.seal()
         manager.reserve_memory("y", 1)
-        manager.commit_memory("y", [(0, 0, 0)])
+        manager.commit_memory("y", pieces([(0, 0, 0)]))
         path = staged.path
         manager.close()
         assert not os.path.exists(path)
@@ -456,7 +467,7 @@ class TestMeteredCostParity:
             memory_staging=False,
             file_split_threshold=1.0,
             scan_workers=workers,
-            scan_chunk_rows=4,
+            scan_chunk_rows=2,
         )
         with Middleware(server, "data", SPEC, config) as mw:
             mw.queue_request(

@@ -16,6 +16,8 @@ later piece, empty pieces) and the pieces fold, through
 gives.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -24,6 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.common.errors import MiddlewareError  # noqa: E402
+from repro.core import vector_kernel  # noqa: E402
 from repro.core.cc_table import BatchCounts, CCTable  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
@@ -314,6 +317,25 @@ class TestKernelAgainstTheOracle:
         assert fold([payload], [("A2",), ("A1", "A2")]) == [
             reference for reference, _ in expected
         ]
+
+    def test_reported_seconds_are_the_counting_threads_cpu_time(
+            self, monkeypatch):
+        # What the partition sizer steers on must not hold a pool
+        # thread's waits for the GIL: with wall time the staged plan's
+        # first scan sat on the skew threshold and the partition
+        # schedule differed from fit to fit.
+        ticks = iter([10.0, 10.25, 20.0, 20.5, 20.75, 21.5])
+        monkeypatch.setattr(vector_kernel, "time", SimpleNamespace(
+            thread_time=lambda: next(ticks),
+        ))
+        rows = [(i % 3, i % 2, 0, i % N_CLASSES) for i in range(12)]
+        ctx = make_ctx([()], [("A1",)])
+        partition = ColumnarPartition.from_rows(rows)
+        assert count_partition_columnar(ctx, 0, partition, [], [])[5] == 0.25
+        # The slice entry times the keep mask too, not just the count.
+        assert count_partition_slice(
+            ctx, 0, partition, 0, 12, (eq("A2", 1), ATTR_INDEX), [], [],
+        )[5] == 1.5
 
 
 class TestClassLabelChecks:

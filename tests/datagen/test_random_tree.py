@@ -1,5 +1,8 @@
 """Unit tests for the random generating-tree workload (§5.1.1)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.common.errors import DataGenerationError
@@ -56,6 +59,21 @@ class TestTreeConstruction:
         rows_a = build_random_tree(small_config()).materialize()
         rows_b = build_random_tree(small_config()).materialize()
         assert rows_a == rows_b
+
+    def test_rows_of_the_deep_tree_concept_are_pinned(self):
+        # The e2e benchmark's deep_tree concept: every RNG draw of the
+        # builder and the sampler is part of the data, so a change to
+        # how leaves are picked (memoised per node) must not move it.
+        config = RandomTreeConfig(
+            n_attributes=25, values_per_attribute=4, n_classes=10,
+            n_leaves=1000, cases_per_leaf=10, seed=0,
+        )
+        rows = build_random_tree(config).materialize(random.Random(1))
+        assert len(rows) == 10_000
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "df6504bc7cd62af4f9fa8310488698f0"
+            "fa57e7daa2c5a60ef30df183570cfa3b"
+        )
 
     def test_different_seeds_differ(self):
         rows_a = build_random_tree(small_config(seed=1)).materialize()

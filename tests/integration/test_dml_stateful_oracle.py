@@ -52,10 +52,11 @@ from ..conftest import tree_signature  # noqa: E402
 
 SPEC = DatasetSpec([3, 3, 2], 2)
 NAMES = SPEC.attribute_names
-#: 8-row chunks: a 40-row table is several partitions on either
-#: executor, so the thread session really starts its pool.
+#: Small chunks (32-row inline partitions, 8-row chunks behind the
+#: pool): a 40-row table is several partitions on either executor, so
+#: the thread session really starts its pool.
 SESSIONS = {
-    "inline": {"scan_workers": 1, "scan_chunk_rows": 8},
+    "inline": {"scan_workers": 1, "scan_chunk_rows": 4},
     "threads": {"scan_workers": 2, "scan_pool": "thread",
                 "scan_chunk_rows": 8},
 }

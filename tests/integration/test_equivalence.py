@@ -52,17 +52,17 @@ CONFIGS = {
     "tight_file_budget": MiddlewareConfig(
         memory_bytes=500_000, file_budget_bytes=500
     ),
-    # One worker, 16-row chunks: every scan is several partitions
+    # One worker, 8-row chunks: every scan is several partitions
     # long on the inline executor (merge, in-place staging, admission
     # after the last partition).
     "inline_full_hybrid": MiddlewareConfig(
-        memory_bytes=500_000, scan_workers=1, scan_chunk_rows=16
+        memory_bytes=500_000, scan_workers=1, scan_chunk_rows=8
     ),
     "inline_file_only_per_node": MiddlewareConfig.file_only(
-        500_000, split_threshold=1.0, scan_workers=1, scan_chunk_rows=16,
+        500_000, split_threshold=1.0, scan_workers=1, scan_chunk_rows=8,
     ),
     "inline_tiny_memory_sql_fallback": MiddlewareConfig.no_staging(
-        600, scan_workers=1, scan_chunk_rows=16
+        600, scan_workers=1, scan_chunk_rows=8
     ),
 }
 

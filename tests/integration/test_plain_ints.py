@@ -44,7 +44,7 @@ from ..conftest import tree_signature  # noqa: E402
 
 #: Small chunks: every scan folds several partitions.
 CONFIGS = {
-    "inline": dict(scan_workers=1, scan_chunk_rows=16),
+    "inline": dict(scan_workers=1, scan_chunk_rows=8),
     "threads": dict(scan_workers=2, scan_chunk_rows=16),
 }
 
