@@ -34,21 +34,22 @@ calls.  Neither re-decides, and neither knows a price — a path carries
 the charge functions of the ``sqlengine`` object that owns it, so the
 stream, a resident or transient plan scan and the estimate recorded in
 ``last_choice`` (which the execution trace reports) all come from the
-same definitions.
+same definitions.  A plan's rows are the server's one encoding of the
+table (``HeapTable.columnar()``), or for a TID-list, keyset or index
+path the rows behind its TIDs gathered out of it: no heap row is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
 from ..sqlengine.cursors import (
     charge_transfer,
     forward_scan_charge,
     keyset_charge,
-    live_rows,
 )
 from ..sqlengine.expr import (
     And,
@@ -69,7 +70,7 @@ from ..sqlengine.tempstructs import (
     copy_subset_to_table,
     tid_join_charge,
 )
-from .columnar_cache import ColumnarScanPlan, server_scan_plan
+from .columnar_cache import ColumnarScanPlan
 
 
 @dataclass(frozen=True)
@@ -156,22 +157,30 @@ class _AccessPath:
     #: ``predicate -> rows``: the metered stream (the cursor layer).
     stream: Callable[[Any], Iterator[Any]]
     #: Cache identity of the superset the path scans, that superset's
-    #: size, and its rows straight from the heap (unmetered).
+    #: size before encoding (tombstoned TIDs included), and the
+    #: superset as one columnar partition, unmetered: the server's own
+    #: ``HeapTable.columnar()`` or a gather of it.
     key: tuple[Any, ...]
     n_rows: int
-    rows: Callable[[], Iterable[Any]]
-    #: The owner's resident encoding of exactly those rows, if it
-    #: keeps one (``HeapTable.columnar``); None = encode from ``rows``.
-    encode: Callable[[], Any] | None = None
+    encode: Callable[[], Any]
 
     def plan(self, server: Any, predicate: Any) -> ColumnarScanPlan:
-        """The plan form: same price functions, bound to the meter."""
-        return server_scan_plan(
-            self.key, self.n_rows, self.rows,
-            partial(self.charge, server.meter),
-            partial(charge_transfer, server.meter, server.model),
-            predicate, self.encode,
+        """The plan form: the stream's own price functions, bound to
+        the meter, so the plan costs what the stream would."""
+        return ColumnarScanPlan(
+            key=self.key,
+            n_rows=self.n_rows,
+            encode=self.encode,
+            charge_scan=partial(self.charge, server.meter),
+            charge_rows=partial(charge_transfer, server.meter, server.model),
+            filter_expr=predicate,
         )
+
+
+def _gathered(table: Any, tids: Sequence[Any]) -> Any:
+    """The live rows behind ``tids``, in their order, gathered out of
+    the table's one encoding (unmetered, no heap row read)."""
+    return table.columnar().take(table.live_ordinals(tids))
 
 
 def _cursor_path(server: Any, table: Any, label: str = "seq") -> _AccessPath:
@@ -188,7 +197,7 @@ def _cursor_path(server: Any, table: Any, label: str = "seq") -> _AccessPath:
     return _AccessPath(
         label, "", partial(forward_scan_charge, server.model, table),
         stream, ("table", table.name, table.version),
-        table.row_count, table.scan_rows, table.columnar,
+        table.row_count, table.columnar,
     )
 
 
@@ -226,9 +235,9 @@ class ServerAccessStrategy:
 
     def plan_columnar(self, predicate: Any,
                       relevant_rows: int) -> ColumnarScanPlan:
-        """The scan as a columnar plan: unmetered superset rows (and
-        the owner's encoding of them), the filter to apply as a keep
-        mask, and the path's charges.
+        """The scan as a columnar plan: the superset's encoding
+        (unmetered), the filter to apply as a keep mask, and the path's
+        charges.
 
         A decision that (re)builds an auxiliary structure builds it
         *here*, whether the executor then keeps the plan's encoding
@@ -352,7 +361,7 @@ class TIDJoinStrategy(_ThresholdStrategy):
             partial(tid_join_charge, self._server.model, len(tids)),
             self._structure.fetch,
             ("tids", table.name, table.version, self._built_predicate),
-            len(tids), partial(live_rows, table, tids),
+            len(tids), partial(_gathered, table, tids),
         )
 
 
@@ -369,7 +378,7 @@ class KeysetStrategy(_ThresholdStrategy):
             partial(keyset_charge, self._server.model, len(tids)),
             self._structure.fetch,
             ("keyset", table.name, table.version, self._built_predicate),
-            len(tids), partial(live_rows, table, tids),
+            len(tids), partial(_gathered, table, tids),
         )
 
     def close(self) -> None:
@@ -459,7 +468,7 @@ class PlannedScanStrategy(TIDJoinStrategy):
                 plan, table, predicate, server.meter, server.model
             ),
             ("ixfetch", table.name, table.version) + plan.cache_token(),
-            len(tids), partial(live_rows, table, tids),
+            len(tids), partial(_gathered, table, tids),
         )
 
 

@@ -9,25 +9,26 @@ scan is what makes a multi-level fit cheap.
 * :class:`ColumnarScanPlan` — what one plan-run scan needs: a cache
   key (``("table", name, version)`` for plain scans, structure-specific
   keys for the §4.3.3 auxiliary strategies, ``("file", uid)`` for
-  staged files), the unmetered rows of the superset it counts over, an
-  encoder for the whole of it, and two charge callables.  This module
-  knows no price: the callables are the functions the path's metered
-  stream charges through, handed in by the layer that owns the access
-  path (``sqlengine`` for server scans,
+  staged files), an encoder of the superset it counts over, and two
+  charge callables.  This module knows no price: the callables are the
+  functions the path's metered stream charges through, handed in by
+  the layer that owns the access path (``sqlengine`` for server scans,
   :class:`~repro.core.staging.StagedFile` for staged files), which is
   what keeps a plan-run scan cost-identical to its stream.
 * :class:`ColumnarScanCache` — an LRU of full-source
   :class:`~repro.sqlengine.columnar.ColumnarPartition` encodings under
   a byte budget (``config.scan_cache_bytes``), accounted from the flat
-  shared-memory layout size.  A plain table's entry is the server's
-  own :meth:`~repro.sqlengine.heap.HeapTable.columnar` object — one
-  in-process encoding per table version, whoever asks — so for those
-  the budget caps what a session asks the server to keep resident.
-  With a process pool the cache also owns one *persistent* shm segment
-  per entry (shipped once, witnessed with a ``persistent`` marker) and
-  hands scans a generation-counted
-  :class:`~repro.core.shm.ShmSegmentRef` so workers re-attach instead
-  of receiving a fresh copy per scan.
+  shared-memory layout size.  The server keeps one encoding per table
+  version (:meth:`~repro.sqlengine.heap.HeapTable.columnar`) whether
+  or not a session admits it — a plain table's entry *is* that object
+  — so the budget bounds what the *session* holds on top: the entries
+  it admits, gathered TID / index supersets, pooled FILE encodings
+  and, with a process pool, one *persistent* shm segment per entry
+  (shipped once, witnessed with a ``persistent`` marker; scans hand
+  workers a generation-counted :class:`~repro.core.shm.ShmSegmentRef`
+  so they re-attach instead of receiving a fresh copy per scan).  A
+  scan whose encoding the cache does not admit counts over the same
+  encoding transiently and keeps nothing.
 
 Invalidation is by construction, not by callbacks: table mutations bump
 :attr:`~repro.sqlengine.heap.HeapTable.version`, so a stale entry can
@@ -46,28 +47,29 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from ..sqlengine.columnar import ColumnarPartition
 from .shm import ShmSegmentRef, ShmShipper, partition_from_handle
 
-#: Pre-encode admission estimate: one int64 cell per attribute + class.
+#: Pre-encode admission estimate: one int64 cell per attribute + class
+#: (a RAW column is stored as narrow as its range, so most encodings
+#: come out smaller).
 _BYTES_PER_CELL = 8
 
 
 @dataclass
 class ColumnarScanPlan:
-    """One plan-run scan: key, row supply, encoder, and meter charges.
+    """One plan-run scan: key, encoder, and meter charges.
 
-    ``encode`` materialises the *superset* the scan counts over (the
-    full table, the auxiliary structure's rows, or the staged file) as
-    one columnar partition, for a scan that keeps it resident;
-    ``rows`` iterates the same superset for a scan that encodes it a
-    partition at a time and keeps nothing.  When ``charge_on_miss`` is
-    True both are unmetered (they bypass the cursor layer) and the
-    caller must apply ``charge_scan``/``charge_rows`` however the scan
-    is supplied; when False the encoder itself meters (staged-file
-    block scans), so the explicit charges apply on hits only.
+    ``encode`` gives the *superset* the scan counts over (the full
+    table, the auxiliary structure's rows, or the staged file) as one
+    columnar partition, which the scan slices whether or not the cache
+    keeps it.  When ``charge_on_miss`` is True it is unmetered (it
+    bypasses the cursor layer) and the caller must apply
+    ``charge_scan``/``charge_rows`` however the scan is supplied; when
+    False the encoder itself meters (staged-file block scans), so the
+    explicit charges apply on hits only.
 
     ``filter_expr`` is the pushed batch filter the workers apply as a
     keep mask (None = count every row); per-scan filters deliberately
@@ -91,9 +93,6 @@ class ColumnarScanPlan:
     filter_expr: Any = None
     #: False when ``encode`` meters its own reads (staged files).
     charge_on_miss: bool = True
-    #: The superset's rows, unmetered, in ``encode``'s order (server
-    #: plans; a staged file is only ever counted resident).
-    rows: Optional[Callable[[], Iterable[Any]]] = None
 
 
 class _CacheEntry:
@@ -258,43 +257,7 @@ class ColumnarScanCache:
             self._shipper = None
 
 
-# -- plan constructors (one for server scans, one for staged files) -------
-
-
-def server_scan_plan(key: tuple[Any, ...], n_rows: int,
-                     rows: Callable[[], Iterable[Any]],
-                     charge_scan: Callable[[], None],
-                     charge_rows: Callable[[int], None],
-                     predicate: Any,
-                     encode: Optional[Callable[[], ColumnarPartition]] = None,
-                     ) -> ColumnarScanPlan:
-    """The plan of one server access path.
-
-    ``rows`` iterates the path's superset straight from the heap,
-    unmetered (the full table, or the live rows behind a TID list);
-    ``charge_scan`` and ``charge_rows`` are the very functions the
-    path's metered stream charges through in ``sqlengine``, so every
-    supply of the plan costs what the stream would.  ``key`` carries
-    the path's identity — table version, build predicate or probe — so
-    different supersets encode separately while every level of a fit
-    that shares one shares its encoding.  ``encode`` is the owner's
-    own full encoding of those rows where it keeps one (a heap table's
-    :meth:`~repro.sqlengine.heap.HeapTable.columnar`): the cache entry
-    then *is* the server's object, not a second copy of it.
-    """
-
-    def encode_rows() -> ColumnarPartition:
-        return ColumnarPartition.from_rows(list(rows()))
-
-    return ColumnarScanPlan(
-        key=key,
-        n_rows=n_rows,
-        encode=encode or encode_rows,
-        charge_scan=charge_scan,
-        charge_rows=charge_rows,
-        filter_expr=predicate,
-        rows=rows,
-    )
+# -- the staged-file plan (server plans are built by core.auxiliary) -----
 
 
 def staged_file_plan(staged: Any) -> ColumnarScanPlan:
@@ -311,7 +274,7 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
         # read, one matrix.
         blocks = list(staged.scan_blocks())
         if not blocks:
-            return ColumnarPartition.from_rows([])
+            return ColumnarPartition(0, ())
         return ColumnarPartition.from_matrix(blocks[0])
 
     return ColumnarScanPlan(
@@ -328,6 +291,5 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
 __all__ = [
     "ColumnarScanCache",
     "ColumnarScanPlan",
-    "server_scan_plan",
     "staged_file_plan",
 ]

@@ -98,17 +98,16 @@ class MiddlewareConfig:
     #: routing workloads.
     scan_pool: str = "thread"
     #: Byte budget of the table-version columnar cache ("encode once,
-    #: scan every level"): every SERVER scan whose table will be read
-    #: again (some node of its batch is not staged by it), on any
-    #: executor, counts over one resident full encoding — for a plain
-    #: table the server's own ``HeapTable.columnar()``, so the budget
-    #: caps what the session asks the server to keep — and so does a
-    #: pooled scan of a staged file; with a process pool the encoding
-    #: lives in a persistent shared-memory segment instead of being
-    #: re-shipped.  Real process bytes, accounted from the flat
-    #: segment layout like the staging budgets; LRU-evicted.  A source
-    #: that cannot fit — and every source when this is 0 — is encoded
-    #: a partition at a time and nothing is kept.
+    #: scan every level"): what a session keeps on top of the server's
+    #: one encoding per table version, which every SERVER scan slices
+    #: regardless.  It bounds the entries the session admits — for a
+    #: SERVER scan whose table will be read again (some node of its
+    #: batch is not staged by it), a plain table's entry being the
+    #: server's object itself — gathered TID-list / keyset / index
+    #: supersets, pooled staged-file encodings and a process pool's
+    #: persistent shared-memory segments.  Real process bytes, accounted
+    #: from the flat segment layout; LRU-evicted.  A source that cannot
+    #: fit — and every source when this is 0 — is counted transiently.
     scan_cache_bytes: int = 128 * 1024 * 1024
     #: Let ``aux_strategy="auto"`` consult the engine's cost-based
     #: access-path planner, adding secondary-index probes to its

@@ -26,15 +26,16 @@ Two things plug in:
   has one form on every executor (:class:`_PlanSource`): it is run
   from the access path's plan
   (:meth:`~repro.core.auxiliary.ServerAccessStrategy.plan_columnar` —
-  the path's unmetered superset rows, the pushed batch filter and the
-  path's two charges), the filter applied by the counting kernel as a
-  vector keep-mask, the charges made from the plan.  What differs is
-  only where the partitions come from, read off the schedule: slices
-  of the server-owned full encoding, kept *resident* in the
-  table-version columnar cache, when the cache admits it and some
-  node of the batch is not staged by this scan (the table will be
-  read again); else the plan's rows encoded a partition at a time
-  and dropped (*transient*).  Staged sources read a file a
+  the server's own encoding of the path's superset, the pushed batch
+  filter and the path's two charges), the filter applied by the
+  counting kernel as a vector keep-mask, the charges made from the
+  plan.  Its partitions are always slices of that encoding; all the
+  schedule decides is whether the session keeps it: *resident* in the
+  table-version columnar cache when the cache admits it and some node
+  of the batch is not staged by this scan (the table will be read
+  again), else *transient* — the same slices, kept by nobody but the
+  server (one encoding per table version, so no heap row is read
+  twice).  Staged sources read a file a
   partition's records at a time (one read, one matrix) or slice the
   encoding a memory set is kept as (a pooled FILE scan may keep the
   file's encoding resident too);
@@ -79,7 +80,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
@@ -111,31 +111,13 @@ from .vector_kernel import slot_layout
 
 
 def _close_source(source: Any) -> None:
-    """Close a row/partition source if it supports closing."""
+    """Close a partition source if it supports closing."""
     close = getattr(source, "close", None)
     if close is not None:
         try:
             close()
         except BaseException:
             pass
-
-
-def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
-                     scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
-    """A plan's rows, ``partition_rows`` at a time, each chunk encoded
-    into its own partition (a transient SERVER scan); nothing is
-    retained."""
-    try:
-        while True:
-            chunk = list(islice(row_iter, partition_rows))
-            if not chunk:
-                return
-            started = time.perf_counter()
-            partition = ColumnarPartition.from_rows(chunk)
-            scan.encode_seconds += time.perf_counter() - started
-            yield partition
-    finally:
-        _close_source(row_iter)
 
 
 def _columnar_memory_slices(table: ColumnarPartition,
@@ -327,7 +309,8 @@ class _PartitionSource:
         return piece
 
     def stop(self) -> None:
-        """The scan is failing: stop producing, close the row source."""
+        """The scan is failing: stop producing, close the partition
+        source."""
         _close_source(self._partitions)
 
     def close(self) -> None:
@@ -343,31 +326,35 @@ class _PartitionSource:
 class _PlanSource(_PartitionSource):
     """A scan run from a plan: every SERVER scan, on every executor.
 
-    The plan names a superset of the rows the batch needs, the pushed
-    batch filter and two charges.  Every partition goes to the pool
-    through ``submit_columnar_slice`` with the filter as a vector
-    keep-mask (so per-scan filters stay out of the cache key), and the
-    meter is charged from the plan — ``charge_scan`` at open,
-    ``charge_rows`` for the rows the masks kept at :meth:`settle` — so
-    a scan costs exactly what the path's cursor stream would
+    The plan names a superset of the rows the batch needs — as the
+    server's own encoding of it (``plan.encode()``: for a plain table
+    ``HeapTable.columnar()``, for a TID-list, keyset or index path a
+    gather of it) — the pushed batch filter and two charges.  Every
+    partition is a slice of that encoding, handed to the pool through
+    ``submit_columnar_slice`` with the filter as a vector keep-mask (so
+    per-scan filters stay out of the cache key), and the meter is
+    charged from the plan — ``charge_scan`` at open, ``charge_rows``
+    for the rows the masks kept at :meth:`settle` — so a scan costs
+    exactly what the path's cursor stream would
     (``docs/cost_model.md``) however its partitions are supplied:
 
-    * **resident** (``cache`` given): slices of the full encoding,
-      encoded **once per table version** — a hit skips it, a miss
-      calls the plan's encoder (for a plain table the server's own
-      ``HeapTable.columnar()``, so the entry *is* the server's object)
-      and installs the result.  With a process pool it lives in one
-      long-lived witnessed segment that workers re-attach only when its
-      generation moves.  A failure mid-count leaves the cache
-      untouched: the entry was admitted when encoding completed and is
-      valid however the count ends, so the next scan hits.
-    * **transient** (``cache`` None): the plan's rows taken
-      ``partition_rows`` at a time, each chunk encoded, counted and
-      dropped — what a scan that stages everything it reads, a table
-      the cache cannot hold, and ``scan_cache_bytes=0`` get.
+    * **resident** (``cache`` given): the encoding is looked up in and
+      admitted to the session's table-version columnar cache — a hit
+      skips ``encode``, a miss calls it and installs the result (for a
+      plain table the entry *is* the server's object).  With a process
+      pool it lives in one long-lived witnessed segment that workers
+      re-attach only when its generation moves.  A failure mid-count
+      leaves the cache untouched: the entry was admitted when encoding
+      completed and is valid however the count ends, so the next scan
+      hits.
+    * **transient** (``cache`` None): the same slices of the same
+      encoding, which the session neither admits nor ships in a
+      persistent segment — what a scan that stages everything it
+      reads, a table the cache cannot hold, and ``scan_cache_bytes=0``
+      get.  A process pool receives each slice pickled.
 
     Workers' staged-row indexes come back slice-relative and are
-    re-based onto the full encoding before the gather.
+    re-based onto the encoding before the gather.
     """
 
     def __init__(self, plan: ColumnarScanPlan,
@@ -378,8 +365,8 @@ class _PlanSource(_PartitionSource):
         self._plan = plan
         self._cache = cache
         self._partition_rows = partition_rows
-        #: The resident encoding, and what workers are handed for it
-        #: (itself, or its persistent segment's reference).
+        #: The encoding the slices are cut from, and what workers are
+        #: handed for it (itself, or its persistent segment's reference).
         self._table: Any = None
         self._shipped: Any = None
         #: The pushed batch filter workers apply as a keep-mask.
@@ -393,19 +380,19 @@ class _PlanSource(_PartitionSource):
     def _start(self) -> Iterator[Any]:
         plan = self._plan
         if self._cache is None:
-            assert plan.rows is not None
-            self._partitions = _columnar_slices(
-                iter(plan.rows()), self._partition_rows, self._scan
-            )
+            started = time.perf_counter()
+            self._table = self._shipped = plan.encode()
+            self._scan.encode_seconds = time.perf_counter() - started
         else:
-            self._partitions = self._resident_slices(self._cache)
+            self._admit(self._cache)
         if self._charged:
             plan.charge_scan()
+        # The partitions are the slices' row offsets.
+        self._partitions = range(0, self._table.n_rows, self._partition_rows)
         return iter(self._partitions)
 
-    def _resident_slices(self, cache: ColumnarScanCache) -> range:
-        """Look the encoding up (encoding and admitting it on a miss);
-        its partitions are the slices' row offsets."""
+    def _admit(self, cache: ColumnarScanCache) -> None:
+        """Look the encoding up (encoding and admitting it on a miss)."""
         plan, scan = self._plan, self._scan
         entry = cache.lookup(plan.key)
         self._charged = entry is not None or plan.charge_on_miss
@@ -425,22 +412,15 @@ class _PlanSource(_PartitionSource):
             scan.ship_seconds = entry.ship_seconds
         self._table = entry.partition
         self._shipped = entry.ref if entry.ref is not None else self._table
-        return range(0, self._table.n_rows, self._partition_rows)
 
     def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
-        # Transient: a whole partition, pinned by its ticket for the
-        # staged-row gather.  Resident: a slice's row offset in the
-        # full encoding, which is all its ticket has to remember.
-        if self._cache is None:
-            source, start, stop = partition, 0, partition.n_rows
-            pinned = partition
-        else:
-            source, start, pinned = self._shipped, partition, None
-            stop = min(start + self._partition_rows, self._table.n_rows)
+        # A slice's row offset is all its ticket has to remember.
+        start = partition
+        stop = min(start + self._partition_rows, self._table.n_rows)
         future = self._pool.submit_columnar_slice(
-            seq, source, start, stop, self._keep_spec, *self._targets,
+            seq, self._shipped, start, stop, self._keep_spec, *self._targets,
         )
-        return future, (start, pinned)
+        return future, start
 
     def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
         seen = int(result[6])
@@ -448,10 +428,7 @@ class _PlanSource(_PartitionSource):
         return seen
 
     def staged_rows(self, ticket: Any, selection: Any) -> ColumnarPartition:
-        start, pinned = ticket
-        if pinned is None:  # a slice of the resident encoding
-            pinned, selection = self._table, selection + start
-        piece: ColumnarPartition = pinned.take(selection)
+        piece: ColumnarPartition = self._table.take(selection + ticket)
         return piece
 
     def close(self) -> None:
@@ -746,12 +723,13 @@ class ExecutionModule:
         """The source one scan counts over.
 
         A SERVER scan runs from its access path's plan on every
-        executor; the schedule and the cache's admission gate say
-        whether the plan's encoding is kept resident — some node of the
-        batch is not staged by this scan, so the table will be read
-        again — or its rows are counted a partition at a time and
-        dropped.  A staged source streams from its own tier (a pooled
-        FILE scan over the file's cached encoding when it fits).
+        executor, over slices of the plan's encoding; the schedule and
+        the cache's admission gate say whether the session keeps that
+        encoding resident — some node of the batch is not staged by
+        this scan, so the table will be read again — or only counts
+        over it (transient).  A staged source streams from its own
+        tier (a pooled FILE scan over the file's cached encoding when
+        it fits).
         """
         staging = self._staging
         if schedule.mode is DataLocation.SERVER:
@@ -802,7 +780,7 @@ class ExecutionModule:
         to the staging writer (bit-identical staged files, writes
         overlapping counting).
 
-        On failure the scan stops its source (closing its row supply),
+        On failure the scan stops its source (closing its supply),
         drains its outstanding futures and aborts the staging writer
         *before* re-raising, and the source lets go of every segment
         and pinned partition either way — so no half-written staged

@@ -53,6 +53,7 @@ Workers never touch the memory budget, the cost meter, or any file.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from concurrent.futures import (
@@ -62,6 +63,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from multiprocessing import resource_tracker
 from typing import Any, Iterable
 
 from ..common.errors import MiddlewareError
@@ -244,13 +246,12 @@ def _count_columnar_pickled_slice(
     capture_nodes: Iterable[Any],
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
-    """Process-pool task over a pickled slice of a cached encoding.
+    """Process-pool task over a pickled slice of a plan's encoding.
 
-    The fallback when the encoding has no persistent segment (no
-    shared memory on the platform, or a transient entry too big for
-    the cache): the coordinator already sliced the cached partition, so
-    the task counts the whole piece (the cache still saved the
-    re-encode, just not the copy).
+    What a process worker gets when the encoding has no persistent
+    segment (a transient scan, or no shared memory on the platform):
+    the coordinator already sliced the encoding, so the task counts the
+    whole piece.
     """
     ctx = _process_context(generation, payload)
     return count_partition_slice(
@@ -334,10 +335,14 @@ class ScanWorkerPool:
             if self.inline or self._executor is not None:
                 return 0.0
             started = time.perf_counter()
-            executor_cls = (
-                ProcessPoolExecutor if self.kind == "process"
-                else ThreadPoolExecutor
-            )
+            executor_cls: Any = ThreadPoolExecutor
+            if self.kind == "process":
+                executor_cls = ProcessPoolExecutor
+                if os.name == "posix":
+                    # A worker forked before the coordinator's resource
+                    # tracker runs starts its own, which unlinks the
+                    # segments the worker attached when it exits.
+                    resource_tracker.ensure_running()
             self._executor = executor_cls(max_workers=self.n_workers)
             resource_created(
                 "executor", self._executor,
@@ -450,11 +455,11 @@ class ScanWorkerPool:
                               stop: int, keep_spec: Any,
                               stage_nodes: Iterable[Any],
                               capture_nodes: Iterable[Any]) -> Future[Any]:
-        """Submit one slice of a cached full-table encoding.
+        """Submit one slice of a plan's encoding.
 
         ``source`` is either the coordinator's :class:`ColumnarPartition`
         (thread pools and the inline executor count it in place;
-        non-shm process pools pickle just the slice) or a
+        process pools get just the slice, pickled) or a
         :class:`ShmSegmentRef` naming the persistent segment process
         workers re-attach by generation.  ``keep_spec`` is the scan's
         batch filter as ``(expr, attr_index)``, or None for an

@@ -173,7 +173,8 @@ def attach_readonly(name: str) -> Any:
     is harmful depends on the start method.  Forked workers share the
     coordinator's resource tracker, so the attach's duplicate
     registration is a no-op and the coordinator's ``unlink`` retires
-    the name — unregistering here would turn that unlink into a noisy
+    the name (``ScanWorkerPool`` starts the tracker before it forks)
+    — unregistering here would turn that unlink into a noisy
     double-remove.  Spawn children run a *private* tracker that would
     unlink the segment when the worker exits — stealing it from the
     coordinator — so there the attachment must be unregistered.

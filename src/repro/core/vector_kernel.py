@@ -312,9 +312,9 @@ def count_partition_columnar(
     (``[(position, distinct values), ...]``) and has the class counts
     ``counts[i]``.  Six objects and one short list per attribute,
     whatever the number of slots.  Staging/capture output is ascending
-    selected-row *index arrays* — the coordinator decodes them back to
-    row tuples from its pinned copy of the partition, so no row tuple
-    crosses the worker boundary.
+    selected-row *index arrays* — the coordinator gathers the pieces
+    out of its own copy of the partition (``take``), so no row crosses
+    the worker boundary.
 
     ``keep`` (optional boolean mask) restricts counting to qualifying
     rows: a SERVER scan hands workers partitions of its access path's
@@ -386,8 +386,8 @@ def count_partition_slice(
            float, int]:
     """Count rows ``[start, stop)`` of a partition under a keep mask.
 
-    The worker entry of every plan-run scan — a slice of the resident
-    full encoding, or the whole of a transient partition: slices
+    The worker entry of every plan-run scan, over the plan's encoding
+    (or a slice of it a process worker was sent pickled): slices
     (zero-copy views), evaluates the batch filter as a keep mask
     (``keep_spec`` is ``(expr, attr_index)``, or None for an
     unfiltered scan), and counts the qualifying rows.  Returns the

@@ -7,10 +7,11 @@ ships to scan workers and the SQL executor counts grouped statements
 over (:meth:`HeapTable.columnar`):
 
 * :class:`Column` — one attribute's values as a typed buffer.  Integer
-  columns are stored raw (int64 data + optional null mask); everything
-  else is dictionary-encoded (int32 codes into a tuple of distinct
-  original values), which preserves arbitrary Python objects — unicode
-  strings, ``None`` — bit-for-bit.
+  columns are stored raw (data in the narrowest signed dtype holding
+  the column's range, + optional null mask); everything else is
+  dictionary-encoded (int32 codes into a tuple of distinct original
+  values), which preserves arbitrary Python objects — unicode strings,
+  ``None`` — bit-for-bit.
 * :class:`ColumnarPartition` — a fixed set of columns over ``n_rows``
   rows, supporting zero-copy row slicing (``slice``), gathering
   selected rows into a new partition (``take``) and joining such
@@ -33,6 +34,7 @@ middleware — which has no other way to count — refuses to start.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator, Optional, Sequence
 
 from .expr import And, ColumnRef, Comparison, Literal, Or, TrueExpr
@@ -45,8 +47,9 @@ except ImportError:  # pragma: no cover
 #: numpy handle, typed ``Any`` so strict checking doesn't depend on stubs.
 np: Any = _numpy
 
-#: Column encodings.  RAW stores int64 data (+ optional bool null mask);
-#: DICT stores int32 codes into a tuple of distinct original values.
+#: Column encodings.  RAW stores integer data (+ optional bool null
+#: mask); DICT stores int32 codes into a tuple of distinct original
+#: values.
 RAW = "raw"
 DICT = "dict"
 
@@ -64,10 +67,12 @@ def _aligned(offset: int) -> int:
 
 
 class Column:
-    """One column of a partition: raw int64 data or dict-encoded codes.
+    """One column of a partition: raw integers or dict-encoded codes.
 
-    RAW columns hold ``data`` (int64) plus an optional unpacked bool
-    ``nulls`` mask (data is 0 at null positions).  DICT columns hold
+    RAW columns hold ``data`` — int8/16/32/64, the narrowest holding
+    the column's range (a staged file's: its int32 records), so
+    arithmetic upcasts first — plus an optional unpacked bool ``nulls``
+    mask (data is 0 at null positions).  DICT columns hold
     ``data`` (int32 codes) plus ``values`` — the tuple of distinct
     original objects the codes index, which may include ``None``.
     """
@@ -135,15 +140,28 @@ class Column:
         return f"Column({self.kind!r}, n_rows={self.n_rows})"
 
 
+def _narrowest(data: Any) -> Any:
+    """Integer ``data`` in the narrowest signed dtype that holds its
+    minimum and maximum, or None when not even int64 does."""
+    low, high = (int(data.min()), int(data.max())) if data.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        bounds = np.iinfo(dtype)
+        if bounds.min <= low and high <= bounds.max:
+            return data.astype(dtype, copy=False)
+    return None
+
+
 def _encode_column(values: Sequence[Any]) -> Column:
-    """Encode one column, preferring the raw int64 representation.
+    """Encode one column, preferring the raw integer representation.
 
     The probe deliberately converts *without* a target dtype: asking
     numpy for int64 directly would parse numeric strings (``"1"`` →
     ``1``), silently corrupting CC-table keys.  Only a natural integer
     dtype (kind ``i``/``u``) takes the raw path; bools (kind ``b``),
     floats, strings and object arrays all fall through to dictionary
-    encoding, which preserves the original objects untouched.
+    encoding, which preserves the original objects untouched.  Raw
+    data is stored in the narrowest signed dtype holding its range
+    (:func:`_narrowest`); a range beyond int64 is dictionary-encoded.
     """
     try:
         probe = np.asarray(values)
@@ -151,7 +169,9 @@ def _encode_column(values: Sequence[Any]) -> Column:
         probe = None
     if (probe is not None and probe.ndim == 1
             and probe.dtype.kind in ("i", "u")):
-        return Column(RAW, probe.astype(np.int64, copy=False))
+        data = _narrowest(probe)
+        if data is not None:
+            return Column(RAW, data)
     if all(value is None or type(value) is int for value in values):
         nulls = np.fromiter(
             (value is None for value in values), dtype=bool,
@@ -165,7 +185,7 @@ def _encode_column(values: Sequence[Any]) -> Column:
         except OverflowError:
             pass  # ints beyond int64 → dictionary encoding below
         else:
-            return Column(RAW, data, nulls=nulls)
+            return Column(RAW, _narrowest(data), nulls=nulls)
     codes_map: dict[Any, int] = {}
     distinct: list[Any] = []
     codes = np.empty(len(values), dtype=np.int32)
@@ -235,11 +255,13 @@ class ColumnarPartition:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Any]]) -> "ColumnarPartition":
-        """Encode a batch of row tuples column-by-column."""
+        """Encode a batch of row tuples one column at a time (never a
+        transposed copy of all the rows)."""
         if not rows:
             return cls(0, ())
         columns = tuple(
-            _encode_column(column) for column in zip(*rows)
+            _encode_column(list(map(itemgetter(i), rows)))
+            for i in range(len(rows[0]))
         )
         return cls(len(rows), columns)
 
@@ -248,10 +270,10 @@ class ColumnarPartition:
         """Wrap a 2-D integer array (rows × fields) without null masks.
 
         This is the staged-file fast path: staged rows are packed
-        int32, so one transposed cast makes every column a contiguous
-        raw int64 array.
+        int32, so one transposed copy makes every column a contiguous
+        raw int32 array.
         """
-        by_column = np.ascontiguousarray(matrix.T, dtype=np.int64)
+        by_column = np.ascontiguousarray(matrix.T, dtype=np.int32)
         return cls(
             int(matrix.shape[0]),
             tuple(Column(RAW, data) for data in by_column),
@@ -499,20 +521,21 @@ def predicate_mask(partition: ColumnarPartition, expr: Any,
 def _ordered_codes(values: Any, bound: int) -> tuple[Any, int]:
     """Order-preserving codes in ``[0, width)``, ``width <= bound``.
 
-    A value range within ``bound`` is shifted to zero; anything
-    sparser (``{0, 2**40}``) is ranked by sorting, which yields at most
-    one code per row.
+    A value range within ``bound`` is shifted to zero — in int64, so a
+    narrow column's ``127 - -128`` does not wrap; anything sparser
+    (``{0, 2**40}``) is ranked by sorting, which yields at most one
+    code per row.
     """
     low = int(values.min())
     width = int(values.max()) - low + 1
     if width <= bound:
-        return values - low, width
+        return np.subtract(values, low, dtype=np.int64), width
     distinct, ranks = np.unique(values, return_inverse=True)
     return ranks, int(distinct.size)
 
 
 def group_counts(columns: Sequence[Any]) -> tuple[list[list[int]], list[int]]:
-    """``COUNT(*) ... GROUP BY`` over equal-length, non-empty int64 arrays.
+    """``COUNT(*) ... GROUP BY`` over equal-length, non-empty integer arrays.
 
     Returns ``(keys, counts)``: ``keys[i]`` lists column ``i``'s value
     in every distinct key tuple and ``counts`` the rows sharing that

@@ -519,7 +519,7 @@ def _vector_count_obstacle(statement: Select, table: "HeapTable",
     It can when it is the CC shape: literals, group columns and
     ``COUNT(*)``, read by a sequential scan, filtered by ``=`` / ``<>``
     column-vs-literal comparisons under AND/OR, grouped on columns
-    that hold nothing but (int64) integers.  The statement is judged
+    that hold nothing but integers (RAW).  The statement is judged
     before the table, so one that does not qualify never causes an
     encode.
     """

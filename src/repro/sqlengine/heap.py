@@ -33,6 +33,9 @@ class HeapTable:
         self._row_count = 0
         self._version = 0
         self._indexes: list[Any] = []
+        #: Slots ever filled; flat numbers of the tombstoned ones.
+        self._slots = 0
+        self._tombstones: list[int] = []
         #: (version it was encoded at, full-table ColumnarPartition).
         self._encoding: Optional[tuple[int, Any]] = None
 
@@ -72,6 +75,7 @@ class HeapTable:
             page = Page(self._rows_per_page)
             self._pages.append(page)
         slot = page.append(stored)
+        self._slots += 1
         self._row_count += 1
         self._version += 1
         tid = (len(self._pages) - 1, slot)
@@ -123,6 +127,7 @@ class HeapTable:
         """
         page_no, slot = tid
         row = self._pages[page_no].tombstone(slot)
+        self._tombstones.append(page_no * self._rows_per_page + slot)
         self._row_count -= 1
         self._version += 1
         for index in self._indexes:
@@ -164,6 +169,23 @@ class HeapTable:
         partition = ColumnarPartition.from_rows(list(self.scan_rows()))
         self._encoding = (version, partition)
         return partition
+
+    def live_ordinals(self, tids: Sequence[TID]) -> Any:
+        """Positions in :meth:`columnar` of the live rows behind
+        ``tids``, in ``tids`` order, tombstones left out — what a TID
+        path gathers its rows with.  Derived from the slot count and
+        tombstone list of the current version (every page but the last
+        is full, so ``page_no * rows_per_page + slot`` numbers the slots
+        in storage order); no page is read."""
+        from .columnar import np
+
+        live = np.ones(self._slots, dtype=bool)
+        live[self._tombstones] = False
+        positions = np.where(live, np.cumsum(live) - 1, -1)[np.fromiter(
+            (page_no * self._rows_per_page + slot for page_no, slot in tids),
+            dtype=np.int64, count=len(tids),
+        )]
+        return positions[positions >= 0]
 
     def pages_touched(self, row_count: Optional[int] = None) -> int:
         """Pages read by a sequential scan of ``row_count`` rows.

@@ -9,6 +9,8 @@ a real defect slipped in or a new finding needs a justified
 import os
 
 from repro.analysis import analyze, default_rules
+from repro.analysis.engine import load_project
+from repro.analysis.rules.meter_common import row_access_sinks
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
@@ -66,3 +68,18 @@ def test_scan_covers_the_whole_package():
     # Guard against the scanner silently skipping the tree: the repo
     # has dozens of modules under src/.
     assert report.files_scanned > 50
+
+
+def test_the_tid_gather_reads_the_encoding_not_pages():
+    """A TID-list, keyset or index plan gathers its rows out of the
+    server's encoding: the ordinal map behind the gather touches no
+    page, so ``unmetered-row-access`` has nothing to follow there —
+    while the heap's real row readers stay sinks."""
+    project, errors = load_project(
+        [os.path.join(REPO_ROOT, "src")], root=REPO_ROOT
+    )
+    assert not errors
+    sinks = row_access_sinks(project.index())
+    heap = "repro.sqlengine.heap.HeapTable."
+    assert {heap + "scan_rows", heap + "fetch_or_none"} <= sinks
+    assert heap + "live_ordinals" not in sinks

@@ -1,13 +1,13 @@
-"""The test seam of a SERVER scan: its plan's row supply.
+"""The test seam of a SERVER scan: its slice loop.
 
-Every SERVER scan is run from ``strategy.plan_columnar(...)``; a
-*transient* scan (one that stages everything it reads, or that the
-columnar cache may not keep) takes the plan's ``rows()`` a partition
-at a time.  Fault-injection tests plant their exploding, poisoned,
-interrupting or close-tracking iterators there.
+Every SERVER scan is run from ``strategy.plan_columnar(...)`` and
+counts over slices of the plan's encoding — resident or transient
+alike — handing the scan loop one slice offset per partition.
+Fault-injection tests plant their exploding, poisoned, interrupting or
+close-tracking iterators there.
 """
 
-import dataclasses
+from repro.core.staging import DataLocation
 
 
 def record_plan_requests(middleware):
@@ -25,26 +25,33 @@ def record_plan_requests(middleware):
     return asked
 
 
-def wrap_plan_rows(middleware, wrap):
-    """Hand every SERVER plan of the session's rows through ``wrap``.
+def wrap_plan_slices(middleware, wrap):
+    """Hand every SERVER scan's slice offsets through ``wrap``.
 
-    ``wrap(rows)`` gets the plan's own (unmetered) row iterable and
-    returns what the scan iterates instead.  A resident scan of a plain
-    table counts over ``HeapTable.columnar()`` and never reads the
-    supply, so plant faults under a configuration whose scan is
-    transient.  Returns the function that removes the wrapper.
+    ``wrap(starts)`` gets the iterator of the scan's slice offsets (row
+    positions in the plan's encoding, one per partition) and returns
+    the iterator the scan loop pulls instead; a failing scan closes it
+    if it has a ``close``.  Returns the function that removes the
+    wrapper.
     """
-    strategy = middleware.execution._strategy
-    original = strategy.plan_columnar
+    execution = middleware.execution
+    build = execution._partition_source
 
-    def plan_columnar(predicate, relevant_rows):
-        plan = original(predicate, relevant_rows)
-        rows = plan.rows
-        return dataclasses.replace(plan, rows=lambda: wrap(rows()))
+    def partition_source(schedule, *args):
+        source = build(schedule, *args)
+        if schedule.mode is DataLocation.SERVER:
+            start = source._start
 
-    strategy.plan_columnar = plan_columnar
+            def wrapped_start():
+                source._partitions = wrap(start())
+                return source._partitions
+
+            source._start = wrapped_start
+        return source
+
+    execution._partition_source = partition_source
 
     def restore():
-        del strategy.plan_columnar
+        del execution._partition_source
 
     return restore

@@ -4,15 +4,19 @@ One matrix over {scan, temp_table, tid_join, keyset, auto} × every
 path each strategy can take.  Each case runs four times from the same
 starting state — the drained ``rows()`` stream (the metered reference,
 which only this file calls), the columnar plan driven resident as a
-cache miss, the same plan driven as a hit, and the plan's row supply
-driven transiently — and all four must agree on the row multiset, on
-``last_choice`` and, category by category, on what the meter was
-charged and how many events it counted.
+cache miss, the same plan driven as a hit, and the plan's encoding
+driven transiently (slices under the vector keep-mask) — and all four
+must agree on the row multiset, on ``last_choice`` and, category by
+category, on what the meter was charged and how many events it
+counted.  A TID-list or keyset path gathers its rows out of the
+server's encoding; rows deleted after its build stay out of every
+supply.
 """
 
 import pytest
 
 from repro.core.auxiliary import make_strategy
+from repro.sqlengine.columnar import np, predicate_mask
 from repro.sqlengine.database import SQLServer
 from repro.sqlengine.expr import all_of, compile_predicate, eq
 from repro.sqlengine.schema import TableSchema
@@ -96,16 +100,22 @@ def drive_plan(hit):
 
 
 def drive_transient(strategy, predicate, relevant):
-    """Drive a plan the way the executor's transient supply does."""
+    """Drive a plan the way the executor's transient supply does:
+    slices of its encoding, the filter as a vector keep-mask."""
     plan = strategy.plan_columnar(predicate, relevant)
     plan.charge_scan()
-    keep = compile_predicate(plan.filter_expr, SCHEMA)
-    rows = [row for row in plan.rows() if keep(row)]
+    encoding = plan.encode()
+    rows = []
+    for start in range(0, encoding.n_rows, 64):
+        piece = encoding.slice(start, start + 64)
+        keep = predicate_mask(piece, plan.filter_expr, {"a": 0, "b": 1})
+        rows.extend(piece.rows_at(np.flatnonzero(keep)))
     plan.charge_rows(len(rows))
     return rows
 
 
-def measure(run, strategy_name, scans, threshold, index, free_build):
+def measure(run, strategy_name, scans, threshold, index, free_build,
+            delete=None):
     server = make_server(index)
     strategy = make_strategy(
         strategy_name, server, "t", build_threshold=threshold,
@@ -113,6 +123,8 @@ def measure(run, strategy_name, scans, threshold, index, free_build):
     )
     for predicate, relevant in scans[:-1]:
         list(strategy.rows(predicate, relevant))
+    if delete is not None:
+        server.execute(f"DELETE FROM t WHERE {delete}")
     meter = server.meter
     charges, counts = meter.snapshot(), dict(meter.counts)
     rows = run(strategy, *scans[-1])
@@ -146,3 +158,18 @@ def test_stream_miss_and_hit_agree(strategy, path, scans, threshold,
         assert plan_choice == choice
         assert plan_charges == charges
         assert plan_counts == counts
+
+
+@pytest.mark.parametrize("strategy", ["tid_join", "keyset"])
+def test_rows_deleted_after_the_build_stay_out_of_every_supply(strategy):
+    # b = 13 and b = 23 lie inside WIDE: the structure built for it
+    # still lists their TIDs, now tombstones.
+    setup = (strategy, (WIDE, NARROW), 0.2, False, False, "b IN (13, 23)")
+    rows, choice, charges, counts = measure(stream, *setup)
+    assert choice.path == strategy
+    assert rows == [(3, 63)]
+    setup = (strategy, (WIDE, WIDE), *setup[2:])
+    rows, choice, charges, counts = measure(stream, *setup)
+    assert len(rows) == 98 and (3, 13) not in rows
+    for drive in (drive_plan(False), drive_plan(True), drive_transient):
+        assert measure(drive, *setup) == (rows, choice, charges, counts)

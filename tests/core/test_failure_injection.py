@@ -21,7 +21,7 @@ from repro.datagen.loader import load_dataset
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import WitnessMonitor
-from .plan_seam import wrap_plan_rows
+from .plan_seam import wrap_plan_slices
 
 SPEC = DatasetSpec([3, 3], 2)
 ROWS = [(a, b, (a + b) % 2) for a in range(3) for b in range(3)
@@ -77,10 +77,10 @@ def assert_children_counted(middleware, spec=SPEC, rows=ROWS,
 
 
 class _ExplodingIterator:
-    """Row iterator that dies after a few rows."""
+    """Slice loop that dies after a few slices."""
 
-    def __init__(self, rows, blow_after):
-        self._rows = iter(rows)
+    def __init__(self, starts, blow_after):
+        self._starts = starts
         self._remaining = blow_after
 
     def __iter__(self):
@@ -90,15 +90,16 @@ class _ExplodingIterator:
         if self._remaining == 0:
             raise RuntimeError("disk on fire")
         self._remaining -= 1
-        return next(self._rows)
+        return next(self._starts)
 
 
 class TestScanFailureCleanup:
-    def _explode(self, middleware, blow_after=3):
-        """Make the SERVER plan's row supply fail mid-scan (the root
-        is staged by its own scan, so the scan is transient)."""
-        return wrap_plan_rows(
-            middleware, lambda rows: _ExplodingIterator(rows, blow_after)
+    def _explode(self, middleware, blow_after=1):
+        """Make the SERVER scan's slice loop fail once its first slice
+        is counted (the root is staged by its own scan, so the scan is
+        transient; here it is one partition long)."""
+        return wrap_plan_slices(
+            middleware, lambda starts: _ExplodingIterator(starts, blow_after)
         )
 
     def test_cc_reservations_released_on_failure(self):
@@ -142,32 +143,32 @@ class TestScanFailureCleanup:
 class TestPoisonedPartition:
     """A scan dying mid-way must not corrupt the session.
 
-    The poison is a row carrying an unhashable attribute value, which
-    raises ``TypeError`` when its partition of a transient SERVER scan
-    is encoded — with earlier partitions already at the workers, which
-    is the failure mode the persistent pool must survive: outstanding
-    futures drained, the staging writer aborted, no half-written
-    staged file left behind, and the same pool object serving the next
-    scan.
+    The poison is the first slice of a transient SERVER scan that
+    starts at or past row ``poison_after``: its offset turned into a
+    float, which numpy refuses with ``TypeError`` where the slice is
+    cut — in the worker — with earlier partitions already at the
+    workers, which is the failure mode the persistent pool must
+    survive: outstanding futures drained, the staging writer aborted,
+    no half-written staged file left behind, and the same pool object
+    serving the next scan.
     """
 
-    POISON = ([], 0, 0)  # unhashable A1 value blows up in the worker
-
     def _poison(self, middleware, poison_after=8):
-        def poisoned(rows):
-            rows = list(rows)
-            rows.insert(poison_after, self.POISON)
-            return iter(rows)
+        def poisoned(starts):
+            for start in starts:
+                if start >= poison_after:
+                    yield float(start)
+                    yield from starts
+                    return
+                yield start
 
-        return wrap_plan_rows(middleware, poisoned)
+        return wrap_plan_slices(middleware, poisoned)
 
     PARALLEL = {
         "scan_workers": 2,
         "scan_chunk_rows": 4,
-        # The poison rides the plan's row supply, which a scan over
-        # the server's resident encoding never reads — pin the cache
-        # off so every scan here is transient, staged root or not.
-        # TestPoisonedCachedScan covers the resident path.
+        # Pin the cache off so every scan here is transient, staged
+        # root or not.  TestPoisonedCachedScan covers the resident path.
         "scan_cache_bytes": 0,
     }
 
@@ -202,7 +203,7 @@ class TestPoisonedPartition:
         with make_middleware(memory_staging=False,
                              staging_dir=str(tmp_path),
                              **self.INLINE) as mw:
-            restore = self._poison(mw, poison_after=20)  # 2nd partition
+            restore = self._poison(mw, poison_after=16)  # 2nd partition
             mw.queue_request(root_request())
             with pytest.raises(TypeError):
                 mw.process_next_batch()
@@ -406,7 +407,7 @@ class TestSetUpAndCommitFailure:
 # -- the one scan loop, stage by stage -------------------------------------------
 
 #: name -> (config, whether a root scan primes the session, whether
-#: the scan under test counts over a resident encoding).  Every
+#: the scan under test counts over an encoding the session keeps).  Every
 #: scenario's scan under test has staging output where it can have any
 #: (a MEMORY scan is already on the best tier, and a SERVER scan that
 #: stages its whole batch is transient by rule: both hand their writer
@@ -474,22 +475,21 @@ class _ExplodingPartitions:
             close()
 
 
-class _TrackedRows:
-    """A row iterator that remembers being closed."""
+class _TrackedSlices:
+    """A slice loop that remembers being closed."""
 
-    def __init__(self, rows):
-        self._rows = iter(rows)
+    def __init__(self, starts):
+        self._starts = starts
         self.closed = False
 
     def __iter__(self):
         return self
 
     def __next__(self):
-        return next(self._rows)
+        return next(self._starts)
 
     def close(self):
         self.closed = True
-        self._rows.close()
 
 
 class TestPipelineStageFailures:
@@ -578,25 +578,24 @@ class TestPipelineStageFailures:
             mw.process_next_batch()
         trackers = []
 
-        def tracked(rows):
-            trackers.append(_TrackedRows(rows))
+        def tracked(starts):
+            trackers.append(_TrackedSlices(starts))
             return trackers[-1]
 
         before = (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
                   mw.staging.memory_nodes(), sorted(mw.budget.tags()))
         queue()
-        restore = wrap_plan_rows(mw, tracked)
+        restore = wrap_plan_slices(mw, tracked)
         with monkeypatch.context() as patch:
             self._arm(fault, mw, patch)
             with pytest.raises(_Injected):
                 mw.process_next_batch()
         restore()
 
-        # The scan under test really was the one the case names: only
-        # a transient SERVER scan reads its plan's row supply.
-        assert len(trackers) == (
-            source in ("server-transient", "server-uncached")
-        )
+        # The scan under test really was the one the case names: every
+        # SERVER scan, resident or transient, runs the slice loop, and
+        # a staged one does not.
+        assert len(trackers) == source.startswith("server-")
         assert all(tracker.closed for tracker in trackers)
         for node_id in mw.staging.file_nodes():
             assert mw.staging.file_for(node_id)._active_scans == 0

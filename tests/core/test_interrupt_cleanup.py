@@ -28,7 +28,7 @@ from repro.datagen.loader import load_dataset
 from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
-from .plan_seam import wrap_plan_rows
+from .plan_seam import wrap_plan_slices
 
 SPEC = DatasetSpec([3, 3], 2)
 ROWS = [(a, b, (a + b) % 2) for a in range(3) for b in range(3)
@@ -54,10 +54,10 @@ def root_request():
 
 
 class _InterruptingIterator:
-    """Row iterator that raises KeyboardInterrupt after a few rows."""
+    """Slice loop that raises KeyboardInterrupt after a few slices."""
 
-    def __init__(self, rows, blow_after):
-        self._rows = iter(rows)
+    def __init__(self, starts, blow_after):
+        self._starts = starts
         self._remaining = blow_after
         self.closed = False
 
@@ -68,23 +68,23 @@ class _InterruptingIterator:
         if self._remaining == 0:
             raise KeyboardInterrupt
         self._remaining -= 1
-        return next(self._rows)
+        return next(self._starts)
 
     def close(self):
         """What a partitioned scan calls on the source it abandons."""
         self.closed = True
-        self._rows.close()
 
 
 class TestKeyboardInterruptCleanup:
-    def _interrupt(self, middleware, blow_after=3):
-        """Interrupt the SERVER plan's row supply mid-scan (every
-        session here stages its root, so the scan is transient)."""
-        def interrupting(rows):
-            self.source = _InterruptingIterator(rows, blow_after)
+    def _interrupt(self, middleware, blow_after=1):
+        """Interrupt the SERVER scan's slice loop once its first slice
+        is counted (every session here stages its root, so the scan is
+        transient)."""
+        def interrupting(starts):
+            self.source = _InterruptingIterator(starts, blow_after)
             return self.source
 
-        return wrap_plan_rows(middleware, interrupting)
+        return wrap_plan_slices(middleware, interrupting)
 
     def test_file_writers_abandoned_on_interrupt(self, tmp_path):
         with make_middleware(memory_staging=False,
@@ -107,7 +107,7 @@ class TestKeyboardInterruptCleanup:
             assert mw.budget.used == 0
 
     #: The inline executor with 16-row partitions, so an interrupt
-    #: after 20 rows lands mid-scan with the first partition already
+    #: after the first slice lands mid-scan with that partition already
     #: counted and staged in place.
     INLINE = {"scan_workers": 1, "scan_chunk_rows": 2}
 
@@ -115,11 +115,11 @@ class TestKeyboardInterruptCleanup:
         threads_before = threading.active_count()
         with make_middleware(staging_dir=str(tmp_path),
                              **self.INLINE) as mw:
-            restore = self._interrupt(mw, blow_after=20)
+            restore = self._interrupt(mw)
             mw.queue_request(root_request())
             with pytest.raises(KeyboardInterrupt):
                 mw.process_next_batch()
-            assert self.source.closed  # the row supply was not left open
+            assert self.source.closed  # the slice loop was not left open
             assert mw.staging.file_nodes() == []
             assert mw.staging.memory_nodes() == []
             assert list(tmp_path.iterdir()) == []

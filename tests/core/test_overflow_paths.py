@@ -5,7 +5,6 @@ file-space budget on the §4.3.2 split path, and the cleanup branch of
 ``ExecutionModule.run`` when a scan dies mid-flight.
 """
 
-import dataclasses
 import os
 
 import pytest
@@ -17,8 +16,9 @@ from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
-from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
+
+from .plan_seam import wrap_plan_slices
 
 SPEC = DatasetSpec([3, 3], 3)
 
@@ -70,7 +70,7 @@ def child_request(node_id, value, rows, est_cc_pairs=3):
         # One worker, 2-row chunks: several inline partitions per scan
         # (admission post-merge, staging applied in place).
         {"scan_workers": 1, "scan_chunk_rows": 2},
-        # Smaller partitions still, streamed (no cache plan) to two
+        # Smaller partitions still, transient (nothing cached), on two
         # pool threads.
         {"scan_workers": 2, "scan_chunk_rows": 4, "scan_cache_bytes": 0},
     ],
@@ -230,43 +230,28 @@ class TestSplitFileBudget:
         assert "n0" in staged and "n1" in staged
 
 
-class _ExplodingStrategy:
-    """Wraps a strategy; its plans' rows die after ``blow_after`` rows
-    — taken a partition at a time or encoded whole, whichever supply
-    the scan uses."""
+class _ExplodingSlices:
+    """A SERVER scan's slice loop that dies after ``blow_after`` slices
+    (at its end, when the scan is shorter)."""
 
-    def __init__(self, inner, blow_after):
-        self._inner = inner
-        self._blow_after = blow_after
+    def __init__(self, starts, blow_after):
+        self._starts = starts
+        self._remaining = blow_after
 
-    @property
-    def last_choice(self):
-        return self._inner.last_choice
+    def __iter__(self):
+        return self
 
-    def plan_columnar(self, predicate, relevant_rows):
-        plan = self._inner.plan_columnar(predicate, relevant_rows)
-
-        def rows():
-            produced = 0
-            for row in plan.rows():
-                if produced >= self._blow_after:
-                    raise RuntimeError("simulated mid-scan failure")
-                produced += 1
-                yield row
-
-        return dataclasses.replace(
-            plan, rows=rows,
-            encode=lambda: ColumnarPartition.from_rows(list(rows())),
-        )
-
-    def close(self):
-        self._inner.close()
+    def __next__(self):
+        if self._remaining == 0:
+            raise RuntimeError("simulated mid-scan failure")
+        self._remaining -= 1
+        return next(self._starts)
 
 
 class TestExceptionCleanup:
     """`ExecutionModule.run`'s except branch must release everything."""
 
-    def exploding_middleware(self, scan_loop, blow_after=5,
+    def exploding_middleware(self, scan_loop, blow_after=1,
                              **config_overrides):
         rows = dataset_rows()
         server = make_server(rows)
@@ -275,8 +260,8 @@ class TestExceptionCleanup:
         mw = Middleware(
             server, "data", SPEC, MiddlewareConfig(**config_overrides)
         )
-        mw.execution._strategy = _ExplodingStrategy(
-            mw.execution._strategy, blow_after
+        self.restore = wrap_plan_slices(
+            mw, lambda starts: _ExplodingSlices(starts, blow_after)
         )
         return mw, rows
 
@@ -325,7 +310,7 @@ class TestExceptionCleanup:
             mw.queue_request(root_request(rows))
             with pytest.raises(RuntimeError, match="mid-scan"):
                 mw.process_next_batch()
-            mw.execution._strategy = mw.execution._strategy._inner
+            self.restore()
             mw.queue_request(root_request(rows))
             (result,) = mw.process_next_batch()
             assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))

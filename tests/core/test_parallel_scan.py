@@ -554,8 +554,9 @@ class TestParallelStagingWriter:
 
 class TestTransientServerScan:
     """A SERVER scan the cache may not keep (here: a zero budget) is
-    counted a partition at a time from the plan's rows — on a pool and
-    inline alike, and only where the time is spent may differ."""
+    counted over slices of the server's encoding it does not keep — on
+    a pool and inline alike, and only where the time is spent may
+    differ."""
 
     def test_counts_and_costs_identical_on_pool_and_inline(self):
         results, trace, cost = frontier_results(
@@ -596,9 +597,13 @@ class TestTransientServerScan:
             assert record.mode == "SERVER" and record.workers == 2
             assert not record.cached and not record.cache_hit
             assert len(record.worker_seconds) > 1
-            # No full encoding was asked of the server, and the only
-            # threads the scan left running are the pool's workers.
-            assert server.table("data")._encoding is None
+            # The session keeps nothing (it has no cache); the scan
+            # counted the server's one encoding of the table version,
+            # and the only threads it left running are the pool's
+            # workers.
+            assert mw.execution.scan_cache is None
+            table = server.table("data")
+            assert table._encoding[0] == table.version
             started = [thread for thread in threading.enumerate()
                        if thread.ident not in before]
             assert len(started) <= config.scan_workers

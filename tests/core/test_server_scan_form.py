@@ -11,9 +11,10 @@ Count-based guards (no timings) for what PR 22 deleted and unified:
   ``_vector_grouped_count`` groups over and ``HeapTable.columnar()``
   are one object, and DML strands it by version;
 * a scan the cache may not keep (it stages its whole batch, the table
-  is over budget, the budget is zero) is counted a partition at a
-  time with the same keep-mask and the same charges, and keeps
-  nothing;
+  is over budget, the budget is zero) counts over the same slices of
+  the server's encoding with the same keep-mask and the same charges,
+  and the session keeps nothing — the server keeps its one encoding
+  of the version, so a later fit reads no heap row;
 * a batch filter the keep-mask cannot evaluate is an error, not a
   silent detour onto another path.
 """
@@ -93,12 +94,13 @@ def cursors_opened(monkeypatch):
 
 @pytest.fixture
 def slices_submitted(monkeypatch):
-    """``(source, keep_spec)`` of every ``submit_columnar_slice``."""
+    """``(source, slice rows, keep_spec)`` of every
+    ``submit_columnar_slice``."""
     submitted = []
     submit = ScanWorkerPool.submit_columnar_slice
 
     def recording(self, seq, source, start, stop, keep_spec, *targets):
-        submitted.append((source, keep_spec))
+        submitted.append((source, stop - start, keep_spec))
         return submit(self, seq, source, start, stop, keep_spec, *targets)
 
     monkeypatch.setattr(ScanWorkerPool, "submit_columnar_slice", recording)
@@ -129,21 +131,35 @@ class TestDefaultSessionCountsFromThePlan:
         assert cursors_opened == []
         assert tree_signature(tree.root) == reference_tree
 
-    def test_staged_fit_asks_the_server_for_no_encoding(
-            self, cursors_opened, reference_tree):
+    def test_staged_fit_keeps_nothing_and_the_server_one_encoding(
+            self, cursors_opened, slices_submitted, monkeypatch,
+            reference_tree):
         server = make_server()
+        table = server.table("data")
         config = MiddlewareConfig(memory_bytes=4 * 1024 * 1024)
         with Middleware(server, "data", SPEC, config) as session:
             tree = fit(session)
             (root_scan,) = session.trace.by_mode("SERVER")
             # The root stages everything it reads: nothing will read
-            # the table again, so nothing of it is kept.
+            # the table again, so the session keeps nothing of it...
             assert not root_scan.cached and not root_scan.cache_hit
             assert root_scan.rows_seen == len(ROWS)
             assert session.execution.scan_cache.resident_entries == 0
-        assert server.table("data")._encoding is None
+        # ...while the scan counted slices of the server's one encoding
+        # of this version, which the server keeps.
+        encoded = table.columnar()
+        assert table._encoding == (table.version, encoded)
+        assert slices_submitted
+        assert all(source is encoded for source, _, _ in slices_submitted)
         assert cursors_opened == []
         assert tree_signature(tree.root) == reference_tree
+        # A second fit of the same version reads no heap row at all.
+        monkeypatch.setattr(
+            HeapTable, "scan_rows",
+            lambda self: pytest.fail("read heap rows again"),
+        )
+        with Middleware(server, "data", SPEC, config) as session:
+            assert tree_signature(fit(session).root) == reference_tree
 
 
 class TestOneEncodingPerTableVersion:
@@ -212,7 +228,7 @@ class TestOneEncodingPerTableVersion:
             cache = session.execution.scan_cache
             assert (cache.misses, cache.resident_entries) == (1, 1)
             old = table.columnar()
-            assert all(source is old for source, _ in slices_submitted)
+            assert all(source is old for source, _, _ in slices_submitted)
             del slices_submitted[:]
 
             table.insert(ROWS[0])
@@ -225,7 +241,7 @@ class TestOneEncodingPerTableVersion:
             assert entry.key == ("table", "data", table.version)
             # No scan after the INSERT counted over the old encoding.
             assert slices_submitted
-            assert all(source is new for source, _ in slices_submitted)
+            assert all(source is new for source, _, _ in slices_submitted)
             assert tree_signature(tree.root) == tree_signature(
                 grow_in_memory(grown, SPEC, GrowthPolicy(max_depth=1)).root
             )
@@ -263,12 +279,13 @@ class TestTransientScans:
             assert all(r.rows_seen == r.rows_routed for r in records[1:])
             cache = session.execution.scan_cache
             assert cache is None or cache.resident_entries == 0
-        assert server.table("data")._encoding is None
         assert cursors_opened == []
-        # Partition-sized pieces, the pushed filter riding along.
-        assert all(source.n_rows <= records[0].partition_rows
-                   for source, _ in slices_submitted)
-        assert [spec is not None for _, spec in slices_submitted].count(
+        # Partition-sized slices of the server's one encoding, the
+        # pushed filter riding along.
+        encoded = server.table("data").columnar()
+        assert all(source is encoded and rows <= records[0].partition_rows
+                   for source, rows, _ in slices_submitted)
+        assert [spec is not None for _, _, spec in slices_submitted].count(
             True) > 0
         assert tree_signature(tree.root) == reference_tree
         # ...at exactly the price of the cursor stream it replaced.

@@ -12,7 +12,8 @@ Count- and byte-based guards (no timings) for PR 23:
 * a memory set is its captured pieces concatenated once: RAW, RAW with
   nulls and dictionary pieces decode back to the original objects;
 * a staged fit decodes no row (``rows_at``) and encodes rows
-  (``from_rows``) only for the transient SERVER scan's chunks;
+  (``from_rows``) once, the server's encoding of the table, which its
+  transient SERVER scan slices;
 * the partition size of the inline executor changes no cost unit, no
   scan record, no staged byte and no tree.
 """
@@ -345,7 +346,7 @@ class TestPiecesRoundTrip:
         assert list(whole.rows()) == [("b", 1), ("a", 2), ("c", 0)]
         assert ColumnarPartition.concat([]).n_rows == 0
 
-    def test_from_matrix_is_one_contiguous_int64_array_per_column(self):
+    def test_from_matrix_is_one_contiguous_int32_array_per_column(self):
         matrix = np.asarray(
             [[INT32_MIN, 1, 2], [3, INT32_MAX, 5]], dtype="<i4"
         )
@@ -355,7 +356,7 @@ class TestPiecesRoundTrip:
         ]
         for column in partition.columns:
             assert column.kind == RAW and column.nulls is None
-            assert column.data.dtype == np.int64
+            assert column.data.dtype == np.int32
             assert column.data.flags["C_CONTIGUOUS"]
 
 
@@ -392,8 +393,7 @@ class TestStagedFitKeepsRowsAsArrays:
     @pytest.mark.parametrize("plan", [
         {}, {"memory_staging": False}, {"file_staging": False},
     ], ids=["default", "files-only", "memory-only"])
-    def test_no_decode_and_only_transient_server_encodes(
-            self, plan, codec_calls):
+    def test_no_decode_and_one_server_encode(self, plan, codec_calls):
         rows = CONCEPT.materialize()
         server = make_server(rows, CONCEPT.spec)
         config = MiddlewareConfig(memory_bytes=8 * 1024 * 1024, **plan)
@@ -404,12 +404,10 @@ class TestStagedFitKeepsRowsAsArrays:
             assert len(staged_scans) >= 2
             assert {r.mode for r in staged_scans} <= {"FILE", "MEMORY"}
             assert not root_scan.cached  # transient: it stages its batch
-            size = root_scan.partition_rows
-            assert len(rows) > 2 * size
-        chunks = [size] * (len(rows) // size)
-        if len(rows) % size:
-            chunks.append(len(rows) % size)
-        assert codec_calls["from_rows"] == chunks
+            assert len(rows) > 2 * root_scan.partition_rows
+        # One encode, the server's, of the whole table: the transient
+        # scan sliced it, and the staged tiers never left arrays.
+        assert codec_calls["from_rows"] == [len(rows)]
         assert codec_calls["rows_at"] == []
 
 

@@ -12,9 +12,12 @@ entry (which *is* that encoding) and the executor's vector
 * every CC table a batch returns equals
   ``client.baselines.build_cc_from_rows`` over the model's rows;
 * a grouped ``SELECT`` equals a brute-force count of the model;
-* a whole fit grows the tree ``grow_in_memory`` grows from the model;
+* a whole fit grows the tree ``grow_in_memory`` grows from the model —
+  a staged fit too, whose transient root scan counts the version the
+  last INSERT / DELETE left;
 * no scan ever counts over an encoding whose version differs from
-  ``table.version`` (checked at every ``submit_columnar_slice``).
+  ``table.version`` (checked at every ``submit_columnar_slice``), and
+  the server encodes each version at most once.
 """
 
 from collections import Counter
@@ -46,6 +49,7 @@ from repro.core.requests import CountsRequest  # noqa: E402
 from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
 from repro.datagen.dataset import DatasetSpec  # noqa: E402
 from repro.datagen.loader import load_dataset  # noqa: E402
+from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 from repro.sqlengine.database import SQLServer  # noqa: E402
 
 from ..conftest import tree_signature  # noqa: E402
@@ -100,6 +104,19 @@ class DmlUnderScans(RuleBasedStateMachine):
 
         ScanWorkerPool.submit_columnar_slice = checked
 
+        #: The table version at every encode (only the server's
+        #: ``HeapTable.columnar()`` encodes rows).
+        self.encoded_versions = []
+        self._from_rows = from_rows = ColumnarPartition.from_rows.__func__
+
+        def recording(cls, rows):
+            machine.encoded_versions.append(
+                machine.server.table("data").version
+            )
+            return from_rows(cls, rows)
+
+        ColumnarPartition.from_rows = classmethod(recording)
+
     @initialize(rows=st.lists(rows_st, min_size=20, max_size=40))
     def load(self, rows):
         load_dataset(self.server, "data", SPEC, rows)
@@ -112,6 +129,7 @@ class DmlUnderScans(RuleBasedStateMachine):
 
     def teardown(self):
         ScanWorkerPool.submit_columnar_slice = self._submit
+        ColumnarPartition.from_rows = classmethod(self._from_rows)
         for session in self.sessions.values():
             session.close()
 
@@ -188,11 +206,34 @@ class DmlUnderScans(RuleBasedStateMachine):
             grow_in_memory(self.model, SPEC, GrowthPolicy(max_depth=3)).root
         )
 
+    @rule(executor=st.sampled_from(sorted(SESSIONS)))
+    def staged_fit(self, executor):
+        # A fresh session that stages its root in memory: the root scan
+        # keeps nothing, so it reads whatever version the server holds
+        # now.  (No files: a pooled FILE scan slices the file's own
+        # encoding, which the stale-scan check would mistake.)
+        config = MiddlewareConfig(memory_bytes=1_000_000, file_staging=False,
+                                  **SESSIONS[executor])
+        with Middleware(self.server, "data", SPEC, config) as session:
+            tree = DecisionTreeClassifier(max_depth=3).fit(session).tree
+            root_scan = session.trace[0]
+            assert root_scan.mode == "SERVER" and not root_scan.cached
+            assert root_scan.rows_seen == len(self.model)
+        assert tree_signature(tree.root) == tree_signature(
+            grow_in_memory(self.model, SPEC, GrowthPolicy(max_depth=3)).root
+        )
+        table = self.server.table("data")
+        assert table._encoding[0] == table.version
+
     # -- what must hold after every step ------------------------------
 
     @invariant()
     def no_scan_counted_a_stale_encoding(self):
         assert self.stale_scans == []
+
+    @invariant()
+    def one_encoding_per_version(self):
+        assert len(self.encoded_versions) == len(set(self.encoded_versions))
 
     @invariant()
     def at_most_one_entry_and_it_is_the_servers(self):

@@ -4,7 +4,7 @@ The columnar path must preserve every value *bit-for-bit*: CC-table
 keys are the original Python objects, so an encoding that parses
 ``"1"`` into ``1``, collapses ``None`` into ``0`` or leaks numpy
 scalars back out would silently change counted keys.  These tests pin
-the encoding rules (raw int64 vs dictionary), the zero-copy slicing
+the encoding rules (narrow raw integers vs dictionary), the zero-copy slicing
 contract, the round trip through the flat shared-memory buffer layout,
 and the heap/cursor scan surfaces built on top.
 """
@@ -32,8 +32,10 @@ class TestEncodeColumn:
         column = _encode_column([3, 1, 2, 1])
         assert column.kind == RAW
         assert column.nulls is None
-        assert column.data.dtype == np.int64
+        # Stored as narrow as the range allows; decoded as plain ints.
+        assert column.data.dtype == np.int8
         assert [column.value_at(i) for i in range(4)] == [3, 1, 2, 1]
+        assert all(type(v) is int for v in column.values_at(slice(None)))
 
     def test_numeric_strings_stay_strings(self):
         # np.asarray would happily parse "1" into 1 if asked for int64;
