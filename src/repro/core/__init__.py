@@ -10,7 +10,6 @@ from .auxiliary import (
     TIDJoinStrategy,
     make_strategy,
 )
-from .cc_store import BinaryTreeCCStore, cc_table_via_tree_store
 from .cc_table import BYTES_PER_COUNT, PAIR_KEY_BYTES, CCTable, bytes_for_pairs
 from .config import AUX_STRATEGIES, MiddlewareConfig
 from .estimators import (
@@ -37,8 +36,6 @@ from .trace import ExecutionTrace, ScheduleRecord
 __all__ = [
     "AUX_STRATEGIES",
     "BYTES_PER_COUNT",
-    "BinaryTreeCCStore",
-    "cc_table_via_tree_store",
     "CCTable",
     "CC_COLUMNS",
     "CountsRequest",

@@ -15,8 +15,9 @@ Every read goes through that form:
 
 * a scan counts a whole batch at once: the kernel's per-partition
   arrays fold into one :class:`BatchCounts`
-  (:meth:`CCTable.merge_block`) and each node's table is *cut* from it
-  after the last partition as views — no per-node, per-pair work;
+  (:meth:`CCTable.merge_block`: a dense block by ``+=``, ranked pairs
+  by key) and each node's table is *cut* from it after the last
+  partition as views — no per-node, per-pair work;
 * the row-at-a-time writers (:meth:`CCTable.count_row`,
   :meth:`CCTable.add_counts`, :meth:`CCTable.merge`) buffer into a
   ``{(attribute, value): counts}`` dict that the next read turns into
@@ -410,20 +411,28 @@ class CCTable:
     @staticmethod
     def merge_block(batch: BatchCounts, records: Any, totals: Any,
                     prefix: Any, value_index: Any, counts: Any,
-                    values: Iterable[tuple[int, Sequence[Any]]]) -> None:
+                    values: Iterable[tuple[int, Sequence[Any]]],
+                    dense: Any = None) -> None:
         """Fold one partition's kernel payload into a scan's batch.
 
         The same additive merge as :meth:`merge`, for every node of the
         batch and every attribute in one pass
         (``vector_kernel.count_partition_columnar`` describes the
-        payload).  Each partition was encoded with its own dictionary,
-        so its *distinct* values — not its pairs — are looked up in the
-        scan's value -> code maps; the pairs then become integer keys
-        that one stable sort orders and one ``searchsorted`` lines up
-        with the keys already merged.  ``counts`` is consumed.
+        payload).  The dense block shares the batch's cells: one
+        ``+=``.  The ranked pairs were coded by each partition on its
+        own, so their *distinct* values — not their pairs — are looked
+        up in the scan's value -> code maps; the pairs then become
+        integer keys that one stable sort orders and one
+        ``searchsorted`` lines up with the keys already merged.
+        ``counts`` and ``dense`` are consumed.
         """
         batch.records += records
         batch.totals += totals
+        if dense is not None and dense.size:
+            if batch.dense is None:
+                batch.dense = dense
+            else:
+                batch.dense += dense
         if not prefix.size:
             return
         codes: list[int] = []
@@ -485,18 +494,20 @@ class BatchCounts:
     """One scan's counts, for every node of its batch at once.
 
     The accumulator :meth:`CCTable.merge_block` folds partitions into:
-    ``keys`` (sorted, unique) spell ``(slot, column, value code)`` and
-    ``counts[i]`` is the class-count vector of ``keys[i]``; ``codes``
-    maps, per column, each value the scan has met to its code, in
-    first-met order.  Memory is the merged pairs plus the partition
-    being folded, whatever the value range.  After the last partition
+    the dense columns of the scan's ``layout`` into ``dense``, an
+    ``int64[slots, width, classes]`` array over their declared cells;
+    the ranked ones into ``keys`` (sorted, unique) spelling ``(slot,
+    column, value code)``, ``counts[i]`` the class-count vector of
+    ``keys[i]`` and ``codes`` mapping, per column, each value the scan
+    has met to its code, in first-met order.  After the last partition
     :meth:`tables` cuts every node's :class:`CCTable` out as views.
     """
 
     __slots__ = ("n_slots", "stride", "n_classes", "records", "totals",
-                 "keys", "counts", "codes")
+                 "keys", "counts", "codes", "layout", "dense")
 
-    def __init__(self, n_slots: int, stride: int, n_classes: int) -> None:
+    def __init__(self, n_slots: int, stride: int, n_classes: int,
+                 layout: Any = None) -> None:
         if n_slots * stride >= 1 << (62 - CODE_BITS):
             raise MiddlewareError(
                 f"a batch of {n_slots} nodes x {stride} columns does not "
@@ -512,6 +523,30 @@ class BatchCounts:
         #: column -> {value: code}; a dict hands out at most one code
         #: per key, far fewer than ``2 ** CODE_BITS`` in any memory.
         self.codes: dict[int, dict[Any, int]] = {}
+        self.layout = layout  # None: every column is ranked
+        self.dense: Any = None  # until a partition brings its block
+
+    def _pairs(self) -> tuple[Any, ...]:
+        """``(prefix, code, counts)`` of every counted pair, ordered by
+        prefix: one ``nonzero`` over the listed dense cells, beside the
+        ranked keys."""
+        prefix, codes = self.keys >> CODE_BITS, self.keys & _CODE_MASK
+        if self.dense is None:
+            return prefix, codes, self.counts
+        layout = self.layout
+        present = self.dense.any(axis=2)
+        if layout.cell_listed is not None:
+            present &= layout.cell_listed
+        slots, cells = np.nonzero(present)
+        dense = (slots * self.stride + layout.cell_position[cells],
+                 layout.cell_code[cells], self.dense[slots, cells])
+        if not prefix.size:
+            return dense
+        order = np.argsort(np.concatenate([prefix, dense[0]]), kind="stable")
+        return tuple(
+            np.concatenate(parts)[order]
+            for parts in zip((prefix, codes, self.counts), dense)
+        )
 
     def tables(self, attribute_lists: Iterable[Iterable[str]],
                names: Sequence[str]) -> list[CCTable]:
@@ -520,22 +555,23 @@ class BatchCounts:
         ``names[c]`` is the attribute counted from column ``c``.  A
         table is two slices and one bounds row of arrays computed for
         the whole batch: no work per pair, none per (node, attribute).
-        The tables share this object's arrays read-only, each over its
-        own rows.
+        The tables share those arrays read-only, each over its own
+        rows (a dense column's pairs in code order).
         """
         stride = self.stride
         columns = {name: column for column, name in enumerate(names)}
-        edges = np.searchsorted(
-            self.keys >> CODE_BITS, np.arange(self.n_slots * stride + 1)
-        )
+        prefix, codes, counts = self._pairs()
+        edges = np.searchsorted(prefix, np.arange(self.n_slots * stride + 1))
         cuts = edges[::stride]
         bounds = np.empty((self.n_slots, stride + 1), dtype=np.int64)
         bounds[:, :-1] = edges[:-1].reshape(self.n_slots, stride)
         bounds[:, -1] = cuts[1:]
         bounds -= cuts[:-1, None]
-        counts, codes = self.counts, self.keys & _CODE_MASK
         counts.flags.writeable = codes.flags.writeable = False
         domains = [list(self.codes.get(column, ())) for column in range(stride)]
+        for position, _, domain in (
+                () if self.layout is None else self.layout.dense):
+            domains[position] = domain.decoded()
         return [
             CCTable._cut(
                 tuple(attributes), self.n_classes, records, totals,

@@ -631,6 +631,20 @@ class ExecutionModule:
             return staging.file_for(schedule.source_node).row_count
         return sum(request.n_rows for request in schedule.batch)
 
+    def _source_domains(self, schedule: Any) -> tuple[Any, ...]:
+        """The column domains the scan's source declared once: a memory
+        set's at commit, a staged file's at seal, else the RAW ones of
+        the server's encoding of the table — which every access path
+        reads or copies, but a temp table's re-encodes each dictionary."""
+        if schedule.mode is DataLocation.MEMORY:
+            return self._staging.memory_domains[schedule.source_node]
+        if schedule.mode is DataLocation.FILE:
+            return self._staging.file_for(schedule.source_node).domains
+        return tuple(
+            domain if domain.values is None else None
+            for domain in self._server.table(self._table_name).columnar_domains()
+        )
+
     def _partition_rows(self, source_rows: int) -> int:
         """Partition size for one scan of ``source_rows`` rows.
 
@@ -803,24 +817,24 @@ class ExecutionModule:
             self._attr_index,
         )
         attr_index = self._attr_index
+        n_classes = self._spec.n_classes
         slots = slot_layout(
             [state.request.node_id for state in states],
             [[attr_index[name] for name in state.request.attributes]
              for state in states],
-            len(attr_index),
+            len(attr_index), self._source_domains(schedule), n_classes,
+            source_rows,
         )
         #: Every partition's counts fold in here; the CC tables are
         #: cut from it once, after the last one.
-        counts = BatchCounts(
-            len(states), slots.stride, self._spec.n_classes
-        )
+        counts = BatchCounts(len(states), slots.stride, n_classes, slots)
         n_probes = kernel.n_probes
 
         pool = self._pool_provider()
         scan.pool_reused = pool.active
         scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
+            (self._scan_signature(states), slots.dense), kernel, slots,
+            self._class_index, n_classes,
             # Read off the schedule, not an option: a source that fits
             # in one partition has nothing to overlap, so no pool is
             # started for it.

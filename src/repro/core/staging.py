@@ -24,6 +24,10 @@ the encoding every later scan of the set slices.  A FILE scan reads a
 partition's records into one matrix with one read.  Row tuples exist
 only for whoever asks for them: :meth:`StagedFile.scan` (the metered
 reference reader) and :meth:`StagingManager.memory_rows`.
+
+Each staged source declares its column domains once, for the counting
+kernel's dense key space: a file at :meth:`StagedFile.seal` (the
+running min / max of the records it wrote), a memory set at commit.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ from ..sqlengine.columnar import (
     RAW,
     Column,
     ColumnarPartition,
+    Domain,
     columnar_available,
     np,
+    partition_domains,
 )
 
 
@@ -126,6 +132,10 @@ class StagedFile:
         self._meter = meter
         self._model = model
         self._row_count = 0
+        #: Per written piece, its fields' minima and maxima.
+        self._extremes: list[Any] = []
+        #: Each field's Domain, declared at :meth:`seal`.
+        self.domains: tuple[Domain, ...] = ()
         self._handle = open(path, "wb")
         self._writing = True
         #: Scans currently iterating this file (guards `delete`).
@@ -172,13 +182,16 @@ class StagedFile:
             rows = ColumnarPartition.from_rows(list(rows))
         if not rows.n_rows:
             return
-        self._handle.write(self._records(rows))
+        records, ends = self._records(rows)
+        self._handle.write(records)
+        self._extremes.append(ends)
         self._row_count += rows.n_rows
         self.write_calls += 1
 
     def _records(self, piece: ColumnarPartition) -> Any:
-        """The piece as a C-ordered ``(rows, n_fields)`` ``<i4`` matrix:
-        byte for byte what ``struct.pack`` makes of its rows."""
+        """The piece as a C-ordered ``(rows, n_fields)`` ``<i4`` matrix —
+        byte for byte what ``struct.pack`` makes of its rows — and each
+        field's minimum and maximum."""
         n_fields = self._n_fields
         if len(piece.columns) != n_fields:
             raise StagingError(
@@ -186,6 +199,7 @@ class StagedFile:
                 f"{n_fields} fields, the rows have {len(piece.columns)}"
             )
         records = np.empty((piece.n_rows, n_fields), dtype="<i4")
+        ends = np.empty((2, n_fields), dtype=np.int64)
         for position, column in enumerate(piece.columns):
             values, refused = _int32_values(column)
             if refused.any():
@@ -197,14 +211,23 @@ class StagedFile:
                     "staged int32 record"
                 )
             records[:, position] = values
-        return records
+            ends[:, position] = values.min(), values.max()
+        return records, ends
 
     def seal(self) -> None:
-        """Finish writing and charge the accumulated write cost."""
+        """Finish writing, declare the file's column domains and charge
+        the accumulated write cost."""
         if self._writing:
             self._handle.close()
             self._writing = False
             resource_closed("staged-file", self)
+            ends = np.array(self._extremes or [[[0] * self._n_fields,
+                                                [-1] * self._n_fields]])
+            self.domains = tuple(
+                Domain(low, high - low + 1, False) for low, high in zip(
+                    ends[:, 0].min(axis=0).tolist(),
+                    ends[:, 1].max(axis=0).tolist())
+            )
             self._meter.charge(
                 "file_write",
                 self._model.file_write_row * self._row_count,
@@ -464,6 +487,8 @@ class StagingManager:
         #: Each in-memory data set as one columnar encoding, which
         #: every scan of the set slices zero-copy.
         self._memory: dict[Any, ColumnarPartition] = {}
+        #: Each set's column domains, computed once at commit.
+        self.memory_domains: dict[Any, tuple[Domain, ...]] = {}
         #: Called with each StagedFile as it is dropped/abandoned, so
         #: scan-side caches can evict that file's encoding eagerly.
         self._drop_listeners: list[Callable[[StagedFile], None]] = []
@@ -578,7 +603,8 @@ class StagingManager:
     def commit_memory(self, node_id: Any,
                       pieces: Sequence[ColumnarPartition]) -> None:
         """Install the pieces a scan captured, in order, as the node's
-        data set (concatenated once, here); charges load cost."""
+        data set (concatenated once, and its domains declared, here);
+        charges load cost."""
         if node_id in self._memory:
             raise StagingError(f"{node_id!r} already staged in memory")
         table = ColumnarPartition.concat(pieces)
@@ -586,6 +612,7 @@ class StagingManager:
             _data_tag(node_id), self.memory_bytes_for(table.n_rows)
         )
         self._memory[node_id] = table
+        self.memory_domains[node_id] = partition_domains(table)
         self._meter.charge(
             "memory_load",
             self._model.memory_load_row * table.n_rows,
@@ -599,6 +626,7 @@ class StagingManager:
     def drop_memory(self, node_id: Any) -> None:
         """Evict a node's in-memory data set."""
         self._memory.pop(node_id, None)
+        self.memory_domains.pop(node_id, None)
         self._budget.release(_data_tag(node_id))
 
     def drop_file(self, node_id: Any) -> None:

@@ -12,31 +12,33 @@ A partition is counted in two array passes:
   pairs grouped by slot with rows ascending — one pair per routed row
   when the batch is an antichain (a tree frontier always is), every
   matching slot otherwise.
-* **count** — one composite key per attribute per partition:
-  ``(slot, value code) x class`` folded into a single ``np.bincount``,
-  value codes coming from the same range-shift-or-rank coding
-  ``group_counts`` uses, so working memory follows the routed rows,
-  never the value range or the batch width.
+* **count** — one key space for the whole batch, ``(cell * slots +
+  slot) * classes + label``, one ``np.bincount`` for every attribute:
+  the cells are the column domains the scan's source declared once
+  (:class:`~repro.sqlengine.columnar.Domain`), carried by the
+  :class:`SlotLayout` the pool installs.  A column declared too wide,
+  or not at all, takes the *ranked* form of the key (``np.unique``),
+  whose memory follows the pairs counted, never the value range.
 
-The counts leave as arrays: per partition one payload of six objects —
-per-slot records and class totals, then every counted ``(slot,
-attribute, value)`` pair of the partition as a key-prefix array, a
-value-index array and one 2-D ``int64`` count array, zero-count pairs
-left out, plus each attribute's *distinct* values once as Python
-objects (:func:`count_partition_columnar`).  The number of arrays does
+The counts leave as arrays: per partition one payload of seven
+objects — per-slot records and class totals, the ranked columns'
+``(slot, attribute, value)`` pairs (key prefixes, value indexes, a 2-D
+``int64`` count array, each attribute's *distinct* values once as
+Python objects) and the dense ``int64[slots, width, classes]`` block
+(:func:`count_partition_columnar`).  The number of objects does
 not depend on the batch width and no count vector becomes a Python
 list here: ``CCTable.merge_block`` folds a payload into the scan's
-``BatchCounts`` with one sort and one ``searchsorted``, and every
-node's table is cut from that as views.  The pairs are exactly the keys
-a row-at-a-time count would have created, so the tables compare equal
-(``CCTable.__eq__``) to ``client.baselines.build_cc_from_rows`` over
-the rows ``PathCondition.matches`` selects.  ``np.bincount`` and fancy
+``BatchCounts`` (the dense block by ``+=``), and every node's table is
+cut from that as views.  The tables compare equal (``CCTable.__eq__``)
+to ``client.baselines.build_cc_from_rows`` over the rows
+``PathCondition.matches`` selects.  ``np.bincount`` and fancy
 indexing release the GIL, so a thread pool gets real parallelism out
 of this.
 
 Class labels are checked on *routed* rows only, like a row loop would
 meet them: NULL and non-integer labels raise ``TypeError``, labels
-outside ``[0, n_classes)`` raise ``IndexError`` naming the label.
+outside ``[0, n_classes)`` raise ``IndexError`` naming the label, a
+value outside its declared domain ``MiddlewareError``.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
+from ..common.errors import MiddlewareError
 from ..sqlengine.columnar import (
     DICT,
     Column,
     ColumnarPartition,
+    Domain,
     _ordered_codes,
     filter_supported,
     np,
@@ -60,21 +64,20 @@ LIMB_BITS = 62
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
-def _row_codes(column: Column, rows: Any) -> tuple[Any, int]:
-    """The selected rows of a column as integer codes in ``[0, width)``.
+def _row_codes(column: Column) -> tuple[Any, int]:
+    """A column as integer codes in ``[0, width)``, for routing.
 
-    Dictionary columns are their own codes; raw integers are coded in
-    value order (shifted, or ranked when the range is sparse) with NULL
-    as one extra top code — so a block lists its values ascending, NULL
-    last, on any partition.
+    Dictionary columns are their own codes; raw integers are shifted,
+    or ranked when the range is sparse, with NULL as one extra top
+    code.
     """
-    data = column.data[rows]
+    data = column.data
     if column.kind == DICT:
         assert column.values is not None
         return data, len(column.values)
     codes, width = _ordered_codes(data, 4 * data.size + 64)
     if column.nulls is not None:
-        codes = np.where(column.nulls[rows], width, codes)
+        codes = np.where(column.nulls, width, codes)
         width += 1
     return codes, width
 
@@ -108,7 +111,7 @@ def route_masks(kernel: Any, partition: ColumnarPartition,
         if not masks.any():
             break  # nothing left to route (or an empty partition)
         column = partition.columns[index]
-        codes, width = _row_codes(column, slice(None))
+        codes, width = _row_codes(column)
         if column.kind == DICT:
             present: Any = slice(None)
             values: Any = column.values
@@ -140,17 +143,30 @@ def routed_pairs(masks: Any, n_slots: int) -> tuple[Any, Any, int]:
     routed = int(routed_rows.size)
     if routed == 0:
         return routed_rows, np.zeros(n_slots + 1, dtype=np.intp), 0
-    hit = masks[:, routed_rows]
-    if not (hit & (hit - 1)).any() and np.count_nonzero(hit) == routed:
+    if n_limbs == 1:
+        # One limb (at most LIMB_BITS slots): a routed row's one mask is
+        # its hit, never zero.
+        hit = any_slot[routed_rows][None, :]
+        limb: Any = 0
+        antichain = not (hit & (hit - 1)).any()
+    else:
+        hit = masks[:, routed_rows]
+        antichain = (not (hit & (hit - 1)).any()
+                     and np.count_nonzero(hit) == routed)
+        if antichain:
+            limb = np.argmax(hit != 0, axis=0)
+    if antichain:
         # The antichain fast path: one bit per routed row.  frexp reads
         # a power of two's exponent exactly; the stable sort keeps each
-        # slot's rows ascending.
-        limb = np.argmax(hit != 0, axis=0)
-        bits = hit[limb, np.arange(routed)]
+        # slot's rows ascending, and on slot numbers in the narrowest
+        # dtype it is a radix sort.
+        bits = hit[0] if n_limbs == 1 else hit[limb, np.arange(routed)]
         slot_of_row = (
             limb * LIMB_BITS + np.frexp(bits.astype(np.float64))[1] - 1
         )
-        rows = routed_rows[np.argsort(slot_of_row, kind="stable")]
+        rows = routed_rows[np.argsort(
+            slot_of_row.astype(np.min_scalar_type(n_slots)), kind="stable"
+        )]
         sizes = np.bincount(slot_of_row, minlength=n_slots)
     else:
         per_slot = [
@@ -209,79 +225,171 @@ class SlotLayout(NamedTuple):
     """What the slots of one batch count (built by :func:`slot_layout`)."""
 
     node_ids: tuple[Any, ...]
-    #: ``(position, listed)`` per column some slot lists, ascending:
-    #: ``listed`` is the boolean per-slot mask of the slots that list
-    #: it, or None when every slot does.
-    columns: tuple[tuple[int, Any], ...]
+    #: ``(position, listed)`` per *ranked* column some slot lists,
+    #: ascending: ``listed`` is the boolean per-slot mask of the slots
+    #: that list it, or None when every slot does.
+    ranked: tuple[tuple[int, Any], ...]
     #: Attribute columns of the source: a counted pair's key prefix is
     #: ``slot * stride + position``.
     stride: int
+    #: ``(position, offset, domain)`` per *dense* column: its codes are
+    #: cells ``offset ..`` of ``width``; per cell its column and code,
+    #: and the ``[slots, width]`` listed mask (None: all listed).
+    dense: tuple[tuple[int, int, Domain], ...] = ()
+    width: int = 0
+    cell_position: Any = None
+    cell_code: Any = None
+    cell_listed: Any = None
 
 
 def slot_layout(node_ids: Sequence[Any],
                 positions: Sequence[Sequence[int]],
-                stride: int) -> SlotLayout:
+                stride: int,
+                domains: Sequence[Optional[Domain]] = (),
+                n_classes: int = 1,
+                source_rows: int = 0) -> SlotLayout:
     """The layout of a batch whose slot ``s`` is node ``node_ids[s]``
-    counting the columns ``positions[s]`` (each below ``stride``)."""
+    counting the columns ``positions[s]`` (each below ``stride``).
+
+    ``domains`` are the source's declared column domains: a column is
+    *dense* when its ``slots x width x classes`` cells stay within a
+    small multiple of the source's rows, else — or undeclared — ranked.
+    """
     listed = np.zeros((len(positions), stride), dtype=bool)
     for slot, columns in enumerate(positions):
         listed[slot, columns] = True
+    ranked: list[tuple[int, Any]] = []
+    dense: list[tuple[int, int, Domain]] = []
+    width = 0
+    for position in np.flatnonzero(listed.any(axis=0)).tolist():
+        domain = domains[position] if position < len(domains) else None
+        if domain is not None and (len(positions) * domain.width * n_classes
+                                   <= 4 * source_rows + 64):
+            dense.append((position, width, domain))
+            width += domain.width
+        else:
+            mask = listed[:, position]
+            ranked.append((position, None if mask.all() else mask.copy()))
+    widths = [domain.width for _, _, domain in dense]
+    cell_position = np.repeat([p for p, _, _ in dense], widths).astype(int)
+    cell_code = np.arange(width) - np.repeat(
+        [offset for _, offset, _ in dense], widths
+    ).astype(int)
+    cell_listed = listed[:, cell_position]
     return SlotLayout(
-        tuple(node_ids),
-        tuple(
-            (position, None if listed[:, position].all()
-             else listed[:, position].copy())
-            for position in np.flatnonzero(listed.any(axis=0)).tolist()
-        ),
-        stride,
+        tuple(node_ids), tuple(ranked), stride, tuple(dense), width,
+        cell_position, cell_code, None if cell_listed.all() else cell_listed,
     )
 
 
-def _count_attribute(column: Column, rows: Any, slot_of_pair: Any,
-                     labels: Any, n_slots: int, n_classes: int,
-                     listed: Any) -> tuple[Any, Any, list[Any], Any]:
-    """One attribute's counts for every slot at once:
-    ``(slots, value_index, values, counts)``.
+def _undeclared(what: str) -> MiddlewareError:
+    return MiddlewareError(
+        f"a partition holds {what} outside the domain its source declared"
+    )
 
-    Row ``i`` of ``counts`` is the class-count vector of slot
-    ``slots[i]`` with the value ``values[value_index[i]]``, rows in
-    (slot, value code) order, zero vectors and slots outside ``listed``
-    left out.  ``values`` holds each distinct value of the partition
-    once, as the Python object the column decodes to — everything else
-    is an array, whatever the batch width.
 
-    The ``(slot, value)`` key is re-ranked when its span outgrows a
-    small multiple of the pairs counted, so a sparse value range or a
-    wide batch costs no more memory than the pairs themselves.
+#: Keys per ``np.bincount`` call (1 MiB): a longer partition is counted
+#: a block of columns at a time.  int64, as ``np.bincount`` converts
+#: anything narrower to it (a copy).
+KEY_BLOCK = 1 << 17
+
+
+def _dense_counts(layout: SlotLayout, partition: ColumnarPartition,
+                  rows: Any, base: Any, records: Any,
+                  n_classes: int) -> Any:
+    """The dense columns' counts, ``int64[slots, width, classes]``:
+    ``np.bincount`` over ``(cell * slots + slot) * classes + label``
+    (``base`` is the pairs' ``slot * classes + label``).
+
+    Stored cell-major (the result is a transposed view), so each block
+    of columns counts into its own contiguous range.  A code outside its
+    domain raises: below zero or past its block's range it fails the
+    length check, inside another column's cells it leaves a column
+    whose cells do not sum to each slot's records.
     """
-    codes, width = _row_codes(column, rows)
-    key = slot_of_pair * width + codes
-    span = n_slots * width
-    ranked = None
-    if span > 4 * key.size + 64:
-        ranked, key = np.unique(key, return_inverse=True)
-        span = int(ranked.size)
-    counts = np.bincount(
-        key * n_classes + labels, minlength=span * n_classes
-    ).reshape(span, n_classes)
-    present = np.flatnonzero(counts.any(axis=1))
-    slots, code_of_pair = np.divmod(
-        present if ranked is None else ranked[present], width
+    n_slots, width = len(layout.node_ids), layout.width
+    stride = n_slots * n_classes
+    blocks: list[Any] = []
+    per_block = max(1, KEY_BLOCK // rows.size)
+    for first in range(0, len(layout.dense), per_block):
+        block = layout.dense[first:first + per_block]
+        low, end = block[0][1], block[-1][1] + block[-1][2].width
+        keys = np.empty((len(block), rows.size), dtype=np.int64)
+        for row, (position, offset, domain) in zip(keys, block):
+            column = partition.columns[position]
+            if (column.values != domain.values
+                    or column.nulls is not None and not domain.nullable):
+                raise _undeclared(f"a value of column {position}")
+            # Wrapped to int64 as the subtraction wraps: in-domain codes
+            # come out exact whatever the column's range.
+            shift = (domain.low - offset + low + (1 << 63)) % (1 << 64)
+            np.subtract(column.data[rows], shift - (1 << 63), out=row,
+                        dtype=np.int64)
+            if column.nulls is not None:
+                row[column.nulls[rows]] = offset - low + domain.size
+        keys *= stride
+        keys += base
+        try:
+            counted = np.bincount(keys.reshape(-1),
+                                  minlength=(end - low) * stride)
+        except ValueError:  # a negative key
+            counted = None
+        if counted is None or counted.size != (end - low) * stride:
+            raise _undeclared("a count key")
+        blocks.append(counted)
+    cells = np.concatenate(blocks).reshape(width, n_slots, n_classes)
+    sums = np.zeros((width + 1, n_slots), dtype=np.int64)
+    np.cumsum(cells.sum(axis=2), axis=0, out=sums[1:])
+    edges = [offset for _, offset, _ in layout.dense] + [width]
+    wrong = (sums[edges[1:]] - sums[edges[:-1]] != records).any(axis=1)
+    if wrong.any():
+        position = layout.dense[int(np.argmax(wrong))][0]
+        raise _undeclared(f"a value of column {position}")
+    return cells.transpose(1, 0, 2)
+
+
+def _ranked_counts(layout: SlotLayout, partition: ColumnarPartition,
+                   rows: Any, slot_of_pair: Any, labels: Any,
+                   n_classes: int) -> tuple[Any, ...]:
+    """The ranked columns' pairs ``(prefix, value_index, counts,
+    values)``: the dense key over cells ranked by ``np.unique`` — each
+    distinct ``(column, value, NULL)`` of the partition one cell — and
+    the ``(cell, slot)`` pairs ranked again, so memory follows the
+    pairs whatever the value range.  Slots outside a column's
+    ``listed`` mask are dropped from the pairs, not the rows."""
+    n_slots, columns = len(layout.node_ids), [
+        partition.columns[position] for position, _ in layout.ranked
+    ]
+    key = np.zeros((3, len(columns), rows.size), dtype=np.int64)
+    key[0] = np.arange(len(columns))[:, None]
+    for j, column in enumerate(columns):
+        key[1, j] = column.data[rows]
+        if column.nulls is not None:
+            key[2, j] = column.nulls[rows]
+    cells, cell = np.unique(key.reshape(3, -1), axis=1, return_inverse=True)
+    pairs, pair = np.unique(
+        cell.reshape(-1) * n_slots + np.tile(slot_of_pair, len(columns)),
+        return_inverse=True,
     )
-    if listed is not None:
-        wanted = listed[slots]
-        present = present[wanted]
-        slots, code_of_pair = slots[wanted], code_of_pair[wanted]
-    seen = np.zeros(width, dtype=bool)
-    seen[code_of_pair] = True
-    used = np.flatnonzero(seen)
-    value_index = (np.cumsum(seen) - 1)[code_of_pair]
-    if column.kind == DICT:
-        assert column.values is not None
-        values = [column.values[code] for code in used.tolist()]
-    else:
-        values = column.values_at(rows[_witness(codes, used, width)])
-    return slots, value_index, values, counts[present]
+    counts = np.bincount(
+        pair.reshape(-1) * n_classes + np.tile(labels, len(columns)),
+        minlength=pairs.size * n_classes,
+    ).reshape(pairs.size, n_classes)
+    value_index, slots = np.divmod(pairs, n_slots)
+    listed = np.array([np.ones(n_slots, bool) if mask is None else mask
+                       for _, mask in layout.ranked])
+    wanted = listed[cells[0, value_index], slots]
+    values: dict[int, list[Any]] = {}
+    for j, value, null in cells.T.tolist():
+        if columns[j].values is not None:
+            value = columns[j].values[value]
+        values.setdefault(layout.ranked[j][0], []).append(
+            None if null else value
+        )
+    positions = np.array([position for position, _ in layout.ranked])
+    prefix = slots * layout.stride + positions[cells[0, value_index]]
+    return (prefix[wanted], value_index[wanted], counts[wanted],
+            list(values.items()))
 
 
 def count_partition_columnar(
@@ -303,14 +411,13 @@ def count_partition_columnar(
     nothing about the partition and differs from run to run.
     The payload is what ``CCTable.merge_block`` folds into the scan's
     :class:`~repro.core.cc_table.BatchCounts`:
-    ``(records, totals, prefix, value_index, counts, values)`` —
+    ``(records, totals, prefix, value_index, counts, values, dense)`` —
     ``records[n_slots]`` and ``totals[n_slots, n_classes]`` per slot,
-    then every counted pair of the partition, all attributes end to
-    end: pair ``i`` belongs to key prefix ``prefix[i]``
-    (``slot * stride + position``), spells the value
-    ``value_index[i]`` indexes in the flattened ``values`` lists
-    (``[(position, distinct values), ...]``) and has the class counts
-    ``counts[i]``.  Six objects and one short list per attribute,
+    then every counted pair of the ranked columns: pair ``i`` belongs
+    to key prefix ``prefix[i]`` (``slot * stride + position``), spells
+    the value ``value_index[i]`` indexes in the flattened ``values``
+    lists (``[(position, distinct values), ...]``) and has the class
+    counts ``counts[i]``; last the dense block.  Seven objects,
     whatever the number of slots.  Staging/capture output is ascending
     selected-row *index arrays* — the coordinator gathers the pieces
     out of its own copy of the partition (``take``), so no row crosses
@@ -327,36 +434,28 @@ def count_partition_columnar(
         route_masks(kernel, partition, keep), n_slots
     )
     records = np.diff(bounds)
-    totals = np.zeros((n_slots, n_classes), dtype=np.int64)
-    prefixes = [np.zeros(0, dtype=np.int64)]
-    indexes = [np.zeros(0, dtype=np.int64)]
-    blocks = [totals[:0]]
-    values: list[tuple[int, list[Any]]] = []
+    slot_of_pair = np.repeat(np.arange(n_slots), records)
+    labels = rows  # none routed: as empty as the pairs
     if routed:
-        slot_of_pair = np.repeat(np.arange(n_slots), records)
         labels = _class_labels(
             partition.columns[class_index], rows, n_classes
         )
-        totals = np.bincount(
-            slot_of_pair * n_classes + labels,
-            minlength=n_slots * n_classes,
-        ).reshape(n_slots, n_classes)
-        # Every attribute some slot lists is counted over all the
-        # pairs (one vector pass); the slots that do not list it are
-        # dropped from the few counted pairs, not from the rows.
-        n_values = 0
-        for position, listed in layout.columns:
-            slots, value_index, distinct, counts = _count_attribute(
-                partition.columns[position], rows, slot_of_pair, labels,
-                n_slots, n_classes, listed,
-            )
-            prefixes.append(slots * layout.stride + position)
-            indexes.append(value_index + n_values)
-            blocks.append(counts)
-            values.append((position, distinct))
-            n_values += len(distinct)
-    payload = (records, totals, np.concatenate(prefixes),
-               np.concatenate(indexes), np.concatenate(blocks), values)
+    base = slot_of_pair * n_classes + labels
+    totals = np.bincount(
+        base, minlength=n_slots * n_classes
+    ).reshape(n_slots, n_classes)
+    none = np.zeros(0, dtype=np.int64)
+    ranked: Any = (none, none, totals[:0], [])
+    dense = np.zeros((n_slots, layout.width, n_classes), dtype=np.int64)
+    if routed and layout.ranked:
+        ranked = _ranked_counts(
+            layout, partition, rows, slot_of_pair, labels, n_classes
+        )
+    if routed and layout.dense:
+        dense = _dense_counts(
+            layout, partition, rows, base, records, n_classes
+        )
+    payload = (records, totals, *ranked, dense)
     stage_set = set(stage_nodes)
     capture_set = set(capture_nodes)
     writes: dict[Any, Any] = {}

@@ -25,6 +25,8 @@ over (:meth:`HeapTable.columnar`):
   ``compile_predicate``'s semantics.
 * :func:`group_counts` — ``COUNT(*) ... GROUP BY`` over integer arrays
   in memory bounded by the rows counted.
+* :class:`Domain` / :func:`partition_domains` — the codes each column
+  of a source can take, what a scan source declares once.
 
 numpy is a declared dependency, but this module still imports
 without it and says so through :func:`columnar_available`: the SQL
@@ -35,7 +37,7 @@ middleware — which has no other way to count — refuses to start.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .expr import And, ColumnRef, Comparison, Literal, Or, TrueExpr
 
@@ -149,6 +151,41 @@ def _narrowest(data: Any) -> Any:
         if bounds.min <= low and high <= bounds.max:
             return data.astype(dtype, copy=False)
     return None
+
+
+class Domain(NamedTuple):
+    """The codes one column of a source can take, declared once: a RAW
+    value ``v`` is ``v - low`` (``size`` codes; NULL the one above when
+    ``nullable``), a DICT code itself, into ``values``."""
+
+    low: int
+    size: int
+    nullable: bool
+    values: Optional[tuple[Any, ...]] = None
+
+    @property
+    def width(self) -> int:
+        return self.size + self.nullable
+
+    def decoded(self) -> list[Any]:
+        """The value behind each code, in code order."""
+        if self.values is not None:
+            return list(self.values)
+        return [*range(self.low, self.low + self.size)] + [None] * self.nullable
+
+
+def partition_domains(partition: "ColumnarPartition") -> tuple[Domain, ...]:
+    """Every column's domain, from its data (one min / max pass)."""
+    domains: list[Domain] = []
+    for column in partition.columns:
+        if column.values is not None:
+            domains.append(Domain(0, len(column.values), False, column.values))
+            continue
+        live = column.data if column.nulls is None else column.data[~column.nulls]
+        low = int(live.min()) if live.size else 0
+        size = int(live.max()) - low + 1 if live.size else 0
+        domains.append(Domain(low, size, column.nulls is not None))
+    return tuple(domains)
 
 
 def _encode_column(values: Sequence[Any]) -> Column:

@@ -38,6 +38,7 @@ class HeapTable:
         self._tombstones: list[int] = []
         #: (version it was encoded at, full-table ColumnarPartition).
         self._encoding: Optional[tuple[int, Any]] = None
+        self._domains: tuple[Any, ...] = ()  # of that encoding
 
     @property
     def row_count(self) -> int:
@@ -160,7 +161,7 @@ class HeapTable:
         is released when the next one is built, not by the DML that
         outdated it.  Requires numpy (:func:`columnar_available`).
         """
-        from .columnar import ColumnarPartition
+        from .columnar import ColumnarPartition, partition_domains
 
         cached = self._encoding
         if cached is not None and cached[0] == self._version:
@@ -168,7 +169,14 @@ class HeapTable:
         version = self._version
         partition = ColumnarPartition.from_rows(list(self.scan_rows()))
         self._encoding = (version, partition)
+        self._domains = partition_domains(partition)
         return partition
+
+    def columnar_domains(self) -> tuple[Any, ...]:
+        """The :class:`~repro.sqlengine.columnar.Domain` of each column
+        of :meth:`columnar`, computed when it is encoded."""
+        self.columnar()
+        return self._domains
 
     def live_ordinals(self, tids: Sequence[TID]) -> Any:
         """Positions in :meth:`columnar` of the live rows behind

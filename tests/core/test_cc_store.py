@@ -1,11 +1,13 @@
-"""Unit + property tests for the binary-tree CC store."""
+"""Unit + property tests for the binary-tree CC store (``cc_store.py``
+beside this file)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.baselines import build_cc_from_rows
-from repro.core.cc_store import BinaryTreeCCStore, cc_table_via_tree_store
 from repro.datagen.dataset import DatasetSpec
+
+from .cc_store import BinaryTreeCCStore, cc_table_via_tree_store
 
 SPEC = DatasetSpec([3, 3], 3)
 

@@ -212,9 +212,9 @@ def routing_context(condition_sets, positions):
 
 
 def payload_of(result):
-    records, totals, prefix, value_index, counts, values = result[1]
+    records, totals, prefix, value_index, counts, values, dense = result[1]
     return (records.tolist(), totals.tolist(), prefix.tolist(),
-            value_index.tolist(), counts.tolist(), values)
+            value_index.tolist(), counts.tolist(), values, dense.tolist())
 
 
 class TestKernelCounts:

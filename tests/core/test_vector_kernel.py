@@ -187,11 +187,12 @@ class TestKernelAgainstTheOracle:
             ctx, 0, ColumnarPartition.from_rows([]), ["n1"], []
         )
         assert routed == 0 and writes["n1"].size == 0
-        records, totals, prefix, value_index, counts, values = payload
+        records, totals, prefix, value_index, counts, values, dense = payload
         assert records.tolist() == [0, 0]
         assert totals.tolist() == [[0, 0, 0], [0, 0, 0]]
         assert prefix.size == value_index.size == 0 and values == []
         assert counts.shape == (0, N_CLASSES)
+        assert dense.shape == (2, 0, N_CLASSES)  # no domain declared
         for cc, attributes in zip(fold([payload], attribute_lists),
                                   attribute_lists):
             assert cc == CCTable(attributes, N_CLASSES)
@@ -254,16 +255,17 @@ class TestKernelAgainstTheOracle:
             return payload
 
         def shape(payload):
-            *arrays, values = payload
-            assert all(isinstance(part, np.ndarray) for part in arrays)
+            *arrays, values, dense = payload
+            assert all(isinstance(part, np.ndarray)
+                       for part in (*arrays, dense))
             assert arrays[4].dtype == np.int64 and arrays[4].ndim == 2
-            return (len(arrays), [
+            return (len(arrays), dense.shape[1:], [
                 (position, len(distinct)) for position, distinct in values
             ])
 
         narrow, wide = payload_of(3), payload_of(300)
         assert shape(narrow) == shape(wide) == (
-            5, [(position, 3) for position in range(1, 25)]
+            5, (0, N_CLASSES), [(position, 3) for position in range(1, 25)]
         )
 
     def test_batch_wider_than_one_limb(self):
