@@ -56,6 +56,7 @@ from .splits import (
     CandidateSplit,
     ChildSpec,
     best_split,
+    best_splits,
     child_attributes,
 )
 from .tree import DecisionTree, NodeState, TreeNode
@@ -87,6 +88,7 @@ __all__ = [
     "SplitCriterion",
     "TreeNode",
     "best_split",
+    "best_splits",
     "build_cc_from_rows",
     "child_attributes",
     "entropy",

@@ -10,12 +10,13 @@ A criterion has two forms.  :meth:`SplitCriterion.scorer` is the
 *scalar* form and the only one that decides anything: its value is a
 split's score, compared with ``==``.  :meth:`SplitCriterion.binary_scores`
 is the *array* form the split search prefilters with — all value-vs-rest
-candidates of a node in one call, one vector expression for entropy and
-Gini — and may differ from the scalar form in the last bits (``np.log2``
-is not ``math.log2``), which is why the search re-scores everything near
-its maximum through the scalar form.  The default array form *is* the
-scalar one, evaluated per distinct row, so a criterion that only
-implements ``scorer`` is searched by the same flow.
+candidates of a batch of nodes in one call, one vector expression for
+each criterion here — and may differ from the scalar form in the last
+bits (``np.log2`` is not ``math.log2``), which is why the search
+re-scores everything near its maximum through the scalar form.  The
+default array form *is* the scalar one, evaluated per distinct row, so
+a criterion that only implements ``scorer`` is searched by the same
+flow.
 """
 
 from __future__ import annotations
@@ -48,19 +49,31 @@ def gini(counts: Sequence[float]) -> float:
     return 1.0 - sum((count / total) ** 2 for count in counts)
 
 
+def row_sums(matrix: Any) -> Any:
+    """Row sums as a matrix-vector product: faster than sum(axis=1)."""
+    return matrix @ np.ones(matrix.shape[1], dtype=matrix.dtype)
+
+
+def _xlog2x(values: Any) -> Any:
+    values = values.astype(np.float64)
+    return values * np.log2(np.maximum(values, 1.0))
+
+
 def _entropy_mass(counts: Any, sizes: Any) -> Any:
-    """``n * entropy(row)`` for every row of ``counts`` (row sums
-    ``sizes``): ``n log2 n - sum(c log2 c)``, zero counts adding zero."""
-    return (
-        sizes * np.log2(np.maximum(sizes, 1.0))
-        - (counts * np.log2(np.maximum(counts, 1.0))).sum(axis=1)
-    )
+    """``n * entropy(row)`` for every row of ``counts`` (``int64``, row
+    sums ``sizes``): ``n log2 n - sum(c log2 c)``, ``v log2 v`` read from
+    a table of ``0..max`` when that is shorter than ``counts``."""
+    top = int(sizes.max(initial=0))
+    xlog2x = (_xlog2x(np.arange(top + 1)).take if top < counts.size
+              else _xlog2x)
+    return xlog2x(sizes) - row_sums(xlog2x(counts))
 
 
 def _gini_mass(counts: Any, sizes: Any) -> Any:
     """``n * gini(row)`` for every row of ``counts`` (row sums
     ``sizes``): ``n - sum(c * c) / n``, an empty row weighing zero."""
-    return sizes - (counts * counts).sum(axis=1) / np.maximum(sizes, 1.0)
+    counts = counts.astype(np.float64)
+    return sizes - row_sums(counts * counts) / np.maximum(sizes, 1.0)
 
 
 #: A criterion with the parent bound: per-child class counts -> score.
@@ -83,27 +96,34 @@ class SplitCriterion:
         reads the per-child class-count vectors without modifying them."""
         raise NotImplementedError
 
-    def binary_scores(self, parent_counts: Sequence[int],
-                      inside: Any) -> Any:
+    def binary_scores(self, parents: Any, inside: Any) -> Any:
         """The array form: a float array scoring, for every row of
         ``inside`` (2-D ``int64``, one candidate per row), the binary
-        partition ``(row, parent_counts - row)``.
+        partition ``(row, parent - row)``.  ``parents`` is one parent's
+        class counts, every row's (1-D), or one parent row per row of
+        ``inside`` (2-D): the split search scores a whole batch of
+        nodes in one call.
 
         May differ from the scalar scorer's value by float rounding —
         far less than ``splits.SHORTLIST_MARGIN`` — and decides nothing
-        by itself.  This default evaluates the bound scalar scorer once
-        per distinct row.
+        by itself.  This default binds the scalar scorer once per
+        distinct parent and asks it once per distinct row; a row that
+        leaves a side empty (ignored by the search) scores 0.
         """
-        score_of = self.scorer(parent_counts)
-        scores: dict[tuple[int, ...], float] = {}
+        scorers: dict[tuple[int, ...], Scorer] = {}
+        scores: dict[tuple[tuple[int, ...], ...], float] = {}
         out = np.empty(len(inside), dtype=np.float64)
-        for i, row in enumerate(inside.tolist()):
-            key = tuple(row)
-            score = scores.get(key)
-            if score is None:
-                outside = [t - c for t, c in zip(parent_counts, row)]
-                score = scores[key] = score_of((row, outside))
-            out[i] = score
+        for i, (parent, row) in enumerate(zip(
+                np.broadcast_to(parents, inside.shape).tolist(),
+                inside.tolist())):
+            key = (tuple(parent), tuple(row))
+            if key not in scores:
+                outside = [t - c for t, c in zip(parent, row)]
+                if key[0] not in scorers:
+                    scorers[key[0]] = self.scorer(parent)
+                scores[key] = (scorers[key[0]]((row, outside))
+                               if any(row) and any(outside) else 0.0)
+            out[i] = scores[key]
         return out
 
     def score(self, parent_counts: Sequence[int],
@@ -138,22 +158,18 @@ class _ImpurityDecrease(SplitCriterion):
 
         return score
 
-    def binary_scores(self, parent_counts: Sequence[int],
-                      inside: Any) -> Any:
+    def binary_scores(self, parents: Any, inside: Any) -> Any:
         mass_of = self.mass
-        total = sum(parent_counts)
         # The expression below spells *this* class's scorer: a subclass
         # that overrides ``scorer`` is prefiltered by its own instead.
-        if (mass_of is None or total == 0
-                or type(self).scorer is not _ImpurityDecrease.scorer):
-            return super().binary_scores(parent_counts, inside)
-        # Both sides of every candidate in one array: insides first.
-        children = np.concatenate(
-            (inside, np.asarray(parent_counts) - inside)
-        ).astype(np.float64)
-        mass = mass_of(children, children.sum(axis=1))
-        n = len(inside)
-        return self.impurity(parent_counts) - (mass[:n] + mass[n:]) / total
+        if mass_of is None or type(self).scorer is not _ImpurityDecrease.scorer:
+            return super().binary_scores(parents, inside)
+        # An empty parent scores 0, as the scalar scorer does.
+        parents = np.broadcast_to(parents, inside.shape)
+        totals, sides = row_sums(parents), row_sums(inside)
+        return (mass_of(parents, totals) - mass_of(inside, sides)
+                - mass_of(parents - inside, totals - sides)
+                ) / np.maximum(totals, 1)
 
 
 class InformationGain(_ImpurityDecrease):
@@ -189,6 +205,22 @@ class GainRatio(SplitCriterion):
             return gain / split_info
 
         return score
+
+    def binary_scores(self, parents: Any, inside: Any) -> Any:
+        if type(self).scorer is not GainRatio.scorer:
+            return super().binary_scores(parents, inside)
+        gain = InformationGain().binary_scores(parents, inside)
+        parents = np.broadcast_to(parents, inside.shape)
+        sides, totals = row_sums(inside), row_sums(parents)
+        sizes = np.stack((sides, totals - sides), axis=1)
+        split_info = _entropy_mass(sizes, totals) / np.maximum(totals, 1)
+        # Below 0.01, dividing would take the gain's rounding (< 1e-13)
+        # near the margin: the scalar form scores those rows.
+        shaky = split_info < 0.01
+        scores = np.where(gain > 0.0,
+                          gain / np.where(shaky, 1.0, split_info), 0.0)
+        scores[shaky] = super().binary_scores(parents[shaky], inside[shaky])
+        return scores
 
 
 class ChiSquare(SplitCriterion):
@@ -233,6 +265,20 @@ class ChiSquare(SplitCriterion):
             return statistic / (total * dof_scale)
 
         return score
+
+    def binary_scores(self, parents: Any, inside: Any) -> Any:
+        if type(self).scorer is not ChiSquare.scorer:
+            return super().binary_scores(parents, inside)
+        # Two children deviate from expectation by opposite amounts, so
+        # chi2 / N = N * sum(deviation**2 / class total) / (n_in n_out).
+        parents = np.broadcast_to(parents, inside.shape).astype(np.float64)
+        totals, sides = row_sums(parents), row_sums(inside.astype(np.float64))
+        expected = sides[:, None] * parents / np.maximum(totals, 1)[:, None]
+        share = row_sums((inside - expected) ** 2 / np.maximum(parents, 1))
+        live = ((sides > 0) & (sides < totals)
+                & (np.count_nonzero(parents, axis=1) > 1))
+        return np.where(live, share * totals
+                        / np.maximum(sides * (totals - sides), 1), 0.0)
 
 
 _CRITERIA: dict[str, type[SplitCriterion]] = {

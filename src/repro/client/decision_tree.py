@@ -27,7 +27,9 @@ from ..core.estimators import estimate_cc_pairs, root_cc_pairs
 from ..core.filters import PathCondition
 from ..core.requests import CountsRequest
 from .criteria import SplitCriterion
-from .growth import GrowthPolicy, partition_node
+from .growth import GrowthPolicy, partition_nodes
+# Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).
+from .growth import partition_node  # noqa: F401
 from .tree import DecisionTree, TreeNode
 
 if TYPE_CHECKING:
@@ -62,13 +64,16 @@ class DecisionTreeClassifier:
 
         middleware.queue_request(self._root_request(root, spec))
         for results in middleware.serve():
+            counted = []
             for result in results:
                 node = tree.nodes[result.node_id]
                 node.location_tag = result.source.tag
-                children = partition_node(tree, node, result.cc, self.policy)
+                counted.append((node, result.cc))
+            batch = partition_nodes(tree, counted, self.policy)
+            for (node, cc), children in zip(counted, batch):
                 if not children:
                     continue
-                parent_cards = result.cc.pair_count_by_attribute()
+                parent_cards = cc.pair_count_by_attribute()
                 for child in children:
                     middleware.queue_request(
                         self._child_request(child, node, parent_cards)

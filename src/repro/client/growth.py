@@ -1,7 +1,8 @@
 """Shared tree-growth logic: Algorithm Grow driven by CC tables.
 
-Both the middleware-driven classifier and the in-memory reference
-grower call :func:`partition_node` with a node and its CC table, so a
+The middleware-driven classifier calls :func:`partition_nodes` with a
+scan's batch of nodes and their CC tables; the in-memory reference
+grower calls :func:`partition_node`, the same code for one node.  A
 tree grown either way is *identical* given identical data — the
 property the paper relies on ("this approach does not affect the
 decision tree that is finally produced").
@@ -10,11 +11,13 @@ decision tree that is finally produced").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ..common.errors import ClientError
 from .criteria import SplitCriterion, make_criterion
-from .splits import best_split, child_attributes
+from .splits import best_splits, child_attributes
+# Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).
+from .splits import best_split  # noqa: F401
 from .tree import DecisionTree, NodeState, TreeNode
 
 if TYPE_CHECKING:
@@ -68,58 +71,56 @@ def is_terminal_before_counting(node: TreeNode,
     return False
 
 
-def partition_node(tree: DecisionTree, node: TreeNode, cc: "CCTable",
-                   policy: GrowthPolicy) -> list[TreeNode]:
-    """Partition one counted node; returns children needing counts.
+def partition_nodes(tree: DecisionTree,
+                    counted: Sequence[tuple[TreeNode, "CCTable"]],
+                    policy: GrowthPolicy) -> list[list[TreeNode]]:
+    """Partition a batch of counted ``(node, CC table)`` pairs; returns,
+    per node in order, the children that need counts.
 
-    ``cc`` is the node's CC table.  The node either becomes a leaf (no
-    acceptable split) or is partitioned; children that are terminal by
-    inherited statistics are marked leaves immediately, the rest are
-    returned for counting.
+    A node becomes a leaf (terminal, or no acceptable split) or is
+    partitioned, its children terminal by inherited statistics marked
+    leaves at once.  One :func:`best_splits` call serves the batch.
     """
-    if node.class_counts is None:
-        # The root learns its class distribution from its own CC table.
-        node.class_counts = cc.class_totals()
-        node.n_rows = cc.records
-    if cc.records != node.n_rows:
-        raise ClientError(
-            f"CC table for node {node.node_id} counted {cc.records} rows, "
-            f"expected {node.n_rows}"
-        )
-
-    if is_terminal_before_counting(node, policy):
-        node.mark_leaf()
-        return []
+    searched: list[tuple[TreeNode, CCTable]] = []
+    for node, cc in counted:
+        if node.class_counts is None:
+            # The root learns its class distribution from its own table.
+            node.class_counts = cc.class_totals()
+            node.n_rows = cc.records
+        if cc.records != node.n_rows:
+            raise ClientError(
+                f"CC table for node {node.node_id} counted {cc.records} "
+                f"rows, expected {node.n_rows}"
+            )
+        if is_terminal_before_counting(node, policy):
+            node.mark_leaf()
+        else:
+            searched.append((node, cc))
 
     assert isinstance(policy.criterion, SplitCriterion)  # __post_init__
-    split = best_split(
-        cc,
-        policy.criterion,
-        binary=policy.binary_splits,
-        min_gain=policy.min_gain,
-    )
-    if split is None:
-        node.mark_leaf()
-        return []
+    found = best_splits([cc for _, cc in searched], policy.criterion,
+                        binary=policy.binary_splits, min_gain=policy.min_gain)
+    to_count: dict[int, list[TreeNode]] = {}
+    for (node, cc), split in zip(searched, found):
+        if split is None:
+            node.mark_leaf()
+            continue
+        node.split_attribute = split.attribute
+        node.split_kind = split.kind
+        node.state = NodeState.PARTITIONED
+        for spec in split.children:
+            child = tree.add_child(
+                node, spec.condition, spec.n_rows, spec.class_counts,
+                child_attributes(node.attributes, cc, split, spec),
+            )
+            if is_terminal_before_counting(child, policy):
+                child.mark_leaf()
+            else:
+                to_count.setdefault(node.node_id, []).append(child)
+    return [to_count.get(node.node_id, []) for node, _ in counted]
 
-    node.split_attribute = split.attribute
-    node.split_kind = split.kind
-    node.state = NodeState.PARTITIONED
 
-    to_count: list[TreeNode] = []
-    for child_spec in split.children:
-        attributes = child_attributes(
-            node.attributes, cc, split, child_spec
-        )
-        child = tree.add_child(
-            node,
-            child_spec.condition,
-            child_spec.n_rows,
-            child_spec.class_counts,
-            attributes,
-        )
-        if is_terminal_before_counting(child, policy):
-            child.mark_leaf()
-        else:
-            to_count.append(child)
-    return to_count
+def partition_node(tree: DecisionTree, node: TreeNode, cc: "CCTable",
+                   policy: GrowthPolicy) -> list[TreeNode]:
+    """Partition one counted node: :func:`partition_nodes` of one."""
+    return partition_nodes(tree, [(node, cc)], policy)[0]

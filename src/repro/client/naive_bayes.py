@@ -77,11 +77,15 @@ class NaiveBayesClassifier:
             math.log((totals[c] + alpha) / (n + alpha * n_classes))
             for c in range(n_classes)
         ]
+        # One read of the counts; math.log per cell, as np.log may differ
+        # in the last ulp and flip a tied prediction.
+        vectors = {cc.pair(row): v for row, v in enumerate(cc.counts.tolist())}
+        unseen = [0] * n_classes  # a pair the table lacks never co-occurred
         likelihoods: dict[tuple[str, Any, int], float] = {}
         for attribute in attributes:
             card = spec.cardinality(attribute)
             for value in range(card):
-                vector = cc.vector(attribute, value)
+                vector = vectors.get((attribute, value), unseen)
                 for c in range(n_classes):
                     likelihoods[(attribute, value, c)] = math.log(
                         (vector[c] + alpha) / (totals[c] + alpha * card)

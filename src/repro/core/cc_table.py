@@ -305,6 +305,12 @@ class CCTable:
         return (self._names[column],
                 self._domains[column][int(self._codes[row])])
 
+    def pair_columns(self) -> tuple[Sequence[str], Sequence[int]]:
+        """``(names, bounds)``: rows ``bounds[c]:bounds[c + 1]`` of
+        :attr:`counts` are attribute ``names[c]``'s pairs."""
+        self._freeze()
+        return self._names, self._bounds
+
     def vector(self, attribute: str, value: Any) -> list[int]:
         """Class-count vector for ``(attribute, value)`` (a copy).
 

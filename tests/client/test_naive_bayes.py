@@ -1,5 +1,7 @@
 """Unit tests for the Naive Bayes middleware client."""
 
+import math
+
 import pytest
 
 from repro.client.baselines import build_cc_from_rows
@@ -53,6 +55,22 @@ class TestFit:
         cc = build_cc_from_rows(EASY_ROWS, SPEC, ("A1", "A2"))
         model = NaiveBayesClassifier().fit_from_cc(SPEC, cc)
         assert model.predict_row((0, 0, 0)) == 0
+
+    def test_log_likelihoods_are_math_log_of_each_vector(self):
+        # The model reads the table's counts once; every cell must still
+        # be math.log of that (attribute, value)'s own vector, bit for
+        # bit, including A1 = 3, a value the table never saw.
+        spec = DatasetSpec([4, 2], 2)
+        rows = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (2, 0, 1), (2, 1, 0)]
+        cc = build_cc_from_rows(rows, spec, ("A1", "A2"))
+        model = NaiveBayesClassifier(alpha=0.5).fit_from_cc(spec, cc)
+        totals = cc.class_totals()
+        for (attribute, value, c), log_p in model._log_likelihoods.items():
+            card = spec.cardinality(attribute)
+            expected = math.log((cc.vector(attribute, value)[c] + 0.5)
+                                / (totals[c] + 0.5 * card))
+            assert log_p == expected
+        assert len(model._log_likelihoods) == (4 + 2) * 2
 
 
 class TestSmoothing:

@@ -250,7 +250,8 @@ class TestWorkPerNode:
         assert [(a, v) for a, v, _ in kept] == [
             (a, v) for a in ("A1", "A3") for v in (0, 1, 2)
         ]
-        # Scalar impurities: the parent's once per form, then two
-        # children per distinct shortlisted vector.
-        assert impurity_of.count(totals) == 2
-        assert len(impurity_of) == 2 + 2 * 3
+        # Scalar impurities: the parent's once (the array form takes it
+        # from its own rows), then two children per distinct
+        # shortlisted vector.
+        assert impurity_of.count(totals) == 1
+        assert len(impurity_of) == 1 + 2 * 3

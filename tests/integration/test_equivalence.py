@@ -121,6 +121,53 @@ class TestRandomTreeWorkload:
             assert mw.stats.sql_fallbacks > 0
 
 
+class TestEveryCriterionOnWideBatches:
+    """The client searches a scan's whole batch at once; the reference
+    grower one node at a time.  Both must grow the same tree for every
+    criterion and both split families, on batches of 60+ nodes."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.datagen.random_tree import (
+            RandomTreeConfig,
+            build_random_tree,
+        )
+
+        generating = build_random_tree(RandomTreeConfig(
+            n_attributes=10, values_per_attribute=3, n_classes=4,
+            n_leaves=300, cases_per_leaf=10, seed=5,
+        ))
+        rows = generating.materialize()
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, rows)
+        return server, generating.spec, rows
+
+    @pytest.mark.parametrize("binary", [True, False],
+                             ids=["binary", "multiway"])
+    @pytest.mark.parametrize("criterion",
+                             ["entropy", "gini", "gain_ratio", "chi2"])
+    def test_batched_search_grows_the_one_node_tree(self, workload,
+                                                    criterion, binary):
+        server, spec, rows = workload
+        # Everything staged in memory after the root scan: each later
+        # scan serves as much of the frontier as memory admits.
+        config = MiddlewareConfig(
+            memory_bytes=2 * server.table("data").size_bytes, scan_workers=1
+        )
+        with Middleware(server, "data", spec, config) as mw:
+            model = DecisionTreeClassifier(
+                criterion=criterion, binary_splits=binary
+            ).fit(mw)
+            widest = max(len(record.batch) for record in mw.trace)
+        assert widest >= 60
+        reference = grow_in_memory(
+            rows, spec, GrowthPolicy(criterion=criterion, binary_splits=binary)
+        )
+        assert tree_signature(model.tree.root) == tree_signature(
+            reference.root
+        )
+
+
 class TestCensusWorkload:
     @pytest.fixture(scope="class")
     def workload(self):
