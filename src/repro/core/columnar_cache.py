@@ -23,12 +23,16 @@ scan is what makes a multi-level fit cheap.
   or not a session admits it — a plain table's entry *is* that object
   — so the budget bounds what the *session* holds on top: the entries
   it admits, gathered TID / index supersets, pooled FILE encodings
-  and, with a process pool, one *persistent* shm segment per entry
-  (shipped once, witnessed with a ``persistent`` marker; scans hand
-  workers a generation-counted :class:`~repro.core.shm.ShmSegmentRef`
-  so they re-attach instead of receiving a fresh copy per scan).  A
-  scan whose encoding the cache does not admit counts over the same
-  encoding transiently and keeps nothing.
+  and, when it admits an entry while process workers run, one
+  *persistent* shm segment per entry (shipped once, witnessed with a
+  ``persistent`` marker).  That segment is the one shared-memory form
+  a process worker ever sees: scans of a resident encoding hand
+  workers its generation-counted
+  :class:`~repro.core.shm.ShmSegmentRef`, so they re-attach once per
+  table version instead of receiving a copy per scan; every other
+  slice — a transient scan's, a memory set's, a streamed file block's
+  — travels pickled.  A scan whose encoding the cache does not admit
+  counts over the same encoding transiently and keeps nothing.
 
 Invalidation is by construction, not by callbacks: table mutations bump
 :attr:`~repro.sqlengine.heap.HeapTable.version`, so a stale entry can
@@ -107,8 +111,8 @@ class _CacheEntry:
         self.key = key
         self.partition = partition
         #: Generation-counted persistent-segment reference, or None
-        #: when the entry was never shipped (thread pools, pickled
-        #: process fallback, transient entries).
+        #: when the entry was never shipped (admitted with no process
+        #: worker running, or transient).
         self.ref: Optional[ShmSegmentRef] = None
         self.nbytes = nbytes
         #: Wall-clock cost of building this entry, reported as
@@ -204,7 +208,7 @@ class ColumnarScanCache:
             shipper = self._shipper
             if shipper is None:
                 shipper = self._shipper = ShmShipper()
-            handle = shipper.ship(partition, persistent=True)
+            handle = shipper.ship(partition)
             self._generation += 1
             entry.ref = ShmSegmentRef(self._generation, handle)
             entry.partition = partition_from_handle(

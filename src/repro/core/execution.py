@@ -14,31 +14,31 @@ No row tuple exists between the selection and the next scan.
 
 There is one loop (:meth:`ExecutionModule._count_partitioned`):
 *source -> partition -> submit -> collect/merge -> stage -> admit*.
-The source is cut into ordered columnar partitions, each counted by
-the one kernel (:mod:`~repro.core.vector_kernel`) into a *private*
-payload of count arrays that the coordinator folds into the scan's
-:class:`~repro.core.cc_table.BatchCounts` — counts are additive, so
-partial counts over disjoint partitions merge exactly — and every
-node's CC table is cut from that, as views, after the last partition.
-Two things plug in:
+The source is cut into ordered partitions — every one a slice
+``(encoding, start, stop)`` of a column encoding — each counted by
+the one kernel (:func:`~repro.core.vector_kernel.count_partition_slice`)
+into a *private* payload of count arrays that the coordinator folds
+into the scan's :class:`~repro.core.cc_table.BatchCounts` — counts are
+additive, so partial counts over disjoint partitions merge exactly —
+and every node's CC table is cut from that, as views, after the last
+partition.  Two things plug in:
 
-* a **partition source** (:class:`_PartitionSource`).  A SERVER scan
-  has one form on every executor (:class:`_PlanSource`): it is run
-  from the access path's plan
+* a **partition source** (:class:`_PartitionSource`), which only says
+  where the encodings come from.  A SERVER scan has one form on every
+  executor: it is run from the access path's plan
   (:meth:`~repro.core.auxiliary.ServerAccessStrategy.plan_columnar` —
   the server's own encoding of the path's superset, the pushed batch
   filter and the path's two charges), the filter applied by the
   counting kernel as a vector keep-mask, the charges made from the
-  plan.  Its partitions are always slices of that encoding; all the
-  schedule decides is whether the session keeps it: *resident* in the
-  table-version columnar cache when the cache admits it and some node
-  of the batch is not staged by this scan (the table will be read
-  again), else *transient* — the same slices, kept by nobody but the
-  server (one encoding per table version, so no heap row is read
-  twice).  Staged sources read a file a
-  partition's records at a time (one read, one matrix) or slice the
-  encoding a memory set is kept as (a pooled FILE scan may keep the
-  file's encoding resident too);
+  plan.  All the schedule decides is whether the session keeps that
+  encoding: *resident* in the table-version columnar cache when the
+  cache admits it and some node of the batch is not staged by this
+  scan (the table will be read again), else *transient* — the same
+  slices, kept by nobody but the server (one encoding per table
+  version, so no heap row is read twice).  A MEMORY scan slices the
+  encoding the set is kept as; an inline FILE scan streams its file a
+  partition's records at a time, each record matrix its own encoding
+  (a pooled FILE scan may keep the file's encoding resident instead);
 * the :class:`~repro.core.scan_pool.ScanWorkerPool` as **executor**,
   chosen from what the schedule already carries: every source of a
   one-worker session (``config.scan_workers == 1``, the default) —
@@ -48,7 +48,9 @@ Two things plug in:
   staged pieces written in place, no helper thread; anything longer
   starts the session's persistent thread or process pool
   (``config.scan_pool``), which then counts every later scan, with
-  one staging-writer thread per output file.
+  one staging-writer thread per output file.  Every slice reaches it
+  through ``ScanWorkerPool.submit``, which alone decides how a slice
+  travels to a process worker.
 
 Whatever the source and executor, staged files are bit-identical and
 memory overflow (below) is detected on the *merged* sizes in batch
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
 from ..sqlengine.columnar import ColumnarPartition, filter_supported
@@ -95,7 +97,6 @@ from .filters import RoutingKernel, batch_filter
 from .requests import CountsResult
 from .scan_pool import ScanWorkerPool
 from .scheduler import _cc_tag
-from .shm import ShmShipper, shm_available
 from .sql_counting import counts_via_sql
 from .staging import (
     DataLocation,
@@ -120,18 +121,10 @@ def _close_source(source: Any) -> None:
             pass
 
 
-def _columnar_memory_slices(table: ColumnarPartition,
-                            partition_rows: int,
-                            ) -> Iterator[ColumnarPartition]:
-    """Zero-copy partition views over a memory set's encoding."""
-    for start in range(0, table.n_rows, partition_rows):
-        yield table.slice(start, start + partition_rows)
-
-
-def _columnar_file_slices(block_iter: Iterator[Any],
+def _columnar_file_blocks(block_iter: Iterator[Any],
                           scan: ScheduleRecord) -> Iterator[ColumnarPartition]:
     """A staged file's partition-sized record matrices, each cast to
-    column arrays."""
+    column arrays: one encoding per block."""
     try:
         for matrix in block_iter:
             started = time.perf_counter()
@@ -233,213 +226,143 @@ class _PartitionSizer:
 
 
 class _PartitionSource:
-    """What one scan counts over, and how answers fold back.
+    """What one scan counts over: ``(encoding, start, stop)`` slices.
 
     :meth:`ExecutionModule._count_partitioned` is the same loop for
-    every source; a source only says where the ordered partitions come
-    from, which ``ScanWorkerPool.submit*`` takes them, and how a
-    worker's answer (rows seen, staged-row selections) is read.
+    every source: each slice goes to ``ScanWorkerPool.submit``, and a
+    worker's slice-relative staged-row selection comes back as
+    ``encoding.take(selection + start)`` (:meth:`take`).  Sources
+    differ only in where the encodings come from:
 
-    This base is the staged source: :class:`ColumnarPartition` objects
-    built once from the scan's own tier — int32 record matrices (FILE)
-    or zero-copy slices of the set's encoding (MEMORY).  A process
-    pool gets each one through a ``multiprocessing.shared_memory``
-    segment (one memcpy; only the tiny handle is pickled) where the
-    platform has shared memory, as pickled column arrays where not; a
-    segment lives from submit until its result is collected, and
-    :meth:`close` releases whatever a failure left.  Workers return
-    staged rows as index arrays, gathered from the coordinator's pinned
-    partition.
+    * **a plan** (every SERVER scan; a pooled FILE scan whose file the
+      cache admits): the one encoding ``plan.encode()`` gives, counted
+      under the pushed batch filter as a keep-mask and charged from the
+      plan — ``charge_scan`` at open, ``charge_rows`` for the rows the
+      masks kept at :meth:`settle` (``docs/cost_model.md``).  It is
+      *resident* (``cache`` given: looked up, else encoded and
+      admitted) or *transient* (``cache`` None: kept by nobody but the
+      server);
+    * **a memory set**: the encoding the set is kept as (its read is
+      charged by the caller);
+    * **an inline FILE scan**: the file streamed a partition's records
+      at a time, each record matrix its own encoding (charged by
+      ``StagedFile.scan_blocks``).
+
+    On a process pool a resident encoding is yielded as its persistent
+    segment's reference, which ``submit`` hands the workers as it is,
+    so no frame of a failed scan pins a view over the segment past the
+    cache entry that owns it (releasing a segment under a live view
+    trips ``BufferError``).
     """
 
-    #: The scan counts over an encoding the columnar cache keeps.
-    cached = False
-
-    def __init__(self, partitions: Any = None) -> None:
-        self._partitions = partitions
-        self._shipper: ShmShipper | None = None
+    def __init__(self, partition_rows: int,
+                 encodings: Iterable[ColumnarPartition] = (),
+                 plan: ColumnarScanPlan | None = None,
+                 cache: ColumnarScanCache | None = None,
+                 keep_spec: tuple[Any, dict[str, int]] | None = None,
+                 ) -> None:
+        self._partition_rows = partition_rows
+        self._encodings: Any = encodings
+        self._plan = plan
+        self._cache = cache
+        #: The scan counts over an encoding the columnar cache keeps.
+        self.cached = cache is not None
+        #: The pushed batch filter workers apply as a keep-mask.
+        self._keep_spec = keep_spec
+        #: What process workers are handed for a resident encoding: its
+        #: persistent segment's reference.
+        self._ref: Any = None
+        self._supply: Any = None
         self._pool: Any = None
-        self._scan: Any = None
+        self._charged = False
         #: ``(stage_nodes, capture_nodes)`` every submit passes along.
         self._targets: tuple[Any, Any] = ((), ())
 
     def open(self, pool: ScanWorkerPool, scan: ScheduleRecord,
              targets: tuple[Any, Any]) -> Iterator[Any]:
-        """The partitions in scan order.
+        """The slices in scan order.
 
         Called inside the loop's cleanup scope, so this is where a
-        source ships segments, encodes or charges.
+        plan encodes, admits, ships its segment and charges.
         """
         self._pool = pool
-        self._scan = scan
         self._targets = targets
-        return self._start()
+        if self._plan is not None:
+            self._encodings = (self._encode(scan),)
+            if self._charged:
+                self._plan.charge_scan()
+        self._supply = self._slices()
+        return self._supply
 
-    def _start(self) -> Iterator[Any]:
-        if self._pool.remote and shm_available():
-            self._shipper = ShmShipper()
-        return iter(self._partitions)
-
-    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
-        """Hand one partition to the pool: ``(future, ticket)``, the
-        ticket being what the hooks below need back at collect time."""
-        shipped, segment = partition, None
-        if self._shipper is not None:
+    def _encode(self, scan: ScheduleRecord) -> ColumnarPartition:
+        """The plan's encoding: looked up, else encoded (and admitted)."""
+        plan, cache = self._plan, self._cache
+        assert plan is not None
+        entry = None if cache is None else cache.lookup(plan.key)
+        if entry is None:
             started = time.perf_counter()
-            shipped = self._shipper.ship(partition)
-            self._scan.ship_seconds += time.perf_counter() - started
-            segment = shipped.segment
-        future = self._pool.submit_columnar(seq, shipped, *self._targets)
-        # Pinned for the staged-row gather only when the scan stages.
-        pinned = partition if any(self._targets) else None
-        return future, (partition.n_rows, pinned, segment)
-
-    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
-        """A partition's result arrived: let go of what its ticket
-        held; returns the source rows the partition accounted for."""
-        if ticket[2] is not None:
-            assert self._shipper is not None
-            self._shipper.release(ticket[2])
-        return int(ticket[0])
-
-    def staged_rows(self, ticket: Any, selection: Any) -> ColumnarPartition:
-        """One node's staged selection of a partition, gathered into a
-        piece of its own."""
-        piece: ColumnarPartition = ticket[1].take(selection)
-        return piece
-
-    def stop(self) -> None:
-        """The scan is failing: stop producing, close the partition
-        source."""
-        _close_source(self._partitions)
-
-    def close(self) -> None:
-        """The loop is over, either way: let go of everything held."""
-        if self._shipper is not None:
-            # Idempotent: releases only what a failure left behind.
-            self._shipper.close()
-
-    def settle(self) -> None:
-        """The scan succeeded: apply charges that waited for its end."""
-
-
-class _PlanSource(_PartitionSource):
-    """A scan run from a plan: every SERVER scan, on every executor.
-
-    The plan names a superset of the rows the batch needs — as the
-    server's own encoding of it (``plan.encode()``: for a plain table
-    ``HeapTable.columnar()``, for a TID-list, keyset or index path a
-    gather of it) — the pushed batch filter and two charges.  Every
-    partition is a slice of that encoding, handed to the pool through
-    ``submit_columnar_slice`` with the filter as a vector keep-mask (so
-    per-scan filters stay out of the cache key), and the meter is
-    charged from the plan — ``charge_scan`` at open, ``charge_rows``
-    for the rows the masks kept at :meth:`settle` — so a scan costs
-    exactly what the path's cursor stream would
-    (``docs/cost_model.md``) however its partitions are supplied:
-
-    * **resident** (``cache`` given): the encoding is looked up in and
-      admitted to the session's table-version columnar cache — a hit
-      skips ``encode``, a miss calls it and installs the result (for a
-      plain table the entry *is* the server's object).  With a process
-      pool it lives in one long-lived witnessed segment that workers
-      re-attach only when its generation moves.  A failure mid-count
-      leaves the cache untouched: the entry was admitted when encoding
-      completed and is valid however the count ends, so the next scan
-      hits.
-    * **transient** (``cache`` None): the same slices of the same
-      encoding, which the session neither admits nor ships in a
-      persistent segment — what a scan that stages everything it
-      reads, a table the cache cannot hold, and ``scan_cache_bytes=0``
-      get.  A process pool receives each slice pickled.
-
-    Workers' staged-row indexes come back slice-relative and are
-    re-based onto the encoding before the gather.
-    """
-
-    def __init__(self, plan: ColumnarScanPlan,
-                 cache: ColumnarScanCache | None, partition_rows: int,
-                 attr_index: dict[str, int]) -> None:
-        super().__init__()
-        self.cached = cache is not None
-        self._plan = plan
-        self._cache = cache
-        self._partition_rows = partition_rows
-        #: The encoding the slices are cut from, and what workers are
-        #: handed for it (itself, or its persistent segment's reference).
-        self._table: Any = None
-        self._shipped: Any = None
-        #: The pushed batch filter workers apply as a keep-mask.
-        self._keep_spec: tuple[Any, dict[str, int]] | None = None
-        if (plan.filter_expr is not None
-                and not isinstance(plan.filter_expr, TrueExpr)):
-            self._keep_spec = (plan.filter_expr, attr_index)
-        self._charged = True
-        self._total_seen = 0
-
-    def _start(self) -> Iterator[Any]:
-        plan = self._plan
-        if self._cache is None:
-            started = time.perf_counter()
-            self._table = self._shipped = plan.encode()
-            self._scan.encode_seconds = time.perf_counter() - started
+            encoding = plan.encode()
+            scan.encode_seconds = time.perf_counter() - started
+            self._charged = plan.charge_on_miss
+            if cache is None:
+                return encoding
+            entry = cache.admit(plan.key, encoding, ship=self._pool.remote)
+            entry.encode_seconds = scan.encode_seconds
+            scan.ship_seconds = entry.ship_seconds
         else:
-            self._admit(self._cache)
-        if self._charged:
-            plan.charge_scan()
-        # The partitions are the slices' row offsets.
-        self._partitions = range(0, self._table.n_rows, self._partition_rows)
-        return iter(self._partitions)
-
-    def _admit(self, cache: ColumnarScanCache) -> None:
-        """Look the encoding up (encoding and admitting it on a miss)."""
-        plan, scan = self._plan, self._scan
-        entry = cache.lookup(plan.key)
-        self._charged = entry is not None or plan.charge_on_miss
-        if entry is not None:
+            self._charged = True
             scan.cache_hit = True
             scan.encode_seconds_saved = entry.encode_seconds
             scan.ship_seconds_saved = entry.ship_seconds
-        else:
-            encode_started = time.perf_counter()
-            partition = plan.encode()
-            encode_seconds = time.perf_counter() - encode_started
-            entry = cache.admit(
-                plan.key, partition,
-                ship=self._pool.remote and shm_available(),
-            )
-            entry.encode_seconds = scan.encode_seconds = encode_seconds
-            scan.ship_seconds = entry.ship_seconds
-        self._table = entry.partition
-        self._shipped = entry.ref if entry.ref is not None else self._table
+        if self._pool.remote:
+            self._ref = entry.ref
+        partition = entry.partition
+        assert partition is not None
+        return partition
 
-    def submit(self, seq: int, partition: Any) -> tuple[Any, Any]:
-        # A slice's row offset is all its ticket has to remember.
-        start = partition
-        stop = min(start + self._partition_rows, self._table.n_rows)
-        future = self._pool.submit_columnar_slice(
-            seq, self._shipped, start, stop, self._keep_spec, *self._targets,
+    def _slices(self) -> Iterator[tuple[Any, int, int]]:
+        step = self._partition_rows
+        for encoding in self._encodings:
+            shipped = encoding if self._ref is None else self._ref
+            for start in range(0, encoding.n_rows, step):
+                yield shipped, start, min(start + step, encoding.n_rows)
+
+    def submit(self, seq: int, piece: tuple[Any, int, int],
+               ) -> tuple[Any, tuple[Any, int]]:
+        """Hand one slice to the pool: ``(future, (encoding, start))``,
+        the ticket being what the staged-row gather needs back."""
+        encoding, start, stop = piece
+        future = self._pool.submit(
+            seq, encoding, start, stop, self._keep_spec, *self._targets,
         )
-        return future, start
+        return future, (encoding, start)
 
-    def collected(self, ticket: Any, result: tuple[Any, ...]) -> int:
-        seen = int(result[6])
-        self._total_seen += seen
-        return seen
-
-    def staged_rows(self, ticket: Any, selection: Any) -> ColumnarPartition:
-        piece: ColumnarPartition = self._table.take(selection + ticket)
+    def take(self, encoding: Any, rows: Any) -> ColumnarPartition:
+        """``rows`` of the encoding a slice was cut from, as a staged
+        piece of their own."""
+        if encoding is self._ref:
+            encoding = self._encodings[0]
+        piece: ColumnarPartition = encoding.take(rows)
         return piece
 
-    def close(self) -> None:
-        # A failed scan's traceback pins this object; the partition
-        # views must not outlive the cache entry that owns the segment,
-        # or releasing it trips BufferError.
-        self._table = self._shipped = None
+    def stop(self) -> None:
+        """The scan is failing: stop producing, close the supply."""
+        _close_source(self._supply)
+        _close_source(self._encodings)
 
-    def settle(self) -> None:
+    def close(self) -> None:
+        """The loop is over, either way: let go of everything held.
+
+        A failed scan's traceback pins this object, and the views it
+        holds must not outlive the cache entry that owns the segment.
+        """
+        self._encodings = self._supply = self._ref = None
+
+    def settle(self, rows_seen: int) -> None:
+        """The scan succeeded: charge the rows its masks kept."""
         if self._charged:
-            self._plan.charge_rows(self._total_seen)
+            assert self._plan is not None
+            self._plan.charge_rows(rows_seen)
 
 
 class _NodeCount:
@@ -741,9 +664,9 @@ class ExecutionModule:
         the cache's admission gate say whether the session keeps that
         encoding resident — some node of the batch is not staged by
         this scan, so the table will be read again — or only counts
-        over it (transient).  A staged source streams from its own
-        tier (a pooled FILE scan over the file's cached encoding when
-        it fits).
+        over it (transient).  A memory set is sliced where it lies; a
+        FILE scan streams its file (a pooled one counts over the
+        file's cached encoding when it fits).
         """
         staging = self._staging
         if schedule.mode is DataLocation.SERVER:
@@ -753,32 +676,31 @@ class ExecutionModule:
             resident = self._admits(plan) and any(
                 node_id not in staged for node_id in schedule.node_ids
             )
-            return _PlanSource(
-                plan, self._scan_cache if resident else None,
-                partition_rows, self._attr_index,
+            keep_spec = None
+            if not isinstance(plan.filter_expr, (TrueExpr, type(None))):
+                keep_spec = (plan.filter_expr, self._attr_index)
+            return _PartitionSource(
+                partition_rows, plan=plan,
+                cache=self._scan_cache if resident else None,
+                keep_spec=keep_spec,
             )
-        partitions: Iterator[ColumnarPartition]
-        if schedule.mode is DataLocation.FILE:
-            staged_file = staging.file_for(schedule.source_node)
-            if not pool.inline:
-                plan = staged_file_plan(staged_file)
-                if self._admits(plan):
-                    return _PlanSource(
-                        plan, self._scan_cache, partition_rows,
-                        self._attr_index,
-                    )
-            partitions = _columnar_file_slices(
-                staged_file.scan_blocks(partition_rows), scan
-            )
-        else:
-            # Count over zero-copy slices of the set's encoding; the
-            # read is charged as for its rows.
+        if schedule.mode is DataLocation.MEMORY:
+            # The read is charged as for the set's rows.
             self._charge_memory_read(schedule)
-            partitions = _columnar_memory_slices(
-                staging.columnar_memory(schedule.source_node),
+            return _PartitionSource(
                 partition_rows,
+                (staging.columnar_memory(schedule.source_node),),
             )
-        return _PartitionSource(partitions)
+        staged_file = staging.file_for(schedule.source_node)
+        if not pool.inline:
+            plan = staged_file_plan(staged_file)
+            if self._admits(plan):
+                return _PartitionSource(
+                    partition_rows, plan=plan, cache=self._scan_cache
+                )
+        return _PartitionSource(partition_rows, _columnar_file_blocks(
+            staged_file.scan_blocks(partition_rows), scan
+        ))
 
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
@@ -786,7 +708,7 @@ class ExecutionModule:
                            scan: ScheduleRecord) -> None:
         """The scan loop: every source, every executor.
 
-        The source's ordered partitions are submitted to the session's
+        The source's ordered slices are submitted to the session's
         :class:`ScanWorkerPool` — one in flight when it counts inline,
         at most ``2 x workers`` behind a pool — and collected in
         submission order: partials merge into the real CC tables, and
@@ -796,8 +718,8 @@ class ExecutionModule:
 
         On failure the scan stops its source (closing its supply),
         drains its outstanding futures and aborts the staging writer
-        *before* re-raising, and the source lets go of every segment
-        and pinned partition either way — so no half-written staged
+        *before* re-raising, and the source lets go of every encoding
+        it pinned either way — so no half-written staged
         file survives (the caller deletes the abandoned files) and the
         persistent pool carries no stale work into the next scan.
 
@@ -848,9 +770,9 @@ class ExecutionModule:
             pool, file_writers, memory_capture, scan
         )
 
-        def collect(future: Any, ticket: Any) -> None:
+        def collect(future: Any, ticket: tuple[Any, int]) -> None:
             result = future.result()
-            seen = source.collected(ticket, result)
+            seen = result[6]
             scan.rows_seen += seen
             scan.matcher_evals += n_probes * seen
             scan.rows_routed += result[2]
@@ -859,9 +781,11 @@ class ExecutionModule:
             CCTable.merge_block(counts, *result[1])
             scan.merge_seconds += time.perf_counter() - merge_started
 
+            encoding, start = ticket
+
             def pieces_of(selections: dict[Any, Any]) -> dict[Any, Any]:
                 return {
-                    node_id: source.staged_rows(ticket, selection)
+                    node_id: source.take(encoding, selection + start)
                     for node_id, selection in selections.items()
                     if len(selection)
                 }
@@ -873,10 +797,10 @@ class ExecutionModule:
         inflight: deque[tuple[Any, Any]] = deque()
         max_inflight = 1 if pool.inline else 2 * pool.n_workers
         try:
-            for seq, partition in enumerate(source.open(
+            for seq, piece in enumerate(source.open(
                     pool, scan, (tuple(file_writers), tuple(memory_capture))
             )):
-                inflight.append(source.submit(seq, partition))
+                inflight.append(source.submit(seq, piece))
                 if len(inflight) >= max_inflight:
                     collect(*inflight.popleft())
             while inflight:
@@ -892,7 +816,7 @@ class ExecutionModule:
             inflight.clear()
             source.close()
 
-        source.settle()
+        source.settle(scan.rows_seen)
         tables = counts.tables(
             [state.request.attributes for state in states],
             self._spec.attribute_names,

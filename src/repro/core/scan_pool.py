@@ -1,9 +1,13 @@
 """The scan-worker pool: executor of the scan pipeline.
 
-Whichever partition source feeds
-``ExecutionModule._count_partitioned``, every partition goes through
-exactly one ``ScanWorkerPool.submit*`` and the pool decides where it
-is counted: inline, in a thread, or in another process.
+Whichever source feeds ``ExecutionModule._count_partitioned``, every
+partition is a slice ``(encoding, start, stop)`` and goes through
+:meth:`ScanWorkerPool.submit`, which decides where it is counted —
+inline, in a thread, or in another process — and, for a process, how
+it travels.  A process worker gets one of two things: a resident
+encoding's persistent segment reference
+(:func:`_count_columnar_shm_slice`, attached once per table version),
+or the slice itself, pickled (:func:`_count_columnar_pickled_slice`).
 
 The paper's batching argument (§4) is that one shared sequential scan
 amortizes CC-table construction across all active nodes; any fixed
@@ -31,18 +35,17 @@ the compiled routing kernel — erodes exactly that win, so
   it (e.g. a dead process worker), letting the next scan transparently
   rebuild.
 
-A scan may also be installed *inline*: ``submit*`` then runs the same
-partition task on the calling thread and returns an already-completed
-future.  A pool of **one** worker (``scan_workers=1``, the default)
-counts every scan that way and never creates an ``Executor`` or any
-thread, whatever its ``kind``.  A larger pool is not started for a
-scan whose source fits in one partition — there is nothing to overlap
-— so such scans run inline until a longer one creates the executor;
-from then on every scan of the session goes to the workers, and the
-coordinator thread does no counting of its own.  Either way the
-partition tasks (:func:`count_partition_columnar`,
-:func:`count_partition_slice`) are the one way into the counting
-kernel for every worker count.
+A scan may also be installed *inline*: ``submit`` then runs the same
+task on the calling thread and returns an already-completed future.
+A pool of **one** worker (``scan_workers=1``, the default) counts
+every scan that way and never creates an ``Executor`` or any thread,
+whatever its ``kind``.  A larger pool is not started for a scan whose
+source fits in one partition — there is nothing to overlap — so such
+scans run inline until a longer one creates the executor; from then on
+every scan of the session goes to the workers, and the coordinator
+thread does no counting of its own.  Either way
+:func:`count_partition_slice` is the one way into the counting kernel
+for every worker count.
 
 Worker tasks return only additive, order-independent state (one
 payload of count arrays, routed counts, staged-row index arrays), so
@@ -69,13 +72,10 @@ from typing import Any, Iterable
 from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition
-from .shm import (
-    ShmPartitionHandle,
-    ShmSegmentRef,
-    attach_readonly,
-    partition_from_handle,
-)
-from .vector_kernel import count_partition_columnar, count_partition_slice
+from .shm import ShmSegmentRef, attach_readonly, partition_from_handle
+from .vector_kernel import count_partition_slice
+# Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).
+from .vector_kernel import count_partition_columnar  # noqa: F401
 
 #: Worker-process routing-context cache: ``(generation, ctx)``.  One
 #: slot per process is safe because a worker serves one pool, and a
@@ -135,61 +135,6 @@ def _process_context(generation: int, payload: bytes) -> Any:
     return ctx
 
 
-def _count_columnar_pickled(
-    generation: int,
-    payload: bytes,
-    seq: int,
-    partition: ColumnarPartition,
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
-           float]:
-    """Process-pool task over a pickled columnar partition.
-
-    The shipping path of a platform without shared memory: the
-    partition's column arrays travel through pickle, but counting is
-    still vectorized.
-    """
-    ctx = _process_context(generation, payload)
-    return count_partition_columnar(
-        ctx, seq, partition, stage_nodes, capture_nodes
-    )
-
-
-def _count_columnar_shm(
-    generation: int,
-    payload: bytes,
-    seq: int,
-    handle: ShmPartitionHandle,
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
-           float]:
-    """Process-pool task over a shared-memory partition handle.
-
-    Only the handle (segment name + column offsets) was pickled; the
-    worker attaches read-only, counts over zero-copy views, then drops
-    every view *before* closing its attachment (closing a segment with
-    live numpy views raises ``BufferError``).  The coordinator owns the
-    segment and unlinks it after the merge.
-    """
-    ctx = _process_context(generation, payload)
-    segment = attach_readonly(handle.segment)
-    try:
-        partition = partition_from_handle(segment, handle)
-        try:
-            return count_partition_columnar(
-                ctx, seq, partition, stage_nodes, capture_nodes
-            )
-        finally:
-            del partition
-    finally:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - views still alive
-            pass
-
-
 def _attached_segment_partition(ref: ShmSegmentRef) -> ColumnarPartition:
     """The worker's zero-copy view over a persistent cached segment.
 
@@ -220,13 +165,11 @@ def _count_columnar_shm_slice(
     capture_nodes: Iterable[Any],
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
-    """Process-pool task over a slice of a persistent cached segment.
+    """Process-pool task over a slice of a resident encoding.
 
-    Unlike :func:`_count_columnar_shm`, the attachment is *kept* across
-    tasks and scans (see ``_SEGMENT_CTX``): the cached full-table
-    encoding is shipped once per table version, and each task counts
-    rows ``[start, stop)`` of it, applying the scan's batch filter as
-    a keep mask (``keep_spec``).
+    The attachment is *kept* across tasks and scans (see
+    ``_SEGMENT_CTX``): the cached encoding is shipped once per table
+    version, and each task counts rows ``[start, stop)`` of it.
     """
     ctx = _process_context(generation, payload)
     partition = _attached_segment_partition(ref)
@@ -246,12 +189,12 @@ def _count_columnar_pickled_slice(
     capture_nodes: Iterable[Any],
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
-    """Process-pool task over a pickled slice of a plan's encoding.
+    """Process-pool task over a pickled slice.
 
-    What a process worker gets when the encoding has no persistent
-    segment (a transient scan, or no shared memory on the platform):
-    the coordinator already sliced the encoding, so the task counts the
-    whole piece.
+    What a process worker gets for every encoding that has no
+    persistent segment (a transient SERVER scan, a memory set, a
+    streamed file block): the coordinator already sliced the encoding,
+    so the task counts the whole piece.
     """
     ctx = _process_context(generation, payload)
     return count_partition_slice(
@@ -275,10 +218,9 @@ class ScanWorkerPool:
 
     Lifecycle: construct cheaply (no executor yet), :meth:`install` a
     scan's routing context (which lazily creates the executor — not
-    for a one-partition scan, and never in a one-worker pool), submit
-    partitions (:meth:`submit_columnar` / :meth:`submit_columnar_slice`),
-    and :meth:`close` once at session end.  ``install``/``submit*`` may
-    be repeated for any number of scans.
+    for a one-partition scan, and never in a one-worker pool),
+    :meth:`submit` slices, and :meth:`close` once at session end.
+    ``install``/``submit`` may be repeated for any number of scans.
     """
 
     def __init__(self, kind: str, n_workers: int) -> None:
@@ -289,7 +231,7 @@ class ScanWorkerPool:
         self.kind = kind
         self.n_workers = n_workers
         #: The installed scan counts on the calling thread, inside
-        #: ``submit*``: always with one worker (no executor is ever
+        #: ``submit``: always with one worker (no executor is ever
         #: created), else as :meth:`install` decides per scan.
         self.inline = n_workers == 1
         #: The installed scan's workers live in other processes, so
@@ -409,7 +351,7 @@ class ScanWorkerPool:
 
         The inline executor calls ``task`` on the calling thread and
         hands back an already-completed future; a failure (or an
-        interrupt) propagates straight out of ``submit*`` instead.
+        interrupt) propagates straight out of ``submit`` instead.
         """
         if self.inline:
             done: Future[Any] = Future()
@@ -423,64 +365,39 @@ class ScanWorkerPool:
         future.add_done_callback(_mark_future_done)
         return future
 
-    def submit_columnar(self, seq: int, partition: Any,
-                        stage_nodes: Iterable[Any],
-                        capture_nodes: Iterable[Any]) -> Future[Any]:
-        """Submit one columnar partition (or shm handle) for counting.
+    def submit(self, seq: int, encoding: Any, start: int, stop: int,
+               keep_spec: Any, stage_nodes: Iterable[Any],
+               capture_nodes: Iterable[Any]) -> Future[Any]:
+        """Submit rows ``[start, stop)`` of an encoding for counting.
 
-        Thread pools and the inline executor count the partition in
-        place (shared memory by construction).  Process pools dispatch
-        on what the executor shipped: a :class:`ShmPartitionHandle`
-        attaches to the coordinator's segment, a plain partition
-        travels via pickle.
-        """
-        task: Any = count_partition_columnar
-        if self.remote:
-            task = (
-                _count_columnar_shm
-                if isinstance(partition, ShmPartitionHandle)
-                else _count_columnar_pickled
-            )
-        return self._run(
-            f"columnar partition {seq}", task, *self._context_args(), seq,
-            partition, stage_nodes, capture_nodes,
-        )
-
-    #: Only a name: ``benchmarks/e2e/trace.py``'s frozen patch table
-    #: still lists ``ScanWorkerPool.submit`` (the row-tuple entry this
-    #: used to be).  The next ``[benchmark]`` PR drops both.
-    submit = submit_columnar
-
-    def submit_columnar_slice(self, seq: int, source: Any, start: int,
-                              stop: int, keep_spec: Any,
-                              stage_nodes: Iterable[Any],
-                              capture_nodes: Iterable[Any]) -> Future[Any]:
-        """Submit one slice of a plan's encoding.
-
-        ``source`` is either the coordinator's :class:`ColumnarPartition`
-        (thread pools and the inline executor count it in place;
-        process pools get just the slice, pickled) or a
-        :class:`ShmSegmentRef` naming the persistent segment process
-        workers re-attach by generation.  ``keep_spec`` is the scan's
-        batch filter as ``(expr, attr_index)``, or None for an
-        unfiltered scan.
+        ``encoding`` is either the coordinator's
+        :class:`ColumnarPartition` (thread pools and the inline
+        executor count the slice in place; process pools get just the
+        slice, pickled) or a resident encoding's :class:`ShmSegmentRef`,
+        which process workers re-attach by generation.  ``keep_spec``
+        is the scan's batch filter as ``(expr, attr_index)``, or None
+        for an unfiltered scan.
         """
         task: Any = count_partition_slice
-        piece: tuple[Any, ...] = (source, start, stop)
-        if isinstance(source, ShmSegmentRef):
+        piece: tuple[Any, ...] = (encoding, start, stop)
+        if isinstance(encoding, ShmSegmentRef):
             if not self.remote:
                 raise MiddlewareError(
-                    "in-process workers count cached partitions in "
-                    "place; pass the partition, not a segment reference"
+                    "in-process workers count encodings in place; pass "
+                    "the partition, not a segment reference"
                 )
             task = _count_columnar_shm_slice
         elif self.remote:
             task = _count_columnar_pickled_slice
-            piece = (source.slice(start, stop),)
+            piece = (encoding.slice(start, stop),)
         return self._run(
-            f"cached slice {seq}", task, *self._context_args(), seq,
-            *piece, keep_spec, stage_nodes, capture_nodes,
+            f"slice {seq}", task, *self._context_args(), seq, *piece,
+            keep_spec, stage_nodes, capture_nodes,
         )
+
+    # Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).
+    submit_columnar = submit  # noqa
+    submit_columnar_slice = submit  # noqa
 
     def drain(self, futures: Iterable[Future[Any]]) -> None:
         """Cancel/await outstanding futures of a failed scan.

@@ -1,42 +1,32 @@
-"""Shared-memory shipping of columnar partitions to process workers.
+"""Persistent shared-memory segments for resident encodings.
 
-Pickling a 100k-row partition to a process worker copies every row
-three times (pickle, pipe, unpickle) and was the single largest cost in
-the 0.36x parallel-scan regression.  The shipper instead copies the
-partition's column arrays once into a ``multiprocessing.shared_memory``
-segment and pickles only a tiny :class:`ShmPartitionHandle` (segment
-name + per-column offsets); the worker attaches read-only and counts
-over zero-copy views.
+A process worker gets one of two things with each slice it counts
+(``ScanWorkerPool.submit``): the slice itself, pickled, or — when the
+encoding is resident in the session's columnar cache — a
+generation-counted :class:`ShmSegmentRef` to the one segment that
+encoding was copied into when the cache admitted it.  This module is
+the second form: the cache's :class:`ShmShipper` copies an encoding's
+column arrays once into a ``multiprocessing.shared_memory`` segment
+and hands out a tiny :class:`ShmPartitionHandle` (segment name +
+per-column offsets); a worker attaches read-only once per table
+version and counts every later slice over zero-copy views.
 
 Lifecycle is explicit and witnessed: every segment is announced to the
-PR 5 resource monitor as a ``"shm-segment"`` resource when created and
-retired when released, so a segment that outlives its scan is a
-sanitizer *finding*, not a silent ``/dev/shm`` leak.  The coordinator
-owns every segment — workers only ever attach and close — and
-:meth:`ShmShipper.close` releases anything still live, which is what
-the failure path relies on.
+resource monitor as a ``"shm-segment"`` resource when created and
+retired when its cache entry is released, so a segment that outlives
+its entry is a sanitizer *finding*, not a silent ``/dev/shm`` leak.
+The coordinator owns every segment — workers only ever attach and
+close — and :meth:`ShmShipper.close` releases anything still live.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from typing import Any, Optional
 
 from ..common.locks import resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition
-
-try:  # pragma: no cover - stdlib, but gate anyway (some minimal builds)
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None  # type: ignore[assignment]
-
-shared_memory: Any = _shared_memory
-
-
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable."""
-    return shared_memory is not None
-
 
 @dataclass(frozen=True)
 class ShmColumnSpec:
@@ -91,14 +81,12 @@ class ShmShipper:
         self._live: dict[str, Any] = {}
         self.shipped = 0
 
-    def ship(self, partition: ColumnarPartition,
-             persistent: bool = False) -> ShmPartitionHandle:
+    def ship(self, partition: ColumnarPartition) -> ShmPartitionHandle:
         """Copy ``partition`` into a fresh segment; returns its handle.
 
-        ``persistent`` only affects the sanitizer witness detail: the
-        columnar cache's segments legitimately outlive individual scans
-        (they die with the cache entry), and the marker keeps that
-        visible in leak reports.
+        Every segment is a columnar-cache entry's and outlives the scan
+        that shipped it (it dies with the entry); the witness detail
+        says ``persistent`` so leak reports show that.
         """
         total, specs = partition.layout()
         segment = shared_memory.SharedMemory(create=True, size=total)
@@ -110,11 +98,10 @@ class ShmShipper:
             raise
         self._live[segment.name] = segment
         self.shipped += 1
-        lifetime = " persistent" if persistent else ""
         resource_created(
             "shm-segment", segment,
-            f"{segment.name} rows={partition.n_rows} bytes={total}"
-            f"{lifetime}",
+            f"{segment.name} rows={partition.n_rows} bytes={total} "
+            "persistent",
         )
         return ShmPartitionHandle(
             segment=segment.name,

@@ -485,16 +485,17 @@ def count_partition_slice(
            float, int]:
     """Count rows ``[start, stop)`` of a partition under a keep mask.
 
-    The worker entry of every plan-run scan, over the plan's encoding
-    (or a slice of it a process worker was sent pickled): slices
-    (zero-copy views), evaluates the batch filter as a keep mask
-    (``keep_spec`` is ``(expr, attr_index)``, or None for an
-    unfiltered scan), and counts the qualifying rows.  Returns the
+    The worker entry of every scan, over the source's encoding (or the
+    slice of it a process worker was sent pickled): slices (zero-copy
+    views), evaluates the batch filter as a keep mask (``keep_spec``
+    is ``(expr, attr_index)``, or None for an unfiltered scan), and
+    counts the qualifying rows.  Returns the
     :func:`count_partition_columnar` tuple with the number of
-    *qualifying* rows appended — the coordinator charges transfer for
-    exactly those, matching what a streaming cursor would have
-    shipped.  Staging/capture index arrays are relative to the slice;
-    the coordinator re-bases them with ``start``.
+    *qualifying* rows appended — the rows the scan saw, and for a
+    SERVER scan the rows the coordinator charges transfer for,
+    matching what a streaming cursor would have shipped.
+    Staging/capture index arrays are relative to the slice; the
+    coordinator re-bases them with ``start``.
     """
     started = time.thread_time()
     piece = partition.slice(start, stop)

@@ -331,8 +331,11 @@ class ColumnarPartition:
         return cls(sum(piece.n_rows for piece in pieces), columns)
 
     def slice(self, start: int, stop: int) -> "ColumnarPartition":
-        """Zero-copy view of rows ``[start, stop)``."""
+        """Zero-copy view of rows ``[start, stop)`` (the partition
+        itself when that is all of it)."""
         stop = min(stop, self.n_rows)
+        if start == 0 and stop == self.n_rows:
+            return self
         columns = tuple(col.slice(start, stop) for col in self.columns)
         return ColumnarPartition(stop - start, columns)
 

@@ -215,7 +215,8 @@ class TestResourceLeaks:
             )
             partition = ColumnarPartition.from_rows([(0, 0)])
             futures = [
-                pool.submit_columnar(i, partition, [], []) for i in range(4)
+                pool.submit(i, partition, 0, 1, None, [], [])
+                for i in range(4)
             ]
             for future in futures:
                 future.result()

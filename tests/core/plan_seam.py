@@ -2,9 +2,9 @@
 
 Every SERVER scan is run from ``strategy.plan_columnar(...)`` and
 counts over slices of the plan's encoding — resident or transient
-alike — handing the scan loop one slice offset per partition.
-Fault-injection tests plant their exploding, poisoned, interrupting or
-close-tracking iterators there.
+alike — handing the scan loop one ``(encoding, start, stop)`` slice
+per partition.  Fault-injection tests plant their exploding, poisoned,
+interrupting or close-tracking iterators there.
 """
 
 from repro.core.staging import DataLocation
@@ -26,13 +26,13 @@ def record_plan_requests(middleware):
 
 
 def wrap_plan_slices(middleware, wrap):
-    """Hand every SERVER scan's slice offsets through ``wrap``.
+    """Hand every SERVER scan's slices through ``wrap``.
 
-    ``wrap(starts)`` gets the iterator of the scan's slice offsets (row
-    positions in the plan's encoding, one per partition) and returns
-    the iterator the scan loop pulls instead; a failing scan closes it
-    if it has a ``close``.  Returns the function that removes the
-    wrapper.
+    ``wrap(slices)`` gets the iterator of the scan's ``(encoding,
+    start, stop)`` slices (row ranges of the plan's encoding, one per
+    partition) and returns the iterator the scan loop pulls instead; a
+    failing scan closes it if it has a ``close``.  Returns the function
+    that removes the wrapper.
     """
     execution = middleware.execution
     build = execution._partition_source
@@ -40,13 +40,8 @@ def wrap_plan_slices(middleware, wrap):
     def partition_source(schedule, *args):
         source = build(schedule, *args)
         if schedule.mode is DataLocation.SERVER:
-            start = source._start
-
-            def wrapped_start():
-                source._partitions = wrap(start())
-                return source._partitions
-
-            source._start = wrapped_start
+            slices = source._slices
+            source._slices = lambda: wrap(slices())
         return source
 
     execution._partition_source = partition_source

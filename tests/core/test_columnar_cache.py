@@ -4,7 +4,8 @@ The cache ("encode once, scan every level") is a pure wall-clock
 optimisation: a warm scan must produce byte-identical CC tables and
 staged files, and charge *exactly* the same simulated cost, as the
 cold streaming scan it replaces — across thread pools, process pools
-(shared-memory or pickled), with writes between scans invalidating by
+(a resident encoding's segment, every other slice pickled), with
+writes between scans invalidating by
 version bump, and with the worker-side keep mask replicating compiled
 predicate semantics on NULL-heavy mixed-type data.
 """
@@ -23,7 +24,6 @@ from repro.core.columnar_cache import (  # noqa: E402
 )
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
-from repro.core.shm import shm_available  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     filter_supported,
     predicate_mask,
@@ -136,7 +136,6 @@ class TestCacheMechanics:
         assert cache.resident_entries == 0
         assert cache.invalidations == 1
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_persistent_segments_track_entries(self):
         rows = _rows(32)
         cache = ColumnarScanCache(1 << 20)
@@ -198,28 +197,17 @@ class TestWarmColdEquivalence:
         "cold": {"scan_workers": 2, "scan_cache_bytes": 0},
         "thread": {"scan_workers": 2},
         "process-shm": {"scan_workers": 2, "scan_pool": "process"},
-        # Run with shared memory "missing" (see the test): streamed
-        # partitions and cached slices both travel pickled, and no
-        # persistent segment exists.
-        "process-pickle": {"scan_workers": 2, "scan_pool": "process"},
         "serial": {"scan_workers": 1},
     }
 
     @pytest.mark.parametrize("kind", list(CONFIGS))
-    def test_staged_workload_matches_cold_reference(self, kind, tmp_path,
-                                                    monkeypatch):
+    def test_staged_workload_matches_cold_reference(self, kind, tmp_path):
         reference, ref_staged, ref_cost, ref_trace, _ = _staged_workload(
             tmp_path / "reference", scan_workers=2, scan_cache_bytes=0,
         )
-        if kind == "process-pickle":
-            from repro.core import execution
-            monkeypatch.setattr(execution, "shm_available", lambda: False)
         results, staged, cost, trace, _ = _staged_workload(
             tmp_path / kind, **self.CONFIGS[kind]
         )
-        if kind == "process-pickle":
-            assert any(r.cached for r in trace)
-            assert all(r.ship_seconds == 0.0 for r in trace)
         rows = dataset_rows()
         for value in range(3):
             subset = [r for r in rows if r[0] == value]
@@ -274,7 +262,6 @@ class TestMultiLevelServerFit:
             trace = list(mw.trace)
         return results, trace, segments, shipped, server.meter.total
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_levels_after_first_encode_nothing_and_reship_nothing(self):
         results, trace, segments, shipped, cost = self._fit(
             scan_pool="process"

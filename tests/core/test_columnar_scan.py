@@ -1,12 +1,13 @@
 """Tests for the columnar scan path.
 
-Every scan counts columnar partitions with the one vector kernel: for
-NULL-heavy, unicode and mixed-type columns it must produce CC tables
-equal to the per-row oracle's on every shipping path (in-process,
-thread pool, process pool via pickle, process pool via shared memory),
-decode staged rows identically, size partitions sanely without a row
-estimate, and — proven by fault injection against the resource witness
-— leak no shared-memory segment past a failed scan.
+Every scan counts slices of columnar encodings with the one vector
+kernel: for NULL-heavy, unicode and mixed-type columns it must produce
+CC tables equal to the per-row oracle's on every shipping path
+(in-process, thread pool, process pool via pickled slices, process
+pool via a resident encoding's persistent segment), decode staged rows
+identically, size partitions sanely without a row estimate, and —
+proven by fault injection against the resource witness — leak no
+shared-memory segment past a failed scan.
 
 With ``scan_workers=1``, and for any source one partition long, the
 same path runs through the *inline* executor: no pool, no writer
@@ -37,12 +38,7 @@ from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core import scan_pool  # noqa: E402
 from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
-from repro.core.shm import (  # noqa: E402
-    ShmPartitionHandle,
-    ShmSegmentRef,
-    ShmShipper,
-    shm_available,
-)
+from repro.core.shm import ShmSegmentRef, ShmShipper  # noqa: E402
 from repro.core.staging import StagedFile  # noqa: E402
 from repro.datagen.loader import load_dataset  # noqa: E402
 from repro.datagen.random_tree import (  # noqa: E402
@@ -226,7 +222,6 @@ class TestColumnarKernelEquivalence:
         ccs = self._pool_count("process", rows, condition_sets)
         assert ccs == reference
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_process_pool_shm_matches_oracle(self, dataset):
         make_rows, condition_sets = DATASETS[dataset]
         rows = make_rows()
@@ -235,27 +230,31 @@ class TestColumnarKernelEquivalence:
         assert ccs == reference
 
     def _pool_count(self, kind, rows, condition_sets, shm=False):
+        """Count 7-row slices of one encoding on a two-worker pool:
+        pickled slices, or (``shm``) slices of the encoding's one
+        persistent segment, as a resident encoding is shipped."""
         kernel = RoutingKernel(condition_sets, ATTR_INDEX)
         slots = _slots(len(condition_sets))
         partitions = _partitions(rows)
+        whole = ColumnarPartition.from_rows(rows)
         pool = ScanWorkerPool(kind, 2)
         shipper = ShmShipper() if shm else None
         try:
             pool.install(
                 ("sig", kind, shm), kernel, slots, CLASS_INDEX, N_CLASSES
             )
-            futures = []
-            for seq, partition in enumerate(partitions):
-                shipped = (
-                    shipper.ship(partition) if shipper is not None
-                    else partition
-                )
-                futures.append(pool.submit_columnar(seq, shipped, (), ()))
-            results = [future.result() for future in futures]
+            shipped = whole
+            if shipper is not None:
+                shipped = ShmSegmentRef(1, shipper.ship(whole))
+            futures = [
+                pool.submit(seq, shipped, start, start + 7, None, (), ())
+                for seq, start in enumerate(range(0, len(rows), 7))
+            ]
+            results = [future.result()[:6] for future in futures]
         finally:
+            pool.close()
             if shipper is not None:
                 shipper.close()
-            pool.close()
         if shipper is not None:
             assert shipper.live_segments == 0
         ccs, _, _ = _fold(results, partitions, len(condition_sets))
@@ -350,20 +349,13 @@ class TestColumnarIntegration:
             with open(staged.path, "rb") as handle:
                 return handle.read()
 
-    def test_staged_file_bit_identical_across_shipping_paths(
-            self, monkeypatch):
-        from repro.core import execution
+    def test_staged_file_bit_identical_across_shipping_paths(self):
         # One inline partition holding the whole source is the reference.
         serial = self._staged_root_bytes(
             scan_workers=1, scan_chunk_rows=1024
         )
         assert self._staged_root_bytes(scan_workers=1) == serial
         assert self._staged_root_bytes(scan_workers=2) == serial
-        assert self._staged_root_bytes(
-            scan_workers=2, scan_pool="process"
-        ) == serial
-        # No shared memory on the platform: partitions travel pickled.
-        monkeypatch.setattr(execution, "shm_available", lambda: False)
         assert self._staged_root_bytes(
             scan_workers=2, scan_pool="process"
         ) == serial
@@ -637,17 +629,16 @@ class TestInlineExecutor:
     @pytest.mark.parametrize("kind", ["thread", "process"])
     def test_one_worker_pool_counts_on_the_calling_thread(
             self, kind, monkeypatch):
-        # The kernel entry points are looked up on the scan_pool module
-        # at call time — where benchmarks/e2e/trace.py patches them.
+        # The kernel entry is looked up on the scan_pool module at call
+        # time — where benchmarks/e2e/trace.py patches it.
         ran_on = []
-        for name in ("count_partition_columnar", "count_partition_slice"):
-            original = getattr(scan_pool, name)
+        original = scan_pool.count_partition_slice
 
-            def recording(*args, _original=original, **kwargs):
-                ran_on.append(threading.get_ident())
-                return _original(*args, **kwargs)
+        def recording(*args, **kwargs):
+            ran_on.append(threading.get_ident())
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(scan_pool, name, recording)
+        monkeypatch.setattr(scan_pool, "count_partition_slice", recording)
         rows = _rows_null_heavy()
         condition_sets = DATASETS["null_heavy"][1]
         reference, _, _ = _reference(rows, condition_sets)
@@ -659,37 +650,30 @@ class TestInlineExecutor:
         try:
             assert pool.inline and not pool.remote
             pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)
+            # Each partition its own encoding, as a streamed file block
+            # is, and 7-row slices of one encoding, as everything else.
             futures = [
-                pool.submit_columnar(seq, partition, (), ())
+                pool.submit(seq, partition, 0, partition.n_rows, None,
+                            (), ())
                 for seq, partition in enumerate(partitions)
-            ]
-            assert all(future.done() for future in futures)
-            ccs, _, _ = _fold(
-                [future.result() for future in futures], partitions,
-                len(condition_sets),
-            )
-            assert ccs == reference
-            sliced = [
-                pool.submit_columnar_slice(
-                    seq, whole, start, start + 7, None, (), ()
-                ).result()[:6]
+            ] + [
+                pool.submit(seq, whole, start, start + 7, None, (), ())
                 for seq, start in enumerate(range(0, len(rows), 7))
             ]
-            ccs, _, _ = _fold(sliced, partitions, len(condition_sets))
-            assert ccs == reference
-            # ``submit`` survives as a second name of the columnar
-            # entry (benchmarks/e2e/trace.py still patches it).
-            renamed = [
-                pool.submit(seq, partition, (), ()).result()
-                for seq, partition in enumerate(partitions)
-            ]
-            ccs, _, _ = _fold(renamed, partitions, len(condition_sets))
-            assert ccs == reference
+            assert all(future.done() for future in futures)
+            results = [future.result()[:6] for future in futures]
+            for half in (results[:len(partitions)],
+                         results[len(partitions):]):
+                ccs, _, _ = _fold(half, partitions, len(condition_sets))
+                assert ccs == reference
         finally:
             pool.close()
         assert not pool.active and pool.pools_created == 0
-        assert len(ran_on) == 3 * len(partitions)
+        assert len(ran_on) == 2 * len(partitions)
         assert set(ran_on) == {threading.get_ident()}
+        # The frozen tracer's other names for the one entry point.
+        assert ScanWorkerPool.submit_columnar is ScanWorkerPool.submit
+        assert ScanWorkerPool.submit_columnar_slice is ScanWorkerPool.submit
 
     def test_inline_failure_propagates_from_submit(self):
         kernel = RoutingKernel([()], ATTR_INDEX)
@@ -699,7 +683,7 @@ class TestInlineExecutor:
             pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)
             poisoned = ColumnarPartition.from_rows([(1, 1, 99)])
             with pytest.raises(IndexError):
-                pool.submit_columnar(0, poisoned, (), ())
+                pool.submit(0, poisoned, 0, 1, None, (), ())
         finally:
             pool.close()
 
@@ -759,21 +743,20 @@ class TestWideBatches:
             assert results[f"n{value}"] == build_cc_from_rows(
                 subset, spec, ("A2",)
             )
-        # Every task took a columnar partition, a segment handle or a
-        # slice of the cached encoding: no row tuple was ever shipped.
+        # Every task took a pickled slice or a resident encoding's
+        # segment reference: no row tuple was ever shipped.
         assert len(shipped) >= 2
         for name, args in shipped:
-            assert name.startswith("_count_columnar_"), name
+            assert name in ("_count_columnar_pickled_slice",
+                            "_count_columnar_shm_slice"), name
             assert not any(isinstance(arg, list) for arg in args)
             assert any(
-                isinstance(arg, (ColumnarPartition, ShmPartitionHandle,
-                                 ShmSegmentRef))
+                isinstance(arg, (ColumnarPartition, ShmSegmentRef))
                 for arg in args
             )
 
 
 class TestShmFaultInjection:
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_failed_scan_leaks_no_segment_and_keeps_pool_warm(self):
         monitor = WitnessMonitor()
         previous = install_monitor(monitor)
@@ -793,7 +776,7 @@ class TestShmFaultInjection:
                 assert monitor.created.get("shm-segment", 0) == 0
                 # An out-of-range class label in the captured set
                 # poisons the vectorized count in the worker: the
-                # MEMORY scan ships one segment per partition.
+                # MEMORY scan's slices travel pickled.
                 labels = mw.staging.columnar_memory("root").columns[-1]
                 labels.data[5] = 99
                 mw.queue_requests(
@@ -802,10 +785,8 @@ class TestShmFaultInjection:
                 with pytest.raises(IndexError):
                     mw.process_next_batch()
                 assert mw.budget.tags() == ["data:root"]
-                # Segments really shipped, and none survived the
-                # failure — the witness would report a leak otherwise.
-                assert monitor.created.get("shm-segment", 0) >= 1
-                assert "shm-segment" not in monitor.live_kinds()
+                # A memory set is never resident: no segment exists.
+                assert monitor.created.get("shm-segment", 0) == 0
                 # The session pool survived the worker error warm.
                 pool = mw.scan_pool
                 assert pool is not None and pool.active
@@ -814,7 +795,6 @@ class TestShmFaultInjection:
         finally:
             install_monitor(previous)
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_failed_scan_keeps_cached_segment_and_recovers(self):
         # With the columnar cache on, the encoding's persistent segment
         # legitimately survives a poisoned count (the encoding was valid
@@ -893,24 +873,6 @@ class TestShmFaultInjection:
 
 
 class TestColumnarConfig:
-    def test_shared_memory_off_still_counts_correctly(self, monkeypatch):
-        from repro.core import execution
-        monkeypatch.setattr(execution, "shm_available", lambda: False)
-        monkeypatch.setattr(
-            ShmShipper, "ship",
-            lambda *args, **kwargs: pytest.fail("shipped without shm"),
-        )
-        results, trace, _ = frontier_results(
-            scan_workers=2, scan_pool="process", **PARALLEL,
-        )
-        rows = dataset_rows()
-        for value in range(3):
-            subset = [r for r in rows if r[0] == value]
-            assert results[f"n{value}"].cc == build_cc_from_rows(
-                subset, SPEC, ("A2",)
-            )
-        assert trace[0].workers == 2
-
     def test_adaptive_sizing_reacts_to_fast_scans(self):
         rows = dataset_rows()
         server = make_server(rows)

@@ -312,7 +312,7 @@ class TestProcessWorkersGetDomainsByInstall:
             self, monkeypatch):
         installs, shipped, dense_widths = [], [], []
         install = ScanWorkerPool.install
-        submit = ScanWorkerPool.submit_columnar_slice
+        submit = ScanWorkerPool.submit
         merge_block = CCTable.merge_block
 
         def recording_install(pool, signature, kernel, slots, *rest,
@@ -333,8 +333,7 @@ class TestProcessWorkersGetDomainsByInstall:
             return merge_block(batch, *payload)
 
         monkeypatch.setattr(ScanWorkerPool, "install", recording_install)
-        monkeypatch.setattr(ScanWorkerPool, "submit_columnar_slice",
-                            recording_submit)
+        monkeypatch.setattr(ScanWorkerPool, "submit", recording_submit)
         monkeypatch.setattr(CCTable, "merge_block",
                             staticmethod(recording_merge))
         generating = generated()

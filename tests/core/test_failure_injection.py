@@ -79,8 +79,8 @@ def assert_children_counted(middleware, spec=SPEC, rows=ROWS,
 class _ExplodingIterator:
     """Slice loop that dies after a few slices."""
 
-    def __init__(self, starts, blow_after):
-        self._starts = starts
+    def __init__(self, slices, blow_after):
+        self._slices = slices
         self._remaining = blow_after
 
     def __iter__(self):
@@ -90,7 +90,7 @@ class _ExplodingIterator:
         if self._remaining == 0:
             raise RuntimeError("disk on fire")
         self._remaining -= 1
-        return next(self._starts)
+        return next(self._slices)
 
 
 class TestScanFailureCleanup:
@@ -99,7 +99,7 @@ class TestScanFailureCleanup:
         is counted (the root is staged by its own scan, so the scan is
         transient; here it is one partition long)."""
         return wrap_plan_slices(
-            middleware, lambda starts: _ExplodingIterator(starts, blow_after)
+            middleware, lambda slices: _ExplodingIterator(slices, blow_after)
         )
 
     def test_cc_reservations_released_on_failure(self):
@@ -154,13 +154,13 @@ class TestPoisonedPartition:
     """
 
     def _poison(self, middleware, poison_after=8):
-        def poisoned(starts):
-            for start in starts:
+        def poisoned(slices):
+            for encoding, start, stop in slices:
                 if start >= poison_after:
-                    yield float(start)
-                    yield from starts
+                    yield encoding, float(start), stop
+                    yield from slices
                     return
-                yield start
+                yield encoding, start, stop
 
         return wrap_plan_slices(middleware, poisoned)
 
@@ -270,7 +270,7 @@ class TestPoisonedCachedScan:
             assert cache.misses == 1
             pool = mw.scan_pool
             assert pool is not None
-            original = pool.submit_columnar_slice
+            original = pool.submit
             calls = {"n": 0}
 
             def failing(*args, **kwargs):
@@ -279,11 +279,12 @@ class TestPoisonedCachedScan:
                     raise RuntimeError("coordinator tripped")
                 return original(*args, **kwargs)
 
-            pool.submit_columnar_slice = failing
+            pool.submit = failing
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError, match="coordinator tripped"):
                 mw.process_next_batch()
-            pool.submit_columnar_slice = original
+            del pool.submit
+            assert calls["n"] > 1
             # The warm entry survived the failed count untouched...
             assert cache.resident_entries == 1
             assert cache.hits >= 1
@@ -478,18 +479,20 @@ class _ExplodingPartitions:
 class _TrackedSlices:
     """A slice loop that remembers being closed."""
 
-    def __init__(self, starts):
-        self._starts = starts
+    def __init__(self, slices):
+        self._slices = slices
         self.closed = False
 
     def __iter__(self):
         return self
 
     def __next__(self):
-        return next(self._starts)
+        return next(self._slices)
 
     def close(self):
         self.closed = True
+        # The slices' generator holds the encoding it cuts: let go.
+        self._slices.close()
 
 
 class TestPipelineStageFailures:
@@ -512,26 +515,17 @@ class TestPipelineStageFailures:
 
             def tampered(*args):
                 source = build(*args)
-                if source._partitions is not None:
-                    source._partitions = _ExplodingPartitions(
-                        source._partitions
-                    )
-                else:  # a plan's partitions exist once it is opened
-                    opened = source.open
-                    source.open = lambda *a: _ExplodingPartitions(
-                        opened(*a)
-                    )
+                opened = source.open
+                source.open = lambda *a: _ExplodingPartitions(opened(*a))
                 return source
 
             patch.setattr(execution, "_partition_source", tampered)
         elif fault == "submit":
-            # A scan goes through exactly one of the two, so the
-            # second call of whichever it is fails with one in flight.
+            # The second slice fails with one in flight.
             pool = mw._shared_scan_pool()
-            for name in ("submit_columnar", "submit_columnar_slice"):
-                patch.setattr(pool, name, _failing_on_call(
-                    2, getattr(pool, name), _inject
-                ))
+            patch.setattr(pool, "submit", _failing_on_call(
+                2, pool.submit, _inject
+            ))
         elif fault == "merge":
             patch.setattr(CCTable, "merge_block", _failing_on_call(
                 2, CCTable.merge_block, _inject
@@ -578,8 +572,8 @@ class TestPipelineStageFailures:
             mw.process_next_batch()
         trackers = []
 
-        def tracked(starts):
-            trackers.append(_TrackedSlices(starts))
+        def tracked(slices):
+            trackers.append(_TrackedSlices(slices))
             return trackers[-1]
 
         before = (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),

@@ -56,8 +56,8 @@ def root_request():
 class _InterruptingIterator:
     """Slice loop that raises KeyboardInterrupt after a few slices."""
 
-    def __init__(self, starts, blow_after):
-        self._starts = starts
+    def __init__(self, slices, blow_after):
+        self._slices = slices
         self._remaining = blow_after
         self.closed = False
 
@@ -68,11 +68,12 @@ class _InterruptingIterator:
         if self._remaining == 0:
             raise KeyboardInterrupt
         self._remaining -= 1
-        return next(self._starts)
+        return next(self._slices)
 
     def close(self):
         """What a partitioned scan calls on the source it abandons."""
         self.closed = True
+        self._slices.close()
 
 
 class TestKeyboardInterruptCleanup:
@@ -80,8 +81,8 @@ class TestKeyboardInterruptCleanup:
         """Interrupt the SERVER scan's slice loop once its first slice
         is counted (every session here stages its root, so the scan is
         transient)."""
-        def interrupting(starts):
-            self.source = _InterruptingIterator(starts, blow_after)
+        def interrupting(slices):
+            self.source = _InterruptingIterator(slices, blow_after)
             return self.source
 
         return wrap_plan_slices(middleware, interrupting)
@@ -165,7 +166,9 @@ class TestProcessContextReset:
     def test_pickled_worker_refreshes_after_reset(self):
         payload = pickle.dumps(_context(), pickle.HIGHEST_PROTOCOL)
         rows = ColumnarPartition.from_rows([(0, 1, 1), (2, 0, 0)])
-        scan_pool._count_columnar_pickled(1, payload, 0, rows, (), ())
+        scan_pool._count_columnar_pickled_slice(
+            1, payload, 0, rows, None, (), ()
+        )
         generation, ctx = scan_pool._PROCESS_CTX
         assert generation == 1 and ctx is not None
 
@@ -175,10 +178,12 @@ class TestProcessContextReset:
         # Same generation number again: without the reset the stale
         # cached context would be reused; after it, the payload is
         # unpickled afresh.
-        seq, payloads, routed, writes, captures, _ = (
-            scan_pool._count_columnar_pickled(1, payload, 3, rows, (), ())
+        seq, payloads, routed, writes, captures, _, seen = (
+            scan_pool._count_columnar_pickled_slice(
+                1, payload, 3, rows, None, (), ()
+            )
         )
-        assert seq == 3 and routed == len(rows)
+        assert seq == 3 and routed == seen == len(rows)
         assert scan_pool._PROCESS_CTX[0] == 1
 
     def test_pool_close_resets_the_cache(self):

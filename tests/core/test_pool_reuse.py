@@ -18,6 +18,7 @@ from repro.core.middleware import Middleware
 from repro.core.scan_pool import ScanWorkerPool
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
+from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import tree_signature
@@ -172,7 +173,7 @@ class TestScanWorkerPoolUnit:
     def test_submit_requires_installed_context(self):
         pool = ScanWorkerPool("thread", 1)
         with pytest.raises(MiddlewareError, match="context"):
-            pool.submit(0, [], (), ())
+            pool.submit(0, ColumnarPartition(0, ()), 0, 0, None, (), ())
         pool.close()
 
     def test_install_skips_rebroadcast_for_same_signature(self):

@@ -21,8 +21,6 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.core.shm import shm_available  # noqa: E402
-
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
 )
@@ -60,7 +58,6 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
 def test_process_pool_fits_in_a_fresh_interpreter_close_cleanly():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -32,6 +32,7 @@ from repro.core.auxiliary import PlainScanStrategy  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
+from repro.core.staging import DataLocation  # noqa: E402
 from repro.datagen.loader import load_dataset  # noqa: E402
 from repro.datagen.random_tree import (  # noqa: E402
     RandomTreeConfig,
@@ -94,17 +95,28 @@ def cursors_opened(monkeypatch):
 
 @pytest.fixture
 def slices_submitted(monkeypatch):
-    """``(source, slice rows, keep_spec)`` of every
-    ``submit_columnar_slice``."""
-    submitted = []
-    submit = ScanWorkerPool.submit_columnar_slice
+    """``(source, slice rows, keep_spec)`` of every slice a SERVER
+    scan hands ``ScanWorkerPool.submit`` (staged scans go through it
+    too, over their own encodings)."""
+    submitted, modes, calls = [], [], []
+    submit = ScanWorkerPool.submit
+    partition_source = execution.ExecutionModule._partition_source
+
+    def sourcing(self, schedule, *args):
+        modes.append(schedule.mode)
+        return partition_source(self, schedule, *args)
 
     def recording(self, seq, source, start, stop, keep_spec, *targets):
-        submitted.append((source, stop - start, keep_spec))
+        calls.append(seq)
+        if modes[-1] is DataLocation.SERVER:
+            submitted.append((source, stop - start, keep_spec))
         return submit(self, seq, source, start, stop, keep_spec, *targets)
 
-    monkeypatch.setattr(ScanWorkerPool, "submit_columnar_slice", recording)
-    return submitted
+    monkeypatch.setattr(execution.ExecutionModule, "_partition_source",
+                        sourcing)
+    monkeypatch.setattr(ScanWorkerPool, "submit", recording)
+    yield submitted
+    assert calls, "the ScanWorkerPool.submit hook never fired"
 
 
 class TestDefaultSessionCountsFromThePlan:
@@ -283,6 +295,7 @@ class TestTransientScans:
         # Partition-sized slices of the server's one encoding, the
         # pushed filter riding along.
         encoded = server.table("data").columnar()
+        assert slices_submitted
         assert all(source is encoded and rows <= records[0].partition_rows
                    for source, rows, _ in slices_submitted)
         assert [spec is not None for _, _, spec in slices_submitted].count(

@@ -15,9 +15,10 @@ entry (which *is* that encoding) and the executor's vector
 * a whole fit grows the tree ``grow_in_memory`` grows from the model —
   a staged fit too, whose transient root scan counts the version the
   last INSERT / DELETE left;
-* no scan ever counts over an encoding whose version differs from
-  ``table.version`` (checked at every ``submit_columnar_slice``), and
-  the server encodes each version at most once.
+* no SERVER scan ever counts over an encoding whose version differs
+  from ``table.version`` (checked at every ``ScanWorkerPool.submit`` of
+  a SERVER scan's slice), and the server encodes each version at most
+  once.
 """
 
 from collections import Counter
@@ -43,10 +44,12 @@ from repro.client.baselines import (  # noqa: E402
 from repro.client.decision_tree import DecisionTreeClassifier  # noqa: E402
 from repro.client.growth import GrowthPolicy  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
+from repro.core.execution import ExecutionModule  # noqa: E402
 from repro.core.filters import PathCondition  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core.requests import CountsRequest  # noqa: E402
 from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
+from repro.core.staging import DataLocation  # noqa: E402
 from repro.datagen.dataset import DatasetSpec  # noqa: E402
 from repro.datagen.loader import load_dataset  # noqa: E402
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
@@ -91,18 +94,34 @@ class DmlUnderScans(RuleBasedStateMachine):
         self.sessions = {}
         self.next_id = 0
         self.stale_scans = []
+        #: SERVER slices the version check has looked at.
+        self.server_slices = 0
         machine = self
-        self._submit = submit = ScanWorkerPool.submit_columnar_slice
+        #: The mode of the scan whose slices are being submitted.
+        self.modes = []
+        self._partition_source = partition_source = (
+            ExecutionModule._partition_source
+        )
+
+        def sourcing(execution, schedule, *args):
+            machine.modes.append(schedule.mode)
+            return partition_source(execution, schedule, *args)
+
+        ExecutionModule._partition_source = sourcing
+        self._submit = submit = ScanWorkerPool.submit
 
         def checked(pool, seq, source, *args):
-            table = machine.server.table("data")
-            stamp = table._encoding
-            if (stamp is None or stamp[0] != table.version
-                    or source is not stamp[1]):
-                machine.stale_scans.append((seq, table.version, stamp))
+            # Staged scans count over their own tier's encodings.
+            if machine.modes[-1] is DataLocation.SERVER:
+                machine.server_slices += 1
+                table = machine.server.table("data")
+                stamp = table._encoding
+                if (stamp is None or stamp[0] != table.version
+                        or source is not stamp[1]):
+                    machine.stale_scans.append((seq, table.version, stamp))
             return submit(pool, seq, source, *args)
 
-        ScanWorkerPool.submit_columnar_slice = checked
+        ScanWorkerPool.submit = checked
 
         #: The table version at every encode (only the server's
         #: ``HeapTable.columnar()`` encodes rows).
@@ -128,7 +147,8 @@ class DmlUnderScans(RuleBasedStateMachine):
             )
 
     def teardown(self):
-        ScanWorkerPool.submit_columnar_slice = self._submit
+        ScanWorkerPool.submit = self._submit
+        ExecutionModule._partition_source = self._partition_source
         ColumnarPartition.from_rows = classmethod(self._from_rows)
         for session in self.sessions.values():
             session.close()
@@ -162,6 +182,7 @@ class DmlUnderScans(RuleBasedStateMachine):
           paths=st.lists(conditions_st, min_size=1, max_size=3))
     def batch(self, executor, paths):
         session = self.sessions[executor]
+        slices_before = self.server_slices
         expected = {}
         for conditions in paths:
             self.next_id += 1
@@ -181,6 +202,7 @@ class DmlUnderScans(RuleBasedStateMachine):
             record = session.trace[-1]
             assert record.mode == "SERVER" and record.cached
         assert not expected
+        assert self.server_slices > slices_before or not self.model
 
     @rule(group=st.sampled_from(NAMES), skip=st.integers(0, 2))
     def grouped_select(self, group, skip):
@@ -199,9 +221,11 @@ class DmlUnderScans(RuleBasedStateMachine):
 
     @rule(executor=st.sampled_from(sorted(SESSIONS)))
     def whole_fit(self, executor):
+        slices_before = self.server_slices
         tree = DecisionTreeClassifier(max_depth=3).fit(
             self.sessions[executor]
         ).tree
+        assert self.server_slices > slices_before or not self.model
         assert tree_signature(tree.root) == tree_signature(
             grow_in_memory(self.model, SPEC, GrowthPolicy(max_depth=3)).root
         )
@@ -210,15 +234,17 @@ class DmlUnderScans(RuleBasedStateMachine):
     def staged_fit(self, executor):
         # A fresh session that stages its root in memory: the root scan
         # keeps nothing, so it reads whatever version the server holds
-        # now.  (No files: a pooled FILE scan slices the file's own
-        # encoding, which the stale-scan check would mistake.)
+        # now.  Its MEMORY scans count over the staged set's encoding,
+        # which the version check leaves alone.
         config = MiddlewareConfig(memory_bytes=1_000_000, file_staging=False,
                                   **SESSIONS[executor])
+        slices_before = self.server_slices
         with Middleware(self.server, "data", SPEC, config) as session:
             tree = DecisionTreeClassifier(max_depth=3).fit(session).tree
             root_scan = session.trace[0]
             assert root_scan.mode == "SERVER" and not root_scan.cached
             assert root_scan.rows_seen == len(self.model)
+        assert self.server_slices > slices_before or not self.model
         assert tree_signature(tree.root) == tree_signature(
             grow_in_memory(self.model, SPEC, GrowthPolicy(max_depth=3)).root
         )
