@@ -25,7 +25,7 @@ from typing import (
 from ..common.errors import NotFittedError
 from ..core.estimators import estimate_cc_pairs, root_cc_pairs
 from ..core.filters import PathCondition
-from ..core.requests import CountsRequest
+from ..core.requests import CountsRequest, Family
 from .criteria import SplitCriterion
 from .growth import GrowthPolicy, partition_nodes
 # Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).
@@ -74,9 +74,12 @@ class DecisionTreeClassifier:
                 if not children:
                     continue
                 parent_cards = cc.pair_count_by_attribute()
+                # All children, so the largest may be derived from cc.
+                family = Family(node.node_id, cc,
+                                tuple(c.node_id for c in node.children))
                 for child in children:
                     middleware.queue_request(
-                        self._child_request(child, node, parent_cards)
+                        self._child_request(child, node, parent_cards, family)
                     )
         self.tree_ = tree
         return self
@@ -94,7 +97,8 @@ class DecisionTreeClassifier:
         )
 
     def _child_request(self, child: TreeNode, parent: TreeNode,
-                       parent_cards: Mapping[str, int]) -> CountsRequest:
+                       parent_cards: Mapping[str, int],
+                       family: Family) -> CountsRequest:
         assert child.n_rows is not None and parent.n_rows is not None
         est_pairs = estimate_cc_pairs(
             child.n_rows,
@@ -109,6 +113,7 @@ class DecisionTreeClassifier:
             attributes=child.attributes,
             n_rows=child.n_rows,
             est_cc_pairs=est_pairs,
+            family=family,
         )
 
     # -- prediction -------------------------------------------------------

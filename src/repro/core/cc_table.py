@@ -17,7 +17,8 @@ Every read goes through that form:
   arrays fold into one :class:`BatchCounts`
   (:meth:`CCTable.merge_block`: a dense block by ``+=``, ranked pairs
   by key) and each node's table is *cut* from it after the last
-  partition as views — no per-node, per-pair work;
+  partition as views — no per-node, per-pair work — once
+  :meth:`BatchCounts.derive` has filled the slots it did not count;
 * the row-at-a-time writers (:meth:`CCTable.count_row`,
   :meth:`CCTable.add_counts`, :meth:`CCTable.merge`) buffer into a
   ``{(attribute, value): counts}`` dict that the next read turns into
@@ -589,3 +590,84 @@ class BatchCounts:
                 bounds.tolist(), cuts.tolist(), cuts[1:].tolist(),
             )
         ]
+
+    def derive(self, families: Sequence[tuple[int, CCTable, list[int], int]],
+               positions: Mapping[str, int]) -> None:
+        """Fill the slots the scan did not count, before :meth:`tables`:
+        per family ``(slot, parent, siblings, n_rows)``, the ``parent``
+        table's pairs in this layout's cells by value (``positions``
+        maps an attribute to its column) minus the counted ``siblings``'
+        dense rows, which hold every dense column, listed or not.  A
+        negative count, cells not holding each class total once per
+        listed column, or records other than ``n_rows`` raise
+        ``MiddlewareError`` naming the node."""
+        if not families:
+            return
+        layout, n_classes = self.layout, self.n_classes
+        if self.dense is None:  # no partition: nothing counted
+            self.dense = np.zeros((self.n_slots, layout.width, n_classes), np.int64)
+        slots, parents, siblings, n_rows = map(list, zip(*families))
+        maps: dict[int, Any] = {}  # a batch's tables share their domains
+        cells = []  # each parent pair's cell here, or -1
+        for parent in parents:
+            parent._freeze()
+            key = id(parent._domains)
+            starts, moved = maps[key] = (
+                maps.get(key) or _cell_map(parent, layout, positions)
+            )
+            cells.append(moved[
+                np.repeat(starts, np.diff(parent._bounds)) + parent._codes
+            ])
+        member = np.repeat(np.arange(len(slots)), [len(c) for c in cells])
+        found = np.concatenate(cells)
+        kept = found >= 0
+        dense = np.zeros((len(slots), layout.width, n_classes), dtype=np.int64)
+        dense[member[kept], found[kept]] = np.concatenate(
+            [parent._counts for parent in parents])[kept]
+        # Each family's counted siblings summed (every family has one).
+        first = np.cumsum([0] + [len(group) for group in siblings[:-1]])
+        counted = [slot for group in siblings for slot in group]
+        dense -= np.add.reduceat(self.dense[counted], first)
+        records = np.array([parent.records for parent in parents])
+        records -= np.add.reduceat(self.records[counted], first)
+        totals = np.array([parent._class_totals for parent in parents])
+        totals -= np.add.reduceat(self.totals[counted], first)
+        columns = [offset for _, offset, dom in layout.dense if dom.width]
+        listed: Any = len(columns)
+        if layout.cell_listed is not None:
+            cell_listed = layout.cell_listed[slots]
+            dense[~cell_listed] = 0
+            listed = cell_listed[:, columns].sum(axis=1)[:, None]
+        wrong = (
+            (dense.reshape(len(slots), -1).min(axis=1, initial=0) < 0)
+            | (np.einsum("kwc->kc", dense) != totals * listed).any(axis=1)
+            | (records != n_rows)
+        )
+        if wrong.any():
+            raise MiddlewareError(
+                f"node {layout.node_ids[slots[int(np.argmax(wrong))]]!r}: "
+                "its parent's counts minus its siblings' are not a table "
+                "(a negative count, a count outside this source's domains "
+                "or other records than the parent CC table promised)"
+            )
+        self.dense[slots] = dense
+        self.records[slots] = records
+        self.totals[slots] = totals
+
+
+def _cell_map(table: CCTable, layout: Any,
+              positions: Mapping[str, int]) -> tuple[Any, Any]:
+    """``(starts, cells)``: the pair of ``table``'s column ``c`` with
+    value code ``k`` lies in ``layout``'s cell ``cells[starts[c] + k]``
+    (matched by value), or in none where that is -1."""
+    ours = {position: (offset, domain)
+            for position, offset, domain in layout.dense}
+    starts, cells = [], []
+    for name, values in zip(table._names, table._domains):
+        starts.append(len(cells))
+        offset, domain = ours.get(positions.get(name, -1), (0, None))
+        cell_of = {} if domain is None else {
+            value: offset + code for code, value in enumerate(domain.decoded())
+        }
+        cells += [cell_of.get(value, -1) for value in values]
+    return np.array(starts, dtype=np.intp), np.array(cells, dtype=np.intp)

@@ -52,6 +52,11 @@ partition.  Two things plug in:
   through ``ScanWorkerPool.submit``, which alone decides how a slice
   travels to a process worker.
 
+When every child of a split shares the batch, its largest is not
+counted (``SlotLayout.derived_slots``) unless that is cheaper:
+``BatchCounts.derive`` makes its table the parent's (on the request's
+``Family``) minus its siblings'.  Scans, staging and charges stay.
+
 Whatever the source and executor, staged files are bit-identical and
 memory overflow (below) is detected on the *merged* sizes in batch
 order, so recovery decisions — and with them the scans and cost units
@@ -154,6 +159,13 @@ def _columnar_file_blocks(block_iter: Iterator[Any],
 #: parent's; ``deep_tree`` (10,000-row sources: one or two partitions
 #: from 8 up) does not tell the sizes apart.
 INLINE_PARTITION_CHUNKS = 8
+
+
+#: A family's largest child is derived only when its keys (rows x listed
+#: columns) outnumber its dense row's cells (width x classes) this many
+#: times: ~40 ns a derived cell, ~10 ns a counted key (``deep_tree`` on
+#: a 2-core machine, whose children are mostly ~80 rows to 990 cells).
+DERIVE_KEYS_PER_CELL = 4
 
 
 class _PartitionSizer:
@@ -740,13 +752,16 @@ class ExecutionModule:
         )
         attr_index = self._attr_index
         n_classes = self._spec.n_classes
+        positions = [[attr_index[name] for name in state.request.attributes]
+                     for state in states]
         slots = slot_layout(
-            [state.request.node_id for state in states],
-            [[attr_index[name] for name in state.request.attributes]
-             for state in states],
+            [state.request.node_id for state in states], positions,
             len(attr_index), self._source_domains(schedule), n_classes,
             source_rows,
         )
+        families = self._families(states, slots, positions, n_classes)
+        slots = slots._replace(derived_slots=tuple(sorted(
+            family[0] for family in families)))
         #: Every partition's counts fold in here; the CC tables are
         #: cut from it once, after the last one.
         counts = BatchCounts(len(states), slots.stride, n_classes, slots)
@@ -755,7 +770,8 @@ class ExecutionModule:
         pool = self._pool_provider()
         scan.pool_reused = pool.active
         scan.pool_setup_seconds = pool.install(
-            (self._scan_signature(states), slots.dense), kernel, slots,
+            (self._scan_signature(states), slots.dense, slots.derived_slots),
+            kernel, slots,
             self._class_index, n_classes,
             # Read off the schedule, not an option: a source that fits
             # in one partition has nothing to overlap, so no pool is
@@ -817,6 +833,14 @@ class ExecutionModule:
             source.close()
 
         source.settle(scan.rows_seen)
+        derived = [states[slot].request for slot in slots.derived_slots]
+        scan.derived = tuple(request.node_id for request in derived)
+        scan.rows_derived = sum(request.n_rows for request in derived)
+        # Routed only for a write; the batch is an antichain, so exact.
+        targets = {*file_writers, *memory_capture}
+        scan.rows_routed += sum(request.n_rows for request in derived
+                                if request.node_id not in targets)
+        counts.derive(families, attr_index)
         tables = counts.tables(
             [state.request.attributes for state in states],
             self._spec.attribute_names,
@@ -826,6 +850,34 @@ class ExecutionModule:
         self._admit_merged(states, scan)
         if not pool.inline:
             self._sizer.observe(scan.worker_seconds, partition_rows)
+
+    @staticmethod
+    def _families(states: list[_NodeCount], slots: Any,
+                  positions: list[list[int]], n_classes: int,
+                  ) -> list[tuple[int, Any, list[int], int]]:
+        """``BatchCounts.derive``'s families: every child in the batch,
+        the one with the most rows (on a tie, the earliest slot) listing
+        only columns its parent lists and this scan counts densely, and
+        worth deriving (:data:`DERIVE_KEYS_PER_CELL`)."""
+        cells = DERIVE_KEYS_PER_CELL * slots.width * n_classes
+        slot_of = {state.request.node_id: i for i, state in enumerate(states)}
+        dense = {position for position, _, _ in slots.dense}
+        families = []
+        for family in {state.request.family.parent_id: state.request.family
+                       for state in states if state.request.family}.values():
+            parent, family.parent_cc = family.parent_cc, None  # consumed
+            members = [slot_of.get(child, -1) for child in family.child_ids]
+            if (parent is None or -1 in members
+                    or len(set(members)) < max(2, len(members))):
+                continue
+            slot = max(members, key=lambda m: (states[m].request.n_rows, -m))
+            request = states[slot].request
+            if (request.n_rows * len(positions[slot]) >= cells
+                    and dense.issuperset(positions[slot])
+                    and set(request.attributes).issubset(parent.attributes)):
+                members.remove(slot)
+                families.append((slot, parent, members, request.n_rows))
+        return families
 
     def _admit_merged(self, states: list[_NodeCount],
                       scan: ScheduleRecord) -> None:

@@ -175,7 +175,7 @@ class Middleware:
             f"middleware session on table {self.table_name!r}",
             f"  scans: {stats.batches} batches ({scans})",
             f"  rows: {stats.rows_seen:,} seen, "
-            f"{stats.rows_routed:,} routed",
+            f"{stats.rows_routed:,} routed, {stats.rows_derived:,} derived",
             f"  executor: {executor}, {stats.parallel_scans} pooled scans, "
             f"{stats.merge_seconds:.4f}s merging, "
             f"{stats.rows_per_sec:,.0f} rows/s, "

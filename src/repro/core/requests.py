@@ -5,13 +5,16 @@ middleware schedules batches, fulfils them, and posts
 :class:`CountsResult` objects.  Requests carry everything the scheduler
 needs — lineage (for staging locality, Rule 2), the exact data size
 (known from the parent's CC table), and the estimated CC size — so the
-middleware never has to inspect client data structures.
+middleware never has to inspect client data structures.  A child's
+:class:`Family` carries its parent's CC table, from which (minus its
+siblings') the largest child of a family sharing a batch is derived.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from ..common.errors import MiddlewareError
 from .filters import path_predicate
@@ -19,6 +22,17 @@ from .filters import path_predicate
 #: Opaque node identifier; the decision-tree client uses ints,
 #: hand-written drivers and tests use strings.
 NodeId = Union[int, str]
+
+
+@dataclass(eq=False)
+class Family:
+    """One split, shared by its children's requests: the parent's id
+    and CC table, and every child's id (leaves included).  The first
+    scan holding any child drops the table: it derives there or never."""
+
+    parent_id: NodeId
+    parent_cc: Any
+    child_ids: tuple[NodeId, ...]
 
 
 class CountsRequest:
@@ -31,13 +45,14 @@ class CountsRequest:
         "attributes",
         "n_rows",
         "est_cc_pairs",
+        "family",
         "_predicate",
     )
 
     def __init__(self, node_id: NodeId, lineage: Sequence[NodeId],
                  conditions: Iterable[Any],
                  attributes: Iterable[str], n_rows: int,
-                 est_cc_pairs: int):
+                 est_cc_pairs: int, family: Optional[Family] = None):
         """
         :param node_id: opaque, hashable node identifier.
         :param lineage: node ids from the root down to *this node
@@ -48,6 +63,8 @@ class CountsRequest:
         :param n_rows: exact data size |n| (from the parent's CC table).
         :param est_cc_pairs: estimated (attribute, value) pair count of
             the node's CC table (Section 4.2.1).
+        :param family: the split this node is a child of, or None
+            (the node is counted whatever shares its batch).
         """
         if not lineage or lineage[-1] != node_id:
             raise MiddlewareError("lineage must end with the node itself")
@@ -61,6 +78,7 @@ class CountsRequest:
         self.attributes = tuple(attributes)
         self.n_rows = int(n_rows)
         self.est_cc_pairs = int(est_cc_pairs)
+        self.family = family
         self._predicate: Any = None
 
     @property

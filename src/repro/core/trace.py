@@ -84,6 +84,10 @@ class ScheduleRecord:
     #: The strategy's access-cost estimate for that path (0.0 when
     #: no path was recorded).
     access_cost_est: float = 0.0
+    #: Nodes whose CC table was derived (their parent's minus their
+    #: counted siblings'), in batch order, and the rows they hold.
+    derived: tuple[object, ...] = ()
+    rows_derived: int = 0
 
     @property
     def rows_per_sec(self) -> float:
@@ -173,6 +177,10 @@ class ExecutionTrace:
     @property
     def rows_routed(self) -> int:
         return sum(r.rows_routed for r in self.records)
+
+    @property
+    def rows_derived(self) -> int:
+        return sum(r.rows_derived for r in self.records)
 
     @property
     def sql_fallbacks(self) -> int:

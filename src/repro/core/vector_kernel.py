@@ -20,6 +20,10 @@ A partition is counted in two array passes:
   or not at all, takes the *ranked* form of the key (``np.unique``),
   whose memory follows the pairs counted, never the value range.
 
+A slot in the layout's ``derived_slots`` (``BatchCounts.derive`` fills
+it) is not counted: not routed unless the scan stages or captures its
+rows, its pairs dropped before counting if it is.
+
 The counts leave as arrays: per partition one payload of seven
 objects — per-slot records and class totals, the ranked columns'
 ``(slot, attribute, value)`` pairs (key prefixes, value indexes, a 2-D
@@ -91,7 +95,7 @@ def _witness(codes: Any, present: Any, span: int) -> Any:
 
 
 def route_masks(kernel: Any, partition: ColumnarPartition,
-                keep: Optional[Any] = None) -> Any:
+                keep: Optional[Any] = None, drop: int = 0) -> Any:
     """Per-row candidate masks: an ``(n_limbs, n_rows)`` int64 array.
 
     Slot ``s`` is bit ``s % LIMB_BITS`` of limb ``s // LIMB_BITS``.
@@ -99,12 +103,14 @@ def route_masks(kernel: Any, partition: ColumnarPartition,
     distinct values a column holds in this partition are looked up once
     each (Python dict semantics, as ``RoutingKernel.route`` has them),
     then every row takes its value's mask through one fancy index per
-    limb.  Rows outside ``keep`` (a boolean mask) route nowhere.
+    limb.  Rows outside ``keep`` (a boolean mask) route nowhere, and
+    neither do the slots whose bits ``drop`` sets.
     """
     n_limbs = max(1, -(-kernel.n_slots // LIMB_BITS))
     masks = np.empty((n_limbs, partition.n_rows), dtype=np.int64)
+    full_mask = kernel.full_mask & ~drop
     for limb in range(n_limbs):
-        masks[limb] = (kernel.full_mask >> (LIMB_BITS * limb)) & _LIMB_MASK
+        masks[limb] = (full_mask >> (LIMB_BITS * limb)) & _LIMB_MASK
     if keep is not None:
         masks[:, ~keep] = 0
     for index, table, default in kernel.probes:
@@ -240,6 +246,8 @@ class SlotLayout(NamedTuple):
     cell_position: Any = None
     cell_code: Any = None
     cell_listed: Any = None
+    #: Slots ``BatchCounts.derive`` fills: never counted.
+    derived_slots: tuple[int, ...] = ()
 
 
 def slot_layout(node_ids: Sequence[Any],
@@ -430,15 +438,25 @@ def count_partition_columnar(
     kernel, layout, class_index, n_classes = ctx
     started = time.thread_time()
     n_slots = len(layout.node_ids)
+    stage_set = set(stage_nodes)
+    capture_set = set(capture_nodes)
+    # A derived slot is routed only for a write, and never counted.
+    drop = sum(1 << slot for slot in layout.derived_slots
+               if layout.node_ids[slot] not in stage_set | capture_set)
     rows, bounds, routed = routed_pairs(
-        route_masks(kernel, partition, keep), n_slots
+        route_masks(kernel, partition, keep, drop), n_slots
     )
     records = np.diff(bounds)
+    derived, counted = list(layout.derived_slots), rows
+    if records[derived].any():  # a target's rows, routed for its write
+        counted = rows[np.repeat(np.isin(np.arange(n_slots), derived,
+                                         invert=True), records)]
+    records[derived] = 0
     slot_of_pair = np.repeat(np.arange(n_slots), records)
-    labels = rows  # none routed: as empty as the pairs
-    if routed:
+    labels = counted  # none counted: as empty as the pairs
+    if counted.size:
         labels = _class_labels(
-            partition.columns[class_index], rows, n_classes
+            partition.columns[class_index], counted, n_classes
         )
     base = slot_of_pair * n_classes + labels
     totals = np.bincount(
@@ -447,17 +465,15 @@ def count_partition_columnar(
     none = np.zeros(0, dtype=np.int64)
     ranked: Any = (none, none, totals[:0], [])
     dense = np.zeros((n_slots, layout.width, n_classes), dtype=np.int64)
-    if routed and layout.ranked:
+    if counted.size and layout.ranked:
         ranked = _ranked_counts(
-            layout, partition, rows, slot_of_pair, labels, n_classes
+            layout, partition, counted, slot_of_pair, labels, n_classes
         )
-    if routed and layout.dense:
+    if counted.size and layout.dense:
         dense = _dense_counts(
-            layout, partition, rows, base, records, n_classes
+            layout, partition, counted, base, records, n_classes
         )
     payload = (records, totals, *ranked, dense)
-    stage_set = set(stage_nodes)
-    capture_set = set(capture_nodes)
     writes: dict[Any, Any] = {}
     captures: dict[Any, Any] = {}
     if stage_set or capture_set:

@@ -666,6 +666,7 @@ class TestTotalsFromTrace:
         "total_cost": lambda rs: sum(r.cost for r in rs),
         "rows_seen": lambda rs: sum(r.rows_seen for r in rs),
         "rows_routed": lambda rs: sum(r.rows_routed for r in rs),
+        "rows_derived": lambda rs: sum(r.rows_derived for r in rs),
         "sql_fallbacks": lambda rs: sum(r.sql_fallbacks for r in rs),
         "deferrals": lambda rs: sum(r.deferrals for r in rs),
         "files_written": lambda rs: sum(r.files_written for r in rs),

@@ -138,12 +138,13 @@ class TestDeclaredOnce:
         # PR 20: one loop and one kernel made ``kernel`` and
         # ``columnar`` constants, so the record dropped them.  PR 22:
         # no SERVER scan streams a cursor, so the prefetch thread and
-        # its two fields went too.
+        # its two fields went too.  Derived siblings added which nodes
+        # a scan derived instead of counting, and their rows.
         assert fields == (
             PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
         ) - {"rows_per_sec", "kernel", "columnar", "prefetch_depth",
-             "prefetch_peak"}
-        assert len(fields) == 32
+             "prefetch_peak"} | {"derived", "rows_derived"}
+        assert len(fields) == 34
         assert isinstance(ScheduleRecord.rows_per_sec, property)
 
     def test_each_field_is_declared_by_one_class(self):
@@ -237,6 +238,28 @@ class TestExecutionTrace:
         # Deferred nodes appear in several batches; subtract deferrals.
         deferrals = sum(record.deferrals for record in mw.trace)
         assert len(counted) - deferrals == len(set(counted))
+
+
+class TestDerivedSiblings:
+    def test_records_name_the_derived_nodes_and_their_rows(self):
+        _, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
+        records = [record for record in mw.trace if record.derived]
+        assert records
+        for record in records:
+            # Batch order, every derived node one of the batch's.
+            assert list(record.derived) == [
+                node for node in record.batch if node in record.derived
+            ]
+            assert 0 < record.rows_derived <= record.rows_routed
+        assert mw.stats.rows_derived == sum(
+            record.rows_derived for record in records
+        )
+        assert f"{mw.stats.rows_derived:,} derived" in mw.report()
+
+    def test_no_family_derives_nothing(self):
+        _, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
+        # The root has no parent to derive from.
+        assert mw.trace[0].derived == () and mw.trace[0].rows_derived == 0
 
 
 class TestSessionReport:

@@ -190,3 +190,64 @@ class TestCensusWorkload:
         with Middleware(server, "data", spec, CONFIGS[name]) as mw:
             model = DecisionTreeClassifier(max_depth=6).fit(mw)
         assert tree_signature(model.tree.root) == reference
+
+
+class TestDerivedSiblingsOnEveryExecutor:
+    """A split's largest child is derived from its parent's table when
+    its siblings share its batch; the tree must not notice, whatever the
+    criterion, split family, plan or executor."""
+
+    PLANS = {
+        "staged": lambda **kw: MiddlewareConfig(memory_bytes=500_000, **kw),
+        "no_staging": lambda **kw: MiddlewareConfig.no_staging(
+            500_000, **kw
+        ),
+    }
+    #: 16-row chunks: the pools' sources are several partitions long.
+    EXECUTORS = {
+        "inline": dict(scan_workers=1),
+        "thread2": dict(scan_workers=2, scan_pool="thread"),
+        "process2": dict(scan_workers=2, scan_pool="process"),
+    }
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.datagen.random_tree import (
+            RandomTreeConfig,
+            build_random_tree,
+        )
+
+        generating = build_random_tree(RandomTreeConfig(
+            n_attributes=6, values_per_attribute=3, n_classes=3,
+            n_leaves=40, cases_per_leaf=12, seed=11,
+        ))
+        rows = generating.materialize()
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, rows)
+        return server, generating.spec, rows, {}
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("binary", [True, False],
+                             ids=["binary", "multiway"])
+    @pytest.mark.parametrize("criterion",
+                             ["entropy", "gini", "gain_ratio", "chi2"])
+    def test_derived_fit_grows_the_in_memory_tree(self, workload, criterion,
+                                                  binary, plan, executor):
+        server, spec, rows, references = workload
+        key = (criterion, binary)
+        if key not in references:
+            references[key] = tree_signature(grow_in_memory(
+                rows, spec,
+                GrowthPolicy(criterion=criterion, binary_splits=binary),
+            ).root)
+        config = self.PLANS[plan](scan_chunk_rows=16,
+                                  **self.EXECUTORS[executor])
+        with Middleware(server, "data", spec, config) as mw:
+            model = DecisionTreeClassifier(
+                criterion=criterion, binary_splits=binary
+            ).fit(mw)
+            assert any(record.derived for record in mw.trace)
+            if executor != "inline":
+                assert mw.stats.parallel_scans > 0
+        assert tree_signature(model.tree.root) == references[key]
