@@ -107,6 +107,7 @@ from .staging import (
     DataLocation,
     InlineStagingWriter,
     ParallelStagingWriter,
+    RowTags,
     StagedFile,
 )
 from .trace import ExecutionTrace, ScheduleRecord
@@ -272,8 +273,9 @@ class _PartitionSource:
                  plan: ColumnarScanPlan | None = None,
                  cache: ColumnarScanCache | None = None,
                  keep_spec: tuple[Any, dict[str, int]] | None = None,
-                 ) -> None:
+                 routes: Any = None) -> None:
         self._partition_rows = partition_rows
+        self._routes = routes  # the tag route's slot per row, or None
         self._encodings: Any = encodings
         self._plan = plan
         self._cache = cache
@@ -346,6 +348,7 @@ class _PartitionSource:
         encoding, start, stop = piece
         future = self._pool.submit(
             seq, encoding, start, stop, self._keep_spec, *self._targets,
+            None if self._routes is None else self._routes[start:stop],
         )
         return future, (encoding, start)
 
@@ -469,12 +472,13 @@ class ExecutionModule:
             node_id: [] for node_id in schedule.stage_memory_targets
         }
         committed: list[Any] = []
+        paths = {r.node_id: r.conditions for r in schedule.batch}
 
         try:
             for node_id in self._file_targets(schedule):
                 file_writers[node_id] = self._staging.open_file(node_id)
             started = time.perf_counter()
-            self._count_partitioned(
+            routes = self._count_partitioned(
                 schedule, states, file_writers, memory_capture, scan
             )
             scan.wall_seconds = time.perf_counter() - started
@@ -483,7 +487,7 @@ class ExecutionModule:
                 writer.seal()
                 scan.files_written += 1
             for node_id, pieces in memory_capture.items():
-                self._staging.commit_memory(node_id, pieces)
+                self._staging.commit_memory(node_id, pieces, paths[node_id])
                 committed.append(node_id)
                 scan.memory_sets_loaded += 1
         except BaseException:
@@ -513,6 +517,9 @@ class ExecutionModule:
             results, deferred = self._finish(states, schedule)
         finally:
             self._release_cc_reservations(states)
+        if routes is not None:  # a deferred node's rows keep their tag
+            self._staging.memory_tags[schedule.source_node].retag(routes,
+                                                                  states)
         scan.nodes_served = len(results)
         scan.cost = meter.total_since(cost_before)
         self.trace.add(scan)
@@ -666,9 +673,33 @@ class ExecutionModule:
             for state in states
         )
 
+    def _tag_route(self, schedule: Any, states: list[_NodeCount]) -> Any:
+        """Each row's slot by its memory-set tag, or None (the path
+        route) unless every node is untagged and its path a tagged
+        parent's plus one condition (so the batch is an antichain)."""
+        source, staging = schedule.source_node, self._staging
+        tags = staging.memory_tags.get(source)
+        if schedule.mode is not DataLocation.MEMORY or tags is None:
+            return None  # not a memory set, or an untagged one
+        own = [s.request.conditions for s in states if s.request.node_id == source]
+        if own:  # a later fit's root, a retry: every row is its again
+            staging.memory_tags[source] = RowTags(source, own[0], tags.rows.size)
+            return None
+        groups: dict[int, list[tuple[int, Any]]] = {}
+        for slot, state in enumerate(states):
+            lineage, conditions = state.request.lineage, state.request.conditions
+            tag = tags.nodes.get(lineage[-2]) if len(lineage) > 1 else None
+            if (tag is None or lineage[-1] in tags.nodes
+                    or conditions[:-1] != tags.paths[tag]):
+                return None
+            groups.setdefault(tag, []).append((slot, conditions[-1]))
+        return tags.route(groups, staging.columnar_memory(source),
+                          staging.memory_domains[source], self._attr_index,
+                          len(states))
+
     def _partition_source(self, schedule: Any, scan: ScheduleRecord,
-                          pool: ScanWorkerPool,
-                          partition_rows: int) -> _PartitionSource:
+                          pool: ScanWorkerPool, partition_rows: int,
+                          routes: Any = None) -> _PartitionSource:
         """The source one scan counts over.
 
         A SERVER scan runs from its access path's plan on every
@@ -702,6 +733,7 @@ class ExecutionModule:
             return _PartitionSource(
                 partition_rows,
                 (staging.columnar_memory(schedule.source_node),),
+                routes=routes,
             )
         staged_file = staging.file_for(schedule.source_node)
         if not pool.inline:
@@ -717,8 +749,8 @@ class ExecutionModule:
     def _count_partitioned(self, schedule: Any, states: list[_NodeCount],
                            file_writers: dict[Any, StagedFile],
                            memory_capture: dict[Any, list[ColumnarPartition]],
-                           scan: ScheduleRecord) -> None:
-        """The scan loop: every source, every executor.
+                           scan: ScheduleRecord) -> Any:
+        """The scan loop: every source, every executor; returns tag-route slots.
 
         The source's ordered slices are submitted to the session's
         :class:`ScanWorkerPool` — one in flight when it counts inline,
@@ -746,9 +778,10 @@ class ExecutionModule:
         source_rows = self._source_rows(schedule)
         partition_rows = self._partition_rows(source_rows)
         scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
+        routes = self._tag_route(schedule, states)
+        scan.routing = "path" if routes is None else "tag"
+        kernel = None if routes is not None else RoutingKernel(
+            [state.request.conditions for state in states], self._attr_index,
         )
         attr_index = self._attr_index
         n_classes = self._spec.n_classes
@@ -765,12 +798,13 @@ class ExecutionModule:
         #: Every partition's counts fold in here; the CC tables are
         #: cut from it once, after the last one.
         counts = BatchCounts(len(states), slots.stride, n_classes, slots)
-        n_probes = kernel.n_probes
+        n_probes = 1 if kernel is None else kernel.n_probes
 
         pool = self._pool_provider()
         scan.pool_reused = pool.active
         scan.pool_setup_seconds = pool.install(
-            (self._scan_signature(states), slots.dense, slots.derived_slots),
+            (scan.routing, self._scan_signature(states), slots.dense,
+             slots.derived_slots),
             kernel, slots,
             self._class_index, n_classes,
             # Read off the schedule, not an option: a source that fits
@@ -780,7 +814,8 @@ class ExecutionModule:
         )
         if not pool.inline:
             scan.workers = pool.n_workers
-        source = self._partition_source(schedule, scan, pool, partition_rows)
+        source = self._partition_source(schedule, scan, pool, partition_rows,
+                                        routes)
         scan.cached = source.cached
         writer = self._open_staging_writer(
             pool, file_writers, memory_capture, scan
@@ -850,6 +885,7 @@ class ExecutionModule:
         self._admit_merged(states, scan)
         if not pool.inline:
             self._sizer.observe(scan.worker_seconds, partition_rows)
+        return routes
 
     @staticmethod
     def _families(states: list[_NodeCount], slots: Any,

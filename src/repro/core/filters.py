@@ -5,7 +5,7 @@ from the root (``S`` in the paper).  When a batch of nodes
 ``n_1..n_k`` is serviced by a server scan, the middleware generates the
 disjunction ``S_1 OR ... OR S_k`` and pushes it into the cursor's WHERE
 clause, so only rows relevant to *some* node in the batch are
-transmitted — avoiding the record tagging of SLIQ/SPRINT.
+transmitted — avoiding SLIQ/SPRINT's record tagging of server data.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def path_predicate(conditions: Iterable[PathCondition]) -> Any:
 
 
 class RoutingKernel:
-    """Attribute-indexed row routing for one batched scan.
+    """Attribute-indexed row routing for one batched scan (the path route).
 
     The per-row matcher loop evaluates every node's path conjunction
     against every record — O(nodes × conditions) closure calls per row.
@@ -76,8 +76,8 @@ class RoutingKernel:
     attribute that appears in *any* node's path maps the attribute's
     row value to the mask of nodes still viable given that value.
     Routing a row is then one dict probe per constrained attribute
-    (O(tree depth)), intersecting masks and stopping early when no
-    candidate survives.
+    (O(tree depth)), intersecting masks; the vector kernel does it a
+    column at a time (``vector_kernel.route_masks``).
 
     The mask construction handles the full condition algebra the tree
     clients emit: repeated ``<>`` conditions on one attribute (the
@@ -164,15 +164,6 @@ class RoutingKernel:
     def full_mask(self) -> int:
         """Mask with every slot's bit set (the routing starting point)."""
         return self._full_mask
-
-    def route(self, row: Sequence[Any]) -> int:
-        """Mask of slots whose path conjunction matches ``row``."""
-        mask = self._full_mask
-        for index, table, default in self._probes:
-            mask &= table.get(row[index], default)
-            if not mask:
-                return 0
-        return mask
 
 
 def batch_filter(predicates: Iterable[Any]) -> Any | None:

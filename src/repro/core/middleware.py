@@ -179,7 +179,8 @@ class Middleware:
             f"  executor: {executor}, {stats.parallel_scans} pooled scans, "
             f"{stats.merge_seconds:.4f}s merging, "
             f"{stats.rows_per_sec:,.0f} rows/s, "
-            f"{stats.matcher_evals:,} matcher evals",
+            f"{stats.matcher_evals:,} matcher evals, "
+            f"{stats.tag_routed_scans} tag-routed",
             f"  recoveries: {stats.deferrals} deferrals, "
             f"{stats.sql_fallbacks} SQL fallbacks",
         ]

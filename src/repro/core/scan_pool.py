@@ -163,6 +163,7 @@ def _count_columnar_shm_slice(
     keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
+    routes: Any = None,
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
     """Process-pool task over a slice of a resident encoding.
@@ -175,7 +176,7 @@ def _count_columnar_shm_slice(
     partition = _attached_segment_partition(ref)
     return count_partition_slice(
         ctx, seq, partition, start, stop, keep_spec, stage_nodes,
-        capture_nodes,
+        capture_nodes, routes,
     )
 
 
@@ -187,9 +188,10 @@ def _count_columnar_pickled_slice(
     keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
+    routes: Any = None,
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
-    """Process-pool task over a pickled slice.
+    """Process-pool task over a pickled slice (and its rows' slots).
 
     What a process worker gets for every encoding that has no
     persistent segment (a transient SERVER scan, a memory set, a
@@ -199,7 +201,7 @@ def _count_columnar_pickled_slice(
     ctx = _process_context(generation, payload)
     return count_partition_slice(
         ctx, seq, partition, 0, partition.n_rows, keep_spec, stage_nodes,
-        capture_nodes,
+        capture_nodes, routes,
     )
 
 
@@ -299,7 +301,7 @@ class ScanWorkerPool:
         """Install one scan's routing context; returns setup seconds.
 
         ``signature`` is any equality-comparable description of the
-        schedule's kernel; worker-side state is refreshed only when it
+        schedule's route and kernel; worker-side state is refreshed only when it
         differs from the currently installed one, so repeated or
         retried schedules pay no re-broadcast.  A ``one_partition``
         scan is not worth starting the executor for: it runs inline
@@ -367,7 +369,8 @@ class ScanWorkerPool:
 
     def submit(self, seq: int, encoding: Any, start: int, stop: int,
                keep_spec: Any, stage_nodes: Iterable[Any],
-               capture_nodes: Iterable[Any]) -> Future[Any]:
+               capture_nodes: Iterable[Any],
+               routes: Any = None) -> Future[Any]:
         """Submit rows ``[start, stop)`` of an encoding for counting.
 
         ``encoding`` is either the coordinator's
@@ -376,7 +379,7 @@ class ScanWorkerPool:
         slice, pickled) or a resident encoding's :class:`ShmSegmentRef`,
         which process workers re-attach by generation.  ``keep_spec``
         is the scan's batch filter as ``(expr, attr_index)``, or None
-        for an unfiltered scan.
+        for an unfiltered scan; ``routes`` the slice's tag-route slots.
         """
         task: Any = count_partition_slice
         piece: tuple[Any, ...] = (encoding, start, stop)
@@ -392,7 +395,7 @@ class ScanWorkerPool:
             piece = (encoding.slice(start, stop),)
         return self._run(
             f"slice {seq}", task, *self._context_args(), seq, *piece,
-            keep_spec, stage_nodes, capture_nodes,
+            keep_spec, stage_nodes, capture_nodes, routes,
         )
 
     # Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).

@@ -28,6 +28,10 @@ reference reader) and :meth:`StagingManager.memory_rows`.
 Each staged source declares its column domains once, for the counting
 kernel's dense key space: a file at :meth:`StagedFile.seal` (the
 running min / max of the records it wrote), a memory set at commit.
+
+A memory set also tags each row with the node served from it that
+holds it (:class:`RowTags`, the tag route): commit narrows its RAW
+columns, then tags a set whose tags fit in its charge.  Files are not.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from ..sqlengine.columnar import (
     Column,
     ColumnarPartition,
     Domain,
+    _narrowest,
     columnar_available,
     np,
     partition_domains,
@@ -472,6 +477,73 @@ class ParallelStagingWriter:
             resource_closed("staging-writer", self)
 
 
+class RowTags:
+    """Per row of a memory set, its tag (``rows``): the deepest node
+    served from the set holding it (a leaf's or deferred child's rows
+    keep their parent's); ``nodes`` maps node ids, ``paths`` tags."""
+
+    __slots__ = ("rows", "nodes", "paths")
+
+    def __init__(self, node_id: Any, path: tuple[Any, ...], n_rows: int) -> None:
+        self.rows = np.zeros(n_rows, dtype=np.int32)
+        self.nodes = {node_id: 0}
+        self.paths = [path]
+
+    def route(self, groups: Mapping[int, Sequence[tuple[int, Any]]],
+              partition: ColumnarPartition, domains: Sequence[Domain],
+              attr_index: Mapping[str, int], n_slots: int) -> Any:
+        """Each row's slot, ``lut[tag, code]`` (``n_slots``: none), or
+        None when no LUT can say it: ``groups`` maps a parent's tag to
+        its children's ``(slot, last edge condition)``; its LUT row sends
+        each code of their attribute (NULL its own) where the routing
+        kernel's dict semantics would: ``=`` its value's, ``<>`` others."""
+        positions, bases, lut, code_of = [], [], [], {}
+        for children in groups.values():
+            (attribute, *more) = {c.attribute for _, c in children}
+            position = attr_index[attribute]
+            domain = domains[position]
+            if more or domain.width > 4 * partition.n_rows + 64:
+                return None  # two split attributes; a sparse domain
+            if position not in code_of:
+                code_of[position] = {v: c for c, v in enumerate(domain.decoded())}
+            row = [n_slots] * domain.width
+            for slot, condition in children:
+                code = code_of[position].get(condition.value)
+                for c in ({code} - {None} if condition.op == "=" else
+                          set(range(domain.width)) - {code}):
+                    if row[c] != n_slots:
+                        return None  # a value two children claim
+                    row[c] = slot
+            positions.append(position)
+            bases.append(len(lut))
+            lut += row
+        group = np.full(len(self.paths), len(groups), dtype=np.intp)
+        group[list(groups)] = np.arange(len(groups))
+        group = group[self.rows]
+        live = np.flatnonzero(group < len(groups))
+        attr, index = np.array(positions)[group[live]], np.array(bases)[group[live]]
+        for position in set(positions):
+            picked = np.flatnonzero(attr == position)
+            column, rows = partition.columns[position], live[picked]
+            code = column.data[rows] - np.intp(domains[position].low)
+            if column.nulls is not None:
+                code[column.nulls[rows]] = domains[position].size
+            index[picked] += code
+        routes = np.full(partition.n_rows, n_slots, dtype=np.intp)
+        routes[live] = np.array(lut)[index]
+        return routes
+
+    def retag(self, routes: Any, states: Sequence[Any]) -> None:
+        """Each served (not deferred) slot's rows take its node's tag."""
+        tag_of_slot = np.full(len(states) + 1, -1, dtype=np.int32)
+        for slot, state in enumerate(states):
+            if not state.deferred:
+                self.nodes[state.request.node_id] = tag_of_slot[slot] = len(self.paths)
+                self.paths.append(state.request.conditions)
+        new = tag_of_slot[routes]
+        np.copyto(self.rows, new, where=new >= 0)
+
+
 class StagingManager:
     """Tracks which nodes have staged data and where."""
 
@@ -489,6 +561,8 @@ class StagingManager:
         self._memory: dict[Any, ColumnarPartition] = {}
         #: Each set's column domains, computed once at commit.
         self.memory_domains: dict[Any, tuple[Domain, ...]] = {}
+        #: Each set's row tags (none for a set without room for them).
+        self.memory_tags: dict[Any, RowTags] = {}
         #: Called with each StagedFile as it is dropped/abandoned, so
         #: scan-side caches can evict that file's encoding eagerly.
         self._drop_listeners: list[Callable[[StagedFile], None]] = []
@@ -601,18 +675,30 @@ class StagingManager:
         return self._budget.try_reserve(_data_tag(node_id), nbytes)
 
     def commit_memory(self, node_id: Any,
-                      pieces: Sequence[ColumnarPartition]) -> None:
+                      pieces: Sequence[ColumnarPartition],
+                      conditions: tuple[Any, ...] = ()) -> None:
         """Install the pieces a scan captured, in order, as the node's
-        data set (concatenated once, and its domains declared, here);
-        charges load cost."""
+        data set (concatenated once, RAW columns narrowed, its domains
+        declared and every row tagged with the node, whose path is
+        ``conditions``, here); charges load cost.  An empty set, or one
+        whose narrowed columns leave no room in its charge for an int32
+        tag a row, is not tagged (its scans take the path route)."""
         if node_id in self._memory:
             raise StagingError(f"{node_id!r} already staged in memory")
         table = ColumnarPartition.concat(pieces)
+        table = ColumnarPartition(table.n_rows, tuple(
+            Column(RAW, _narrowest(column.data), nulls=column.nulls)
+            if column.kind == RAW else column for column in table.columns
+        ))
         self._budget.resize(
             _data_tag(node_id), self.memory_bytes_for(table.n_rows)
         )
         self._memory[node_id] = table
         self.memory_domains[node_id] = partition_domains(table)
+        held = sum(c.data.nbytes + getattr(c.nulls, "nbytes", 0)
+                   for c in table.columns) + 4 * table.n_rows
+        if table.n_rows and held <= self.memory_bytes_for(table.n_rows):
+            self.memory_tags[node_id] = RowTags(node_id, conditions, table.n_rows)
         self._meter.charge(
             "memory_load",
             self._model.memory_load_row * table.n_rows,
@@ -627,6 +713,7 @@ class StagingManager:
         """Evict a node's in-memory data set."""
         self._memory.pop(node_id, None)
         self.memory_domains.pop(node_id, None)
+        self.memory_tags.pop(node_id, None)
         self._budget.release(_data_tag(node_id))
 
     def drop_file(self, node_id: Any) -> None:

@@ -41,7 +41,9 @@ class ScheduleRecord:
     memory_sets_loaded: int = 0
     #: Wall-clock seconds spent producing and routing the scan's rows.
     wall_seconds: float = 0.0
-    #: Dispatch-table probes the routing kernel answered (tables x rows).
+    #: "path" (the routing kernel) or "tag" (memory-set row tags).
+    routing: str = "path"
+    #: Lookups: dispatch tables x rows (path route), rows (tag route).
     matcher_evals: int = 0
     #: Workers that counted the scan (1 = the calling thread alone, the
     #: inline executor).
@@ -211,6 +213,10 @@ class ExecutionTrace:
     @property
     def matcher_evals(self) -> int:
         return sum(r.matcher_evals for r in self.records)
+
+    @property
+    def tag_routed_scans(self) -> int:
+        return sum(r.routing == "tag" for r in self.records)
 
     @property
     def parallel_scans(self) -> int:

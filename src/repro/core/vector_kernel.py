@@ -4,14 +4,16 @@ partitions.
 Every scan counts here, whatever its source, executor or batch width.
 A partition is counted in two array passes:
 
-* **route** — :func:`route_masks` evaluates the compiled
+* **route** — :func:`route_partition`, by one of two routes.  The
+  *path* route: :func:`route_masks` evaluates the compiled
   :class:`~repro.core.filters.RoutingKernel` once per *column*: each
   dispatch table becomes one LUT fancy-index over the column's codes,
   in :data:`LIMB_BITS`-bit limbs so a batch may hold any number of
   slots.  :func:`routed_pairs` turns the masks into ``(row, slot)``
   pairs grouped by slot with rows ascending — one pair per routed row
   when the batch is an antichain (a tree frontier always is), every
-  matching slot otherwise.
+  matching slot otherwise.  The *tag* route: the coordinator hands each
+  slice its rows' slots.  Either way an antichain ends in :func:`by_slot`.
 * **count** — one key space for the whole batch, ``(cell * slots +
   slot) * classes + label``, one ``np.bincount`` for every attribute:
   the cells are the column domains the scan's source declared once
@@ -21,8 +23,8 @@ A partition is counted in two array passes:
   whose memory follows the pairs counted, never the value range.
 
 A slot in the layout's ``derived_slots`` (``BatchCounts.derive`` fills
-it) is not counted: not routed unless the scan stages or captures its
-rows, its pairs dropped before counting if it is.
+it) is not counted: dropped from the route unless the scan stages or
+captures its rows, its pairs dropped before counting if it does.
 
 The counts leave as arrays: per partition one payload of seven
 objects — per-slot records and class totals, the ranked columns'
@@ -162,32 +164,51 @@ def routed_pairs(masks: Any, n_slots: int) -> tuple[Any, Any, int]:
         if antichain:
             limb = np.argmax(hit != 0, axis=0)
     if antichain:
-        # The antichain fast path: one bit per routed row.  frexp reads
-        # a power of two's exponent exactly; the stable sort keeps each
-        # slot's rows ascending, and on slot numbers in the narrowest
-        # dtype it is a radix sort.
+        # The antichain fast path: one bit per routed row, whose
+        # exponent frexp reads exactly.
         bits = hit[0] if n_limbs == 1 else hit[limb, np.arange(routed)]
-        slot_of_row = (
-            limb * LIMB_BITS + np.frexp(bits.astype(np.float64))[1] - 1
-        )
-        rows = routed_rows[np.argsort(
-            slot_of_row.astype(np.min_scalar_type(n_slots)), kind="stable"
+        return by_slot(routed_rows, limb * LIMB_BITS
+                       + np.frexp(bits.astype(np.float64))[1] - 1, n_slots)
+    per_slot = [
+        routed_rows[np.flatnonzero(
+            hit[slot // LIMB_BITS] & (1 << (slot % LIMB_BITS))
         )]
-        sizes = np.bincount(slot_of_row, minlength=n_slots)
-    else:
-        per_slot = [
-            routed_rows[np.flatnonzero(
-                hit[slot // LIMB_BITS] & (1 << (slot % LIMB_BITS))
-            )]
-            for slot in range(n_slots)
-        ]
-        rows = np.concatenate(per_slot)
-        sizes = np.fromiter(
-            (part.size for part in per_slot), dtype=np.intp, count=n_slots
-        )
+        for slot in range(n_slots)
+    ]
     bounds = np.zeros(n_slots + 1, dtype=np.intp)
-    np.cumsum(sizes, out=bounds[1:])
-    return rows, bounds, routed
+    np.cumsum([part.size for part in per_slot], out=bounds[1:])
+    return np.concatenate(per_slot), bounds, routed
+
+
+def by_slot(routed_rows: Any, slot_of_row: Any,
+            n_slots: int) -> tuple[Any, Any, int]:
+    """``(rows, bounds, routed)`` from each routed row's one slot, by a
+    stable (on the narrowest dtype, radix) sort: both routes end here."""
+    rows = routed_rows[np.argsort(
+        slot_of_row.astype(np.min_scalar_type(n_slots)), kind="stable"
+    )]
+    bounds = np.zeros(n_slots + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slot_of_row, minlength=n_slots), out=bounds[1:])
+    return rows, bounds, int(routed_rows.size)
+
+
+def route_partition(kernel: Any, layout: "SlotLayout",
+                    partition: ColumnarPartition, keep: Optional[Any],
+                    dropped: Sequence[int],
+                    routes: Optional[Any]) -> tuple[Any, Any, int]:
+    """The partition's ``(rows, bounds, routed)`` by the kernel (the path
+    route) or the tag route's ``routes`` (each row's slot, ``n_slots``
+    none); rows outside ``keep`` and the ``dropped`` slots route nowhere."""
+    n_slots = len(layout.node_ids)
+    if routes is None:
+        drop = sum(1 << slot for slot in dropped)
+        return routed_pairs(route_masks(kernel, partition, keep, drop),
+                            n_slots)
+    live = (routes < n_slots) if keep is None else (routes < n_slots) & keep
+    if dropped:
+        live &= np.isin(routes, dropped, invert=True)
+    routed_rows = np.flatnonzero(live)
+    return by_slot(routed_rows, routes[routed_rows], n_slots)
 
 
 def _out_of_range(label: int, n_classes: int) -> IndexError:
@@ -407,6 +428,7 @@ def count_partition_columnar(
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
     keep: Optional[Any] = None,
+    routes: Optional[Any] = None,
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float]:
     """Count one columnar partition against a routing context.
@@ -433,7 +455,8 @@ def count_partition_columnar(
 
     ``keep`` (optional boolean mask) restricts counting to qualifying
     rows: a SERVER scan hands workers partitions of its access path's
-    whole superset and applies the batch filter here, not at a cursor.
+    whole superset and applies the batch filter here, not at a cursor;
+    ``routes``, the tag route's slots, stand in for the context's kernel.
     """
     kernel, layout, class_index, n_classes = ctx
     started = time.thread_time()
@@ -441,10 +464,10 @@ def count_partition_columnar(
     stage_set = set(stage_nodes)
     capture_set = set(capture_nodes)
     # A derived slot is routed only for a write, and never counted.
-    drop = sum(1 << slot for slot in layout.derived_slots
-               if layout.node_ids[slot] not in stage_set | capture_set)
-    rows, bounds, routed = routed_pairs(
-        route_masks(kernel, partition, keep, drop), n_slots
+    dropped = [slot for slot in layout.derived_slots
+               if layout.node_ids[slot] not in stage_set | capture_set]
+    rows, bounds, routed = route_partition(
+        kernel, layout, partition, keep, dropped, routes
     )
     records = np.diff(bounds)
     derived, counted = list(layout.derived_slots), rows
@@ -497,6 +520,7 @@ def count_partition_slice(
     keep_spec: Optional[tuple[Any, dict[str, int]]],
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
+    routes: Optional[Any] = None,
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
            float, int]:
     """Count rows ``[start, stop)`` of a partition under a keep mask.
@@ -511,7 +535,7 @@ def count_partition_slice(
     SERVER scan the rows the coordinator charges transfer for,
     matching what a streaming cursor would have shipped.
     Staging/capture index arrays are relative to the slice; the
-    coordinator re-bases them with ``start``.
+    coordinator re-bases them with ``start``; ``routes`` are the slice's.
     """
     started = time.thread_time()
     piece = partition.slice(start, stop)
@@ -523,7 +547,7 @@ def count_partition_slice(
         seen = int(np.count_nonzero(keep))
     out_seq, payload, routed, writes, captures, _ = (
         count_partition_columnar(
-            ctx, seq, piece, stage_nodes, capture_nodes, keep=keep
+            ctx, seq, piece, stage_nodes, capture_nodes, keep, routes
         )
     )
     return (out_seq, payload, routed, writes, captures,
@@ -533,11 +557,13 @@ def count_partition_slice(
 __all__ = [
     "LIMB_BITS",
     "SlotLayout",
+    "by_slot",
     "count_partition_columnar",
     "count_partition_slice",
     "filter_supported",
     "predicate_mask",
     "route_masks",
+    "route_partition",
     "routed_pairs",
     "slot_layout",
 ]

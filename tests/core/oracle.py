@@ -1,7 +1,10 @@
 """The per-row counting oracle the kernel and executors are checked
 against: ``PathCondition.matches`` selects a slot's rows one at a time
 and ``client.baselines.build_cc_from_rows`` (``CCTable.count_row``)
-counts them — no routing kernel, no arrays, no partitions."""
+counts them — no routing kernel, no arrays, no partitions.
+:func:`route_row` is the routing kernel's dispatch tables read one row
+at a time, the scalar form both routes of the vector kernel must
+agree with."""
 
 from types import SimpleNamespace
 
@@ -31,3 +34,14 @@ def oracle_counts(rows, condition_sets, attribute_lists, attribute_names,
             selected,
         ))
     return counted
+
+
+def route_row(kernel, row):
+    """Mask of the slots of a ``RoutingKernel`` whose path conjunction
+    matches ``row``: one dict probe per constrained attribute."""
+    mask = kernel.full_mask
+    for index, table, default in kernel.probes:
+        mask &= table.get(row[index], default)
+        if not mask:
+            return 0
+    return mask

@@ -677,6 +677,7 @@ class TestTotalsFromTrace:
             sum(r.rows_seen for r in rs) / sum(r.wall_seconds for r in rs)
         ),
         "matcher_evals": lambda rs: sum(r.matcher_evals for r in rs),
+        "tag_routed_scans": lambda rs: sum(r.routing == "tag" for r in rs),
         "parallel_scans": lambda rs: sum(r.workers > 1 for r in rs),
         "merge_seconds": lambda rs: sum(r.merge_seconds for r in rs),
         "worker_seconds_total":

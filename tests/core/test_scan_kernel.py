@@ -1,8 +1,8 @@
 """Unit tests for the routing kernel and the scan's profiling layer.
 
 `repro.core.filters.RoutingKernel` compiles a batch's path conditions
-into dispatch tables; `route` is their scalar spelling, which must
-agree with `PathCondition.matches`, and the scan loop
+into dispatch tables; `oracle.route_row` is their scalar spelling,
+which must agree with `PathCondition.matches`, and the scan loop
 (`vector_kernel`, which evaluates the same tables column-at-a-time)
 must count what the per-row oracle (`build_cc_from_rows`) counts at
 any chunk size.
@@ -23,6 +23,7 @@ from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import tree_signature
+from .oracle import route_row
 
 ATTR_INDEX = {"A1": 0, "A2": 1, "A3": 2}
 
@@ -34,7 +35,7 @@ def kernel_for(*condition_sets):
 class TestRoutingKernel:
     def test_unconditioned_slot_matches_everything(self):
         kernel = kernel_for(())
-        assert kernel.route((0, 1, 2)) == 0b1
+        assert route_row(kernel, (0, 1, 2)) == 0b1
         assert kernel.n_probes == 0
 
     def test_equality_dispatch(self):
@@ -42,50 +43,50 @@ class TestRoutingKernel:
             (PathCondition("A1", "=", 0),),
             (PathCondition("A1", "=", 1),),
         )
-        assert kernel.route((0, 9, 9)) == 0b01
-        assert kernel.route((1, 9, 9)) == 0b10
-        assert kernel.route((2, 9, 9)) == 0
+        assert route_row(kernel, (0, 9, 9)) == 0b01
+        assert route_row(kernel, (1, 9, 9)) == 0b10
+        assert route_row(kernel, (2, 9, 9)) == 0
 
     def test_inequality_dispatch(self):
         kernel = kernel_for(
             (PathCondition("A1", "=", 0),),
             (PathCondition("A1", "<>", 0),),
         )
-        assert kernel.route((0, 0, 0)) == 0b01
-        assert kernel.route((5, 0, 0)) == 0b10
+        assert route_row(kernel, (0, 0, 0)) == 0b01
+        assert route_row(kernel, (5, 0, 0)) == 0b10
 
     def test_repeated_inequalities_on_one_attribute(self):
         # The "other" branch of successive binary splits on A1.
         kernel = kernel_for(
             (PathCondition("A1", "<>", 0), PathCondition("A1", "<>", 1)),
         )
-        assert kernel.route((0, 0, 0)) == 0
-        assert kernel.route((1, 0, 0)) == 0
-        assert kernel.route((2, 0, 0)) == 0b1
+        assert route_row(kernel, (0, 0, 0)) == 0
+        assert route_row(kernel, (1, 0, 0)) == 0
+        assert route_row(kernel, (2, 0, 0)) == 0b1
 
     def test_equality_and_inequality_on_one_attribute(self):
         kernel = kernel_for(
             (PathCondition("A1", "=", 1), PathCondition("A1", "<>", 0)),
         )
-        assert kernel.route((1, 0, 0)) == 0b1
-        assert kernel.route((0, 0, 0)) == 0
-        assert kernel.route((2, 0, 0)) == 0
+        assert route_row(kernel, (1, 0, 0)) == 0b1
+        assert route_row(kernel, (0, 0, 0)) == 0
+        assert route_row(kernel, (2, 0, 0)) == 0
 
     def test_contradictory_equalities_never_match(self):
         kernel = kernel_for(
             (PathCondition("A1", "=", 0), PathCondition("A1", "=", 1)),
         )
         for value in range(3):
-            assert kernel.route((value, 0, 0)) == 0
+            assert route_row(kernel, (value, 0, 0)) == 0
 
     def test_multi_attribute_conjunction(self):
         kernel = kernel_for(
             (PathCondition("A1", "=", 0), PathCondition("A2", "=", 1)),
             (PathCondition("A1", "=", 0), PathCondition("A2", "<>", 1)),
         )
-        assert kernel.route((0, 1, 0)) == 0b01
-        assert kernel.route((0, 2, 0)) == 0b10
-        assert kernel.route((1, 1, 0)) == 0
+        assert route_row(kernel, (0, 1, 0)) == 0b01
+        assert route_row(kernel, (0, 2, 0)) == 0b10
+        assert route_row(kernel, (1, 1, 0)) == 0
         assert kernel.n_probes == 2
 
     def test_probe_count_is_depth_not_nodes(self):
@@ -116,7 +117,7 @@ class TestRoutingKernel:
                     for c in conditions
                 ):
                     expected |= 1 << slot
-            assert kernel.route(row) == expected, row
+            assert route_row(kernel, row) == expected, row
 
     def test_compiles_the_tables_the_reference_construction_builds(self):
         import random

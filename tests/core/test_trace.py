@@ -139,12 +139,13 @@ class TestDeclaredOnce:
         # ``columnar`` constants, so the record dropped them.  PR 22:
         # no SERVER scan streams a cursor, so the prefetch thread and
         # its two fields went too.  Derived siblings added which nodes
-        # a scan derived instead of counting, and their rows.
+        # a scan derived instead of counting, and their rows; the tag
+        # route added which route a scan took.
         assert fields == (
             PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
         ) - {"rows_per_sec", "kernel", "columnar", "prefetch_depth",
-             "prefetch_peak"} | {"derived", "rows_derived"}
-        assert len(fields) == 34
+             "prefetch_peak"} | {"derived", "rows_derived", "routing"}
+        assert len(fields) == 35
         assert isinstance(ScheduleRecord.rows_per_sec, property)
 
     def test_each_field_is_declared_by_one_class(self):
@@ -260,6 +261,27 @@ class TestDerivedSiblings:
         _, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
         # The root has no parent to derive from.
         assert mw.trace[0].derived == () and mw.trace[0].rows_derived == 0
+
+
+class TestRouting:
+    def test_records_say_which_route_ran(self):
+        _, mw = fit_traced(MiddlewareConfig(memory_bytes=200_000))
+        records = list(mw.trace)
+        tagged = [record for record in records if record.routing == "tag"]
+        assert tagged and all(record.mode == "MEMORY" for record in tagged)
+        # SERVER and FILE scans take the path route.
+        assert all(record.routing == "path" for record in records
+                   if record.mode != "MEMORY")
+        assert mw.stats.tag_routed_scans == len(tagged)
+        # A tag-routed scan looks every row up once.
+        assert all(record.matcher_evals == record.rows_seen
+                   for record in tagged)
+        assert f" {len(tagged)} tag-routed" in mw.report()
+
+    def test_no_staging_routes_every_scan_by_path(self):
+        _, mw = fit_traced(MiddlewareConfig.no_staging(200_000))
+        assert mw.stats.tag_routed_scans == 0
+        assert "matcher evals, 0 tag-routed" in mw.report()
 
 
 class TestSessionReport:

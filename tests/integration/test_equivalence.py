@@ -251,3 +251,72 @@ class TestDerivedSiblingsOnEveryExecutor:
             if executor != "inline":
                 assert mw.stats.parallel_scans > 0
         assert tree_signature(model.tree.root) == references[key]
+
+
+class TestTagRoutingOnEveryExecutor:
+    """Memory sets route their rows by tag (``staging.RowTags``): a
+    memory-staged fit must grow the in-memory tree whatever the
+    criterion, split family or executor — with a §4.1.1 deferral too."""
+
+    EXECUTORS = TestDerivedSiblingsOnEveryExecutor.EXECUTORS
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.datagen.random_tree import (
+            RandomTreeConfig,
+            build_random_tree,
+        )
+
+        generating = build_random_tree(RandomTreeConfig(
+            n_attributes=6, values_per_attribute=3, n_classes=3,
+            n_leaves=40, cases_per_leaf=12, seed=11,
+        ))
+        rows = generating.materialize()
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, rows)
+        return server, generating.spec, rows, {}
+
+    def fit(self, workload, criterion, binary, executor, memory_share):
+        server, spec, rows, references = workload
+        key = (criterion, binary)
+        if key not in references:
+            references[key] = tree_signature(grow_in_memory(
+                rows, spec,
+                GrowthPolicy(criterion=criterion, binary_splits=binary),
+            ).root)
+        config = MiddlewareConfig(
+            memory_bytes=int(memory_share * server.table("data").size_bytes),
+            scan_chunk_rows=16, **self.EXECUTORS[executor],
+        )
+        with Middleware(server, "data", spec, config) as mw:
+            model = DecisionTreeClassifier(
+                criterion=criterion, binary_splits=binary
+            ).fit(mw)
+            tagged = [r for r in mw.trace if r.routing == "tag"]
+            assert tagged and mw.stats.tag_routed_scans == len(tagged)
+            if executor != "inline":
+                # The rows' slots travel with the pooled slices.
+                assert any(record.workers == 2 for record in tagged)
+        assert tree_signature(model.tree.root) == references[key]
+        return tagged
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("binary", [True, False],
+                             ids=["binary", "multiway"])
+    @pytest.mark.parametrize("criterion",
+                             ["entropy", "gini", "gain_ratio", "chi2"])
+    def test_tag_routed_fit_grows_the_in_memory_tree(
+            self, workload, criterion, binary, executor):
+        self.fit(workload, criterion, binary, executor, 2.0)
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_a_deferred_node_is_retried_by_tag(self, workload, executor,
+                                               monkeypatch):
+        # Every child's CC estimate one pair, and memory for little but
+        # the staged rows: admission defers nodes of tag-routed scans.
+        import repro.client.decision_tree as decision_tree
+
+        monkeypatch.setattr(decision_tree, "estimate_cc_pairs",
+                            lambda *args: 1)
+        tagged = self.fit(workload, "entropy", True, executor, 1.1)
+        assert any(record.deferrals for record in tagged)
