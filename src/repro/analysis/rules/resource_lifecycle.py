@@ -1,8 +1,7 @@
 """resource-lifecycle: opened resources must be closed on every path.
 
 The §4 middleware opens real resources mid-scan: ``StagedFile``
-writers, worker pools, shared-memory shippers, staging writer threads.
-PRs 1–3 each fixed a leak where one of them survived a failing scan.
+writers, worker pools, shared-memory shippers.  PRs 1–3 each fixed a leak where one of them survived a failing scan.
 Two checks encode what those fixes established:
 
 **1. Cleanup handlers must catch BaseException.**  A ``try`` whose
@@ -15,9 +14,8 @@ finding.
 
 **2. Locally opened resources need an exception-path closer.**  When a
 function assigns the result of a *known opener* (``StagedFile(...)``,
-``ScanWorkerPool(...)``, ``ParallelStagingWriter(...)``,
-``ShmShipper(...)``, ``.open_file(...)``, builtin ``open(...)``) to a
-local name, it owns that resource.  Ownership ends when the resource
+``ScanWorkerPool(...)``, ``ShmShipper(...)``, ``.open_file(...)``,
+builtin ``open(...)``) to a local name, it owns that resource.  Ownership ends when the resource
 is used as a context manager, returned, yielded, or stored into an
 attribute/container (escape).  An owned resource requires a *closer* call
 (``close``/``seal``/``abort``/``stop``/``delete``/``shutdown``/...)
@@ -40,7 +38,6 @@ from .base import Rule, call_name, iter_functions, self_attr, walk_with_stack
 OPENERS = {
     "StagedFile",
     "ScanWorkerPool",
-    "ParallelStagingWriter",
     "ShmShipper",
     "open_file",
     "open",

@@ -115,8 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--staging-dir", default=None,
                      help="directory for staging files (default: a "
                           "private temp directory)")
-    fit.add_argument("--scan-chunk-rows", type=int, default=1024,
-                     help="rows per scan chunk for buffered staging I/O")
+    fit.add_argument("--scan-chunk-rows", type=int, default=None,
+                     help="rows per scan chunk, the unit scan partitions "
+                          "are sized in: 8 chunks inline, at least one "
+                          "behind a pool (default: 1024)")
     fit.add_argument("--scan-workers", type=int, default=None,
                      help="workers for scans longer than one "
                           "partition (default: $REPRO_SCAN_WORKERS or "
@@ -212,11 +214,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     server = SQLServer()
     load_dataset(server, "data", spec, rows)  # repro-lint: disable=unmetered-row-access -- dataset load is the unmetered setup phase: bulk_load bypasses the meter by design, only the fit/predict workload is billed
 
-    scan_options: dict[str, Any] = {
-        "scan_chunk_rows": args.scan_chunk_rows,
-    }
-    # Only forward parallel-scan flags the user actually set, so the
-    # config's own defaults (including $REPRO_SCAN_WORKERS) apply.
+    scan_options: dict[str, Any] = {}
+    # Only forward scan flags the user actually set, so the config's
+    # own defaults (including $REPRO_SCAN_WORKERS) apply.
+    if args.scan_chunk_rows is not None:
+        scan_options["scan_chunk_rows"] = args.scan_chunk_rows
     if args.scan_workers is not None:
         scan_options["scan_workers"] = args.scan_workers
     if args.scan_pool is not None:

@@ -25,12 +25,7 @@ from .requests import CountsRequest, CountsResult, RequestQueue
 from .scan_pool import ScanWorkerPool
 from .scheduler import Schedule, Scheduler
 from .sql_counting import CC_COLUMNS, cc_statement, counts_via_sql
-from .staging import (
-    DataLocation,
-    ParallelStagingWriter,
-    StagedFile,
-    StagingManager,
-)
+from .staging import DataLocation, StagedFile, StagingManager
 from .trace import ExecutionTrace, ScheduleRecord
 
 __all__ = [
@@ -48,7 +43,6 @@ __all__ = [
     "Middleware",
     "MiddlewareConfig",
     "PAIR_KEY_BYTES",
-    "ParallelStagingWriter",
     "PathCondition",
     "PlainScanStrategy",
     "RequestQueue",

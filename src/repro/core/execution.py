@@ -9,11 +9,12 @@ planned: rows routed to a stage-target node are appended to its new
 middleware file and/or collected for middleware memory — as column
 arrays: the kernel answers with each node's row *selection*, the
 source gathers it out of the partition it counted
-(``ColumnarPartition.take``) and the staging writer gets that piece.
-No row tuple exists between the selection and the next scan.
+(``ColumnarPartition.take``) and the coordinator appends that piece to
+the node's file or memory capture in place.  No row tuple exists
+between the selection and the next scan.
 
 There is one loop (:meth:`ExecutionModule._count_partitioned`):
-*source -> partition -> submit -> collect/merge -> stage -> admit*.
+*source -> partition -> submit -> collect/merge/stage -> admit*.
 The source is cut into ordered partitions — every one a slice
 ``(encoding, start, stop)`` of a column encoding — each counted by
 the one kernel (:func:`~repro.core.vector_kernel.count_partition_slice`)
@@ -44,13 +45,14 @@ partition.  Two things plug in:
   one-worker session (``config.scan_workers == 1``, the default) —
   and, while a larger session has not started its workers, any source
   that fits in one partition, which has nothing to overlap — is
-  counted *inline* on the calling thread, one partition in flight,
-  staged pieces written in place, no helper thread; anything longer
-  starts the session's persistent thread or process pool
-  (``config.scan_pool``), which then counts every later scan, with
-  one staging-writer thread per output file.  Every slice reaches it
+  counted *inline* on the calling thread, one partition in flight, no
+  helper thread; anything longer starts the session's persistent
+  thread or process pool (``config.scan_pool``), which then counts
+  every later scan in partitions of ``ceil(rows / (2 x workers))``
+  rows (at least ``config.scan_chunk_rows``).  Every slice reaches it
   through ``ScanWorkerPool.submit``, which alone decides how a slice
-  travels to a process worker.
+  travels to a process worker.  Either way the coordinator writes each
+  collected partition's staged pieces in place, in partition order.
 
 When every child of a split shares the batch, its largest is not
 counted (``SlotLayout.derived_slots``) unless that is cheaper:
@@ -87,7 +89,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from ..common.errors import MiddlewareError
 from ..sqlengine.columnar import ColumnarPartition, filter_supported
@@ -103,13 +105,7 @@ from .requests import CountsResult
 from .scan_pool import ScanWorkerPool
 from .scheduler import _cc_tag
 from .sql_counting import counts_via_sql
-from .staging import (
-    DataLocation,
-    InlineStagingWriter,
-    ParallelStagingWriter,
-    RowTags,
-    StagedFile,
-)
+from .staging import DataLocation, RowTags, StagedFile
 from .trace import ExecutionTrace, ScheduleRecord
 from .vector_kernel import slot_layout
 
@@ -167,75 +163,6 @@ INLINE_PARTITION_CHUNKS = 8
 #: times: ~40 ns a derived cell, ~10 ns a counted key (``deep_tree`` on
 #: a 2-core machine, whose children are mostly ~80 rows to 990 cells).
 DERIVE_KEYS_PER_CELL = 4
-
-
-class _PartitionSizer:
-    """Adaptive partition sizing from observed worker timings.
-
-    The static policy ("~2 partitions per worker") breaks down at the
-    edges: with no row estimate it degenerated to ``scan_chunk_rows``-
-    sized partitions (flooding the pool with tiny tasks), and skewed
-    batches leave workers idle behind one long partition.  The sizer
-    keeps the static policy as its starting point and steers two knobs
-    from each scan's ``worker_seconds``:
-
-    * partitions so fast they are all dispatch overhead → coarsen
-      (fewer partitions per worker, larger blind target);
-    * partitions too long — or one partition dominating the mean, the
-      skew signature — → refine so stragglers can be balanced.
-
-    Bounds keep every scan between 2 and 8 partitions per worker, so
-    the parallel-path contracts (at least two partitions whenever the
-    source exceeds one) hold for any observation history.
-    """
-
-    MIN_PARTS_PER_WORKER = 2
-    MAX_PARTS_PER_WORKER = 8
-    #: Mean partition seconds below which tasks are pure overhead.
-    TOO_FAST_SECONDS = 0.002
-    #: Mean partition seconds above which stragglers hurt balance.
-    TOO_SLOW_SECONDS = 0.25
-    #: Hard ceiling for the no-estimate partition size.
-    MAX_BLIND_ROWS = 1 << 20
-
-    def __init__(self, chunk_rows: int) -> None:
-        self._chunk_rows = max(1, chunk_rows)
-        self.parts_per_worker = self.MIN_PARTS_PER_WORKER
-        #: Partition size used when the schedule has no row estimate.
-        #: A sane per-worker target, not one serial chunk.
-        self.blind_rows = self._chunk_rows * 8
-
-    def partition_rows(self, estimated_rows: int, n_workers: int) -> int:
-        """Rows per partition for one scan."""
-        if estimated_rows:
-            per_partition = -(
-                -estimated_rows // (n_workers * self.parts_per_worker)
-            )
-            return max(self._chunk_rows, per_partition)
-        return max(self._chunk_rows, self.blind_rows)
-
-    def observe(self, worker_seconds: Sequence[float],
-                partition_rows: int) -> None:
-        """Fold one scan's per-partition timings into the policy."""
-        if not worker_seconds:
-            return
-        mean = sum(worker_seconds) / len(worker_seconds)
-        peak = max(worker_seconds)
-        if mean < self.TOO_FAST_SECONDS:
-            self.parts_per_worker = max(
-                self.MIN_PARTS_PER_WORKER, self.parts_per_worker - 1
-            )
-            self.blind_rows = min(
-                max(self.blind_rows, partition_rows * 2),
-                self.MAX_BLIND_ROWS,
-            )
-        elif mean > self.TOO_SLOW_SECONDS or (
-            len(worker_seconds) > 1 and peak > 2.0 * mean
-        ):
-            self.parts_per_worker = min(
-                self.MAX_PARTS_PER_WORKER, self.parts_per_worker + 1
-            )
-            self.blind_rows = max(self._chunk_rows, self.blind_rows // 2)
 
 
 class _PartitionSource:
@@ -420,7 +347,6 @@ class ExecutionModule:
             name: i for i, name in enumerate(spec.attribute_names)
         }
         self._class_index = spec.n_attributes
-        self._sizer = _PartitionSizer(config.scan_chunk_rows)
         #: Table-version columnar cache ("encode once, scan every
         #: level"); None when its byte budget is zero.
         self._scan_cache: ColumnarScanCache | None = None
@@ -590,11 +516,9 @@ class ExecutionModule:
     def _partition_rows(self, source_rows: int) -> int:
         """Partition size for one scan of ``source_rows`` rows.
 
-        A pool gets the adaptive sizer's answer: ~2 partitions per
-        worker to start with, never below a serial scan chunk (tiny
-        partitions would be all task overhead, and with a process pool
-        all shipping), and the blind per-worker target for scans
-        without a row estimate.  A one-worker session has no workers to
+        A pool gets two partitions per worker, never below a scan chunk
+        (tiny partitions would be all task overhead, and with a process
+        pool all shipping).  A one-worker session has no workers to
         balance, so its partitions only need to be long enough to
         amortise the kernel's per-partition set-up and short enough
         that the one partition in flight stays small next to the
@@ -603,7 +527,8 @@ class ExecutionModule:
         config = self._config
         if config.scan_workers == 1:
             return INLINE_PARTITION_CHUNKS * config.scan_chunk_rows
-        return self._sizer.partition_rows(source_rows, config.scan_workers)
+        return max(config.scan_chunk_rows,
+                   -(-source_rows // (2 * config.scan_workers)))
 
     def _server_plan(self, schedule: Any) -> ColumnarScanPlan:
         """The access strategy's plan for a SERVER scan: asked with the
@@ -641,27 +566,6 @@ class ExecutionModule:
         )
 
     # -- the scan loop ------------------------------------------------------
-
-    def _open_staging_writer(
-            self, pool: ScanWorkerPool,
-            file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[ColumnarPartition]],
-            scan: ScheduleRecord,
-    ) -> InlineStagingWriter | ParallelStagingWriter:
-        """The writer a scan hands its staged pieces to.
-
-        A pool overlaps writes with counting, one writer thread per
-        output file.  The inline executor writes in place — a thread
-        per scan would cost more (start-up, a malloc arena) than the
-        writes it could hide behind one partition in flight — and so
-        does a scan that writes no file: a memory capture is a
-        ``list.append`` per piece, nothing a thread could overlap.
-        """
-        if pool.inline or not file_writers:
-            return InlineStagingWriter(file_writers, memory_capture)
-        writer = ParallelStagingWriter(file_writers, memory_capture)
-        scan.split_writers = writer.n_writers
-        return writer
 
     @staticmethod
     def _scan_signature(states: list[_NodeCount]) -> tuple[Any, ...]:
@@ -736,6 +640,12 @@ class ExecutionModule:
                 routes=routes,
             )
         staged_file = staging.file_for(schedule.source_node)
+        # Two FILE forms, because each wins on one benchmark workload
+        # (benchmarks/e2e, seed 1, 2-core machine, same trees and
+        # staged bytes either way): counting inline scans over the
+        # cached plan raised staged_default's peak RSS from 63.4 to
+        # 71.1 MiB (+12 %), and streaming pooled scans slowed
+        # staged_parallel's fit from ~0.205 to ~0.266 s.
         if not pool.inline:
             plan = staged_file_plan(staged_file)
             if self._admits(plan):
@@ -756,24 +666,23 @@ class ExecutionModule:
         :class:`ScanWorkerPool` — one in flight when it counts inline,
         at most ``2 x workers`` behind a pool — and collected in
         submission order: partials merge into the real CC tables, and
-        each partition's staged pieces go, strictly in partition order,
-        to the staging writer (bit-identical staged files, writes
-        overlapping counting).
+        each partition's staged pieces are appended in place, strictly
+        in partition order (bit-identical staged files; behind a pool
+        the workers count the next partitions meanwhile).
 
-        On failure the scan stops its source (closing its supply),
-        drains its outstanding futures and aborts the staging writer
-        *before* re-raising, and the source lets go of every encoding
-        it pinned either way — so no half-written staged
-        file survives (the caller deletes the abandoned files) and the
-        persistent pool carries no stale work into the next scan.
+        On failure the scan stops its source (closing its supply) and
+        drains its outstanding futures *before* re-raising, and the
+        source lets go of every encoding it pinned either way — so no
+        half-written staged file survives (the caller deletes the
+        abandoned files) and the persistent pool carries no stale work
+        into the next scan.
 
         §4.1.1 overflow is checked once, after the merge: workers count
         unconditionally and the merged sizes are admitted against the
         budget in batch order, so deferral / SQL-fallback decisions
-        never depend on source, worker count, partition boundaries or
-        writer arrangement.  (Deferred nodes get
-        their estimate raised to the exact pair count, so the next
-        admission reserves precisely.)
+        never depend on source, worker count or partition boundaries.
+        (Deferred nodes get their estimate raised to the exact pair
+        count, so the next admission reserves precisely.)
         """
         source_rows = self._source_rows(schedule)
         partition_rows = self._partition_rows(source_rows)
@@ -817,9 +726,6 @@ class ExecutionModule:
         source = self._partition_source(schedule, scan, pool, partition_rows,
                                         routes)
         scan.cached = source.cached
-        writer = self._open_staging_writer(
-            pool, file_writers, memory_capture, scan
-        )
 
         def collect(future: Any, ticket: tuple[Any, int]) -> None:
             result = future.result()
@@ -832,16 +738,17 @@ class ExecutionModule:
             CCTable.merge_block(counts, *result[1])
             scan.merge_seconds += time.perf_counter() - merge_started
 
+            # The partition's staged pieces, written in place: the
+            # collect order is the partition order on every executor.
             encoding, start = ticket
-
-            def pieces_of(selections: dict[Any, Any]) -> dict[Any, Any]:
-                return {
-                    node_id: source.take(encoding, selection + start)
-                    for node_id, selection in selections.items()
-                    if len(selection)
-                }
-
-            writer.put(pieces_of(result[3]), pieces_of(result[4]))
+            for node_id, selection in result[3].items():
+                if len(selection):
+                    file_writers[node_id].append_rows(
+                        source.take(encoding, selection + start))
+            for node_id, selection in result[4].items():
+                if len(selection):
+                    memory_capture[node_id].append(
+                        source.take(encoding, selection + start))
 
         #: (future, ticket) per submitted partition, in scan order;
         #: tickets pin what a failed scan must be able to release.
@@ -856,11 +763,9 @@ class ExecutionModule:
                     collect(*inflight.popleft())
             while inflight:
                 collect(*inflight.popleft())
-            writer.close()
         except BaseException as exc:
             source.stop()
             pool.drain([future for future, _ in inflight])
-            writer.abort()
             pool.retire_broken(exc)
             raise
         finally:
@@ -883,8 +788,6 @@ class ExecutionModule:
         for state, table in zip(states, tables):
             state.cc = table
         self._admit_merged(states, scan)
-        if not pool.inline:
-            self._sizer.observe(scan.worker_seconds, partition_rows)
         return routes
 
     @staticmethod

@@ -23,7 +23,7 @@ changes wall-clock time only; the meter still charges per row on the
 coordinator thread, so tier orderings, admission decisions and staging
 plans are identical at any ``config.scan_workers`` setting.  The same
 independence extends to what the executor arranges for itself — a warm
-pool, a resident or transient encoding, per-file split writers — which shift
+pool, a resident or transient encoding, partition sizes — which shift
 where wall-clock time is spent without moving a single metered charge.
 That is deliberate: it keeps plans (and therefore traces and costs)
 reproducible across machines with different core counts.

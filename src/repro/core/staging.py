@@ -17,8 +17,9 @@ under a temporary directory, one file per staged node.
 
 Staged rows are column arrays in both directions.  A scan hands a
 node's rows on as *pieces* — :class:`ColumnarPartition` gathers of the
-partition they were routed in: a file takes each piece as one int32
-record matrix and one ``write``, a memory set is the pieces
+partition they were routed in, appended by the scan's coordinator in
+partition order on every executor: a file takes each piece as one
+int32 record matrix and one ``write``, a memory set is the pieces
 concatenated once at :meth:`StagingManager.commit_memory`, which is
 the encoding every later scan of the set slices.  A FILE scan reads a
 partition's records into one matrix with one read.  Row tuples exist
@@ -40,15 +41,13 @@ import enum
 import itertools
 import operator
 import os
-import queue
 import struct
 import tempfile
-import threading
 
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..common.errors import StagingError
-from ..common.locks import new_lock, resource_closed, resource_created
+from ..common.locks import resource_closed, resource_created
 from ..sqlengine.columnar import (
     RAW,
     Column,
@@ -342,139 +341,6 @@ class StagedFile:
         return (
             f"StagedFile(owner={self.owner_node!r}, rows={self._row_count})"
         )
-
-
-class InlineStagingWriter:
-    """Staging output of an inline scan, applied on the calling thread.
-
-    Same ``put``/``close``/``abort`` surface as the threaded writer
-    below, with no thread and no queue: the inline executor has one
-    partition in flight, so each ``put`` writes that partition's
-    pieces in place — partition order is call order.
-    """
-
-    def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[ColumnarPartition]],
-                 ) -> None:
-        self._file_writers = file_writers
-        self._memory_capture = memory_capture
-
-    def put(self, file_pieces: Mapping[Any, ColumnarPartition],
-            capture_pieces: Mapping[Any, ColumnarPartition]) -> None:
-        for node_id, piece in file_pieces.items():
-            if piece.n_rows:
-                self._file_writers[node_id].append_rows(piece)
-        for node_id, piece in capture_pieces.items():
-            if piece.n_rows:
-                self._memory_capture[node_id].append(piece)
-
-    def close(self) -> None:
-        """Nothing is buffered: every ``put`` already wrote."""
-
-    def abort(self) -> None:
-        """Nothing to stop; the caller deletes the abandoned files."""
-
-
-class ParallelStagingWriter:
-    """Per-file writer threads for a pooled scan's staging output.
-
-    Scan workers never touch staging files.  The scan coordinator hands
-    each partition's staged pieces to :meth:`put` *in partition order*;
-    every output :class:`StagedFile` has its own thread and its own
-    bounded queue (depth 2 — double buffering: one piece being
-    written, one queued behind it), so writes overlap counting, the
-    files of a §4.3.2 split are written concurrently, and a slow disk
-    applies backpressure instead of queueing unbounded pieces.  With one
-    file it is a single-writer funnel; with none it starts no thread.
-
-    Determinism is preserved per file: each file's pieces land on that
-    file's FIFO queue in partition order and a single thread drains
-    each queue — so every staged file is bit-identical to a serial
-    scan's.  Memory captures are applied in place on the coordinator
-    (a list append per piece, cheap and ordered).
-
-    The first writer-thread failure is recorded and re-raised on the
-    next :meth:`put` or at :meth:`close`; a failed thread keeps
-    draining its queue without writing so the producer is never left
-    blocked, and :meth:`abort` shuts every thread down without raising.
-    """
-
-    _STOP = object()
-
-    def __init__(self, file_writers: Mapping[Any, StagedFile],
-                 memory_capture: Mapping[Any, list[ColumnarPartition]],
-                 ) -> None:
-        self._memory_capture = memory_capture
-        self._error_lock = new_lock("ParallelStagingWriter._error_lock")
-        #: guarded by self._error_lock
-        self._error: BaseException | None = None
-        self._closed = False
-        self._queues: dict[Any, queue.Queue[Any]] = {}
-        self._threads: list[threading.Thread] = []
-        for node_id, writer in file_writers.items():
-            q: queue.Queue[Any] = queue.Queue(maxsize=2)
-            thread = threading.Thread(
-                target=self._drain,
-                args=(writer, q),
-                name=f"staging-writer-{node_id}",
-                daemon=True,
-            )
-            self._queues[node_id] = q
-            self._threads.append(thread)
-            thread.start()
-        #: Writer threads running (one per output file).
-        self.n_writers = len(self._threads)
-        resource_created(
-            "staging-writer", self, f"{self.n_writers} split writers"
-        )
-
-    def put(self, file_pieces: Mapping[Any, ColumnarPartition],
-            capture_pieces: Mapping[Any, ColumnarPartition]) -> None:
-        """Queue one partition's staged pieces (in partition order)."""
-        if self._error is not None:
-            raise self._error
-        if self._closed:
-            raise StagingError("staging writer is already closed")
-        for node_id, piece in file_pieces.items():
-            if piece.n_rows:
-                self._queues[node_id].put(piece)
-        for node_id, piece in capture_pieces.items():
-            if piece.n_rows:
-                self._memory_capture[node_id].append(piece)
-
-    def _drain(self, writer: StagedFile, q: queue.Queue[Any]) -> None:
-        while True:
-            item = q.get()
-            if item is self._STOP:
-                return
-            if self._error is not None:
-                continue  # keep draining so the producer never blocks
-            try:
-                writer.append_rows(item)
-            except BaseException as exc:  # surfaced to the producer
-                with self._error_lock:
-                    if self._error is None:
-                        self._error = exc
-
-    def close(self) -> None:
-        """Finish every file's writes and surface the first writer-thread
-        error."""
-        self._shutdown()
-        if self._error is not None:
-            raise self._error
-
-    def abort(self) -> None:
-        """Stop without raising (the scan is already failing)."""
-        self._shutdown()
-
-    def _shutdown(self) -> None:
-        if not self._closed:
-            self._closed = True
-            for q in self._queues.values():
-                q.put(self._STOP)
-            for thread in self._threads:
-                thread.join()
-            resource_closed("staging-writer", self)
 
 
 class RowTags:

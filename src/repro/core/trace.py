@@ -58,9 +58,6 @@ class ScheduleRecord:
     pool_setup_seconds: float = 0.0
     #: True when the scan reused an already-running worker pool.
     pool_reused: bool = False
-    #: Staging writer threads this scan ran, one per output file
-    #: (0 = wrote in place: the inline executor, or no file).
-    split_writers: int = 0
     #: Seconds encoding rows into columnar partitions (~0 on a warm
     #: cache hit).
     encode_seconds: float = 0.0

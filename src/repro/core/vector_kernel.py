@@ -435,10 +435,11 @@ def count_partition_columnar(
 
     Returns ``(seq, payload, routed, writes, captures, seconds)``;
     ``seconds`` is the CPU time of the counting thread
-    (``time.thread_time``), not wall time: the partition sizer steers
-    on it, and a pool thread's wall time also holds however long it
-    waited for the coordinator to let go of the GIL — which says
-    nothing about the partition and differs from run to run.
+    (``time.thread_time``), not wall time: the scan's
+    ``worker_seconds`` report it, and a pool thread's wall time also
+    holds however long it waited for the coordinator to let go of the
+    GIL — which says nothing about the partition and differs from run
+    to run.
     The payload is what ``CCTable.merge_block`` folds into the scan's
     :class:`~repro.core.cc_table.BatchCounts`:
     ``(records, totals, prefix, value_index, counts, values, dense)`` —

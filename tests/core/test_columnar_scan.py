@@ -30,10 +30,7 @@ from repro.client.growth import GrowthPolicy  # noqa: E402
 from repro.common.errors import MiddlewareError  # noqa: E402
 from repro.common.locks import install_monitor  # noqa: E402
 from repro.core.config import MiddlewareConfig  # noqa: E402
-from repro.core.execution import (  # noqa: E402
-    INLINE_PARTITION_CHUNKS,
-    _PartitionSizer,
-)
+from repro.core.execution import INLINE_PARTITION_CHUNKS  # noqa: E402
 from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
 from repro.core import scan_pool  # noqa: E402
@@ -262,54 +259,58 @@ class TestColumnarKernelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# adaptive partition sizing
+# static partition sizing
 # ---------------------------------------------------------------------------
 
 
-class TestPartitionSizer:
-    def test_no_estimate_gets_per_worker_target_not_one_chunk(self):
-        # Regression: the old policy degenerated to one scan chunk per
-        # partition when the schedule had no row estimate, flooding the
-        # pool with tiny tasks.
-        sizer = _PartitionSizer(1024)
-        assert sizer.partition_rows(0, 4) == 1024 * 8
+class TestPartitionRule:
+    """Partition size is a function of the config and the source's row
+    count alone: ``max(scan_chunk_rows, ceil(rows / (2 x workers)))``
+    behind a pool, :data:`INLINE_PARTITION_CHUNKS` chunks inline."""
+
+    @staticmethod
+    def partition_rows(source_rows, **config):
+        server = make_server(dataset_rows())
+        with Middleware(server, "data", SPEC,
+                        MiddlewareConfig(**config)) as mw:
+            return mw.execution._partition_rows(source_rows)
 
     def test_estimate_splits_two_partitions_per_worker(self):
-        sizer = _PartitionSizer(4)
-        assert sizer.partition_rows(64, 4) == 8
+        assert self.partition_rows(
+            64, scan_workers=4, scan_chunk_rows=4) == 8
+        assert self.partition_rows(
+            65, scan_workers=4, scan_chunk_rows=4) == 9  # rounded up
 
     def test_partitions_never_smaller_than_a_chunk(self):
-        sizer = _PartitionSizer(1024)
-        assert sizer.partition_rows(10, 8) == 1024
+        assert self.partition_rows(
+            10, scan_workers=8, scan_chunk_rows=1024) == 1024
 
-    def test_too_fast_partitions_coarsen_the_policy(self):
-        sizer = _PartitionSizer(4)
-        sizer.parts_per_worker = 4
-        sizer.observe([0.0001] * 8, partition_rows=4096)
-        assert sizer.parts_per_worker == 3
-        assert sizer.blind_rows == 8192
+    def test_empty_source_gets_one_chunk_not_zero(self):
+        assert self.partition_rows(
+            0, scan_workers=4, scan_chunk_rows=16) == 16
 
-    def test_skewed_partitions_refine_the_policy(self):
-        sizer = _PartitionSizer(4)
-        blind_before = sizer.blind_rows
-        sizer.observe([0.01, 0.01, 0.2], partition_rows=4096)
-        assert sizer.parts_per_worker == 3
-        assert sizer.blind_rows == max(4, blind_before // 2)
+    def test_inline_partition_is_a_fixed_number_of_chunks(self):
+        for source_rows in (0, 10, 1 << 20):
+            assert self.partition_rows(
+                source_rows, scan_workers=1, scan_chunk_rows=16
+            ) == INLINE_PARTITION_CHUNKS * 16
 
-    def test_slow_partitions_refine_the_policy(self):
-        sizer = _PartitionSizer(4)
-        sizer.observe([0.3], partition_rows=4096)
-        assert sizer.parts_per_worker == 3
-
-    def test_bounds_hold_under_any_history(self):
-        sizer = _PartitionSizer(4)
-        for _ in range(20):
-            sizer.observe([10.0] * 4, partition_rows=4096)
-        assert sizer.parts_per_worker == sizer.MAX_PARTS_PER_WORKER
-        for _ in range(20):
-            sizer.observe([0.0], partition_rows=1 << 30)
-        assert sizer.parts_per_worker == sizer.MIN_PARTS_PER_WORKER
-        assert sizer.blind_rows <= sizer.MAX_BLIND_ROWS
+    def test_rule_ignores_earlier_scans(self):
+        # Fast 27-row scans used to steer a timing-driven sizer; the
+        # static rule answers the same before and after them.
+        rows = dataset_rows()
+        config = MiddlewareConfig(
+            memory_bytes=100_000, scan_workers=2, **PARALLEL
+        )
+        with Middleware(make_server(rows), "data", SPEC, config) as mw:
+            before = [mw.execution._partition_rows(n) for n in (0, 27, 999)]
+            for value in range(3):
+                mw.queue_request(child_request(f"n{value}", value, rows))
+            while mw.pending:
+                mw.process_next_batch()
+            assert len(mw.trace) >= 1
+            after = [mw.execution._partition_rows(n) for n in (0, 27, 999)]
+        assert before == after == [2, 7, 250]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,6 @@ class TestInlineExecutor:
                     assert len(mw.trace) >= 2
                     for record in mw.trace:
                         assert record.workers == 1
-                        assert record.split_writers == 0
                         assert not record.cached
                         assert "(inline)" in str(record)
                     scan = mw.trace[-1]
@@ -622,7 +622,7 @@ class TestInlineExecutor:
             install_monitor(previous)
         assert started == []
         assert set(threading.enumerate()) == threads_before
-        for kind in ("executor", "future", "staging-writer"):
+        for kind in ("executor", "future"):
             assert monitor.created.get(kind, 0) == 0
         assert monitor.live_kinds() == []
 
@@ -870,23 +870,3 @@ class TestShmFaultInjection:
             assert monitor.live_kinds() == []
         finally:
             install_monitor(previous)
-
-
-class TestColumnarConfig:
-    def test_adaptive_sizing_reacts_to_fast_scans(self):
-        rows = dataset_rows()
-        server = make_server(rows)
-        config = MiddlewareConfig(
-            memory_bytes=100_000, scan_workers=2, **PARALLEL
-        )
-        with Middleware(server, "data", SPEC, config) as mw:
-            sizer = mw.execution._sizer
-            blind_before = sizer.blind_rows
-            for value in range(3):
-                mw.queue_request(child_request(f"n{value}", value, rows))
-            while mw.pending:
-                mw.process_next_batch()
-            # 27-row scans finish far under the too-fast threshold, so
-            # the blind target can only have grown (policy coarsens).
-            assert sizer.blind_rows >= blind_before
-            assert sizer.parts_per_worker == sizer.MIN_PARTS_PER_WORKER

@@ -9,7 +9,6 @@ import pytest
 from repro.client.baselines import build_cc_from_rows
 from repro.common.errors import MiddlewareError, StagingError
 from repro.common.locks import install_monitor
-from repro.core import staging as staging_module
 from repro.core.cc_table import CCTable
 from repro.core.config import MiddlewareConfig
 from repro.core.filters import PathCondition
@@ -148,9 +147,8 @@ class TestPoisonedPartition:
     float, which numpy refuses with ``TypeError`` where the slice is
     cut — in the worker — with earlier partitions already at the
     workers, which is the failure mode the persistent pool must
-    survive: outstanding futures drained, the staging writer aborted,
-    no half-written staged file left behind, and the same pool object
-    serving the next scan.
+    survive: outstanding futures drained, no half-written staged file
+    left behind, and the same pool object serving the next scan.
     """
 
     def _poison(self, middleware, poison_after=8):
@@ -362,9 +360,7 @@ class TestSetUpAndCommitFailure:
         assert os.listdir(tmp_path) == [root_file]
         assert mw.staging.memory_nodes() == []
         assert mw.budget.tags() == []  # no cc:* and no data reservation
-        assert not {"staged-file", "staging-writer", "future"} & set(
-            monitor.live_kinds()
-        )
+        assert not {"staged-file", "future"} & set(monitor.live_kinds())
         assert_children_counted(mw)
         for value in range(3):
             staged = mw.staging.file_for(f"n{value}")
@@ -408,24 +404,27 @@ class TestSetUpAndCommitFailure:
 # -- the one scan loop, stage by stage -------------------------------------------
 
 #: name -> (config, whether a root scan primes the session, whether
-#: the scan under test counts over an encoding the session keeps).  Every
-#: scenario's scan under test has staging output where it can have any
-#: (a MEMORY scan is already on the best tier, and a SERVER scan that
-#: stages its whole batch is transient by rule: both hand their writer
-#: nothing — the writer's ``put`` and ``close`` still run).
+#: the scan under test counts over an encoding the session keeps,
+#: whether it writes staged files).  Every scenario's scan under test
+#: writes files where it can (a MEMORY scan is already on the best
+#: tier, and a SERVER scan that stages nothing is what makes an encoding
+#: resident or uncached): where it writes none, the ``put`` and
+#: ``close`` faults have no write to hit, and the scan must succeed.
 SOURCES = {
-    "server-transient": ({"memory_staging": False}, False, False),
+    "server-transient": ({"memory_staging": False}, False, False, True),
     "server-uncached": (
         {"memory_staging": False, "file_staging": False,
-         "scan_cache_bytes": 0}, False, False),
+         "scan_cache_bytes": 0}, False, False, False),
     "server-resident": (
-        {"memory_staging": False, "file_staging": False}, False, True),
+        {"memory_staging": False, "file_staging": False}, False, True,
+        False),
     "file-streamed": (
         {"memory_staging": False, "file_split_threshold": 1.0,
-         "scan_cache_bytes": 0}, True, False),
+         "scan_cache_bytes": 0}, True, False, True),
     "file-cached": (
-        {"memory_staging": False, "file_split_threshold": 1.0}, True, True),
-    "memory": ({"file_staging": False}, True, False),
+        {"memory_staging": False, "file_split_threshold": 1.0}, True, True,
+        True),
+    "memory": ({"file_staging": False}, True, False, False),
 }
 EXECUTORS = {
     # 2-row chunks: the inline executor's partitions stay 16 rows.
@@ -434,6 +433,8 @@ EXECUTORS = {
     "processes": {"scan_workers": 2, "scan_pool": "process"},
 }
 FAULTS = ("pull", "submit", "merge", "put", "close")
+#: The faults planted on the scan's staged files.
+WRITE_FAULTS = ("put", "close")
 
 
 def _pipeline_cases():
@@ -477,7 +478,8 @@ class _ExplodingPartitions:
 
 
 class _TrackedSlices:
-    """A slice loop that remembers being closed."""
+    """A slice loop that remembers being closed or run to its end (a
+    fault after the loop, such as a seal, finds nothing left open)."""
 
     def __init__(self, slices):
         self._slices = slices
@@ -487,7 +489,11 @@ class _TrackedSlices:
         return self
 
     def __next__(self):
-        return next(self._slices)
+        try:
+            return next(self._slices)
+        except StopIteration:
+            self.closed = True
+            raise
 
     def close(self):
         self.closed = True
@@ -504,8 +510,6 @@ class TestPipelineStageFailures:
     reservation behind — and the session must serve the same requests
     once the fault is gone.
     """
-
-    WRITERS = ("InlineStagingWriter", "ParallelStagingWriter")
 
     def _arm(self, fault, mw, patch):
         """Plant ``fault`` for the next scan of ``mw``."""
@@ -530,22 +534,25 @@ class TestPipelineStageFailures:
             patch.setattr(CCTable, "merge_block", _failing_on_call(
                 2, CCTable.merge_block, _inject
             ))
+        elif fault == "put":
+            # The scan's second staged piece fails to append.
+            patch.setattr(StagedFile, "append_rows", _failing_on_call(
+                2, StagedFile.append_rows, _inject
+            ))
         else:
-            # The second put, or the close, of whichever writer runs.
-            k = 2 if fault == "put" else 1
-            for name in self.WRITERS:
-                writer = getattr(staging_module, name)
-                patch.setattr(
-                    writer, fault,
-                    _failing_on_call(k, getattr(writer, fault), _inject),
-                )
+            # The scan's first staged file fails to seal.
+            patch.setattr(StagedFile, "seal", _failing_on_call(
+                1, StagedFile.seal, _inject
+            ))
 
     @pytest.mark.parametrize("source, executor, fault",
                              list(_pipeline_cases()))
     def test_fault_leaves_nothing_behind(self, source, executor, fault,
                                          tmp_path, monkeypatch):
         pytest.importorskip("numpy")
-        overrides, primed, resident = SOURCES[source]
+        overrides, primed, resident, writes = SOURCES[source]
+        fires = writes or fault not in WRITE_FAULTS
+        threads_before = set(threading.enumerate())
         monitor = WitnessMonitor()
         previous = install_monitor(monitor)
         try:
@@ -553,14 +560,17 @@ class TestPipelineStageFailures:
                 staging_dir=str(tmp_path),
                 **{**PARTITIONED, **EXECUTORS[executor], **overrides},
             ) as mw:
-                self._run_case(mw, monitor, source, fault, primed,
+                self._run_case(mw, monitor, source, fault, fires, primed,
                                resident, tmp_path, monkeypatch)
             assert monitor.live_kinds() == []
         finally:
             install_monitor(previous)
+        # No thread outlives the session: its pool's workers are the
+        # only helper threads a scan may start.
+        assert set(threading.enumerate()) == threads_before
 
-    def _run_case(self, mw, monitor, source, fault, primed, resident,
-                  tmp_path, monkeypatch):
+    def _run_case(self, mw, monitor, source, fault, fires, primed,
+                  resident, tmp_path, monkeypatch):
         def queue():
             if primed:
                 mw.queue_requests(child_requests())
@@ -582,7 +592,10 @@ class TestPipelineStageFailures:
         restore = wrap_plan_slices(mw, tracked)
         with monkeypatch.context() as patch:
             self._arm(fault, mw, patch)
-            with pytest.raises(_Injected):
+            if fires:
+                with pytest.raises(_Injected):
+                    mw.process_next_batch()
+            else:
                 mw.process_next_batch()
         restore()
 
@@ -594,15 +607,11 @@ class TestPipelineStageFailures:
         for node_id in mw.staging.file_nodes():
             assert mw.staging.file_for(node_id)._active_scans == 0
         live = monitor.live_kinds()
-        assert not {"future", "staging-writer", "staged-file"} & set(live)
+        assert not {"future", "staged-file"} & set(live)
         cache = mw.execution.scan_cache
         assert live.count("shm-segment") == (
             cache.live_segments if cache is not None else 0
         )
-        assert not [
-            thread.name for thread in threading.enumerate()
-            if thread.name.startswith("staging-writer")
-        ]
         assert (mw.staging.file_nodes(), sorted(os.listdir(tmp_path)),
                 mw.staging.memory_nodes(),
                 sorted(mw.budget.tags())) == before

@@ -11,31 +11,22 @@ several partitions long and several workers genuinely share each scan.
 """
 
 import dataclasses
-import os
 import threading
-import time
 
 import pytest
 
 from repro.client.baselines import build_cc_from_rows
 from repro.client.decision_tree import DecisionTreeClassifier
-from repro.common.cost import CostMeter, CostModel
-from repro.common.errors import MiddlewareError, StagingError
-from repro.common.memory import MemoryBudget
+from repro.common.errors import MiddlewareError
 from repro.core.config import MiddlewareConfig
 from repro.core.filters import PathCondition
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
-from repro.core.staging import (
-    DataLocation,
-    ParallelStagingWriter,
-    StagingManager,
-)
+from repro.core.staging import DataLocation
 from repro.core.trace import ExecutionTrace
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
 from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
-from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 from ..conftest import tree_signature
@@ -171,8 +162,6 @@ class TestParallelEquivalence:
             mw.queue_request(root_request(rows))
             mw.process_next_batch()
             assert mw.staging.memory_rows("root") == rows
-            # A capture-only scan writes no file, so no writer thread.
-            assert mw.trace[-1].split_writers == 0
 
     def test_full_fit_grows_identical_tree(self):
         generating = build_random_tree(
@@ -201,6 +190,75 @@ class TestParallelEquivalence:
         assert tree_signature(trees[1].root) == tree_signature(
             trees[4].root
         )
+
+
+class TestStaticPartitionRule:
+    """A pooled scan's partitions are cut by one rule of the input —
+    ``max(scan_chunk_rows, ceil(source_rows / (2 x workers)))`` — so a
+    fit's schedule repeats on every run, whatever the workers' timings
+    were."""
+
+    #: 680-row sources: two workers cut them at 170 rows, four at the
+    #: one-chunk floor, so both terms of the rule are exercised.
+    CHUNK_ROWS = 100
+    #: source -> the staging plan whose scans (after the root's SERVER
+    #: scan) read it.
+    PLANS = {
+        "SERVER": {"file_staging": False, "memory_staging": False},
+        "FILE": {"memory_staging": False},
+        "MEMORY": {"file_staging": False},
+    }
+
+    def fit_scans(self, kind, workers, source):
+        """``(record, source_rows)`` of every scan of one whole fit."""
+        generating = build_random_tree(
+            RandomTreeConfig(
+                n_attributes=6,
+                values_per_attribute=3,
+                n_classes=3,
+                n_leaves=16,
+                cases_per_leaf=40,
+                seed=5,
+            )
+        )
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, generating.materialize())
+        config = MiddlewareConfig(
+            memory_bytes=500_000, scan_workers=workers, scan_pool=kind,
+            scan_chunk_rows=self.CHUNK_ROWS, **self.PLANS[source],
+        )
+        with Middleware(server, "data", generating.spec, config) as mw:
+            execution = mw.execution
+            measure, source_rows = execution._source_rows, []
+
+            def recorded(schedule):
+                source_rows.append(measure(schedule))
+                return source_rows[-1]
+
+            execution._source_rows = recorded
+            DecisionTreeClassifier().fit(mw)
+            assert len(source_rows) == len(mw.trace)
+            return list(zip(mw.trace, source_rows))
+
+    @pytest.mark.parametrize("source", list(PLANS))
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_partition_rows_follow_the_source(self, kind, workers, source):
+        scans = self.fit_scans(kind, workers, source)
+        pooled = [(record, rows) for record, rows in scans
+                  if record.workers > 1]
+        assert any(record.mode == source for record, _ in pooled)
+        for record, rows in pooled:
+            assert record.workers == workers
+            assert record.partition_rows == max(
+                self.CHUNK_ROWS, -(-rows // (2 * workers))
+            )
+            if rows > record.partition_rows:
+                assert len(record.worker_seconds) >= 2
+        again = self.fit_scans(kind, workers, source)
+        assert [record.partition_rows for record, _ in again] == [
+            record.partition_rows for record, _ in scans
+        ]
 
 
 class TestParallelOverflow:
@@ -368,7 +426,6 @@ class TestExecutorRule:
             for record in mw.trace:
                 assert record.workers == 1
                 assert len(record.worker_seconds) == 1  # one partition
-                assert record.split_writers == 0
                 assert not record.cached
                 assert "(inline)" in str(record)
             assert mw.stats.parallel_scans == 0
@@ -443,115 +500,6 @@ class TestParallelConfig:
             MiddlewareConfig()
 
 
-def piece(rows):
-    """``rows`` as a scan stages them: one gathered columnar piece."""
-    return ColumnarPartition.from_rows(rows)
-
-
-def captured(pieces):
-    """The rows a memory capture (a list of pieces) holds, in order."""
-    return list(ColumnarPartition.concat(pieces).rows())
-
-
-class _ExplodingWriter:
-    """A staging-file stand-in whose writes always fail."""
-
-    def append_rows(self, rows):
-        raise StagingError("disk full")
-
-
-class TestParallelStagingWriter:
-    """Per-file writer threads must keep the pipelined semantics."""
-
-    @pytest.fixture
-    def manager(self, tmp_path):
-        manager = StagingManager(
-            SPEC, CostMeter(), CostModel(), MemoryBudget(10_000),
-            staging_dir=str(tmp_path),
-        )
-        yield manager
-        manager.close()
-
-    def test_one_writer_thread_per_file(self, manager):
-        files = {f"n{i}": manager.open_file(f"n{i}") for i in range(3)}
-        writer = ParallelStagingWriter(files, {})
-        assert writer.n_writers == 3
-        writer.close()
-
-    def test_one_file_is_the_funnel(self, manager):
-        staged = manager.open_file("n1")
-        capture = {"m1": []}
-        writer = ParallelStagingWriter({"n1": staged}, capture)
-        assert writer.n_writers == 1
-        writer.put({"n1": piece([(0, 0, 0), (1, 1, 1)])},
-                   {"m1": piece([(0, 0, 0)])})
-        writer.put({"n1": piece([(2, 2, 2)])}, {"m1": piece([(2, 2, 2)])})
-        writer.put({}, {})  # empty partitions are skipped, not queued
-        writer.close()
-        staged.seal()
-        assert list(staged.scan()) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert captured(capture["m1"]) == [(0, 0, 0), (2, 2, 2)]
-
-    def test_no_file_starts_no_thread(self):
-        capture = {"m1": []}
-        writer = ParallelStagingWriter({}, capture)
-        assert writer.n_writers == 0
-        writer.put({}, {"m1": piece([(0, 0, 0)])})
-        assert captured(capture["m1"]) == [(0, 0, 0)]  # applied in place
-        writer.close()
-
-    def test_per_file_order_preserved_across_files(self, manager):
-        files = {f"n{i}": manager.open_file(f"n{i}") for i in range(2)}
-        capture = {"m1": []}
-        writer = ParallelStagingWriter(files, capture)
-        writer.put({"n0": piece([(0, 0, 0)]), "n1": piece([(1, 1, 1)])},
-                   {"m1": piece([(0, 0, 0)])})
-        writer.put({"n0": piece([(2, 2, 2)])}, {})
-        writer.put({}, {})  # empty partitions are skipped, not queued
-        writer.put({"n0": piece([(0, 1, 2)]), "n1": piece([(2, 1, 0)])},
-                   {"m1": piece([(2, 1, 0)])})
-        writer.close()
-        for staged in files.values():
-            staged.seal()
-        assert list(files["n0"].scan()) == [
-            (0, 0, 0), (2, 2, 2), (0, 1, 2)
-        ]
-        assert list(files["n1"].scan()) == [(1, 1, 1), (2, 1, 0)]
-        assert captured(capture["m1"]) == [(0, 0, 0), (2, 1, 0)]
-
-    def test_close_surfaces_writer_error(self, manager):
-        writer = ParallelStagingWriter(
-            {"ok": manager.open_file("ok"), "bad": _ExplodingWriter()}, {}
-        )
-        writer.put(
-            {"ok": piece([(0, 0, 0)]), "bad": piece([(1, 1, 1)])}, {}
-        )
-        with pytest.raises(StagingError, match="disk full"):
-            writer.close()
-
-    def test_put_surfaces_earlier_error(self):
-        writer = ParallelStagingWriter({"bad": _ExplodingWriter()}, {})
-        writer.put({"bad": piece([(0, 0, 0)])}, {})
-        deadline = time.monotonic() + 5.0
-        while writer._error is None and time.monotonic() < deadline:
-            time.sleep(0.001)
-        with pytest.raises(StagingError, match="disk full"):
-            writer.put({"bad": piece([(1, 1, 1)])}, {})
-        writer.abort()  # abort never raises
-
-    def test_put_after_close_rejected(self, manager):
-        writer = ParallelStagingWriter({"n1": manager.open_file("n1")}, {})
-        writer.close()
-        with pytest.raises(StagingError):
-            writer.put({"n1": piece([(0, 0, 0)])}, {})
-
-    def test_abort_after_close_is_idempotent(self, manager):
-        writer = ParallelStagingWriter({"n1": manager.open_file("n1")}, {})
-        writer.close()
-        writer.abort()
-        writer.abort()
-
-
 class TestTransientServerScan:
     """A SERVER scan the cache may not keep (here: a zero budget) is
     counted over slices of the server's encoding it does not keep — on
@@ -615,7 +563,7 @@ class TestTransientServerScan:
 
 
 class TestSplitWriters:
-    """§4.3.2 split scans with one writer per output file."""
+    """§4.3.2 split scans write the same files on every executor."""
 
     def _split_children(self, workers):
         rows = dataset_rows()
@@ -634,22 +582,18 @@ class TestSplitWriters:
                 mw.queue_request(child_request(f"n{value}", value, rows))
             while mw.pending:
                 mw.process_next_batch()
-            split_writer_counts = [r.split_writers for r in mw.trace]
+            assert any(record.split_file for record in mw.trace)
             payload = {}
             for value in range(3):
                 staged = mw.staging.file_for(f"n{value}")
                 with open(staged.path, "rb") as handle:
                     payload[f"n{value}"] = handle.read()
-        return payload, split_writer_counts
+        return payload
 
     def test_split_files_bit_identical_across_workers(self):
-        serial, serial_writers = self._split_children(1)
-        assert all(count == 0 for count in serial_writers)  # in place
+        serial = self._split_children(1)
         for workers in (2, 4):
-            parallel, writer_counts = self._split_children(workers)
-            assert parallel == serial
-            assert writer_counts[0] == 1  # the root file: one funnel
-            assert max(writer_counts) == 3  # one thread per output file
+            assert self._split_children(workers) == serial
 
 
 class TestTotalsFromTrace:

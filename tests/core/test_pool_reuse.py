@@ -125,8 +125,8 @@ class TestPoolReuseAcrossFits:
 class TestPoolEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_tree_identical_to_fresh_pool_run(self, workers):
-        # A fit on a pool another fit already warmed (kernels installed,
-        # sizer adapted) against the first fit of a fresh session.
+        # A fit on a pool another fit already warmed (kernels
+        # installed) against the first fit of a fresh session.
         generating = generated()
         with make_middleware(
             generating, scan_workers=workers, **PARALLEL

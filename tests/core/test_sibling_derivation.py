@@ -446,7 +446,7 @@ class TestGuards:
                 assert sorted(os.listdir(tmp_path)) == files
                 assert mw.staging.memory_nodes() == []
                 assert mw.budget.tags() == []
-                assert not {"staged-file", "staging-writer", "future"} & set(
+                assert not {"staged-file", "future"} & set(
                     monitor.live_kinds()
                 )
             assert monitor.live_kinds() == []

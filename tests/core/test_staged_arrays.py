@@ -221,8 +221,8 @@ BAD_ROWS = [(i % 2, i % 3, i % 3) for i in range(28)] + [
 @pytest.mark.parametrize("value", [None, "x", 1 << 31])
 class TestUnfitValueFailsTheScanCleanly:
     """Regression: the value escaped as a bare ``struct.error`` — from
-    a writer thread on a pooled scan — after the rows before it in its
-    piece had been buffered."""
+    a since-removed writer thread on a pooled scan — after the rows
+    before it in its piece had been buffered."""
 
     def test_error_names_it_and_nothing_is_left(self, executor, value,
                                                 tmp_path):
@@ -247,7 +247,7 @@ class TestUnfitValueFailsTheScanCleanly:
                 assert mw.staging.file_nodes() == []
                 assert os.listdir(tmp_path) == []
                 assert mw.budget.tags() == []
-                assert not {"staged-file", "staging-writer", "future"} & set(
+                assert not {"staged-file", "future"} & set(
                     monitor.live_kinds()
                 )
                 assert len(mw.trace) == 0

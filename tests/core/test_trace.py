@@ -140,12 +140,15 @@ class TestDeclaredOnce:
         # no SERVER scan streams a cursor, so the prefetch thread and
         # its two fields went too.  Derived siblings added which nodes
         # a scan derived instead of counting, and their rows; the tag
-        # route added which route a scan took.
+        # route added which route a scan took.  Staged pieces are
+        # written in place on every executor, so no scan runs writer
+        # threads to count.
         assert fields == (
             PARENT_SCAN_STATS | PARENT_SCHEDULE_RECORD
         ) - {"rows_per_sec", "kernel", "columnar", "prefetch_depth",
-             "prefetch_peak"} | {"derived", "rows_derived", "routing"}
-        assert len(fields) == 35
+             "prefetch_peak", "split_writers"} | {
+                 "derived", "rows_derived", "routing"}
+        assert len(fields) == 34
         assert isinstance(ScheduleRecord.rows_per_sec, property)
 
     def test_each_field_is_declared_by_one_class(self):

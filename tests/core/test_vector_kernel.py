@@ -322,10 +322,10 @@ class TestKernelAgainstTheOracle:
 
     def test_reported_seconds_are_the_counting_threads_cpu_time(
             self, monkeypatch):
-        # What the partition sizer steers on must not hold a pool
-        # thread's waits for the GIL: with wall time the staged plan's
-        # first scan sat on the skew threshold and the partition
-        # schedule differed from fit to fit.
+        # A scan's worker_seconds must not hold a pool thread's waits
+        # for the GIL: with wall time the staged plan's first scan
+        # read 1.8-2.1x the mean partition, which says nothing about
+        # the partition and differed from fit to fit.
         ticks = iter([10.0, 10.25, 20.0, 20.5, 20.75, 21.5])
         monkeypatch.setattr(vector_kernel, "time", SimpleNamespace(
             thread_time=lambda: next(ticks),

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core.config import MiddlewareConfig
 
 
 def run(argv, capsys):
@@ -62,6 +64,24 @@ class TestFitEvaluatePredict:
         )
         assert code == 0
         assert "scans" in stdout
+
+    @pytest.mark.parametrize("flags, chunk_rows", [
+        ([], MiddlewareConfig().scan_chunk_rows),
+        (["--scan-chunk-rows", "64"], 64),
+    ])
+    def test_scan_chunk_rows_is_passed_only_when_set(
+            self, data_csv, capsys, monkeypatch, flags, chunk_rows):
+        configs = []
+        middleware = cli.Middleware
+
+        def recording(server, table, spec, config):
+            configs.append(config)
+            return middleware(server, table, spec, config)
+
+        monkeypatch.setattr(cli, "Middleware", recording)
+        code, _, _ = run(["fit", str(data_csv), *flags], capsys)
+        assert code == 0
+        assert [config.scan_chunk_rows for config in configs] == [chunk_rows]
 
     def test_evaluate_cross_validates(self, data_csv, capsys):
         code, stdout, _ = run(
