@@ -3,8 +3,7 @@
 AST-based lint rules that encode the invariants the middleware's own
 bug history (PRs 1–3) established: lock discipline on declared
 attributes, future lifecycle on the scan pool, resource cleanup on
-every exit path, pickle-safety of process-worker payloads, and the
-config-knob/CLI/docs three-way contract.
+every exit path, and pickle-safety of process-worker payloads.
 
 Run it with ``python -m repro.analysis src`` (exit 0 = clean) or call
 :func:`analyze` directly.  See ``docs/static_analysis.md`` for the

@@ -19,9 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Run the repro static-analysis suite (concurrency lint, "
-            "config consistency, meter integrity) over the given "
-            "files or directories."
+            "Run the repro static-analysis suite (concurrency and "
+            "resource lint) over the given files or directories."
         ),
     )
     parser.add_argument(

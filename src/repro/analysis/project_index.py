@@ -1,11 +1,11 @@
 """The project call-graph layer: modules, symbols, types, reachability.
 
 Per-file AST rules can prove lexical properties ("this write sits inside
-a ``with`` block") but the meter-integrity invariants are
-*interprocedural*: whether an executor entry point charges for a row
-access depends on what its callees — two modules away — do.  The
-:class:`ProjectIndex` gives rules just enough whole-program structure
-to ask those questions:
+a ``with`` block") but lock discipline is *interprocedural*: whether a
+guarded write runs with its lock held depends on every caller path
+into it, two modules away.  The :class:`ProjectIndex` gives the
+lock-set layer (:mod:`repro.analysis.lockset`) just enough
+whole-program structure to ask those questions:
 
 * **module and symbol resolution** — every scanned file becomes a
   dotted module (``src/repro/sqlengine/heap.py`` → ``repro.sqlengine
@@ -20,10 +20,9 @@ to ask those questions:
   .scan_rows`` without importing anything;
 * **a call graph with bounded reachability** — one node per module
   -level function or method (nested functions and lambdas fold into
-  their enclosing node, which matches how closures like the columnar
-  cache's ``charge_scan`` actually execute), edges only where
-  resolution *succeeded*, plus BFS ``reachable``/``find_path``
-  queries with a depth bound.
+  their enclosing node, because a closure runs with its enclosing
+  function's state), edges only where resolution *succeeded*, plus
+  BFS ``reachable``/``find_path`` queries with a depth bound.
 
 What it deliberately does **not** do: resolve calls through untyped
 receivers unless the method name is distinctive (defined by at most
@@ -758,14 +757,8 @@ class ProjectIndex:
         return out
 
     def find_path(self, start: str, targets: Set[str],
-                  depth: int = DEFAULT_DEPTH,
-                  blocked: Optional[Set[str]] = None) -> Optional[List[str]]:
-        """Shortest call path from ``start`` into ``targets``.
-
-        ``blocked`` nodes terminate exploration (they may be *reached*
-        as a final hop only if in ``targets``); the meter rules use
-        this to ask for a path that avoids every charging function.
-        """
+                  depth: int = DEFAULT_DEPTH) -> Optional[List[str]]:
+        """Shortest call path from ``start`` into ``targets``."""
         if start in targets:
             return [start]
         parents: Dict[str, str] = {}
@@ -785,15 +778,5 @@ class ProjectIndex:
                     while path[-1] != start:
                         path.append(parents[path[-1]])
                     return list(reversed(path))
-                if blocked is not None and callee in blocked:
-                    continue
                 queue.append((callee, hops + 1))
         return None
-
-    def call_sites_into(self, caller: str,
-                        next_hop: str) -> List[CallSite]:
-        """Call sites in ``caller`` that may dispatch to ``next_hop``."""
-        return [
-            site for site in self.calls.get(caller, [])
-            if next_hop in site.targets
-        ]

@@ -4,20 +4,14 @@ from __future__ import annotations
 
 from .atomicity import AtomicityRule
 from .base import Rule
-from .charge_category import ChargeCategoryRule
 from .future_drain import FutureDrainRule
 from .guarded_by import GuardedByRule
-from .knob_consistency import KnobConsistencyRule
 from .lock_order import LockOrderRule
-from .mutation_completeness import MutationCompletenessRule
 from .pickle_boundary import PickleBoundaryRule
 from .resource_lifecycle import ResourceLifecycleRule
-from .unmetered_row_access import UnmeteredRowAccessRule
 
 #: Every shipped rule, in reporting order.  The first three are the
-#: concurrency family, built on the lock-set layer; the last three
-#: are the meter-integrity family, built on the interprocedural
-#: ProjectIndex.
+#: concurrency family, built on the lock-set layer.
 ALL_RULES: list[type[Rule]] = [
     GuardedByRule,
     LockOrderRule,
@@ -25,10 +19,6 @@ ALL_RULES: list[type[Rule]] = [
     FutureDrainRule,
     ResourceLifecycleRule,
     PickleBoundaryRule,
-    KnobConsistencyRule,
-    ChargeCategoryRule,
-    UnmeteredRowAccessRule,
-    MutationCompletenessRule,
 ]
 
 
@@ -53,16 +43,12 @@ def rules_by_name(names: list[str]) -> list[Rule]:
 __all__ = [
     "ALL_RULES",
     "AtomicityRule",
-    "ChargeCategoryRule",
     "FutureDrainRule",
     "GuardedByRule",
-    "KnobConsistencyRule",
     "LockOrderRule",
-    "MutationCompletenessRule",
     "PickleBoundaryRule",
     "ResourceLifecycleRule",
     "Rule",
-    "UnmeteredRowAccessRule",
     "default_rules",
     "rules_by_name",
 ]

@@ -71,19 +71,6 @@ def call_name(node: ast.Call) -> str | None:
     return None
 
 
-def dotted_call_name(node: ast.Call) -> str | None:
-    """``pkg.mod.f(...)`` -> ``"pkg.mod.f"`` (None when not name-based)."""
-    parts: list[str] = []
-    probe: ast.AST = node.func
-    while isinstance(probe, ast.Attribute):
-        parts.append(probe.attr)
-        probe = probe.value
-    if isinstance(probe, ast.Name):
-        parts.append(probe.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def iter_functions(tree: ast.AST) -> \
         Iterator[tuple[ast.ClassDef | None, ast.FunctionDef]]:
     """Yield ``(enclosing_class_or_None, function)`` pairs."""

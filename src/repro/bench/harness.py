@@ -91,7 +91,7 @@ class Workbench:
         self.meter = CostMeter()
         self.server = SQLServer(model=self.model, meter=self.meter)
         loaded = list(rows)
-        load_dataset(self.server, table_name, spec, loaded)  # repro-lint: disable=unmetered-row-access -- dataset load is the unmetered setup phase: bulk_load bypasses the meter by design, only the fit/predict workload is billed
+        load_dataset(self.server, table_name, spec, loaded)
         self.n_rows = len(loaded)
 
     def run_middleware(self, config: MiddlewareConfig,

@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-depth", type=int, default=None)
     fit.add_argument("--min-rows", type=int, default=2)
     fit.add_argument("--memory", type=int, default=256 * 1024,
-                     help="middleware memory budget in simulated bytes")
+                     help="middleware memory budget in simulated bytes "
+                          "(default: 256 KiB)")
     fit.add_argument("--no-staging", action="store_true",
                      help="disable file and memory staging")
     fit.add_argument("--file-split-threshold", type=float, default=None,
@@ -128,9 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker pool kind for parallel scans "
                           "(default: thread)")
     fit.add_argument("--scan-cache-bytes", type=int, default=None,
-                     help="byte budget for resident cached columnar "
-                          "encodings (default: 128 MiB; 0 keeps none: "
-                          "every scan encodes a partition at a time)")
+                     help="byte budget for the columnar encodings a "
+                          "session keeps on top of the server's one "
+                          "per table version (default: 128 MiB; 0 "
+                          "keeps none: a SERVER scan still slices the "
+                          "server's encoding, a MEMORY scan its set, "
+                          "and a staged file is encoded a block at a "
+                          "time)")
     fit.add_argument("--no-scan-use-planner", action="store_true",
                      help="strip the index candidate from the auto "
                           "strategy's access-path planner (the blind "
@@ -212,7 +217,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     spec, rows = _read_csv_dataset(args.data, args.class_column)
     server = SQLServer()
-    load_dataset(server, "data", spec, rows)  # repro-lint: disable=unmetered-row-access -- dataset load is the unmetered setup phase: bulk_load bypasses the meter by design, only the fit/predict workload is billed
+    load_dataset(server, "data", spec, rows)
 
     scan_options: dict[str, Any] = {}
     # Only forward scan flags the user actually set, so the config's

@@ -10,7 +10,13 @@ Two quantities drive scheduling:
   The paper chooses ``Est_cc(n) = (|n| / |p|) * Σ_j card(p, A_j)``
   (independence of the partitioning attribute from the rest), noting it
   is conservative and that ``card(p, A_j)`` is exact, so the estimate
-  does not compound errors down the tree.
+  does not compound errors down the tree.  On the benchmark workloads
+  it is not conservative: at seed 1 it is below the counted pair count
+  on 93.8 % (staged_default), 97.2 % (staged_parallel), 98.1 %
+  (server_parallel) and 99.9 % (deep_tree) of nodes, median
+  estimate/actual 0.84, 0.84, 0.87 and 0.65.  A node whose table
+  overflows its reservation is deferred with its counted size
+  (Section 4.1.1).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Facade half: reaches storage only through import aliases.
 
-``count_free`` is the cross-module seeded violation — a metered
-function whose path to the heap rows crosses a module boundary twice
-(aliased class import, aliased module import) without a charge.
+``count_free`` reaches the heap rows across a module boundary through
+an aliased class import and a return type; ``count_paid`` through an
+aliased module import.
 """
 
 from .storage import XHeap as Store
@@ -15,13 +15,13 @@ def build_store() -> Store:
 
 
 def count_free(meter) -> int:
-    # BAD: aliased cross-module path to heap rows, no charge.
+    # Receiver typed by build_store()'s return annotation.
     store = build_store()
     return sum(1 for _row in store.scan_rows())
 
 
 def count_paid(meter, model) -> int:
-    # OK: charges before the aliased module call reaches the rows.
+    # Callee resolved through the module alias.
     meter.charge("scan", model.scan_page)
     heap = st.make_heap()
     return sum(1 for _row in heap.scan_rows())

@@ -45,8 +45,8 @@ def test_json_format_is_machine_readable(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("guarded-by", "future-drain", "resource-lifecycle",
-                 "pickle-boundary", "knob-consistency"):
+    for rule in ("guarded-by", "lock-order", "atomicity", "future-drain",
+                 "resource-lifecycle", "pickle-boundary"):
         assert rule in out
 
 
@@ -65,40 +65,32 @@ def test_parse_error_is_a_finding(tmp_path, capsys):
     assert "[parse-error]" in capsys.readouterr().out
 
 
-def test_list_rules_includes_meter_family(capsys):
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in ("charge-category", "unmetered-row-access",
-                 "mutation-completeness"):
-        assert rule in out
-
-
 def test_select_runs_only_named_rules(capsys):
-    code = main([fixture("charge_category_bad.py"), "--format", "json",
-                 "--select", "charge-category", "--root", FIXTURES])
+    code = main([fixture("future_bad.py"), "--format", "json",
+                 "--select", "future-drain", "--root", FIXTURES])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["rules_run"] == ["charge-category"]
-    assert {f["rule"] for f in payload["findings"]} == {"charge-category"}
+    assert payload["rules_run"] == ["future-drain"]
+    assert {f["rule"] for f in payload["findings"]} == {"future-drain"}
 
 
 def test_select_unknown_rule_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([fixture("charge_category_bad.py"),
+        main([fixture("future_bad.py"),
               "--select", "no-such-rule"])
     assert excinfo.value.code == 2
     assert "no-such-rule" in capsys.readouterr().err
 
 
 def test_json_reports_per_rule_timings(capsys):
-    main([fixture("charge_category_bad.py"), "--format", "json",
-          "--select", "unmetered-row-access,charge-category",
+    main([fixture("future_bad.py"), "--format", "json",
+          "--select", "guarded-by,future-drain",
           "--root", FIXTURES])
     payload = json.loads(capsys.readouterr().out)
     timings = payload["rule_timings"]
-    # One entry per rule run, plus the shared index build.
+    # One entry per rule run, plus the shared index and lock-set builds.
     assert set(timings) == \
-        {"unmetered-row-access", "charge-category", "project-index"}
+        {"guarded-by", "future-drain", "project-index", "lock-set"}
     assert all(seconds >= 0 for seconds in timings.values())
 
 

@@ -93,10 +93,10 @@ class TestCycles:
 
 class TestDynamicDispatchFallback:
     def test_unique_owner_resolves_via_fallback(self, playground):
-        sites = playground.call_sites_into(
-            "index_playground.poke_untyped",
-            "index_playground.Gadget.recalibrate",
-        )
+        sites = [
+            site for site in playground.calls["index_playground.poke_untyped"]
+            if "index_playground.Gadget.recalibrate" in site.targets
+        ]
         assert len(sites) == 1
         assert sites[0].via_fallback
 
@@ -153,25 +153,7 @@ class TestCrossModuleAliasing:
         assert "xmod.storage.XHeap.scan_rows" in edges
 
 
-class TestBlockedPaths:
-    def test_blocked_node_terminates_exploration(self, xmod):
-        target = {"xmod.storage.XPage.live_rows"}
-        free = xmod.find_path("xmod.facade.count_free", target)
-        assert free is not None
-        blocked = xmod.find_path(
-            "xmod.facade.count_free", target,
-            blocked={"xmod.storage.XHeap.scan_rows"},
-        )
-        assert blocked is None
-
-    def test_blocked_node_still_reachable_as_target(self, xmod):
-        target = {"xmod.storage.XHeap.scan_rows"}
-        path = xmod.find_path(
-            "xmod.facade.count_free", target, blocked=target
-        )
-        assert path is not None
-        assert path[-1] == "xmod.storage.XHeap.scan_rows"
-
+class TestDepthBound:
     def test_depth_bound_gives_up_explicitly(self, xmod):
         reach = xmod.reachable("xmod.facade.count_free", depth=1)
         assert "xmod.storage.XHeap.scan_rows" in reach

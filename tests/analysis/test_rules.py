@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import analyze
 from repro.analysis.rules.future_drain import FutureDrainRule
 from repro.analysis.rules.guarded_by import GuardedByRule
-from repro.analysis.rules.knob_consistency import KnobConsistencyRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.pickle_boundary import PickleBoundaryRule
 from repro.analysis.rules.resource_lifecycle import ResourceLifecycleRule
@@ -256,29 +255,3 @@ class TestPickleBoundary:
                          root=str(tmp_path))
         assert report.findings == []
 
-
-class TestKnobConsistency:
-    def test_catches_missing_flags_and_docs(self):
-        root = os.path.join(FIXTURES, "knobs_bad")
-        report = analyze([root], [KnobConsistencyRule()], root=root)
-        messages = [f.message for f in report.findings]
-        assert len(messages) == 4
-        assert any("'secret_knob' has no CLI flag" in m for m in messages)
-        assert any("'secret_knob' is not mentioned" in m for m in messages)
-        assert any("--no-ghost-toggle" in m for m in messages)
-        assert any("'ghost_toggle' is not mentioned" in m for m in messages)
-
-    def test_consistent_knobs_and_env_pass(self):
-        root = os.path.join(FIXTURES, "knobs_bad")
-        report = analyze([root], [KnobConsistencyRule()], root=root)
-        messages = " ".join(f.message for f in report.findings)
-        assert "memory_bytes" not in messages
-        assert "chunk_rows" not in messages
-        assert "REPRO_FIXTURE_WORKERS" not in messages
-
-    def test_no_config_class_no_findings(self, tmp_path):
-        path = tmp_path / "plain.py"
-        path.write_text("x = 1\n")
-        report = analyze([str(path)], [KnobConsistencyRule()],
-                         root=str(tmp_path))
-        assert report.findings == []

@@ -26,7 +26,7 @@ def sarif_for(fixture, rules=None):
 
 
 def test_document_skeleton():
-    document, _ = sarif_for("charge_category_bad.py")
+    document, _ = sarif_for("future_bad.py")
     assert document["version"] == SARIF_VERSION == "2.1.0"
     assert document["$schema"].endswith("sarif-schema-2.1.0.json")
     assert len(document["runs"]) == 1
@@ -36,7 +36,7 @@ def test_document_skeleton():
 
 
 def test_every_result_resolves_its_rule_id():
-    document, _ = sarif_for("mutation_bad.py")
+    document, _ = sarif_for("resource_bad.py")
     run = document["runs"][0]
     declared = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     for result in run["results"]:
@@ -46,7 +46,7 @@ def test_every_result_resolves_its_rule_id():
 
 
 def test_regions_are_one_based():
-    document, report = sarif_for("mutation_bad.py")
+    document, report = sarif_for("resource_bad.py")
     results = document["runs"][0]["results"]
     assert len(results) == len(report.findings)
     by_message = {f.message: f for f in report.findings}
@@ -59,11 +59,11 @@ def test_regions_are_one_based():
 
 
 def test_artifact_uris_are_root_relative_forward_slash():
-    document, _ = sarif_for("mutation_bad.py")
+    document, _ = sarif_for("resource_bad.py")
     for result in document["runs"][0]["results"]:
         uri = result["locations"][0]["physicalLocation"][
             "artifactLocation"]["uri"]
-        assert uri == "mutation_bad.py"
+        assert uri == "resource_bad.py"
         assert "\\" not in uri and not os.path.isabs(uri)
 
 
@@ -80,7 +80,7 @@ def test_suppressed_findings_are_kept_and_marked():
 
 
 def test_run_properties_carry_timings():
-    document, report = sarif_for("charge_category_bad.py")
+    document, report = sarif_for("future_bad.py")
     properties = document["runs"][0]["properties"]
     assert properties["filesScanned"] == report.files_scanned
     assert properties["rulesRun"] == report.rules_run
@@ -90,13 +90,13 @@ def test_run_properties_carry_timings():
 def test_cli_sarif_output_round_trips(tmp_path, capsys):
     out_path = tmp_path / "analysis.sarif"
     code = main([
-        os.path.join(FIXTURES, "mutation_pr8_regression.py"),
+        os.path.join(FIXTURES, "pickle_bad.py"),
         "--format", "sarif", "--output", str(out_path),
-        "--select", "mutation-completeness", "--root", FIXTURES,
+        "--select", "pickle-boundary", "--root", FIXTURES,
     ])
     assert code == 1
     document = json.loads(out_path.read_text())
     results = document["runs"][0]["results"]
-    assert len(results) == 1
-    assert results[0]["ruleId"] == "mutation-completeness"
-    assert "PR-8" in results[0]["message"]["text"]
+    assert len(results) == 4
+    assert {result["ruleId"] for result in results} == {"pickle-boundary"}
+    assert "lambda" in results[0]["message"]["text"]

@@ -9,8 +9,6 @@ a real defect slipped in or a new finding needs a justified
 import os
 
 from repro.analysis import analyze, default_rules
-from repro.analysis.engine import load_project
-from repro.analysis.rules.meter_common import row_access_sinks
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
@@ -36,19 +34,6 @@ def test_every_suppression_in_src_is_justified_and_used():
     assert audit == []
 
 
-def test_meter_family_runs_and_src_stays_clean():
-    """The interprocedural meter rules are on by default and src/ is
-    clean under them — every justified suppression stays accounted."""
-    report = analyze(
-        [os.path.join(REPO_ROOT, "src")], default_rules(), root=REPO_ROOT
-    )
-    for rule in ("charge-category", "unmetered-row-access",
-                 "mutation-completeness"):
-        assert rule in report.rules_run
-    assert "project-index" in report.rule_timings
-    assert report.clean
-
-
 def test_concurrency_family_runs_and_src_stays_clean():
     """The lock-set rules are on by default and src/ is clean under
     them; the shared lock-set build is timed as its own pseudo-rule."""
@@ -57,6 +42,7 @@ def test_concurrency_family_runs_and_src_stays_clean():
     )
     for rule in ("guarded-by", "lock-order", "atomicity"):
         assert rule in report.rules_run
+    assert "project-index" in report.rule_timings
     assert "lock-set" in report.rule_timings
     assert report.clean
 
@@ -69,17 +55,3 @@ def test_scan_covers_the_whole_package():
     # has dozens of modules under src/.
     assert report.files_scanned > 50
 
-
-def test_the_tid_gather_reads_the_encoding_not_pages():
-    """A TID-list, keyset or index plan gathers its rows out of the
-    server's encoding: the ordinal map behind the gather touches no
-    page, so ``unmetered-row-access`` has nothing to follow there —
-    while the heap's real row readers stay sinks."""
-    project, errors = load_project(
-        [os.path.join(REPO_ROOT, "src")], root=REPO_ROOT
-    )
-    assert not errors
-    sinks = row_access_sinks(project.index())
-    heap = "repro.sqlengine.heap.HeapTable."
-    assert {heap + "scan_rows", heap + "fetch_or_none"} <= sinks
-    assert heap + "live_ordinals" not in sinks

@@ -1,18 +1,76 @@
 """Integration tests for the command-line interface."""
 
+import dataclasses
+import glob
+import inspect
 import json
+import os
+import re
 
 import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.core import config as config_module
 from repro.core.config import MiddlewareConfig
+
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..")
+)
+
+#: README.md and docs/*.md, where every config knob must be named.
+DOCS = "\n".join(
+    open(path, encoding="utf-8").read()
+    for path in [os.path.join(REPO_ROOT, "README.md"),
+                 *sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))]
+)
+
+#: `repro fit` flags whose names predate the field-name convention
+#: (`--field-name`, or `--no-field-name` for a field that defaults on).
+FLAG_ALIASES = {
+    "memory_bytes": ["--memory"],
+    "file_staging": ["--no-staging", "--staging"],
+    "memory_staging": ["--no-staging", "--staging"],
+}
+
+#: A non-default value for each field that doubling its default cannot
+#: give one (a path-valued field gets a temporary directory).
+FLAG_VALUES = {
+    "file_budget_bytes": 1 << 30,
+    "aux_strategy": "keyset",
+    "scan_pool": "process",
+}
+
+#: `repro fit`'s own default where it differs from the library's.
+CLI_DEFAULTS = {"memory_bytes": 256 * 1024}
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fit_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["fit", "--help"])
+    return capsys.readouterr().out
+
+
+def fit_config(data_csv, capsys, monkeypatch, flags):
+    """The one MiddlewareConfig `repro fit` builds from ``flags``."""
+    configs = []
+    middleware = cli.Middleware
+
+    def recording(server, table, spec, config):
+        configs.append(config)
+        return middleware(server, table, spec, config)
+
+    monkeypatch.setattr(cli, "Middleware", recording)
+    code, _, _ = run(["fit", str(data_csv), *flags], capsys)
+    assert code == 0
+    (config,) = configs
+    return config
 
 
 class TestGenerate:
@@ -71,17 +129,43 @@ class TestFitEvaluatePredict:
     ])
     def test_scan_chunk_rows_is_passed_only_when_set(
             self, data_csv, capsys, monkeypatch, flags, chunk_rows):
-        configs = []
-        middleware = cli.Middleware
+        config = fit_config(data_csv, capsys, monkeypatch, flags)
+        assert config.scan_chunk_rows == chunk_rows
 
-        def recording(server, table, spec, config):
-            configs.append(config)
-            return middleware(server, table, spec, config)
+    @pytest.mark.parametrize(
+        "name",[knob.name for knob in dataclasses.fields(MiddlewareConfig)]
+    )
+    def test_every_config_field_has_a_flag_and_docs(
+            self, data_csv, tmp_path, capsys, monkeypatch, name):
+        """`repro fit`'s flag for the field sets it, leaving the flag
+        out keeps the default, and README or docs/*.md names it."""
+        default = getattr(MiddlewareConfig(), name)
+        dashed = name.replace("_", "-")
+        listed = fit_help(capsys)
+        flags = [flag for flag in FLAG_ALIASES.get(name, [
+            f"--no-{dashed}" if default is True else f"--{dashed}"
+        ]) if re.search(rf"{flag}\b(?!-)", listed)]
+        assert flags, f"config field {name!r} has no `repro fit` flag"
+        if isinstance(default, bool):
+            argv, expected = [flags[0]], not default
+        else:
+            expected = FLAG_VALUES.get(name)
+            if expected is None:
+                expected = default * 2 if isinstance(default, (int, float)) \
+                    else str(tmp_path)
+            argv = [flags[0], str(expected)]
 
-        monkeypatch.setattr(cli, "Middleware", recording)
-        code, _, _ = run(["fit", str(data_csv), *flags], capsys)
-        assert code == 0
-        assert [config.scan_chunk_rows for config in configs] == [chunk_rows]
+        set_by_flag = fit_config(data_csv, capsys, monkeypatch, argv)
+        assert getattr(set_by_flag, name) == expected
+        left_out = fit_config(data_csv, capsys, monkeypatch, [])
+        assert getattr(left_out, name) == CLI_DEFAULTS.get(name, default)
+        assert name in DOCS or any(flag in DOCS for flag in flags), \
+            f"config field {name!r} is not named in README.md or docs/*.md"
+
+    def test_every_environment_variable_is_documented(self):
+        source = inspect.getsource(config_module)
+        for variable in set(re.findall(r"\bREPRO_[A-Z0-9_]+\b", source)):
+            assert variable in DOCS, f"{variable} is not documented"
 
     def test_evaluate_cross_validates(self, data_csv, capsys):
         code, stdout, _ = run(
