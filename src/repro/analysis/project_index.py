@@ -28,9 +28,7 @@ What it deliberately does **not** do: resolve calls through untyped
 receivers unless the method name is distinctive (defined by at most
 :data:`DYNAMIC_FALLBACK_MAX` project classes and not a common container
 -method name), follow ``getattr``/dict dispatch, or guess across
-``Any``.  Unresolved calls are counted per function
-(:attr:`FunctionInfo.unresolved_calls`) so rules — and the docs — can
-be honest about where reachability gives up.
+``Any``.  A call that does not resolve simply adds no edge.
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ class FunctionInfo:
     class_name: Optional[str]
     node: ast.FunctionDef
     source: SourceFile
-    #: Call sites whose resolution failed (terminal callee name each).
-    unresolved_calls: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -225,14 +221,6 @@ def _iter_own_calls(node: ast.AST) -> Iterator[ast.Call]:
     for child in ast.walk(node):
         if isinstance(child, ast.Call):
             yield child
-
-
-def _terminal_call_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
 
 
 class ProjectIndex:
@@ -686,10 +674,6 @@ class ProjectIndex:
                 fallback = not isinstance(call.func, ast.Name) and \
                     self._was_fallback(call, env, cls_info, module)
                 sites.append(CallSite(call, targets, fallback))
-            else:
-                name = _terminal_call_name(call)
-                if name is not None:
-                    info.unresolved_calls.append(name)
         self.calls[info.qualname] = sites
         self.edges[info.qualname] = {
             target for site in sites for target in site.targets

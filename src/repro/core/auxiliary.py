@@ -164,7 +164,7 @@ class _AccessPath:
     n_rows: int
     encode: Callable[[], Any]
 
-    def plan(self, server: Any, predicate: Any) -> ColumnarScanPlan:
+    def plan(self, server: Any) -> ColumnarScanPlan:
         """The plan form: the stream's own price functions, bound to
         the meter, so the plan costs what the stream would."""
         return ColumnarScanPlan(
@@ -173,7 +173,6 @@ class _AccessPath:
             encode=self.encode,
             charge_scan=partial(self.charge, server.meter),
             charge_rows=partial(charge_transfer, server.meter, server.model),
-            filter_expr=predicate,
         )
 
 
@@ -236,16 +235,14 @@ class ServerAccessStrategy:
     def plan_columnar(self, predicate: Any,
                       relevant_rows: int) -> ColumnarScanPlan:
         """The scan as a columnar plan: the superset's encoding
-        (unmetered), the filter to apply as a keep mask, and the path's
-        charges.
+        (unmetered) and the path's charges; the counting kernel's route
+        keeps the rows ``predicate`` keeps.
 
         A decision that (re)builds an auxiliary structure builds it
         *here*, whether the executor then keeps the plan's encoding
         resident or counts its rows a partition at a time.
         """
-        return self._serve(predicate, relevant_rows).plan(
-            self._server, predicate
-        )
+        return self._serve(predicate, relevant_rows).plan(self._server)
 
     def _serve(self, predicate: Any, relevant_rows: int) -> _AccessPath:
         """Decide, and record the decision in ``last_choice``."""

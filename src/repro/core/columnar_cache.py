@@ -75,10 +75,10 @@ class ColumnarScanPlan:
     False the encoder itself meters (staged-file block scans), so the
     explicit charges apply on hits only.
 
-    ``filter_expr`` is the pushed batch filter the workers apply as a
-    keep mask (None = count every row); per-scan filters deliberately
-    stay *out* of the cache key so every level of a fit shares one
-    encoding.
+    A SERVER scan's pushed batch filter is the OR of its batch's paths,
+    so the counting kernel's route keeps its rows; per-scan filters
+    deliberately stay *out* of the cache key so every level of a fit
+    shares one encoding.
     """
 
     #: Cache identity; first two elements are the source prefix
@@ -93,8 +93,6 @@ class ColumnarScanPlan:
     charge_scan: Callable[[], None]
     #: Per-qualifying-row charges (transfer), applied at scan end.
     charge_rows: Callable[[int], None]
-    #: Worker-side keep filter (None/TRUE = keep everything).
-    filter_expr: Any = None
     #: False when ``encode`` meters its own reads (staged files).
     charge_on_miss: bool = True
 
@@ -287,7 +285,6 @@ def staged_file_plan(staged: Any) -> ColumnarScanPlan:
         encode=encode,
         charge_scan=staged.charge_cached_read,
         charge_rows=lambda n: None,
-        filter_expr=None,
         charge_on_miss=False,
     )
 

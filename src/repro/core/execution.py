@@ -29,10 +29,11 @@ partition.  Two things plug in:
   executor: it is run from the access path's plan
   (:meth:`~repro.core.auxiliary.ServerAccessStrategy.plan_columnar` —
   the server's own encoding of the path's superset, the pushed batch
-  filter and the path's two charges), the filter applied by the
-  counting kernel as a vector keep-mask, the charges made from the
-  plan.  All the schedule decides is whether the session keeps that
-  encoding: *resident* in the table-version columnar cache when the
+  filter and the path's two charges); the rows that filter keeps are
+  the rows the counting kernel's route takes (the filter is the OR of
+  the batch's paths), and the charges are made from the plan.  All
+  the schedule decides is whether the session keeps that encoding:
+  *resident* in the table-version columnar cache when the
   cache admits it and some node of the batch is not staged by this
   scan (the table will be read again), else *transient* — the same
   slices, kept by nobody but the server (one encoding per table
@@ -93,7 +94,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..common.errors import MiddlewareError
 from ..sqlengine.columnar import ColumnarPartition, filter_supported
-from ..sqlengine.expr import TrueExpr
 from .cc_table import BatchCounts, CCTable
 from .columnar_cache import (
     ColumnarScanCache,
@@ -107,7 +107,7 @@ from .scheduler import _cc_tag
 from .sql_counting import counts_via_sql
 from .staging import DataLocation, RowTags, StagedFile
 from .trace import ExecutionTrace, ScheduleRecord
-from .vector_kernel import slot_layout
+from .vector_kernel import route_tables, slot_layout
 
 
 # -- partition production ----------------------------------------------------
@@ -176,9 +176,9 @@ class _PartitionSource:
 
     * **a plan** (every SERVER scan; a pooled FILE scan whose file the
       cache admits): the one encoding ``plan.encode()`` gives, counted
-      under the pushed batch filter as a keep-mask and charged from the
-      plan — ``charge_scan`` at open, ``charge_rows`` for the rows the
-      masks kept at :meth:`settle` (``docs/cost_model.md``).  It is
+      and charged from the plan — ``charge_scan`` at open,
+      ``charge_rows`` at :meth:`settle` for the rows the route kept,
+      the pushed filter's (``docs/cost_model.md``).  It is
       *resident* (``cache`` given: looked up, else encoded and
       admitted) or *transient* (``cache`` None: kept by nobody but the
       server);
@@ -199,7 +199,6 @@ class _PartitionSource:
                  encodings: Iterable[ColumnarPartition] = (),
                  plan: ColumnarScanPlan | None = None,
                  cache: ColumnarScanCache | None = None,
-                 keep_spec: tuple[Any, dict[str, int]] | None = None,
                  routes: Any = None) -> None:
         self._partition_rows = partition_rows
         self._routes = routes  # the tag route's slot per row, or None
@@ -208,8 +207,6 @@ class _PartitionSource:
         self._cache = cache
         #: The scan counts over an encoding the columnar cache keeps.
         self.cached = cache is not None
-        #: The pushed batch filter workers apply as a keep-mask.
-        self._keep_spec = keep_spec
         #: What process workers are handed for a resident encoding: its
         #: persistent segment's reference.
         self._ref: Any = None
@@ -274,7 +271,7 @@ class _PartitionSource:
         the ticket being what the staged-row gather needs back."""
         encoding, start, stop = piece
         future = self._pool.submit(
-            seq, encoding, start, stop, self._keep_spec, *self._targets,
+            seq, encoding, start, stop, *self._targets,
             None if self._routes is None else self._routes[start:stop],
         )
         return future, (encoding, start)
@@ -301,7 +298,7 @@ class _PartitionSource:
         self._encodings = self._supply = self._ref = None
 
     def settle(self, rows_seen: int) -> None:
-        """The scan succeeded: charge the rows its masks kept."""
+        """The scan succeeded: charge the rows its route kept."""
         if self._charged:
             assert self._plan is not None
             self._plan.charge_rows(rows_seen)
@@ -530,25 +527,23 @@ class ExecutionModule:
         return max(config.scan_chunk_rows,
                    -(-source_rows // (2 * config.scan_workers)))
 
-    def _server_plan(self, schedule: Any) -> ColumnarScanPlan:
-        """The access strategy's plan for a SERVER scan: asked with the
-        pushed batch filter (or None) and the batch's relevant rows."""
-        predicate = None
-        if self._config.push_filters:
-            predicate = batch_filter(
-                [request.predicate for request in schedule.batch]
-            )
+    def _pushed_filter(self, schedule: Any) -> Any:
+        """A SERVER scan's pushed batch filter ``S_1 OR ... OR S_k``, or
+        None (every row of the access path's superset is seen)."""
+        if (schedule.mode is not DataLocation.SERVER
+                or not self._config.push_filters):
+            return None
+        predicate = batch_filter(
+            [request.predicate for request in schedule.batch]
+        )
         if not filter_supported(predicate):
             # Batch filters are ORs of root paths whose conditions are
-            # validated to = / <>; the keep-mask evaluates all of those.
+            # validated to = / <>: the route's kept rows are its rows.
             raise MiddlewareError(
-                "the batch filter cannot be evaluated as a keep-mask: "
+                "the batch filter is not the OR of the batch's paths: "
                 f"{predicate.to_sql()}"
             )
-        plan: ColumnarScanPlan = self._strategy.plan_columnar(
-            predicate, sum(r.n_rows for r in schedule.batch)
-        )
-        return plan
+        return predicate
 
     def _admits(self, plan: ColumnarScanPlan) -> bool:
         """Would the columnar cache plausibly hold ``plan``'s encoding?"""
@@ -603,33 +598,32 @@ class ExecutionModule:
 
     def _partition_source(self, schedule: Any, scan: ScheduleRecord,
                           pool: ScanWorkerPool, partition_rows: int,
-                          routes: Any = None) -> _PartitionSource:
+                          routes: Any = None,
+                          predicate: Any = None) -> _PartitionSource:
         """The source one scan counts over.
 
-        A SERVER scan runs from its access path's plan on every
-        executor, over slices of the plan's encoding; the schedule and
-        the cache's admission gate say whether the session keeps that
-        encoding resident — some node of the batch is not staged by
-        this scan, so the table will be read again — or only counts
-        over it (transient).  A memory set is sliced where it lies; a
-        FILE scan streams its file (a pooled one counts over the
+        A SERVER scan runs from its access path's plan for ``predicate``
+        on every executor, over slices of the plan's encoding; the
+        schedule and the cache's admission gate say whether the session
+        keeps that encoding resident — some node of the batch is not
+        staged by this scan, so the table will be read again — or only
+        counts over it (transient).  A memory set is sliced where it
+        lies; a FILE scan streams its file (a pooled one counts over the
         file's cached encoding when it fits).
         """
         staging = self._staging
         if schedule.mode is DataLocation.SERVER:
-            plan = self._server_plan(schedule)
+            plan = self._strategy.plan_columnar(
+                predicate, sum(r.n_rows for r in schedule.batch)
+            )
             staged = {*schedule.stage_file_targets,
                       *schedule.stage_memory_targets}
             resident = self._admits(plan) and any(
                 node_id not in staged for node_id in schedule.node_ids
             )
-            keep_spec = None
-            if not isinstance(plan.filter_expr, (TrueExpr, type(None))):
-                keep_spec = (plan.filter_expr, self._attr_index)
             return _PartitionSource(
                 partition_rows, plan=plan,
                 cache=self._scan_cache if resident else None,
-                keep_spec=keep_spec,
             )
         if schedule.mode is DataLocation.MEMORY:
             # The read is charged as for the set's rows.
@@ -689,21 +683,25 @@ class ExecutionModule:
         scan.partition_rows = partition_rows
         routes = self._tag_route(schedule, states)
         scan.routing = "path" if routes is None else "tag"
+        predicate = self._pushed_filter(schedule)
         kernel = None if routes is not None else RoutingKernel(
             [state.request.conditions for state in states], self._attr_index,
+            filtered=predicate is not None,
         )
         attr_index = self._attr_index
         n_classes = self._spec.n_classes
         positions = [[attr_index[name] for name in state.request.attributes]
                      for state in states]
+        domains = self._source_domains(schedule)
         slots = slot_layout(
             [state.request.node_id for state in states], positions,
-            len(attr_index), self._source_domains(schedule), n_classes,
-            source_rows,
+            len(attr_index), domains, n_classes, source_rows,
         )
         families = self._families(states, slots, positions, n_classes)
-        slots = slots._replace(derived_slots=tuple(sorted(
-            family[0] for family in families)))
+        slots = slots._replace(
+            derived_slots=tuple(sorted(family[0] for family in families)),
+            route=route_tables(kernel, domains, source_rows),
+        )
         #: Every partition's counts fold in here; the CC tables are
         #: cut from it once, after the last one.
         counts = BatchCounts(len(states), slots.stride, n_classes, slots)
@@ -712,8 +710,9 @@ class ExecutionModule:
         pool = self._pool_provider()
         scan.pool_reused = pool.active
         scan.pool_setup_seconds = pool.install(
-            (scan.routing, self._scan_signature(states), slots.dense,
-             slots.derived_slots),
+            (scan.routing, predicate is not None,
+             self._scan_signature(states), slots.dense, slots.derived_slots,
+             tuple(None if t is None else t[0] for t in slots.route)),
             kernel, slots,
             self._class_index, n_classes,
             # Read off the schedule, not an option: a source that fits
@@ -724,7 +723,7 @@ class ExecutionModule:
         if not pool.inline:
             scan.workers = pool.n_workers
         source = self._partition_source(schedule, scan, pool, partition_rows,
-                                        routes)
+                                        routes, predicate)
         scan.cached = source.cached
 
         def collect(future: Any, ticket: tuple[Any, int]) -> None:

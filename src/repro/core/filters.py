@@ -79,6 +79,9 @@ class RoutingKernel:
     (O(tree depth)), intersecting masks; the vector kernel does it a
     column at a time (``vector_kernel.route_masks``).
 
+    A ``filtered`` kernel's rows are those its batch's pushed filter
+    ``S_1 OR ... OR S_k`` keeps: some slot's path, under SQL's NULLs.
+
     The mask construction handles the full condition algebra the tree
     clients emit: repeated ``<>`` conditions on one attribute (the
     "other" branch of successive binary splits on the same attribute),
@@ -86,19 +89,25 @@ class RoutingKernel:
     no condition on a probed attribute (always viable there).
     """
 
-    __slots__ = ("_probes", "_full_mask", "n_slots")
+    __slots__ = ("_probes", "_full_mask", "n_slots", "filtered",
+                 "constrained", "none_slots")
 
     def __init__(self, condition_sets: Iterable[Sequence[PathCondition]],
-                 attr_index: Mapping[str, int]):
+                 attr_index: Mapping[str, int], filtered: bool = False):
         """Compile the kernel.
 
         :param condition_sets: one sequence of :class:`PathCondition`
             per routing slot (node), in slot order.
         :param attr_index: mapping attribute name -> row tuple index.
+        :param filtered: the scan counts the rows this batch's pushed
+            filter keeps.
         """
         compiled = [tuple(conditions) for conditions in condition_sets]
         self.n_slots = len(compiled)
         self._full_mask = (1 << self.n_slots) - 1
+        self.filtered = filtered
+        #: Slots with a None literal: SQL's ``= NULL`` holds for no row.
+        self.none_slots = 0
 
         # Per attribute: slot -> (set of required values, set of
         # excluded values).  A slot with several distinct required
@@ -114,6 +123,8 @@ class RoutingKernel:
                 if pair is None:
                     pair = constrained[slot] = (set(), set())
                 pair[condition.op != "="].add(condition.value)
+                if condition.value is None:
+                    self.none_slots |= 1 << slot
 
         probes = []
         for attribute, constrained in by_attr.items():
@@ -145,6 +156,10 @@ class RoutingKernel:
                         table[value] |= 1 << slot
             probes.append((attr_index[attribute], table, default))
         self._probes = tuple(probes)
+        #: Per probe, the slots its attribute constrains: a NULL cell
+        #: fails them all in SQL.
+        self.constrained = tuple(sum(1 << slot for slot in constrained)
+                                 for constrained in by_attr.values())
 
     @property
     def n_probes(self) -> int:

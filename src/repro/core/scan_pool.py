@@ -19,7 +19,8 @@ the compiled routing kernel — erodes exactly that win, so
   session, created lazily on the first scan that goes parallel, reused
   by every later scan, and shut down in ``Middleware.close()``;
 * each scan *installs* its routing context (compiled kernel, slot
-  table, class index) before submitting partitions.  Installation is
+  table with the route tables built for it, class index) before
+  submitting partitions.  Installation is
   generation-counted: worker-side state is refreshed only when the
   schedule's kernel actually changed — a retried or repeated schedule
   reuses the already-installed context;
@@ -160,7 +161,6 @@ def _count_columnar_shm_slice(
     ref: ShmSegmentRef,
     start: int,
     stop: int,
-    keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
     routes: Any = None,
@@ -175,8 +175,7 @@ def _count_columnar_shm_slice(
     ctx = _process_context(generation, payload)
     partition = _attached_segment_partition(ref)
     return count_partition_slice(
-        ctx, seq, partition, start, stop, keep_spec, stage_nodes,
-        capture_nodes, routes,
+        ctx, seq, partition, start, stop, stage_nodes, capture_nodes, routes,
     )
 
 
@@ -185,7 +184,6 @@ def _count_columnar_pickled_slice(
     payload: bytes,
     seq: int,
     partition: ColumnarPartition,
-    keep_spec: Any,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
     routes: Any = None,
@@ -200,8 +198,8 @@ def _count_columnar_pickled_slice(
     """
     ctx = _process_context(generation, payload)
     return count_partition_slice(
-        ctx, seq, partition, 0, partition.n_rows, keep_spec, stage_nodes,
-        capture_nodes, routes,
+        ctx, seq, partition, 0, partition.n_rows, stage_nodes, capture_nodes,
+        routes,
     )
 
 
@@ -368,8 +366,7 @@ class ScanWorkerPool:
         return future
 
     def submit(self, seq: int, encoding: Any, start: int, stop: int,
-               keep_spec: Any, stage_nodes: Iterable[Any],
-               capture_nodes: Iterable[Any],
+               stage_nodes: Iterable[Any], capture_nodes: Iterable[Any],
                routes: Any = None) -> Future[Any]:
         """Submit rows ``[start, stop)`` of an encoding for counting.
 
@@ -377,9 +374,10 @@ class ScanWorkerPool:
         :class:`ColumnarPartition` (thread pools and the inline
         executor count the slice in place; process pools get just the
         slice, pickled) or a resident encoding's :class:`ShmSegmentRef`,
-        which process workers re-attach by generation.  ``keep_spec``
-        is the scan's batch filter as ``(expr, attr_index)``, or None
-        for an unfiltered scan; ``routes`` the slice's tag-route slots.
+        which process workers re-attach by generation; ``routes`` are
+        the slice's tag-route slots.  What a filtered SERVER scan keeps
+        is the installed route's business: no filter travels with a
+        slice.
         """
         task: Any = count_partition_slice
         piece: tuple[Any, ...] = (encoding, start, stop)
@@ -395,7 +393,7 @@ class ScanWorkerPool:
             piece = (encoding.slice(start, stop),)
         return self._run(
             f"slice {seq}", task, *self._context_args(), seq, *piece,
-            keep_spec, stage_nodes, capture_nodes, routes,
+            stage_nodes, capture_nodes, routes,
         )
 
     # Bound only for the e2e tracer's patch table (ROADMAP item 1(c)).

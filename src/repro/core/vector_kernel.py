@@ -9,11 +9,14 @@ A partition is counted in two array passes:
   :class:`~repro.core.filters.RoutingKernel` once per *column*: each
   dispatch table becomes one LUT fancy-index over the column's codes,
   in :data:`LIMB_BITS`-bit limbs so a batch may hold any number of
-  slots.  :func:`routed_pairs` turns the masks into ``(row, slot)``
-  pairs grouped by slot with rows ascending — one pair per routed row
-  when the batch is an antichain (a tree frontier always is), every
-  matching slot otherwise.  The *tag* route: the coordinator hands each
-  slice its rows' slots.  Either way an antichain ends in :func:`by_slot`.
+  slots, built once per scan for a declared column (:func:`route_tables`).
+  A SERVER scan's pushed filter is the OR of the batch's paths, so the
+  rows it keeps are the rows the route takes.  :func:`routed_pairs`
+  turns the masks into ``(row, slot)`` pairs grouped by slot with rows
+  ascending — one pair per routed row when the batch is an antichain (a
+  tree frontier always is), every matching slot otherwise.  The *tag*
+  route: the coordinator hands each slice its rows' slots.  Either way
+  an antichain ends in :func:`by_slot`.
 * **count** — one key space for the whole batch, ``(cell * slots +
   slot) * classes + label``, one ``np.bincount`` for every attribute:
   the cells are the column domains the scan's source declared once
@@ -31,7 +34,7 @@ objects — per-slot records and class totals, the ranked columns'
 ``(slot, attribute, value)`` pairs (key prefixes, value indexes, a 2-D
 ``int64`` count array, each attribute's *distinct* values once as
 Python objects) and the dense ``int64[slots, width, classes]`` block
-(:func:`count_partition_columnar`).  The number of objects does
+(:func:`count_partition_slice`).  The number of objects does
 not depend on the batch width and no count vector becomes a Python
 list here: ``CCTable.merge_block`` folds a payload into the scan's
 ``BatchCounts`` (the dense block by ``+=``), and every node's table is
@@ -59,9 +62,8 @@ from ..sqlengine.columnar import (
     ColumnarPartition,
     Domain,
     _ordered_codes,
-    filter_supported,
+    integral,
     np,
-    predicate_mask,
 )
 
 #: Slots per int64 limb of a candidate mask (the sign bit and one
@@ -70,18 +72,24 @@ LIMB_BITS = 62
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
-def _row_codes(column: Column) -> tuple[Any, int]:
-    """A column as integer codes in ``[0, width)``, for routing.
+def _limbs(masks: Sequence[int], n_limbs: int) -> Any:
+    """Slot masks as an ``int64[n_limbs, len(masks)]`` array."""
+    return np.array([[(mask >> (LIMB_BITS * limb)) & _LIMB_MASK
+                      for mask in masks] for limb in range(n_limbs)],
+                    dtype=np.int64).reshape(n_limbs, len(masks))
 
-    Dictionary columns are their own codes; raw integers are shifted,
-    or ranked when the range is sparse, with NULL as one extra top
-    code.
-    """
-    data = column.data
-    if column.kind == DICT:
-        assert column.values is not None
-        return data, len(column.values)
-    codes, width = _ordered_codes(data, 4 * data.size + 64)
+
+def _fits(cells: int, source_rows: int) -> bool:
+    """Whether a per-scan array of ``cells`` stays within a small
+    multiple of the source's rows: the dense/ranked rule."""
+    return cells <= 4 * source_rows + 64
+
+
+def _row_codes(column: Column) -> tuple[Any, int]:
+    """A raw column as integer codes in ``[0, width)``, for routing: its
+    values shifted, or ranked when the range is sparse, with NULL as
+    one extra top code."""
+    codes, width = _ordered_codes(column.data, 4 * column.data.size + 64)
     if column.nulls is not None:
         codes = np.where(column.nulls, width, codes)
         width += 1
@@ -96,42 +104,108 @@ def _witness(codes: Any, present: Any, span: int) -> Any:
     return witness[present]
 
 
+def _declared_code(value: Any, domain: Domain) -> Optional[int]:
+    """The code a dict probe finds ``value`` under in a RAW domain."""
+    if value is None:
+        return domain.size if domain.nullable else None
+    code = integral(value)
+    if code is None or not 0 <= code - domain.low < domain.size:
+        return None
+    return code - domain.low
+
+
+def route_tables(kernel: Any, domains: Sequence[Optional[Domain]],
+                 source_rows: int) -> tuple[Optional[tuple[Domain, Any]], ...]:
+    """Per probe of ``kernel`` (None: the tag route), ``(domain, lut)``
+    built once per scan from its column's declared RAW domain:
+    ``lut[:, code]`` holds the limbs of ``table.get(value, default)``
+    for the value behind the code (``Domain.decoded()``).  None where a
+    partition looks its values up itself: a DICT column (its own
+    codes), an undeclared one, one too wide (:func:`_fits`)."""
+    if kernel is None:
+        return ()
+    n_limbs = max(1, -(-kernel.n_slots // LIMB_BITS))
+    tables: list[Optional[tuple[Domain, Any]]] = []
+    for index, table, default in kernel.probes:
+        domain = domains[index] if index < len(domains) else None
+        if (domain is None or domain.values is not None
+                or not _fits(n_limbs * domain.width, source_rows)):
+            tables.append(None)
+            continue
+        lut = np.repeat(_limbs([default], n_limbs), domain.width, axis=1)
+        for value, hit in table.items():
+            code = _declared_code(value, domain)
+            if code is not None:
+                lut[:, code] = _limbs([hit], n_limbs)[:, 0]
+        tables.append((domain, lut))
+    return tuple(tables)
+
+
+def _declared_codes(column: Column, domain: Domain, index: int) -> Any:
+    """A raw column's codes in its declared domain, NULL the one above;
+    a value outside it, or a NULL it does not declare, raises — never
+    wraps to another code."""
+    codes = np.subtract(column.data, np.int64(domain.low), dtype=np.int64)
+    nulls = column.nulls
+    live = codes if nulls is None else codes[~nulls]
+    if (nulls is not None and not domain.nullable
+            or live.size and int(live.view(np.uint64).max()) >= domain.size):
+        raise _undeclared(f"a value of column {index}")
+    if nulls is not None:
+        codes[nulls] = domain.size
+    return codes
+
+
 def route_masks(kernel: Any, partition: ColumnarPartition,
-                keep: Optional[Any] = None, drop: int = 0) -> Any:
+                tables: Sequence[Optional[tuple[Domain, Any]]] = ()) -> Any:
     """Per-row candidate masks: an ``(n_limbs, n_rows)`` int64 array.
 
     Slot ``s`` is bit ``s % LIMB_BITS`` of limb ``s // LIMB_BITS``.
-    Column-at-a-time evaluation of the kernel's dispatch tables: the
-    distinct values a column holds in this partition are looked up once
-    each (Python dict semantics, as ``RoutingKernel.route`` has them),
-    then every row takes its value's mask through one fancy index per
-    limb.  Rows outside ``keep`` (a boolean mask) route nowhere, and
-    neither do the slots whose bits ``drop`` sets.
+    Column-at-a-time evaluation of the kernel's dispatch tables (Python
+    dict semantics, as ``RoutingKernel.route`` has them): a column with
+    a route table (:func:`route_tables`) indexes it with its codes; any
+    other looks the distinct values it holds in this partition up once
+    each.  A ``filtered`` kernel routes only the rows its pushed filter
+    keeps (SQL's: a NULL cell fails the slots constrained on its column,
+    a None literal its own), each to every slot the dict route gives it.
     """
     n_limbs = max(1, -(-kernel.n_slots // LIMB_BITS))
-    masks = np.empty((n_limbs, partition.n_rows), dtype=np.int64)
-    full_mask = kernel.full_mask & ~drop
-    for limb in range(n_limbs):
-        masks[limb] = (full_mask >> (LIMB_BITS * limb)) & _LIMB_MASK
-    if keep is not None:
-        masks[:, ~keep] = 0
-    for index, table, default in kernel.probes:
+    masks = np.repeat(_limbs([kernel.full_mask], n_limbs), partition.n_rows,
+                      axis=1)
+    nulls: list[tuple[Any, int]] = []
+    for (index, table, default), constrained, declared in zip(
+            kernel.probes, kernel.constrained,
+            tables or (None,) * kernel.n_probes):
         if not masks.any():
             break  # nothing left to route (or an empty partition)
         column = partition.columns[index]
-        codes, width = _row_codes(column)
         if column.kind == DICT:
-            present: Any = slice(None)
-            values: Any = column.values
+            assert column.values is not None
+            codes: Any = column.data
+            lut = _limbs([table.get(value, default) for value in column.values],
+                         n_limbs)
+        elif declared is not None:
+            codes, lut = _declared_codes(column, declared[0], index), declared[1]
         else:
+            codes, width = _row_codes(column)
             present = np.flatnonzero(np.bincount(codes, minlength=width))
-            values = column.values_at(_witness(codes, present, width))
-        hits = [table.get(value, default) for value in values]
-        lut = np.zeros(width, dtype=np.int64)
-        for limb in range(n_limbs):
-            shift = LIMB_BITS * limb
-            lut[present] = [(hit >> shift) & _LIMB_MASK for hit in hits]
-            masks[limb] &= lut[codes]
+            lut = np.zeros((n_limbs, width), dtype=np.int64)
+            lut[:, present] = _limbs([
+                table.get(value, default) for value in
+                column.values_at(_witness(codes, present, width))
+            ], n_limbs)
+        masks &= lut[:, codes]
+        if kernel.filtered:
+            null = column.nulls
+            if column.values is not None and None in column.values:
+                null = column.data == column.values.index(None)
+            if null is not None:
+                nulls.append((null, constrained))
+    if kernel.filtered and (kernel.none_slots or nulls):
+        sql = masks & ~_limbs([kernel.none_slots], n_limbs)
+        for null, constrained in nulls:
+            sql[:, null] &= ~_limbs([constrained], n_limbs)
+        masks[:, ~sql.any(axis=0)] = 0
     return masks
 
 
@@ -193,22 +267,26 @@ def by_slot(routed_rows: Any, slot_of_row: Any,
 
 
 def route_partition(kernel: Any, layout: "SlotLayout",
-                    partition: ColumnarPartition, keep: Optional[Any],
-                    dropped: Sequence[int],
-                    routes: Optional[Any]) -> tuple[Any, Any, int]:
-    """The partition's ``(rows, bounds, routed)`` by the kernel (the path
-    route) or the tag route's ``routes`` (each row's slot, ``n_slots``
-    none); rows outside ``keep`` and the ``dropped`` slots route nowhere."""
-    n_slots = len(layout.node_ids)
+                    partition: ColumnarPartition, dropped: Sequence[int],
+                    routes: Optional[Any]) -> tuple[Any, Any, int, int]:
+    """The partition's ``(rows, bounds, routed, seen)`` by the kernel
+    (the path route) or the tag route's ``routes`` (each row's slot,
+    ``n_slots`` none); the ``dropped`` slots route nowhere.  ``seen``:
+    every row, a filtered kernel's kept ones (dropped slots too)."""
+    n_slots, seen = len(layout.node_ids), partition.n_rows
     if routes is None:
-        drop = sum(1 << slot for slot in dropped)
-        return routed_pairs(route_masks(kernel, partition, keep, drop),
-                            n_slots)
-    live = (routes < n_slots) if keep is None else (routes < n_slots) & keep
+        masks = route_masks(kernel, partition, layout.route)
+        if kernel.filtered:
+            seen = int(np.count_nonzero(masks.any(axis=0)))
+        if dropped:
+            masks &= ~_limbs([sum(1 << slot for slot in dropped)],
+                             masks.shape[0])
+        return (*routed_pairs(masks, n_slots), seen)
+    live = routes < n_slots
     if dropped:
         live &= np.isin(routes, dropped, invert=True)
     routed_rows = np.flatnonzero(live)
-    return by_slot(routed_rows, routes[routed_rows], n_slots)
+    return (*by_slot(routed_rows, routes[routed_rows], n_slots), seen)
 
 
 def _out_of_range(label: int, n_classes: int) -> IndexError:
@@ -269,6 +347,9 @@ class SlotLayout(NamedTuple):
     cell_listed: Any = None
     #: Slots ``BatchCounts.derive`` fills: never counted.
     derived_slots: tuple[int, ...] = ()
+    #: Per probe of the scan's path route, the table its declared
+    #: domain's codes index (:func:`route_tables`), or None.
+    route: tuple[Optional[tuple[Domain, Any]], ...] = ()
 
 
 def slot_layout(node_ids: Sequence[Any],
@@ -292,8 +373,8 @@ def slot_layout(node_ids: Sequence[Any],
     width = 0
     for position in np.flatnonzero(listed.any(axis=0)).tolist():
         domain = domains[position] if position < len(domains) else None
-        if domain is not None and (len(positions) * domain.width * n_classes
-                                   <= 4 * source_rows + 64):
+        if domain is not None and _fits(
+                len(positions) * domain.width * n_classes, source_rows):
             dense.append((position, width, domain))
             width += domain.width
         else:
@@ -421,25 +502,31 @@ def _ranked_counts(layout: SlotLayout, partition: ColumnarPartition,
             list(values.items()))
 
 
-def count_partition_columnar(
+def count_partition_slice(
     ctx: Any,
     seq: int,
     partition: ColumnarPartition,
+    start: int,
+    stop: int,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-    keep: Optional[Any] = None,
     routes: Optional[Any] = None,
 ) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
-           float]:
-    """Count one columnar partition against a routing context.
+           float, int]:
+    """Count rows ``[start, stop)`` of a partition against a routing
+    context: the worker entry of every scan, over the source's encoding
+    (or the slice of it a process worker was sent pickled).
 
-    Returns ``(seq, payload, routed, writes, captures, seconds)``;
+    Returns ``(seq, payload, routed, writes, captures, seconds, seen)``;
     ``seconds`` is the CPU time of the counting thread
     (``time.thread_time``), not wall time: the scan's
     ``worker_seconds`` report it, and a pool thread's wall time also
     holds however long it waited for the coordinator to let go of the
     GIL — which says nothing about the partition and differs from run
-    to run.
+    to run.  ``seen`` is the rows the scan saw (:func:`route_partition`):
+    for a filtered SERVER scan the rows its pushed filter kept, which
+    the coordinator charges transfer for, as a streaming cursor would
+    have shipped them.
     The payload is what ``CCTable.merge_block`` folds into the scan's
     :class:`~repro.core.cc_table.BatchCounts`:
     ``(records, totals, prefix, value_index, counts, values, dense)`` —
@@ -450,25 +537,23 @@ def count_partition_columnar(
     lists (``[(position, distinct values), ...]``) and has the class
     counts ``counts[i]``; last the dense block.  Seven objects,
     whatever the number of slots.  Staging/capture output is ascending
-    selected-row *index arrays* — the coordinator gathers the pieces
-    out of its own copy of the partition (``take``), so no row crosses
-    the worker boundary.
-
-    ``keep`` (optional boolean mask) restricts counting to qualifying
-    rows: a SERVER scan hands workers partitions of its access path's
-    whole superset and applies the batch filter here, not at a cursor;
-    ``routes``, the tag route's slots, stand in for the context's kernel.
+    selected-row *index arrays*, relative to the slice (the coordinator
+    re-bases them with ``start`` and gathers the pieces out of its own
+    copy of the encoding, so no row crosses the worker boundary).
+    ``routes``, the slice's tag-route slots, stand in for the context's
+    kernel.
     """
     kernel, layout, class_index, n_classes = ctx
     started = time.thread_time()
+    piece = partition.slice(start, stop)
     n_slots = len(layout.node_ids)
     stage_set = set(stage_nodes)
     capture_set = set(capture_nodes)
     # A derived slot is routed only for a write, and never counted.
     dropped = [slot for slot in layout.derived_slots
                if layout.node_ids[slot] not in stage_set | capture_set]
-    rows, bounds, routed = route_partition(
-        kernel, layout, partition, keep, dropped, routes
+    rows, bounds, routed, seen = route_partition(
+        kernel, layout, piece, dropped, routes
     )
     records = np.diff(bounds)
     derived, counted = list(layout.derived_slots), rows
@@ -480,7 +565,7 @@ def count_partition_columnar(
     labels = counted  # none counted: as empty as the pairs
     if counted.size:
         labels = _class_labels(
-            partition.columns[class_index], counted, n_classes
+            piece.columns[class_index], counted, n_classes
         )
     base = slot_of_pair * n_classes + labels
     totals = np.bincount(
@@ -491,11 +576,11 @@ def count_partition_columnar(
     dense = np.zeros((n_slots, layout.width, n_classes), dtype=np.int64)
     if counted.size and layout.ranked:
         ranked = _ranked_counts(
-            layout, partition, counted, slot_of_pair, labels, n_classes
+            layout, piece, counted, slot_of_pair, labels, n_classes
         )
     if counted.size and layout.dense:
         dense = _dense_counts(
-            layout, partition, counted, base, records, n_classes
+            layout, piece, counted, base, records, n_classes
         )
     payload = (records, totals, *ranked, dense)
     writes: dict[Any, Any] = {}
@@ -508,51 +593,18 @@ def count_partition_columnar(
                 writes[node_id] = selection
             if node_id in capture_set:
                 captures[node_id] = selection
-    return seq, payload, routed, writes, captures, \
-        time.thread_time() - started
-
-
-def count_partition_slice(
-    ctx: Any,
-    seq: int,
-    partition: ColumnarPartition,
-    start: int,
-    stop: int,
-    keep_spec: Optional[tuple[Any, dict[str, int]]],
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-    routes: Optional[Any] = None,
-) -> tuple[int, tuple[Any, ...], int, dict[Any, Any], dict[Any, Any],
-           float, int]:
-    """Count rows ``[start, stop)`` of a partition under a keep mask.
-
-    The worker entry of every scan, over the source's encoding (or the
-    slice of it a process worker was sent pickled): slices (zero-copy
-    views), evaluates the batch filter as a keep mask (``keep_spec``
-    is ``(expr, attr_index)``, or None for an unfiltered scan), and
-    counts the qualifying rows.  Returns the
-    :func:`count_partition_columnar` tuple with the number of
-    *qualifying* rows appended — the rows the scan saw, and for a
-    SERVER scan the rows the coordinator charges transfer for,
-    matching what a streaming cursor would have shipped.
-    Staging/capture index arrays are relative to the slice; the
-    coordinator re-bases them with ``start``; ``routes`` are the slice's.
-    """
-    started = time.thread_time()
-    piece = partition.slice(start, stop)
-    keep = None
-    seen = piece.n_rows
-    if keep_spec is not None:
-        expr, attr_index = keep_spec
-        keep = predicate_mask(piece, expr, attr_index)
-        seen = int(np.count_nonzero(keep))
-    out_seq, payload, routed, writes, captures, _ = (
-        count_partition_columnar(
-            ctx, seq, piece, stage_nodes, capture_nodes, keep, routes
-        )
-    )
-    return (out_seq, payload, routed, writes, captures,
+    return (seq, payload, routed, writes, captures,
             time.thread_time() - started, seen)
+
+
+def count_partition_columnar(ctx: Any, seq: int, partition: ColumnarPartition,
+                             stage_nodes: Iterable[Any],
+                             capture_nodes: Iterable[Any],
+                             routes: Optional[Any] = None) -> tuple[Any, ...]:
+    """Count a whole partition: :func:`count_partition_slice`'s tuple
+    without ``seen``."""
+    return count_partition_slice(ctx, seq, partition, 0, partition.n_rows,
+                                 stage_nodes, capture_nodes, routes)[:6]
 
 
 __all__ = [
@@ -561,10 +613,9 @@ __all__ = [
     "by_slot",
     "count_partition_columnar",
     "count_partition_slice",
-    "filter_supported",
-    "predicate_mask",
     "route_masks",
     "route_partition",
+    "route_tables",
     "routed_pairs",
     "slot_layout",
 ]

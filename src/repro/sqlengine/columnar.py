@@ -485,6 +485,17 @@ def filter_supported(expr: Any) -> bool:
     )
 
 
+def integral(value: Any) -> Optional[int]:
+    """The int equal to ``value`` under Python's ``==`` (``1.0`` and
+    ``True`` are ``1``), or None when no int is: what a RAW cell must
+    hold to equal ``value``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def _comparison_mask(partition: ColumnarPartition, expr: Any,
                      attr_index: dict[str, int]) -> Any:
     """Boolean qualification mask for one ``column op literal`` leaf.
@@ -512,13 +523,10 @@ def _comparison_mask(partition: ColumnarPartition, expr: Any,
     live = (
         np.ones(n, dtype=bool) if column.nulls is None else ~column.nulls
     )
-    if isinstance(value, int):  # bool is an int subclass: == by value
-        try:
-            eq = column.data == np.int64(value)
-        except OverflowError:
-            eq = np.zeros(n, dtype=bool)
-    else:
-        eq = np.zeros(n, dtype=bool)
+    number = integral(value)
+    eq = np.zeros(n, dtype=bool)
+    if number is not None and -(1 << 63) <= number < 1 << 63:
+        eq = column.data == np.int64(number)
     if expr.op == "=":
         return eq & live
     return live & ~eq
@@ -528,11 +536,10 @@ def predicate_mask(partition: ColumnarPartition, expr: Any,
                    attr_index: dict[str, int]) -> Any:
     """Boolean keep mask: which partition rows satisfy ``expr``.
 
-    The cached scan path counts over full-table partitions, so the
-    pushed batch filter — applied by the server cursor on the
-    streaming path — is applied here instead, as one vectorized pass
-    per predicate leaf.  Only shapes accepted by
-    :func:`filter_supported` are evaluated.
+    The SQL executor's vectorized ``COUNT(*) ... GROUP BY`` applies its
+    WHERE clause here, one pass per predicate leaf (a middleware scan's
+    route keeps the rows of its pushed filter itself).  Only shapes
+    accepted by :func:`filter_supported` are evaluated.
     """
     if expr is None or isinstance(expr, TrueExpr):
         return np.ones(partition.n_rows, dtype=bool)

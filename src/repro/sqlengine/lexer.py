@@ -73,7 +73,7 @@ def tokenize(text: str) -> list[Token]:
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
+        ch, start = text[i], i
         if ch.isspace():
             i += 1
             continue
@@ -84,32 +84,32 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch == "'":
             value, i = _read_string(text, i)
-            tokens.append(Token(STRING, value, i))
+            tokens.append(Token(STRING, value, start))
             continue
         if _is_ascii_digit(ch) or (
             ch == "-" and i + 1 < n and _is_ascii_digit(text[i + 1])
         ):
             value, i = _read_number(text, i)
-            tokens.append(Token(NUMBER, value, i))
+            tokens.append(Token(NUMBER, value, start))
             continue
         if ch == "[":
             value, i = _read_identifier(text, i)
-            tokens.append(Token(IDENT, value, i))
+            tokens.append(Token(IDENT, value, start))
             continue
         if ch.isalpha() or ch == "_":
             value, i = _read_identifier(text, i)
             upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(KEYWORD, upper, i))
+                tokens.append(Token(KEYWORD, upper, start))
             else:
-                tokens.append(Token(IDENT, value, i))
+                tokens.append(Token(IDENT, value, start))
             continue
         if ch in _OP_START:
             value, i = _read_operator(text, i)
-            tokens.append(Token(OP, value, i))
+            tokens.append(Token(OP, value, start))
             continue
         if ch in _PUNCT_CHARS:
-            tokens.append(Token(PUNCT, ch, i))
+            tokens.append(Token(PUNCT, ch, start))
             i += 1
             continue
         raise SQLSyntaxError(f"unexpected character {ch!r}", i)

@@ -215,7 +215,7 @@ class TestResourceLeaks:
             )
             partition = ColumnarPartition.from_rows([(0, 0)])
             futures = [
-                pool.submit(i, partition, 0, 1, None, [], [])
+                pool.submit(i, partition, 0, 1, [], [])
                 for i in range(4)
             ]
             for future in futures:

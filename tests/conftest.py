@@ -12,7 +12,9 @@ run report (CI uploads it as an artifact).
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import sys
 
 import pytest
 
@@ -25,6 +27,32 @@ from repro.sqlengine.columnar import ColumnarPartition
 from repro.sqlengine.database import SQLServer
 
 _SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
+
+#: Seconds one test may run before the run fails with every thread's
+#: stack dumped: ~50x the slowest test of a quiet tier-1 run
+#: (``--durations``: 2.3 s), so only a hang (a deadlocked pool, a
+#: future nobody completes) ever reaches it.
+TEST_HANG_SECONDS = 120
+
+
+try:  # the copy of stderr pytest's faulthandler plugin keeps from
+    # before output capture starts: a dump written there is seen.
+    from _pytest.faulthandler import fault_handler_stderr_fd_key
+except ImportError:  # pragma: no cover - a pytest without it
+    fault_handler_stderr_fd_key = None
+
+
+@pytest.fixture(autouse=True)
+def _fail_a_hang(request):
+    """End the run, stacks dumped, when a test hangs instead of letting
+    it hang the suite."""
+    stderr = sys.__stderr__
+    if fault_handler_stderr_fd_key is not None:
+        stderr = request.config.stash.get(fault_handler_stderr_fd_key, stderr)
+    faulthandler.dump_traceback_later(TEST_HANG_SECONDS, exit=True,
+                                      file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 if _SANITIZE:

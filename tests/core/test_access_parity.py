@@ -5,7 +5,8 @@ path each strategy can take.  Each case runs four times from the same
 starting state — the drained ``rows()`` stream (the metered reference,
 which only this file calls), the columnar plan driven resident as a
 cache miss, the same plan driven as a hit, and the plan's encoding
-driven transiently (slices under the vector keep-mask) — and all four
+driven transiently (slices under the vector keep-mask the route's kept
+rows are held to) — and all four
 must agree on the row multiset, on ``last_choice`` and, category by
 category, on what the meter was charged and how many events it
 counted.  A TID-list or keyset path gathers its rows out of the
@@ -91,7 +92,7 @@ def drive_plan(hit):
         if hit or plan.charge_on_miss:
             plan.charge_scan()
         partition = resident if hit else plan.encode()
-        keep = compile_predicate(plan.filter_expr, SCHEMA)
+        keep = compile_predicate(predicate, SCHEMA)
         rows = [row for row in partition.rows() if keep(row)]
         plan.charge_rows(len(rows))
         return rows
@@ -108,7 +109,7 @@ def drive_transient(strategy, predicate, relevant):
     rows = []
     for start in range(0, encoding.n_rows, 64):
         piece = encoding.slice(start, start + 64)
-        keep = predicate_mask(piece, plan.filter_expr, {"a": 0, "b": 1})
+        keep = predicate_mask(piece, predicate, {"a": 0, "b": 1})
         rows.extend(piece.rows_at(np.flatnonzero(keep)))
     plan.charge_rows(len(rows))
     return rows

@@ -24,11 +24,11 @@ from repro.core.columnar_cache import (  # noqa: E402
 )
 from repro.core.config import MiddlewareConfig  # noqa: E402
 from repro.core.middleware import Middleware  # noqa: E402
-from repro.core.vector_kernel import (  # noqa: E402
+from repro.sqlengine.columnar import (  # noqa: E402
+    ColumnarPartition,
     filter_supported,
     predicate_mask,
 )
-from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 from repro.sqlengine.expr import all_of, any_of, eq, ne  # noqa: E402
 
 from .test_parallel_scan import (  # noqa: E402

@@ -244,7 +244,7 @@ class TestColumnarKernelEquivalence:
             if shipper is not None:
                 shipped = ShmSegmentRef(1, shipper.ship(whole))
             futures = [
-                pool.submit(seq, shipped, start, start + 7, None, (), ())
+                pool.submit(seq, shipped, start, start + 7, (), ())
                 for seq, start in enumerate(range(0, len(rows), 7))
             ]
             results = [future.result()[:6] for future in futures]
@@ -653,11 +653,10 @@ class TestInlineExecutor:
             # Each partition its own encoding, as a streamed file block
             # is, and 7-row slices of one encoding, as everything else.
             futures = [
-                pool.submit(seq, partition, 0, partition.n_rows, None,
-                            (), ())
+                pool.submit(seq, partition, 0, partition.n_rows, (), ())
                 for seq, partition in enumerate(partitions)
             ] + [
-                pool.submit(seq, whole, start, start + 7, None, (), ())
+                pool.submit(seq, whole, start, start + 7, (), ())
                 for seq, start in enumerate(range(0, len(rows), 7))
             ]
             assert all(future.done() for future in futures)
@@ -683,7 +682,7 @@ class TestInlineExecutor:
             pool.install(("sig",), kernel, slots, CLASS_INDEX, N_CLASSES)
             poisoned = ColumnarPartition.from_rows([(1, 1, 99)])
             with pytest.raises(IndexError):
-                pool.submit(0, poisoned, 0, 1, None, (), ())
+                pool.submit(0, poisoned, 0, 1, (), ())
         finally:
             pool.close()
 

@@ -8,7 +8,8 @@ pieces of a scan are slices of that one encoding:
 * the counts of raw, NULL-bearing, int8-edge and dictionary columns in
   the dense form, beside a ``{0, 2**40}`` column that stays ranked in
   the same scan, equal the oracle's for batches of 1, 63 and 150
-  slots, ``listed`` masks and keep masks;
+  slots and ``listed`` masks, the raw columns routed through the
+  tables built once per scan from their declared domains;
 * a value outside its declared domain is a ``MiddlewareError``, never
   a count under another value's key;
 * a staged file declares the min and max of what it wrote, a memory
@@ -39,6 +40,7 @@ from repro.core.scan_pool import ScanWorkerPool  # noqa: E402
 from repro.core.staging import StagingManager  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     count_partition_columnar,
+    route_tables,
     slot_layout,
 )
 from repro.datagen.dataset import DatasetSpec  # noqa: E402
@@ -88,7 +90,7 @@ def fold(payloads, attribute_lists, layout):
 
 @st.composite
 def declared_scans(draw):
-    """``(rows, condition_sets, attribute_lists, keep, cuts)`` over the
+    """``(rows, condition_sets, attribute_lists, cuts)`` over the
     four columns: three drawn from the dense pools, A4 always sparse."""
     pools = [DENSE_POOLS[draw(st.sampled_from(sorted(DENSE_POOLS)))]
              for _ in NAMES[:3]] + [SPARSE]
@@ -115,31 +117,29 @@ def declared_scans(draw):
     picks = draw(st.lists(
         st.sampled_from(shapes), min_size=n_slots, max_size=n_slots
     ))
-    keep = None
-    if draw(st.booleans()):
-        keep = draw(st.lists(
-            st.booleans(), min_size=len(rows), max_size=len(rows)
-        ))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
     return (rows, [conditions for conditions, _ in picks],
-            [listed for _, listed in picks], keep, cuts)
+            [listed for _, listed in picks], cuts)
 
 
 class TestDenseFormAgainstTheOracle:
     @given(declared_scans())
     @settings(max_examples=150, deadline=None)
     def test_slices_of_one_declared_encoding_equal_the_oracle(self, scan):
-        rows, condition_sets, attribute_lists, keep, cuts = scan
+        rows, condition_sets, attribute_lists, cuts = scan
         whole = ColumnarPartition.from_rows(rows)
+        domains = partition_domains(whole)
         # Source rows large enough that every small domain spans.
-        layout = layout_of(condition_sets, attribute_lists,
-                           partition_domains(whole), 10 ** 6)
+        layout = layout_of(condition_sets, attribute_lists, domains, 10 ** 6)
+        kernel = RoutingKernel(condition_sets, ATTR_INDEX)
+        # The raw columns route through tables built once from the
+        # declared domains; A4 (too wide) and dictionaries do not.
+        layout = layout._replace(route=route_tables(kernel, domains, 10 ** 6))
         counted = {ATTR_INDEX[name] for names in attribute_lists
                    for name in names}
         assert {p for p, _, _ in layout.dense} == counted - {3}
         assert [p for p, _ in layout.ranked] == sorted(counted & {3})
-        ctx = (RoutingKernel(condition_sets, ATTR_INDEX), layout,
-               CLASS_INDEX, N_CLASSES)
+        ctx = (kernel, layout, CLASS_INDEX, N_CLASSES)
         node_ids = list(layout.node_ids)
         payloads, routed = [], 0
         selections = {node_id: [] for node_id in node_ids}
@@ -148,8 +148,6 @@ class TestDenseFormAgainstTheOracle:
             _, payload, part_routed, writes, _, _ = (
                 count_partition_columnar(
                     ctx, seq, whole.slice(start, stop), node_ids, (),
-                    keep=None if keep is None
-                    else np.asarray(keep[start:stop], dtype=bool),
                 )
             )
             assert payload[6].shape == (len(node_ids), layout.width,
@@ -158,10 +156,8 @@ class TestDenseFormAgainstTheOracle:
             routed += part_routed
             for node_id in node_ids:
                 selections[node_id] += (writes[node_id] + start).tolist()
-        kept = [i for i in range(len(rows)) if keep is None or keep[i]]
         expected = oracle_counts(
-            [rows[i] for i in kept], condition_sets, attribute_lists,
-            NAMES, N_CLASSES,
+            rows, condition_sets, attribute_lists, NAMES, N_CLASSES,
         )
         matched = set()
         for node_id, cc, (reference, selected) in zip(
@@ -173,7 +169,7 @@ class TestDenseFormAgainstTheOracle:
             assert (cc.pair_count_by_attribute()
                     == reference.pair_count_by_attribute())
             assert cc.rows() == reference.rows()
-            assert selections[node_id] == [kept[i] for i in selected]
+            assert selections[node_id] == selected
             matched.update(selected)
         assert routed == len(matched)
 

@@ -167,7 +167,7 @@ class TestProcessContextReset:
         payload = pickle.dumps(_context(), pickle.HIGHEST_PROTOCOL)
         rows = ColumnarPartition.from_rows([(0, 1, 1), (2, 0, 0)])
         scan_pool._count_columnar_pickled_slice(
-            1, payload, 0, rows, None, (), ()
+            1, payload, 0, rows, (), ()
         )
         generation, ctx = scan_pool._PROCESS_CTX
         assert generation == 1 and ctx is not None
@@ -180,7 +180,7 @@ class TestProcessContextReset:
         # unpickled afresh.
         seq, payloads, routed, writes, captures, _, seen = (
             scan_pool._count_columnar_pickled_slice(
-                1, payload, 3, rows, None, (), ()
+                1, payload, 3, rows, (), ()
             )
         )
         assert seq == 3 and routed == seen == len(rows)

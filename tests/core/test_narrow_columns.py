@@ -9,17 +9,25 @@ values, same null mask, widened) and compares: boundary values on both
 sides of every dtype edge, NULL-masked and empty columns, through
 ``slice`` / ``take`` / ``concat``, the shared-memory buffer layout, the
 staged-record check, the keep-mask (out-of-dtype literals included),
-``group_counts`` and the counting kernel.
+``group_counts`` and the counting kernel, whose filtered route keeps
+what the keep-mask keeps.
 """
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.filters import PathCondition, RoutingKernel  # noqa: E402
+from repro.core.filters import (  # noqa: E402
+    PathCondition,
+    RoutingKernel,
+    batch_filter,
+    path_predicate,
+)
 from repro.core.staging import _int32_values  # noqa: E402
 from repro.core.vector_kernel import (  # noqa: E402
     count_partition_columnar,
+    count_partition_slice,
+    route_tables,
     slot_layout,
 )
 from repro.sqlengine.columnar import (  # noqa: E402
@@ -29,6 +37,7 @@ from repro.sqlengine.columnar import (  # noqa: E402
     ColumnarPartition,
     _encode_column,
     group_counts,
+    partition_domains,
     predicate_mask,
 )
 from repro.sqlengine.expr import all_of, any_of, eq, ne  # noqa: E402
@@ -243,9 +252,35 @@ class TestKernelCounts:
 
     def test_keep_mask_and_kernel_agree_on_an_out_of_dtype_literal(
             self, partition):
-        ctx = routing_context([()], [[0]])
-        keep = predicate_mask(partition, ne("A", 1000), NAMES)
-        result = count_partition_columnar(
-            ctx, 0, partition, (), (), keep=keep
-        )
-        assert result[2] == partition.n_rows
+        # A filtered route keeps what the pushed filter keeps, over the
+        # narrow encoding and its int64 widening alike, with the raw
+        # columns' tables built from their declared domains (C's range
+        # is too wide for one: it is looked up per partition).
+        domains = partition_domains(partition)
+        for conditions in (
+            [(PathCondition("A", "<>", 1000),)],
+            [(PathCondition("A", "=", 1000),),
+             (PathCondition("B", "<>", -129), PathCondition("C", "<>", 0))],
+            [(PathCondition("B", "<>", 2**31),),
+             (PathCondition("A", "=", 127), PathCondition("C", "=", I64_MAX))],
+        ):
+            kernel = RoutingKernel(conditions, NAMES, filtered=True)
+            _, layout, class_index, n_classes = routing_context(
+                conditions, [[0]] * len(conditions)
+            )
+            layout = layout._replace(
+                route=route_tables(kernel, domains, partition.n_rows)
+            )
+            assert [table is None for table in layout.route] == [
+                NAMES[condition.attribute] == 2 for condition in
+                dict.fromkeys(c for path in conditions for c in path)
+            ]
+            keep = predicate_mask(partition, batch_filter(
+                [path_predicate(path) for path in conditions]
+            ), NAMES)
+            ctx = (kernel, layout, class_index, n_classes)
+            for encoding in (partition, reference(partition)):
+                result = count_partition_slice(
+                    ctx, 0, encoding, 0, encoding.n_rows, (), ()
+                )
+                assert result[6] == result[2] == int(keep.sum())

@@ -173,7 +173,7 @@ class TestScanWorkerPoolUnit:
     def test_submit_requires_installed_context(self):
         pool = ScanWorkerPool("thread", 1)
         with pytest.raises(MiddlewareError, match="context"):
-            pool.submit(0, ColumnarPartition(0, ()), 0, 0, None, (), ())
+            pool.submit(0, ColumnarPartition(0, ()), 0, 0, (), ())
         pool.close()
 
     def test_install_skips_rebroadcast_for_same_signature(self):

@@ -4,19 +4,20 @@ Count-based guards (no timings) for what PR 22 deleted and unified:
 
 * the default one-worker session no longer streams ``ForwardCursor``
   rows through a per-row Python filter — the 33x the ledger showed on
-  ``server_serial`` — it counts slices of the server's own encoding
-  with the batch filter as a vector keep-mask, like a pooled session;
+  ``server_serial`` — it counts slices of the server's own encoding,
+  like a pooled session, and the rows the batch filter keeps are the
+  rows the installed route takes: no filter travels with a slice;
 * there is at most one in-process full encoding per table version: the
   columnar cache's entry, the encoding an SQL fallback's
   ``_vector_grouped_count`` groups over and ``HeapTable.columnar()``
   are one object, and DML strands it by version;
 * a scan the cache may not keep (it stages its whole batch, the table
   is over budget, the budget is zero) counts over the same slices of
-  the server's encoding with the same keep-mask and the same charges,
+  the server's encoding with the same route and the same charges,
   and the session keeps nothing — the server keeps its one encoding
   of the version, so a later fit reads no heap row;
-* a batch filter the keep-mask cannot evaluate is an error, not a
-  silent detour onto another path.
+* a batch filter that is not the OR of the batch's paths is an error,
+  not a silent detour onto another path.
 """
 
 import pytest
@@ -41,7 +42,7 @@ from repro.datagen.random_tree import (  # noqa: E402
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 from repro.sqlengine.cursors import ForwardCursor  # noqa: E402
 from repro.sqlengine.database import SQLServer  # noqa: E402
-from repro.sqlengine.expr import Comparison, col, lit  # noqa: E402
+from repro.sqlengine.expr import Comparison, Expr, col, lit  # noqa: E402
 from repro.sqlengine.heap import HeapTable  # noqa: E402
 
 from ..conftest import tree_signature  # noqa: E402
@@ -95,9 +96,10 @@ def cursors_opened(monkeypatch):
 
 @pytest.fixture
 def slices_submitted(monkeypatch):
-    """``(source, slice rows, keep_spec)`` of every slice a SERVER
-    scan hands ``ScanWorkerPool.submit`` (staged scans go through it
-    too, over their own encodings)."""
+    """``(source, slice rows)`` of every slice a SERVER scan hands
+    ``ScanWorkerPool.submit`` (staged scans go through it too, over
+    their own encodings).  No slice carries an expression: the rows a
+    pushed filter keeps are the installed route's business."""
     submitted, modes, calls = [], [], []
     submit = ScanWorkerPool.submit
     partition_source = execution.ExecutionModule._partition_source
@@ -106,11 +108,12 @@ def slices_submitted(monkeypatch):
         modes.append(schedule.mode)
         return partition_source(self, schedule, *args)
 
-    def recording(self, seq, source, start, stop, keep_spec, *targets):
+    def recording(self, seq, source, start, stop, *targets):
         calls.append(seq)
+        assert not any(isinstance(target, Expr) for target in targets)
         if modes[-1] is DataLocation.SERVER:
-            submitted.append((source, stop - start, keep_spec))
-        return submit(self, seq, source, start, stop, keep_spec, *targets)
+            submitted.append((source, stop - start))
+        return submit(self, seq, source, start, stop, *targets)
 
     monkeypatch.setattr(execution.ExecutionModule, "_partition_source",
                         sourcing)
@@ -162,7 +165,7 @@ class TestDefaultSessionCountsFromThePlan:
         encoded = table.columnar()
         assert table._encoding == (table.version, encoded)
         assert slices_submitted
-        assert all(source is encoded for source, _, _ in slices_submitted)
+        assert all(source is encoded for source, _ in slices_submitted)
         assert cursors_opened == []
         assert tree_signature(tree.root) == reference_tree
         # A second fit of the same version reads no heap row at all.
@@ -240,7 +243,7 @@ class TestOneEncodingPerTableVersion:
             cache = session.execution.scan_cache
             assert (cache.misses, cache.resident_entries) == (1, 1)
             old = table.columnar()
-            assert all(source is old for source, _, _ in slices_submitted)
+            assert all(source is old for source, _ in slices_submitted)
             del slices_submitted[:]
 
             table.insert(ROWS[0])
@@ -253,7 +256,7 @@ class TestOneEncodingPerTableVersion:
             assert entry.key == ("table", "data", table.version)
             # No scan after the INSERT counted over the old encoding.
             assert slices_submitted
-            assert all(source is new for source, _, _ in slices_submitted)
+            assert all(source is new for source, _ in slices_submitted)
             assert tree_signature(tree.root) == tree_signature(
                 grow_in_memory(grown, SPEC, GrowthPolicy(max_depth=1)).root
             )
@@ -286,20 +289,18 @@ class TestTransientScans:
             records = list(session.trace)
             assert all(r.mode == "SERVER" for r in records)
             assert not any(r.cached or r.cache_hit for r in records)
-            # Filtered levels see only the rows the mask kept.
+            # Filtered levels see only the rows the route kept.
             assert records[0].rows_seen == len(ROWS)
             assert all(r.rows_seen == r.rows_routed for r in records[1:])
+            assert any(r.rows_seen < len(ROWS) for r in records[1:])
             cache = session.execution.scan_cache
             assert cache is None or cache.resident_entries == 0
         assert cursors_opened == []
-        # Partition-sized slices of the server's one encoding, the
-        # pushed filter riding along.
+        # Partition-sized slices of the server's one encoding.
         encoded = server.table("data").columnar()
         assert slices_submitted
         assert all(source is encoded and rows <= records[0].partition_rows
-                   for source, rows, _ in slices_submitted)
-        assert [spec is not None for _, _, spec in slices_submitted].count(
-            True) > 0
+                   for source, rows in slices_submitted)
         assert tree_signature(tree.root) == reference_tree
         # ...at exactly the price of the cursor stream it replaced.
         charges, counts = _reference_stream_cost(batches)

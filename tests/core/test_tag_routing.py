@@ -86,21 +86,21 @@ class Checked:
         self.partitions = 0
         real = vector_kernel.route_partition
 
-        def checking(kernel, layout, partition, keep, dropped, routes):
-            got = real(kernel, layout, partition, keep, dropped, routes)
+        def checking(kernel, layout, partition, dropped, routes):
+            got = real(kernel, layout, partition, dropped, routes)
             if routes is not None:
-                self.compare(real, got, layout, partition, keep, dropped)
+                self.compare(real, got, layout, partition, dropped)
             return got
 
         monkeypatch.setattr(vector_kernel, "route_partition", checking)
 
-    def compare(self, real, got, layout, partition, keep, dropped):
+    def compare(self, real, got, layout, partition, dropped):
         self.partitions += 1
         path = RoutingKernel([self.paths[node] for node in layout.node_ids],
                              ATTR_INDEX)
-        want = real(path, layout, partition, keep, dropped, None)
-        rows, bounds, routed = got
-        assert routed == want[2]
+        want = real(path, layout, partition, dropped, None)
+        rows, bounds, routed, seen = got
+        assert (routed, seen) == want[2:]
         assert bounds.tolist() == want[1].tolist()
         assert rows.tolist() == want[0].tolist()
         decoded = list(partition.rows())

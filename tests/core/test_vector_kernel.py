@@ -7,8 +7,8 @@ scan runs, so it is checked directly against the oracle in
 look like: antichains and overlapping slots, repeated ``<>`` and
 contradictory ``=`` on one attribute, batches several mask limbs wide,
 raw integer columns with and without NULLs, dictionary (string /
-``None``) columns, sparse value ranges, a keep mask, and slots that
-list different attributes — and over every way the rows can be cut
+``None``) columns, sparse value ranges, and slots that list different
+attributes — and over every way the rows can be cut
 into partitions: each piece is encoded on its own (its own dictionary
 codes, its own raw / dictionary choice, values that first appear in a
 later piece, empty pieces) and the pieces fold, through
@@ -43,7 +43,6 @@ from repro.core.vector_kernel import (  # noqa: E402
 from repro.datagen.dataset import DatasetSpec  # noqa: E402
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
 from repro.sqlengine.database import SQLServer  # noqa: E402
-from repro.sqlengine.expr import eq  # noqa: E402
 from repro.sqlengine.schema import TableSchema  # noqa: E402
 
 from .oracle import oracle_counts  # noqa: E402
@@ -64,7 +63,7 @@ POOLS = {
 
 @st.composite
 def scans(draw):
-    """``(rows, condition_sets, attribute_lists, keep, cuts)``: the rows
+    """``(rows, condition_sets, attribute_lists, cuts)``: the rows
     of one source, the batch counted over it, and where the source is
     cut into partitions (equal cuts make an empty partition)."""
     pools = [POOLS[draw(st.sampled_from(sorted(POOLS)))] for _ in NAMES]
@@ -104,13 +103,8 @@ def scans(draw):
             for value in pools[0]
         ]
         attribute_lists = [draw(attributes) for _ in condition_sets]
-    keep = None
-    if rows and draw(st.booleans()):
-        keep = draw(st.lists(
-            st.booleans(), min_size=len(rows), max_size=len(rows)
-        ))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
-    return rows, condition_sets, attribute_lists, keep, cuts
+    return rows, condition_sets, attribute_lists, cuts
 
 
 def make_ctx(condition_sets, attribute_lists, n_classes=N_CLASSES,
@@ -137,7 +131,7 @@ class TestKernelAgainstTheOracle:
     @given(scans())
     @settings(max_examples=200, deadline=None)
     def test_counts_selections_and_routed_equal_the_oracle(self, scan):
-        rows, condition_sets, attribute_lists, keep, cuts = scan
+        rows, condition_sets, attribute_lists, cuts = scan
         ctx = make_ctx(condition_sets, attribute_lists)
         node_ids = [f"n{slot}" for slot in range(len(condition_sets))]
         payloads, routed = [], 0
@@ -149,8 +143,6 @@ class TestKernelAgainstTheOracle:
                 count_partition_columnar(
                     ctx, seq, ColumnarPartition.from_rows(rows[start:stop]),
                     node_ids, node_ids[:1],
-                    keep=None if keep is None
-                    else np.asarray(keep[start:stop], dtype=bool),
                 )
             )
             payloads.append(payload)
@@ -158,10 +150,8 @@ class TestKernelAgainstTheOracle:
             for node_id in node_ids:
                 selections[node_id] += (writes[node_id] + start).tolist()
             captured += (captures["n0"] + start).tolist()
-        kept = [i for i in range(len(rows)) if keep is None or keep[i]]
         expected = oracle_counts(
-            [rows[i] for i in kept], condition_sets, attribute_lists,
-            NAMES, N_CLASSES,
+            rows, condition_sets, attribute_lists, NAMES, N_CLASSES,
         )
         matched = set()
         for node_id, cc, (reference, selected) in zip(
@@ -175,7 +165,7 @@ class TestKernelAgainstTheOracle:
             assert (cc.pair_count_by_attribute()
                     == reference.pair_count_by_attribute())
             assert cc.rows() == reference.rows()
-            assert selections[node_id] == [kept[i] for i in selected]
+            assert selections[node_id] == selected
             matched.update(selected)
         assert routed == len(matched)
         assert captured == selections["n0"]
@@ -300,25 +290,40 @@ class TestKernelAgainstTheOracle:
         ]
 
     def test_slice_applies_the_pushed_filter_as_a_keep_mask(self):
+        # A filtered kernel's route gives the rows its batch's pushed
+        # filter keeps: seen is those rows, not the slice's.
         rows = [(i % 3, i % 2, 0, i % N_CLASSES) for i in range(40)]
-        condition_sets = [(PathCondition("A1", "=", 1),), ()]
-        ctx = make_ctx(condition_sets, [("A2",), ("A1", "A2")])
+        condition_sets = [(PathCondition("A2", "=", 1),
+                           PathCondition("A1", "=", 1)),
+                          (PathCondition("A2", "=", 1),
+                           PathCondition("A1", "<>", 1))]
+        kernel, slots, class_index, n_classes = make_ctx(
+            condition_sets, [("A2",), ("A1", "A2")]
+        )
+        ctx = (RoutingKernel(condition_sets, ATTR_INDEX, filtered=True),
+               slots, class_index, n_classes)
         result = count_partition_slice(
-            ctx, 0, ColumnarPartition.from_rows(rows), 10, 30,
-            (eq("A2", 1), ATTR_INDEX), ["n1"], [],
+            ctx, 0, ColumnarPartition.from_rows(rows), 10, 30, ["n1"], [],
         )
         _, payload, routed, writes, _, _, seen = result
         kept = [i for i in range(10, 30) if rows[i][1] == 1]
         assert seen == routed == len(kept)
         # Selections are relative to the slice.
-        assert writes["n1"].tolist() == [i - 10 for i in kept]
+        assert writes["n1"].tolist() == [
+            i - 10 for i in kept if rows[i][0] != 1
+        ]
         expected = oracle_counts(
-            [rows[i] for i in kept], condition_sets,
-            [("A2",), ("A1", "A2")], NAMES, N_CLASSES,
+            rows[10:30], condition_sets, [("A2",), ("A1", "A2")], NAMES,
+            N_CLASSES,
         )
         assert fold([payload], [("A2",), ("A1", "A2")]) == [
             reference for reference, _ in expected
         ]
+        # Unfiltered, the same slice saw every row.
+        assert count_partition_slice(
+            (kernel, slots, class_index, n_classes), 0,
+            ColumnarPartition.from_rows(rows), 10, 30, [], [],
+        )[6] == 20
 
     def test_reported_seconds_are_the_counting_threads_cpu_time(
             self, monkeypatch):
@@ -326,7 +331,7 @@ class TestKernelAgainstTheOracle:
         # for the GIL: with wall time the staged plan's first scan
         # read 1.8-2.1x the mean partition, which says nothing about
         # the partition and differed from fit to fit.
-        ticks = iter([10.0, 10.25, 20.0, 20.5, 20.75, 21.5])
+        ticks = iter([10.0, 10.25, 20.0, 21.5])
         monkeypatch.setattr(vector_kernel, "time", SimpleNamespace(
             thread_time=lambda: next(ticks),
         ))
@@ -334,9 +339,9 @@ class TestKernelAgainstTheOracle:
         ctx = make_ctx([()], [("A1",)])
         partition = ColumnarPartition.from_rows(rows)
         assert count_partition_columnar(ctx, 0, partition, [], [])[5] == 0.25
-        # The slice entry times the keep mask too, not just the count.
+        # The slice entry times the slice, the route and the count.
         assert count_partition_slice(
-            ctx, 0, partition, 0, 12, (eq("A2", 1), ATTR_INDEX), [], [],
+            ctx, 0, partition, 0, 12, [], [],
         )[5] == 1.5
 
 

@@ -103,3 +103,24 @@ class TestTokenize:
         assert token.matches(lexer.KEYWORD, "SELECT")
         assert token.matches(lexer.KEYWORD)
         assert not token.matches(lexer.IDENT)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT FROM t",
+        "select a, COUNT(*) FROM [group] WHERE b <> 'it''s' AND c != -1.5",
+        "SELECT x.y FROM t -- note\nWHERE z >= 10;",
+    ])
+    def test_every_token_position_indexes_its_own_text(self, sql):
+        spelled = {"'it''s'": "it's", "!=": "<>", "[group]": "group"}
+        for token in lexer.tokenize(sql)[:-1]:
+            rest = sql[token.position:]
+            text = next((raw for raw, value in spelled.items()
+                         if value == token.value and rest.startswith(raw)),
+                        str(token.value))
+            assert rest.upper().startswith(text.upper()), (token, rest)
+        assert lexer.tokenize(sql)[-1].position == len(sql)
+
+    def test_syntax_error_names_the_offending_tokens_start(self):
+        from repro.sqlengine.parser import parse
+
+        with pytest.raises(SQLSyntaxError, match="'FROM' \\(at offset 7\\)"):
+            parse("SELECT FROM t")
