@@ -1,9 +1,11 @@
 """repro.analysis — the project's self-hosted static-analysis suite.
 
-AST-based lint rules that encode the invariants the middleware's own
-bug history (PRs 1–3) established: lock discipline on declared
-attributes, future lifecycle on the scan pool, resource cleanup on
-every exit path, and pickle-safety of process-worker payloads.
+An AST-based lint engine with one rule, ``resource-lifecycle``
+(resource cleanup on every exit path, the interrupt path included),
+plus the suppression audit.  Lock discipline and lock order are
+checked on real executions by the runtime sanitizer
+(:mod:`repro.analysis.runtime`), which also reports every scan
+resource left open.
 
 Run it with ``python -m repro.analysis src`` (exit 0 = clean) or call
 :func:`analyze` directly.  See ``docs/static_analysis.md`` for the

@@ -19,8 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Run the repro static-analysis suite (concurrency and "
-            "resource lint) over the given files or directories."
+            "Run the repro static-analysis suite (resource-lifecycle "
+            "lint) over the given files or directories."
         ),
     )
     parser.add_argument(
@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS",
         help=(
-            "fail (exit 1) if total rule wall time, index build "
-            "included, exceeds this many seconds — CI's smoke budget"
+            "fail (exit 1) if total rule wall time exceeds this "
+            "many seconds — CI's smoke budget"
         ),
     )
     parser.add_argument(
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root", default=None,
         help=(
-            "project root for cross-file rules (docs/, README.md); "
+            "project root SARIF artifact URIs are relative to; "
             "auto-detected from the nearest pyproject.toml by default"
         ),
     )

@@ -22,14 +22,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Iterable, Protocol, Sequence
+from typing import Collection, Iterable, Protocol, Sequence
 
 from .findings import Finding
 from .source import SourceFile
-
-if TYPE_CHECKING:
-    from .lockset import LockSetAnalysis
-    from .project_index import ProjectIndex
 
 #: Directory names never descended into while collecting files.
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", ".venv", "venv", "node_modules"}
@@ -42,55 +38,21 @@ UNUSED_SUPPRESSION = "unused-suppression"
 class Project:
     """Every source file of one analysis run, plus the project root.
 
-    ``root`` is where cross-file rules look for ``docs/`` and
-    ``README.md``; it is auto-detected by walking up from the first
-    scanned path to the nearest directory containing ``pyproject.toml``
-    (falling back to the scanned path itself).
+    ``root`` is what SARIF artifact URIs are relative to; it is
+    auto-detected by walking up from the first scanned path to the
+    nearest directory containing ``pyproject.toml`` (falling back to
+    the scanned path itself).
     """
 
     def __init__(self, files: list[SourceFile], root: str) -> None:
         self.files = files
         self.root = root
-        self._index: ProjectIndex | None = None
-        self._lockset: LockSetAnalysis | None = None
-
-    def index(self) -> ProjectIndex:
-        """The interprocedural index, built once per project.
-
-        Rules that set ``needs_index`` call this; the engine usually
-        pre-builds it (timed separately) before running them.
-        """
-        if self._index is None:
-            from .project_index import ProjectIndex
-            self._index = ProjectIndex.build(self)
-        return self._index
-
-    def lockset(self) -> LockSetAnalysis:
-        """The lock-set analysis, built once on top of the index.
-
-        Rules that set ``needs_lockset`` call this; like the index it
-        is pre-built (timed under ``lock-set``) by the engine.
-        """
-        if self._lockset is None:
-            from .lockset import LockSetAnalysis
-            self._lockset = LockSetAnalysis.build(self)
-        return self._lockset
-
-    def by_suffix(self, suffix: str) -> list[SourceFile]:
-        """Scanned files whose path ends with ``suffix``."""
-        normalized = suffix.replace("\\", "/")
-        return [
-            f for f in self.files
-            if f.path.replace("\\", "/").endswith(normalized)
-        ]
 
 
 class RuleLike(Protocol):
     """What the engine needs from a rule (see ``rules.base.Rule``)."""
 
     name: str
-    needs_index: bool
-    needs_lockset: bool
 
     def check(self, project: Project) -> Iterable[Finding]: ...
 
@@ -109,10 +71,7 @@ class AnalysisReport:
     rules_run: list[str] = field(default_factory=list)
     #: Detected project root (SARIF URIs are relative to it).
     root: str = "."
-    #: Wall seconds per rule; building the interprocedural index and
-    #: the lock-set analysis are charged to the pseudo-entries
-    #: ``project-index`` / ``lock-set``, not to whichever rule
-    #: happened to run first.
+    #: Wall seconds per rule.
     rule_timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -176,35 +135,10 @@ def load_project(paths: list[str], root: str | None = None) -> \
     return Project(files, detected_root), errors
 
 
-def run_rules(project: Project,
-              rules: Sequence[RuleLike]) -> list[Finding]:
-    """Run every rule over the project; findings come back sorted."""
-    findings, _ = run_rules_timed(project, rules)
-    return findings
-
-
 def run_rules_timed(project: Project, rules: Sequence[RuleLike]) -> \
         tuple[list[Finding], dict[str, float]]:
-    """Like :func:`run_rules`, plus wall seconds per rule.
-
-    When any rule needs the interprocedural index it is built up
-    front and timed under the ``project-index`` pseudo-entry, so
-    per-rule numbers stay comparable regardless of run order.
-    """
+    """Run every rule; sorted findings plus wall seconds per rule."""
     timings: dict[str, float] = {}
-    needs_lockset = any(
-        getattr(rule, "needs_lockset", False) for rule in rules
-    )
-    if needs_lockset or any(
-        getattr(rule, "needs_index", False) for rule in rules
-    ):
-        started = time.perf_counter()
-        project.index()
-        timings["project-index"] = time.perf_counter() - started
-    if needs_lockset:
-        started = time.perf_counter()
-        project.lockset()
-        timings["lock-set"] = time.perf_counter() - started
     findings: list[Finding] = []
     for rule in rules:
         started = time.perf_counter()

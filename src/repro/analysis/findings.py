@@ -21,7 +21,7 @@ class Finding:
     line: int
     #: 0-based column, as reported by the AST node.
     column: int
-    #: Rule name, e.g. ``guarded-by``.
+    #: Rule name, e.g. ``resource-lifecycle``.
     rule: str
     #: Human-readable description of the violation.
     message: str

@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-from .atomicity import AtomicityRule
 from .base import Rule
-from .future_drain import FutureDrainRule
-from .guarded_by import GuardedByRule
-from .lock_order import LockOrderRule
-from .pickle_boundary import PickleBoundaryRule
 from .resource_lifecycle import ResourceLifecycleRule
 
-#: Every shipped rule, in reporting order.  The first three are the
-#: concurrency family, built on the lock-set layer.
+#: Every shipped rule, in reporting order.
 ALL_RULES: list[type[Rule]] = [
-    GuardedByRule,
-    LockOrderRule,
-    AtomicityRule,
-    FutureDrainRule,
     ResourceLifecycleRule,
-    PickleBoundaryRule,
 ]
 
 
@@ -42,11 +31,6 @@ def rules_by_name(names: list[str]) -> list[Rule]:
 
 __all__ = [
     "ALL_RULES",
-    "AtomicityRule",
-    "FutureDrainRule",
-    "GuardedByRule",
-    "LockOrderRule",
-    "PickleBoundaryRule",
     "ResourceLifecycleRule",
     "Rule",
     "default_rules",

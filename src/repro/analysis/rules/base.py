@@ -3,9 +3,8 @@
 Every rule exposes ``name``, ``description`` and
 ``check(project) -> Iterable[Finding]``; per-file rules loop over
 ``project.files`` themselves.  The helpers here cover the AST idioms
-several rules share: resolving ``self.attr`` references, walking
-functions with their enclosing class, and finding the lock held around
-a statement.
+the rules share: naming a call, walking functions with their enclosing
+class, and walking a body with each node's ancestors.
 """
 
 from __future__ import annotations
@@ -19,22 +18,10 @@ from ..source import SourceFile
 
 
 class Rule:
-    """Base class: subclasses set ``name``/``description``.
-
-    Rules that query the interprocedural
-    :class:`~repro.analysis.project_index.ProjectIndex` set
-    ``needs_index = True`` so the engine builds (and times) the index
-    once before any of them runs, via :meth:`Project.index`.  Rules
-    that additionally query the lock-set dataflow
-    (:class:`~repro.analysis.lockset.LockSetAnalysis`) set
-    ``needs_lockset = True``; the engine pre-builds it under the
-    ``lock-set`` timing entry via :meth:`Project.lockset`.
-    """
+    """Base class: subclasses set ``name``/``description``."""
 
     name = "rule"
     description = ""
-    needs_index = False
-    needs_lockset = False
 
     def check(self, project: Project) -> Iterable[Finding]:
         raise NotImplementedError
@@ -48,17 +35,6 @@ class Rule:
             rule=self.name,
             message=message,
         )
-
-
-def self_attr(node: ast.AST) -> str | None:
-    """``attr`` when ``node`` is ``self.attr``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def call_name(node: ast.Call) -> str | None:
@@ -90,22 +66,6 @@ def iter_functions(tree: ast.AST) -> \
     yield from visit(tree, None)
 
 
-def with_lock_names(stack: list[ast.AST]) -> set[str]:
-    """Locks held at a point, given the ancestor ``With`` statements.
-
-    A lock is a ``with self.<name>:`` (or ``with self.<name>`` among
-    several items) anywhere in the ancestor stack.
-    """
-    held: set[str] = set()
-    for node in stack:
-        if isinstance(node, ast.With):
-            for item in node.items:
-                name = self_attr(item.context_expr)
-                if name is not None:
-                    held.add(name)
-    return held
-
-
 def walk_with_stack(node: ast.AST) -> Iterator[tuple[ast.AST, list[ast.AST]]]:
     """Yield ``(descendant, ancestors)`` for every node under ``node``.
 
@@ -125,8 +85,3 @@ def walk_with_stack(node: ast.AST) -> Iterator[tuple[ast.AST, list[ast.AST]]]:
             yield from visit(child, stack + [child])
 
     yield from visit(node, [])
-
-
-def names_in(node: ast.AST) -> set[str]:
-    """Every bare ``Name`` referenced anywhere under ``node``."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}

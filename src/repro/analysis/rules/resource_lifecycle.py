@@ -32,7 +32,7 @@ from typing import Iterable
 from ..engine import Project
 from ..findings import Finding
 from ..source import SourceFile
-from .base import Rule, call_name, iter_functions, self_attr, walk_with_stack
+from .base import Rule, call_name, iter_functions, walk_with_stack
 
 #: Constructor / method names whose result is an owned resource.
 OPENERS = {

@@ -1,13 +1,13 @@
 """Runtime concurrency sanitizer for the repro middleware.
 
-Static analysis (:mod:`repro.analysis.rules`) proves properties the AST
-can see; this package checks the same contracts *while the code runs*:
+The project's concurrency contracts are checked here, *while the
+code runs*:
 
 * **lock-order** — every nested lock acquisition grows a global graph;
   a cycle is a potential deadlock, reported with the acquisition stack
   of every edge.
 * **guarded-by** — the ``#: guarded by self._lock`` declarations (parsed
-  once by :mod:`.contracts`, shared with the static rule) are enforced
+  once by :mod:`.contracts`) are enforced
   on live objects: writing a declared attribute without its lock held
   is a finding with the writer's stack.
 * **resource-leak** — executors, futures, staged files and worker

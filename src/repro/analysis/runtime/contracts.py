@@ -1,4 +1,4 @@
-"""The guarded-by contract registry, shared by static and runtime checks.
+"""The guarded-by contract registry the runtime sanitizer enforces.
 
 Concurrency state in this codebase is documented where it is
 initialised::
@@ -8,18 +8,12 @@ initialised::
     self._executor = None
 
 That comment is a *contract*: every mutation of the attribute outside
-``__init__`` must happen while the named lock is held.  Before this
-module existed the static ``guarded-by`` rule parsed the declarations
-privately; now the parsing lives here, once, and is consumed by
-
-* the static rule (:mod:`repro.analysis.rules.guarded_by`), which
-  checks the contract *lexically* — mutations must sit inside a
-  ``with self.<lock>:`` block; and
-* the runtime sanitizer (:mod:`repro.analysis.runtime.sanitizer`),
-  which checks it *dynamically* — instrumented ``__setattr__`` verifies
-  the named lock is actually held by the writing thread, catching
-  violations the AST cannot see (writes through helpers, interleavings,
-  locks passed around).
+``__init__`` must happen while the named lock is held.  This module
+parses the declarations; the runtime sanitizer
+(:mod:`repro.analysis.runtime.sanitizer`) checks them on live objects
+— an instrumented ``__setattr__`` verifies the named lock is actually
+held by the writing thread, wherever the write comes from (a helper,
+an interleaving, a lock passed around).
 
 Declarations are recognised on the assignment's own line or on the
 comment line directly above it, anywhere in the class body.
@@ -32,7 +26,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from importlib import util as importlib_util
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 #: The declaration comment, e.g. ``#: guarded by self._lock``.
 GUARD_DECLARATION = re.compile(r"#:?\s*guarded by\s+self\.(\w+)")
@@ -123,9 +117,7 @@ class ClassContract:
 class ContractRegistry:
     """Every guarded-by contract discovered in a set of sources.
 
-    Built once (per activation or per analysis run) and consumed by
-    both checkers, so the two can never drift on what the declaration
-    syntax means.
+    Built once per activation.
     """
 
     def __init__(self) -> None:
@@ -196,14 +188,3 @@ class ContractRegistry:
     def for_module(self, module: str) -> list[ClassContract]:
         """Contracts registered under one importable module name."""
         return [c for c in self._contracts if c.module == module]
-
-    def find(self, class_name: str,
-             module: str = "") -> Optional[ClassContract]:
-        """The first contract matching ``class_name`` (and module)."""
-        for contract in self._contracts:
-            if contract.class_name != class_name:
-                continue
-            if module and contract.module != module:
-                continue
-            return contract
-        return None

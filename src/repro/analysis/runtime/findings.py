@@ -59,7 +59,7 @@ class RuntimeFinding:
     """One sanitizer finding with its supporting stacks."""
 
     #: Which checker fired: ``lock-order-cycle``, ``guarded-by`` or
-    #: ``resource-leak`` (mirrors the static rule naming).
+    #: ``resource-leak``.
     rule: str
     #: One-line description of the violation.
     message: str

@@ -9,8 +9,8 @@ and classes with guarded-by contracts get an instrumented
 ``__setattr__`` that verifies the declared lock is actually held by the
 writing thread.
 
-The guarded-by check mirrors the static rule's semantics: writes inside
-``__init__`` are exempt (an object under construction is not shared),
+Writes inside ``__init__`` are exempt from the guarded-by check (an
+object under construction is not shared),
 which the runtime layer implements with an *armed* sentinel set when
 the wrapped ``__init__`` returns.
 """

@@ -9,17 +9,15 @@ Two witnesses live here:
   answered by the report, not by a debugger.
 
 * the **lock-order witness file** (``lock_order.witness.json`` at the
-  repo root) — the blessed set of nested-acquisition edges.  The
-  static ``lock-order`` rule merges the edges it can see in the AST
-  with this file and fails on any cycle; the sanitizer can emit an
-  updated edge list so the file never goes stale by hand-editing.
+  repo root) — the blessed set of nested-acquisition edges.
+  ``witness_check`` fails CI when a sanitizer run observes an edge
+  that is not in it, and ``witness_check --update`` refreshes it from
+  a run report, so the file never goes stale by hand-editing.
 
 The witness file format is versioned.  Version 1 stored bare
 ``[outer, inner]`` pairs; version 2 stores one record per edge with
 the names of every thread observed holding the outer lock while
-taking the inner one, plus an optional human ``justification`` for
-edges the static lock-set analysis cannot derive (consumed by
-``witness_check --static-diff``).  :func:`load_witness` reads both;
+taking the inner one.  :func:`load_witness` reads both;
 :func:`save_witness` always writes version 2.
 """
 
@@ -142,16 +140,12 @@ class WitnessEdge:
     """One blessed nested-acquisition edge ``outer -> inner``.
 
     ``threads`` holds the names of every thread the sanitizer has seen
-    take ``inner`` while holding ``outer``; ``justification`` is a
-    human note explaining a purely-runtime edge the static lock-set
-    analysis cannot derive (``witness_check --static-diff`` treats a
-    blessed-but-underivable edge without one as a finding).
+    take ``inner`` while holding ``outer``.
     """
 
     outer: str
     inner: str
     threads: tuple[str, ...] = ()
-    justification: Optional[str] = None
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -170,17 +164,12 @@ def load_witness(path: str) -> list[WitnessEdge]:
     out: list[WitnessEdge] = []
     for edge in payload.get("edges", []):
         if isinstance(edge, dict):
-            justification = edge.get("justification")
             out.append(
                 WitnessEdge(
                     outer=str(edge["outer"]),
                     inner=str(edge["inner"]),
                     threads=tuple(
                         str(name) for name in edge.get("threads", [])
-                    ),
-                    justification=(
-                        str(justification)
-                        if justification is not None else None
                     ),
                 )
             )
@@ -199,8 +188,8 @@ def merge_witness_edges(*sources: Iterable[WitnessEdge]) \
         -> list[WitnessEdge]:
     """Union of edges from ``sources``, merged per ``(outer, inner)``.
 
-    Thread sets are unioned; the first non-``None`` justification
-    wins.  Sorted by pair, so a save of the result is deterministic.
+    Thread sets are unioned.  Sorted by pair, so a save of the result
+    is deterministic.
     """
     merged: dict[tuple[str, str], WitnessEdge] = {}
     for source in sources:
@@ -215,9 +204,6 @@ def merge_witness_edges(*sources: Iterable[WitnessEdge]) \
                 threads=tuple(
                     sorted(set(previous.threads) | set(edge.threads))
                 ),
-                justification=previous.justification
-                if previous.justification is not None
-                else edge.justification,
             )
     return [merged[pair] for pair in sorted(merged)]
 
@@ -225,22 +211,21 @@ def merge_witness_edges(*sources: Iterable[WitnessEdge]) \
 def save_witness(path: str, edges: Iterable[WitnessEdge],
                  description: str = "") -> None:
     """Write a v2 witness file (sorted, deterministic, newline-ended)."""
-    records: list[dict[str, object]] = []
-    for edge in merge_witness_edges(edges):
-        record: dict[str, object] = {
+    records = [
+        {
             "outer": edge.outer,
             "inner": edge.inner,
             "threads": sorted(set(edge.threads)),
         }
-        if edge.justification is not None:
-            record["justification"] = edge.justification
-        records.append(record)
+        for edge in merge_witness_edges(edges)
+    ]
     payload = {
         "description": description or (
             "Blessed nested lock-acquisition edges (outer, inner) with "
-            "the thread names observed holding them. Checked by the "
-            "static lock-order rule and refreshed from sanitizer runs; "
-            "a cycle through these edges fails CI."
+            "the thread names observed holding them. A sanitizer run "
+            "that observes an edge missing here fails CI "
+            "(python -m repro.analysis.witness_check); --update "
+            "refreshes the file from a run report."
         ),
         "version": WITNESS_VERSION,
         "edges": records,

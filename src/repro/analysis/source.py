@@ -68,16 +68,5 @@ class SourceFile:
                 justification=(match.group(2) or ""),
             )
 
-    def line_text(self, number: int) -> str:
-        """The 1-based source line (empty string when out of range)."""
-        if 1 <= number <= len(self.lines):
-            return self.lines[number - 1]
-        return ""
-
-    def comment_above(self, number: int) -> str:
-        """The stripped comment-only line directly above ``number``."""
-        text = self.line_text(number - 1).strip()
-        return text if text.startswith("#") else ""
-
     def __repr__(self) -> str:
         return f"SourceFile({self.path!r})"

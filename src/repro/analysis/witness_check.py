@@ -1,9 +1,8 @@
 """Diff a sanitizer run's observed lock-order edges against the witness.
 
 ``lock_order.witness.json`` is the blessed set of nested lock
-acquisitions — the static ``lock-order`` rule merges it with the edges
-it can prove from the AST and fails on cycles.  The file only stays
-honest if runtime observations feed back into it, so CI runs::
+acquisitions.  The file only stays honest if runtime observations feed
+back into it, so CI runs::
 
     python -m repro.analysis.witness_check sanitize-report.json
 
@@ -16,14 +15,6 @@ commit the diff), merging the holding-thread names from the report's
 ``lock_order_edge_records`` into each blessed record; blessed edges
 that were not observed are reported informationally but never fail,
 because no single test run exercises every code path.
-
-``--static-diff`` closes the loop in the other direction: it builds
-the interprocedural lock-set analysis over the sources (``--src``,
-default ``src``) and demands that every blessed edge be *derivable*
-statically.  A blessed edge with no static acquisition path is either
-stale or genuinely dynamic; the former should be deleted, the latter
-documented with a ``justification`` field on its witness record.
-Unjustified underivable edges are findings and fail the check.
 
 Exit codes follow ``python -m repro.analysis``: 0 clean, 1 findings,
 2 usage error.
@@ -80,14 +71,6 @@ def observed_records_from_report(path: str) -> list[WitnessEdge]:
     ]
 
 
-def static_edge_pairs(src_paths: list[str]) -> set[tuple[str, str]]:
-    """Every lock-order edge the lock-set analysis derives from source."""
-    from .engine import load_project
-
-    project, _ = load_project(src_paths)
-    return set(project.lockset().edge_pairs())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.witness_check",
@@ -111,19 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update", action="store_true",
         help="bless the observed edges: rewrite the witness file with "
              "the union (merging observed thread names) and exit 0",
-    )
-    parser.add_argument(
-        "--static-diff", action="store_true",
-        help=(
-            "also require every blessed edge to be derivable by the "
-            "static lock-set analysis; underivable edges without a "
-            "'justification' on their witness record are findings"
-        ),
-    )
-    parser.add_argument(
-        "--src", nargs="*", default=["src"], metavar="PATH",
-        help="sources the static lock-set analysis scans for "
-             "--static-diff (default: src)",
     )
     return parser
 
@@ -157,7 +127,6 @@ def main(argv: "Optional[list[str]]" = None) -> int:
         )
         return 0
 
-    failed = False
     for outer, inner in unexercised:
         # Informational only: one run never exercises every path.
         print(f"note: blessed edge not observed this run: "
@@ -174,44 +143,6 @@ def main(argv: "Optional[list[str]]" = None) -> int:
             "--update locally and commit the witness diff if this "
             "nesting is intended"
         )
-        failed = True
-
-    if args.static_diff:
-        static = static_edge_pairs(args.src)
-        underivable = [
-            edge for edge in blessed_records if edge.pair not in static
-        ]
-        unjustified = [
-            edge for edge in underivable if edge.justification is None
-        ]
-        for edge in underivable:
-            if edge.justification is not None:
-                print(
-                    f"note: blessed edge not statically derivable "
-                    f"(justified): {edge.outer} -> {edge.inner} — "
-                    f"{edge.justification}"
-                )
-        if unjustified:
-            for edge in unjustified:
-                print(
-                    f"blessed edge has no static acquisition path: "
-                    f"{edge.outer} -> {edge.inner} (the lock-set "
-                    f"analysis over {', '.join(args.src)} cannot "
-                    f"derive it; delete the stale edge or add a "
-                    f"'justification' to its witness record)"
-                )
-            print(
-                f"{len(unjustified)} statically underivable edge(s) "
-                "without justification"
-            )
-            failed = True
-        else:
-            print(
-                f"static diff clean: {len(blessed)} blessed edge(s), "
-                f"{len(static)} statically derived"
-            )
-
-    if failed:
         return 1
     print(
         f"witness check clean: {len(observed)} observed edge(s), "

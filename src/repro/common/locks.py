@@ -20,10 +20,10 @@ module, never ``repro.analysis`` — the sanitizer reaches *in* through
 the monitor hook, so the core carries no analysis imports.
 
 The ``name`` passed to the factories is the lock's *contract name*,
-``"ClassName.attr"`` (e.g. ``"ScanWorkerPool._lock"``).  The same
-naming is used by the static ``lock-order`` rule and the checked-in
-lock-order witness file, so static edges, runtime edges and guarded-by
-contracts all speak about the same lock.
+``"ClassName.attr"`` (e.g. ``"ScanWorkerPool._lock"``).  The
+sanitizer's lock-order graph and the checked-in lock-order witness
+file use the same naming, so observed edges, blessed edges and
+guarded-by contracts all speak about the same lock.
 """
 
 from __future__ import annotations

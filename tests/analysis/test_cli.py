@@ -23,21 +23,21 @@ def test_exit_zero_on_clean_file(tmp_path, capsys):
 
 
 def test_exit_one_on_findings(capsys):
-    code = main([fixture("future_bad.py"), "--root", FIXTURES])
+    code = main([fixture("resource_bad.py"), "--root", FIXTURES])
     assert code == 1
     out = capsys.readouterr().out
-    assert "[future-drain]" in out
-    assert "future_bad.py" in out
+    assert "[resource-lifecycle]" in out
+    assert "resource_bad.py" in out
 
 
 def test_json_format_is_machine_readable(capsys):
-    code = main([fixture("future_bad.py"), "--format", "json",
+    code = main([fixture("resource_bad.py"), "--format", "json",
                  "--root", FIXTURES])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_scanned"] == 1
     rules = {f["rule"] for f in payload["findings"]}
-    assert rules == {"future-drain"}
+    assert rules == {"resource-lifecycle"}
     first = payload["findings"][0]
     assert set(first) == {"path", "line", "column", "rule", "message"}
 
@@ -45,9 +45,8 @@ def test_json_format_is_machine_readable(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("guarded-by", "lock-order", "atomicity", "future-drain",
-                 "resource-lifecycle", "pickle-boundary"):
-        assert rule in out
+    listed = {line.split(":")[0] for line in out.splitlines()}
+    assert listed == {"resource-lifecycle"}
 
 
 def test_show_suppressed(capsys):
@@ -66,31 +65,30 @@ def test_parse_error_is_a_finding(tmp_path, capsys):
 
 
 def test_select_runs_only_named_rules(capsys):
-    code = main([fixture("future_bad.py"), "--format", "json",
-                 "--select", "future-drain", "--root", FIXTURES])
+    code = main([fixture("resource_bad.py"), "--format", "json",
+                 "--select", "resource-lifecycle", "--root", FIXTURES])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["rules_run"] == ["future-drain"]
-    assert {f["rule"] for f in payload["findings"]} == {"future-drain"}
+    assert payload["rules_run"] == ["resource-lifecycle"]
+    assert {f["rule"] for f in payload["findings"]} == {"resource-lifecycle"}
 
 
 def test_select_unknown_rule_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([fixture("future_bad.py"),
+        main([fixture("resource_bad.py"),
               "--select", "no-such-rule"])
     assert excinfo.value.code == 2
     assert "no-such-rule" in capsys.readouterr().err
 
 
 def test_json_reports_per_rule_timings(capsys):
-    main([fixture("future_bad.py"), "--format", "json",
-          "--select", "guarded-by,future-drain",
+    main([fixture("resource_bad.py"), "--format", "json",
+          "--select", "resource-lifecycle",
           "--root", FIXTURES])
     payload = json.loads(capsys.readouterr().out)
     timings = payload["rule_timings"]
-    # One entry per rule run, plus the shared index and lock-set builds.
-    assert set(timings) == \
-        {"guarded-by", "future-drain", "project-index", "lock-set"}
+    # One entry per rule run.
+    assert set(timings) == {"resource-lifecycle"}
     assert all(seconds >= 0 for seconds in timings.values())
 
 
@@ -114,7 +112,7 @@ def test_time_budget_generous_passes(tmp_path):
 
 def test_output_writes_file_instead_of_stdout(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    code = main([fixture("future_bad.py"), "--format", "json",
+    code = main([fixture("resource_bad.py"), "--format", "json",
                  "--output", str(report_path), "--root", FIXTURES])
     assert code == 1
     assert capsys.readouterr().out == ""

@@ -20,7 +20,7 @@ from repro.analysis import runtime
 from repro.analysis.runtime.contracts import ContractRegistry
 from repro.analysis.runtime.locks import SanitizedLock, find_cycles
 from repro.analysis.runtime.sanitizer import Sanitizer
-from repro.common.locks import install_monitor
+from repro.common.locks import LockMonitor, install_monitor
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "runtime_seeded.py")
@@ -149,6 +149,240 @@ class TestGuardedBy:
             for _ in range(5):
                 counter.bump_racy()
             assert len(sanitizer.guard_findings()) == 1
+
+
+class TestGuardedByAcrossCalls:
+    """What the lexical lock-set analysis judged by summarising callers,
+    the sanitizer judges on the write itself."""
+
+    def test_helper_under_its_callers_lock_is_clean(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            ledger = module.Ledger()
+            ledger.deposit(3)
+            ledger.deposit(4)
+            assert sanitizer.guard_findings() == []
+
+    def test_helper_without_its_callers_lock_names_the_chain(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            ledger = module.Ledger()
+            ledger.deposit(1)
+            ledger.deposit_forgetful(2)
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "Ledger._total" in findings[0].message
+            # The write stack names the helper and the caller that
+            # forgot the lock, not the one that held it.
+            stack = findings[0].sites[0][1]
+            assert "_add" in stack
+            assert "deposit_forgetful" in stack
+
+    def test_lock_handed_in_by_an_owner_guards_the_child(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            owner = module.SharedOwner()
+            # One lock object under the owner's contract name.
+            assert owner.child._lock is owner._lock
+            assert owner.child._lock.name == "SharedOwner._lock"
+            owner.update(7)
+            assert sanitizer.guard_findings() == []
+
+    def test_child_written_without_the_owners_lock_is_caught(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            owner = module.SharedOwner()
+            owner.child.set(8)
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "SharedChild._value" in findings[0].message
+            assert "guarded by self._lock" in findings[0].message
+
+    def test_decorated_writers_are_judged_like_any_other(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            state = module.Decorated()
+            state.reset_locked()
+            assert sanitizer.guard_findings() == []
+            state.reset_racy()
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "Decorated._state" in findings[0].message
+            assert "reset_racy" in findings[0].sites[0][1]
+
+    def test_write_under_another_lock_names_what_was_held(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            counter = module.GuardedCounter()
+            pair = module.CrossedPair()
+            with pair._a:
+                counter.bump_racy()
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "(holding: CrossedPair._a)" in findings[0].message
+
+    def test_lock_held_by_another_thread_does_not_count(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            counter = module.GuardedCounter()
+            errors = []
+
+            def racer():
+                try:
+                    counter.bump_racy()
+                except BaseException as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            with counter._lock:
+                writer = threading.Thread(target=racer, name="racer",
+                                          daemon=True)
+                writer.start()
+                writer.join(10)
+            assert not writer.is_alive() and errors == []
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "thread racer" in findings[0].message
+
+    def test_unguarded_delete_is_caught(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            counter = module.GuardedCounter()
+            with counter._lock:
+                del counter._count
+                counter._count = 0
+            assert sanitizer.guard_findings() == []
+            del counter._count
+            findings = sanitizer.guard_findings()
+            assert len(findings) == 1
+            assert "GuardedCounter._count" in findings[0].message
+
+    def test_undeclared_attributes_are_free(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            pair = module.CrossedPair()
+            pair.items = [1, 2]
+            counter = module.GuardedCounter()
+            counter.note = "not a guarded field"
+            assert sanitizer.guard_findings() == []
+
+    def test_reentrant_guard_held_twice_is_clean(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            reentrant = module.Reentrant()
+            reentrant.outer()
+            reentrant.nested()
+            assert reentrant._depth == 2
+            assert sanitizer.guard_findings() == []
+
+    def test_uninstrument_restores_the_class(self):
+        module = _load_fixture_module()
+        original = module.GuardedCounter.__setattr__
+        with sanitizer_on(module) as sanitizer:
+            assert module.GuardedCounter.__setattr__ is not original
+        assert module.GuardedCounter.__setattr__ is original
+        counter = module.GuardedCounter()
+        counter.bump_racy()  # no monitor: plain lock, no enforcement
+        assert sanitizer.guard_findings() == []
+
+    def test_instrumenting_a_module_twice_patches_once(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            assert sanitizer.instrument_module(module) == 0
+            counter = module.GuardedCounter()
+            counter.bump_racy()
+            assert len(sanitizer.guard_findings()) == 1
+
+    def test_plain_lock_instances_are_not_judged(self):
+        # A lock built before the sanitizer was installed is a plain
+        # threading.Lock the runtime cannot observe, so it is skipped
+        # rather than reported on every write.
+        module = _load_fixture_module()
+        previous = install_monitor(LockMonitor())
+        try:
+            counter = module.GuardedCounter()
+        finally:
+            install_monitor(previous)
+        with sanitizer_on(module) as sanitizer:
+            object.__setattr__(counter, "_repro_sanitizer_armed", True)
+            counter.bump_racy()
+            assert sanitizer.guard_findings() == []
+
+
+class TestLockOrderAcrossCalls:
+    def test_two_class_cycle_two_calls_deep(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            catalog = module.Catalog()
+            catalog.register("a")       # Catalog._lock -> Index._lock
+            catalog.index.rebuild()     # Index._lock -> Catalog._lock
+            findings = sanitizer.graph.cycle_findings()
+            assert len(findings) == 1
+            message = findings[0].message
+            assert "Catalog._lock -> Index._lock -> Catalog._lock" \
+                in message
+            stacks = "".join(stack for _, stack in findings[0].sites)
+            assert "_store" in stacks and "_refresh" in stacks
+
+    def test_one_direction_only_is_an_edge_not_a_cycle(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            catalog = module.Catalog()
+            catalog.register("a")
+            catalog.register("b")
+            assert sanitizer.observed_edges() == [
+                ["Catalog._lock", "Index._lock"]
+            ]
+            assert sanitizer.graph.cycle_findings() == []
+
+    def test_reentry_adds_no_edge(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            reentrant = module.Reentrant()
+            reentrant.outer()
+            assert sanitizer.observed_edges() == []
+            # Re-taking the held RLock under _other would be an
+            # _other -> _lock edge for a plain lock; reentry cannot
+            # block, so only the first nesting is recorded.
+            reentrant.nested()
+            assert sanitizer.observed_edges() == [
+                ["Reentrant._lock", "Reentrant._other"]
+            ]
+            assert sanitizer.graph.cycle_findings() == []
+
+    def test_three_lock_ring_reports_one_cycle(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            ring = module.Ring()
+            for i in range(3):
+                ring.step(i)
+            findings = sanitizer.graph.cycle_findings()
+            assert len(findings) == 1
+            assert ("Ring.lock0 -> Ring.lock1 -> Ring.lock2 -> Ring.lock0"
+                    in findings[0].message)
+            assert len(findings[0].sites) == 6  # 3 edges x 2
+
+    def test_two_step_ring_is_no_cycle(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            ring = module.Ring()
+            ring.step(0)
+            ring.step(1)
+            assert sanitizer.graph.cycle_findings() == []
+            assert len(sanitizer.observed_edges()) == 2
+
+    def test_non_lock_context_managers_add_no_edges(self, tmp_path):
+        with seeded_sanitizer() as (sanitizer, module):
+            pair = module.CrossedPair()
+            with pair._a:
+                with contextlib.nullcontext():
+                    with open(tmp_path / "f.txt", "w") as handle:
+                        handle.write("x")
+            assert sanitizer.observed_edges() == []
+
+    def test_same_named_instances_add_no_self_edge(self):
+        with seeded_sanitizer() as (sanitizer, module):
+            first, second = module.CrossedPair(), module.CrossedPair()
+            with first._a:
+                with second._a:
+                    pass
+            assert sanitizer.observed_edges() == []
+            assert sanitizer.graph.cycle_findings() == []
+
+    def test_executor_threads_are_recorded_as_holders(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with seeded_sanitizer() as (sanitizer, module):
+            pair = module.CrossedPair()
+            with ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="scan") as pool:
+                pool.submit(pair.forward, 1).result(timeout=10)
+            pair.forward(2)
+            (record,) = sanitizer.graph.edge_records()
+            assert record["threads"] == ["MainThread", "scan_0"]
 
 
 class _Meter:

@@ -26,7 +26,7 @@ def sarif_for(fixture, rules=None):
 
 
 def test_document_skeleton():
-    document, _ = sarif_for("future_bad.py")
+    document, _ = sarif_for("resource_bad.py")
     assert document["version"] == SARIF_VERSION == "2.1.0"
     assert document["$schema"].endswith("sarif-schema-2.1.0.json")
     assert len(document["runs"]) == 1
@@ -80,7 +80,7 @@ def test_suppressed_findings_are_kept_and_marked():
 
 
 def test_run_properties_carry_timings():
-    document, report = sarif_for("future_bad.py")
+    document, report = sarif_for("resource_bad.py")
     properties = document["runs"][0]["properties"]
     assert properties["filesScanned"] == report.files_scanned
     assert properties["rulesRun"] == report.rules_run
@@ -90,13 +90,14 @@ def test_run_properties_carry_timings():
 def test_cli_sarif_output_round_trips(tmp_path, capsys):
     out_path = tmp_path / "analysis.sarif"
     code = main([
-        os.path.join(FIXTURES, "pickle_bad.py"),
+        os.path.join(FIXTURES, "resource_bad.py"),
         "--format", "sarif", "--output", str(out_path),
-        "--select", "pickle-boundary", "--root", FIXTURES,
+        "--select", "resource-lifecycle", "--root", FIXTURES,
     ])
     assert code == 1
     document = json.loads(out_path.read_text())
     results = document["runs"][0]["results"]
-    assert len(results) == 4
-    assert {result["ruleId"] for result in results} == {"pickle-boundary"}
-    assert "lambda" in results[0]["message"]["text"]
+    assert len(results) == 3
+    assert {result["ruleId"] for result in results} == \
+        {"resource-lifecycle"}
+    assert "catch BaseException" in results[0]["message"]["text"]

@@ -34,19 +34,6 @@ def test_every_suppression_in_src_is_justified_and_used():
     assert audit == []
 
 
-def test_concurrency_family_runs_and_src_stays_clean():
-    """The lock-set rules are on by default and src/ is clean under
-    them; the shared lock-set build is timed as its own pseudo-rule."""
-    report = analyze(
-        [os.path.join(REPO_ROOT, "src")], default_rules(), root=REPO_ROOT
-    )
-    for rule in ("guarded-by", "lock-order", "atomicity"):
-        assert rule in report.rules_run
-    assert "project-index" in report.rule_timings
-    assert "lock-set" in report.rule_timings
-    assert report.clean
-
-
 def test_scan_covers_the_whole_package():
     report = analyze(
         [os.path.join(REPO_ROOT, "src")], default_rules(), root=REPO_ROOT

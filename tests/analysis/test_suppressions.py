@@ -9,22 +9,31 @@ false-flag pragmas belonging to unselected rules.
 import os
 
 from repro.analysis import analyze
-from repro.analysis.rules.future_drain import FutureDrainRule
-from repro.analysis.rules.guarded_by import GuardedByRule
+from repro.analysis.rules.base import Rule
+from repro.analysis.rules.resource_lifecycle import ResourceLifecycleRule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+class NeverFires(Rule):
+    """A rule that runs and finds nothing: a pragma's stale half."""
+
+    name = "never-fires"
+
+    def check(self, project):
+        return []
+
+
 def run(rules=None):
     path = os.path.join(FIXTURES, "suppressed.py")
-    rules = rules or [FutureDrainRule(), GuardedByRule()]
+    rules = rules or [ResourceLifecycleRule()]
     return analyze([path], rules, root=FIXTURES)
 
 
 def test_justified_suppression_silences_the_finding():
     report = run()
     suppressed = [f for f in report.suppressed
-                  if f.rule == "future-drain"]
+                  if f.rule == "resource-lifecycle"]
     assert len(suppressed) == 1
     # ...and no finding survives on the justified line itself.
     justified_line = suppressed[0].line
@@ -41,8 +50,8 @@ def test_unjustified_suppression_is_reported():
 
 def test_unjustified_pragma_does_not_silence_the_finding():
     report = run()
-    # The future-drain finding on the unjustified line still fires.
-    live = [f for f in report.findings if f.rule == "future-drain"]
+    # The resource-lifecycle finding on the unjustified line still fires.
+    live = [f for f in report.findings if f.rule == "resource-lifecycle"]
     assert len(live) == 1
 
 
@@ -51,13 +60,14 @@ def test_unused_suppression_is_reported():
     unused = [f for f in report.findings
               if f.rule == "unused-suppression"]
     assert len(unused) == 1
-    assert "guarded-by" in unused[0].message
+    assert "resource-lifecycle" in unused[0].message
 
 
 def test_unused_audit_skips_rules_that_did_not_run():
-    # Only future-drain runs: the never-matching guarded-by pragma
-    # cannot be judged unused, because its rule never had the chance.
-    report = run([FutureDrainRule()])
+    # Only never-fires runs: the never-matching resource-lifecycle
+    # pragma cannot be judged unused, because its rule never had the
+    # chance.
+    report = run([NeverFires()])
     assert not any(
         f.rule == "unused-suppression" for f in report.findings
     )
@@ -66,17 +76,21 @@ def test_unused_audit_skips_rules_that_did_not_run():
 def test_multi_rule_pragma_audits_each_rule_separately(tmp_path):
     path = tmp_path / "multi.py"
     path.write_text(
-        "def go(pool, item):\n"
-        "    pool.submit(item)  "
-        "# repro-lint: disable=future-drain,guarded-by -- demo of both\n"
+        "def go(staging, writers):\n"
+        "    try:\n"
+        "        writers.run()\n"
+        "    except Exception:  "
+        "# repro-lint: disable=resource-lifecycle,never-fires -- demo of both\n"
+        "        staging.abandon_file(writers)\n"
+        "        raise\n"
     )
     report = analyze(
-        [str(path)], [FutureDrainRule(), GuardedByRule()],
+        [str(path)], [ResourceLifecycleRule(), NeverFires()],
         root=str(tmp_path),
     )
-    # future-drain matched; guarded-by ran but never fired -> exactly
-    # one unused finding, naming the stale half of the pragma.
+    # resource-lifecycle matched; never-fires ran but never fired ->
+    # exactly one unused finding, naming the stale half of the pragma.
     assert [f.rule for f in report.findings] == ["unused-suppression"]
-    assert "guarded-by" in report.findings[0].message
-    assert "future-drain" not in report.findings[0].message
+    assert "never-fires" in report.findings[0].message
+    assert "resource-lifecycle" not in report.findings[0].message
     assert len(report.suppressed) == 1
