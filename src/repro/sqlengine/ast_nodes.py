@@ -248,8 +248,8 @@ class UnionAll(Statement):
 
     The paper's per-node CC query is exactly this shape: one GROUP BY
     branch per attribute, all over the same table with the same WHERE.
-    The executor runs each branch independently — the "optimizer cannot
-    exploit the commonality" behaviour the paper measured.
+    The executor charges each branch as its own scan — the "optimizer
+    cannot exploit the commonality" behaviour the paper measured.
     """
 
     def __init__(self, selects: Iterable[Select]) -> None:

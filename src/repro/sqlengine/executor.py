@@ -4,10 +4,12 @@ Design notes that matter for the reproduction:
 
 * A SELECT without a usable index is a full sequential scan of its
   table: the engine has no shared-scan optimisation, so a UNION ALL of
-  m GROUP BY branches scans the table m times.  This is deliberate —
-  it is exactly the behaviour of the commercial optimizers the paper
-  measured ("optimizers in most database systems are not capable of
-  exploiting the commonality").
+  m GROUP BY branches is charged m scans of the table.  This is
+  deliberate — it is exactly the behaviour of the commercial
+  optimizers the paper measured ("optimizers in most database systems
+  are not capable of exploiting the commonality").  What the branches
+  of one statement compute alike is computed once per distinct
+  (table, version, WHERE) — :class:`_WhereScan` — and charged to each.
 * What *is* optimised is the per-row work inside one such scan.  A
   single-table ``COUNT(*) ... GROUP BY`` on the sequential path whose
   items are literals, group columns and ``COUNT(*)``, whose WHERE is
@@ -18,7 +20,7 @@ Design notes that matter for the reproduction:
   by row (:func:`_grouped_select`, the reference implementation).
   :func:`_select_result` chooses once per SELECT from the statement
   and the data, never from a setting; rows, order and charges are the
-  same either way, and m branches remain m planned, metered scans.
+  same either way, and m branches remain m metered scans.
 * Single-table SELECT and DELETE route through the cost-based
   access-path planner (:mod:`repro.sqlengine.planner`): candidate index
   probes (equality, IN, range intervals) are costed against the page
@@ -40,6 +42,7 @@ without GROUP BY.  ORDER BY sorts on output columns; LIMIT truncates.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -172,19 +175,21 @@ def _execute_union(
     statement: UnionAll, database: "Database", meter: CostMeter,
     model: CostModel, choices: Optional[list[AggregateChoice]] = None,
 ) -> ResultSet:
-    """Run each branch independently and concatenate rows.
+    """Run each branch as its own metered scan and concatenate rows.
 
     Branch widths are compared before any branch runs, so a malformed
     UNION is rejected without metering scans whose rows it would
-    never return.
+    never return.  The branches share one :class:`_WhereScan` memo:
+    a WHERE they have in common is planned and masked once.
     """
     widths = {
         _select_width(select, database) for select in statement.selects
     }
     if len(widths) > 1:
         raise SQLError("UNION ALL branches have different widths")
+    scans: list[_WhereScan] = []
     results = [
-        _execute_select(select, database, meter, model, choices)
+        _execute_select(select, database, meter, model, choices, scans)
         for select in statement.selects
     ]
     rows: list[tuple[Any, ...]] = []
@@ -209,11 +214,73 @@ def _select_width(statement: Select, database: "Database") -> int:
 # ---------------------------------------------------------------------------
 
 
+class _WhereScan:
+    """One table version read under one WHERE, worked out once for
+    every branch of a statement that reads it.
+
+    It holds what does not depend on the branch: the access plan, why
+    the WHERE or the table rule out the vector count (or None), and
+    the positions of the rows the WHERE selects.  Charges are never
+    shared: each branch still pays its own page scan and GROUP BY
+    rows, so m branches stay m metered scans.
+    """
+
+    def __init__(self, table: "HeapTable", where: Optional[Expr],
+                 database: "Database", model: CostModel) -> None:
+        self.table = table
+        self.version = table.version
+        self.where = where
+        # Statistics (re)collection behind the plan's selectivity is
+        # deliberately unmetered metadata upkeep (statistics.py); the
+        # chosen path's row work is charged by whoever reads the rows.
+        self.plan = plan_access_path(where, table, database, model)
+
+    @cached_property
+    def obstacle(self) -> Optional[str]:
+        """The first thing about the plan, the WHERE or the table that
+        rules out :func:`_vector_grouped_count`, or None."""
+        return _where_obstacle(self.where, self.table, self.plan)
+
+    @cached_property
+    def selected(self) -> Any:
+        """Positions, in the table's encoding, of the rows the WHERE
+        keeps (only once :attr:`obstacle` has found nothing)."""
+        from .columnar import np, predicate_mask
+
+        schema = self.table.schema
+        where = self.where
+        attr_index = {
+            name: schema.index_of(name)
+            for name in (where.columns() if where is not None else ())
+        }
+        return np.flatnonzero(predicate_mask(
+            self.table.columnar(), where, attr_index
+        ))
+
+
+def _where_scan(scans: list[_WhereScan], table: "HeapTable",
+                where: Optional[Expr], database: "Database",
+                model: CostModel) -> _WhereScan:
+    """``scans``' entry for ``table`` at its version under ``where`` —
+    the same WHERE object (the parser shares a repeated one) or an
+    equal one — made if new."""
+    version = table.version
+    for scan in scans:
+        if (scan.table is table and scan.version == version
+                and (scan.where is where or scan.where == where)):
+            return scan
+    scan = _WhereScan(table, where, database, model)
+    scans.append(scan)
+    return scan
+
+
 def _execute_select(
     statement: Select, database: "Database", meter: CostMeter,
     model: CostModel, choices: Optional[list[AggregateChoice]] = None,
+    scans: Optional[list[_WhereScan]] = None,
 ) -> ResultSet:
-    result = _select_result(statement, database, meter, model, choices)
+    result = _select_result(statement, database, meter, model, choices,
+                            [] if scans is None else scans)
     result = _order_and_limit(statement, result)
 
     if statement.into:
@@ -231,6 +298,7 @@ def _execute_select(
 def _select_result(
     statement: Select, database: "Database", meter: CostMeter,
     model: CostModel, choices: Optional[list[AggregateChoice]],
+    scans: list[_WhereScan],
 ) -> ResultSet:
     """The SELECT's rows before ORDER BY / LIMIT / INTO / transfer.
 
@@ -247,22 +315,20 @@ def _select_result(
     else:
         table = database.table(source)
         schema = table.schema
-        # Statistics (re)collection behind the plan's selectivity is
-        # deliberately unmetered metadata upkeep (statistics.py); the
-        # chosen path's row work is charged by whoever reads the rows.
-        plan = plan_access_path(statement.where, table, database, model)
-        vector_obstacle = _vector_count_obstacle(statement, table, plan)
+        scan = _where_scan(scans, table, statement.where, database, model)
+        vector_obstacle = _vector_count_obstacle(statement, scan)
         if vector_obstacle is None:
             if choices is not None:
                 choices.append(AggregateChoice(
                     "vector", "COUNT(*) over the table's columnar encoding"
                 ))
-            return _vector_grouped_count(statement, table, meter, model)
+            return _vector_grouped_count(statement, scan, meter, model)
         obstacle = vector_obstacle
         # Candidates only: the full WHERE is still applied below (an
         # index probe merely narrows the fetch).
         source_rows = (
-            row for _tid, row in fetch_candidates(plan, table, meter, model)
+            row
+            for _tid, row in fetch_candidates(scan.plan, table, meter, model)
         )
 
     predicate = compile_predicate(statement.where, schema)
@@ -511,9 +577,9 @@ def _where_literals(where: Optional[Expr]) -> Iterator[object]:
         yield where.right.value
 
 
-def _vector_count_obstacle(statement: Select, table: "HeapTable",
-                           plan: AccessPlan) -> Optional[str]:
-    """Why ``statement`` cannot be counted over ``table``'s columnar
+def _vector_count_obstacle(statement: Select,
+                           scan: _WhereScan) -> Optional[str]:
+    """Why ``statement`` cannot be counted over its table's columnar
     encoding — the first reason found — or None when it can.
 
     It can when it is the CC shape: literals, group columns and
@@ -521,9 +587,10 @@ def _vector_count_obstacle(statement: Select, table: "HeapTable",
     column-vs-literal comparisons under AND/OR, grouped on columns
     that hold nothing but integers (RAW).  The statement is judged
     before the table, so one that does not qualify never causes an
-    encode.
+    encode; what the WHERE and the table rule out is judged once per
+    ``scan`` (:func:`_where_obstacle`).
     """
-    from .columnar import RAW, columnar_available, filter_supported
+    from .columnar import RAW
 
     if not statement.group_by:
         return "no GROUP BY"
@@ -539,20 +606,11 @@ def _vector_count_obstacle(statement: Select, table: "HeapTable",
                 return f"column {expression.name!r} is not grouped"
         elif not isinstance(expression, Literal):
             return f"item {expression.to_sql()} is computed per row"
-    if plan.uses_index:
-        return "the planner chose an index probe"
-    if not filter_supported(statement.where):
-        return "WHERE is more than =/<> column-vs-literal under AND/OR"
-    if any(isinstance(v, float) for v in _where_literals(statement.where)):
-        # 5 = 5.0 in the row path's Python equality; the int64 mask
-        # compares integers only.
-        return "WHERE compares against a float literal"
-    if not columnar_available():
-        return "numpy is not installed"
-    schema = table.schema
-    partition = table.columnar()
-    if partition.n_rows == 0:
-        return "the table has no live rows"
+    obstacle = scan.obstacle
+    if obstacle is not None:
+        return obstacle
+    schema = scan.table.schema
+    partition = scan.table.columnar()
     for name in statement.group_by:
         if not schema.has_column(name):
             return f"no such column: {name!r}"
@@ -564,7 +622,28 @@ def _vector_count_obstacle(statement: Select, table: "HeapTable",
     return None
 
 
-def _vector_grouped_count(statement: Select, table: "HeapTable",
+def _where_obstacle(where: Optional[Expr], table: "HeapTable",
+                    plan: AccessPlan) -> Optional[str]:
+    """The part of :func:`_vector_count_obstacle` that reads only the
+    plan, the WHERE and the table, in the order it checks them."""
+    from .columnar import columnar_available, filter_supported
+
+    if plan.uses_index:
+        return "the planner chose an index probe"
+    if not filter_supported(where):
+        return "WHERE is more than =/<> column-vs-literal under AND/OR"
+    if any(isinstance(v, float) for v in _where_literals(where)):
+        # 5 = 5.0 in the row path's Python equality; the int64 mask
+        # compares integers only.
+        return "WHERE compares against a float literal"
+    if not columnar_available():
+        return "numpy is not installed"
+    if table.columnar().n_rows == 0:
+        return "the table has no live rows"
+    return None
+
+
+def _vector_grouped_count(statement: Select, scan: _WhereScan,
                           meter: CostMeter, model: CostModel) -> ResultSet:
     """``COUNT(*) ... GROUP BY`` as array passes over the encoding.
 
@@ -572,22 +651,19 @@ def _vector_grouped_count(statement: Select, table: "HeapTable",
     — predicate, key tuple, dict probe, accumulator — becomes a
     ``predicate_mask`` and one composite-key histogram; the charges
     are theirs to the unit: every page read once, one GROUP BY
-    evaluation per qualifying row.  Nothing is kept between calls but
-    the table's own encoding, so m UNION branches are still m scans.
-    Only for statements :func:`_vector_count_obstacle` passed.
+    evaluation per qualifying row.  UNION branches under one WHERE
+    share its mask (``scan``) but are charged as m independent scans,
+    the optimizer behaviour the paper measured.  Only for statements
+    :func:`_vector_count_obstacle` passed.
     """
-    from .columnar import group_counts, np, predicate_mask
+    from .columnar import group_counts
 
     assert not isinstance(statement.items, Star)
+    table = scan.table
     schema = table.schema
     page_scan_charge(model, table, meter)
     partition = table.columnar()
-    where = statement.where
-    attr_index = {
-        name: schema.index_of(name)
-        for name in (where.columns() if where is not None else ())
-    }
-    selected = np.flatnonzero(predicate_mask(partition, where, attr_index))
+    selected = scan.selected
     qualifying = int(selected.size)
     meter.charge("groupby", model.groupby_row * qualifying, events=qualifying)
 

@@ -1,14 +1,25 @@
 """Tokenizer for the SQL subset.
 
-Produces a flat list of :class:`Token`.  Keywords are recognised
+:func:`tokenize` produces a flat list of :class:`Token`; :func:`scan`
+the same tokens as ``(kind, value)`` pairs with their offsets apart,
+the form the parser reads.  Keywords are recognised
 case-insensitively; identifiers keep their original spelling, and a
 ``[bracketed]`` identifier is always an identifier — the way to name a
 column ``group``.  String literals use single quotes with ``''``
-escaping, as in T-SQL.
+escaping and bracketed identifiers ``]]``, as in T-SQL.
+
+The whole statement is read by one compiled pattern; its alternatives
+are told apart by their first character.  Character classes follow
+:mod:`re`'s Unicode rules, which coincide with ``str``'s: ``\\s`` is
+``isspace``, ``\\w`` is ``isalnum`` or ``_``.  Numbers are ASCII digits
+only (``\\d`` would admit '٣', which ``int()`` reads but SQL does not),
+and an identifier starts with a letter or ``_``.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Union
 
 from ..common.errors import SQLSyntaxError
@@ -36,14 +47,37 @@ OP = "OP"
 PUNCT = "PUNCT"
 EOF = "EOF"
 
-_PUNCT_CHARS = "(),*;."
-_OP_START = "=<>!"
+# Each match is one token and the whitespace and comments before it;
+# the last alternative matches the end of the text, so the prefix is
+# never backtracked into.  A quoted token's closing quote must end its
+# run of quotes: without the lookahead, backtracking would close
+# "'a''" after the 'a'.  (No possessive or atomic groups: Python 3.9
+# has neither.)
+_TOKEN = re.compile(
+    r"\s*(?:--[^\n]*\s*)*(?:"
+    r"([A-Za-z_]\w*)"                         # 1 ASCII-led word
+    r"|([(),*;.])"                            # 2 punctuation
+    r"|(<>|<=|>=|!=|[=<>])"                   # 3 operator
+    r"|(-?[0-9]+(?:\.[0-9]+)?)"               # 4 number
+    r"|('[^']*(?:''[^']*)*'(?!'))"            # 5 string
+    r"|(\[[^\]]*(?:\]\][^\]]*)*\](?!\]))"      # 6 [identifier]
+    r"|([^\W\d]\w*)"                          # 7 other word
+    r"|(.)"                                   # 8 anything else
+    r"|\Z)",
+    re.DOTALL,
+)
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    """ASCII digits only: ``str.isdigit`` accepts characters like '²'
-    that ``int()`` rejects."""
-    return "0" <= ch <= "9"
+#: One token as the parser reads it: ``(kind, value)``, with its offset
+#: kept apart so that equal tokens compare equal.  Keyword, punctuation
+#: and operator pairs are shared constants.
+Lexeme = tuple[str, TokenValue]
+
+_KEYWORD_PAIRS = {word: (KEYWORD, word) for word in KEYWORDS}
+_PUNCT_PAIRS = {ch: (PUNCT, ch) for ch in "(),*;."}
+_OP_PAIRS = {op: (OP, op) for op in ("=", "<>", "<", "<=", ">", ">=")}
+_OP_PAIRS["!="] = _OP_PAIRS["<>"]
+_EOF_PAIR: Lexeme = (EOF, None)
 
 
 class Token:
@@ -57,118 +91,85 @@ class Token:
         self.value = value
         self.position = position
 
-    def matches(self, kind: str, value: TokenValue = None) -> bool:
-        """True if this token has ``kind`` (and ``value``, if given)."""
-        if self.kind != kind:
-            return False
-        return value is None or self.value == value
-
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r}@{self.position})"
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenise ``text``; returns a list ending with an EOF token."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch, start = text[i], i
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("--", i):
-            # Line comment.
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            value, i = _read_string(text, i)
-            tokens.append(Token(STRING, value, start))
-            continue
-        if _is_ascii_digit(ch) or (
-            ch == "-" and i + 1 < n and _is_ascii_digit(text[i + 1])
-        ):
-            value, i = _read_number(text, i)
-            tokens.append(Token(NUMBER, value, start))
-            continue
-        if ch == "[":
-            value, i = _read_identifier(text, i)
-            tokens.append(Token(IDENT, value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            value, i = _read_identifier(text, i)
-            upper = value.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(KEYWORD, upper, start))
-            else:
-                tokens.append(Token(IDENT, value, start))
-            continue
-        if ch in _OP_START:
-            value, i = _read_operator(text, i)
-            tokens.append(Token(OP, value, start))
-            continue
-        if ch in _PUNCT_CHARS:
-            tokens.append(Token(PUNCT, ch, start))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, None, n))
-    return tokens
+    lexemes, positions = scan(text)
+    return [
+        Token(kind, value, position)
+        for (kind, value), position in zip(lexemes, positions)
+    ]
 
 
-def _read_string(text: str, start: int) -> tuple[str, int]:
-    """Read a single-quoted string starting at ``start``."""
-    i = start + 1
-    parts: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", start)
+def scan(text: str) -> tuple[list[Lexeme], list[int]]:
+    """Tokenise ``text`` into :data:`Lexeme` s and their offsets, both
+    ending with EOF's (the parser's form of :func:`tokenize`)."""
+    lexemes: list[Lexeme] = []
+    positions: list[int] = []
+    lexeme = lexemes.append
+    position = positions.append
+    keyword = _KEYWORD_PAIRS.get
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 1:
+            word = match[1]
+            lexeme(keyword(word.upper()) or (IDENT, word))
+        elif group == 2:
+            lexeme(_PUNCT_PAIRS[match[2]])
+        elif group == 3:
+            lexeme(_OP_PAIRS[match[3]])
+        elif group == 4:
+            raw = match[4]
+            lexeme((NUMBER, float(raw) if "." in raw else int(raw)))
+        elif group == 5:
+            lexeme((STRING, match[5][1:-1].replace("''", "'")))
+        elif group == 6:
+            lexeme((IDENT, match[6][1:-1].replace("]]", "]")))
+        elif group == 7:
+            word = match[7]
+            if not word[0].isalpha():  # '²' and '½' are \w, not letters
+                raise SQLSyntaxError(
+                    f"unexpected character {word[0]!r}", match.start(7)
+                )
+            lexeme(keyword(word.upper()) or (IDENT, word))
+        elif group == 8:
+            raise _stray(match[8], match.start(8))
+        else:
+            break  # the end of the text
+        position(match.start(group))
+    lexemes.append(_EOF_PAIR)
+    positions.append(len(text))
+    return lexemes, positions
 
 
-def _read_number(text: str, start: int) -> tuple[Union[int, float], int]:
-    """Read an integer or float (optionally negative)."""
-    i = start
-    if text[i] == "-":
-        i += 1
-    begin = i
-    n = len(text)
-    while i < n and _is_ascii_digit(text[i]):
-        i += 1
-    is_float = False
-    if (i < n and text[i] == "." and i + 1 < n
-            and _is_ascii_digit(text[i + 1])):
-        is_float = True
-        i += 1
-        while i < n and _is_ascii_digit(text[i]):
-            i += 1
-    if i == begin:
-        raise SQLSyntaxError("malformed number", start)
-    raw = text[start:i]
-    return (float(raw) if is_float else int(raw)), i
+def _stray(ch: str, position: int) -> SQLSyntaxError:
+    """The error for a character no token can start with here."""
+    if ch == "'":
+        return SQLSyntaxError("unterminated string literal", position)
+    if ch == "[":
+        return SQLSyntaxError("unterminated [identifier]", position)
+    if ch == "!":
+        return SQLSyntaxError("unexpected operator start '!'", position)
+    return SQLSyntaxError(f"unexpected character {ch!r}", position)
 
 
-def _read_identifier(text: str, start: int) -> tuple[str, int]:
-    """Read an identifier, including the ``[bracketed]`` T-SQL form."""
-    n = len(text)
-    if text[start] == "[":
-        end = text.find("]", start)
-        if end == -1:
-            raise SQLSyntaxError("unterminated [identifier]", start)
-        return text[start + 1 : end], end + 1
-    i = start
-    while i < n and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    return text[start:i], i
+@lru_cache(maxsize=4096)
+def quote_identifier(name: str) -> str:
+    """Render an identifier so that it lexes back to ``name``.
+
+    Each dot-separated part of a qualified name (``alias.column``)
+    that is a keyword — a column called ``group`` — or is not a bare
+    identifier is written in the ``[bracketed]`` form, a ``]`` in it
+    doubled; everything else is left as it is.
+    """
+    return ".".join(
+        part if _is_bare_identifier(part)
+        else "[" + part.replace("]", "]]") + "]"
+        for part in name.split(".")
+    )
 
 
 def _is_bare_identifier(name: str) -> bool:
@@ -179,28 +180,3 @@ def _is_bare_identifier(name: str) -> bool:
         and all(ch.isalnum() or ch == "_" for ch in name)
         and name.upper() not in KEYWORDS
     )
-
-
-def quote_identifier(name: str) -> str:
-    """Render an identifier so that it lexes back to ``name``.
-
-    Each dot-separated part of a qualified name (``alias.column``)
-    that is a keyword — a column called ``group`` — or is not a bare
-    identifier is written in the ``[bracketed]`` form; everything else
-    is left as it is.
-    """
-    return ".".join(
-        part if _is_bare_identifier(part) else f"[{part}]"
-        for part in name.split(".")
-    )
-
-
-def _read_operator(text: str, start: int) -> tuple[str, int]:
-    """Read one of = <> < <= > >= != (normalising != to <>)."""
-    two = text[start : start + 2]
-    if two in ("<>", "<=", ">=", "!="):
-        return ("<>" if two == "!=" else two), start + 2
-    one = text[start]
-    if one in "=<>":
-        return one, start + 1
-    raise SQLSyntaxError(f"unexpected operator start {one!r}", start)

@@ -1,9 +1,14 @@
 """Unit tests for the SQL tokenizer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SQLSyntaxError
 from repro.sqlengine import lexer
+
+from . import lexer_oracle
+from .test_parser_robustness import token_salad
 
 
 def kinds_and_values(sql):
@@ -75,6 +80,7 @@ class TestTokenize:
         ("9lives", "[9lives]"),
         ("a.order", "a.[order]"),
         ("from.x", "[from].x"),
+        ("a]b", "[a]]b]"),
     ])
     def test_quote_identifier_lexes_back(self, name, rendered):
         assert lexer.quote_identifier(name) == rendered
@@ -83,6 +89,11 @@ class TestTokenize:
             if kind == lexer.IDENT
         ]
         assert ".".join(idents) == name
+
+    def test_bracket_escape_reads_one_bracket(self):
+        assert kinds_and_values("[a]]b] [x]]]")[:2] == [
+            (lexer.IDENT, "a]b"), (lexer.IDENT, "x]"),
+        ]
 
     def test_unterminated_bracket_raises(self):
         with pytest.raises(SQLSyntaxError):
@@ -97,12 +108,6 @@ class TestTokenize:
         tokens = kinds_and_values("attr_name _x")
         idents = [v for k, v in tokens if k == lexer.IDENT]
         assert idents == ["attr_name", "_x"]
-
-    def test_token_matches_helper(self):
-        token = lexer.tokenize("SELECT")[0]
-        assert token.matches(lexer.KEYWORD, "SELECT")
-        assert token.matches(lexer.KEYWORD)
-        assert not token.matches(lexer.IDENT)
 
     @pytest.mark.parametrize("sql", [
         "SELECT FROM t",
@@ -124,3 +129,30 @@ class TestTokenize:
 
         with pytest.raises(SQLSyntaxError, match="'FROM' \\(at offset 7\\)"):
             parse("SELECT FROM t")
+
+
+#: Pieces of text where the regex and the character loop could part:
+#: quote and bracket runs, signs, dots, Unicode digits and letters,
+#: NBSP and control whitespace.
+_TRICKY = st.lists(
+    st.sampled_from([
+        "'", "''", "[", "]", "]]", "-", "--", ".", "5", "a", "_", " ",
+        "\n", "=", "<", ">", "!", "²", "٣", "ß", "ſ", "\xa0", "\x1c",
+    ]),
+    max_size=12,
+).map("".join)
+
+
+class TestRegexLexerMatchesTheOracle:
+    """``lexer.tokenize`` against the character loop it replaced."""
+
+    @pytest.mark.parametrize("text", lexer_oracle.PINNED)
+    def test_pinned(self, text):
+        assert lexer_oracle.outcome(lexer.tokenize, text) == \
+            lexer_oracle.outcome(lexer_oracle.tokenize, text)
+
+    @given(st.one_of(st.text(max_size=60), _TRICKY, token_salad))
+    @settings(max_examples=600, deadline=None)
+    def test_every_text_lexes_alike(self, text):
+        assert lexer_oracle.outcome(lexer.tokenize, text) == \
+            lexer_oracle.outcome(lexer_oracle.tokenize, text)

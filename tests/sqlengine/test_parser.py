@@ -25,6 +25,7 @@ from repro.sqlengine.expr import (
     ColumnRef,
     Comparison,
     InList,
+    Literal,
     Not,
     Or,
     eq,
@@ -131,6 +132,36 @@ class TestUnion:
         assert first.group_by == ["class", "A1"]
         assert first.items[0].alias == "attr_name"
 
+    def test_a_repeated_where_is_parsed_once(self):
+        statement = parse(
+            "SELECT a FROM t WHERE a = 1 AND b <> 'x' GROUP BY a "
+            "UNION ALL SELECT b FROM t WHERE a = 1 AND b <> 'x' GROUP BY b "
+            "UNION ALL SELECT c FROM t WHERE a = 1 AND b <> 'x'"
+        )
+        first, second, third = (s.where for s in statement.selects)
+        assert first is second
+        assert third == first  # ended by EOF, not GROUP: parsed anew
+        assert first == And([eq("a", 1), Comparison(
+            "<>", ColumnRef("b"), Literal("x"))])
+        assert [s.group_by for s in statement.selects] == [["a"], ["b"], []]
+
+    @pytest.mark.parametrize("other, where", [
+        ("a = 1.0", Comparison("=", ColumnRef("a"), Literal(1.0))),
+        ("a = 1 OR b = 2", Or([eq("a", 1), eq("b", 2)])),
+        ("a = 12", eq("a", 12)),
+        ("[a] = 1", eq("a", 1)),
+        ("a =  1", eq("a", 1)),
+    ])
+    def test_a_where_that_differs_is_parsed_anew(self, other, where):
+        statement = parse(
+            f"SELECT a FROM t WHERE a = 1 GROUP BY a "
+            f"UNION ALL SELECT a FROM t WHERE {other} GROUP BY a"
+        )
+        first, second = (s.where for s in statement.selects)
+        assert first == eq("a", 1)
+        assert second == where
+        assert second is not first
+
 
 class TestDDLAndDML:
     def test_create_table(self):
@@ -177,6 +208,30 @@ class TestErrors:
     def test_malformed_statements_raise(self, sql):
         with pytest.raises(SQLSyntaxError):
             parse(sql)
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT * FROM t WHERE a 5",
+         "expected comparison or IN, found 5 (at offset 24)"),
+        ("SELECT * FROM t WHERE a NOT 5",
+         "expected comparison or IN, found 'NOT' (at offset 24)"),
+        ("SELECT * FROM t ORDER BY 5",
+         "expected identifier, found 5 (at offset 25)"),
+        ("SELECT 1 FROM t; 2",
+         "trailing input after statement: 2 (at offset 17)"),
+        ("SELECT * FROM t LIMIT 1.5",
+         "LIMIT expects an integer (at offset 22)"),
+        ("SELECT * FROM", "expected identifier, found None (at offset 13)"),
+        ("CREATE INDEX i ON t (a) USING btree",
+         "unknown index kind 'btree' (expected one of hash, range) "
+         "(at offset 30)"),
+        ("SELECT x FROM t WHERE a = 1 GROUP BY x UNION ALL "
+         "SELECT x FROM t WHERE a = 1 GROUP x",
+         "expected BY, found 'x' (at offset 83)"),
+    ])
+    def test_messages_name_the_token_and_its_offset(self, sql, message):
+        with pytest.raises(SQLSyntaxError) as info:
+            parse(sql)
+        assert str(info.value) == message
 
 
 class TestRoundTrip:

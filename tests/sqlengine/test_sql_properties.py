@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sql_counting import cc_statement
-from repro.sqlengine.ast_nodes import Aggregate, CountStar, Select, SelectItem
+from repro.sqlengine.ast_nodes import (
+    Aggregate,
+    CountStar,
+    Select,
+    SelectItem,
+    UnionAll,
+)
 from repro.sqlengine.database import SQLServer
 from repro.sqlengine.executor import (
     ResultSet,
@@ -264,6 +270,16 @@ def _leaf(draw):
     return Comparison(shape, ColumnRef(column), Literal(literal))
 
 
+def _where(draw):
+    n_leaves = draw(st.integers(0, 3))
+    if not n_leaves:
+        return None
+    leaves = [_leaf(draw) for _ in range(n_leaves)]
+    if n_leaves == 1:
+        return leaves[0]
+    return draw(st.sampled_from([And, Or]))(leaves)
+
+
 @st.composite
 def oracle_statements(draw):
     """Grouped SELECTs of the CC shape and just outside it."""
@@ -278,13 +294,7 @@ def oracle_statements(draw):
         items.append(SelectItem(Aggregate("SUM", ColumnRef("c")), "total"))
     items = draw(st.permutations(items))
 
-    where = None
-    n_leaves = draw(st.integers(0, 3))
-    if n_leaves:
-        leaves = [_leaf(draw) for _ in range(n_leaves)]
-        where = leaves[0] if n_leaves == 1 else draw(
-            st.sampled_from([And, Or])
-        )(leaves)
+    where = _where(draw)
 
     names = [item.output_name for item in items]
     order_by = draw(st.lists(
@@ -347,6 +357,39 @@ def _sqlite_rows(live_rows, statement):
         connection.close()
 
 
+def _cc_branch(column, label, where=None, count=True):
+    """One branch of the CC query's shape, grouped on (label, column)."""
+    aggregate = CountStar() if count else Aggregate("SUM", ColumnRef("c"))
+    items = [
+        SelectItem(Literal(column), "attr_name"),
+        SelectItem(ColumnRef(column), "value"),
+        SelectItem(ColumnRef(label), "class_label"),
+        SelectItem(aggregate, "cnt"),
+    ]
+    return Select(items, "t", where=where, group_by=[label, column])
+
+
+@st.composite
+def oracle_unions(draw):
+    """UNION ALLs of 2-3 CC-shaped branches (one in four SUMs instead
+    of counting).  The branches share one WHERE — the same object, or
+    an equal one parsed from its text — or each draws its own."""
+    shared = draw(st.sampled_from(["object", "copy", "own"]))
+    first = _where(draw)
+    branches = []
+    for _ in range(draw(st.integers(2, 3))):
+        column, label = draw(st.permutations(["a", "b", "c", "s"]))[:2]
+        if shared == "own":
+            where = _where(draw)
+        elif shared == "copy" and first is not None:
+            where = parse(f"SELECT * FROM t WHERE {first.to_sql()}").where
+        else:
+            where = first
+        count = draw(st.sampled_from([True, True, True, False]))
+        branches.append(_cc_branch(column, label, where, count))
+    return UnionAll(branches)
+
+
 def _count_by(*group_by, where=None):
     items = [SelectItem(ColumnRef(name)) for name in group_by]
     return Select(items + [SelectItem(CountStar(), "n")], "t", where=where,
@@ -396,27 +439,50 @@ class TestGroupedCountOracle:
             assert len(answer) == min(statement.limit, sum(reference.values()))
             assert not Counter(answer) - reference
 
-    def test_cc_union_matches_branch_by_branch(self):
-        """The production statement shape, both implementations side
-        by side: m branches are m scans, each charged as the row path
-        charges it."""
-        rows = [(i % 3, (i * 7) % 5, i % 2, "xyz"[i % 3]) for i in range(200)]
-        actual_server = _oracle_server(rows, [3, 50, 51], None)
-        expected_server = _oracle_server(rows, [3, 50, 51], None)
-        statement = cc_statement(
-            "t", ["a", "b", "s"], "c", Or([eq("a", 1), ne("b", 0)])
-        )
+    @given(oracle_tables(), oracle_unions())
+    @example(  # the production statement (`cc_statement`), 200 rows
+        ([(i % 3, (i * 7) % 5, i % 2, "xyz"[i % 3]) for i in range(200)],
+         [3, 50, 51], None),
+        cc_statement("t", ["a", "b", "s"], "c", Or([eq("a", 1), ne("b", 0)])),
+    )
+    @example(([(1, 2, 3, "x"), (2, 2, 3, "x")], [], None),  # 1 = 1.0
+             UnionAll([_cc_branch("a", "b", where=eq("a", 1)),
+                       _cc_branch("b", "a", where=Comparison(
+                           "=", ColumnRef("a"), Literal(1.0)))]))
+    @example(([(i % 3, i % 2, i, "xy"[i % 2]) for i in range(30)], [4],
+              ("a", "hash")),
+             UnionAll([_cc_branch(column, "a", where=eq("a", 2))
+                       for column in ("b", "s", "c")]))
+    @settings(max_examples=200, deadline=None)
+    def test_union_matches_the_row_path_branch_by_branch_and_sqlite(
+        self, table_spec, statement
+    ):
+        """Branches that share a WHERE share its plan and mask, never
+        its charges: m branches are m scans, each charged as the row
+        path charges it alone."""
+        rows, dead, index = table_spec
+        actual_server = _oracle_server(rows, dead, index)
+        expected_server = _oracle_server(rows, dead, index)
+
         actual = actual_server.execute(statement)
         expected_rows = []
         for branch in statement.selects:
             expected_rows.extend(_row_path(expected_server, branch).rows)
+
         assert actual.rows == expected_rows
+        for row in actual.rows:
+            assert all(type(v) in (int, str, type(None)) for v in row)
         overhead = expected_server.model.query_overhead
+        others = len(statement.selects) - 1  # one statement, not m
         charges = dict(expected_server.meter.charges)
-        charges["query_overhead"] -= 2 * overhead  # one statement, not three
+        charges["query_overhead"] -= others * overhead
         assert actual_server.meter.charges == charges
         counts = dict(expected_server.meter.counts)
-        counts["query_overhead"] -= 2
+        counts["query_overhead"] -= others
         assert actual_server.meter.counts == counts
-        assert actual_server.meter.counts["server_io"] == \
-            3 * actual_server.table("t").pages_touched()
+
+        live = list(actual_server.table("t").scan_rows())
+        reference = Counter()
+        for branch in statement.selects:
+            reference.update(_sqlite_rows(live, branch))
+        assert Counter(actual.rows) == reference

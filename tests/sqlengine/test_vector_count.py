@@ -13,7 +13,10 @@ pytest.importorskip("numpy")
 from repro.common.errors import CatalogError  # noqa: E402
 from repro.sqlengine import columnar  # noqa: E402
 from repro.sqlengine.columnar import ColumnarPartition  # noqa: E402
+from repro.sqlengine import executor  # noqa: E402
 from repro.sqlengine.database import SQLServer  # noqa: E402
+from repro.sqlengine.executor import execute_statement  # noqa: E402
+from repro.sqlengine.parser import parse  # noqa: E402
 from repro.sqlengine.schema import TableSchema  # noqa: E402
 
 COUNT_AB = "SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b"
@@ -215,4 +218,59 @@ class TestRowPathFallbacks:
             "Aggregate: vector (COUNT(*) over the table's columnar "
             "encoding) x2 branches",
             "Aggregate: row (MAX(a) is not COUNT(*))",
+        ]
+
+
+class TestBranchesShareTheirWhere:
+    """A UNION's branches under one WHERE are planned and masked once;
+    each is still its own metered scan with its own choice."""
+
+    rows = [(i % 3, i % 2) for i in range(40)]
+    shared = (
+        "SELECT a, COUNT(*) FROM t WHERE b <> 1 GROUP BY a "
+        "UNION ALL SELECT b, COUNT(*) FROM t WHERE b <> 1 GROUP BY b "
+        "UNION ALL SELECT a, COUNT(*) FROM t WHERE b <> 1 GROUP BY a"
+    )
+
+    def test_explain_lists_one_choice_per_branch(self):
+        server = make_server(self.rows)
+        lines = [row[0] for row in server.execute("EXPLAIN " + self.shared)]
+        assert [line for line in lines if line.startswith("Aggregate")] == [
+            "Aggregate: vector (COUNT(*) over the table's columnar "
+            "encoding) x3 branches",
+        ]
+        choices = []
+        execute_statement(parse(self.shared), server.database, server.meter,
+                          server.model, choices)
+        assert len(choices) == 3
+
+    def test_planned_once_per_distinct_where(self, monkeypatch):
+        server = make_server(self.rows)
+        planned = []
+        original = executor.plan_access_path
+
+        def counting(where, *args, **kwargs):
+            planned.append(where)
+            return original(where, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "plan_access_path", counting)
+        before = server.meter.counts.get("server_io", 0)
+        server.execute(self.shared)
+        assert len(planned) == 1
+        pages = server.table("t").pages_touched()
+        assert server.meter.counts["server_io"] - before == 3 * pages
+        server.execute(self.shared.replace("WHERE b <> 1 GROUP BY b",
+                                           "WHERE b = 1 GROUP BY b"))
+        assert len(planned) == 3  # a new statement, two WHEREs
+
+    def test_equal_but_differently_typed_literals_are_not_shared(self):
+        server = make_server(self.rows)
+        lines = [row[0] for row in server.execute(
+            "EXPLAIN SELECT a, COUNT(*) FROM t WHERE b = 1 GROUP BY a "
+            "UNION ALL SELECT a, COUNT(*) FROM t WHERE b = 1.0 GROUP BY a"
+        )]
+        assert [line for line in lines if line.startswith("Aggregate")] == [
+            "Aggregate: vector (COUNT(*) over the table's columnar "
+            "encoding)",
+            "Aggregate: row (WHERE compares against a float literal)",
         ]
